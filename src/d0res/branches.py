@@ -16,7 +16,7 @@ from math import gcd, lcm
 from .errors import D0resError, DegreeBoundExceeded, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, rref_rows, solve_exact
-from .poly import Poly, grlex_key, is_squarefree, monomials_upto, var_names
+from .poly import Poly, grlex_key, is_squarefree, monomials_upto
 from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
 from .series import Series
 
@@ -532,7 +532,3 @@ def germ_invariants(branches, point=None) -> Germ:
         r0=r0,
         notes=tuple(notes),
     )
-
-
-def var_names_for(germ: Germ):
-    return var_names(germ.branches[0].ambient_dim)

@@ -16,18 +16,18 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import D0resError, InputError, UnsupportedFieldExtension
 from .report import (
+    assemble_report,
     emit_report,
     parse_request,
     report_passes,
     run_analyze,
     run_with_escalation,
 )
-from .verify import pushforward_restriction_oracle
+from .verify import aggregate_critical_rank, pushforward_restriction_oracle
 from .branches import colength_intersection_length
 
 EXIT_OK = 0
@@ -119,19 +119,15 @@ def cmd_corpus(args) -> int:
         raise InputError(directory, "no request files found")
     golden_dir = os.path.join(directory, "golden")
 
-    def run_one(name):
+    failures = 0
+    germs = []
+    for name in names:
         req = _load_request(os.path.join(directory, name))
         req.fmt = "json"
         req.echo["format"] = "json"
-        report = run_analyze(req)
-        return name, report, emit_report(report, "json")
-
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        results = list(pool.map(run_one, names))
-
-    failures = 0
-    germs = []
-    for name, report, blob in results:
+        germ, report = run_with_escalation(
+            req, lambda g, c, t, r: (g, assemble_report(req, g, c, t, r)))
+        blob = emit_report(report, "json")
         golden_path = os.path.join(golden_dir, name)
         if args.update_golden:
             os.makedirs(golden_dir, exist_ok=True)
@@ -150,23 +146,11 @@ def cmd_corpus(args) -> int:
             failures += 1
         print(f"{name}: r0={report['germ']['r0']} "
               f"{'pass' if passes else 'FAIL'} golden={status}")
-        germs.append(report)
-    agg = _aggregate_from_reports(germs)
+        germs.append(germ)
+    agg = aggregate_critical_rank(germs)
     print(f"aggregate: l0={agg['l0']} r0={agg['r0']} "
           f"per-germ r0={agg['per_germ_r0']}")
     return EXIT_VERIFICATION_FAILED if failures else EXIT_OK
-
-
-def _aggregate_from_reports(reports):
-    from math import lcm
-
-    all_n = [n for rep in reports for n in rep["germ"]["n"]]
-    biis = [rep["germ"]["bii"] for rep in reports
-            if rep["germ"]["bii"] is not None]
-    l0 = 1 + max(biis) if biis else 1
-    r0 = l0 * lcm(*all_n) if all_n else l0
-    return {"l0": l0, "r0": r0,
-            "per_germ_r0": [rep["germ"]["r0"] for rep in reports]}
 
 
 def cmd_oracle(args) -> int:

@@ -13,7 +13,7 @@ from math import isqrt
 
 from .errors import D0resError, UnsupportedFieldExtension
 
-Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def _as_fraction(value) -> Fraction:
@@ -44,7 +44,7 @@ class NumberField:
             if lead == 0:
                 raise D0resError("minimal polynomial has zero leading coefficient")
             coeffs = tuple(c / lead for c in coeffs)
-        if not _is_squarefree_univariate(coeffs):
+        if len(upoly_gcd(coeffs, upoly_deriv(coeffs))) != 1:
             raise D0resError("minimal polynomial must be squarefree")
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
@@ -169,10 +169,10 @@ class FieldElement:
         r0, r1 = list(self.field.minpoly), list(self.coeffs)
         t0, t1 = [Fraction(0)], [Fraction(1)]
         while any(c != 0 for c in r1):
-            q, r = _poly_divmod(r0, r1)
+            q, r = upoly_divmod(r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        r0 = _poly_trim(r0)
+            t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
+        r0 = upoly_trim(r0)
         if len(r0) != 1:
             raise ZeroDivisionError(
                 f"{self} is a zero divisor (reducible modulus {poly_str(self.field.minpoly, 'a')})"
@@ -232,44 +232,6 @@ def scalar_is_zero(x) -> bool:
     if isinstance(x, FieldElement):
         return x.is_zero()
     return x == 0
-
-
-def scalar_field(x):
-    """The NumberField of x, or None for rationals."""
-    return x.field if isinstance(x, FieldElement) else None
-
-
-def common_field(*values):
-    """The single NumberField appearing among values (None if all rational)."""
-    field = None
-    for v in values:
-        f = scalar_field(v)
-        if f is None:
-            continue
-        if field is None:
-            field = f
-        elif field != f:
-            raise UnsupportedFieldExtension("values live in distinct extensions")
-    return field
-
-
-def coerce_scalar(x, field):
-    """Coerce a scalar into `field` (or leave rational when field is None)."""
-    if field is None:
-        if isinstance(x, FieldElement):
-            return x.rational_part()
-        return _as_fraction(x)
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise UnsupportedFieldExtension("cannot coerce between distinct extensions")
-        return x
-    return field.from_rational(x)
-
-
-def scalar_rational_part(x):
-    if isinstance(x, FieldElement):
-        return x.rational_part()
-    return _as_fraction(x)
 
 
 # -- formatting and parsing ----------------------------------------------------
@@ -358,51 +320,75 @@ def _parse_term(term, gen):
     return coeff, power
 
 
-# -- tiny univariate polynomial kit over QQ (dense, lowest degree first) -------
+# -- univariate polynomial kit (dense lists, lowest degree first) --------------
+#
+# Coefficients are Fractions, or FieldElements of one NumberField mixed with
+# Fractions.  Zero tests use truthiness and normalisation uses `1 / lead`; both
+# work unchanged for either scalar type.
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
+def upoly_trim(p):
+    """Drop trailing zero coefficients of `p` in place; returns `p`.
+
+    Also trims lists whose entries are polynomials, since `[]` is falsy."""
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_sub(p, q):
+def upoly_sub(p, q):
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [_ZERO] * n
     for i, c in enumerate(p):
-        out[i] += c
+        out[i] = out[i] + c
     for i, c in enumerate(q):
-        out[i] -= c
-    return _poly_trim(out)
+        out[i] = out[i] - c
+    return upoly_trim(out)
 
 
-def _poly_mul(p, q):
+def upoly_mul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
+        if not a:
             continue
         for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _poly_trim(out)
+            out[i + j] = out[i + j] + a * b
+    return upoly_trim(out)
 
 
-def _poly_divmod(p, q):
-    p = list(p)
-    q = _poly_trim(list(q))
+def upoly_divmod(p, q):
+    """(quotient, remainder) of p by a nonzero q."""
+    p = upoly_trim(list(p))
+    q = upoly_trim(list(q))
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(_poly_trim(p)) >= len(q):
-        p = _poly_trim(p)
+    quot = [_ZERO] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
         shift = len(p) - len(q)
         factor = p[-1] / q[-1]
         quot[shift] = factor
         for i, c in enumerate(q):
-            p[i + shift] -= factor * c
-    return quot, _poly_trim(p)
+            p[i + shift] = p[i + shift] - factor * c
+        upoly_trim(p)
+    return quot, p
+
+
+def upoly_gcd(p, q):
+    """Monic gcd of p and q ([] when both are zero)."""
+    p, q = upoly_trim(list(p)), upoly_trim(list(q))
+    while q:
+        _, r = upoly_divmod(p, q)
+        p, q = q, r
+    if p:
+        inv = 1 / p[-1]
+        p = [c * inv for c in p]
+    return p
+
+
+def upoly_deriv(p):
+    return upoly_trim([c * k for k, c in enumerate(p)][1:])
 
 
 def _reduce_mod(coeffs, minpoly):
@@ -419,24 +405,6 @@ def _reduce_mod(coeffs, minpoly):
     out = coeffs[:d]
     out += [Fraction(0)] * (d - len(out))
     return out
-
-
-def _is_squarefree_univariate(coeffs):
-    p = list(coeffs)
-    dp = [i * c for i, c in enumerate(p)][1:]
-    g = _poly_gcd(p, dp)
-    return len(g) == 1
-
-
-def _poly_gcd(p, q):
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while q:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
 
 
 def rational_sqrt(value):

@@ -1,26 +1,81 @@
-"""Hot-kernel selection and the Fraction-level wrappers used by linalg.
+"""Integer kernels and the Fraction-level wrappers used by linalg.
 
-At import time the compiled extension is preferred; the pure twin is the
-fallback.  `IMPLEMENTATION` records which one won (the benchmark and the
-equivalence tests import both twins explicitly).  Clearing denominators up
-front lets the whole elimination/product run on plain ints, skipping the
-per-operation gcd that Fraction arithmetic pays.
+Clearing denominators up front lets the whole elimination/product run on
+plain ints, skipping the per-operation gcd that Fraction arithmetic pays.
+`IMPLEMENTATION` names these kernels in benchmark result stamps.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-try:  # pragma: no cover - depends on whether the extension was built
-    from . import _kernhot as _impl
+IMPLEMENTATION = "pure"
 
-    IMPLEMENTATION = "compiled"
-except ImportError:  # pragma: no cover
-    from . import _kernhot_py as _impl
 
-    IMPLEMENTATION = "pure"
+def imatmul(a, b):
+    """Matrix product of list-of-list integer matrices."""
+    n = len(a)
+    k = len(b)
+    m = len(b[0]) if k else 0
+    bt = [[row[j] for row in b] for j in range(m)]
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = []
+        for j in range(m):
+            bj = bt[j]
+            s = 0
+            for l in range(k):
+                v = ai[l]
+                if v:
+                    s += v * bj[l]
+            row.append(s)
+        out.append(row)
+    return out
 
-imatmul = _impl.imatmul
-irow_echelon = _impl.irow_echelon
+
+def irow_echelon(rows):
+    """Fraction-free Gaussian elimination with first-nonzero pivoting.
+
+    Mutates `rows` (lists of ints) into row-echelon form with content-reduced
+    rows; returns the pivot column indices in order.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = -1
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            v = rows[i][c]
+            if not v:
+                continue
+            ri = rows[i]
+            rr = rows[r]
+            for j in range(c, ncols):
+                ri[j] = ri[j] * piv - rr[j] * v
+            g = 0
+            for j in range(c, ncols):
+                if ri[j]:
+                    g = gcd(g, ri[j])
+            if g > 1:
+                for j in range(c, ncols):
+                    ri[j] //= g
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def _common_denominator(rows):

@@ -1,7 +1,7 @@
 """Exact dense matrices over the scalar field, with deterministic elimination.
 
-Matrices over plain rationals route through the integer kernels (compiled or
-pure twin); matrices containing extension elements use the generic scalar path.
+Matrices over plain rationals route through the integer kernels; matrices
+containing extension elements use the generic scalar path.
 Everything is immutable; no operation ever rounds.
 """
 
@@ -70,10 +70,6 @@ class ExactMatrix:
 
     def is_square(self):
         return self.rows == self.cols
-
-    def transpose(self):
-        return ExactMatrix([[self.data[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -325,6 +321,13 @@ def eval_poly_at_matrices(f, mats):
                 raise NonCommutingActions(
                     f"action matrices {i} and {j} do not commute"
                 )
+    return eval_poly_at_commuting(f, mats)
+
+
+def eval_poly_at_commuting(f, mats):
+    """f(A_1, ..., A_m) for matrices the caller already checked: square, of
+    equal size and pairwise commuting (as `FiniteModule` actions are)."""
+    n = mats[0].rows
     identity = ExactMatrix.identity(n)
     powers = [{0: identity, 1: m} for m in mats]
     acc = ExactMatrix.zeros(n, n)

@@ -243,35 +243,6 @@ class AnnihilatorIdeal:
                 and self.monomials == other.monomials
                 and self.echelon == other.echelon)
 
-    def contains(self, module: FiniteModule) -> bool:
-        """True when every basis polynomial annihilates `module` too."""
-        return all(evaluate_on_module(p, module).is_zero() for p in self.polys)
-
-
-def evaluate_on_module(f: Poly, module: FiniteModule) -> ExactMatrix:
-    """f(A_1, ..., A_m) without re-checking commutation (validated at build)."""
-    n = module.dim
-    identity = ExactMatrix.identity(n)
-    powers = [{0: identity, 1: a} for a in module.actions]
-    acc = ExactMatrix.zeros(n, n)
-    for exp, coeff in f.sorted_terms():
-        term = identity
-        for idx, k in enumerate(exp):
-            if k == 0:
-                continue
-            cache = powers[idx]
-            if k not in cache:
-                top = max(j for j in cache if j <= k)
-                cur = cache[top]
-                while top < k:
-                    cur = cur * cache[1]
-                    top += 1
-                    cache[top] = cur
-            term = term * cache[k]
-        acc = acc + term.scale(coeff)
-    return acc
-
-
 def _evaluation_rows(module: FiniteModule, degree):
     """Matrix of the evaluation map Poly_<=degree -> End(module); columns in
     graded-lex monomial order, rows = flattened matrix entries."""

@@ -11,7 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import D0resError
-from .fields import scalar_is_zero
+from .fields import (
+    scalar_is_zero,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_mul,
+    upoly_sub,
+    upoly_trim,
+)
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -321,70 +328,7 @@ def _as_y_coeffs(f: Poly):
         out[j] = [_ZERO] * (dx + 1)
     for (i, j), c in f.terms.items():
         out[j][i] = c
-    return [_trim(c) for c in out]
-
-
-def _trim(p):
-    p = list(p)
-    while p and scalar_is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _upoly_divmod(p, q):
-    p = _trim(list(p))
-    q = _trim(list(q))
-    if not q:
-        raise ZeroDivisionError
-    quot = [_ZERO] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        shift = len(p) - len(q)
-        factor = p[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            p[i + shift] = p[i + shift] - factor * c
-        p = _trim(p)
-    return quot, p
-
-
-def _upoly_gcd(p, q):
-    p, q = _trim(list(p)), _trim(list(q))
-    while q:
-        _, r = _upoly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-        p = [c * inv for c in p]
-    return p
-
-
-def _upoly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if scalar_is_zero(a):
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _trim(out)
-
-
-def _upoly_sub(p, q):
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return _trim(out)
-
-
-def _ypoly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+    return [upoly_trim(c) for c in out]
 
 
 def _ypoly_pseudo_rem(a, b):
@@ -392,30 +336,31 @@ def _ypoly_pseudo_rem(a, b):
     db = len(b) - 1
     lc_b = b[-1]
     r = [list(c) for c in a]
-    r = _ypoly_trim(r)
+    r = upoly_trim(r)
     while r and len(r) - 1 >= db:
         dr = len(r) - 1
         lead = r[-1]
-        r = [_upoly_mul(c, lc_b) for c in r]
+        r = [upoly_mul(c, lc_b) for c in r]
         shift = dr - db
         for j in range(db + 1):
-            r[j + shift] = _upoly_sub(r[j + shift], _upoly_mul(lead, b[j]))
-        r = _ypoly_trim(r)
+            r[j + shift] = upoly_sub(r[j + shift], upoly_mul(lead, b[j]))
+        r = upoly_trim(r)
     return r
 
 
 def _content_and_primitive(coeffs):
     cont = []
     for c in coeffs:
-        cont = _upoly_gcd(cont, c) if cont else _trim(list(c))
+        cont = upoly_gcd(cont, c) if cont else upoly_trim(list(c))
         if len(cont) == 1:
             break
     if not cont:
         return [], [list(c) for c in coeffs]
     prim = []
     for c in coeffs:
-        q, r = _upoly_divmod(c, cont)
-        assert not r
+        q, r = upoly_divmod(c, cont)
+        if r:
+            raise D0resError("content division left a remainder")
         prim.append(q)
     return cont, prim
 
@@ -429,11 +374,11 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
         return g
     if g.is_zero():
         return f
-    fy = _ypoly_trim(_as_y_coeffs(f))
-    gy = _ypoly_trim(_as_y_coeffs(g))
+    fy = upoly_trim(_as_y_coeffs(f))
+    gy = upoly_trim(_as_y_coeffs(g))
     cf, pf = _content_and_primitive(fy)
     cg, pg = _content_and_primitive(gy)
-    ccont = _upoly_gcd(cf, cg)
+    ccont = upoly_gcd(cf, cg)
     a, b = pf, pg
     if len(a) < len(b):
         a, b = b, a
@@ -445,7 +390,7 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     _, a = _content_and_primitive(a)
     out = {}
     for j, cx in enumerate(a):
-        for i, c in enumerate(_upoly_mul(cx, ccont)):
+        for i, c in enumerate(upoly_mul(cx, ccont)):
             if not scalar_is_zero(c):
                 out[(i, j)] = c
     result = Poly(2, out)

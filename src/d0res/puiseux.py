@@ -28,6 +28,11 @@ from .fields import (
     rational_sqrt,
     scalar_is_zero,
     sqrt_in_field,
+    upoly_deriv,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_sub,
+    upoly_trim,
 )
 from .poly import Poly
 from .series import Series
@@ -60,37 +65,6 @@ class FieldContext:
 # -- univariate scalar polynomials (lowest degree first) -----------------------
 
 
-def _trim(p):
-    while p and scalar_is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _udiv(p, q):
-    p, q = _trim(list(p)), _trim(list(q))
-    quot = [_ZERO] * max(0, len(p) - len(q) + 1)
-    while len(p) >= len(q) and p:
-        shift = len(p) - len(q)
-        factor = p[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            p[i + shift] = p[i + shift] - factor * c
-        p = _trim(p)
-    return quot, p
-
-
-def _ugcd(p, q):
-    p, q = _trim(list(p)), _trim(list(q))
-    while q:
-        _, r = _udiv(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-        p = [c * inv for c in p]
-    return p
-
-
 def _ueval(p, x):
     acc = _ZERO
     for c in reversed(p):
@@ -98,47 +72,32 @@ def _ueval(p, x):
     return acc
 
 
-def _uderiv(p):
-    return _trim([c * k for k, c in enumerate(p)][1:])
-
-
 def squarefree_decomposition(p):
     """Yun's algorithm over a field of characteristic zero.
 
     Returns [(factor, multiplicity)] with factor monic and squarefree.
     """
-    p = _trim(list(p))
+    p = upoly_trim(list(p))
     if len(p) <= 1:
         return []
-    lead = p[-1]
-    inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+    inv = 1 / p[-1]
     p = [c * inv for c in p]
-    dp = _uderiv(p)
-    a = _ugcd(p, dp)
-    b, _ = _udiv(p, a)
-    c, _ = _udiv(dp, a)
-    d = _usub(c, _uderiv(b))
+    dp = upoly_deriv(p)
+    a = upoly_gcd(p, dp)
+    b, _ = upoly_divmod(p, a)
+    c, _ = upoly_divmod(dp, a)
+    d = upoly_sub(c, upoly_deriv(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = _ugcd(b, d)
+        a = upoly_gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
-        b, _ = _udiv(b, a)
-        c, _ = _udiv(d, a)
-        d = _usub(c, _uderiv(b))
+        b, _ = upoly_divmod(b, a)
+        c, _ = upoly_divmod(d, a)
+        d = upoly_sub(c, upoly_deriv(b))
         i += 1
     return out
-
-
-def _usub(p, q):
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return _trim(out)
 
 
 # -- root finding within QQ plus one simple extension ---------------------------
@@ -180,7 +139,7 @@ def _rational_candidates(p):
 def _deflate(p, root):
     """Divide by (u - root); remainder must vanish."""
     lin = [-root, Fraction(1) if isinstance(root, Fraction) else root.field.one()]
-    q, r = _udiv(p, lin)
+    q, r = upoly_divmod(p, lin)
     if r:
         raise D0resError("deflation by a non-root")
     return q
@@ -278,7 +237,7 @@ def roots_in_tower(p, ctx: FieldContext):
 
 
 def _roots_squarefree(p, ctx: FieldContext):
-    p = _trim(list(p))
+    p = upoly_trim(list(p))
     if len(p) <= 1:
         return []
     if len(p) == 2:
@@ -293,7 +252,7 @@ def _roots_squarefree(p, ctx: FieldContext):
         for r in sorted(rational_roots):
             out.append(r)
             work = _deflate(work, r)
-    work = _trim(work)
+    work = upoly_trim(work)
     while len(work) - 1 >= 1:
         deg = len(work) - 1
         if deg == 1:

@@ -287,20 +287,14 @@ def run_with_escalation(req: AnalysisRequest, stage):
             trunc = new_trunc
 
 
-def analyze_germ(req: AnalysisRequest):
-    """Branch decomposition + invariants with automatic truncation doubling.
-
-    Returns (germ, field_context, truncation_used, ranks).
-    """
-    return run_with_escalation(req, lambda g, c, t, r: (g, c, t, r))
-
-
 def run_analyze(req: AnalysisRequest) -> dict:
     """Full pipeline: germ invariants, certificates per rank, oracle checks."""
-    return run_with_escalation(req, lambda g, c, t, r: _assemble(req, g, c, t, r))
+    return run_with_escalation(
+        req, lambda g, c, t, r: assemble_report(req, g, c, t, r))
 
 
-def _assemble(req, germ, ctx, trunc, ranks) -> dict:
+def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
+    """The report of one analysed germ: certificates per rank and oracles."""
     certificates = []
     for r in ranks:
         certificates.append(_certificate_block(germ, r))

@@ -20,11 +20,16 @@ from math import ceil, comb
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation, RankBelowCritical
 from .fields import format_scalar, scalar_is_zero
-from .linalg import ExactMatrix, eval_series_at_matrix, rref_rows
+from .linalg import (
+    ExactMatrix,
+    eval_poly_at_commuting,
+    eval_series_at_matrix,
+    rref_rows,
+)
 from .modules import (
     FiniteModule,
+    _downshift,
     annihilator,
-    evaluate_on_module,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -154,24 +159,29 @@ def separates_points(germ: Germ, r: int, exploratory: bool = False):
 def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
     """A polynomial in exactly one of the two annihilators, re-verified."""
     for g in ann_i.polys:
-        image = evaluate_on_module(g, fiber_j)
-        if not image.is_zero():
-            assert evaluate_on_module(g, fiber_i).is_zero()
+        if not eval_poly_at_commuting(g, fiber_j.actions).is_zero():
+            _check_kills(g, fiber_i)
             return {
                 "polynomial": poly_text(g),
                 "annihilates_branch": "first",
                 "nonzero_on_branch": "second",
             }
     for g in ann_j.polys:
-        image = evaluate_on_module(g, fiber_i)
-        if not image.is_zero():
-            assert evaluate_on_module(g, fiber_j).is_zero()
+        if not eval_poly_at_commuting(g, fiber_i.actions).is_zero():
+            _check_kills(g, fiber_j)
             return {
                 "polynomial": poly_text(g),
                 "annihilates_branch": "second",
                 "nonzero_on_branch": "first",
             }
     raise D0resError("distinct annihilators but no separating element found")
+
+
+def _check_kills(g, fiber):
+    if not eval_poly_at_commuting(g, fiber.actions).is_zero():
+        raise D0resError(
+            f"witness {poly_text(g)} does not annihilate its own fiber"
+        )
 
 
 # -- tangent separation ---------------------------------------------------------------
@@ -190,7 +200,10 @@ def separates_tangents(germ: Germ, r: int, exploratory: bool = False):
         coord = _test_coordinate(b)
         if r >= germ.r0:
             exponent, remainder = divmod(germ.r0, n)
-            assert remainder == 0, "critical rank must be divisible by n"
+            if remainder:
+                raise D0resError(
+                    f"critical rank {germ.r0} is not divisible by n={n}"
+                )
             jet = family_jet(germ, i, r)
         else:
             exponent = ceil(r / n)
@@ -378,12 +391,6 @@ def pushforward_restriction_oracle(b, r: int, trunc: int = None,
                                    for i in range(r)]))
 
     return _equal_up_to_permutation(route1, route2)
-
-
-def _downshift(r):
-    one = Fraction(1)
-    return ExactMatrix([[one if i == j + 1 else _ZERO for j in range(r)]
-                        for i in range(r)])
 
 
 def _equal_up_to_permutation(mats_a, mats_b) -> bool:

@@ -6,12 +6,20 @@ from hypothesis import strategies as st
 
 from d0res.errors import D0resError, UnsupportedFieldExtension
 from d0res.fields import (
+    FieldElement,
     NumberField,
     format_scalar,
     parse_scalar,
     rational_sqrt,
     sqrt_in_field,
+    upoly_deriv,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_mul,
+    upoly_sub,
+    upoly_trim,
 )
+from d0res.puiseux import squarefree_decomposition
 
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -125,3 +133,46 @@ def test_field_ring_axioms(a0, a1, b0, b1, c0, c1):
     assert a * b == b * a
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+gaussians = st.tuples(rationals, rationals).map(lambda c: GAUSS.element(list(c)))
+
+
+def upolys(coeffs):
+    return st.lists(coeffs, max_size=4).map(upoly_trim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(*[upolys(rationals)] * 3),
+                 st.tuples(*[upolys(gaussians)] * 3)))
+def test_univariate_kit_properties(polys):
+    a, b, c = polys
+    p = upoly_mul(upoly_mul(a, c), c)
+    d = upoly_mul(b, c)
+    assert (upoly_sub(upoly_deriv(d), upoly_mul(upoly_deriv(b), c))
+            == upoly_mul(b, upoly_deriv(c)))
+    if d:
+        q, r = upoly_divmod(p, d)
+        assert upoly_sub(p, upoly_mul(q, d)) == r
+        assert len(r) < len(d)
+    g = upoly_gcd(p, d)
+    if p or d:
+        assert g[-1] == 1
+        assert upoly_divmod(p, g)[1] == []
+        assert upoly_divmod(d, g)[1] == []
+        if c:
+            assert upoly_divmod(g, c)[1] == []
+    if len(p) > 1:
+        product = [F(1)]
+        factors = squarefree_decomposition(p)
+        for factor, mult in factors:
+            assert factor[-1] == 1
+            for _ in range(mult):
+                product = upoly_mul(product, factor)
+        inv = 1 / p[-1]
+        assert product == [x * inv for x in p]
+        if len(c) > 1:
+            assert max(mult for _, mult in factors) >= 2
+    for x in a + b + c:
+        if isinstance(x, FieldElement):
+            assert x * x.inverse() == 1

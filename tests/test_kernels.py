@@ -1,44 +1,19 @@
-"""Equivalence of the compiled and pure kernel twins, and the wrappers."""
+"""The integer kernels and their Fraction-level wrappers."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from d0res import _kernhot_py as pure
 from d0res import kernels
+from d0res.kernels import imatmul
 from d0res.linalg import _rref_generic
 
-try:
-    from d0res import _kernhot as compiled
-except ImportError:
-    compiled = None
-
 F = Fraction
-
-
-def random_int_matrix(rng, n, m, lo=-50, hi=50):
-    return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-def test_twins_agree_on_matmul_and_echelon():
-    rng = random.Random(99)
-    for _ in range(60):
-        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
-        a = random_int_matrix(rng, n, k)
-        b = random_int_matrix(rng, k, m)
-        assert compiled.imatmul(a, b) == pure.imatmul(a, b)
-        rows_c = [r[:] for r in a]
-        rows_p = [r[:] for r in a]
-        assert compiled.irow_echelon(rows_c) == pure.irow_echelon(rows_p)
-        assert rows_c == rows_p
 
 
 def test_pure_matmul_correct():
     a = [[1, 2], [3, 4]]
     b = [[5, 6], [7, 8]]
-    assert pure.imatmul(a, b) == [[19, 22], [43, 50]]
+    assert imatmul(a, b) == [[19, 22], [43, 50]]
 
 
 def test_frref_matches_generic_path():
@@ -54,6 +29,4 @@ def test_frref_matches_generic_path():
 
 
 def test_implementation_flag():
-    assert kernels.IMPLEMENTATION in ("compiled", "pure")
-    if compiled is not None:
-        assert kernels.IMPLEMENTATION == "compiled"
+    assert kernels.IMPLEMENTATION == "pure"

@@ -4,11 +4,10 @@ import pytest
 
 from d0res.branches import BranchParam
 from d0res.errors import D0resError, NotNilpotent, RaiseTruncation
-from d0res.linalg import ExactMatrix
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices
 from d0res.modules import (
     FiniteModule,
     annihilator,
-    evaluate_on_module,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -140,7 +139,7 @@ def test_annihilator_ideal_closure():
         for var in range(2):
             shifted = p * Poly.variable(2, var)
             if shifted.total_degree() <= ann.degree_bound:
-                assert evaluate_on_module(shifted, module).is_zero()
+                assert eval_poly_at_matrices(shifted, module.actions).is_zero()
 
 
 def test_annihilator_is_iso_invariant_not_basis_dependent():

@@ -1,18 +1,21 @@
+import ast
 import random
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import pytest
 
-from d0res.errors import RankBelowCritical
-from d0res.linalg import eval_series_at_matrix
-from d0res.modules import evaluate_on_module
+from d0res.errors import D0resError, RankBelowCritical
+from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
+from d0res.modules import AnnihilatorIdeal
 from d0res.poly import Poly
 from d0res.verify import (
     INCONCLUSIVE,
     NOT_SEPARATED,
     SEPARATED,
     aggregate_critical_rank,
+    _point_witness,
     certify,
     family_fiber,
     family_jet,
@@ -81,9 +84,31 @@ def test_point_witness_validity(corpus_germs):
             witness = _parse_witness_poly(v.witness["polynomial"])
             fi = family_fiber(germ, i, germ.r0)
             fj = family_fiber(germ, j, germ.r0)
-            on_i = evaluate_on_module(witness, fi).is_zero()
-            on_j = evaluate_on_module(witness, fj).is_zero()
+            on_i = eval_poly_at_matrices(witness, fi.actions).is_zero()
+            on_j = eval_poly_at_matrices(witness, fj.actions).is_zero()
             assert on_i != on_j, (name, v.subject)
+
+
+def test_point_witness_rechecks_own_fiber(corpus_germs):
+    """A candidate that does not kill its own fiber is an error, also under
+    `python -O`."""
+    fiber = family_fiber(corpus_germs["cusp"], 0, 2)
+    one = Poly.constant(2, F(1))
+    bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=(), echelon=(),
+                             polys=(one,))
+    with pytest.raises(D0resError, match="does not annihilate"):
+        _point_witness(bogus, fiber, bogus, fiber)
+
+
+def test_no_assert_statements_in_package():
+    """`python -O` strips asserts, so no check in the package may use one."""
+    package = Path(__file__).resolve().parent.parent / "src" / "d0res"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _parse_witness_poly(text):
