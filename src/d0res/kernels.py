@@ -12,23 +12,21 @@ IMPLEMENTATION = "pure"
 
 
 def imatmul(a, b):
-    """Matrix product of list-of-list integer matrices."""
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    bt = [[row[j] for row in b] for j in range(m)]
+    """Matrix product of list-of-list integer matrices.
+
+    A row saxpy over the nonzero entries of `a`, each touching only the
+    nonzero entries of the row of `b` it scales: the shift, Toeplitz and
+    padded block-diagonal factors of the certificates are mostly zero.
+    """
+    m = len(b[0]) if b else 0
+    b_nonzero = [[(j, w) for j, w in enumerate(row) if w] for row in b]
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            bj = bt[j]
-            s = 0
-            for l in range(k):
-                v = ai[l]
-                if v:
-                    s += v * bj[l]
-            row.append(s)
+    for ai in a:
+        row = [0] * m
+        for l, v in enumerate(ai):
+            if v:
+                for j, w in b_nonzero[l]:
+                    row[j] += v * w
         out.append(row)
     return out
 

@@ -14,6 +14,12 @@ The key constructions:
 * graph_skyscraper(b): the rank-1 padding module and its dual-number jet.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
+  `annihilator` reads the ideal off the module's action matrices (dim^2
+  functionals) and serves as the oracle.  `fiber_annihilator`, which the
+  certificates use, reads the same ideal off r series coefficients: the
+  fiber K[t]/(t^r) is cyclic, generated by 1, so f kills it iff
+  f(x(t)) = 0 mod t^r.  Both return the unique reduced echelon basis, so
+  they agree exactly, not just up to a change of basis.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branches import BranchParam
+from .branches import BranchParam, _evaluation_columns
 from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, eval_series_at_matrix, rref_rows
@@ -243,12 +249,72 @@ class AnnihilatorIdeal:
                 and self.monomials == other.monomials
                 and self.echelon == other.echelon)
 
+    @property
+    def quotient_dim(self):
+        """Dimension of the polynomials of degree <= bound modulo the ideal:
+        the dimension of the algebra the actions generate at that degree."""
+        return len(self.monomials) - len(self.echelon)
+
+
+def kernel_echelon(rows, ncols):
+    """Reduced row echelon basis of the right kernel of `rows` (each of
+    length `ncols`), sparse: one {column: coefficient} dict per basis row,
+    in the order of their leading columns.
+
+    One elimination of the column-reversed matrix gives it.  There a free
+    column depends on the columns before it, that is on the original
+    columns after it.  So original column c leads a kernel row iff it is
+    free there, and its unique dependency on the pivot columns is that row:
+    1 at c, minus the dependency coefficients at the pivots, zero at every
+    other leading column.  The reduced echelon basis of a subspace is
+    unique, so this equals the RREF of any kernel basis.
+    """
+    reversed_rows = [row[::-1] for row in rows
+                     if any(not scalar_is_zero(x) for x in row)]
+    if reversed_rows:
+        reduced, pivots = rref_rows(reversed_rows)
+    else:
+        reduced, pivots = [], []
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols - 1, -1, -1):
+        if f in pivot_set:
+            continue
+        entries = {ncols - 1 - f: _ONE}
+        for i, p in enumerate(pivots):
+            if p > f:
+                break
+            c = reduced[i][f]
+            if not scalar_is_zero(c):
+                entries[ncols - 1 - p] = -c
+        basis.append(entries)
+    return basis
+
+
+def _dense(entries, ncols):
+    vec = [_ZERO] * ncols
+    for c, v in entries.items():
+        vec[c] = v
+    return tuple(vec)
+
+
+def _ideal(nvars, degree_bound, monomials, rows):
+    """The AnnihilatorIdeal cut out by the evaluation functionals `rows`."""
+    basis = kernel_echelon(rows, len(monomials))
+    return AnnihilatorIdeal(
+        degree_bound=degree_bound,
+        monomials=tuple(monomials),
+        echelon=tuple(_dense(entries, len(monomials)) for entries in basis),
+        polys=tuple(Poly(nvars, {monomials[c]: entries[c] for c in sorted(entries)})
+                    for entries in basis),
+    )
+
+
 def _evaluation_rows(module: FiniteModule, degree):
     """Matrix of the evaluation map Poly_<=degree -> End(module); columns in
     graded-lex monomial order, rows = flattened matrix entries."""
     monomials = monomials_upto(module.ambient_dim, degree)
     identity = ExactMatrix.identity(module.dim)
-    powers = [{0: identity, 1: a} for a in module.actions]
     cols = []
     cache = {}
 
@@ -273,29 +339,39 @@ def _evaluation_rows(module: FiniteModule, degree):
 
 def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorIdeal:
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
-    the module.  The default bound (module dim) is provably enough; the
-    stabilization against bound+1 is still verified.
+    the module, from its dim^2 action-matrix entries.  The default bound
+    (module dim) is provably enough: every monomial of degree >= dim kills a
+    punctual module of that dimension.
     """
     if degree_bound is None:
         degree_bound = module.dim
     if degree_bound < module.dim:
         raise D0resError("annihilator degree bound below module dimension")
     monomials, rows = _evaluation_rows(module, degree_bound)
-    kernel = ExactMatrix(rows).nullspace()
-    if kernel:
-        echelon_rows, _ = rref_rows([list(v) for v in kernel])
-        echelon_rows = [tuple(r) for r in echelon_rows
-                        if any(not scalar_is_zero(x) for x in r)]
-    else:
-        echelon_rows = []
-    polys = tuple(Poly(module.ambient_dim, {m: c for m, c in zip(monomials, vec)})
-                  for vec in echelon_rows)
-    return AnnihilatorIdeal(
-        degree_bound=degree_bound,
-        monomials=tuple(monomials),
-        echelon=tuple(echelon_rows),
-        polys=polys,
-    )
+    return _ideal(module.ambient_dim, degree_bound, monomials, rows)
+
+
+def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
+                      filler: FiniteModule = None) -> AnnihilatorIdeal:
+    """Annihilator of fiber_module(b, rank), or of its direct sum with one or
+    more copies of `filler`, from series coefficients.
+
+    The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
+    coefficients of f(x(t)) vanish: `rank` rows.  A direct sum is killed iff
+    every summand is, so the filler's evaluation rows are stacked below;
+    one copy gives the same kernel as many.
+    """
+    if rank < 1:
+        raise D0resError("rank must be positive")
+    if b.trunc < rank:
+        raise RaiseTruncation("fiber construction needs truncation >= rank",
+                              needed=rank)
+    monomials = monomials_upto(b.ambient_dim, degree_bound)
+    cols, _ = _evaluation_columns(b, monomials, rank)
+    rows = [[col[i] for col in cols] for i in range(rank)]
+    if filler is not None:
+        rows.extend(_evaluation_rows(filler, degree_bound)[1])
+    return _ideal(b.ambient_dim, degree_bound, monomials, rows)
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

@@ -75,10 +75,10 @@ def parse_request(obj) -> AnalysisRequest:
     ranks = obj.get("ranks")
     if ranks is not None:
         if (not isinstance(ranks, list) or not ranks
-                or not all(isinstance(r, int) and r >= 1 for r in ranks)):
+                or not all(_is_int(r) and r >= 1 for r in ranks)):
             raise InputError("ranks", "ranks must be a non-empty list of positive ints")
     truncation = obj.get("truncation")
-    if truncation is not None and (not isinstance(truncation, int) or truncation < 4):
+    if truncation is not None and (not _is_int(truncation) or truncation < 4):
         raise InputError("truncation", "truncation must be an integer >= 4")
 
     if variants[0] == "implicit":
@@ -97,10 +97,18 @@ def parse_request(obj) -> AnalysisRequest:
     return req
 
 
+def _is_int(value):
+    """A JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_field(spec):
     if not isinstance(spec, dict):
         raise InputError("field", "field must be an object")
     gen = spec.get("generator", "a")
+    if not isinstance(gen, str) or not gen.isidentifier():
+        raise InputError("field.generator",
+                         "generator must be a non-empty identifier string")
     minpoly = spec.get("minpoly")
     if not isinstance(minpoly, list) or len(minpoly) < 3:
         raise InputError("field.minpoly",
@@ -137,7 +145,7 @@ def _parse_poly(spec, field):
                 or not isinstance(item[0], list) or len(item[0]) != 2):
             raise InputError(path, "expected [[i, j], coeff-string]")
         i, j = item[0]
-        if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
+        if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise InputError(path, "exponents must be non-negative integers")
         coeff = _parse_scalar_str(item[1], field, path)
         key = (i, j)
@@ -178,7 +186,7 @@ def _parse_branches(data, field):
             series_pairs = []
             for pidx, pair in enumerate(pairs):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or not isinstance(pair[0], int) or pair[0] < 0):
+                        or not _is_int(pair[0]) or pair[0] < 0):
                     raise InputError(f"{cpath}[{pidx}]", "expected [exp, coeff-string]")
                 series_pairs.append(
                     (pair[0], _parse_scalar_str(pair[1], field, f"{cpath}[{pidx}]"))

@@ -8,6 +8,15 @@ pullback order n acts on the padded jet pair so that f^(r0/n) kills the
 special fiber assembly but not the jet assembly: the nilpotency jump that
 certifies a non-split extension.  Verdicts are three-valued; only a
 witnessed verdict counts as Separated.
+
+The annihilators are computed from series functionals: a member is the
+cyclic fiber K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
+is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
+evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
+cyclic module iff it kills the generator, and on a direct sum iff it does
+on each summand.  The action matrices still give the independent checks:
+every witness is re-verified on them, and the padding check compares each
+padded member's ideal with the generic annihilator of its bare fiber.
 """
 
 from __future__ import annotations
@@ -27,9 +36,11 @@ from .linalg import (
     rref_rows,
 )
 from .modules import (
+    AnnihilatorIdeal,
     FiniteModule,
     _downshift,
     annihilator,
+    fiber_annihilator,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -95,26 +106,30 @@ def family_jet(germ: Germ, index: int, r: int):
     return jet_pair(b, r)
 
 
-def _stable_annihilator(module: FiniteModule):
-    """Annihilator at the provably-sufficient bound, with the stabilization
-    cross-check at bound+1 (image algebra dimension must agree)."""
-    ideal = annihilator(module, module.dim)
-    n_mons = len(ideal.monomials)
-    dim_d = n_mons - len(ideal.echelon)
-    ideal_up = annihilator(module, module.dim + 1)
-    dim_d1 = len(ideal_up.monomials) - len(ideal_up.echelon)
-    if dim_d != dim_d1:
-        raise D0resError(
-            f"annihilator not stabilized at degree {module.dim}"
-        )
+def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
+    """Annihilator of family_fiber(germ, index, r) at degree bound r, read off
+    the branch's series coefficients (`modules.fiber_annihilator`), with the
+    stabilization check at bound r + 1."""
+    b = germ.branches[index]
+    base_rank = min(r, germ.r0)
+    filler = graph_skyscraper(b)[0] if r > germ.r0 else None
+    ideal = fiber_annihilator(b, base_rank, r, filler)
+    up = fiber_annihilator(b, base_rank, r + 1, filler)
+    if up.quotient_dim != ideal.quotient_dim:
+        raise D0resError(f"annihilator not stabilized at degree {r}")
     return ideal
 
 
 # -- point separation ---------------------------------------------------------------
 
 
-def separates_points(germ: Germ, r: int, exploratory: bool = False):
-    """Pairwise annihilator comparison of the rank-r family members."""
+def separates_points(germ: Germ, r: int, exploratory: bool = False,
+                     ideals=None):
+    """Pairwise annihilator comparison of the rank-r family members.
+
+    `ideals` are the members' `family_annihilator`s when the caller already
+    has them.  Witnesses are re-checked on the members' action matrices.
+    """
     if r < 1:
         raise D0resError("rank must be positive")
     if r < germ.r0 and not exploratory:
@@ -122,22 +137,16 @@ def separates_points(germ: Germ, r: int, exploratory: bool = False):
             f"rank {r} below critical rank {germ.r0}; use exploratory mode"
         )
     k = germ.k
-    fibers = [family_fiber(germ, i, r) for i in range(k)]
-    ideals = {}
+    if ideals is None:
+        ideals = [family_annihilator(germ, i, r) for i in range(k)]
+    # the matrices serve pairs only: witness re-checks and presentations
+    fibers = [family_fiber(germ, i, r) for i in range(k)] if k > 1 else []
     verdicts = []
     for i in range(k):
         for j in range(i + 1, k):
             pair = (i, j)
-            for idx in (i, j):
-                if idx not in ideals:
-                    ideals[idx] = _stable_annihilator(fibers[idx])
-            ann_i, ann_j = ideals[i], ideals[j]
-            if ann_i.degree_bound != ann_j.degree_bound:
-                bound = max(ann_i.degree_bound, ann_j.degree_bound)
-                ann_i = annihilator(fibers[i], bound)
-                ann_j = annihilator(fibers[j], bound)
-            if ann_i != ann_j:
-                witness = _point_witness(ann_i, fibers[i], ann_j, fibers[j])
+            if ideals[i] != ideals[j]:
+                witness = _point_witness(ideals[i], fibers[i], ideals[j], fibers[j])
                 verdicts.append(SeparationVerdict(
                     kind="points", subject=pair, result=SEPARATED,
                     witness=witness,
@@ -269,9 +278,10 @@ def certify(germ: Germ, r: int) -> EmbeddingCertificate:
         raise RankBelowCritical(
             f"rank {r} < critical rank {germ.r0} for this germ"
         )
-    point_verdicts = tuple(separates_points(germ, r))
+    ideals = [family_annihilator(germ, i, r) for i in range(germ.k)]
+    point_verdicts = tuple(separates_points(germ, r, ideals=ideals))
     tangent_verdicts = tuple(separates_tangents(germ, r))
-    padding_ok = _padding_support_unchanged(germ, r)
+    padding_ok = _padding_support_unchanged(germ, r, ideals)
     padding = {
         "filler": "graph-skyscraper",
         "copies": r - germ.r0,
@@ -295,18 +305,15 @@ def certify(germ: Germ, r: int) -> EmbeddingCertificate:
     )
 
 
-def _padding_support_unchanged(germ: Germ, r: int) -> bool:
+def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
-    fiber: the annihilators at a shared degree bound agree."""
+    fiber: each member's annihilator (`ideals`, read off series rows) equals
+    the generic one of its bare rank-r0 fiber, read off that fiber's action
+    matrices, at the same degree bound."""
     if r == germ.r0:
         return True
-    for i in range(germ.k):
-        base = fiber_module(germ.branches[i], germ.r0)
-        padded = family_fiber(germ, i, r)
-        bound = max(base.dim, padded.dim)
-        if annihilator(base, bound) != annihilator(padded, bound):
-            return False
-    return True
+    return all(annihilator(fiber_module(b, germ.r0), r) == ideal
+               for b, ideal in zip(germ.branches, ideals))
 
 
 # -- push-forward / restriction oracle ------------------------------------------------

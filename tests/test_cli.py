@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,40 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
     assert main(["analyze", tac]) == 0          # non-strict: report only
     assert main(["analyze", tac, "--strict"]) == 1
     capsysbinary.readouterr()
+
+
+CUSP_POLY = [[[0, 2], "1"], [[3, 0], "-1"]]
+
+
+@pytest.mark.parametrize("request_obj, path", [
+    ({"curve": {"implicit": {"poly": CUSP_POLY}}, "ranks": [True]}, "ranks"),
+    ({"curve": {"implicit": {"poly": CUSP_POLY}}, "truncation": True},
+     "truncation"),
+    ({"curve": {"implicit": {"poly": [[[True, 2], "1"], [[3, 0], "-1"]]}}},
+     "curve.implicit.poly[0]"),
+    ({"curve": {"branches": [{"x": [[True, "1"]], "y": [[3, "1"]]}]}},
+     "curve.branches[0].x[0]"),
+    ({"field": {"generator": 5, "minpoly": ["1", "0", "1"]},
+      "curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "1"]]}}},
+     "field.generator"),
+    ({"field": {"generator": "", "minpoly": ["1", "0", "1"]},
+      "curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "1"]]}}},
+     "field.generator"),
+])
+def test_malformed_fields_exit_2_without_traceback(request_obj, path):
+    """JSON booleans are not integers, and a generator must be an identifier
+    string: either mistake is an input error naming the field."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from d0res.cli import main; sys.exit(main())",
+         "analyze", "-"],
+        input=json.dumps(request_obj), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"input error: {path}:" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):

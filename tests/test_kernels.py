@@ -16,6 +16,29 @@ def test_pure_matmul_correct():
     assert imatmul(a, b) == [[19, 22], [43, 50]]
 
 
+def _naive_product(a, b):
+    return [[sum(a[i][l] * b[l][j] for l in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_imatmul_matches_naive_product():
+    rng = random.Random(7)
+    for density in (0.0, 0.15, 0.5, 1.0):
+        for _ in range(30):
+            n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+
+            def draw(rows, cols):
+                return [[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(cols)] for _ in range(rows)]
+
+            a, b = draw(n, k), draw(k, m)
+            if n > 1:
+                a[rng.randrange(n)] = [0] * k       # a zero row
+            if k > 1:
+                b[rng.randrange(k)] = [0] * m
+            assert imatmul(a, b) == _naive_product(a, b)
+
+
 def test_frref_matches_generic_path():
     rng = random.Random(4)
     for _ in range(25):

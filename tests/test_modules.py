@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d0res.branches import BranchParam
 from d0res.errors import D0resError, NotNilpotent, RaiseTruncation
-from d0res.linalg import ExactMatrix, eval_poly_at_matrices
+from d0res.fields import NumberField, scalar_is_zero
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
 from d0res.modules import (
     FiniteModule,
     annihilator,
+    fiber_annihilator,
     fiber_module,
     graph_skyscraper,
     jet_pair,
+    kernel_echelon,
     multiplication_matrix,
     nilpotency_index,
     pad,
@@ -150,6 +155,50 @@ def test_annihilator_is_iso_invariant_not_basis_dependent():
     assert p * p_inv == ExactMatrix.identity(3)
     conj = FiniteModule(3, tuple(p * a * p_inv for a in mod.actions))
     assert annihilator(conj, 3) == annihilator(mod, 3)
+
+
+GAUSS = NumberField([1, 0, 1], generator="i")
+# mostly zeros, so that kernels and dependent columns are common
+sparse_rationals = st.one_of(
+    st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+sparse_gaussians = st.tuples(sparse_rationals, sparse_rationals).map(
+    lambda c: GAUSS.element(list(c)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+def test_kernel_echelon_matches_nullspace_rref(nrows, ncols, data):
+    scalars = data.draw(st.sampled_from([sparse_rationals, sparse_gaussians]))
+    rows = [[data.draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
+    kernel = ExactMatrix(rows).nullspace()
+    expected = []
+    if kernel:
+        reduced, _ = rref_rows([list(v) for v in kernel])
+        expected = [tuple(r) for r in reduced
+                    if any(not scalar_is_zero(x) for x in r)]
+    dense = []
+    for entries in kernel_echelon(rows, ncols):
+        vec = [F(0)] * ncols
+        for c, v in entries.items():
+            vec[c] = v
+        dense.append(tuple(vec))
+    assert dense == expected
+
+
+def test_fiber_annihilator_matches_generic_oracle():
+    for branch in (CUSP, NODE1, B([(1, 1)], [(2, 1)]), B([(3, 1)], [(4, 1), (5, 2)])):
+        sky, _ = graph_skyscraper(branch)
+        for rank in (1, 2, 3, 5):
+            for bound in (rank, rank + 2):
+                assert (fiber_annihilator(branch, rank, bound)
+                        == annihilator(fiber_module(branch, rank), bound))
+                assert (fiber_annihilator(branch, rank, bound + 2, sky)
+                        == annihilator(pad(fiber_module(branch, rank), sky, 2),
+                                       bound + 2))
+    with pytest.raises(RaiseTruncation):
+        fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
 
 
 def test_support_length_examples():

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 from fractions import Fraction
 from math import ceil
@@ -8,8 +9,9 @@ import pytest
 
 from d0res.errors import D0resError, RankBelowCritical
 from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
-from d0res.modules import AnnihilatorIdeal
-from d0res.poly import Poly
+from d0res.modules import AnnihilatorIdeal, annihilator
+from d0res.poly import Poly, poly_text
+from d0res.report import parse_request, run_with_escalation
 from d0res.verify import (
     INCONCLUSIVE,
     NOT_SEPARATED,
@@ -17,6 +19,7 @@ from d0res.verify import (
     aggregate_critical_rank,
     _point_witness,
     certify,
+    family_annihilator,
     family_fiber,
     family_jet,
     graph_jet_class_vanishes,
@@ -26,6 +29,34 @@ from d0res.verify import (
 )
 
 F = Fraction
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.fixture(scope="module")
+def repo_corpus_germs():
+    """Every `corpus/*.json` germ, both extension fields and the space
+    branches included."""
+    germs = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        req = parse_request(json.loads(path.read_text()))
+        germs[path.stem] = run_with_escalation(req, lambda g, c, t, r: g)
+    return germs
+
+
+def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
+    """The series-row annihilator of each member equals the generic one
+    computed from the member's action matrices, exploratory ranks too."""
+    extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
+    assert extension_and_space <= set(repo_corpus_germs)
+    for name, germ in repo_corpus_germs.items():
+        for i in range(germ.k):
+            for r in range(1, 11):
+                fast = family_annihilator(germ, i, r)
+                oracle = annihilator(family_fiber(germ, i, r), r)
+                assert fast == oracle, (name, i, r)
+                assert ([poly_text(p) for p in fast.polys]
+                        == [poly_text(p) for p in oracle.polys]), (name, i, r)
 
 
 def test_node_points_r2(corpus_germs):
