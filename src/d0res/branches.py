@@ -440,9 +440,8 @@ def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
     max_s = max(4, min(bi.trunc, bj.trunc) // 2)
     for s in range(2, max_s + 1):
         nt = min(2 * s, bi.trunc, bj.trunc)
-        d_kernel = s
-        kernel_polys = _branch_kernel(bj, d_kernel, nt)
-        value = _relative_colength(bi, kernel_polys, nt, d_kernel)
+        kernel_polys = _branch_kernel(bj, s, nt)
+        value = _relative_colength(bi, kernel_polys, nt)
         if previous is not None and value == previous:
             return value
         previous = value
@@ -461,7 +460,7 @@ def _branch_kernel(b: BranchParam, degree, nt):
             for vec in kernel]
 
 
-def _relative_colength(bi: BranchParam, kernel_polys, nt, mult_degree):
+def _relative_colength(bi: BranchParam, kernel_polys, nt):
     """dim span{monomial evals along bi} - dim span{(monomial*h) evals}."""
     monomials = monomials_upto(bi.ambient_dim, nt)
     amb_cols, n_used = _evaluation_columns(bi, monomials, nt)
@@ -471,10 +470,7 @@ def _relative_colength(bi: BranchParam, kernel_polys, nt, mult_degree):
     mono_evals = [Series(col, var=bi.var) for col in amb_cols]
     for h in kernel_polys:
         h_eval = h.eval_series(coords)
-        h_deg = h.total_degree()
-        for exp, mono_eval in zip(monomials, mono_evals):
-            if sum(exp) + h_deg > nt + mult_degree:
-                continue
+        for mono_eval in mono_evals:
             prod_cols.append(list((h_eval * mono_eval).coeffs))
     prod_rank = _rank_of_columns(prod_cols, n_used)
     return amb_rank - prod_rank

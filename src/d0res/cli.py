@@ -20,15 +20,17 @@ import tempfile
 from . import __version__
 from .errors import D0resError, InputError, UnsupportedFieldExtension
 from .report import (
+    _oracle_block,
     assemble_report,
+    check_ranks,
+    check_truncation,
     emit_report,
     parse_request,
     report_passes,
     run_analyze,
     run_with_escalation,
 )
-from .verify import aggregate_critical_rank, pushforward_restriction_oracle
-from .branches import colength_intersection_length
+from .verify import ORACLE_MAX_RANK, aggregate_critical_rank
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -82,10 +84,13 @@ def _load_request(path):
 
 
 def _apply_overrides(req, args):
-    if args.rank:
+    """Command-line values replace the request's, under the same rules."""
+    if args.rank is not None:
+        check_ranks(args.rank)
         req.ranks = list(args.rank)
         req.echo["ranks"] = list(args.rank)
-    if args.truncation:
+    if args.truncation is not None:
+        check_truncation(args.truncation)
         req.truncation = args.truncation
         req.echo["truncation"] = args.truncation
     if args.format:
@@ -157,31 +162,13 @@ def cmd_oracle(args) -> int:
     req = _load_request(args.file)
 
     def stage(germ, ctx, trunc, ranks):
-        push = []
-        all_ok = True
-        for i, b in enumerate(germ.branches):
-            results = {}
-            for r in range(1, 5):
-                ok = pushforward_restriction_oracle(b, r)
-                results[str(r)] = ok
-                all_ok = all_ok and ok
-            push.append({"branch": i, "results": results})
-        colength = []
-        for i in range(germ.k):
-            for j in range(i + 1, germ.k):
-                value = colength_intersection_length(germ.branches[i],
-                                                     germ.branches[j])
-                match = value == germ.l_matrix[i][j]
-                all_ok = all_ok and match
-                colength.append({"pair": [i, j], "colength": value,
-                                 "matches_l_matrix": match})
-        return {
-            "version": __version__,
-            "truncation": trunc,
-            "pushforward_restriction": push,
-            "colength_crosscheck": colength,
-            "pass": all_ok,
-        }
+        oracles = _oracle_block(germ, ORACLE_MAX_RANK)
+        checks = [ok for row in oracles["pushforward_restriction"]
+                  for ok in row["results"].values()]
+        checks += [row["matches_l_matrix"]
+                   for row in oracles["colength_crosscheck"]]
+        return {"version": __version__, "truncation": trunc, **oracles,
+                "pass": all(checks)}
 
     out = run_with_escalation(req, stage)
     sys.stdout.write(json.dumps(out, indent=2) + "\n")

@@ -4,13 +4,15 @@ action matrices, plus the first-order jet pairs used by the tangent test.
 The key constructions:
 
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
-  multiplication with its pullback series (lower-triangular Toeplitz).
-* jet_pair(b, r): the rank-r restriction over the dual numbers.  On the
-  special fiber the uniformizer acts as the r x r down-shift S; on the jet it
-  acts as S + r*eps in the bottom-right corner, flattened to 2r x 2r with a
-  distinguished eps endomorphism.  The inclusion/projection pair (a, b) makes
-  0 -> M1 -> M2 -> M1 -> 0 exact, and the uniformizer's nilpotency index
-  jumps from r to r+1 exactly when the jet does not split.
+  multiplication with its pullback series (lower-triangular Toeplitz); also
+  the jet pair's special fiber and route 1 of the push-forward oracle.
+* jet_pair(b, r): the rank-r restriction over the dual numbers.  Its special
+  fiber M1 is fiber_module(b, r), on which the uniformizer acts as the
+  r x r down-shift S; on the jet M2 it acts as S + r*eps in the bottom-right
+  corner, flattened to 2r x 2r with a distinguished eps endomorphism.  The
+  inclusion/projection pair (a, b) makes 0 -> M1 -> M2 -> M1 -> 0 exact,
+  and the uniformizer's nilpotency index jumps from r to r+1 exactly when
+  the jet does not split.
 * graph_skyscraper(b): the rank-1 padding module and its dual-number jet.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
@@ -164,15 +166,9 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
                         for i in range(2 * r)])
     proj = ExactMatrix([[_ONE if i == j else _ZERO for j in range(2 * r)]
                         for i in range(r)])
-    actions_m1 = []
-    actions_m2 = []
-    for s in b.coords:
-        s_cut = s.truncate(r + 1)
-        actions_m1.append(eval_series_at_matrix(s.truncate(r), shift))
-        actions_m2.append(eval_series_at_matrix(s_cut, t_m2))
-    m1 = FiniteModule(r, tuple(actions_m1))
-    m2 = FiniteModule(2 * r, tuple(actions_m2))
-    return JetPair(m1, m2, eps, incl, proj, shift, t_m2)
+    m2 = FiniteModule(2 * r, tuple(eval_series_at_matrix(s.truncate(r + 1), t_m2)
+                                   for s in b.coords))
+    return JetPair(fiber_module(b, r), m2, eps, incl, proj, shift, t_m2)
 
 
 def graph_skyscraper(b: BranchParam):

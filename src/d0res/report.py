@@ -28,6 +28,7 @@ from .poly import Poly, var_names
 from .puiseux import FieldContext
 from .series import Series
 from .verify import (
+    ORACLE_MAX_RANK,
     certify,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
@@ -74,12 +75,10 @@ def parse_request(obj) -> AnalysisRequest:
         raise InputError("format", f"unknown format {fmt!r}")
     ranks = obj.get("ranks")
     if ranks is not None:
-        if (not isinstance(ranks, list) or not ranks
-                or not all(_is_int(r) and r >= 1 for r in ranks)):
-            raise InputError("ranks", "ranks must be a non-empty list of positive ints")
+        check_ranks(ranks)
     truncation = obj.get("truncation")
-    if truncation is not None and (not _is_int(truncation) or truncation < 4):
-        raise InputError("truncation", "truncation must be an integer >= 4")
+    if truncation is not None:
+        check_truncation(truncation)
 
     if variants[0] == "implicit":
         poly = _parse_poly(curve["implicit"], field)
@@ -95,6 +94,19 @@ def parse_request(obj) -> AnalysisRequest:
                               fmt=fmt, field=field)
     req.echo = _canonical_echo(req)
     return req
+
+
+def check_ranks(ranks):
+    """The request's `ranks` rule, also applied to `--rank` overrides."""
+    if (not isinstance(ranks, list) or not ranks
+            or not all(_is_int(r) and r >= 1 for r in ranks)):
+        raise InputError("ranks", "ranks must be a non-empty list of positive ints")
+
+
+def check_truncation(truncation):
+    """The request's `truncation` rule, also applied to `--truncation`."""
+    if not _is_int(truncation) or truncation < 4:
+        raise InputError("truncation", "truncation must be an integer >= 4")
 
 
 def _is_int(value):
@@ -306,7 +318,7 @@ def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
     certificates = []
     for r in ranks:
         certificates.append(_certificate_block(germ, r))
-    oracles = _oracle_block(germ)
+    oracles = _oracle_block(germ, min(ORACLE_MAX_RANK, max(2, germ.r0)))
     warnings = list(germ.notes)
     for r in ranks:
         if r < germ.r0:
@@ -401,11 +413,15 @@ def _certificate_block(germ: Germ, r: int) -> dict:
     }
 
 
-def _oracle_block(germ: Germ) -> dict:
+def _oracle_block(germ: Germ, max_rank: int) -> dict:
+    """The construction cross-checks: the push-forward/restriction oracle
+    per branch at ranks 1..max_rank, and the colength recomputation of
+    every l_ij.  Colength rows are plane-only: on space germs the l_ij are
+    colengths already, so the row would compare a value with itself."""
     push = []
     for i, b in enumerate(germ.branches):
         row = {"branch": i, "results": {}}
-        for r in range(1, min(4, max(2, germ.r0)) + 1):
+        for r in range(1, max_rank + 1):
             row["results"][str(r)] = pushforward_restriction_oracle(b, r)
         push.append(row)
     colength = []

@@ -1,22 +1,26 @@
 """The two separation criteria and the per-germ embedding certificate.
 
-Point separation: for each pair of branches, the rank-r family members (the
-rank-r0 fiber padded with graph skyscrapers) must have distinct annihilator
-ideals; a polynomial lying in exactly one annihilator is the machine-checkable
-witness.  Tangent separation: for each branch, the coordinate f of minimal
-pullback order n acts on the padded jet pair so that f^(r0/n) kills the
-special fiber assembly but not the jet assembly: the nilpotency jump that
-certifies a non-split extension.  Verdicts are three-valued; only a
-witnessed verdict counts as Separated.
+The rank-r family member over a branch is one object, `family_jet`: the
+rank-r0 jet pair padded with r - r0 graph-skyscraper jets (below r0, the
+bare rank-r jet pair).  Its special fiber m1 is the member's fiber module.
 
-The annihilators are computed from series functionals: a member is the
-cyclic fiber K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
+Point separation: for each pair of branches, the members' fibers must have
+distinct annihilator ideals; a polynomial lying in exactly one annihilator
+is the machine-checkable witness.  Tangent separation: for each branch, the
+coordinate f of minimal pullback order n acts on the member's jet pair so
+that f^(r0/n) kills the special fiber assembly but not the jet assembly:
+the nilpotency jump that certifies a non-split extension.  Verdicts are
+three-valued; only a witnessed verdict counts as Separated.
+
+The annihilators are computed from series functionals: a member's fiber is
+the cyclic K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
 is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
 evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
 cyclic module iff it kills the generator, and on a direct sum iff it does
 on each summand.  The action matrices still give the independent checks:
-every witness is re-verified on them, and the padding check compares each
-padded member's ideal with the generic annihilator of its bare fiber.
+every witness is re-verified on the members' fibers, and the padding check
+compares each member's ideal with the generic annihilator of a fresh bare
+rank-r0 fiber.
 """
 
 from __future__ import annotations
@@ -29,16 +33,10 @@ from math import ceil, comb
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation, RankBelowCritical
 from .fields import format_scalar, scalar_is_zero
-from .linalg import (
-    ExactMatrix,
-    eval_poly_at_commuting,
-    eval_series_at_matrix,
-    rref_rows,
-)
+from .linalg import ExactMatrix, eval_poly_at_commuting, rref_rows
 from .modules import (
     AnnihilatorIdeal,
-    FiniteModule,
-    _downshift,
+    JetPair,
     annihilator,
     fiber_annihilator,
     fiber_module,
@@ -53,6 +51,9 @@ _ZERO = Fraction(0)
 SEPARATED = "separated"
 NOT_SEPARATED = "not_separated"
 INCONCLUSIVE = "inconclusive"
+
+# The push-forward oracle compares up to r! basis permutations.
+ORACLE_MAX_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -82,37 +83,35 @@ class EmbeddingCertificate:
 # -- family members ---------------------------------------------------------------
 
 
-def family_fiber(germ: Germ, index: int, r: int) -> FiniteModule:
-    """The rank-r member over branch `index`: rank-r0 fiber padded with
-    graph skyscrapers (exploratory: a bare rank-r fiber when r < r0)."""
-    b = germ.branches[index]
-    if r >= germ.r0:
-        base = fiber_module(b, germ.r0)
-        if r == germ.r0:
-            return base
-        sky, _ = graph_skyscraper(b)
-        return pad(base, sky, r - germ.r0)
-    return fiber_module(b, r)
-
-
-def family_jet(germ: Germ, index: int, r: int):
-    b = germ.branches[index]
-    if r >= germ.r0:
-        base = jet_pair(b, germ.r0)
-        if r == germ.r0:
-            return base
-        _, sky_jet = graph_skyscraper(b)
-        return pad(base, sky_jet, r - germ.r0)
-    return jet_pair(b, r)
+def family_jet(germ: Germ, index: int, r: int) -> JetPair:
+    """The rank-r member over branch `index` as a jet pair: the rank-r0 jet
+    pair padded with r - r0 graph-skyscraper jets (exploratory: the bare
+    rank-r jet pair when r < r0).  Its special fiber `m1` is the member."""
+    return _member_jet(germ, index, r, _skyscraper_jet(germ, index, r))
 
 
 def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
-    """Annihilator of family_fiber(germ, index, r) at degree bound r, read off
-    the branch's series coefficients (`modules.fiber_annihilator`), with the
-    stabilization check at bound r + 1."""
+    """Annihilator of family_jet(germ, index, r).m1 at degree bound r, read
+    off the branch's series coefficients (`modules.fiber_annihilator`), with
+    the stabilization check at bound r + 1."""
+    return _member_annihilator(germ, index, r, _skyscraper_jet(germ, index, r))
+
+
+def _skyscraper_jet(germ: Germ, index: int, r: int):
+    """The graph-skyscraper jet padded into the rank-r member, None at r <= r0."""
+    return graph_skyscraper(germ.branches[index])[1] if r > germ.r0 else None
+
+
+def _member_jet(germ: Germ, index: int, r: int, sky_jet) -> JetPair:
+    base = jet_pair(germ.branches[index], min(r, germ.r0))
+    return base if sky_jet is None else pad(base, sky_jet, r - germ.r0)
+
+
+def _member_annihilator(germ: Germ, index: int, r: int,
+                        sky_jet) -> AnnihilatorIdeal:
     b = germ.branches[index]
     base_rank = min(r, germ.r0)
-    filler = graph_skyscraper(b)[0] if r > germ.r0 else None
+    filler = None if sky_jet is None else sky_jet.m1
     ideal = fiber_annihilator(b, base_rank, r, filler)
     up = fiber_annihilator(b, base_rank, r + 1, filler)
     if up.quotient_dim != ideal.quotient_dim:
@@ -120,30 +119,38 @@ def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
     return ideal
 
 
+def _family(germ: Germ, r: int):
+    """Each branch's member ideal and member jet, built from one skyscraper."""
+    skies = [_skyscraper_jet(germ, i, r) for i in range(germ.k)]
+    ideals = [_member_annihilator(germ, i, r, sky) for i, sky in enumerate(skies)]
+    return ideals, [_member_jet(germ, i, r, sky) for i, sky in enumerate(skies)]
+
+
+def _check_rank(germ: Germ, r: int, exploratory: bool):
+    # r < 1 is rejected by the module builders
+    if r < germ.r0 and not exploratory:
+        raise RankBelowCritical(
+            f"rank {r} below critical rank {germ.r0}; the criteria are only "
+            "guaranteed from the critical rank up (use exploratory mode)"
+        )
+
+
 # -- point separation ---------------------------------------------------------------
 
 
-def separates_points(germ: Germ, r: int, exploratory: bool = False,
-                     ideals=None):
-    """Pairwise annihilator comparison of the rank-r family members.
+def separates_points(germ: Germ, r: int, exploratory: bool = False):
+    """Pairwise annihilator comparison of the rank-r family members."""
+    _check_rank(germ, r, exploratory)
+    ideals, jets = _family(germ, r)
+    return _point_verdicts(ideals, [jet.m1 for jet in jets])
 
-    `ideals` are the members' `family_annihilator`s when the caller already
-    has them.  Witnesses are re-checked on the members' action matrices.
-    """
-    if r < 1:
-        raise D0resError("rank must be positive")
-    if r < germ.r0 and not exploratory:
-        raise RankBelowCritical(
-            f"rank {r} below critical rank {germ.r0}; use exploratory mode"
-        )
-    k = germ.k
-    if ideals is None:
-        ideals = [family_annihilator(germ, i, r) for i in range(k)]
-    # the matrices serve pairs only: witness re-checks and presentations
-    fibers = [family_fiber(germ, i, r) for i in range(k)] if k > 1 else []
+
+def _point_verdicts(ideals, fibers):
+    """Verdicts from the members' ideals; witnesses are re-checked on the
+    members' action matrices `fibers`."""
     verdicts = []
-    for i in range(k):
-        for j in range(i + 1, k):
+    for i in range(len(ideals)):
+        for j in range(i + 1, len(ideals)):
             pair = (i, j)
             if ideals[i] != ideals[j]:
                 witness = _point_witness(ideals[i], fibers[i], ideals[j], fibers[j])
@@ -198,13 +205,14 @@ def _check_kills(g, fiber):
 
 def separates_tangents(germ: Germ, r: int, exploratory: bool = False):
     """Nilpotency-jump test on the padded jet pair of every branch."""
-    if r < germ.r0 and not exploratory:
-        raise RankBelowCritical(
-            f"rank {r} below critical rank {germ.r0}; the criterion is only "
-            "guaranteed from the critical rank up (use exploratory mode)"
-        )
+    _check_rank(germ, r, exploratory)
+    jets = [family_jet(germ, i, r) for i in range(germ.k)]
+    return _tangent_verdicts(germ, r, jets, exploratory)
+
+
+def _tangent_verdicts(germ: Germ, r: int, jets, exploratory: bool):
     verdicts = []
-    for i, b in enumerate(germ.branches):
+    for i, (b, jet) in enumerate(zip(germ.branches, jets)):
         n = germ.n[i]
         coord = _test_coordinate(b)
         if r >= germ.r0:
@@ -213,10 +221,8 @@ def separates_tangents(germ: Germ, r: int, exploratory: bool = False):
                 raise D0resError(
                     f"critical rank {germ.r0} is not divisible by n={n}"
                 )
-            jet = family_jet(germ, i, r)
         else:
             exponent = ceil(r / n)
-            jet = family_jet(germ, i, r)
         f1 = jet.m1.actions[coord] ** exponent
         f2 = jet.m2.actions[coord] ** exponent
         if f1.is_zero() and not f2.is_zero():
@@ -273,14 +279,15 @@ def graph_jet_class_vanishes(b) -> bool:
 
 
 def certify(germ: Germ, r: int) -> EmbeddingCertificate:
-    """Run both separation suites on the rank-r family and assemble verdicts."""
+    """Run both separation suites on the rank-r family, each member built
+    once, and assemble verdicts."""
     if r < germ.r0:
         raise RankBelowCritical(
             f"rank {r} < critical rank {germ.r0} for this germ"
         )
-    ideals = [family_annihilator(germ, i, r) for i in range(germ.k)]
-    point_verdicts = tuple(separates_points(germ, r, ideals=ideals))
-    tangent_verdicts = tuple(separates_tangents(germ, r))
+    ideals, jets = _family(germ, r)
+    point_verdicts = tuple(_point_verdicts(ideals, [jet.m1 for jet in jets]))
+    tangent_verdicts = tuple(_tangent_verdicts(germ, r, jets, exploratory=False))
     padding_ok = _padding_support_unchanged(germ, r, ideals)
     padding = {
         "filler": "graph-skyscraper",
@@ -319,30 +326,27 @@ def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
 # -- push-forward / restriction oracle ------------------------------------------------
 
 
-def pushforward_restriction_oracle(b, r: int, trunc: int = None,
-                                   max_rank: int = 4) -> bool:
+def pushforward_restriction_oracle(b, r: int) -> bool:
     """Build the rank-r fiber by both operation orders and compare.
 
     Route 1 restricts the diagonal family to the point first and then reads
-    the coordinate actions through the pullbacks (series evaluated at the
-    uniformizer shift).  Route 2 forms the module on a truncated product
+    the coordinate actions through the pullbacks: the `fiber_module` the
+    certificates use.  Route 2 forms the module on a truncated product
     neighborhood first (quotient by the r-th diagonal power), pushes the
     coordinate actions forward, and restricts by the first factor at the end.
     Equality is checked up to a basis permutation.
     """
-    if r > max_rank:
-        raise D0resError(f"oracle intended for small ranks (<= {max_rank})")
-    if trunc is None:
-        trunc = r + 2
+    if r > ORACLE_MAX_RANK:
+        raise D0resError(
+            f"oracle intended for small ranks (<= {ORACLE_MAX_RANK})")
     if b.trunc < r + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
                               needed=r + 1)
     # route 1: restrict, then push forward
-    shift = _downshift(r)
-    route1 = [eval_series_at_matrix(s.truncate(r), shift) for s in b.coords]
+    route1 = fiber_module(b, r).actions
 
     # route 2: push forward on the product neighborhood, then restrict
-    n1, n2 = r + 1, trunc + r
+    n1, n2 = r + 1, 2 * r + 2
     mons = [(i, j) for i in range(n1) for j in range(n2)]
     index = {m: k for k, m in enumerate(mons)}
     dim = len(mons)

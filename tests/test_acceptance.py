@@ -18,7 +18,7 @@ from d0res.series import Series
 from d0res.verify import (
     NOT_SEPARATED,
     certify,
-    family_fiber,
+    family_jet,
     pushforward_restriction_oracle,
     separates_points,
     separates_tangents,
@@ -98,7 +98,7 @@ def test_negative_control_below_critical(corpus_germs):
     assert tac.r0 == 3
     verdicts = separates_points(tac, 2, exploratory=True)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
-    assert family_fiber(tac, 0, 2).same_presentation(family_fiber(tac, 1, 2))
+    assert family_jet(tac, 0, 2).m1.same_presentation(family_jet(tac, 1, 2).m1)
     _pass("negative control: tacnode rank 2 yields identical presentations")
 
 

@@ -139,6 +139,23 @@ def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags, path", [
+    (["--truncation", "0"], "truncation"),
+    (["--truncation", "2"], "truncation"),
+    (["--rank", "0"], "ranks"),
+    (["--rank", "3", "--rank", "-2"], "ranks"),
+])
+def test_cli_overrides_follow_request_rules(flags, path, capsysbinary):
+    """`--rank`/`--truncation` values go through the request parser's rules:
+    an input error naming the field, not a silent default or an internal
+    error."""
+    rc = main(["analyze", str(CORPUS / "cusp.json"), *flags])
+    captured = capsysbinary.readouterr()
+    assert rc == 2
+    assert captured.out == b""
+    assert f"input error: {path}:".encode() in captured.err
+
+
 def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):
     monkeypatch.setenv("D0RES_MAX_TRUNCATION", "6")
     tac = write_request(tmp_path, "tac.json", {
@@ -192,6 +209,33 @@ def test_oracle_subcommand(capsysbinary):
     assert rc == 0
     assert out["pass"] is True
     assert out["colength_crosscheck"][0]["colength"] == 2
+
+
+def test_oracle_subcommand_matches_report_oracles(capsysbinary):
+    """`d0res oracle` runs the report's oracle driver at ranks 1..4: its
+    push-forward rows extend the report's, its colength rows are the
+    report's (plane germs only), and `pass` is the AND of every check."""
+    paths = sorted(CORPUS.glob("*.json"))
+    assert len(paths) == 11
+    for path in paths:
+        rc = main(["oracle", str(path)])
+        out = json.loads(capsysbinary.readouterr().out.decode())
+        report = json.loads((CORPUS / "golden" / path.name).read_text())
+        oracles = report["oracles"]
+        assert out["colength_crosscheck"] == oracles["colength_crosscheck"], path
+        push = out["pushforward_restriction"]
+        assert [row["branch"] for row in push] == list(range(len(push)))
+        assert len(push) == len(oracles["pushforward_restriction"]), path
+        for row, reported in zip(push, oracles["pushforward_restriction"]):
+            assert row["branch"] == reported["branch"]
+            assert list(row["results"]) == ["1", "2", "3", "4"]
+            assert reported["results"].items() <= row["results"].items(), path
+        checks = [ok for row in push for ok in row["results"].values()]
+        checks += [row["matches_l_matrix"] for row in out["colength_crosscheck"]]
+        assert out["pass"] is all(checks)
+        assert rc == (0 if out["pass"] else 1)
+        if path.stem == "space_lines":
+            assert out["colength_crosscheck"] == []
 
 
 def test_gaussian_corpus_entry(capsysbinary):

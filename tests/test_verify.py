@@ -20,7 +20,6 @@ from d0res.verify import (
     _point_witness,
     certify,
     family_annihilator,
-    family_fiber,
     family_jet,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
@@ -53,7 +52,7 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
         for i in range(germ.k):
             for r in range(1, 11):
                 fast = family_annihilator(germ, i, r)
-                oracle = annihilator(family_fiber(germ, i, r), r)
+                oracle = annihilator(family_jet(germ, i, r).m1, r)
                 assert fast == oracle, (name, i, r)
                 assert ([poly_text(p) for p in fast.polys]
                         == [poly_text(p) for p in oracle.polys]), (name, i, r)
@@ -76,8 +75,8 @@ def test_axes_node_annihilators_and_witness():
         BranchParam((Series.zero(16), Series.variable(16))),
     ])
     assert (axes.n, axes.bii, axes.l0, axes.r0) == ((1, 1), 1, 2, 2)
-    f0 = family_fiber(axes, 0, 2)
-    f1 = family_fiber(axes, 1, 2)
+    f0 = family_jet(axes, 0, 2).m1
+    f1 = family_jet(axes, 1, 2).m1
     ann0 = [poly_text(p) for p in annihilator(f0, 2).polys]
     ann1 = [poly_text(p) for p in annihilator(f1, 2).polys]
     assert "y" in ann0 and "x^2" in ann0 and "x" not in ann0
@@ -91,11 +90,19 @@ def test_tacnode_negative_control(corpus_germs):
     tac = corpus_germs["tacnode"]
     verdicts = separates_points(tac, 2, exploratory=True)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
-    f0 = family_fiber(tac, 0, 2)
-    f1 = family_fiber(tac, 1, 2)
+    f0 = family_jet(tac, 0, 2).m1
+    f1 = family_jet(tac, 1, 2).m1
     assert f0.same_presentation(f1)
     with pytest.raises(RankBelowCritical):
         separates_points(tac, 2)
+
+
+@pytest.mark.parametrize("r", [0, -2])
+def test_nonpositive_rank_rejected(corpus_germs, r):
+    """The module builders reject r < 1, exploratory mode included."""
+    for test in (separates_points, separates_tangents):
+        with pytest.raises(D0resError, match="rank must be positive"):
+            test(corpus_germs["node"], r, exploratory=True)
 
 
 def test_tacnode_separates_at_r3(corpus_germs):
@@ -113,8 +120,8 @@ def test_point_witness_validity(corpus_germs):
             assert v.result == SEPARATED
             i, j = v.subject
             witness = _parse_witness_poly(v.witness["polynomial"])
-            fi = family_fiber(germ, i, germ.r0)
-            fj = family_fiber(germ, j, germ.r0)
+            fi = family_jet(germ, i, germ.r0).m1
+            fj = family_jet(germ, j, germ.r0).m1
             on_i = eval_poly_at_matrices(witness, fi.actions).is_zero()
             on_j = eval_poly_at_matrices(witness, fj.actions).is_zero()
             assert on_i != on_j, (name, v.subject)
@@ -123,7 +130,7 @@ def test_point_witness_validity(corpus_germs):
 def test_point_witness_rechecks_own_fiber(corpus_germs):
     """A candidate that does not kill its own fiber is an error, also under
     `python -O`."""
-    fiber = family_fiber(corpus_germs["cusp"], 0, 2)
+    fiber = family_jet(corpus_germs["cusp"], 0, 2).m1
     one = Poly.constant(2, F(1))
     bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=(), echelon=(),
                              polys=(one,))
