@@ -16,11 +16,12 @@ from math import gcd, lcm
 from .errors import D0resError, DegreeBoundExceeded, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, rref_rows, solve_exact
-from .poly import Poly, grlex_key, is_squarefree, monomials_upto
+from .poly import Poly, grlex_key, is_squarefree, monomial_values, monomials_upto
 from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
 from .series import Series
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class BranchParam:
     parametrization through the origin."""
 
     coords: tuple
-    var: str = "t"
 
     def __post_init__(self):
         if len(self.coords) < 2:
@@ -67,12 +67,10 @@ class BranchParam:
         """Substitute t -> unit(t) * t (unit(0) != 0); same branch, new chart."""
         if unit.order() != 0:
             raise D0resError("reparametrization needs a unit series")
-        inner = unit * Series.variable(unit.trunc, var=self.var)
+        inner = unit * Series.variable(unit.trunc)
         return BranchParam(
             tuple(s.truncate(min(s.trunc, inner.trunc)).compose(inner)
-                  for s in self.coords),
-            var=self.var,
-        )
+                  for s in self.coords))
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class PlaneCurveInput:
             raise D0resError("zero polynomial does not define a curve")
         pt = self.point if self.point is not None else (_ZERO, _ZERO)
         object.__setattr__(self, "point", tuple(pt))
-        if not scalar_is_zero(self.poly.eval_scalars(list(self.point))):
+        if not scalar_is_zero(self.poly.evaluate(self.point, _ONE)):
             raise D0resError("curve does not pass through the designated point")
         if not is_squarefree(self.poly):
             raise D0resError("curve is not reduced (polynomial has a square factor)")
@@ -156,7 +154,7 @@ def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None)
         post.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
         f = f.divide_by_monomial(0, 1)
     middle = []
-    if not scalar_is_zero(f.eval_scalars([_ZERO, _ZERO])):
+    if not scalar_is_zero(f.coefficient((0, 0))):
         leaves = []
     else:
         leaves = expansion_leaves(f, ctx)
@@ -187,24 +185,9 @@ def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None)
 def _evaluation_columns(b: BranchParam, monomials, nt):
     """Column per monomial: coefficients of its evaluation along the branch."""
     n = min(nt, b.trunc)
-    coords = [s.truncate(n) for s in b.coords]
-    cache = {}
-
-    def mono_series(exp):
-        if exp in cache:
-            return cache[exp]
-        total = sum(exp)
-        if total == 0:
-            res = Series.one(n)
-        else:
-            # peel one variable to reuse smaller products
-            idx = next(i for i, e in enumerate(exp) if e > 0)
-            smaller = tuple(e - 1 if i == idx else e for i, e in enumerate(exp))
-            res = mono_series(smaller) * coords[idx]
-        cache[exp] = res
-        return res
-
-    return [list(mono_series(tuple(e)).coeffs) for e in monomials], n
+    values = monomial_values([s.truncate(n) for s in b.coords], monomials,
+                             Series.one(n))
+    return [list(v.coeffs) for v in values], n
 
 
 def implicit_equation(b: BranchParam, degree_bound: int = None) -> Poly:
@@ -240,27 +223,21 @@ def implicit_equation(b: BranchParam, degree_bound: int = None) -> Poly:
             needed=n * (q_max + 3),
         )
     t_prec = n * m_cap
-    xpowers = [Series.one(nt)]
-    for _ in range(m_cap - 1):
-        xpowers_next = xpowers[-1] * xs
-        xpowers.append(xpowers_next)
-    ypowers = [Series.one(nt)]
-    for _ in range(n):
-        ypowers.append(ypowers[-1] * ys)
+    exponents = [(m, k) for k in range(n) for m in range(m_cap)] + [(0, n)]
+    *products, y_n = monomial_values([s.truncate(nt) for s in b.coords],
+                                     exponents, Series.one(nt))
     columns = []
     labels = []
-    for k in range(n):
-        for m in range(m_cap):
-            prod = xpowers[m] * ypowers[k]
-            col = prod.coeffs[:t_prec]
-            if all(scalar_is_zero(c) for c in col):
-                # contributes nothing below the working precision; its
-                # canonical value is zero
-                continue
-            columns.append(col)
-            labels.append((m, k))
+    for exp, prod in zip(exponents, products):
+        col = prod.coeffs[:t_prec]
+        if all(scalar_is_zero(c) for c in col):
+            # contributes nothing below the working precision; its
+            # canonical value is zero
+            continue
+        columns.append(col)
+        labels.append(exp)
     rows = [[columns[j][i] for j in range(len(columns))] for i in range(t_prec)]
-    rhs = [-c for c in ypowers[n].coeffs[:t_prec]]
+    rhs = [-c for c in y_n.coeffs[:t_prec]]
     solution, n_free = solve_exact(rows, rhs)
     if solution is None:
         raise RaiseTruncation(
@@ -467,7 +444,7 @@ def _relative_colength(bi: BranchParam, kernel_polys, nt):
     amb_rank = _rank_of_columns(amb_cols, n_used)
     prod_cols = []
     coords = [s.truncate(n_used) for s in bi.coords]
-    mono_evals = [Series(col, var=bi.var) for col in amb_cols]
+    mono_evals = [Series(col) for col in amb_cols]
     for h in kernel_polys:
         h_eval = h.eval_series(coords)
         for mono_eval in mono_evals:

@@ -20,6 +20,7 @@ import tempfile
 from . import __version__
 from .errors import D0resError, InputError, UnsupportedFieldExtension
 from .report import (
+    _canonical_echo,
     _oracle_block,
     assemble_report,
     check_ranks,
@@ -88,14 +89,12 @@ def _apply_overrides(req, args):
     if args.rank is not None:
         check_ranks(args.rank)
         req.ranks = list(args.rank)
-        req.echo["ranks"] = list(args.rank)
     if args.truncation is not None:
         check_truncation(args.truncation)
         req.truncation = args.truncation
-        req.echo["truncation"] = args.truncation
     if args.format:
         req.fmt = args.format
-        req.echo["format"] = args.format
+    req.echo = _canonical_echo(req)
     return req
 
 
@@ -129,7 +128,7 @@ def cmd_corpus(args) -> int:
     for name in names:
         req = _load_request(os.path.join(directory, name))
         req.fmt = "json"
-        req.echo["format"] = "json"
+        req.echo = _canonical_echo(req)
         germ, report = run_with_escalation(
             req, lambda g, c, t, r: (g, assemble_report(req, g, c, t, r)))
         blob = emit_report(report, "json")

@@ -194,15 +194,8 @@ class FieldElement:
 
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inverse(), -n, self.field.one())
+        return power(self, n, self.field.one())
 
     # -- comparisons ---------------------------------------------------------
 
@@ -223,6 +216,19 @@ class FieldElement:
 
     def __repr__(self):
         return format_scalar(self)
+
+
+def power(base, n, one):
+    """base ** n for an int n >= 0, by square-and-multiply in base's ring,
+    whose unit is `one`.  No product by `one` and no unused square."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
 
 
 # -- generic scalar helpers (Fraction | FieldElement) -------------------------
@@ -308,6 +314,8 @@ def _parse_term(term, gen):
     power = 1
     if tail.startswith("^"):
         power = int(tail[1:])
+        if power < 0:
+            raise ValueError(f"negative exponent in term {term!r}")
     elif tail:
         raise ValueError(f"cannot parse term {term!r}")
     head = head.rstrip("*")

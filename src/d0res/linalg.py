@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import D0resError, NonCommutingActions
-from .fields import FieldElement, scalar_is_zero
+from .fields import FieldElement, power, scalar_is_zero
 from .kernels import fmatmul, frref
 
 _ZERO = Fraction(0)
@@ -142,14 +142,7 @@ class ExactMatrix:
             raise D0resError("powers need a square matrix")
         if n < 0:
             raise D0resError("negative matrix power")
-        result = ExactMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ExactMatrix.identity(self.rows))
 
     def apply_to(self, vector):
         """Matrix-vector product (vector = sequence of scalars)."""
@@ -321,32 +314,7 @@ def eval_poly_at_matrices(f, mats):
                 raise NonCommutingActions(
                     f"action matrices {i} and {j} do not commute"
                 )
-    return eval_poly_at_commuting(f, mats)
-
-
-def eval_poly_at_commuting(f, mats):
-    """f(A_1, ..., A_m) for matrices the caller already checked: square, of
-    equal size and pairwise commuting (as `FiniteModule` actions are)."""
-    n = mats[0].rows
-    identity = ExactMatrix.identity(n)
-    powers = [{0: identity, 1: m} for m in mats]
-    acc = ExactMatrix.zeros(n, n)
-    for exp, coeff in f.sorted_terms():
-        term = identity
-        for idx, k in enumerate(exp):
-            if k == 0:
-                continue
-            cache = powers[idx]
-            if k not in cache:
-                top = max(j for j in cache if j <= k)
-                cur = cache[top]
-                while top < k:
-                    cur = cur * cache[1]
-                    top += 1
-                    cache[top] = cur
-            term = term * cache[k]
-        acc = acc + term.scale(coeff)
-    return acc
+    return f.evaluate(mats, ExactMatrix.identity(n))
 
 
 def eval_series_at_matrix(s, matrix: ExactMatrix):

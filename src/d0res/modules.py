@@ -21,7 +21,9 @@ The key constructions:
   certificates use, reads the same ideal off r series coefficients: the
   fiber K[t]/(t^r) is cyclic, generated by 1, so f kills it iff
   f(x(t)) = 0 mod t^r.  Both return the unique reduced echelon basis, so
-  they agree exactly, not just up to a change of basis.
+  they agree exactly, not just up to a change of basis.  Both evaluate the
+  monomials with `poly.monomial_values`, one over the action matrices and
+  one over the pullback series.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .branches import BranchParam, _evaluation_columns
 from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, eval_series_at_matrix, rref_rows
-from .poly import Poly, monomials_upto
+from .poly import Poly, monomial_values, monomials_upto
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -310,24 +312,9 @@ def _evaluation_rows(module: FiniteModule, degree):
     """Matrix of the evaluation map Poly_<=degree -> End(module); columns in
     graded-lex monomial order, rows = flattened matrix entries."""
     monomials = monomials_upto(module.ambient_dim, degree)
-    identity = ExactMatrix.identity(module.dim)
-    cols = []
-    cache = {}
-
-    def mono_matrix(exp):
-        if exp in cache:
-            return cache[exp]
-        if sum(exp) == 0:
-            out = identity
-        else:
-            idx = next(i for i, e in enumerate(exp) if e > 0)
-            smaller = tuple(e - 1 if i == idx else e for i, e in enumerate(exp))
-            out = module.actions[idx] * mono_matrix(smaller)
-        cache[exp] = out
-        return out
-
-    for exp in monomials:
-        cols.append(mono_matrix(exp).flat())
+    values = monomial_values(module.actions, monomials,
+                             ExactMatrix.identity(module.dim))
+    cols = [value.flat() for value in values]
     rows = [[cols[j][i] for j in range(len(monomials))]
             for i in range(module.dim * module.dim)]
     return monomials, rows

@@ -4,6 +4,12 @@ Exponents are tuples of non-negative ints; zero coefficients are never stored.
 The monomial order used everywhere (annihilator bases, implicit equations,
 deterministic reports) is graded lexicographic with the LAST variable strongest,
 so that for plane curves (x, y) the pure y-powers lead within a degree.
+
+Evaluation is written once for every ring: `monomial_values` computes the
+monomials at commuting elements of a ring with memoized products, and
+`Poly.evaluate` sums them with the coefficients.  The rings in use are the
+scalars, truncated series (a polynomial along a branch), action matrices
+(a polynomial acting on a module) and polynomials (a change of origin).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from fractions import Fraction
 
 from .errors import D0resError
 from .fields import (
+    power,
     scalar_is_zero,
     upoly_divmod,
     upoly_gcd,
@@ -22,6 +29,7 @@ from .fields import (
 from .series import Series
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def grlex_key(exponent):
@@ -148,14 +156,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise D0resError("negative polynomial power")
-        result = Poly.constant(self.nvars, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.constant(self.nvars, _ONE))
 
     def scale(self, scalar):
         return Poly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
@@ -189,64 +190,27 @@ class Poly:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_scalars(self, values):
+    def evaluate(self, values, one):
+        """f(values) for commuting `values` of the ring whose unit is `one`:
+        scalars, series, square matrices or polynomials."""
         if len(values) != self.nvars:
             raise D0resError("wrong number of values")
-        acc = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    term = term * v
-            acc = acc + term
+        terms = self.sorted_terms()
+        monomials = monomial_values(values, [e for e, _ in terms], one)
+        acc = one * _ZERO
+        for value, (_, c) in zip(monomials, terms):
+            acc = acc + value * c
         return acc
 
     def eval_series(self, coords) -> Series:
-        """Substitute one Series per variable (all sharing a truncation)."""
-        if len(coords) != self.nvars:
-            raise D0resError("wrong number of coordinate series")
+        """f at one Series per variable, at their common truncation."""
         n = min(s.trunc for s in coords)
-        var = coords[0].var
-        result = Series.zero(n, var=var)
-        # cache powers per variable
-        powers = []
-        for s in coords:
-            powers.append({0: Series.one(n, var=var), 1: s.truncate(n)})
-        for e, c in self.sorted_terms():
-            term = Series.monomial(0, c, n, var=var)
-            for idx, k in enumerate(e):
-                if k == 0:
-                    continue
-                cache = powers[idx]
-                if k not in cache:
-                    base = cache[1]
-                    acc = cache[max(j for j in cache if j <= k)]
-                    j = max(j for j in cache if j <= k)
-                    while j < k:
-                        acc = acc * base
-                        j += 1
-                        cache[j] = acc
-                term = term * cache[k]
-            result = result + term
-        return result
+        return self.evaluate([s.truncate(n) for s in coords], Series.one(n))
 
     def translate(self, point):
         """f(x + p): recenter so that `point` moves to the origin."""
-        if len(point) != self.nvars:
-            raise D0resError("wrong point arity")
-        result = Poly.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = Poly.constant(self.nvars, c)
-            for idx, k in enumerate(e):
-                if k == 0:
-                    continue
-                shifted = Poly(self.nvars, {
-                    tuple(1 if j == idx else 0 for j in range(self.nvars)): Fraction(1),
-                    (0,) * self.nvars: point[idx],
-                })
-                term = term * shifted ** k
-            result = result + term
-        return result
+        shifted = [Poly.variable(self.nvars, i) + p for i, p in enumerate(point)]
+        return self.evaluate(shifted, Poly.constant(self.nvars, _ONE))
 
     # -- display / comparison ----------------------------------------------------
 
@@ -262,6 +226,38 @@ class Poly:
 
     def __repr__(self):
         return poly_text(self)
+
+
+def monomial_values(values, exponents, one):
+    """The value of each monomial in `exponents` at the commuting `values`,
+    elements of one ring whose unit is `one`.
+
+    Memoized: x_i^k extends x_i^(k-1) by one product, and a mixed monomial
+    is one product, the power of its first variable times the value of the
+    rest.  Over all monomials up to some degree that is at most one product
+    per monomial of degree >= 2.
+    """
+    powers = [[one, v] for v in values]
+    memo = {}
+
+    def power_of(i, k):
+        row = powers[i]
+        while len(row) <= k:
+            row.append(row[-1] * values[i])
+        return row[k]
+
+    def value(exp):
+        if exp not in memo:
+            first = next((i for i, k in enumerate(exp) if k), None)
+            if first is None:
+                memo[exp] = one
+            else:
+                head = power_of(first, exp[first])
+                rest = (0,) * (first + 1) + exp[first + 1:]
+                memo[exp] = head * value(rest) if any(rest) else head
+        return memo[exp]
+
+    return [value(tuple(e)) for e in exponents]
 
 
 def monomials_upto(nvars, degree):

@@ -19,7 +19,7 @@ parametrizations instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .errors import D0resError, UnsupportedFieldExtension
 from .fields import (
@@ -357,22 +357,9 @@ def edge_characteristic(f: Poly, p, q, pts):
 
 def puiseux_transform(f: Poly, p, q, A, B):
     """f(A*x1^p, x1^q*(B+y1)) divided by the largest power of x1."""
-    out = {}
-    apow = [Fraction(1)]
-    for _ in range(f.degree_in(0)):
-        apow.append(apow[-1] * A)
-    bpow = [Fraction(1)]
-    for _ in range(f.degree_in(1)):
-        bpow.append(bpow[-1] * B)
-    for (i, j), c in f.terms.items():
-        base = c * apow[i]
-        xdeg = p * i + q * j
-        for l in range(j + 1):
-            coeff = base * comb(j, l) * bpow[j - l]
-            key = (xdeg, l)
-            prev = out.get(key, _ZERO)
-            out[key] = prev + coeff
-    g = Poly(2, out)
+    x1 = Poly(2, {(p, 0): A})
+    y1 = Poly(2, {(q, 1): Fraction(1), (q, 0): B})
+    g = f.evaluate([x1, y1], Poly.constant(2, Fraction(1)))
     v = g.monomial_content(0)
     if v:
         g = g.divide_by_monomial(0, v)
@@ -393,9 +380,9 @@ class _Leaf:
 
 def _regular_ready(f1: Poly) -> bool:
     """A simple characteristic root always lands here: f1(0,0)=0, f1_y(0,0)!=0."""
-    if not scalar_is_zero(f1.eval_scalars([_ZERO, _ZERO])):
+    if not scalar_is_zero(f1.coefficient((0, 0))):
         return False
-    return not scalar_is_zero(f1.diff(1).eval_scalars([_ZERO, _ZERO]))
+    return not scalar_is_zero(f1.coefficient((0, 1)))
 
 
 def _expand(f: Poly, ctx: FieldContext, depth, prefix_key):
@@ -410,7 +397,7 @@ def _expand(f: Poly, ctx: FieldContext, depth, prefix_key):
             raise D0resError("repeated y-axis factor; input not squarefree")
         leaves.append(_Leaf([], None, prefix_key + ((-1, 0),)))
         f = f.divide_by_monomial(1, 1)
-    if not scalar_is_zero(f.eval_scalars([_ZERO, _ZERO])):
+    if not scalar_is_zero(f.coefficient((0, 0))):
         return leaves
     if f.monomial_content(0):
         # a vertical component inside the recursion means the input was not
@@ -440,10 +427,10 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
 
     Newton lift; needs f1(0,0) = 0 and d f1/dy (0,0) != 0.
     """
-    if not scalar_is_zero(f1.eval_scalars([_ZERO, _ZERO])):
+    if not scalar_is_zero(f1.coefficient((0, 0))):
         raise D0resError("tail polynomial does not vanish at the origin")
     fy = f1.diff(1)
-    if scalar_is_zero(fy.eval_scalars([_ZERO, _ZERO])):
+    if scalar_is_zero(fy.coefficient((0, 0))):
         raise D0resError("tail root is not simple; recursion should have continued")
     x = Series.variable(trunc)
     y = Series.zero(trunc)

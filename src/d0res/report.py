@@ -32,8 +32,7 @@ from .verify import (
     certify,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
-    separates_points,
-    separates_tangents,
+    separation_verdicts,
 )
 
 _ZERO = Fraction(0)
@@ -125,6 +124,8 @@ def _parse_field(spec):
     if not isinstance(minpoly, list) or len(minpoly) < 3:
         raise InputError("field.minpoly",
                          "minpoly must list >= 3 coefficient strings")
+    if not all(isinstance(c, str) for c in minpoly):
+        raise InputError("field.minpoly", "coefficients must be exact strings")
     try:
         coeffs = [Fraction(c) for c in minpoly]
     except (ValueError, ZeroDivisionError) as exc:
@@ -390,8 +391,7 @@ def _verdict_block(v) -> dict:
 
 def _certificate_block(germ: Germ, r: int) -> dict:
     if r < germ.r0:
-        points = separates_points(germ, r, exploratory=True)
-        tangents = separates_tangents(germ, r, exploratory=True)
+        points, tangents = separation_verdicts(germ, r, exploratory=True)
         return {
             "rank": r,
             "below_critical": True,

@@ -1,4 +1,4 @@
-"""Truncated power series in one variable over the exact scalars.
+"""Truncated power series in one variable t over the exact scalars.
 
 A Series holds exactly `trunc` coefficients c_0..c_{trunc-1}; it represents an
 element of K[[t]] known modulo t^trunc.  Every arithmetic result carries the
@@ -12,15 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import D0resError
-from .fields import scalar_is_zero
+from .fields import power, scalar_is_zero
 
 _ZERO = Fraction(0)
 
 
 class Series:
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, trunc=None, var="t"):
+    def __init__(self, coeffs, trunc=None):
         coeffs = list(coeffs)
         if trunc is not None:
             if trunc <= 0:
@@ -32,38 +32,37 @@ class Series:
         elif not coeffs:
             raise D0resError("series needs coefficients or an explicit truncation")
         self.coeffs = tuple(coeffs)
-        self.var = var
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc, var="t"):
-        return cls([], trunc=trunc, var=var)
+    def zero(cls, trunc):
+        return cls([], trunc=trunc)
 
     @classmethod
-    def one(cls, trunc, var="t"):
-        return cls([Fraction(1)], trunc=trunc, var=var)
+    def one(cls, trunc):
+        return cls([Fraction(1)], trunc=trunc)
 
     @classmethod
-    def variable(cls, trunc, var="t"):
-        return cls.monomial(1, Fraction(1), trunc, var=var)
+    def variable(cls, trunc):
+        return cls.monomial(1, Fraction(1), trunc)
 
     @classmethod
-    def monomial(cls, exponent, coeff, trunc, var="t"):
+    def monomial(cls, exponent, coeff, trunc):
         coeffs = [_ZERO] * trunc
         if exponent < trunc:
             coeffs[exponent] = coeff
-        return cls(coeffs, var=var)
+        return cls(coeffs)
 
     @classmethod
-    def from_pairs(cls, pairs, trunc, var="t"):
+    def from_pairs(cls, pairs, trunc):
         coeffs = [_ZERO] * trunc
         for exponent, coeff in pairs:
             if exponent < 0:
                 raise D0resError("negative exponent in series data")
             if exponent < trunc:
                 coeffs[exponent] = coeffs[exponent] + coeff
-        return cls(coeffs, var=var)
+        return cls(coeffs)
 
     # -- structure ------------------------------------------------------------
 
@@ -89,13 +88,13 @@ class Series:
     def truncate(self, n):
         if n > self.trunc:
             raise D0resError("cannot extend a truncated series")
-        return Series(self.coeffs[:n], var=self.var)
+        return Series(self.coeffs[:n])
 
     def extend_with_zeros(self, n):
         """Only valid when the series is known exactly (polynomial data)."""
         if n <= self.trunc:
             return self
-        return Series(list(self.coeffs) + [_ZERO] * (n - self.trunc), var=self.var)
+        return Series(list(self.coeffs) + [_ZERO] * (n - self.trunc))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -108,16 +107,16 @@ class Series:
         n = self._common(other)
         if n is None:
             return NotImplemented
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n)], var=self.var)
+        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n)])
 
     def __sub__(self, other):
         n = self._common(other)
         if n is None:
             return NotImplemented
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n)], var=self.var)
+        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], var=self.var)
+        return Series([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -130,23 +129,16 @@ class Series:
                     b = other.coeffs[j]
                     if not scalar_is_zero(b):
                         out[i + j] = out[i + j] + a * b
-            return Series(out, var=self.var)
-        # scalar multiple
-        return Series([c * other for c in self.coeffs], var=self.var)
+            return Series(out)
+        # scalar multiple; zero coefficients stay as they are
+        return Series([c if scalar_is_zero(c) else c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise D0resError("negative series power")
-        result = Series.one(self.trunc, var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Series.one(self.trunc))
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner), requiring ord(inner) >= 1."""
@@ -154,13 +146,13 @@ class Series:
         if o is not None and o < 1:
             raise D0resError("composition needs an inner series of order >= 1")
         n = min(self.trunc, inner.trunc)
-        result = Series.zero(n, var=inner.var)
+        result = Series.zero(n)
         # Horner from the top coefficient down
         for k in range(n - 1, -1, -1):
             result = result * inner.truncate(n)
             c = self.coeffs[k]
             if not scalar_is_zero(c):
-                result = result + Series.monomial(0, c, n, var=inner.var)
+                result = result + Series.monomial(0, c, n)
         return result
 
     def invert(self) -> "Series":
@@ -179,17 +171,17 @@ class Series:
                 if not scalar_is_zero(aj):
                     acc = acc + aj * out[k - j]
             out[k] = -inv0 * acc
-        return Series(out, var=self.var)
+        return Series(out)
 
     # -- comparisons / display --------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         terms = []
@@ -199,10 +191,10 @@ class Series:
             if i == 0:
                 terms.append(str(c))
             else:
-                var = self.var if i == 1 else f"{self.var}^{i}"
+                var = "t" if i == 1 else f"t^{i}"
                 terms.append(var if c == 1 else f"{c}*{var}")
             if len(terms) >= 8:
                 terms.append("...")
                 break
         body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O({self.var}^{self.trunc})>"
+        return f"<{body} + O(t^{self.trunc})>"

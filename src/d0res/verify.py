@@ -33,7 +33,7 @@ from math import ceil, comb
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation, RankBelowCritical
 from .fields import format_scalar, scalar_is_zero
-from .linalg import ExactMatrix, eval_poly_at_commuting, rref_rows
+from .linalg import ExactMatrix, rref_rows
 from .modules import (
     AnnihilatorIdeal,
     JetPair,
@@ -145,6 +145,15 @@ def separates_points(germ: Germ, r: int, exploratory: bool = False):
     return _point_verdicts(ideals, [jet.m1 for jet in jets])
 
 
+def separation_verdicts(germ: Germ, r: int, exploratory: bool = False):
+    """(point verdicts, tangent verdicts) of the rank-r family, each member
+    built once for both tests."""
+    _check_rank(germ, r, exploratory)
+    ideals, jets = _family(germ, r)
+    return (_point_verdicts(ideals, [jet.m1 for jet in jets]),
+            _tangent_verdicts(germ, r, jets, exploratory))
+
+
 def _point_verdicts(ideals, fibers):
     """Verdicts from the members' ideals; witnesses are re-checked on the
     members' action matrices `fibers`."""
@@ -175,7 +184,7 @@ def _point_verdicts(ideals, fibers):
 def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
     """A polynomial in exactly one of the two annihilators, re-verified."""
     for g in ann_i.polys:
-        if not eval_poly_at_commuting(g, fiber_j.actions).is_zero():
+        if not _kills(g, fiber_j):
             _check_kills(g, fiber_i)
             return {
                 "polynomial": poly_text(g),
@@ -183,7 +192,7 @@ def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
                 "nonzero_on_branch": "second",
             }
     for g in ann_j.polys:
-        if not eval_poly_at_commuting(g, fiber_i.actions).is_zero():
+        if not _kills(g, fiber_i):
             _check_kills(g, fiber_j)
             return {
                 "polynomial": poly_text(g),
@@ -193,8 +202,13 @@ def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
     raise D0resError("distinct annihilators but no separating element found")
 
 
+def _kills(g, fiber):
+    """g acts as zero on the module `fiber` (its actions commute)."""
+    return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
+
+
 def _check_kills(g, fiber):
-    if not eval_poly_at_commuting(g, fiber.actions).is_zero():
+    if not _kills(g, fiber):
         raise D0resError(
             f"witness {poly_text(g)} does not annihilate its own fiber"
         )

@@ -122,10 +122,21 @@ CUSP_POLY = [[[0, 2], "1"], [[3, 0], "-1"]]
     ({"field": {"generator": "", "minpoly": ["1", "0", "1"]},
       "curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "1"]]}}},
      "field.generator"),
+    ({"field": {"minpoly": [None, "0", "1"]},
+      "curve": {"implicit": {"poly": CUSP_POLY}}}, "field.minpoly"),
+    ({"field": {"minpoly": [1.5, 0, 1]},
+      "curve": {"implicit": {"poly": CUSP_POLY}}}, "field.minpoly"),
+    ({"field": {"minpoly": [True, False, 1]},
+      "curve": {"implicit": {"poly": CUSP_POLY}}}, "field.minpoly"),
+    ({"field": {"generator": "a", "minpoly": ["1", "0", "1"]},
+      "curve": {"implicit": {"poly": CUSP_POLY}}, "point": ["a^-1", "0"]},
+     "point[0]"),
 ])
 def test_malformed_fields_exit_2_without_traceback(request_obj, path):
-    """JSON booleans are not integers, and a generator must be an identifier
-    string: either mistake is an input error naming the field."""
+    """JSON booleans are not integers, a generator must be an identifier
+    string, minpoly coefficients must be exact strings and generator
+    exponents must be non-negative: each mistake is an input error naming
+    the field."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from d0res.cli import main; sys.exit(main())",
@@ -154,6 +165,21 @@ def test_cli_overrides_follow_request_rules(flags, path, capsysbinary):
     assert rc == 2
     assert captured.out == b""
     assert f"input error: {path}:".encode() in captured.err
+
+
+def test_rank_override_report_equals_ranks_in_request(tmp_path, capsysbinary):
+    """`--rank 3` and `"ranks": [3]` in the file are one request, so they
+    give one report, byte for byte (the `input` echo included)."""
+    request = json.loads((CORPUS / "cusp.json").read_text())
+    with_ranks = write_request(tmp_path, "cusp3.json", {**request, "ranks": [3]})
+    reports = []
+    for argv in (["analyze", str(CORPUS / "cusp.json"), "--rank", "3"],
+                 ["analyze", with_ranks]):
+        assert main(argv) == 0
+        reports.append(capsysbinary.readouterr().out)
+    assert reports[0] == reports[1]
+    assert list(json.loads(reports[0])["input"]) == [
+        "curve", "point", "ranks", "format"]
 
 
 def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):

@@ -98,6 +98,9 @@ def test_format_parse_roundtrip():
     assert parse_scalar("-3/2") == F(-3, 2)
     with pytest.raises(ValueError):
         parse_scalar("1+i")  # needs the field
+    for text in ("i^-1", "2*i^-2", "1-i^-1"):
+        with pytest.raises(ValueError):
+            parse_scalar(text, GAUSS)
 
 
 def test_rational_sqrt():

@@ -134,3 +134,11 @@ def test_eval_poly_is_ring_homomorphism(data):
     lhs = eval_poly_at_matrices(f * g, [a, b])
     rhs = eval_poly_at_matrices(f, [a, b]) * eval_poly_at_matrices(g, [a, b])
     assert lhs == rhs
+    # the same f, g over truncated series and over scalars
+    series = [Series([F(data.draw(entries)) for _ in range(6)]) for _ in range(2)]
+    scalars = [F(data.draw(entries), data.draw(st.integers(1, 5))) for _ in range(2)]
+    for values, one in ((series, Series.one(6)), (scalars, F(1))):
+        assert (f * g).evaluate(values, one) == (
+            f.evaluate(values, one) * g.evaluate(values, one))
+        assert (f + g).evaluate(values, one) == (
+            f.evaluate(values, one) + g.evaluate(values, one))

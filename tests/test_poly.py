@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d0res.errors import D0resError
-from d0res.poly import Poly, gcd_bivariate, is_squarefree, monomials_upto, poly_text
+from d0res.poly import (
+    Poly,
+    gcd_bivariate,
+    is_squarefree,
+    monomial_values,
+    monomials_upto,
+    poly_text,
+)
 from d0res.series import Series
 
 F = Fraction
@@ -45,11 +52,32 @@ def test_eval_series():
     assert g.eval_series([t, Series.zero(8)]).order() == 2
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 6])
+def test_monomial_values_one_product_per_monomial(degree):
+    """Over a ring whose elements record their monomial and count products,
+    every monomial of degree >= 2 costs at most one product."""
+    products = []
+
+    class Monomial:
+        def __init__(self, exponent):
+            self.exponent = exponent
+
+        def __mul__(self, other):
+            products.append((self.exponent, other.exponent))
+            return Monomial(tuple(a + b for a, b in zip(self.exponent, other.exponent)))
+
+    monomials = monomials_upto(3, degree)
+    variables = [Monomial(tuple(int(i == j) for j in range(3))) for i in range(3)]
+    values = monomial_values(variables, monomials, Monomial((0, 0, 0)))
+    assert [v.exponent for v in values] == monomials
+    assert len(products) <= sum(1 for e in monomials if sum(e) >= 2)
+
+
 def test_translate():
     f = P({(0, 1): 1, (2, 0): -1})  # y - x^2
     g = f.translate([F(1), F(1)])   # y+1 - (x+1)^2
     assert g == P({(0, 1): 1, (2, 0): -1, (1, 0): -2})
-    assert g.eval_scalars([F(0), F(0)]) == 0
+    assert g.evaluate([F(0), F(0)], F(1)) == 0
 
 
 def test_squarefree_detection():

@@ -9,9 +9,14 @@ import pytest
 
 from d0res.errors import D0resError, RankBelowCritical
 from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
-from d0res.modules import AnnihilatorIdeal, annihilator
+from d0res.modules import AnnihilatorIdeal, JetPair, annihilator
 from d0res.poly import Poly, poly_text
-from d0res.report import parse_request, run_with_escalation
+from d0res.report import (
+    _certificate_block,
+    _verdict_block,
+    parse_request,
+    run_with_escalation,
+)
 from d0res.verify import (
     INCONCLUSIVE,
     NOT_SEPARATED,
@@ -41,6 +46,29 @@ def repo_corpus_germs():
         req = parse_request(json.loads(path.read_text()))
         germs[path.stem] = run_with_escalation(req, lambda g, c, t, r: g)
     return germs
+
+
+def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
+                                                     monkeypatch):
+    """Below r0 the report's point and tangent verdicts read one family:
+    on the tacnode at rank 2 that is one jet pair per branch."""
+    germ = repo_corpus_germs["tacnode"]
+    assert (germ.k, germ.r0) == (2, 3)
+    built = []
+    validate = JetPair.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(JetPair, "__post_init__", counted)
+    block = _certificate_block(germ, 2)
+    monkeypatch.undo()
+    assert len(built) == 2
+    points = separates_points(germ, 2, exploratory=True)
+    tangents = separates_tangents(germ, 2, exploratory=True)
+    assert block["points"] == [_verdict_block(v) for v in points]
+    assert block["tangents"] == [_verdict_block(v) for v in tangents]
 
 
 def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
