@@ -369,10 +369,9 @@ def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
     shared = min(bi.trunc, bj.trunc)
     if all(si.truncate(shared) == sj.truncate(shared)
            for si, sj in zip(bi.coords, bj.coords)):
-        raise D0resError(
+        raise RaiseTruncation(
             "branches coincide at the working truncation; intersection "
-            "lengths need distinct branches (is the input reduced?)"
-        )
+            "lengths need distinct branches", needed=2 * shared)
     if bi.ambient_dim == 2:
         gi = implicit_equation(bi)
         gj = implicit_equation(bj)

@@ -6,14 +6,13 @@ The key constructions:
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
   multiplication with its pullback series (lower-triangular Toeplitz); also
   the jet pair's special fiber and route 1 of the push-forward oracle.
-* jet_pair(b, r): the rank-r restriction over the dual numbers.  Its special
-  fiber M1 is fiber_module(b, r), on which the uniformizer acts as the
-  r x r down-shift S; on the jet M2 it acts as S + r*eps in the bottom-right
-  corner, flattened to 2r x 2r with a distinguished eps endomorphism.  The
-  inclusion/projection pair (a, b) makes 0 -> M1 -> M2 -> M1 -> 0 exact,
-  and the uniformizer's nilpotency index jumps from r to r+1 exactly when
-  the jet does not split.
-* graph_skyscraper(b): the rank-1 padding module and its dual-number jet.
+* jet_pair(b, r): the rank-r restriction over the dual numbers, one block
+  of the JetPair frame.  Its special fiber M1 is fiber_module(b, r), on
+  which the uniformizer acts as the r x r down-shift S; on the 2r-dim jet M2
+  it acts as S on the tops and on the bottoms plus r*eps from the last top.
+  Its nilpotency index jumps from r to r+1 exactly when the jet does not split.
+* graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
+  jet_pair(b, 1).  `pad` appends such blocks to a jet pair's layout.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
@@ -73,52 +72,80 @@ class FiniteModule:
 class JetPair:
     """Rank-r module M1 with its first-order jet M2 over the dual numbers.
 
-    `eps` is the distinguished square-zero endomorphism of M2; `incl` embeds
-    M1 as eps*M2 and `proj` is the quotient by it, making
-    0 -> M1 -> M2 -> M1 -> 0 exact.
+    `blocks` are the ranks of the direct summands.  A rank-k summand has k
+    basis vectors of M1 and 2k of M2: k tops lifting them, then k bottoms,
+    their eps-multiples.  So eps maps tops to bottoms, `incl` embeds M1 onto
+    the bottoms and `proj` reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
+    by construction.  The actions respect this frame iff each reads
+    [[A, 0], [C, A]] on (tops, bottoms), A its M1 counterpart.
     """
 
     m1: FiniteModule
     m2: FiniteModule
-    eps: ExactMatrix
-    incl: ExactMatrix
-    proj: ExactMatrix
     t_m1: ExactMatrix
     t_m2: ExactMatrix
+    blocks: tuple
 
     def __post_init__(self):
-        r, d2 = self.m1.dim, self.m2.dim
-        if d2 != 2 * r:
+        if any(k < 1 for k in self.blocks) or sum(self.blocks) != self.m1.dim:
+            raise D0resError("jet blocks must be positive and sum to the fiber dim")
+        if self.m2.dim != 2 * self.m1.dim:
             raise D0resError("jet must have twice the fiber dimension")
-        if not (self.eps * self.eps).is_zero():
-            raise D0resError("eps must square to zero")
-        if not (self.proj * self.incl).is_zero():
-            raise D0resError("jet sequence is not a complex")
-        if self.incl.rank() != r or self.proj.rank() != r:
-            raise D0resError("jet inclusion/projection must have full rank")
-        # image(incl) == kernel(proj) follows from rank counts + proj*incl = 0
-        if not (self.incl * self.proj - self.eps).is_zero():
-            raise D0resError("inclusion must be multiplication by eps")
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
+        tops, bottoms = self._frame()
         for a2, a1 in zip(self.m2.actions, self.m1.actions):
-            if not (a2 * self.eps - self.eps * a2).is_zero():
-                raise D0resError("actions must be eps-linear")
-            if not (self.proj * a2 - a1 * self.proj).is_zero():
-                raise D0resError("projection must intertwine the actions")
-            if not (a2 * self.incl - self.incl * a1).is_zero():
-                raise D0resError("inclusion must intertwine the actions")
-        if not (self.t_m2 * self.eps - self.eps * self.t_m2).is_zero():
-            raise D0resError("uniformizer action must be eps-linear")
+            _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
+        _check_jet_shape(self.t_m2, self.t_m1, tops, bottoms, "uniformizer action")
 
     @property
     def rank(self):
         return self.m1.dim
 
+    def _frame(self):
+        """The M2 indices of the tops and of the bottoms, in M1 order."""
+        tops, bottoms, start = [], [], 0
+        for k in self.blocks:
+            tops.extend(range(start, start + k))
+            bottoms.extend(range(start + k, start + 2 * k))
+            start += 2 * k
+        return tops, bottoms
 
-def _downshift(r):
-    data = [[_ONE if i == j + 1 else _ZERO for j in range(r)] for i in range(r)]
+    @property
+    def eps(self):
+        tops, bottoms = self._frame()
+        return _unit_matrix(2 * self.rank, 2 * self.rank, zip(bottoms, tops))
+
+    @property
+    def incl(self):
+        return _unit_matrix(2 * self.rank, self.rank,
+                            zip(self._frame()[1], range(self.rank)))
+
+    @property
+    def proj(self):
+        return _unit_matrix(self.rank, 2 * self.rank,
+                            zip(range(self.rank), self._frame()[0]))
+
+
+def _unit_matrix(rows, cols, ones):
+    """The rows x cols 0/1 matrix with ones at the (i, j) pairs `ones`."""
+    data = [[_ZERO] * cols for _ in range(rows)]
+    for i, j in ones:
+        data[i][j] = _ONE
     return ExactMatrix(data)
+
+
+def _check_jet_shape(a2, a1, tops, bottoms, what):
+    """a2 reads [[a1, 0], [C, a1]] on (tops, bottoms), entry by entry."""
+    r = len(tops)
+    if (a1.rows, a1.cols, a2.rows, a2.cols) != (r, r, 2 * r, 2 * r):
+        raise D0resError(f"{what} has the wrong shape for the jet frame")
+    for row1, ti, bi in zip(a1.data, tops, bottoms):
+        top, bottom = a2.data[ti], a2.data[bi]
+        for x, tj, bj in zip(row1, tops, bottoms):
+            if not scalar_is_zero(top[bj]) or top[tj] != x or bottom[bj] != x:
+                raise D0resError(f"inclusion and projection must intertwine "
+                                 f"the {what}s")
 
 
 def fiber_module(b: BranchParam, r: int) -> FiniteModule:
@@ -158,47 +185,24 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
     if b.trunc < r + 1:
         raise RaiseTruncation("jet construction needs truncation >= rank+1",
                               needed=r + 1)
-    shift = _downshift(r)
-    zero_r = ExactMatrix.zeros(r, r)
-    corner = ExactMatrix([[Fraction(r) if (i == r - 1 and j == r - 1) else _ZERO
-                           for j in range(r)] for i in range(r)])
-    t_m2 = _block2x2(shift, zero_r, corner, shift)
-    eps = _block2x2(zero_r, zero_r, ExactMatrix.identity(r), zero_r)
-    incl = ExactMatrix([[_ONE if i == r + j else _ZERO for j in range(r)]
-                        for i in range(2 * r)])
-    proj = ExactMatrix([[_ONE if i == j else _ZERO for j in range(2 * r)]
-                        for i in range(r)])
+    shift = _unit_matrix(r, r, ((i + 1, i) for i in range(r - 1)))
+    # S on the tops and on the bottoms, plus r*eps from the last top
+    data = [list(row) for row in ExactMatrix.block_diag(shift, shift).data]
+    data[2 * r - 1][r - 1] = Fraction(r)
+    t_m2 = ExactMatrix(data)
     m2 = FiniteModule(2 * r, tuple(eval_series_at_matrix(s.truncate(r + 1), t_m2)
                                    for s in b.coords))
-    return JetPair(fiber_module(b, r), m2, eps, incl, proj, shift, t_m2)
+    return JetPair(fiber_module(b, r), m2, shift, t_m2, (r,))
 
 
 def graph_skyscraper(b: BranchParam):
     """The rank-1 padding: skyscraper fiber and its dual-number jet."""
-    m = b.ambient_dim
-    fiber = FiniteModule(1, tuple(ExactMatrix.zeros(1, 1) for _ in range(m)))
-    zero1 = ExactMatrix.zeros(1, 1)
-    eps = _block2x2(zero1, zero1, ExactMatrix.identity(1), zero1)
-    actions = []
-    for s in b.coords:
-        c1 = s.coeffs[1] if s.trunc > 1 else _ZERO
-        actions.append(_block2x2(zero1, zero1,
-                                 ExactMatrix([[c1]]), zero1))
-    jet_m2 = FiniteModule(2, tuple(actions))
-    incl = ExactMatrix([[_ZERO], [_ONE]])
-    proj = ExactMatrix([[_ONE, _ZERO]])
-    jet = JetPair(fiber, jet_m2, eps, incl, proj, zero1, eps)
-    return fiber, jet
-
-
-def _block2x2(a, b, c, d):
-    top = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    bottom = [list(rc) + list(rd) for rc, rd in zip(c.data, d.data)]
-    return ExactMatrix(top + bottom)
+    return fiber_module(b, 1), jet_pair(b, 1)
 
 
 def pad(base, filler, copies: int):
-    """Block-diagonal direct sum of `base` with `copies` copies of `filler`."""
+    """Block-diagonal direct sum of `base` with `copies` copies of `filler`;
+    a jet pair's block layout grows by the filler's, `copies` times."""
     if copies < 0:
         raise D0resError("copies must be non-negative")
     if isinstance(base, FiniteModule) and isinstance(filler, FiniteModule):
@@ -212,18 +216,13 @@ def pad(base, filler, copies: int):
             actions.append(ExactMatrix.block_diag(*blocks))
         return FiniteModule(base.dim + copies * filler.dim, tuple(actions))
     if isinstance(base, JetPair) and isinstance(filler, JetPair):
-        if base.m1.ambient_dim != filler.m1.ambient_dim:
-            raise D0resError("ambient dimension mismatch in padding")
+        m1 = pad(base.m1, filler.m1, copies)    # checks the ambient dims
         if copies == 0:
             return base
-        m1 = pad(base.m1, filler.m1, copies)
         m2 = pad(base.m2, filler.m2, copies)
-        eps = ExactMatrix.block_diag(base.eps, *([filler.eps] * copies))
-        incl = ExactMatrix.block_diag(base.incl, *([filler.incl] * copies))
-        proj = ExactMatrix.block_diag(base.proj, *([filler.proj] * copies))
         t1 = ExactMatrix.block_diag(base.t_m1, *([filler.t_m1] * copies))
         t2 = ExactMatrix.block_diag(base.t_m2, *([filler.t_m2] * copies))
-        return JetPair(m1, m2, eps, incl, proj, t1, t2)
+        return JetPair(m1, m2, t1, t2, base.blocks + filler.blocks * copies)
     raise D0resError("pad needs two modules or two jet pairs")
 
 

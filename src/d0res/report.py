@@ -81,16 +81,19 @@ def parse_request(obj) -> AnalysisRequest:
 
     if variants[0] == "implicit":
         poly = _parse_poly(curve["implicit"], field)
-        point = _parse_point(obj.get("point"), 2, field)
-        req = AnalysisRequest(kind="implicit", poly=poly, point=point,
-                              ranks=ranks, truncation=truncation, fmt=fmt,
-                              field=field)
+        nvars = 2
+        req = AnalysisRequest(kind="implicit", poly=poly, ranks=ranks,
+                              truncation=truncation, fmt=fmt, field=field)
     else:
         branch_data, nvars = _parse_branches(curve["branches"], field)
-        point = _parse_point(obj.get("point"), nvars, field)
         req = AnalysisRequest(kind="branches", branch_data=branch_data,
-                              point=point, ranks=ranks, truncation=truncation,
-                              fmt=fmt, field=field)
+                              ranks=ranks, truncation=truncation, fmt=fmt,
+                              field=field)
+    # witnesses and series print the generator next to these names
+    if field is not None and field.generator in var_names(nvars) + ("t",):
+        raise InputError("field.generator", f"generator {field.generator!r} "
+                         "is also a coordinate or series variable name")
+    req.point = _parse_point(obj.get("point"), nvars, field)
     req.echo = _canonical_echo(req)
     return req
 
@@ -173,7 +176,7 @@ def _parse_branches(data, field):
     if not isinstance(data, list) or not data:
         raise InputError("curve.branches", "need at least one branch")
     nvars = None
-    parsed = []
+    parsed, keys_seen = [], []
     for bidx, bobj in enumerate(data):
         path = f"curve.branches[{bidx}]"
         if not isinstance(bobj, dict):
@@ -205,8 +208,20 @@ def _parse_branches(data, field):
                     (pair[0], _parse_scalar_str(pair[1], field, f"{cpath}[{pidx}]"))
                 )
             coords.append(series_pairs)
+        key = [_series_key(pairs) for pairs in coords]
+        if key in keys_seen:
+            raise InputError(path, f"repeats curve.branches[{keys_seen.index(key)}]")
+        keys_seen.append(key)
         parsed.append(coords)
     return parsed, nvars
+
+
+def _series_key(pairs):
+    """{exponent: coefficient} without zeros: equal iff the series are."""
+    total = {}
+    for e, c in pairs:
+        total[e] = total.get(e, _ZERO) + c
+    return {e: c for e, c in total.items() if not scalar_is_zero(c)}
 
 
 def _parse_point(spec, nvars, field):
@@ -281,13 +296,17 @@ def run_with_escalation(req: AnalysisRequest, stage):
 
     Any RaiseTruncation from branch decomposition, invariants, certificates or
     oracles restarts the whole pipeline at a larger truncation (deterministic:
-    the retry sequence depends only on the input).
+    the retry sequence depends only on the input).  Every truncation tried,
+    requested, needed by the ranks or doubled, is capped by the ceiling.
     """
     ceiling = truncation_ceiling()
-    trunc = req.truncation or 32
-    if trunc > ceiling:
-        raise D0resError("requested truncation exceeds D0RES_MAX_TRUNCATION")
+    trunc, reason = req.truncation or 32, "the starting truncation"
     while True:
+        if trunc > ceiling:
+            raise D0resError(
+                f"analysis needs truncation {trunc} but the ceiling is "
+                f"{ceiling} (set D0RES_MAX_TRUNCATION to raise it): {reason}"
+            )
         ctx = FieldContext(req.field)
         try:
             branches = _build_branches(req, trunc, ctx)
@@ -295,17 +314,11 @@ def run_with_escalation(req: AnalysisRequest, stage):
             ranks = req.ranks or [germ.r0, germ.r0 + 1, germ.r0 + 2]
             needed = default_truncation(ranks, germ.n)
             if req.truncation is None and trunc < needed:
-                trunc = needed
+                trunc, reason = needed, f"rank {max(ranks)} needs it"
                 continue
             return stage(germ, ctx, trunc, ranks)
         except RaiseTruncation as exc:
-            new_trunc = max(trunc * 2, exc.needed or 0)
-            if new_trunc > ceiling or new_trunc <= trunc:
-                raise D0resError(
-                    f"analysis needs truncation > {trunc} but the ceiling is "
-                    f"{ceiling} (set D0RES_MAX_TRUNCATION to raise it): {exc}"
-                )
-            trunc = new_trunc
+            trunc, reason = max(trunc * 2, exc.needed or 0), exc
 
 
 def run_analyze(req: AnalysisRequest) -> dict:

@@ -182,23 +182,19 @@ def _point_verdicts(ideals, fibers):
 
 
 def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
-    """A polynomial in exactly one of the two annihilators, re-verified."""
-    for g in ann_i.polys:
-        if not _kills(g, fiber_j):
-            _check_kills(g, fiber_i)
-            return {
-                "polynomial": poly_text(g),
-                "annihilates_branch": "first",
-                "nonzero_on_branch": "second",
-            }
-    for g in ann_j.polys:
-        if not _kills(g, fiber_i):
-            _check_kills(g, fiber_j)
-            return {
-                "polynomial": poly_text(g),
-                "annihilates_branch": "second",
-                "nonzero_on_branch": "first",
-            }
+    """A polynomial in exactly one of the two annihilators, re-verified;
+    the first branch's annihilator is searched first."""
+    first, second = ("first", ann_i, fiber_i), ("second", ann_j, fiber_j)
+    for (own, ann, fiber), (other, _, other_fiber) in ((first, second),
+                                                       (second, first)):
+        for g in ann.polys:
+            if not _kills(g, other_fiber):
+                _check_kills(g, fiber)
+                return {
+                    "polynomial": poly_text(g),
+                    "annihilates_branch": own,
+                    "nonzero_on_branch": other,
+                }
     raise D0resError("distinct annihilators but no separating element found")
 
 

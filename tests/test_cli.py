@@ -131,12 +131,26 @@ CUSP_POLY = [[[0, 2], "1"], [[3, 0], "-1"]]
     ({"field": {"generator": "a", "minpoly": ["1", "0", "1"]},
       "curve": {"implicit": {"poly": CUSP_POLY}}, "point": ["a^-1", "0"]},
      "point[0]"),
+    ({"field": {"generator": "x", "minpoly": ["1", "0", "1"]},
+      "curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "1"]]}}},
+     "field.generator"),
+    ({"field": {"generator": "t", "minpoly": ["1", "0", "1"]},
+      "curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "1"]]}}},
+     "field.generator"),
+    ({"field": {"generator": "z", "minpoly": ["1", "0", "1"]},
+      "curve": {"branches": [{"x": [[1, "1"]], "y": [[1, "z"]], "z": []}]}},
+     "field.generator"),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
+                             {"x": [[1, "1"]], "y": []},
+                             {"x": [[2, "1"], [5, "0"]], "y": [[3, "1"]]}]}},
+     "curve.branches[2]"),
 ])
 def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     """JSON booleans are not integers, a generator must be an identifier
-    string, minpoly coefficients must be exact strings and generator
-    exponents must be non-negative: each mistake is an input error naming
-    the field."""
+    string other than a coordinate name or t, minpoly coefficients must be
+    exact strings, generator exponents must be non-negative and explicit
+    branches must be distinct: each mistake is an input error naming the
+    field."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from d0res.cli import main; sys.exit(main())",
@@ -192,6 +206,32 @@ def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):
     err = capsysbinary.readouterr().err.decode()
     assert rc == 2
     assert "D0RES_MAX_TRUNCATION" in err
+
+
+def test_rank_driven_truncation_obeys_ceiling(capsysbinary, monkeypatch):
+    """The truncation a requested rank needs (8 * 8 * 2 = 128 for the cusp
+    at rank 8) is capped by D0RES_MAX_TRUNCATION like every doubling."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "64")
+    rc = main(["analyze", str(CORPUS / "cusp.json"), "--rank", "8"])
+    captured = capsysbinary.readouterr()
+    assert rc == 2
+    assert captured.out == b""
+    assert b"D0RES_MAX_TRUNCATION" in captured.err
+
+
+def test_branches_agreeing_below_truncation_raise_it(tmp_path, capsysbinary):
+    """y^2 = x^10 has branches y = +-x^5, equal mod t^4: a reduced germ that
+    needs more truncation, not an unreduced input."""
+    path = write_request(tmp_path, "a9.json", {
+        "curve": {"implicit": {"poly": [[[0, 2], "1"], [[10, 0], "-1"]]}},
+        "truncation": 4,
+    })
+    assert main(["analyze", path, "--strict"]) == 0
+    report = json.loads(capsysbinary.readouterr().out.decode())
+    assert report["germ"]["l_matrix"] == [[None, 5], [5, None]]
+    assert report["germ"]["r0"] == 6
+    assert report["truncation"] == 16
+    assert all(c["pass"] for c in report["certificates"])
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):

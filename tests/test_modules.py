@@ -10,6 +10,7 @@ from d0res.fields import NumberField, scalar_is_zero
 from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
 from d0res.modules import (
     FiniteModule,
+    JetPair,
     annihilator,
     fiber_annihilator,
     fiber_module,
@@ -106,6 +107,48 @@ def test_graph_skyscraper():
     assert jet.m2.actions[1].is_zero()
     _, jet_cusp = graph_skyscraper(CUSP)
     assert all(a.is_zero() for a in jet_cusp.m2.actions)
+
+
+def _bumped(a, i, j):
+    """`a` with 1 added at entry (i, j)."""
+    data = [list(row) for row in a.data]
+    data[i][j] += 1
+    return ExactMatrix(data)
+
+
+# the cusp's rank-2 jet: all M1 actions zero, M2's x action 2*E(3, 0);
+# padded with two skyscrapers its M2 frame has tops 0, 1, 4, 6 and
+# bottoms 2, 3, 5, 7
+CUSP_JET = jet_pair(CUSP, 2)
+CUSP_PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+
+
+@pytest.mark.parametrize("jet, entry", [
+    (CUSP_JET, (1, 2)),         # top-right: a bottom mapped into the tops
+    (CUSP_JET, (3, 2)),         # bottom-right differs from the M1 action
+    (CUSP_JET, (1, 0)),         # top-left differs from the M1 action
+    (CUSP_PADDED, (4, 7)),      # top-right across two blocks
+    (CUSP_PADDED, (7, 5)),      # bottom-right across two blocks
+])
+def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
+    """An M2 action that is a valid module action but does not read
+    [[A, 0], [C, A]] on (tops, bottoms) is rejected."""
+    assert JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks) == jet
+    x2 = _bumped(jet.m2.actions[0], *entry)
+    m2 = FiniteModule(jet.m2.dim, (x2,) + jet.m2.actions[1:])   # still valid
+    with pytest.raises(D0resError):
+        JetPair(jet.m1, m2, jet.t_m1, jet.t_m2, jet.blocks)
+
+
+def test_jet_pair_checks_uniformizer_and_blocks():
+    jet = CUSP_JET
+    with pytest.raises(D0resError):     # t_m1 is not t_m2's diagonal block
+        JetPair(jet.m1, jet.m2, ExactMatrix.zeros(2, 2), jet.t_m2, jet.blocks)
+    with pytest.raises(D0resError):     # t_m2 maps a bottom into the tops
+        JetPair(jet.m1, jet.m2, jet.t_m1, _bumped(jet.t_m2, 0, 3), jet.blocks)
+    for blocks in ((1,), (3,), (2, 0), (1, 1)):
+        with pytest.raises(D0resError):
+            JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, blocks)
 
 
 def test_pad_examples():

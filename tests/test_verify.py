@@ -9,7 +9,7 @@ import pytest
 
 from d0res.errors import D0resError, RankBelowCritical
 from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
-from d0res.modules import AnnihilatorIdeal, JetPair, annihilator
+from d0res.modules import AnnihilatorIdeal, JetPair, annihilator, jet_pair
 from d0res.poly import Poly, poly_text
 from d0res.report import (
     _certificate_block,
@@ -84,6 +84,36 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
                 assert fast == oracle, (name, i, r)
                 assert ([poly_text(p) for p in fast.polys]
                         == [poly_text(p) for p in oracle.polys]), (name, i, r)
+
+
+def _assert_dense_jet_identities(jet):
+    """The exact-sequence identities, checked by dense products on the
+    derived eps/incl/proj."""
+    r, eps, incl, proj = jet.rank, jet.eps, jet.incl, jet.proj
+    assert jet.m2.dim == 2 * r
+    assert (eps * eps).is_zero()
+    assert (proj * incl).is_zero()
+    assert incl.rank() == r and proj.rank() == r
+    assert incl * proj == eps
+    pairs = list(zip(jet.m2.actions, jet.m1.actions)) + [(jet.t_m2, jet.t_m1)]
+    for a2, a1 in pairs:
+        assert a2 * eps == eps * a2
+        assert proj * a2 == a1 * proj
+        assert a2 * incl == incl * a1
+
+
+def test_jet_frame_satisfies_dense_identities(repo_corpus_germs):
+    """Every jet pair and family member of the corpus satisfies, on its
+    derived frame, each identity the entrywise [[A, 0], [C, A]] check stands
+    for: eps^2 = 0, exactness, eps-linearity and both intertwinings."""
+    for name, germ in repo_corpus_germs.items():
+        for i, b in enumerate(germ.branches):
+            for r in range(1, 7):
+                _assert_dense_jet_identities(jet_pair(b, r))
+            for r in range(germ.r0, germ.r0 + 4):
+                jet = family_jet(germ, i, r)
+                assert sum(jet.blocks) == r, (name, i, r)
+                _assert_dense_jet_identities(jet)
 
 
 def test_node_points_r2(corpus_germs):
