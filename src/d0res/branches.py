@@ -136,7 +136,7 @@ def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None)
     """
     if trunc < 4:
         raise D0resError("truncation too small for branch decomposition")
-    f = curve.local_poly()
+    f = local = curve.local_poly()
     if ctx is None:
         ctx = FieldContext()
     pre = []
@@ -164,7 +164,6 @@ def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None)
     branches = pre + middle + post
     if not branches:
         raise D0resError("no branches through the designated point")
-    local = curve.local_poly()
     for b in branches:
         residual = local.eval_series(list(b.coords))
         if not residual.is_zero_at_precision():

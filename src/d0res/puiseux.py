@@ -8,8 +8,11 @@ with Bezout exponent m (m*q = -1 mod p) rescales the substitution to
 
     x = u*^m * x1^p,     y = x1^q * (u*^((m*q+1)/p) + y1)
 
-which keeps all coefficients inside QQ(u*).  Simple roots finish with a
-quadratically convergent series lift; multiple roots recurse.
+which keeps all coefficients inside QQ(u*).  Multiple roots recurse.  A
+simple root leaves a tail f1 with f1(0,0) = 0 and f1_y(0,0) != 0, whose
+unique root y(x) mod x^trunc is lifted by Newton steps that double the
+precision (mod x^2, x^4, ..., ending exactly at x^trunc) and then checked
+once: f1(x, y(x)) = 0 mod x^trunc (see solve_regular_tail).
 
 Only the fields QQ and one simple extension are supported; roots requiring
 more raise UnsupportedFieldExtension (callers may pass explicit branch
@@ -423,27 +426,32 @@ def _expand(f: Poly, ctx: FieldContext, depth, prefix_key):
 
 
 def solve_regular_tail(f1: Poly, trunc) -> Series:
-    """Series y(x) with f1(x, y(x)) = 0 mod x^trunc, for a simple root at 0.
+    """The series y(x) with y(0) = 0 and f1(x, y(x)) = 0 mod x^trunc.
 
-    Newton lift; needs f1(0,0) = 0 and d f1/dy (0,0) != 0.
+    Needs f1(0,0) = 0 and f1_y(0,0) != 0, so the solution is unique mod
+    x^trunc.  When f1 has no y-free term below x^trunc it is y = 0, read off
+    the terms without evaluating anything.  Otherwise a Newton lift doubles
+    the precision: knowing y mod x^n, one step gives y mod x^m, m = min(2n,
+    trunc), as y - f1(x, y) * g mod x^m.  f1(x, y) vanishes mod x^n, so g
+    = f_y(x, y)^-1 is only needed mod x^(m-n) and is inverted at that
+    precision.  The lift ends with one check that f1(x, y) = 0 mod x^trunc.
     """
     if not scalar_is_zero(f1.coefficient((0, 0))):
         raise D0resError("tail polynomial does not vanish at the origin")
     fy = f1.diff(1)
     if scalar_is_zero(fy.coefficient((0, 0))):
         raise D0resError("tail root is not simple; recursion should have continued")
-    x = Series.variable(trunc)
-    y = Series.zero(trunc)
-    steps = 0
-    while True:
-        val = f1.eval_series([x, y])
-        if val.is_zero_at_precision():
-            break
-        dval = fy.eval_series([x, y])
-        y = y - val * dval.invert()
-        steps += 1
-        if steps > trunc.bit_length() + 4:
-            raise D0resError("series lift failed to converge")
+    if all(i >= trunc for (i, j) in f1.terms if j == 0):
+        return Series.zero(trunc)
+    y, n = Series.zero(1), 1
+    while n < trunc:
+        m = min(2 * n, trunc)
+        y = Series(y.coeffs, m)
+        val = f1.eval_series([Series.variable(m), y])
+        g = fy.eval_series([Series.variable(m - n), y.truncate(m - n)]).invert()
+        y, n = y - val * Series(g.coeffs, m), m
+    if not f1.eval_series([Series.variable(trunc), y]).is_zero_at_precision():
+        raise D0resError("series lift failed to converge")
     return y
 
 

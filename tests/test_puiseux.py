@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d0res.branches import PlaneCurveInput, newton_puiseux
 from d0res.errors import D0resError, UnsupportedFieldExtension
+from d0res.fields import NumberField
 from d0res.poly import Poly
 from d0res.puiseux import (
     FieldContext,
     newton_polygon_edges,
     roots_in_tower,
+    solve_regular_tail,
     squarefree_decomposition,
 )
 from d0res.series import Series
@@ -141,3 +145,94 @@ def test_non_primitive_parametrization_rejected():
 def test_smooth_graph_branch():
     (b,) = decompose({(0, 1): F(1), (2, 0): F(-1)})
     assert coords_of(b) == [[(1, F(1))], [(2, F(1))]]
+
+
+# -- the series lift of a regular tail ---------------------------------------------
+
+GAUSS = NumberField([1, 0, 1], generator="i")
+LIFT_TRUNCATIONS = (1, 2, 3, 5, 8, 33, 120)
+
+
+def lift_by_coefficients(f1, trunc):
+    """y_k = -[x^k] f1(x, y_<k) / f_y(0,0), one coefficient at a time.
+
+    pw[j][k] = [x^k] y^j.  As y(0) = 0, [x^k] y^j for j >= 2 involves only
+    y_<k, and y_k enters [x^k] f1(x, y) only through the x^0 y^1 term.
+    """
+    dy = max(j for _, j in f1.terms)
+    pw = [[F(1)] + [F(0)] * (trunc - 1)] + [[F(0)] * trunc for _ in range(dy)]
+    y = pw[1]
+    for k in range(trunc):
+        for j in range(2, dy + 1):
+            acc = F(0)
+            for a in range(1, k + 1):
+                acc = acc + y[a] * pw[j - 1][k - a]
+            pw[j][k] = acc
+        acc = F(0)
+        for (i, j), c in f1.terms.items():
+            if i <= k:
+                acc = acc + c * pw[j][k - i]
+        y[k] = -acc / f1.coefficient((0, 1))
+    return y
+
+
+def _scalar(field):
+    small = st.integers(-3, 3)
+    if field is None:
+        return small.map(F)
+    return st.tuples(small, small).map(lambda ab: field.element(list(ab)))
+
+
+@st.composite
+def regular_tails(draw):
+    """f1 with f1(0,0) = 0, f_y(0,0) != 0 and a y-free term, over QQ or QQ(i)."""
+    scalar = _scalar(draw(st.sampled_from([None, GAUSS])))
+    unit = scalar.filter(lambda c: c != 0)
+    exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         max_size=6, unique=True))
+    terms = {e: draw(scalar) for e in exps if e not in ((0, 0), (0, 1))}
+    terms[(0, 1)] = draw(unit)
+    terms[(draw(st.integers(1, 3)), 0)] = draw(unit)
+    return Poly(2, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(regular_tails(), st.sampled_from(LIFT_TRUNCATIONS), st.data())
+def test_lift_matches_coefficientwise_solver(f1, trunc, data):
+    y = solve_regular_tail(f1, trunc)
+    assert y.trunc == trunc
+    assert list(y.coeffs) == lift_by_coefficients(f1, trunc)
+    assert f1.eval_series([Series.variable(trunc), y]).is_zero_at_precision()
+    shorter = data.draw(st.sampled_from([t for t in LIFT_TRUNCATIONS if t <= trunc]))
+    assert y.truncate(shorter) == solve_regular_tail(f1, shorter)
+
+
+def _count_inversions(monkeypatch):
+    sizes = []
+    invert = Series.invert
+
+    def counted(self):
+        sizes.append(self.trunc)
+        return invert(self)
+
+    monkeypatch.setattr(Series, "invert", counted)
+    return sizes
+
+
+def test_lift_inverts_at_doubling_precisions(monkeypatch):
+    sizes = _count_inversions(monkeypatch)
+    # y + y^3 = x: a tail that is not exact
+    f1 = Poly(2, {(0, 1): F(1), (0, 3): F(1), (1, 0): F(-1)})
+    y = solve_regular_tail(f1, 256)
+    assert y.coeffs[:6] == (0, 1, 0, -1, 0, 3)
+    assert sum(sizes) < 2 * 256
+    sizes.clear()
+    decompose({(0, 2): F(1), (3, 0): F(-1)}, trunc=256)   # cusp: tail y = 0
+    assert sizes == []
+
+
+def test_exact_tail_is_read_off_the_y_free_terms():
+    # y(1 + x) + x^5: the lift is y = 0 below x^5 and nonzero from there on
+    f1 = Poly(2, {(0, 1): F(1), (1, 1): F(1), (5, 0): F(1)})
+    assert solve_regular_tail(f1, 5) == Series.zero(5)
+    assert solve_regular_tail(f1, 6).coeffs == (0, 0, 0, 0, 0, -1)
