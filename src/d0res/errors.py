@@ -47,3 +47,13 @@ class InputError(D0resError):
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class ReducibleModulus(InputError, ZeroDivisionError):
+    """A nonzero field element turned out to be a zero divisor, so the
+    declared minimal polynomial is reducible.  The parser rejects reducible
+    moduli up to degree 4; above that, this is where one is found.  It is
+    also a ZeroDivisionError, as any failed inversion is."""
+
+    def __init__(self, message):
+        super().__init__("field.minpoly", message)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import D0resError, UnsupportedFieldExtension
+from .errors import D0resError, ReducibleModulus, UnsupportedFieldExtension
 
 _ZERO = Fraction(0)
 
@@ -174,8 +174,10 @@ class FieldElement:
             t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
         r0 = upoly_trim(r0)
         if len(r0) != 1:
-            raise ZeroDivisionError(
-                f"{self} is a zero divisor (reducible modulus {poly_str(self.field.minpoly, 'a')})"
+            raise ReducibleModulus(
+                f"{self} is a zero divisor (reducible modulus "
+                f"{poly_str(self.field.minpoly, 'a')}); the minimal polynomial "
+                "must be irreducible over QQ"
             )
         inv_lead = 1 / r0[0]
         return self.field.element([c * inv_lead for c in t0])

@@ -107,19 +107,20 @@ def squarefree_decomposition(p):
 
 
 def _rational_candidates(p):
-    """Candidate rational roots of a rational-coefficient polynomial."""
+    """Candidate rational roots of a nonzero rational-coefficient polynomial:
+    0 when u divides p, and +-a/b for a | a0, b | an, where a0 is the lowest
+    nonzero coefficient of p (cleared of denominators) and an the leading one."""
     denom = 1
     for c in p:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
+    ints = upoly_trim([int(c * denom) for c in p])
     g = 0
     for v in ints:
         g = gcd(g, v)
     if g > 1:
         ints = [v // g for v in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 == 0:
-        return [Fraction(0)]
+    low = next(k for k, v in enumerate(ints) if v)
+    a0, an = abs(ints[low]), abs(ints[-1])
 
     def divisors(n):
         out = []
@@ -131,12 +132,20 @@ def _rational_candidates(p):
             d += 1
         return sorted(set(out))
 
-    cands = set()
+    cands = {Fraction(0)} if low else set()
     for pn in divisors(a0):
         for qd in divisors(an):
             cands.add(Fraction(pn, qd))
             cands.add(Fraction(-pn, qd))
     return sorted(cands)
+
+
+def has_rational_factor(p):
+    """True when the monic rational polynomial p has a rational root or, at
+    degree 4, splits into two rational quadratics.  For degrees 2 to 4 that
+    is exactly reducibility over QQ."""
+    return (any(_ueval(p, c) == 0 for c in _rational_candidates(p))
+            or (len(p) == 5 and _depressed_quartic_split(p) is not None))
 
 
 def _deflate(p, root):
@@ -187,18 +196,17 @@ def _depressed_quartic_split(p):
     base = [c0, c1, c2, c3, Fraction(1)]
     shifted = _shift_upoly(base, sh)
     r0, q0, p0 = shifted[0], shifted[1], shifted[2]
-    if q0 == 0:
+    zdisc = p0 * p0 - 4 * r0
+    zs = rational_sqrt(zdisc) if q0 == 0 and zdisc >= 0 else None
+    if zs is not None:
         # biquadratic: w^4 + p0 w^2 + r0 = (w^2 - z1)(w^2 - z2)
-        zdisc = p0 * p0 - 4 * r0
-        zs = rational_sqrt(zdisc) if zdisc >= 0 else None
-        if zs is None:
-            return None
         z1, z2 = (-p0 - zs) / 2, (-p0 + zs) / 2
         quad1 = [-z1, Fraction(0), Fraction(1)]
         quad2 = [-z2, Fraction(0), Fraction(1)]
     else:
-        # resolvent cubic in z = a^2: z^3 + 2 p0 z^2 + (p0^2 - 4 r0) z - q0^2
-        cubic = [-q0 * q0, p0 * p0 - 4 * r0, 2 * p0, Fraction(1)]
+        # (w^2 + a w + b)(w^2 - a w + c) with a != 0: z = a^2 is a positive
+        # root of the resolvent z^3 + 2 p0 z^2 + (p0^2 - 4 r0) z - q0^2
+        cubic = [-q0 * q0, zdisc, 2 * p0, Fraction(1)]
         a = None
         for cand in _rational_candidates(cubic):
             if _ueval(cubic, cand) == 0 and cand > 0:

@@ -23,9 +23,9 @@ from .branches import (
     newton_puiseux,
 )
 from .errors import D0resError, InputError, RaiseTruncation
-from .fields import NumberField, format_scalar, parse_scalar, scalar_is_zero
+from .fields import NumberField, format_scalar, parse_scalar, poly_str, scalar_is_zero
 from .poly import Poly, var_names
-from .puiseux import FieldContext
+from .puiseux import FieldContext, has_rational_factor
 from .series import Series
 from .verify import (
     ORACLE_MAX_RANK,
@@ -134,9 +134,13 @@ def _parse_field(spec):
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("field.minpoly", str(exc))
     try:
-        return NumberField(coeffs, generator=gen)
+        field = NumberField(coeffs, generator=gen)
     except D0resError as exc:
         raise InputError("field.minpoly", str(exc))
+    if has_rational_factor(list(field.minpoly)):
+        raise InputError("field.minpoly", "minimal polynomial "
+                         f"{poly_str(field.minpoly, gen)} must be irreducible over QQ")
+    return field
 
 
 def _parse_scalar_str(text, field, path):

@@ -108,6 +108,11 @@ def test_cli_exit_codes(tmp_path, capsysbinary):
 CUSP_POLY = [[[0, 2], "1"], [[3, 0], "-1"]]
 
 
+def lines_with_slope(slope):
+    """Lines (t, t) and (t, slope*t), for a slope that is a zero divisor."""
+    return [{"x": [[1, "1"]], "y": [[1, "1"]]}, {"x": [[1, "1"]], "y": [[1, slope]]}]
+
+
 @pytest.mark.parametrize("request_obj, path", [
     ({"curve": {"implicit": {"poly": CUSP_POLY}}, "ranks": [True]}, "ranks"),
     ({"curve": {"implicit": {"poly": CUSP_POLY}}, "truncation": True},
@@ -144,13 +149,23 @@ CUSP_POLY = [[[0, 2], "1"], [[3, 0], "-1"]]
                              {"x": [[1, "1"]], "y": []},
                              {"x": [[2, "1"], [5, "0"]], "y": [[3, "1"]]}]}},
      "curve.branches[2]"),
+    ({"field": {"minpoly": ["-1", "0", "1"]},
+      "curve": {"branches": lines_with_slope("a+2")}}, "field.minpoly"),
+    ({"field": {"minpoly": ["-1", "0", "0", "1"]},
+      "curve": {"branches": lines_with_slope("a^2+2")}}, "field.minpoly"),
+    ({"field": {"minpoly": ["2", "0", "3", "0", "1"]},
+      "curve": {"branches": lines_with_slope("a^2+2")}}, "field.minpoly"),
+    # (a^2+2)(a^3+2): no rational root, found reducible when a^2+2 is inverted
+    ({"field": {"minpoly": ["4", "0", "2", "2", "0", "1"]},
+      "curve": {"branches": lines_with_slope("a^2+2")}}, "field.minpoly"),
 ])
 def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     """JSON booleans are not integers, a generator must be an identifier
     string other than a coordinate name or t, minpoly coefficients must be
-    exact strings, generator exponents must be non-negative and explicit
-    branches must be distinct: each mistake is an input error naming the
-    field."""
+    exact strings, generator exponents must be non-negative, explicit
+    branches must be distinct and the minpoly must be irreducible over QQ
+    (decided by the parser up to degree 4, and by the first zero divisor
+    met above that): each mistake is an input error naming the field."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from d0res.cli import main; sys.exit(main())",
@@ -311,6 +326,31 @@ def test_gaussian_corpus_entry(capsysbinary):
     assert out["field"] == {"generator": "a", "minpoly": ["1", "0", "1"]}
     assert out["germ"]["r0"] == 2
     assert all(c["pass"] for c in out["certificates"])
+
+
+def test_module_entry_point_prints_the_golden_report():
+    proc = subprocess.run(
+        [sys.executable, "-m", "d0res", "analyze", "corpus/cusp.json"],
+        capture_output=True, cwd=REPO, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (CORPUS / "golden" / "cusp.json").read_bytes()
+
+
+def test_quartic_splitting_into_gaussian_quadratics(tmp_path, capsysbinary):
+    """y^4 + 4x^4 has the four branches y = (+-1 +- i)x, over QQ(i)."""
+    path = write_request(tmp_path, "y4_4x4.json", {
+        "curve": {"implicit": {"poly": [[[0, 4], "1"], [[4, 0], "4"]]}}})
+    rc = main(["analyze", path, "--strict"])
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    assert rc == 0
+    assert out["field"]["minpoly"] in (["2", "2", "1"], ["2", "-2", "1"])
+    germ = out["germ"]
+    assert germ["n"] == [1, 1, 1, 1]
+    assert all(v == 1 for i, row in enumerate(germ["l_matrix"])
+               for j, v in enumerate(row) if i != j)
+    assert germ["r0"] == 2
 
 
 def test_space_branches_entry(capsysbinary):

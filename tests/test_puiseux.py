@@ -10,6 +10,9 @@ from d0res.fields import NumberField
 from d0res.poly import Poly
 from d0res.puiseux import (
     FieldContext,
+    _depressed_quartic_split,
+    _rational_candidates,
+    has_rational_factor,
     newton_polygon_edges,
     roots_in_tower,
     solve_regular_tail,
@@ -101,6 +104,28 @@ def test_quartic_resolvent_split():
     slopes = [b.coords[1].coeffs[1] for b in bs]
     squares = sorted(str(s * s) for s in slopes)
     assert squares == ["-1", "-1", "-4", "-4"]
+
+
+def test_zero_root_keeps_the_other_rational_candidates():
+    # z^3 - 16z: the resolvent of u^4 + 4, whose root 4 = 2^2 splits it
+    assert {F(0), F(4), F(-4)} <= set(_rational_candidates([F(0), F(-16), F(0), F(1)]))
+
+
+def test_biquadratic_without_square_discriminant_uses_the_resolvent():
+    # u^4 + 4 = (u^2 + 2u + 2)(u^2 - 2u + 2), although 0^2 - 4*4 < 0
+    assert _depressed_quartic_split([F(4), F(0), F(0), F(0), F(1)]) == (
+        [F(2), F(2), F(1)], [F(2), F(-2), F(1)])
+
+
+def test_has_rational_factor_decides_reducibility_up_to_degree_4():
+    assert has_rational_factor([F(-1), F(0), F(1)])               # (u-1)(u+1)
+    assert has_rational_factor([F(-1), F(0), F(0), F(1)])         # u^3 - 1
+    assert has_rational_factor([F(2), F(0), F(3), F(0), F(1)])    # (u^2+1)(u^2+2)
+    assert has_rational_factor([F(4), F(0), F(0), F(0), F(1)])    # u^4 + 4
+    assert not has_rational_factor([F(1), F(0), F(1)])
+    assert not has_rational_factor([F(1), F(1), F(1)])
+    assert not has_rational_factor([F(-2), F(0), F(0), F(1)])
+    assert not has_rational_factor([F(2), F(0), F(0), F(0), F(1)])
 
 
 def test_unsupported_cubic_extension():
