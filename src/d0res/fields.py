@@ -254,6 +254,12 @@ def format_scalar(x) -> str:
     return poly_str(x.coeffs, x.field.generator)
 
 
+def factor_text(text) -> str:
+    """A scalar's text as the factor of a product: parenthesized when it is
+    a sum of more than one term ('1+a' -> '(1+a)', '-1/2*a' unchanged)."""
+    return f"({text})" if any(ch in "+-" for ch in text[1:]) else text
+
+
 def poly_str(coeffs, sym) -> str:
     parts = []
     for k, c in enumerate(coeffs):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import D0resError
 from .fields import (
+    factor_text,
     power,
     scalar_is_zero,
     upoly_divmod,
@@ -303,7 +304,7 @@ def poly_text(f: Poly) -> str:
         elif c == -1:
             parts.append("-" + "*".join(factors))
         else:
-            parts.append(f"{c}*" + "*".join(factors))
+            parts.append(f"{factor_text(str(c))}*" + "*".join(factors))
     if not parts:
         return "0"
     out = parts[0]

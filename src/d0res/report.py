@@ -23,7 +23,14 @@ from .branches import (
     newton_puiseux,
 )
 from .errors import D0resError, InputError, RaiseTruncation
-from .fields import NumberField, format_scalar, parse_scalar, poly_str, scalar_is_zero
+from .fields import (
+    NumberField,
+    factor_text,
+    format_scalar,
+    parse_scalar,
+    poly_str,
+    scalar_is_zero,
+)
 from .poly import Poly, var_names
 from .puiseux import FieldContext, has_rational_factor
 from .series import Series
@@ -534,7 +541,7 @@ def _series_text(pairs, trunc) -> str:
             parts.append(coeff)
         else:
             t = "t" if exp == 1 else f"t^{exp}"
-            parts.append(t if coeff == "1" else f"{coeff}*{t}")
+            parts.append(t if coeff == "1" else f"{factor_text(coeff)}*{t}")
         if len(parts) >= 6:
             parts.append("...")
             break

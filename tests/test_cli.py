@@ -89,6 +89,14 @@ def test_text_report_contains_r0(tmp_path, capsysbinary):
     assert "r0 = 2" in out
 
 
+def test_text_report_parenthesizes_field_coefficients(capsysbinary):
+    rc = main(["analyze", str(CORPUS / "cyclotomic_triple.json"), "--format", "text"])
+    out = capsysbinary.readouterr().out.decode()
+    assert rc == 0
+    assert "y(t) = (-1-a)*t + O(t^32)" in out
+    assert "(witness x+(1+a)*y)" in out
+
+
 def test_cli_exit_codes(tmp_path, capsysbinary):
     bad = write_request(tmp_path, "bad.json", {"curve": {}})
     assert main(["analyze", bad]) == 2

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d0res.errors import D0resError
+from d0res.fields import NumberField
 from d0res.poly import (
     Poly,
     gcd_bivariate,
@@ -31,6 +32,15 @@ def test_arithmetic_and_text():
     assert f.total_degree() == 3
     assert f.min_degree() == 2
     assert poly_text(f.lowest_part()) == "y^2"
+
+
+def test_text_parenthesizes_multi_term_field_coefficients():
+    w = NumberField([1, 1, 1], generator="w").gen()     # w^2 + w + 1 = 0
+    f = Poly(2, {(1, 0): F(1), (0, 1): 1 + w, (0, 0): 1 + w})
+    assert poly_text(f) == "1+w+x+(1+w)*y"
+    assert poly_text(Poly(2, {(1, 0): -1 - w, (0, 1): -w, (1, 1): 2 * w})) \
+        == "(-1-w)*x-w*y+2*w*x*y"
+    assert poly_text(Poly(2, {(0, 1): w * w})) == "(-1-w)*y"
 
 
 def test_diff_and_monomial_division():
