@@ -22,7 +22,7 @@ parametrizations instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from .errors import D0resError, UnsupportedFieldExtension
 from .fields import (
@@ -106,46 +106,64 @@ def squarefree_decomposition(p):
 # -- root finding within QQ plus one simple extension ---------------------------
 
 
-def _rational_candidates(p):
-    """Candidate rational roots of a nonzero rational-coefficient polynomial:
-    0 when u divides p, and +-a/b for a | a0, b | an, where a0 is the lowest
-    nonzero coefficient of p (cleared of denominators) and an the leading one."""
+def _rational_roots(p):
+    """The distinct rational roots of a nonzero rational polynomial, sorted.
+
+    With integer coefficients of content 1, a root u/v in lowest terms has
+    v | an, the leading coefficient, so every rational root lies on the
+    grid k/an.  Sturm's theorem counts the distinct real roots between two
+    half-grid points (2k+1)/(2an), which are never roots; bisecting down to
+    one grid point at a time and testing it finds them all.  The steps grow
+    with the bit length of the coefficients, not with their size, as a
+    search over the divisors of a0 and an would.
+    """
+    p = upoly_trim(list(p))
+    if len(p) < 2:
+        return []
     denom = 1
     for c in p:
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = upoly_trim([int(c * denom) for c in p])
+    ints = [int(c * denom) for c in p]
     g = 0
     for v in ints:
         g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    low = next(k for k, v in enumerate(ints) if v)
-    a0, an = abs(ints[low]), abs(ints[-1])
+    an = abs(ints[-1]) // g
+    # Cauchy: every root r has |r| < 1 + max |c_i / c_n|
+    reach = an * (1 + max(abs(c / p[-1]) for c in p[:-1]))
+    chain = [p, upoly_deriv(p)]
+    while True:
+        _, rem = upoly_divmod(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
 
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
+    def variations(k):
+        x = Fraction(2 * k + 1, 2 * an)
+        signs = [v > 0 for v in (_ueval(q, x) for q in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    cands = {Fraction(0)} if low else set()
-    for pn in divisors(a0):
-        for qd in divisors(an):
-            cands.add(Fraction(pn, qd))
-            cands.add(Fraction(-pn, qd))
-    return sorted(cands)
+    roots = []
+    top = ceil(reach)
+    stack = [(-top - 1, top)]
+    while stack:
+        lo, hi = stack.pop()
+        if variations(lo) == variations(hi):
+            continue
+        if hi - lo == 1:
+            if _ueval(p, Fraction(hi, an)) == 0:
+                roots.append(Fraction(hi, an))
+            continue
+        mid = (lo + hi) // 2
+        stack += [(lo, mid), (mid, hi)]
+    return sorted(roots)
 
 
 def has_rational_factor(p):
     """True when the monic rational polynomial p has a rational root or, at
     degree 4, splits into two rational quadratics.  For degrees 2 to 4 that
     is exactly reducibility over QQ."""
-    return (any(_ueval(p, c) == 0 for c in _rational_candidates(p))
-            or (len(p) == 5 and _depressed_quartic_split(p) is not None))
+    return bool(_rational_roots(p)) or (
+        len(p) == 5 and _depressed_quartic_split(p) is not None)
 
 
 def _deflate(p, root):
@@ -207,13 +225,8 @@ def _depressed_quartic_split(p):
         # (w^2 + a w + b)(w^2 - a w + c) with a != 0: z = a^2 is a positive
         # root of the resolvent z^3 + 2 p0 z^2 + (p0^2 - 4 r0) z - q0^2
         cubic = [-q0 * q0, zdisc, 2 * p0, Fraction(1)]
-        a = None
-        for cand in _rational_candidates(cubic):
-            if _ueval(cubic, cand) == 0 and cand > 0:
-                root = rational_sqrt(cand)
-                if root is not None:
-                    a = root
-                    break
+        roots = [rational_sqrt(z) for z in _rational_roots(cubic) if z > 0]
+        a = next((root for root in roots if root is not None), None)
         if a is None:
             return None
         b = (p0 + a * a - q0 / a) / 2
@@ -256,11 +269,7 @@ def _roots_squarefree(p, ctx: FieldContext):
     work = list(p)
     out = []
     if _all_rational(work):
-        rational_roots = []
-        for cand in _rational_candidates(work):
-            if _ueval(work, cand) == 0:
-                rational_roots.append(cand)
-        for r in sorted(rational_roots):
+        for r in _rational_roots(work):
             out.append(r)
             work = _deflate(work, r)
     work = upoly_trim(work)

@@ -361,6 +361,19 @@ def test_quartic_splitting_into_gaussian_quadratics(tmp_path, capsysbinary):
     assert germ["r0"] == 2
 
 
+def test_large_coefficients_do_not_stall_root_finding(tmp_path, capsysbinary):
+    """Rational roots are found by bisection, not by factoring 10^18 + 3."""
+    big = str(10 ** 18 + 3)
+    curve = write_request(tmp_path, "curve.json", {
+        "curve": {"implicit": {"poly": [[[0, 3], "1"], [[3, 0], "-" + big]]}}})
+    assert main(["analyze", curve]) == 3      # needs its cube root and omega
+    field = write_request(tmp_path, "field.json", {
+        "field": {"minpoly": [big, "0", "0", "1"]},
+        "curve": {"implicit": {"poly": CUSP_POLY}}})
+    assert main(["analyze", field]) == 0
+    capsysbinary.readouterr()
+
+
 def test_space_branches_entry(capsysbinary):
     rc = main(["analyze", str(CORPUS / "space_lines.json")])
     out = json.loads(capsysbinary.readouterr().out.decode())

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from d0res.poly import Poly
 from d0res.puiseux import (
     FieldContext,
     _depressed_quartic_split,
-    _rational_candidates,
+    _rational_roots,
     has_rational_factor,
     newton_polygon_edges,
     roots_in_tower,
@@ -106,9 +107,43 @@ def test_quartic_resolvent_split():
     assert squares == ["-1", "-1", "-4", "-4"]
 
 
-def test_zero_root_keeps_the_other_rational_candidates():
+def test_zero_root_keeps_the_other_rational_roots():
     # z^3 - 16z: the resolvent of u^4 + 4, whose root 4 = 2^2 splits it
-    assert {F(0), F(4), F(-4)} <= set(_rational_candidates([F(0), F(-16), F(0), F(1)]))
+    assert _rational_roots([F(0), F(-16), F(0), F(1)]) == [F(-4), F(0), F(4)]
+
+
+def roots_by_divisors(p):
+    """Rational roots by the rational root theorem: +-a/b, a | a0, b | an."""
+    denom = 1
+    for c in p:
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in p]
+    low = next(k for k, v in enumerate(ints) if v)
+    divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    cands = {F(0)} if low else set()
+    for a in divisors(abs(ints[low])):
+        for b in divisors(abs(ints[-1])):
+            cands |= {F(a, b), F(-a, b)}
+    return sorted(c for c in cands if sum(k * c ** i for i, k in enumerate(p)) == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda c: c[-1]))
+def test_rational_roots_match_the_divisor_search(linear_roots, other):
+    p = [F(c) for c in other]
+    for r in linear_roots:      # times (u - r)
+        p = [a - r * b for a, b in zip([F(0)] + p, p + [F(0)])]
+    found = _rational_roots(p)
+    assert found == roots_by_divisors(p)
+    assert set(linear_roots) <= set(found)
+
+
+def test_rational_roots_of_large_coefficients():
+    big = 10 ** 18 + 9
+    assert _rational_roots([F(-big ** 3), F(0), F(0), F(1)]) == [F(big)]
+    assert _rational_roots([F(big), F(0), F(0), F(1, big)]) == []
+    assert not has_rational_factor([F(10 ** 18 + 3), F(0), F(0), F(1)])
 
 
 def test_biquadratic_without_square_discriminant_uses_the_resolvent():
@@ -232,7 +267,7 @@ def test_lift_matches_coefficientwise_solver(f1, trunc, data):
     assert y.truncate(shorter) == solve_regular_tail(f1, shorter)
 
 
-def _count_inversions(monkeypatch):
+def test_lift_inverts_at_doubling_precisions(monkeypatch):
     sizes = []
     invert = Series.invert
 
@@ -241,11 +276,6 @@ def _count_inversions(monkeypatch):
         return invert(self)
 
     monkeypatch.setattr(Series, "invert", counted)
-    return sizes
-
-
-def test_lift_inverts_at_doubling_precisions(monkeypatch):
-    sizes = _count_inversions(monkeypatch)
     # y + y^3 = x: a tail that is not exact
     f1 = Poly(2, {(0, 1): F(1), (0, 3): F(1), (1, 0): F(-1)})
     y = solve_regular_tail(f1, 256)
