@@ -1,7 +1,10 @@
-"""Integer kernels and the Fraction-level wrappers used by linalg.
+"""Integer kernels and the Fraction-level wrappers used by linalg and series.
 
 Clearing denominators up front lets the whole elimination/product run on
 plain ints, skipping the per-operation gcd that Fraction arithmetic pays.
+`imatmul` and `irow_echelon` serve the matrix products and eliminations
+(`fmatmul`, `frref`); `iconv` serves the truncated series product, which
+`Series.__mul__` feeds one integer vector per power of the field generator.
 `IMPLEMENTATION` names these kernels in benchmark result stamps.
 """
 
@@ -28,6 +31,24 @@ def imatmul(a, b):
                 for j, w in b_nonzero[l]:
                     row[j] += v * w
         out.append(row)
+    return out
+
+
+def iconv(a, b, n):
+    """Convolution of integer coefficient vectors, truncated mod t^n.
+
+    Like `imatmul`, it multiplies nonzero pairs only: series met in
+    the certificates and colength products are often sparse.
+    """
+    b_nonzero = [(j, w) for j, w in enumerate(b[:n]) if w]
+    out = [0] * n
+    for i, v in enumerate(a[:n]):
+        if v:
+            room = n - i
+            for j, w in b_nonzero:
+                if j >= room:
+                    break
+                out[i + j] += v * w
     return out
 
 

@@ -10,11 +10,58 @@ must decide whether that means zero or insufficient truncation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import D0resError
-from .fields import power, scalar_is_zero
+from .errors import D0resError, UnsupportedFieldExtension
+from .fields import FieldElement, power, scalar_is_zero
+from .kernels import iconv
 
 _ZERO = Fraction(0)
+
+
+def _nonzero_terms(coeffs, n):
+    """(field, [(k, parts)]) for the nonzero coeffs[k], k < n: `parts` are
+    the rational coordinates over 1, a, a^2, ...; a Fraction is its own
+    rational part.  `field` is None when no FieldElement occurs."""
+    field = None
+    terms = []
+    for k, c in enumerate(coeffs[:n]):
+        if not c:
+            continue
+        if isinstance(c, FieldElement):
+            field = _same_field(field, c.field)
+            terms.append((k, c.coeffs))
+        else:
+            terms.append((k, (c,)))
+    return field, terms
+
+
+def _integer_vectors(terms, n):
+    """(den, vectors) with vectors[p][k] / den the coefficient of a^p t^k;
+    one vector per power of a up to the highest that the terms carry."""
+    den = 1
+    for _, parts in terms:
+        for x in parts:
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+    vectors = [[0] * n for _ in range(max(len(parts) for _, parts in terms))]
+    for k, parts in terms:
+        for p, x in enumerate(parts):
+            if x:
+                vectors[p][k] = x.numerator * (den // x.denominator)
+    return den, vectors
+
+
+def _same_field(field, other):
+    """The one field of two (None is QQ); two distinct extensions raise."""
+    if field is None or field is other:
+        return other
+    if other is not None and other != field:
+        raise UnsupportedFieldExtension(
+            "cannot mix elements of distinct extensions "
+            f"({field.generator} vs {other.generator})"
+        )
+    return field
 
 
 class Series:
@@ -120,15 +167,33 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
+            # Integer convolutions over one common denominator per operand;
+            # each coefficient is normalized, and reduced mod m(a), once.
             n = min(self.trunc, other.trunc)
-            out = [_ZERO] * n
-            for i, a in enumerate(self.coeffs[:n]):
-                if scalar_is_zero(a):
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if not scalar_is_zero(b):
-                        out[i + j] = out[i + j] + a * b
+            fa, a = _nonzero_terms(self.coeffs, n)
+            fb, b = _nonzero_terms(other.coeffs, n) if a else (None, a)
+            if not b or a[0][0] + b[0][0] >= n:     # zero at this precision
+                return Series([_ZERO] * n)
+            field = _same_field(fa, fb)
+            da, va = _integer_vectors(a, n)
+            db, vb = _integer_vectors(b, n)
+            scale = da * db
+            if field is None:
+                return Series([Fraction(x, scale) if x else _ZERO
+                               for x in iconv(va[0], vb[0], n)])
+            # slots[s][k]: coefficient of a^s t^k, before reduction mod m(a)
+            zero = [0] * n
+            slots = [zero] * (len(va) + len(vb) - 1)
+            for p, x in enumerate(va):
+                for q, y in enumerate(vb):
+                    if any(x) and any(y):
+                        xy = iconv(x, y, n)
+                        acc = slots[p + q]
+                        slots[p + q] = xy if acc is zero else [u + v for u, v in zip(acc, xy)]
+            out = [Fraction(x, scale) if x else _ZERO for x in slots[0]]
+            for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
+                c = field.element([Fraction(s[k], scale) for s in slots])
+                out[k] = c.coeffs[0] if c.is_rational() else c
             return Series(out)
         # scalar multiple; zero coefficients stay as they are
         return Series([c if scalar_is_zero(c) else c * other for c in self.coeffs])

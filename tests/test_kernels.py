@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from d0res import kernels
-from d0res.kernels import imatmul
+from d0res.kernels import iconv, imatmul
 from d0res.linalg import _rref_generic
 
 F = Fraction
@@ -37,6 +37,29 @@ def test_imatmul_matches_naive_product():
             if k > 1:
                 b[rng.randrange(k)] = [0] * m
             assert imatmul(a, b) == _naive_product(a, b)
+
+
+def _naive_convolution(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(n)]
+
+
+def test_iconv_matches_naive_convolution():
+    rng = random.Random(11)
+    for density in (0.0, 0.15, 0.5, 1.0):
+        for _ in range(40):
+            n = rng.randint(1, 12)
+
+            def draw():
+                vec = [rng.randint(-9, 9) if rng.random() < density else 0
+                       for _ in range(rng.randint(1, n + 3))]
+                start = rng.randrange(len(vec))     # a run of zeros
+                end = min(len(vec), start + rng.randint(0, 4))
+                vec[start:end] = [0] * (end - start)
+                return vec
+
+            a, b = draw(), draw()
+            assert iconv(a, b, n) == _naive_convolution(a, b, n)
 
 
 def test_frref_matches_generic_path():

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d0res.errors import D0resError
+from d0res.errors import D0resError, UnsupportedFieldExtension
+from d0res.fields import FieldElement, NumberField, format_scalar, scalar_is_zero
 from d0res.series import Series
 
 F = Fraction
+GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
+CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
 
 
 def S(pairs, n=10):
@@ -80,3 +83,64 @@ def test_unit_inverse_roundtrip(a):
     n = 6
     s = Series([F(1)] + list(a), trunc=n)
     assert (s * s.invert()) == Series.one(n)
+
+
+def schoolbook_product(a, b):
+    """Reference product: one scalar multiply-add per pair of nonzero terms."""
+    n = min(a.trunc, b.trunc)
+    out = [F(0)] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        if scalar_is_zero(x):
+            continue
+        for j in range(n - i):
+            y = b.coeffs[j]
+            if not scalar_is_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return Series(out)
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def field_series(draw, field, trunc):
+    """Dense, sparse or all-zero series; over a field, each coefficient is
+    a Fraction or a FieldElement (possibly rational, possibly zero)."""
+    def scalar():
+        if field is None or draw(st.booleans()):
+            return draw(small)
+        return field.element([draw(small) for _ in range(field.degree)])
+
+    shape = draw(st.sampled_from(("dense", "sparse", "zero")))
+    coeffs = [F(0)] * trunc
+    if shape == "dense":
+        coeffs = [scalar() for _ in range(trunc)]
+    elif shape == "sparse":
+        for k in draw(st.sets(st.integers(0, trunc - 1), max_size=4)):
+            coeffs[k] = scalar()
+    return Series(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_schoolbook(data):
+    field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    na = data.draw(st.integers(1, 40))
+    nb = data.draw(st.one_of(st.just(na), st.integers(1, 40)))
+    a = data.draw(field_series(field, na))
+    b = data.draw(field_series(field, nb))
+    got, want = a * b, schoolbook_product(a, b)
+    assert got.trunc == want.trunc == min(na, nb)
+    assert got.coeffs == want.coeffs
+    assert [format_scalar(c) for c in got.coeffs] == [format_scalar(c) for c in want.coeffs]
+    # a coefficient with no generator part comes back as a Fraction
+    assert not any(isinstance(c, FieldElement) and c.is_rational() for c in got.coeffs)
+
+
+def test_product_of_distinct_fields_raises():
+    a = Series([GAUSS.gen(), F(1)])
+    b = Series([F(1), CUBIC.gen()])
+    with pytest.raises(UnsupportedFieldExtension):
+        a * b
+    with pytest.raises(UnsupportedFieldExtension):
+        b * a
