@@ -28,6 +28,7 @@ from .errors import D0resError, UnsupportedFieldExtension
 from .fields import (
     FieldElement,
     NumberField,
+    poly_str,
     rational_sqrt,
     scalar_is_zero,
     sqrt_in_field,
@@ -60,8 +61,9 @@ class FieldContext:
         if self.field.minpoly == candidate.minpoly:
             return self.field
         raise UnsupportedFieldExtension(
-            "a second extension would be required "
-            f"(active modulus {self.field.minpoly}, new {candidate.minpoly})"
+            "a second extension would be required (active modulus "
+            f"{poly_str(self.field.minpoly, self.field.generator)}, "
+            f"new {poly_str(candidate.minpoly, candidate.generator)})"
         )
 
 

@@ -361,6 +361,16 @@ def test_quartic_splitting_into_gaussian_quadratics(tmp_path, capsysbinary):
     assert germ["r0"] == 2
 
 
+def test_second_extension_error_names_both_moduli(tmp_path, capsysbinary):
+    """y^4 - 4x^4 = (y^2 + 2x^2)(y^2 - 2x^2) needs QQ(sqrt(-2)) and QQ(sqrt(2))."""
+    path = write_request(tmp_path, "y4_m4x4.json", {
+        "curve": {"implicit": {"poly": [[[0, 4], "1"], [[4, 0], "-4"]]}}})
+    assert main(["analyze", path]) == 3
+    err = capsysbinary.readouterr().err.decode()
+    assert "Fraction(" not in err
+    assert "2+a^2" in err and "-2+a^2" in err
+
+
 def test_large_coefficients_do_not_stall_root_finding(tmp_path, capsysbinary):
     """Rational roots are found by bisection, not by factoring 10^18 + 3."""
     big = str(10 ** 18 + 3)
