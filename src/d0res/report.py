@@ -541,11 +541,20 @@ def _series_text(pairs, trunc) -> str:
             parts.append(coeff)
         else:
             t = "t" if exp == 1 else f"t^{exp}"
-            parts.append(t if coeff == "1" else f"{factor_text(coeff)}*{t}")
+            if coeff == "1":
+                parts.append(t)
+            elif coeff == "-1":
+                parts.append("-" + t)
+            else:
+                parts.append(f"{factor_text(coeff)}*{t}")
         if len(parts) >= 6:
             parts.append("...")
             break
-    return " + ".join(parts) + f" + O(t^{trunc})"
+    # signs as in fields.poly_str: a leading minus becomes the joining one
+    text = parts[0]
+    for part in parts[1:]:
+        text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return text + f" + O(t^{trunc})"
 
 
 def report_passes(report: dict) -> bool:

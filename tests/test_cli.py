@@ -97,6 +97,16 @@ def test_text_report_parenthesizes_field_coefficients(capsysbinary):
     assert "(witness x+(1+a)*y)" in out
 
 
+def test_text_report_series_signs(capsysbinary):
+    rc = main(["analyze", str(CORPUS / "node.json"), "--format", "text"])
+    out = capsysbinary.readouterr().out.decode()
+    assert rc == 0
+    assert ("y(t) = -t - 1/2*t^2 + 1/8*t^3 - 1/16*t^4 + 5/128*t^5 - 7/256*t^6"
+            " + ... + O(t^32)") in out
+    assert ("y(t) = t + 1/2*t^2 - 1/8*t^3 + 1/16*t^4 - 5/128*t^5 + 7/256*t^6"
+            " + ... + O(t^32)") in out
+
+
 def test_cli_exit_codes(tmp_path, capsysbinary):
     bad = write_request(tmp_path, "bad.json", {"curve": {}})
     assert main(["analyze", bad]) == 2
