@@ -207,6 +207,30 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# math functions that are exact on ints and Fractions; the others round
+EXACT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "perm",
+              "prod", "trunc"}
+
+
+def test_no_floating_point_in_package():
+    """Every scalar is exact: no float literal, no `float`, no rounding math."""
+    package = Path(__file__).resolve().parent.parent / "src" / "d0res"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        math_names = {alias.asname or alias.name for node in nodes
+                      if isinstance(node, ast.Import)
+                      for alias in node.names if alias.name == "math"}
+        found += [f"{path.name}:{node.lineno}" for node in nodes if (
+            isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            or isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, ast.ImportFrom) and node.module == "math"
+            and any(alias.name not in EXACT_MATH for alias in node.names)
+            or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in math_names and node.attr not in EXACT_MATH)]
+    assert found == []
+
+
 def _parse_witness_poly(text):
     # witness polynomials are emitted by poly_text; rebuild for re-checking
     terms = {}
