@@ -89,6 +89,19 @@ class NumberField:
         return FieldElement(self, tuple(coeffs))
 
 
+def common_field(field, other):
+    """The one field of two, None standing for QQ; two distinct extensions
+    raise UnsupportedFieldExtension."""
+    if field is None or field is other:
+        return other
+    if other is not None and other != field:
+        raise UnsupportedFieldExtension(
+            "cannot mix elements of distinct extensions "
+            f"({field.generator} vs {other.generator})"
+        )
+    return field
+
+
 class FieldElement:
     """Element of a NumberField, stored as coefficients of 1, a, ..., a^{d-1}."""
 
@@ -102,11 +115,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise UnsupportedFieldExtension(
-                    "cannot mix elements of distinct extensions "
-                    f"({self.field.generator} vs {other.field.generator})"
-                )
+            common_field(self.field, other.field)
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)

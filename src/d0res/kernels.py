@@ -34,14 +34,16 @@ def imatmul(a, b):
     return out
 
 
-def iconv(a, b, n):
+def iconv(a, b, n, out=None):
     """Convolution of integer coefficient vectors, truncated mod t^n.
 
     Like `imatmul`, it multiplies nonzero pairs only: series met in
-    the certificates and colength products are often sparse.
+    the certificates and colength products are often sparse.  The
+    product is added into `out` (length n) when given, else into zeros.
     """
     b_nonzero = [(j, w) for j, w in enumerate(b[:n]) if w]
-    out = [0] * n
+    if out is None:
+        out = [0] * n
     for i, v in enumerate(a[:n]):
         if v:
             room = n - i

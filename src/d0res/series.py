@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import D0resError, UnsupportedFieldExtension
-from .fields import FieldElement, power, scalar_is_zero
+from .errors import D0resError
+from .fields import FieldElement, common_field, power, scalar_is_zero
 from .kernels import iconv
 
 _ZERO = Fraction(0)
@@ -29,7 +29,7 @@ def _nonzero_terms(coeffs, n):
         if not c:
             continue
         if isinstance(c, FieldElement):
-            field = _same_field(field, c.field)
+            field = common_field(field, c.field)
             terms.append((k, c.coeffs))
         else:
             terms.append((k, (c,)))
@@ -50,18 +50,6 @@ def _integer_vectors(terms, n):
             if x:
                 vectors[p][k] = x.numerator * (den // x.denominator)
     return den, vectors
-
-
-def _same_field(field, other):
-    """The one field of two (None is QQ); two distinct extensions raise."""
-    if field is None or field is other:
-        return other
-    if other is not None and other != field:
-        raise UnsupportedFieldExtension(
-            "cannot mix elements of distinct extensions "
-            f"({field.generator} vs {other.generator})"
-        )
-    return field
 
 
 class Series:
@@ -174,22 +162,16 @@ class Series:
             fb, b = _nonzero_terms(other.coeffs, n) if a else (None, a)
             if not b or a[0][0] + b[0][0] >= n:     # zero at this precision
                 return Series([_ZERO] * n)
-            field = _same_field(fa, fb)
+            field = common_field(fa, fb)
             da, va = _integer_vectors(a, n)
             db, vb = _integer_vectors(b, n)
             scale = da * db
-            if field is None:
-                return Series([Fraction(x, scale) if x else _ZERO
-                               for x in iconv(va[0], vb[0], n)])
-            # slots[s][k]: coefficient of a^s t^k, before reduction mod m(a)
-            zero = [0] * n
-            slots = [zero] * (len(va) + len(vb) - 1)
+            # slots[s][k]: coefficient of a^s t^k, before reduction mod m(a);
+            # over QQ there is one slot and nothing to reduce
+            slots = [[0] * n for _ in range(len(va) + len(vb) - 1)]
             for p, x in enumerate(va):
                 for q, y in enumerate(vb):
-                    if any(x) and any(y):
-                        xy = iconv(x, y, n)
-                        acc = slots[p + q]
-                        slots[p + q] = xy if acc is zero else [u + v for u, v in zip(acc, xy)]
+                    iconv(x, y, n, slots[p + q])
             out = [Fraction(x, scale) if x else _ZERO for x in slots[0]]
             for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
                 c = field.element([Fraction(s[k], scale) for s in slots])

@@ -60,6 +60,10 @@ def test_iconv_matches_naive_convolution():
 
             a, b = draw(), draw()
             assert iconv(a, b, n) == _naive_convolution(a, b, n)
+            acc = [rng.randint(-9, 9) for _ in range(n)]
+            expected = [u + v for u, v in zip(acc, _naive_convolution(a, b, n))]
+            assert iconv(a, b, n, acc) is acc
+            assert acc == expected
 
 
 def test_frref_matches_generic_path():
