@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import D0resError, DegreeBoundExceeded, RaiseTruncation
+from .errors import D0resError, DegreeBoundExceeded, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, rref_rows, solve_exact
 from .poly import Poly, grlex_key, is_squarefree, monomial_values, monomials_upto
@@ -88,7 +88,7 @@ class PlaneCurveInput:
         pt = self.point if self.point is not None else (_ZERO, _ZERO)
         object.__setattr__(self, "point", tuple(pt))
         if not scalar_is_zero(self.poly.evaluate(self.point, _ONE)):
-            raise D0resError("curve does not pass through the designated point")
+            raise InputError("point", "curve does not pass through the designated point")
         if not is_squarefree(self.poly):
             raise D0resError("curve is not reduced (polynomial has a square factor)")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__
@@ -18,6 +18,7 @@ from .branches import (
     BranchParam,
     Germ,
     PlaneCurveInput,
+    branch_multiplicity,
     colength_intersection_length,
     germ_invariants,
     newton_puiseux,
@@ -45,6 +46,8 @@ from .verify import (
 _ZERO = Fraction(0)
 
 DEFAULT_TRUNCATION_CEILING = 4096
+_REQUEST_KEYS = ("curve", "point", "ranks", "truncation", "format", "field")
+_CURVE_KEYS = ("implicit", "branches")
 _COORD_KEYS = ("x", "y", "z", "w")
 
 
@@ -67,13 +70,15 @@ class AnalysisRequest:
 def parse_request(obj) -> AnalysisRequest:
     if not isinstance(obj, dict):
         raise InputError("$", "request must be a JSON object")
+    _check_keys(obj, _REQUEST_KEYS, "$")
     field = None
     if "field" in obj:
         field = _parse_field(obj["field"])
     curve = obj.get("curve")
     if not isinstance(curve, dict) or not curve:
         raise InputError("curve", "missing or empty curve object")
-    variants = [k for k in ("implicit", "branches") if k in curve]
+    _check_keys(curve, _CURVE_KEYS, "curve")
+    variants = [k for k in _CURVE_KEYS if k in curve]
     if len(variants) != 1:
         raise InputError("curve", "exactly one of 'implicit' or 'branches' required")
     fmt = obj.get("format", "json")
@@ -105,6 +110,15 @@ def parse_request(obj) -> AnalysisRequest:
     return req
 
 
+def _check_keys(obj, known, path):
+    """Reject keys the format does not define, which would otherwise be
+    ignored silently (a misspelt `rank` would certify the default ranks)."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(path, f"unknown keys {unknown}; known keys: "
+                         f"{', '.join(known)}")
+
+
 def check_ranks(ranks):
     """The request's `ranks` rule, also applied to `--rank` overrides."""
     if (not isinstance(ranks, list) or not ranks
@@ -126,6 +140,7 @@ def _is_int(value):
 def _parse_field(spec):
     if not isinstance(spec, dict):
         raise InputError("field", "field must be an object")
+    _check_keys(spec, ("generator", "minpoly"), "field")
     gen = spec.get("generator", "a")
     if not isinstance(gen, str) or not gen.isidentifier():
         raise InputError("field.generator",
@@ -136,10 +151,14 @@ def _parse_field(spec):
                          "minpoly must list >= 3 coefficient strings")
     if not all(isinstance(c, str) for c in minpoly):
         raise InputError("field.minpoly", "coefficients must be exact strings")
-    try:
-        coeffs = [Fraction(c) for c in minpoly]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("field.minpoly", str(exc))
+    coeffs = []
+    for c in minpoly:
+        try:
+            coeffs.append(Fraction(c))
+        except ZeroDivisionError:
+            raise InputError("field.minpoly", f"zero denominator in {c!r}")
+        except ValueError as exc:
+            raise InputError("field.minpoly", str(exc))
     try:
         field = NumberField(coeffs, generator=gen)
     except D0resError as exc:
@@ -155,13 +174,16 @@ def _parse_scalar_str(text, field, path):
         raise InputError(path, "coefficients must be exact strings")
     try:
         return parse_scalar(text, field)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise InputError(path, f"zero denominator in {text!r}")
+    except ValueError as exc:
         raise InputError(path, str(exc))
 
 
 def _parse_poly(spec, field):
     if not isinstance(spec, dict) or "poly" not in spec:
         raise InputError("curve.implicit", "missing poly")
+    _check_keys(spec, ("poly",), "curve.implicit")
     terms = {}
     data = spec["poly"]
     if not isinstance(data, list) or not data:
@@ -192,14 +214,12 @@ def _parse_branches(data, field):
         path = f"curve.branches[{bidx}]"
         if not isinstance(bobj, dict):
             raise InputError(path, "branch must be an object of coordinate lists")
+        _check_keys(bobj, _COORD_KEYS, path)
         keys = [k for k in _COORD_KEYS if k in bobj]
         if len(keys) < 2 or keys != list(_COORD_KEYS[:len(keys)]):
             raise InputError(
                 path, "coordinates must be a contiguous prefix of x, y, z, w"
             )
-        extra = set(bobj) - set(keys)
-        if extra:
-            raise InputError(path, f"unknown coordinate keys {sorted(extra)}")
         if nvars is None:
             nvars = len(keys)
         elif nvars != len(keys):
@@ -296,22 +316,56 @@ def _build_branches(req: AnalysisRequest, trunc: int, ctx: FieldContext):
         curve = PlaneCurveInput(req.poly, req.point)
         return newton_puiseux(curve, trunc, ctx)
     branches = []
-    for coords in req.branch_data:
+    for i, coords in enumerate(req.branch_data):
         series = tuple(Series.from_pairs(pairs, trunc) for pairs in coords)
-        branches.append(BranchParam(series))
+        try:
+            branches.append(BranchParam(series))
+        except D0resError as exc:
+            raise InputError(f"curve.branches[{i}]", str(exc))
     return branches
 
 
-def run_with_escalation(req: AnalysisRequest, stage):
-    """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation doubling.
+def carry_invariants(proven: Germ, branches) -> Germ:
+    """The invariants proven on a lower-truncation lift, on its re-lift.
 
-    Any RaiseTruncation from branch decomposition, invariants, certificates or
-    oracles restarts the whole pipeline at a larger truncation (deterministic:
-    the retry sequence depends only on the input).  Every truncation tried,
+    `n`, `l_ij`, `bii`, `l0` and `r0` are facts about the branches, proven
+    at the lower truncation with their precision margins; a longer lift of
+    the same branches does not change them.  That it is the same branches,
+    in the same order, is checked here: same count, each branch with the
+    carried multiplicity and agreeing with the proven lift up to its
+    truncation.
+    """
+    branches = tuple(branches)
+    if len(branches) != proven.k:
+        raise D0resError(
+            f"re-lift found {len(branches)} branches, the proven lift {proven.k}")
+    for i, (new, old) in enumerate(zip(branches, proven.branches)):
+        multiplicity = branch_multiplicity(new)
+        if multiplicity != proven.n[i]:
+            raise D0resError(f"re-lift of branch {i} has multiplicity "
+                             f"{multiplicity}, the proven lift {proven.n[i]}")
+        if any(s.truncate(o.trunc) != o for s, o in zip(new.coords, old.coords)):
+            raise D0resError(
+                f"re-lift of branch {i} disagrees with the proven lift below "
+                f"truncation {old.trunc}")
+    return replace(proven, branches=branches)
+
+
+def run_with_escalation(req: AnalysisRequest, stage):
+    """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation raises.
+
+    The invariants are proven once, by `germ_invariants` on the first lift
+    that decides them.  A raise (to the truncation the ranks need, or after
+    a RaiseTruncation from the lift, the invariants, certificates or
+    oracles) re-lifts the branches at the new truncation and carries the
+    proven invariants over (`carry_invariants`); the report's colength
+    oracle still recomputes every plane `l_ij` on the final lift.  The
+    retry sequence depends only on the input, and every truncation tried,
     requested, needed by the ranks or doubled, is capped by the ceiling.
     """
     ceiling = truncation_ceiling()
     trunc, reason = req.truncation or 32, "the starting truncation"
+    proven = None
     while True:
         if trunc > ceiling:
             raise D0resError(
@@ -321,7 +375,10 @@ def run_with_escalation(req: AnalysisRequest, stage):
         ctx = FieldContext(req.field)
         try:
             branches = _build_branches(req, trunc, ctx)
-            germ = germ_invariants(branches, req.point)
+            if proven is None:
+                germ = proven = germ_invariants(branches, req.point)
+            else:
+                germ = carry_invariants(proven, branches)
             ranks = req.ranks or [germ.r0, germ.r0 + 1, germ.r0 + 2]
             needed = default_truncation(ranks, germ.n)
             if req.truncation is None and trunc < needed:

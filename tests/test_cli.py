@@ -197,6 +197,47 @@ def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("request_obj, message", [
+    ({"rank": [7], "curve": {"implicit": {"poly": CUSP_POLY}}},
+     "$: unknown keys ['rank']; known keys: curve, point, ranks, truncation, "
+     "format, field"),
+    ({"curve": {"implicit": {"poly": CUSP_POLY}, "implict": {}}},
+     "curve: unknown keys ['implict']; known keys: implicit, branches"),
+    ({"curve": {"implicit": {"poly": CUSP_POLY, "extra": []}}},
+     "curve.implicit: unknown keys ['extra']; known keys: poly"),
+    ({"field": {"minpoly": ["1", "0", "1"], "gen": "b"},
+      "curve": {"implicit": {"poly": CUSP_POLY}}},
+     "field: unknown keys ['gen']; known keys: generator, minpoly"),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]], "t": []}]}},
+     "curve.branches[0]: unknown keys ['t']; known keys: x, y, z, w"),
+    ({"curve": {"implicit": {"poly": [[[0, 2], "1/0"], [[3, 0], "-1"]]}}},
+     "curve.implicit.poly[0]: zero denominator in '1/0'"),
+    ({"curve": {"implicit": {"poly": CUSP_POLY}}, "point": ["0", "-2/0"]},
+     "point[1]: zero denominator in '-2/0'"),
+    ({"field": {"minpoly": ["1", "0", "1/0"]},
+      "curve": {"implicit": {"poly": CUSP_POLY}}},
+     "field.minpoly: zero denominator in '1/0'"),
+    ({"curve": {"implicit": {"poly": [[[0, 0], "1"]]}}},
+     "point: curve does not pass through the designated point"),
+    ({"curve": {"implicit": {"poly": CUSP_POLY}}, "point": ["1", "0"]},
+     "point: curve does not pass through the designated point"),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
+                             {"x": [[0, "1"], [1, "1"]], "y": [[1, "1"]]}]}},
+     "curve.branches[1]: branch does not pass through the origin"),
+])
+def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
+                                                   request_obj, message):
+    """A key the format does not define is rejected, not ignored (a
+    misspelt `rank` would certify the default ranks); a zero denominator is
+    named as such; a curve or branch that misses the point is bad input
+    naming `point` or the branch."""
+    path = write_request(tmp_path, "bad.json", request_obj)
+    assert main(["analyze", path]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode() == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("flags, path", [
     (["--truncation", "0"], "truncation"),
     (["--truncation", "2"], "truncation"),
