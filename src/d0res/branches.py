@@ -90,7 +90,8 @@ class PlaneCurveInput:
         if not scalar_is_zero(self.poly.evaluate(self.point, _ONE)):
             raise InputError("point", "curve does not pass through the designated point")
         if not is_squarefree(self.poly):
-            raise D0resError("curve is not reduced (polynomial has a square factor)")
+            raise InputError("curve.implicit.poly",
+                             "curve is not reduced (polynomial has a square factor)")
 
     def local_poly(self) -> Poly:
         """The defining polynomial recentered at the designated point."""

@@ -33,6 +33,17 @@ class ExactMatrix:
         self.cols = width
         self.rational = all(isinstance(x, Fraction) for row in data for x in row)
 
+    @classmethod
+    def _of_fractions(cls, rows):
+        """Trusted construction from equal-length rows of `Fraction`s only,
+        such as kernel output: no `_norm` and no `rational` rescan."""
+        m = cls.__new__(cls)
+        m.data = tuple(map(tuple, rows))
+        m.rows = len(m.data)
+        m.cols = len(m.data[0]) if m.data else 0
+        m.rational = True
+        return m
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -57,6 +68,8 @@ class ExactMatrix:
                     row[c0 + j] = b.data[i][j]
             r0 += b.rows
             c0 += b.cols
+        if all(b.rational for b in blocks):
+            return cls._of_fractions(out)
         return cls(out)
 
     # -- basics ---------------------------------------------------------------
@@ -70,6 +83,12 @@ class ExactMatrix:
 
     def is_square(self):
         return self.rows == self.cols
+
+    def is_strictly_lower(self):
+        """Square with every entry on and above the diagonal zero, which
+        proves it nilpotent (its dim-th power is zero)."""
+        return self.is_square() and all(
+            scalar_is_zero(x) for i, row in enumerate(self.data) for x in row[i:])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -124,9 +143,7 @@ class ExactMatrix:
                     f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
             if self.rational and other.rational:
-                return ExactMatrix(fmatmul(
-                    [list(r) for r in self.data], [list(r) for r in other.data]
-                ))
+                return ExactMatrix._of_fractions(fmatmul(self.data, other.data))
             return ExactMatrix(_generic_matmul(self.data, other.data))
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
@@ -322,6 +339,7 @@ def eval_series_at_matrix(s, matrix: ExactMatrix):
 
     Exact as long as the nilpotency index of A is at most the truncation of s;
     the caller is responsible for that precondition (checked cheaply here).
+    The tests compare `modules.jet_pair`'s closed-form jet actions with it.
     """
     n = matrix.rows
     if not matrix.is_square():

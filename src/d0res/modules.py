@@ -9,8 +9,15 @@ The key constructions:
 * jet_pair(b, r): the rank-r restriction over the dual numbers, one block
   of the JetPair frame.  Its special fiber M1 is fiber_module(b, r), on
   which the uniformizer acts as the r x r down-shift S; on the 2r-dim jet M2
-  it acts as S on the tops and on the bottoms plus r*eps from the last top.
-  Its nilpotency index jumps from r to r+1 exactly when the jet does not split.
+  it acts as t_m2 = [[S, 0], [N, S]], S on the tops and on the bottoms plus
+  N = r*eps from the last top.  Its nilpotency index jumps from r to r+1
+  exactly when the jet does not split.  A coordinate s acts on M2 as
+  s(t_m2) = [[A, 0], [C, A]], A its action on M1.  S N = 0 (N lands on
+  the last bottom, which S kills), so t_m2^k = [[S^k, 0], [N S^(k-1), S^k]]
+  and C is zero but for its last row, whose column r-k holds r*s_k
+  (k = 1..r; s_0 = 0 as the branch passes through the origin).
+  jet_pair writes the actions in this closed form; tests compare it with
+  linalg.eval_series_at_matrix(s, t_m2).
 * graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
   jet_pair(b, 1).  `pad` appends such blocks to a jet pair's layout.
 * annihilator / support_length: the ideal of polynomials killing a module and
@@ -33,7 +40,7 @@ from fractions import Fraction
 from .branches import BranchParam, _evaluation_columns
 from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
-from .linalg import ExactMatrix, commute, eval_series_at_matrix, rref_rows
+from .linalg import ExactMatrix, commute, rref_rows
 from .poly import Poly, monomial_values, monomials_upto
 from .series import Series
 
@@ -43,7 +50,13 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Punctual module at the origin: dim + one action matrix per coordinate."""
+    """Punctual module at the origin: dim + one action matrix per coordinate.
+
+    Validation checks shapes, that the actions commute pairwise and that
+    each is nilpotent.  A strictly lower-triangular action is nilpotent, as
+    every fiber, jet and padded action built here is; any other action is
+    raised to the power dim.
+    """
 
     dim: int
     actions: tuple
@@ -57,7 +70,7 @@ class FiniteModule:
                 if not commute(self.actions[i], self.actions[j]):
                     raise D0resError("coordinate actions must commute")
         for a in self.actions:
-            if not (a ** self.dim).is_zero():
+            if not a.is_strictly_lower() and not (a ** self.dim).is_zero():
                 raise NotNilpotent("action is not nilpotent: support is not punctual")
 
     @property
@@ -190,9 +203,15 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
     data = [list(row) for row in ExactMatrix.block_diag(shift, shift).data]
     data[2 * r - 1][r - 1] = Fraction(r)
     t_m2 = ExactMatrix(data)
-    m2 = FiniteModule(2 * r, tuple(eval_series_at_matrix(s.truncate(r + 1), t_m2)
-                                   for s in b.coords))
-    return JetPair(fiber_module(b, r), m2, shift, t_m2, (r,))
+    m1 = fiber_module(b, r)
+    actions = []
+    for s, a in zip(b.coords, m1.actions):
+        # s(t_m2) = [[A, 0], [C, A]]: C is r * s_k at (last, r - k), k = 1..r
+        tops = [row + (_ZERO,) * r for row in a.data]
+        bottoms = [(_ZERO,) * r + row for row in a.data]
+        bottoms[-1] = tuple(r * s.coeffs[r - j] for j in range(r)) + a.data[-1]
+        actions.append(ExactMatrix(tops + bottoms))
+    return JetPair(m1, FiniteModule(2 * r, tuple(actions)), shift, t_m2, (r,))
 
 
 def graph_skyscraper(b: BranchParam):

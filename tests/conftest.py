@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from d0res.branches import PlaneCurveInput, germ_invariants, newton_puiseux
 from d0res.poly import Poly
+from d0res.report import parse_request, run_with_escalation
 
 F = Fraction
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # the six acceptance germs, keyed by name -> implicit polynomial terms
 ACCEPTANCE_CURVES = {
@@ -42,4 +46,15 @@ def corpus_germs():
     for name, terms in ACCEPTANCE_CURVES.items():
         branches = newton_puiseux(PlaneCurveInput(Poly(2, terms)), 48)
         germs[name] = germ_invariants(branches)
+    return germs
+
+
+@pytest.fixture(scope="session")
+def repo_corpus_germs():
+    """Every `corpus/*.json` germ, both extension fields and the space
+    branches included."""
+    germs = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        req = parse_request(json.loads(path.read_text()))
+        germs[path.stem] = run_with_escalation(req, lambda g, c, t, r: g)
     return germs

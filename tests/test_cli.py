@@ -224,13 +224,19 @@ def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
                              {"x": [[0, "1"], [1, "1"]], "y": [[1, "1"]]}]}},
      "curve.branches[1]: branch does not pass through the origin"),
+    # (y^2 - x^3)^2
+    ({"curve": {"implicit": {"poly": [[[0, 4], "1"], [[3, 2], "-2"],
+                                      [[6, 0], "1"]]}}},
+     "curve.implicit.poly: curve is not reduced (polynomial has a square "
+     "factor)"),
 ])
 def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
                                                    request_obj, message):
     """A key the format does not define is rejected, not ignored (a
     misspelt `rank` would certify the default ranks); a zero denominator is
     named as such; a curve or branch that misses the point is bad input
-    naming `point` or the branch."""
+    naming `point` or the branch; a non-reduced curve is bad input naming
+    its polynomial."""
     path = write_request(tmp_path, "bad.json", request_obj)
     assert main(["analyze", path]) == 2
     captured = capsysbinary.readouterr()

@@ -89,6 +89,61 @@ def test_block_diag():
     assert c[2, 2] == 5 and c[2, 0] == 0
 
 
+def _assert_as_if_checked(m):
+    """`m` equals ExactMatrix(m's rows) built through the checked
+    constructor, slot by slot: tuple rows, entry types, shape and the
+    `rational` flag."""
+    checked = ExactMatrix([list(row) for row in m.data])
+    assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+    assert m.data == checked.data
+    assert [type(x) for row in m.data for x in row] == [
+        type(x) for row in checked.data for x in row]
+    assert (m.rows, m.cols, m.rational) == (
+        checked.rows, checked.cols, checked.rational)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_trusted_products_and_direct_sums(n, k, m, data):
+    """Products of rational matrices and direct sums of rational blocks
+    skip the constructor's checks; they still equal the checked matrix."""
+    a = ExactMatrix([[data.draw(rationals) for _ in range(k)] for _ in range(n)])
+    b = ExactMatrix([[data.draw(rationals) for _ in range(m)] for _ in range(k)])
+    prod = a * b
+    _assert_as_if_checked(prod)
+    assert prod.rational
+    assert prod == ExactMatrix([[sum(a[i, l] * b[l, j] for l in range(k))
+                                 for j in range(m)] for i in range(n)])
+    total = ExactMatrix.block_diag(a, b, prod)
+    _assert_as_if_checked(total)
+    assert total.rational
+    assert (total.rows, total.cols) == (n + k + n, k + m + m)
+
+
+def test_direct_sum_with_field_elements_is_checked():
+    gauss = NumberField([1, 0, 1], generator="i")
+    field_block = ExactMatrix([[gauss.gen(), F(0)], [F(1), gauss.gen()]])
+    rational_block = M([[1, 2], [3, 4]])
+    for blocks in ((field_block, rational_block), (rational_block, field_block)):
+        total = ExactMatrix.block_diag(*blocks)
+        _assert_as_if_checked(total)
+        assert not total.rational
+    product = field_block * rational_block
+    _assert_as_if_checked(product)
+    assert not product.rational
+
+
+def test_is_strictly_lower():
+    assert M([[0, 0], [5, 0]]).is_strictly_lower()
+    assert ExactMatrix.zeros(3, 3).is_strictly_lower()
+    assert not M([[0, 0], [5, 1]]).is_strictly_lower()
+    assert not M([[0, 1], [0, 0]]).is_strictly_lower()
+    assert not ExactMatrix.zeros(2, 3).is_strictly_lower()
+
+
 def test_extension_field_matrices():
     gauss = NumberField([1, 0, 1], generator="i")
     i = gauss.gen()

@@ -6,8 +6,13 @@ from hypothesis import strategies as st
 
 from d0res.branches import BranchParam
 from d0res.errors import D0resError, NotNilpotent, RaiseTruncation
-from d0res.fields import NumberField, scalar_is_zero
-from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
+from d0res.fields import FieldElement, NumberField, scalar_is_zero
+from d0res.linalg import (
+    ExactMatrix,
+    eval_poly_at_matrices,
+    eval_series_at_matrix,
+    rref_rows,
+)
 from d0res.modules import (
     FiniteModule,
     JetPair,
@@ -24,6 +29,7 @@ from d0res.modules import (
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
+from d0res.verify import family_jet
 
 F = Fraction
 
@@ -273,3 +279,72 @@ def test_finite_module_validation():
         FiniteModule(2, (a, b))       # non-commuting
     with pytest.raises(NotNilpotent):
         FiniteModule(2, (ExactMatrix.identity(2),))
+    # strictly lower-triangular, so nilpotent, but not commuting
+    lower_a = M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    lower_b = M([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(D0resError):
+        FiniteModule(3, (lower_a, lower_b))
+    # one entry on the diagonal of a fiber action: lower-triangular, not
+    # nilpotent
+    fiber = fiber_module(NODE1, 3)
+    on_diagonal = _bumped(fiber.actions[0], 2, 2)
+    assert not on_diagonal.is_strictly_lower()
+    with pytest.raises(NotNilpotent):
+        FiniteModule(3, (on_diagonal, fiber.actions[1]))
+
+
+def test_non_triangular_module_is_validated_by_its_powers(monkeypatch):
+    """A conjugated fiber is nilpotent but not triangular, so it reaches
+    the dense check a ** dim; conjugated non-nilpotent actions still fail."""
+    p = M([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    p_inv = M([[1, -2, 0], [0, 1, 0], [-1, 2, 1]])
+    fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
+    conj = tuple(p_inv * a * p for a in fiber.actions)
+    assert conj[0] == M([[-2, -4, 0], [1, 2, 0], [2, 5, 0]])
+    assert conj[1].is_strictly_lower()
+    powers = []
+    original = ExactMatrix.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ExactMatrix, "__pow__", counted)
+    assert FiniteModule(3, conj).actions == conj
+    assert powers == [3]
+    with pytest.raises(NotNilpotent):
+        FiniteModule(3, (p_inv * _bumped(fiber.actions[0], 0, 0) * p,
+                         ExactMatrix.zeros(3, 3)))
+    powers.clear()
+    FiniteModule(3, fiber.actions)
+    assert powers == []
+
+
+def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
+    """jet_pair writes each M2 action in closed form, [[A, 0], [C, A]]; it
+    equals the coordinate series evaluated at the 2r x 2r uniformizer, for
+    every corpus branch at r = 1..10 (the extension fields' elements and
+    the three coordinates of space_lines included)."""
+    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
+    assert any(b.ambient_dim == 3 for b in branches)
+    assert any(isinstance(x, FieldElement) and not x.is_rational()
+               for b in branches for s in b.coords for x in s.coeffs)
+    for b in branches:
+        for r in range(1, 11):
+            jet = jet_pair(b, r)
+            assert jet.m2.actions == tuple(
+                eval_series_at_matrix(s.truncate(r + 1), jet.t_m2)
+                for s in b.coords), (b, r)
+
+
+def test_triangular_shortcut_agrees_with_dense_powers(repo_corpus_germs):
+    """Every action of every corpus member at r0..r0+3, fiber and jet, is
+    strictly lower-triangular, and its dim-th power is indeed zero."""
+    for name, germ in repo_corpus_germs.items():
+        for i in range(germ.k):
+            for r in range(germ.r0, germ.r0 + 4):
+                jet = family_jet(germ, i, r)
+                for module in (jet.m1, jet.m2):
+                    for a in module.actions:
+                        assert a.is_strictly_lower(), (name, i, r)
+                        assert (a ** module.dim).is_zero(), (name, i, r)

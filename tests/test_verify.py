@@ -1,5 +1,4 @@
 import ast
-import json
 import random
 from fractions import Fraction
 from math import ceil
@@ -11,12 +10,7 @@ from d0res.errors import D0resError, RankBelowCritical
 from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
 from d0res.modules import AnnihilatorIdeal, JetPair, annihilator, jet_pair
 from d0res.poly import Poly, poly_text
-from d0res.report import (
-    _certificate_block,
-    _verdict_block,
-    parse_request,
-    run_with_escalation,
-)
+from d0res.report import _certificate_block, _verdict_block
 from d0res.verify import (
     INCONCLUSIVE,
     NOT_SEPARATED,
@@ -33,20 +27,6 @@ from d0res.verify import (
 )
 
 F = Fraction
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-@pytest.fixture(scope="module")
-def repo_corpus_germs():
-    """Every `corpus/*.json` germ, both extension fields and the space
-    branches included."""
-    germs = {}
-    for path in sorted(CORPUS.glob("*.json")):
-        req = parse_request(json.loads(path.read_text()))
-        germs[path.stem] = run_with_escalation(req, lambda g, c, t, r: g)
-    return germs
-
 
 def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
                                                      monkeypatch):
