@@ -17,12 +17,10 @@ from .branches import (  # noqa: F401
 )
 from .errors import (  # noqa: F401
     D0resError,
-    DegreeBoundExceeded,
     InputError,
     NonCommutingActions,
     NotNilpotent,
     RaiseTruncation,
-    RankBelowCritical,
     UnsupportedFieldExtension,
 )
 from .fields import FieldElement, NumberField, format_scalar, parse_scalar  # noqa: F401

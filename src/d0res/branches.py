@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import D0resError, DegreeBoundExceeded, InputError, RaiseTruncation
+from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, rref_rows, solve_exact
 from .poly import Poly, grlex_key, is_squarefree, monomial_values, monomials_upto
@@ -27,7 +27,9 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class BranchParam:
     """One branch, as truncated power-series coordinates of a primitive
-    parametrization through the origin."""
+    parametrization through the origin.  A common divisor of the truncated
+    exponents asks for more truncation; explicit input is checked for
+    primitivity exactly when it is parsed."""
 
     coords: tuple
 
@@ -45,9 +47,9 @@ class BranchParam:
             for e in exps:
                 g = gcd(g, e)
             if g != 1:
-                raise D0resError(
-                    f"parametrization is not primitive (exponent gcd {g})"
-                )
+                raise RaiseTruncation(
+                    f"parametrization is not primitive at truncation "
+                    f"{self.trunc} (exponent gcd {g})", needed=2 * self.trunc)
 
     @property
     def ambient_dim(self):
@@ -125,7 +127,9 @@ def branch_multiplicity(b: BranchParam) -> int:
     """Least vanishing order among the coordinate pullbacks."""
     orders = [o for o in b.orders() if o is not None]
     if not orders:
-        raise D0resError("degenerate branch: all coordinates vanish at precision")
+        raise RaiseTruncation(
+            f"all coordinates vanish below truncation {b.trunc}",
+            needed=2 * b.trunc)
     return min(orders)
 
 
@@ -190,7 +194,7 @@ def _evaluation_columns(b: BranchParam, monomials, nt):
     return [list(v.coeffs) for v in values], n
 
 
-def implicit_equation(b: BranchParam, degree_bound: int = None) -> Poly:
+def implicit_equation(b: BranchParam) -> Poly:
     """Local equation of a plane branch to the working precision.
 
     Monic Weierstrass form y^n + a_{n-1}(x) y^{n-1} + ... + a_0(x) with n the
@@ -211,8 +215,6 @@ def implicit_equation(b: BranchParam, degree_bound: int = None) -> Poly:
         return Poly.variable(2, 0)
     nt = b.trunc
     m_cap = nt // n - 1
-    if degree_bound is not None:
-        m_cap = min(m_cap, degree_bound + 1)
     # the solve window n*m_cap must see past every coordinate's pullback
     # order, otherwise a spuriously short equation looks consistent
     orders = [o for o in b.orders() if o is not None]
@@ -251,12 +253,7 @@ def implicit_equation(b: BranchParam, degree_bound: int = None) -> Poly:
     for (m, k), c in zip(labels, solution):
         if not scalar_is_zero(c):
             terms[(m, k)] = c
-    g = Poly(2, terms)
-    if degree_bound is not None and g.degree_in(0) >= degree_bound + 1:
-        raise DegreeBoundExceeded(
-            f"branch equation needs x-degree > {degree_bound}; raise the bound"
-        )
-    return g
+    return Poly(2, terms)
 
 
 def _normalize_equation(g: Poly) -> Poly:

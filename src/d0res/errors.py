@@ -25,14 +25,6 @@ class RaiseTruncation(D0resError):
         self.needed = needed
 
 
-class RankBelowCritical(D0resError):
-    """certify() was asked for a rank below the germ's critical rank r0."""
-
-
-class DegreeBoundExceeded(D0resError):
-    """A degree-bounded elimination did not stabilize; raise the bound."""
-
-
 class NonCommutingActions(D0resError):
     """Coordinate action matrices must commute (module axiom)."""
 

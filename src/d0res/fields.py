@@ -49,8 +49,6 @@ class NumberField:
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.generator = generator
-        # reduction table: a^degree = -(c0 + c1 a + ... + c_{d-1} a^{d-1})
-        self._top = tuple(-c for c in coeffs[:-1])
 
     def __eq__(self, other):
         return (

@@ -308,7 +308,7 @@ def solve_exact(rows, rhs):
 
 
 def commute(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return (a * b - b * a).is_zero()
+    return a * b == b * a
 
 
 def eval_poly_at_matrices(f, mats):

@@ -29,7 +29,9 @@ The key constructions:
   f(x(t)) = 0 mod t^r.  Both return the unique reduced echelon basis, so
   they agree exactly, not just up to a change of basis.  Both evaluate the
   monomials with `poly.monomial_values`, one over the action matrices and
-  one over the pullback series.
+  one over the pullback series.  The basis is stored once, as the sparse
+  rows of `kernel_echelon`; a row becomes a polynomial only when `polys`
+  is iterated up to it.
 """
 
 from __future__ import annotations
@@ -251,25 +253,28 @@ def pad(base, filler, copies: int):
 @dataclass(frozen=True)
 class AnnihilatorIdeal:
     """Reduced echelon basis of the polynomials (degree <= bound) killing a
-    module; comparable across modules of the same ambient dimension."""
+    module; comparable across modules of the same ambient dimension.  Each
+    row is sparse: the (column, coefficient) pairs of its nonzero entries in
+    column order, columns indexing `monomials`.  The basis is unique, so
+    equal fields mean equal ideals."""
 
     degree_bound: int
     monomials: tuple
-    echelon: tuple            # tuple of coefficient tuples, RREF rows
-    polys: tuple
+    rows: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, AnnihilatorIdeal):
-            return NotImplemented
-        return (self.degree_bound == other.degree_bound
-                and self.monomials == other.monomials
-                and self.echelon == other.echelon)
+    @property
+    def polys(self):
+        """The basis rows as polynomials, in row order, each built only
+        when the iteration reaches it."""
+        nvars = len(self.monomials[0])
+        return (Poly(nvars, {self.monomials[c]: v for c, v in row})
+                for row in self.rows)
 
     @property
     def quotient_dim(self):
         """Dimension of the polynomials of degree <= bound modulo the ideal:
         the dimension of the algebra the actions generate at that degree."""
-        return len(self.monomials) - len(self.echelon)
+        return len(self.monomials) - len(self.rows)
 
 
 def kernel_echelon(rows, ncols):
@@ -307,23 +312,11 @@ def kernel_echelon(rows, ncols):
     return basis
 
 
-def _dense(entries, ncols):
-    vec = [_ZERO] * ncols
-    for c, v in entries.items():
-        vec[c] = v
-    return tuple(vec)
-
-
-def _ideal(nvars, degree_bound, monomials, rows):
+def _ideal(degree_bound, monomials, rows):
     """The AnnihilatorIdeal cut out by the evaluation functionals `rows`."""
     basis = kernel_echelon(rows, len(monomials))
-    return AnnihilatorIdeal(
-        degree_bound=degree_bound,
-        monomials=tuple(monomials),
-        echelon=tuple(_dense(entries, len(monomials)) for entries in basis),
-        polys=tuple(Poly(nvars, {monomials[c]: entries[c] for c in sorted(entries)})
-                    for entries in basis),
-    )
+    return AnnihilatorIdeal(degree_bound, tuple(monomials),
+                            tuple(tuple(sorted(row.items())) for row in basis))
 
 
 def _evaluation_rows(module: FiniteModule, degree):
@@ -349,13 +342,14 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
     if degree_bound < module.dim:
         raise D0resError("annihilator degree bound below module dimension")
     monomials, rows = _evaluation_rows(module, degree_bound)
-    return _ideal(module.ambient_dim, degree_bound, monomials, rows)
+    return _ideal(degree_bound, monomials, rows)
 
 
-def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
-                      filler: FiniteModule = None) -> AnnihilatorIdeal:
-    """Annihilator of fiber_module(b, rank), or of its direct sum with one or
-    more copies of `filler`, from series coefficients.
+def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
+                      filler: FiniteModule = None):
+    """(monomials, rows): the evaluation functionals on the polynomials of
+    degree <= bound whose common kernel is the annihilator of
+    fiber_module(b, rank), or of its direct sum with copies of `filler`.
 
     The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
     coefficients of f(x(t)) vanish: `rank` rows.  A direct sum is killed iff
@@ -372,7 +366,14 @@ def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
     rows = [[col[i] for col in cols] for i in range(rank)]
     if filler is not None:
         rows.extend(_evaluation_rows(filler, degree_bound)[1])
-    return _ideal(b.ambient_dim, degree_bound, monomials, rows)
+    return monomials, rows
+
+
+def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
+                      filler: FiniteModule = None) -> AnnihilatorIdeal:
+    """Annihilator of fiber_module(b, rank), or of its direct sum with one or
+    more copies of `filler`, from series coefficients (`fiber_functionals`)."""
+    return _ideal(degree_bound, *fiber_functionals(b, rank, degree_bound, filler))
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .branches import (
@@ -40,7 +41,6 @@ from .verify import (
     certify,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
-    separation_verdicts,
 )
 
 _ZERO = Fraction(0)
@@ -240,6 +240,15 @@ def _parse_branches(data, field):
                 )
             coords.append(series_pairs)
         key = [_series_key(pairs) for pairs in coords]
+        if any(0 in series for series in key):
+            raise InputError(path, "branch does not pass through the origin")
+        exps = [e for series in key for e in series]
+        if not exps:
+            raise InputError(path, "all coordinates are zero")
+        g = gcd(*exps)
+        if g > 1:
+            raise InputError(path, "parametrization is not primitive "
+                             f"(exponent gcd {g})")
         if key in keys_seen:
             raise InputError(path, f"repeats curve.branches[{keys_seen.index(key)}]")
         keys_seen.append(key)
@@ -315,14 +324,11 @@ def _build_branches(req: AnalysisRequest, trunc: int, ctx: FieldContext):
     if req.kind == "implicit":
         curve = PlaneCurveInput(req.poly, req.point)
         return newton_puiseux(curve, trunc, ctx)
-    branches = []
-    for i, coords in enumerate(req.branch_data):
-        series = tuple(Series.from_pairs(pairs, trunc) for pairs in coords)
-        try:
-            branches.append(BranchParam(series))
-        except D0resError as exc:
-            raise InputError(f"curve.branches[{i}]", str(exc))
-    return branches
+    # the parser checked each branch exactly; a BranchParam error here can
+    # only ask for more truncation
+    return [BranchParam(tuple(Series.from_pairs(pairs, trunc)
+                              for pairs in coords))
+            for coords in req.branch_data]
 
 
 def carry_invariants(proven: Germ, branches) -> Germ:
@@ -471,27 +477,21 @@ def _verdict_block(v) -> dict:
 
 
 def _certificate_block(germ: Germ, r: int) -> dict:
-    if r < germ.r0:
-        points, tangents = separation_verdicts(germ, r, exploratory=True)
-        return {
-            "rank": r,
-            "below_critical": True,
-            "points": [_verdict_block(v) for v in points],
-            "tangents": [_verdict_block(v) for v in tangents],
-            "pass": False,
-        }
+    """The rank-r certificate; below r0 it has no padding entries."""
     cert = certify(germ, r)
-    return {
+    block = {
         "rank": r,
-        "below_critical": False,
+        "below_critical": cert.below_critical,
         "points": [_verdict_block(v) for v in cert.point_verdicts],
         "tangents": [_verdict_block(v) for v in cert.tangent_verdicts],
-        "padding": cert.padding,
-        "padding_support_ok": cert.padding_support_ok,
-        "support_points": [[format_scalar(c) for c in pt]
-                           for pt in cert.support_points],
-        "pass": cert.overall,
     }
+    if not cert.below_critical:
+        block["padding"] = cert.padding
+        block["padding_support_ok"] = cert.padding_support_ok
+        block["support_points"] = [[format_scalar(c) for c in pt]
+                                   for pt in cert.support_points]
+    block["pass"] = cert.overall
+    return block
 
 
 def _oracle_block(germ: Germ, max_rank: int) -> dict:

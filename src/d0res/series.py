@@ -125,12 +125,6 @@ class Series:
             raise D0resError("cannot extend a truncated series")
         return Series(self.coeffs[:n])
 
-    def extend_with_zeros(self, n):
-        """Only valid when the series is known exactly (polynomial data)."""
-        if n <= self.trunc:
-            return self
-        return Series(list(self.coeffs) + [_ZERO] * (n - self.trunc))
-
     # -- arithmetic -----------------------------------------------------------
 
     def _common(self, other):

@@ -17,10 +17,14 @@ the cyclic K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
 is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
 evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
 cyclic module iff it kills the generator, and on a direct sum iff it does
-on each summand.  The action matrices still give the independent checks:
-every witness is re-verified on the members' fibers, and the padding check
-compares each member's ideal with the generic annihilator of a fresh bare
-rank-r0 fiber.
+on each summand; one pivot count at degree r + 1 checks that r suffices.
+The action matrices still give the independent checks: every witness is
+re-verified on the members' fibers, and the padding check compares each
+member's ideal with the generic annihilator of a fresh bare rank-r0 fiber.
+
+`certify` serves every rank r >= 1.  Below r0 the same tests run on the
+bare rank-r members, and the certificate (`below_critical`) has no padding
+and never passes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import permutations
 from math import ceil, comb
 
 from .branches import Germ
-from .errors import D0resError, RaiseTruncation, RankBelowCritical
+from .errors import D0resError, RaiseTruncation
 from .fields import format_scalar, scalar_is_zero
 from .linalg import ExactMatrix, rref_rows
 from .modules import (
@@ -39,6 +43,7 @@ from .modules import (
     JetPair,
     annihilator,
     fiber_annihilator,
+    fiber_functionals,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -72,9 +77,10 @@ class SeparationVerdict:
 class EmbeddingCertificate:
     germ: Germ
     rank: int
+    below_critical: bool
     point_verdicts: tuple
     tangent_verdicts: tuple
-    padding: dict
+    padding: dict             # None below the critical rank, as the next two
     padding_support_ok: bool
     support_points: tuple
     overall: bool
@@ -92,8 +98,7 @@ def family_jet(germ: Germ, index: int, r: int) -> JetPair:
 
 def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
     """Annihilator of family_jet(germ, index, r).m1 at degree bound r, read
-    off the branch's series coefficients (`modules.fiber_annihilator`), with
-    the stabilization check at bound r + 1."""
+    off the branch's series coefficients (`_stable_annihilator`)."""
     return _member_annihilator(germ, index, r, _skyscraper_jet(germ, index, r))
 
 
@@ -109,13 +114,19 @@ def _member_jet(germ: Germ, index: int, r: int, sky_jet) -> JetPair:
 
 def _member_annihilator(germ: Germ, index: int, r: int,
                         sky_jet) -> AnnihilatorIdeal:
-    b = germ.branches[index]
-    base_rank = min(r, germ.r0)
     filler = None if sky_jet is None else sky_jet.m1
-    ideal = fiber_annihilator(b, base_rank, r, filler)
-    up = fiber_annihilator(b, base_rank, r + 1, filler)
-    if up.quotient_dim != ideal.quotient_dim:
-        raise D0resError(f"annihilator not stabilized at degree {r}")
+    return _stable_annihilator(germ.branches[index], min(r, germ.r0), r, filler)
+
+
+def _stable_annihilator(b, rank: int, bound: int,
+                        filler=None) -> AnnihilatorIdeal:
+    """modules.fiber_annihilator at degree `bound`, checked to have
+    stabilized: the functionals at bound + 1 have rank equal to its quotient
+    dimension, so no monomial of degree bound + 1 adds to the quotient."""
+    ideal = fiber_annihilator(b, rank, bound, filler)
+    _, rows = fiber_functionals(b, rank, bound + 1, filler)
+    if len(rref_rows(rows)[1]) != ideal.quotient_dim:
+        raise D0resError(f"annihilator not stabilized at degree {bound}")
     return ideal
 
 
@@ -126,32 +137,14 @@ def _family(germ: Germ, r: int):
     return ideals, [_member_jet(germ, i, r, sky) for i, sky in enumerate(skies)]
 
 
-def _check_rank(germ: Germ, r: int, exploratory: bool):
-    # r < 1 is rejected by the module builders
-    if r < germ.r0 and not exploratory:
-        raise RankBelowCritical(
-            f"rank {r} below critical rank {germ.r0}; the criteria are only "
-            "guaranteed from the critical rank up (use exploratory mode)"
-        )
-
-
 # -- point separation ---------------------------------------------------------------
 
 
-def separates_points(germ: Germ, r: int, exploratory: bool = False):
-    """Pairwise annihilator comparison of the rank-r family members."""
-    _check_rank(germ, r, exploratory)
+def separates_points(germ: Germ, r: int):
+    """Pairwise annihilator comparison of the rank-r family members
+    (exploratory below the critical rank)."""
     ideals, jets = _family(germ, r)
     return _point_verdicts(ideals, [jet.m1 for jet in jets])
-
-
-def separation_verdicts(germ: Germ, r: int, exploratory: bool = False):
-    """(point verdicts, tangent verdicts) of the rank-r family, each member
-    built once for both tests."""
-    _check_rank(germ, r, exploratory)
-    ideals, jets = _family(germ, r)
-    return (_point_verdicts(ideals, [jet.m1 for jet in jets]),
-            _tangent_verdicts(germ, r, jets, exploratory))
 
 
 def _point_verdicts(ideals, fibers):
@@ -213,14 +206,14 @@ def _check_kills(g, fiber):
 # -- tangent separation ---------------------------------------------------------------
 
 
-def separates_tangents(germ: Germ, r: int, exploratory: bool = False):
-    """Nilpotency-jump test on the padded jet pair of every branch."""
-    _check_rank(germ, r, exploratory)
+def separates_tangents(germ: Germ, r: int):
+    """Nilpotency-jump test on the padded jet pair of every branch
+    (exploratory below the critical rank)."""
     jets = [family_jet(germ, i, r) for i in range(germ.k)]
-    return _tangent_verdicts(germ, r, jets, exploratory)
+    return _tangent_verdicts(germ, r, jets)
 
 
-def _tangent_verdicts(germ: Germ, r: int, jets, exploratory: bool):
+def _tangent_verdicts(germ: Germ, r: int, jets):
     verdicts = []
     for i, (b, jet) in enumerate(zip(germ.branches, jets)):
         n = germ.n[i]
@@ -246,7 +239,7 @@ def _tangent_verdicts(germ: Germ, r: int, jets, exploratory: bool):
                                   for row in f2.data],
                 },
             ))
-        elif not exploratory and r >= germ.r0:
+        elif r >= germ.r0:
             verdicts.append(SeparationVerdict(
                 kind="tangents", subject=(i,), result=INCONCLUSIVE,
                 reason="nilpotency jump absent for the guaranteed family; "
@@ -290,29 +283,31 @@ def graph_jet_class_vanishes(b) -> bool:
 
 def certify(germ: Germ, r: int) -> EmbeddingCertificate:
     """Run both separation suites on the rank-r family, each member built
-    once, and assemble verdicts."""
-    if r < germ.r0:
-        raise RankBelowCritical(
-            f"rank {r} < critical rank {germ.r0} for this germ"
-        )
+    once, and assemble verdicts.  Below the critical rank the certificate is
+    exploratory: it has no padding, runs no padding check and cannot pass."""
     ideals, jets = _family(germ, r)
     point_verdicts = tuple(_point_verdicts(ideals, [jet.m1 for jet in jets]))
-    tangent_verdicts = tuple(_tangent_verdicts(germ, r, jets, exploratory=False))
-    padding_ok = _padding_support_unchanged(germ, r, ideals)
-    padding = {
-        "filler": "graph-skyscraper",
-        "copies": r - germ.r0,
-        "base_rank": germ.r0,
-    }
-    support_points = tuple(germ.point for _ in germ.branches)
+    tangent_verdicts = tuple(_tangent_verdicts(germ, r, jets))
+    below_critical = r < germ.r0
+    padding = padding_ok = support_points = None
+    if not below_critical:
+        padding_ok = _padding_support_unchanged(germ, r, ideals)
+        padding = {
+            "filler": "graph-skyscraper",
+            "copies": r - germ.r0,
+            "base_rank": germ.r0,
+        }
+        support_points = tuple(germ.point for _ in germ.branches)
     overall = (
-        all(v.is_separated() for v in point_verdicts)
+        not below_critical
+        and all(v.is_separated() for v in point_verdicts)
         and all(v.is_separated() for v in tangent_verdicts)
         and padding_ok
     )
     return EmbeddingCertificate(
         germ=germ,
         rank=r,
+        below_critical=below_critical,
         point_verdicts=point_verdicts,
         tangent_verdicts=tangent_verdicts,
         padding=padding,

@@ -109,7 +109,7 @@ def test_negative_control_below_critical(corpus_germs):
     family cannot separate the two branches; exact."""
     tac = corpus_germs["tacnode"]
     assert tac.r0 == 3
-    verdicts = separates_points(tac, 2, exploratory=True)
+    verdicts = separates_points(tac, 2)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
     assert family_jet(tac, 0, 2).m1.same_presentation(family_jet(tac, 1, 2).m1)
     _pass("negative control: tacnode rank 2 yields identical presentations")

@@ -13,6 +13,7 @@ from d0res.report import emit_report, parse_report, parse_request, run_analyze
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_request(tmp_path, name, obj):
@@ -229,6 +230,11 @@ def test_malformed_fields_exit_2_without_traceback(request_obj, path):
                                       [[6, 0], "1"]]}}},
      "curve.implicit.poly: curve is not reduced (polynomial has a square "
      "factor)"),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[4, "1"]]}]}},
+     "curve.branches[0]: parametrization is not primitive (exponent gcd 2)"),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
+                             {"x": [], "y": [[3, "0"]]}]}},
+     "curve.branches[1]: all coordinates are zero"),
 ])
 def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
                                                    request_obj, message):
@@ -236,7 +242,7 @@ def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
     misspelt `rank` would certify the default ranks); a zero denominator is
     named as such; a curve or branch that misses the point is bad input
     naming `point` or the branch; a non-reduced curve is bad input naming
-    its polynomial."""
+    its polynomial; so is an explicit branch that is imprimitive or zero."""
     path = write_request(tmp_path, "bad.json", request_obj)
     assert main(["analyze", path]) == 2
     captured = capsysbinary.readouterr()
@@ -312,6 +318,49 @@ def test_branches_agreeing_below_truncation_raise_it(tmp_path, capsysbinary):
     assert report["germ"]["r0"] == 6
     assert report["truncation"] == 16
     assert all(c["pass"] for c in report["certificates"])
+
+
+@pytest.mark.parametrize("request_obj, n, r0, truncation", [
+    # the branch (t^2, t^35) reads (t^2, 0) at the starting truncation 32
+    ({"curve": {"implicit": {"poly": [[[0, 2], "1"], [[35, 0], "-1"]]}},
+      "ranks": [2]}, [2], 2, 64),
+    ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[35, "1"]]}]},
+      "ranks": [2]}, [2], 2, 64),
+    # every coordinate vanishes below the starting truncation
+    ({"curve": {"branches": [{"x": [[33, "1"]], "y": [[34, "1"]]}]},
+      "ranks": [1]}, [33], 33, 264),
+    # (t^3, t^4) reads (t^3, 0) at truncation 4
+    ({"curve": {"implicit": {"poly": [[[0, 3], "1"], [[4, 0], "-1"]]}},
+      "truncation": 4}, [3], 3, 8),
+])
+def test_exponents_past_the_truncation_raise_it(tmp_path, capsysbinary,
+                                                request_obj, n, r0,
+                                                truncation):
+    """A primitive branch that looks imprimitive or zero at the working
+    truncation needs more truncation; it is not bad input."""
+    path = write_request(tmp_path, "deep.json", request_obj)
+    assert main(["analyze", path]) == 0
+    report = json.loads(capsysbinary.readouterr().out.decode())
+    assert (report["germ"]["n"], report["germ"]["r0"]) == (n, r0)
+    assert report["truncation"] == truncation
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name, ranks", [
+    ("tacnode", ["--rank", "1", "--rank", "2"]),
+    ("cusp", ["--rank", "1"]),
+    ("space_lines", ["--rank", "1"]),
+    ("gaussian_node", ["--rank", "1"]),
+])
+def test_below_critical_reports_match_snapshots(capsysbinary, name, ranks,
+                                                fmt):
+    """Below-critical certificates come from `certify` like every other
+    rank; their reports are pinned byte for byte under tests/data."""
+    rc = main(["analyze", str(CORPUS / f"{name}.json"), *ranks,
+               "--format", fmt])
+    assert rc == 0
+    assert (capsysbinary.readouterr().out
+            == (DATA / f"{name}_below.{fmt}").read_bytes())
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):

@@ -250,6 +250,17 @@ def test_fiber_annihilator_matches_generic_oracle():
         fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
 
 
+def test_annihilator_rows_are_sparse_in_column_order():
+    """Each stored basis row lists its nonzero entries by increasing
+    monomial column; on y = x^2 + x^3 at rank 4 some row has three."""
+    ann = fiber_annihilator(B([(1, 1)], [(2, 1), (3, 1)]), 4, 4)
+    assert max(len(row) for row in ann.rows) >= 3
+    for row in ann.rows:
+        cols = [c for c, _ in row]
+        assert cols == sorted(cols)
+        assert not any(scalar_is_zero(v) for _, v in row)
+
+
 def test_support_length_examples():
     assert support_length(fiber_module(NODE1, 2)) == 2
     assert support_length(fiber_module(CUSP, 2)) == 1

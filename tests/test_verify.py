@@ -6,9 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from d0res.errors import D0resError, RankBelowCritical
+from d0res.errors import D0resError
 from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
-from d0res.modules import AnnihilatorIdeal, JetPair, annihilator, jet_pair
+from d0res.modules import (
+    AnnihilatorIdeal,
+    JetPair,
+    annihilator,
+    fiber_annihilator,
+    jet_pair,
+)
 from d0res.poly import Poly, poly_text
 from d0res.report import _certificate_block, _verdict_block
 from d0res.verify import (
@@ -17,6 +23,7 @@ from d0res.verify import (
     SEPARATED,
     aggregate_critical_rank,
     _point_witness,
+    _stable_annihilator,
     certify,
     family_annihilator,
     family_jet,
@@ -45,8 +52,8 @@ def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
     block = _certificate_block(germ, 2)
     monkeypatch.undo()
     assert len(built) == 2
-    points = separates_points(germ, 2, exploratory=True)
-    tangents = separates_tangents(germ, 2, exploratory=True)
+    points = separates_points(germ, 2)
+    tangents = separates_tangents(germ, 2)
     assert block["points"] == [_verdict_block(v) for v in points]
     assert block["tangents"] == [_verdict_block(v) for v in tangents]
 
@@ -62,8 +69,24 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
                 fast = family_annihilator(germ, i, r)
                 oracle = annihilator(family_jet(germ, i, r).m1, r)
                 assert fast == oracle, (name, i, r)
+                assert hash(fast) == hash(oracle)
+                assert all([c for c, _ in row] == sorted(c for c, _ in row)
+                           for row in fast.rows)
                 assert ([poly_text(p) for p in fast.polys]
                         == [poly_text(p) for p in oracle.polys]), (name, i, r)
+
+
+def test_stabilization_check_rejects_a_growing_quotient(corpus_germs):
+    """The functionals at bound + 1 must have as many pivots as the ideal's
+    quotient dimension.  On the cusp fiber K[t]/(t^5), t^4 = x^2 first
+    appears at degree 2: the quotient grows from 3 to 4, so bound 1 is
+    rejected and bound 2 accepted."""
+    cusp = corpus_germs["cusp"].branches[0]
+    dims = [fiber_annihilator(cusp, 5, d).quotient_dim for d in (1, 2, 3)]
+    assert dims == [3, 4, 4]
+    with pytest.raises(D0resError, match="not stabilized at degree 1"):
+        _stable_annihilator(cusp, 5, 1)
+    assert _stable_annihilator(cusp, 5, 2) == fiber_annihilator(cusp, 5, 2)
 
 
 def _assert_dense_jet_identities(jet):
@@ -126,21 +149,21 @@ def test_axes_node_annihilators_and_witness():
 
 def test_tacnode_negative_control(corpus_germs):
     tac = corpus_germs["tacnode"]
-    verdicts = separates_points(tac, 2, exploratory=True)
+    verdicts = separates_points(tac, 2)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
     f0 = family_jet(tac, 0, 2).m1
     f1 = family_jet(tac, 1, 2).m1
     assert f0.same_presentation(f1)
-    with pytest.raises(RankBelowCritical):
-        separates_points(tac, 2)
+    cert = certify(tac, tac.r0 - 1)
+    assert cert.below_critical and not cert.overall
 
 
 @pytest.mark.parametrize("r", [0, -2])
 def test_nonpositive_rank_rejected(corpus_germs, r):
-    """The module builders reject r < 1, exploratory mode included."""
-    for test in (separates_points, separates_tangents):
+    """The module builders reject r < 1, below-critical ranks included."""
+    for test in (separates_points, separates_tangents, certify):
         with pytest.raises(D0resError, match="rank must be positive"):
-            test(corpus_germs["node"], r, exploratory=True)
+            test(corpus_germs["node"], r)
 
 
 def test_tacnode_separates_at_r3(corpus_germs):
@@ -170,8 +193,9 @@ def test_point_witness_rechecks_own_fiber(corpus_germs):
     `python -O`."""
     fiber = family_jet(corpus_germs["cusp"], 0, 2).m1
     one = Poly.constant(2, F(1))
-    bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=(), echelon=(),
-                             polys=(one,))
+    bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=((0, 0),),
+                             rows=(((0, F(1)),),))
+    assert list(bogus.polys) == [one]
     with pytest.raises(D0resError, match="does not annihilate"):
         _point_witness(bogus, fiber, bogus, fiber)
 
@@ -303,8 +327,10 @@ def test_certify_corpus(corpus_germs):
             assert cert.padding_support_ok
             assert cert.padding["copies"] == r - germ.r0
             assert all(pt == germ.point for pt in cert.support_points)
-        with pytest.raises(RankBelowCritical):
-            certify(germ, germ.r0 - 1)
+        if germ.r0 > 1:
+            cert = certify(germ, germ.r0 - 1)
+            assert cert.below_critical and not cert.overall
+            assert cert.padding is None and cert.padding_support_ok is None
 
 
 def test_monotone_negative_control(corpus_germs):
@@ -313,7 +339,7 @@ def test_monotone_negative_control(corpus_germs):
         if germ.k < 2:
             continue
         for s in range(1, germ.r0):
-            for v in separates_points(germ, s, exploratory=True):
+            for v in separates_points(germ, s):
                 if v.result == NOT_SEPARATED:
                     i, j = v.subject
                     assert (s / germ.n[i] <= germ.bii
@@ -336,7 +362,7 @@ def test_pushforward_restriction_oracle_corpus(corpus_germs):
 
 def test_exploratory_tangents_only_separated_or_inconclusive(corpus_germs):
     tac = corpus_germs["tacnode"]
-    for v in separates_tangents(tac, 2, exploratory=True):
+    for v in separates_tangents(tac, 2):
         assert v.result in (SEPARATED, INCONCLUSIVE)
         if v.result == SEPARATED:
             assert v.witness["exponent"] == ceil(2 / tac.n[v.subject[0]])
