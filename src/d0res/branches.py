@@ -15,8 +15,8 @@ from math import gcd, lcm
 
 from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
-from .linalg import ExactMatrix, rref_rows, solve_exact
-from .poly import Poly, grlex_key, is_squarefree, monomial_values, monomials_upto
+from .linalg import rref_rows, solve_exact
+from .poly import Poly, is_squarefree, monomial_values, monomials_upto
 from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
 from .series import Series
 
@@ -203,7 +203,11 @@ def implicit_equation(b: BranchParam) -> Poly:
     polynomial branches the solution terminates and is the exact irreducible
     equation; for transcendental-looking branches (one analytic branch of an
     irreducible curve) it is the branch generator to precision, which is what
-    intersection lengths need.
+    intersection lengths need.  When y agrees with a polynomial in x to high
+    order, as for (t^2, t^4 + t^7), some x^m y^k near the top of the window
+    are dependent mod t^(n*M) and the solution is not unique; the free
+    coefficients are set to zero, and the result is still exact modulo
+    x^K for the K of `_equation_precision`.
     """
     if b.ambient_dim != 2:
         raise D0resError("implicit equations are for plane branches only")
@@ -240,116 +244,16 @@ def implicit_equation(b: BranchParam) -> Poly:
         labels.append(exp)
     rows = [[columns[j][i] for j in range(len(columns))] for i in range(t_prec)]
     rhs = [-c for c in y_n.coeffs[:t_prec]]
-    solution, n_free = solve_exact(rows, rhs)
+    solution, _ = solve_exact(rows, rhs)
     if solution is None:
         raise RaiseTruncation(
             "no truncated branch equation at this precision", needed=2 * nt
-        )
-    if n_free:
-        raise RaiseTruncation(
-            "branch equation not unique at this precision", needed=2 * nt
         )
     terms = {(0, n): Fraction(1)}
     for (m, k), c in zip(labels, solution):
         if not scalar_is_zero(c):
             terms[(m, k)] = c
     return Poly(2, terms)
-
-
-def _normalize_equation(g: Poly) -> Poly:
-    ydeg = g.degree_in(1)
-    pure = (0, ydeg)
-    lead = g.terms.get(pure)
-    if lead is None or ydeg == 0:
-        lead = g.terms[max(g.terms, key=grlex_key)]
-    inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
-    return g.scale(inv)
-
-
-def sylvester_resultant_equation(b: BranchParam) -> Poly:
-    """Implicit equation by literal elimination: Res_s(x - x(s), y - y(s)).
-
-    Only sensible for polynomial parametrizations of small degree; used as an
-    independent cross-check of implicit_equation.
-    """
-    if b.ambient_dim != 2:
-        raise D0resError("resultant elimination is for plane branches")
-    xs, ys = b.coords
-    dx = max((i for i, c in enumerate(xs.coeffs) if not scalar_is_zero(c)), default=0)
-    dy = max((i for i, c in enumerate(ys.coeffs) if not scalar_is_zero(c)), default=0)
-    if dx + dy == 0:
-        raise D0resError("degenerate parametrization")
-    # rows of the Sylvester matrix in s, entries in Poly(x, y)
-    #   P(s) = x - x(s): degree dx,  Q(s) = y - y(s): degree dy
-    def as_s_poly(series, which, deg):
-        coeffs = []
-        for k in range(deg + 1):
-            c = series.coeffs[k] if k < series.trunc else _ZERO
-            poly = Poly.constant(2, -c)
-            if k == 0:
-                poly = poly + Poly.variable(2, which)
-            coeffs.append(poly)
-        return coeffs
-
-    p_coeffs = as_s_poly(xs, 0, dx)
-    q_coeffs = as_s_poly(ys, 1, dy)
-    size = dx + dy
-    rows = []
-    for shift in range(dy):
-        row = [Poly.zero(2)] * size
-        for k, c in enumerate(reversed(p_coeffs)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(dx):
-        row = [Poly.zero(2)] * size
-        for k, c in enumerate(reversed(q_coeffs)):
-            row[shift + k] = c
-        rows.append(row)
-    det = _poly_determinant(rows)
-    return _normalize_equation(det) if not det.is_zero() else det
-
-
-def _poly_determinant(rows):
-    """Fraction-free (Bareiss) determinant over the polynomial ring."""
-    n = len(rows)
-    m = [[p for p in row] for row in rows]
-    sign = 1
-    prev = Poly.constant(2, Fraction(1))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return Poly.zero(2)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _poly_div_exact(num, prev)
-            m[i][k] = Poly.zero(2)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _poly_div_exact(num: Poly, den: Poly) -> Poly:
-    if den.total_degree() == 0:
-        c = den.terms[(0, 0)]
-        inv = 1 / c if isinstance(c, Fraction) else c.inverse()
-        return num.scale(inv)
-    out = {}
-    rem = num
-    den_lead = max(den.terms, key=grlex_key)
-    den_c = den.terms[den_lead]
-    while not rem.is_zero():
-        lead = max(rem.terms, key=grlex_key)
-        exp = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(e < 0 for e in exp):
-            raise D0resError("inexact polynomial division")
-        c = rem.terms[lead] / den_c
-        out[exp] = c
-        rem = rem - den * Poly.monomial(exp, c)
-    return Poly(2, out)
 
 
 # -- intersection lengths ----------------------------------------------------------
@@ -397,64 +301,128 @@ def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
 
 
 def _equation_error_order(bi: BranchParam, bj: BranchParam) -> int:
-    """Order below which ord(g_j(branch_i)) is provably exact (and symmetric)."""
-    ni = branch_multiplicity(bi)
-    nj = branch_multiplicity(bj)
-    mj = bj.trunc // max(1, bj.coords[0].order() or 1) - 1
-    mi = bi.trunc // max(1, bi.coords[0].order() or 1) - 1
-    return min(mj * ni, mi * nj)
+    """Order below which ord(g_j(branch_i)) is provably exact (and symmetric):
+    g_j is exact modulo x^K_j, and x has order >= n_i along branch i."""
+    return min(_equation_precision(bj) * branch_multiplicity(bi),
+               _equation_precision(bi) * branch_multiplicity(bj))
+
+
+def _equation_precision(b: BranchParam) -> int:
+    """K such that implicit_equation(b) is exact modulo x^K.
+
+    The equation g' solves for g mod t^(n M), n = ord x(t) and
+    M = trunc // n - 1, so it differs from the Weierstrass polynomial g of
+    the branch by h of y-degree < n with order >= n M along the branch.
+    With c the branch's conductor and K = M - ceil(c / n), every element
+    of O_b of order >= n K + c lies in x^K O_b, so h = x^K r + g u; dividing r by g (Weierstrass) shows h = x^K r' with r'
+    of y-degree < n, since the division of h by g is unique and has
+    remainder h.  A branch with x = 0 has the exact equation x.
+    """
+    n = b.coords[0].order()
+    if n is None:
+        return b.trunc - 1
+    _, c = _value_semigroup(b, branch_multiplicity(b))
+    return b.trunc // n - 1 - -(-c // n)
 
 
 def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
-    """Independent route: dimension of the local algebra modulo both branch
-    ideals, by kernel stabilization over increasing degree and truncation."""
-    m = bi.ambient_dim
-    previous = None
-    max_s = max(4, min(bi.trunc, bj.trunc) // 2)
-    for s in range(2, max_s + 1):
-        nt = min(2 * s, bi.trunc, bj.trunc)
-        kernel_polys = _branch_kernel(bj, s, nt)
-        value = _relative_colength(bi, kernel_polys, nt)
-        if previous is not None and value == previous:
-            return value
-        previous = value
-    raise RaiseTruncation(
-        "colength did not stabilize; raise truncation",
-        needed=2 * min(bi.trunc, bj.trunc),
-    )
+    """Independent route to l_ij = dim O/(P_i + P_j), counted on branch i.
+
+    O is the ambient power-series ring, m its maximal ideal and P_i, P_j
+    the branch ideals.  The ring O_i = O/P_i sits in K[[t]] by pullback
+    along branch i, with value semigroup Γ_i, multiplicity m_i and
+    conductor c_i.  l_ij is the colength of J = P_j O_i, which is
+    #(Γ_i ∖ v(J)) (Kunz 1970).  J holds an element of least order
+    e = min v(J), so it holds all of t^(e + c_i) K[[t]], and with N = e + c_i
+
+        l_ij = #(Γ_i ∩ [0, N)) - dim (J mod t^N).
+
+    The generators of J are read off branch j to a precision T that is not
+    tied to their degree: W is the space of polynomials of degree <= D
+    whose order along branch j is >= T, with
+
+        K = ceil((e + c_i) / m_i) + 1,   T = K m_j + c_j,   D = ceil(T / m_j) - 1,
+
+    where e is the least order of W along branch i.  e is found by raising
+    a guess until the W it gives has that least order.  One echelon of
+    each monomial's [value along branch j mod t^T | value along branch i]
+    gives W's orders along branch i: the pivots past the first T columns.
+
+    No spurious generator can lower the count.  An h in W has order >= T
+    on branch j; orders >= K m_j + c_j on branch j lie in x^K O_j for a
+    coordinate x of order m_j, so h lies in P_j + m^K.  Hence
+    I_W = P_i + (W) lies in I + m^K, where I = P_i + P_j.  I_W also holds
+    every order >= e + c_i on branch i, so it holds m^(K-1), whose orders
+    are >= (K - 1) m_i >= e + c_i.  Then m^(K-1) lies in I + m * m^(K-1),
+    so in I by Nakayama's lemma, and I_W lies in I.  A missing generator
+    can only raise the count, since a smaller ideal has a larger colength.
+    None is missing: f in P_j is its part of degree <= D plus a tail in
+    m^(D+1), which lies in m^(K-1), so in I_W.  The part has the tail's order
+    on branch j, >= (D + 1) m_j >= T, so it lies in W.  So I_W = I.
+
+    J mod t^N is spanned by h * mono for h in W and monomials mono of
+    degree d with d m_i < c_i, the other products having order >= N.  The
+    part of h * mono of degree <= D lies in W, and the rest has order
+    >= (D + 1) m_i > N on branch i, so these products add nothing to W mod
+    t^N: dim (J mod t^N) is the number of W's orders below N.  The count is
+    exact.  Space germs take their l_ij, and so their r0, from it.
+    """
+    mi, mj = branch_multiplicity(bi), branch_multiplicity(bj)
+    below_ci, ci = _value_semigroup(bi, mi)
+    _, cj = _value_semigroup(bj, mj)
+    e = mi
+    while True:
+        k = -(-(e + ci) // mi) + 1
+        t_prec = k * mj + cj
+        reach = (k - 1) * mi
+        if t_prec > bj.trunc or e + ci > bi.trunc:
+            raise RaiseTruncation(
+                f"colength needs precision {t_prec} on one branch and "
+                f"{e + ci} on the other", needed=max(t_prec, e + ci))
+        monomials = monomials_upto(bi.ambient_dim, -(-t_prec // mj) - 1)
+        on_j, _ = _evaluation_columns(bj, monomials, t_prec)
+        on_i, n_i = _evaluation_columns(bi, monomials, 2 * reach)
+        _, pivots = rref_rows(_nonzero(a + b for a, b in zip(on_j, on_i)))
+        orders = [p - t_prec for p in pivots if p >= t_prec]
+        if not orders:
+            if n_i < 2 * reach:
+                raise RaiseTruncation(
+                    "colength generators vanish along the other branch below "
+                    f"truncation {n_i}", needed=2 * n_i)
+            e = n_i
+            continue
+        if orders[0] + ci > min(reach, n_i):
+            e = orders[0]
+            continue
+        n = orders[0] + ci
+        return below_ci + (n - ci) - sum(1 for v in orders if v < n)
 
 
-def _branch_kernel(b: BranchParam, degree, nt):
-    monomials = monomials_upto(b.ambient_dim, degree)
-    cols, n_used = _evaluation_columns(b, monomials, nt)
-    rows = [[cols[j][i] for j in range(len(monomials))] for i in range(n_used)]
-    kernel = ExactMatrix(rows).nullspace()
-    return [Poly(b.ambient_dim, {m: c for m, c in zip(monomials, vec)})
-            for vec in kernel]
+def _value_semigroup(b: BranchParam, m: int):
+    """(#(Γ ∩ [0, c)), c) for the value semigroup Γ of a branch of
+    multiplicity m and its conductor c.  Γ ∩ [0, n) is the pivot set of one
+    echelon of the monomials of degree d < n / m taken mod t^n; the others
+    have order >= n.  c is where m consecutive values first appear: adding
+    m then reaches every later integer."""
+    if m == 1:
+        return 0, 0
+    n = 4 * m
+    while True:
+        monomials = monomials_upto(b.ambient_dim, -(-n // m) - 1)
+        columns, n = _evaluation_columns(b, monomials, n)
+        _, values = rref_rows(_nonzero(columns))
+        for k in range(m - 1, len(values)):
+            if values[k] - values[k - m + 1] == m - 1:
+                return k - m + 1, values[k - m + 1]
+        if n >= b.trunc:
+            raise RaiseTruncation(
+                f"branch conductor not reached below truncation {n}",
+                needed=2 * n)
+        n *= 2
 
 
-def _relative_colength(bi: BranchParam, kernel_polys, nt):
-    """dim span{monomial evals along bi} - dim span{(monomial*h) evals}."""
-    monomials = monomials_upto(bi.ambient_dim, nt)
-    amb_cols, n_used = _evaluation_columns(bi, monomials, nt)
-    amb_rank = _rank_of_columns(amb_cols, n_used)
-    prod_cols = []
-    coords = [s.truncate(n_used) for s in bi.coords]
-    mono_evals = [Series(col) for col in amb_cols]
-    for h in kernel_polys:
-        h_eval = h.eval_series(coords)
-        for mono_eval in mono_evals:
-            prod_cols.append(list((h_eval * mono_eval).coeffs))
-    prod_rank = _rank_of_columns(prod_cols, n_used)
-    return amb_rank - prod_rank
-
-
-def _rank_of_columns(cols, nrows):
-    if not cols:
-        return 0
-    rows = [[col[i] for col in cols] for i in range(nrows)]
-    _, pivots = rref_rows(rows)
-    return len(pivots)
+def _nonzero(rows):
+    return [row for row in rows if any(not scalar_is_zero(x) for x in row)]
 
 
 # -- germ assembly -------------------------------------------------------------------

@@ -5,8 +5,9 @@
     d0res corpus <dir> [--update-golden]
     d0res oracle <file>
 
-Exit codes: 0 success, 1 certificate failure under --strict (or corpus/golden
-mismatch), 2 input error, 3 unsupported field extension.
+Exit codes: 0 success, 1 certificate failure or colength-oracle mismatch
+under --strict (or corpus/golden mismatch), 2 input error, 3 unsupported
+field extension.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def build_parser():
     p_an.add_argument("--truncation", type=int, default=None,
                       help="starting series truncation")
     p_an.add_argument("--strict", action="store_true",
-                      help="exit 1 when any requested certificate fails")
+                      help="exit 1 when any requested certificate fails or a "
+                      "colength row disagrees with l_matrix")
     p_an.add_argument("--format", choices=("json", "text"), default=None,
                       help="override the report format")
     p_an.add_argument("--output", default=None, help="write the report here")

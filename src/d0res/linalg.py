@@ -332,30 +332,3 @@ def eval_poly_at_matrices(f, mats):
                     f"action matrices {i} and {j} do not commute"
                 )
     return f.evaluate(mats, ExactMatrix.identity(n))
-
-
-def eval_series_at_matrix(s, matrix: ExactMatrix):
-    """s(A) for a truncated series s and nilpotent A with A^trunc == 0.
-
-    Exact as long as the nilpotency index of A is at most the truncation of s;
-    the caller is responsible for that precondition (checked cheaply here).
-    The tests compare `modules.jet_pair`'s closed-form jet actions with it.
-    """
-    n = matrix.rows
-    if not matrix.is_square():
-        raise D0resError("series evaluation needs a square matrix")
-    acc = ExactMatrix.zeros(n, n)
-    power = ExactMatrix.identity(n)
-    for k, c in enumerate(s.coeffs):
-        if k > 0:
-            power = power * matrix
-            if power.is_zero():
-                return acc
-        if not scalar_is_zero(c):
-            acc = acc + power.scale(c)
-    if not (power * matrix).is_zero():
-        raise D0resError(
-            "matrix is not nilpotent within the series truncation; "
-            "the evaluation would be inexact"
-        )
-    return acc

@@ -17,7 +17,7 @@ The key constructions:
   and C is zero but for its last row, whose column r-k holds r*s_k
   (k = 1..r; s_0 = 0 as the branch passes through the origin).
   jet_pair writes the actions in this closed form; tests compare it with
-  linalg.eval_series_at_matrix(s, t_m2).
+  the reference eval_series_at_matrix(s, t_m2) in tests/oracles.py.
 * graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
   jet_pair(b, 1).  `pad` appends such blocks to a jet pair's layout.
 * annihilator / support_length: the ideal of polynomials killing a module and

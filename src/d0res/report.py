@@ -615,4 +615,7 @@ def _series_text(pairs, trunc) -> str:
 
 
 def report_passes(report: dict) -> bool:
-    return all(cert["pass"] for cert in report["certificates"])
+    """Every certificate passes and every colength row matches l_matrix."""
+    return (all(cert["pass"] for cert in report["certificates"])
+            and all(row["matches_l_matrix"]
+                    for row in report["oracles"]["colength_crosscheck"]))

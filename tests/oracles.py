@@ -1,0 +1,146 @@
+"""Reference implementations the tests compare the program against.
+
+They compute the same objects as the program by slower, more literal
+routes, and only the tests call them:
+
+* sylvester_resultant_equation: a plane branch's implicit equation by
+  eliminating the parameter, Res_s(x - x(s), y - y(s)), with a
+  fraction-free (Bareiss) determinant over the polynomial ring; the
+  reference for `branches.implicit_equation`.
+* eval_series_at_matrix: s(A) for a truncated series and a nilpotent
+  matrix, power by power; the reference for the closed-form jet actions
+  of `modules.jet_pair`.
+"""
+
+from fractions import Fraction
+
+from d0res.branches import BranchParam
+from d0res.errors import D0resError
+from d0res.fields import scalar_is_zero
+from d0res.linalg import ExactMatrix
+from d0res.poly import Poly, grlex_key
+
+_ZERO = Fraction(0)
+
+
+def _normalize_equation(g: Poly) -> Poly:
+    ydeg = g.degree_in(1)
+    pure = (0, ydeg)
+    lead = g.terms.get(pure)
+    if lead is None or ydeg == 0:
+        lead = g.terms[max(g.terms, key=grlex_key)]
+    inv = 1 / lead if isinstance(lead, Fraction) else lead.inverse()
+    return g.scale(inv)
+
+
+def sylvester_resultant_equation(b: BranchParam) -> Poly:
+    """Implicit equation by literal elimination: Res_s(x - x(s), y - y(s)).
+
+    Only sensible for polynomial parametrizations of small degree; used as an
+    independent cross-check of implicit_equation.
+    """
+    if b.ambient_dim != 2:
+        raise D0resError("resultant elimination is for plane branches")
+    xs, ys = b.coords
+    dx = max((i for i, c in enumerate(xs.coeffs) if not scalar_is_zero(c)), default=0)
+    dy = max((i for i, c in enumerate(ys.coeffs) if not scalar_is_zero(c)), default=0)
+    if dx + dy == 0:
+        raise D0resError("degenerate parametrization")
+    # rows of the Sylvester matrix in s, entries in Poly(x, y)
+    #   P(s) = x - x(s): degree dx,  Q(s) = y - y(s): degree dy
+    def as_s_poly(series, which, deg):
+        coeffs = []
+        for k in range(deg + 1):
+            c = series.coeffs[k] if k < series.trunc else _ZERO
+            poly = Poly.constant(2, -c)
+            if k == 0:
+                poly = poly + Poly.variable(2, which)
+            coeffs.append(poly)
+        return coeffs
+
+    p_coeffs = as_s_poly(xs, 0, dx)
+    q_coeffs = as_s_poly(ys, 1, dy)
+    size = dx + dy
+    rows = []
+    for shift in range(dy):
+        row = [Poly.zero(2)] * size
+        for k, c in enumerate(reversed(p_coeffs)):
+            row[shift + k] = c
+        rows.append(row)
+    for shift in range(dx):
+        row = [Poly.zero(2)] * size
+        for k, c in enumerate(reversed(q_coeffs)):
+            row[shift + k] = c
+        rows.append(row)
+    det = _poly_determinant(rows)
+    return _normalize_equation(det) if not det.is_zero() else det
+
+
+def _poly_determinant(rows):
+    """Fraction-free (Bareiss) determinant over the polynomial ring."""
+    n = len(rows)
+    m = [[p for p in row] for row in rows]
+    sign = 1
+    prev = Poly.constant(2, Fraction(1))
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return Poly.zero(2)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = _poly_div_exact(num, prev)
+            m[i][k] = Poly.zero(2)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def _poly_div_exact(num: Poly, den: Poly) -> Poly:
+    if den.total_degree() == 0:
+        c = den.terms[(0, 0)]
+        inv = 1 / c if isinstance(c, Fraction) else c.inverse()
+        return num.scale(inv)
+    out = {}
+    rem = num
+    den_lead = max(den.terms, key=grlex_key)
+    den_c = den.terms[den_lead]
+    while not rem.is_zero():
+        lead = max(rem.terms, key=grlex_key)
+        exp = tuple(a - b for a, b in zip(lead, den_lead))
+        if any(e < 0 for e in exp):
+            raise D0resError("inexact polynomial division")
+        c = rem.terms[lead] / den_c
+        out[exp] = c
+        rem = rem - den * Poly.monomial(exp, c)
+    return Poly(2, out)
+
+
+def eval_series_at_matrix(s, matrix: ExactMatrix):
+    """s(A) for a truncated series s and nilpotent A with A^trunc == 0.
+
+    Exact as long as the nilpotency index of A is at most the truncation of s;
+    the caller is responsible for that precondition (checked cheaply here).
+    The tests compare `modules.jet_pair`'s closed-form jet actions with it.
+    """
+    n = matrix.rows
+    if not matrix.is_square():
+        raise D0resError("series evaluation needs a square matrix")
+    acc = ExactMatrix.zeros(n, n)
+    power = ExactMatrix.identity(n)
+    for k, c in enumerate(s.coeffs):
+        if k > 0:
+            power = power * matrix
+            if power.is_zero():
+                return acc
+        if not scalar_is_zero(c):
+            acc = acc + power.scale(c)
+    if not (power * matrix).is_zero():
+        raise D0resError(
+            "matrix is not nilpotent within the series truncation; "
+            "the evaluation would be inexact"
+        )
+    return acc

@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from d0res.branches import (
     BranchParam,
@@ -12,13 +16,13 @@ from d0res.branches import (
     implicit_equation,
     intersection_length,
     newton_puiseux,
-    sylvester_resultant_equation,
 )
-from d0res.errors import D0resError
+from d0res.errors import D0resError, RaiseTruncation
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
 
 from conftest import EXPECTED_INVARIANTS
+from oracles import sylvester_resultant_equation
 
 F = Fraction
 
@@ -48,7 +52,10 @@ def test_implicit_equation_matches_resultant_on_polynomial_branches():
     for coords in ([[(2, 1)], [(3, 1)]],
                    [[(1, 1)], [(2, 1)]],
                    [[(2, 1)], [(5, 1)]],
-                   [[(3, 1)], [(4, 1)]]):
+                   [[(3, 1)], [(4, 1)]],
+                   # y - (-2x^2) has order 7: x^m y and x^(m+2) agree
+                   # mod t^(2M) near the top of the window
+                   [[(2, 1)], [(4, -2), (7, 1)]]):
         b = B(*coords, n=24)
         assert implicit_equation(b) == sylvester_resultant_equation(b)
 
@@ -67,10 +74,127 @@ def test_colength_oracle_cross_checks():
         ((B([(1, 1)], []), B([], [(1, 1)])), 1),
         ((B([(1, 1)], [(2, 1)]), B([(1, 1)], [(2, -1)])), 2),
         ((B([(1, 1)], []), B([(1, 1)], [(1, 1)])), 1),
+        # (t^6 + t^7)^2 - t^12 = 2t^13 + t^14: the count runs up to
+        # e + c_0 = 13 + 16; stopping at two equal values gave 12
+        ((B([(4, 1)], [(6, 1), (7, 1)], n=64), B([(2, 1)], [(3, 1)], n=64)),
+         13),
+        # y has order 11 on (t^2, t^11): read below precision 12 it looks
+        # like an equation of that branch, and the count on the y-axis was 1
+        ((B([(2, 1)], [(11, 1)], n=32), B([], [(1, 1)], n=32)), 2),
+        # counted on the y-axis, where it stops at 3, l = 3 still needs the
+        # generator y^3 - x^7 of degree 7; without it the count is 4
+        ((B([], [(1, 1)], n=32), B([(3, 1)], [(7, 1)], n=32)), 3),
     ]
     for (bi, bj), expected in pairs:
+        assert intersection_length(bi, bj) == expected
         assert colength_intersection_length(bi, bj) == expected
         assert colength_intersection_length(bj, bi) == expected
+
+
+def test_space_contact_pair_takes_its_length_from_the_colength():
+    """(t^4, t^6 + t^7, 0) against (t^2, t^3, 0): in space the colength is
+    the only route to l = 13 and r0 = (1 + 13) * lcm(4, 2).  It ran out of
+    memory when the count was redone at every degree."""
+    t0 = time.perf_counter()
+    bi = B([(4, 1)], [(6, 1), (7, 1)], [], n=32)
+    bj = B([(2, 1)], [(3, 1)], [], n=32)
+    germ = germ_invariants([bi, bj])
+    assert germ.l_matrix[0][1] == 13
+    assert germ.r0 == 56
+    # counted on (t^2, t^3), the generators need order 52 on the other
+    with pytest.raises(RaiseTruncation):
+        colength_intersection_length(bj, bi)
+    assert colength_intersection_length(
+        B([(2, 1)], [(3, 1)], [], n=64), B([(4, 1)], [(6, 1), (7, 1)], [], n=64)
+    ) == 13
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"space contact pair took {elapsed:.2f}s (budget 5s)"
+
+
+def test_colength_reads_generators_past_their_degree():
+    """y^4 - x^6 = (y^2 - x^3)(y^2 + x^3), l = 6.  Mod t^6, x^3 and y^2
+    vanish on either branch, but neither lies in its ideal: a degree-3
+    kernel read at that precision holds both, and its count gives 5.  The
+    oracle reads the kernel at a precision set apart from the degree, at
+    every truncation up to the benchmark's rank-14 truncation 224."""
+    f = Poly(2, {(0, 4): F(1), (6, 0): F(-1)})
+    for trunc in (16, 48, 224):
+        bi, bj = newton_puiseux(PlaneCurveInput(f), trunc)
+        for b in (bi, bj):
+            x, y = b.coords
+            assert (x ** 3).truncate(6).is_zero_at_precision()
+            assert (y ** 2).truncate(6).is_zero_at_precision()
+        assert intersection_length(bi, bj) == 6
+        assert colength_intersection_length(bi, bj) == 6
+        assert colength_intersection_length(bj, bi) == 6
+
+
+def test_colength_of_tangent_lines_of_high_contact():
+    """y = +-x^k meet with l = k; k = 20 took 13 s when the count was
+    redone at every degree, within the germ corpus's 5 s budget now."""
+    t0 = time.perf_counter()
+    for k in (10, 15, 20):
+        plus = B([(1, 1)], [(k, 1)], n=4 * k)
+        minus = B([(1, 1)], [(k, -1)], n=4 * k)
+        assert intersection_length(plus, minus) == k
+        assert colength_intersection_length(plus, minus) == k
+        assert colength_intersection_length(minus, plus) == k
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"y = +-x^k took {elapsed:.2f}s (budget 5s)"
+
+
+_COEFF = st.integers(-3, 3).filter(bool).map(F)
+
+
+@st.composite
+def branch_pairs_with_contact(draw):
+    """Two distinct plane branches (t^n, y(t)).  Half the time the second
+    shares the first's x and agrees with its y below a drawn contact
+    exponent, where the coefficients differ."""
+    def y_terms(n):
+        low = 1 if n == 1 else n + 1
+        exps = draw(st.lists(st.integers(low, 12), min_size=1, max_size=3,
+                             unique=True))
+        return {e: draw(_COEFF) for e in exps}
+
+    n = draw(st.sampled_from([1, 2, 3]))
+    ya = y_terms(n)
+    if draw(st.booleans()):
+        kappa = draw(st.integers(min(ya), 12))
+        yb = {e: c for e, c in ya.items() if e < kappa}
+        yb[kappa] = ya.get(kappa, F(0)) + draw(_COEFF)
+        yb.update((e, draw(_COEFF)) for e in draw(
+            st.lists(st.integers(kappa + 1, 13), max_size=2, unique=True)))
+        nb = n
+    else:
+        nb = draw(st.sampled_from([1, 2, 3]))
+        yb = y_terms(nb)
+    yb = {e: c for e, c in yb.items() if c}
+    for m, y in ((n, ya), (nb, yb)):
+        assume(y and gcd(m, *y) == 1)
+    # (t^n, y(-t)) is the same branch for even n
+    assume(not (n == nb and (ya == yb or n % 2 == 0 and yb == {
+        e: (-c if e % 2 else c) for e, c in ya.items()})))
+    return (n, sorted(ya.items())), (nb, sorted(yb.items()))
+
+
+def _escalated(fn, pair):
+    trunc = 32
+    while True:
+        branches = [B([(m, 1)], list(y), n=trunc) for m, y in pair]
+        try:
+            return fn(*branches)
+        except RaiseTruncation:
+            trunc *= 2
+            assert trunc <= 1024
+
+
+@settings(max_examples=40, deadline=None)
+@given(branch_pairs_with_contact())
+def test_colength_matches_series_length(pair):
+    expected = _escalated(intersection_length, pair)
+    assert _escalated(colength_intersection_length, pair) == expected
+    assert _escalated(colength_intersection_length, pair[::-1]) == expected
 
 
 def test_space_branches_use_colength():

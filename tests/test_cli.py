@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from d0res import report as report_module
 from d0res.cli import main
 from d0res.errors import InputError
 from d0res.report import emit_report, parse_report, parse_request, run_analyze
@@ -316,7 +317,7 @@ def test_branches_agreeing_below_truncation_raise_it(tmp_path, capsysbinary):
     report = json.loads(capsysbinary.readouterr().out.decode())
     assert report["germ"]["l_matrix"] == [[None, 5], [5, None]]
     assert report["germ"]["r0"] == 6
-    assert report["truncation"] == 16
+    assert report["truncation"] == 8
     assert all(c["pass"] for c in report["certificates"])
 
 
@@ -404,6 +405,44 @@ def test_oracle_subcommand(capsysbinary):
     assert rc == 0
     assert out["pass"] is True
     assert out["colength_crosscheck"][0]["colength"] == 2
+
+
+def test_oracle_passes_where_contact_outlasts_the_first_repeat(tmp_path,
+                                                              capsysbinary):
+    """(t^4, t^6 + t^7) against (t^2, t^3): l_01 = 13, since
+    (t^6 + t^7)^2 - t^12 = 2t^13 + t^14.  Counting the colength up to
+    e + c_0 = 13 + 16 finds 13; stopping at the first two equal values
+    found 12, and the oracle exited 1 on a correct germ."""
+    path = write_request(tmp_path, "contact13.json", {"curve": {"branches": [
+        {"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]},
+        {"x": [[2, "1"]], "y": [[3, "1"]]}]}})
+    assert main(["oracle", path]) == 0
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    assert out["colength_crosscheck"] == [
+        {"pair": [0, 1], "colength": 13, "matches_l_matrix": True}]
+
+
+def test_strict_fails_on_a_colength_mismatch(tmp_path, monkeypatch,
+                                             capsysbinary):
+    """A colength row that disagrees with l_matrix fails `analyze --strict`
+    and `corpus`, even with every certificate passing."""
+    real = report_module.colength_intersection_length
+    monkeypatch.setattr(report_module, "colength_intersection_length",
+                        lambda bi, bj: real(bi, bj) + 1)
+    path = str(CORPUS / "node.json")
+    assert main(["analyze", path, "--strict"]) == 1
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    assert out["oracles"]["colength_crosscheck"] == [
+        {"pair": [0, 1], "colength": 2, "matches_l_matrix": False}]
+    assert all(c["pass"] for c in out["certificates"])
+    assert main(["analyze", path]) == 0
+    capsysbinary.readouterr()
+    # goldens written under the same oracle: the golden matches, the row fails
+    shutil.copy(path, tmp_path / "node.json")
+    main(["corpus", str(tmp_path), "--update-golden"])
+    capsysbinary.readouterr()
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert "node.json: r0=2 FAIL golden=ok" in capsysbinary.readouterr().out.decode()
 
 
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):

@@ -113,12 +113,12 @@ def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
 
 def test_invariants_are_proven_on_the_first_deciding_lift(invariant_calls):
     """y^2 = x^10 from truncation 4: the branches y = +-x^5 coincide at 4,
-    which proves nothing; 8 decides the invariants, and the certificates'
-    raise to 16 carries them."""
+    which proves nothing; 8 decides the invariants, and neither the
+    certificate at rank 6 nor the colength oracle asks for more."""
     obj = implicit([((0, 2), "1"), ((10, 0), "-1")], [6]) | {"truncation": 4}
     out = report.run_analyze(parse_request(obj))
     assert [args[0][0].trunc for args in invariant_calls] == [4, 8]
-    assert out["truncation"] == 16
+    assert out["truncation"] == 8
     assert out["germ"]["l_matrix"] == [[None, 5], [5, None]]
     assert all(cert["pass"] for cert in out["certificates"])
 

@@ -10,11 +10,11 @@ from d0res.branches import (
     PlaneCurveInput,
     germ_invariants,
     newton_puiseux,
-    sylvester_resultant_equation,
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
 from d0res.verify import certify
+from oracles import sylvester_resultant_equation
 
 F = Fraction
 
@@ -55,6 +55,20 @@ def test_higher_cusp():
     germ = germ_invariants(newton_puiseux(PlaneCurveInput(f), 40))
     assert germ.n == (3,) and germ.r0 == 3
     assert certify(germ, 3).overall and certify(germ, 5).overall
+
+
+def test_branch_close_to_a_polynomial_graph():
+    """x((y + 2x^2)^2 - x^7): the branch (t^2, -2t^4 + t^7) has an equation
+    that no truncation determines uniquely, since x^m y = -2x^(m+2) up to
+    order 2m + 7.  Its free coefficients are immaterial below the equation's
+    precision, so the invariants are proven at the starting truncation; they
+    used to be retried up to the truncation ceiling."""
+    f = Poly(2, {(1, 2): F(1), (3, 1): F(4), (5, 0): F(4), (8, 0): F(-1)})
+    germ = germ_invariants(newton_puiseux(PlaneCurveInput(f), 32))
+    assert germ.n == (2, 1)
+    assert germ.l_matrix[0][1] == 2
+    assert germ.r0 == 6
+    assert certify(germ, 6).overall
 
 
 def test_unit_component_is_ignored():

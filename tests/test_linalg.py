@@ -9,11 +9,11 @@ from d0res.fields import NumberField
 from d0res.linalg import (
     ExactMatrix,
     eval_poly_at_matrices,
-    eval_series_at_matrix,
     solve_exact,
 )
 from d0res.poly import Poly
 from d0res.series import Series
+from oracles import eval_series_at_matrix
 
 F = Fraction
 

@@ -10,7 +10,6 @@ from d0res.fields import FieldElement, NumberField, scalar_is_zero
 from d0res.linalg import (
     ExactMatrix,
     eval_poly_at_matrices,
-    eval_series_at_matrix,
     rref_rows,
 )
 from d0res.modules import (
@@ -30,6 +29,7 @@ from d0res.modules import (
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
 from d0res.verify import family_jet
+from oracles import eval_series_at_matrix
 
 F = Fraction
 

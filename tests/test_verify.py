@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from d0res.errors import D0resError
-from d0res.linalg import eval_poly_at_matrices, eval_series_at_matrix
+from d0res.linalg import eval_poly_at_matrices
 from d0res.modules import (
     AnnihilatorIdeal,
     JetPair,
@@ -32,6 +32,7 @@ from d0res.verify import (
     separates_points,
     separates_tangents,
 )
+from oracles import eval_series_at_matrix
 
 F = Fraction
 
