@@ -354,7 +354,9 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
     The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
     coefficients of f(x(t)) vanish: `rank` rows.  A direct sum is killed iff
     every summand is, so the filler's evaluation rows are stacked below;
-    one copy gives the same kernel as many.
+    one copy gives the same kernel as many.  A 1 x 1 filler (the graph
+    skyscraper) has nilpotent, hence zero, actions: its one functional is
+    f -> f(0), the row [1, 0, ..., 0], written without evaluating.
     """
     if rank < 1:
         raise D0resError("rank must be positive")
@@ -364,7 +366,9 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
     monomials = monomials_upto(b.ambient_dim, degree_bound)
     cols, _ = _evaluation_columns(b, monomials, rank)
     rows = [[col[i] for col in cols] for i in range(rank)]
-    if filler is not None:
+    if filler is not None and filler.dim == 1:
+        rows.append([_ONE] + [_ZERO] * (len(monomials) - 1))
+    elif filler is not None:
         rows.extend(_evaluation_rows(filler, degree_bound)[1])
     return monomials, rows
 

@@ -8,8 +8,12 @@ so that for plane curves (x, y) the pure y-powers lead within a degree.
 Evaluation is written once for every ring: `monomial_values` computes the
 monomials at commuting elements of a ring with memoized products, and
 `Poly.evaluate` sums them with the coefficients.  The rings in use are the
-scalars, truncated series (a polynomial along a branch), action matrices
-(a polynomial acting on a module) and polynomials (a change of origin).
+scalars, action matrices (a polynomial acting on a module) and polynomials
+(a change of origin).  A polynomial along a branch, at truncated series,
+takes the faster path `Poly.eval_series`: Horner in the last variable on
+the integer slot layout of `Series.__mul__` (`series.polynomial_at`), with
+each output coefficient normalized once.  `evaluate` over `Series.one(n)`
+gives the same series and is the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .fields import (
     upoly_sub,
     upoly_trim,
 )
-from .series import Series
+from .series import Series, polynomial_at
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -204,9 +208,12 @@ class Poly:
         return acc
 
     def eval_series(self, coords) -> Series:
-        """f at one Series per variable, at their common truncation."""
-        n = min(s.trunc for s in coords)
-        return self.evaluate([s.truncate(n) for s in coords], Series.one(n))
+        """f at one Series per variable, at their common truncation, on
+        integer vectors (`series.polynomial_at`); equal to `evaluate` at
+        the truncated coords with unit `Series.one(n)`."""
+        if len(coords) != self.nvars:
+            raise D0resError("wrong number of values")
+        return polynomial_at(self.terms, coords)
 
     def translate(self, point):
         """f(x + p): recenter so that `point` moves to the origin."""

@@ -5,6 +5,15 @@ element of K[[t]] known modulo t^trunc.  Every arithmetic result carries the
 minimum truncation of its inputs.  A series whose stored coefficients all
 vanish is only "zero at precision": order() returns None for it and callers
 must decide whether that means zero or insufficient truncation.
+
+Products and polynomial evaluation run on one integer layout, the slots: a
+series mod t^n over QQ(a) becomes one common denominator and one integer
+vector per power of the generator a (`_slots`).  A product is one integer
+convolution (`kernels.iconv`) per pair of slots, and `_from_slots` turns
+slots back into a Series, normalizing each coefficient, and reducing it
+mod m(a), once.  `polynomial_at` evaluates a polynomial at series by Horner
+on slots; it serves `Poly.eval_series` and `Series.compose`.  `invert`
+doubles the precision by Newton's iteration over these products.
 """
 
 from __future__ import annotations
@@ -19,37 +28,123 @@ from .kernels import iconv
 _ZERO = Fraction(0)
 
 
-def _nonzero_terms(coeffs, n):
-    """(field, [(k, parts)]) for the nonzero coeffs[k], k < n: `parts` are
-    the rational coordinates over 1, a, a^2, ...; a Fraction is its own
-    rational part.  `field` is None when no FieldElement occurs."""
+def _slots(coeffs, n):
+    """The slot layout of coeffs[:n]: (field, den, slots, order) with
+    slots[p][k] / den the rational coordinate of a^p t^k, one integer vector
+    per power of the generator a up to the highest the coefficients carry
+    (a Fraction is its own rational part), and `order` the least k with a
+    nonzero coefficient.  `field` is None when no FieldElement occurs.
+    None when coeffs[:n] all vanish."""
     field = None
+    den = 1
     terms = []
     for k, c in enumerate(coeffs[:n]):
         if not c:
             continue
         if isinstance(c, FieldElement):
             field = common_field(field, c.field)
-            terms.append((k, c.coeffs))
+            parts = c.coeffs
         else:
-            terms.append((k, (c,)))
-    return field, terms
-
-
-def _integer_vectors(terms, n):
-    """(den, vectors) with vectors[p][k] / den the coefficient of a^p t^k;
-    one vector per power of a up to the highest that the terms carry."""
-    den = 1
-    for _, parts in terms:
+            parts = (c,)
         for x in parts:
             if x.denominator != 1:
                 den = lcm(den, x.denominator)
-    vectors = [[0] * n for _ in range(max(len(parts) for _, parts in terms))]
+        terms.append((k, parts))
+    if not terms:
+        return None
+    slots = [[0] * n for _ in range(max(len(parts) for _, parts in terms))]
     for k, parts in terms:
         for p, x in enumerate(parts):
             if x:
-                vectors[p][k] = x.numerator * (den // x.denominator)
-    return den, vectors
+                slots[p][k] = x.numerator * (den // x.denominator)
+    return field, den, slots, terms[0][0]
+
+
+def _product(xs, ys, n):
+    """Slots of the product of two slot lists mod t^n, before reduction
+    mod m(a): one `iconv` per pair of slots, added into slot p + q."""
+    out = [[0] * n for _ in range(len(xs) + len(ys) - 1)]
+    for p, x in enumerate(xs):
+        for q, y in enumerate(ys):
+            iconv(x, y, n, out[p + q])
+    return out
+
+
+def _from_slots(field, den, slots):
+    """The Series whose t^k coefficient is sum_p a^p slots[p][k] / den.
+    Each coefficient is normalized, and reduced mod m(a) through
+    `field.element`, once; one with no generator part is a Fraction."""
+    out = [Fraction(x, den) if x else _ZERO for x in slots[0]]
+    for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
+        c = field.element([Fraction(s[k], den) for s in slots])
+        out[k] = c.coeffs[0] if c.is_rational() else c
+    return Series(out)
+
+
+def _horner(terms, operands, n):
+    """(den, slots) of the polynomial with `terms` [(exponent, coefficient)]
+    at `operands` (`_slots` layouts, None for a zero series) mod t^n; None
+    when no term contributes.  Horner in the last variable x: each step
+    multiplies the accumulator by x and adds the next coefficient block,
+    itself evaluated in the other variables.  A block of x^j is multiplied
+    by x^j later, so when x has order o it is only needed mod t^(n - j*o)."""
+    if not terms:
+        return None
+    if not operands:                    # the one term left is a constant
+        return _slots((terms[0][1],), n)[1:3]
+    blocks = {}
+    for e, c in terms:
+        blocks.setdefault(e[-1], []).append((e[:-1], c))
+    rest = operands[:-1]
+    if operands[-1] is None:
+        return _horner(blocks.get(0, ()), rest, n)
+    _, dx, xs, o = operands[-1]
+    top = max(blocks) if not o else min(max(blocks), (n - 1) // o)
+    den, acc = 1, None
+    for j in range(top, -1, -1):
+        m = n - j * o
+        if acc is not None:
+            acc, den = _product(acc, xs, m), den * dx
+        block = _horner(blocks.get(j, ()), rest, m)
+        if block is None:
+            continue
+        if acc is None:
+            den, acc = block
+            continue
+        # scaled add over the least common denominator
+        bden, bslots = block
+        common = lcm(den, bden)
+        if common != den:
+            scale = common // den
+            acc = [[v * scale for v in s] for s in acc]
+        acc += [[0] * m for _ in range(len(bslots) - len(acc))]
+        scale = common // bden
+        for s, b in zip(acc, bslots):
+            for k, v in enumerate(b):
+                if v:
+                    s[k] += v * scale
+        den = common
+    return None if acc is None else (den, acc)
+
+
+def polynomial_at(terms, coords) -> "Series":
+    """f(coords) mod t^n for the polynomial f with `terms` {exponent:
+    coefficient} at one Series per variable, n their least truncation.
+
+    The whole evaluation runs on the slot layout of `Series.__mul__`
+    (`_horner`); only the result is normalized, once per coefficient.
+    """
+    n = min(s.trunc for s in coords)
+    field = None
+    for c in terms.values():
+        if isinstance(c, FieldElement):
+            field = common_field(field, c.field)
+    operands = [_slots(s.coeffs, n) for s in coords]
+    for x in operands:
+        if x is not None:
+            field = common_field(field, x[0])
+    value = _horner(list(terms.items()), operands, n)
+    return Series.zero(n) if value is None else _from_slots(field, *value)
 
 
 class Series:
@@ -149,28 +244,14 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            # Integer convolutions over one common denominator per operand;
-            # each coefficient is normalized, and reduced mod m(a), once.
+            # integer convolutions over one common denominator per operand
             n = min(self.trunc, other.trunc)
-            fa, a = _nonzero_terms(self.coeffs, n)
-            fb, b = _nonzero_terms(other.coeffs, n) if a else (None, a)
-            if not b or a[0][0] + b[0][0] >= n:     # zero at this precision
+            a = _slots(self.coeffs, n)
+            b = _slots(other.coeffs, n) if a else None
+            if b is None or a[3] + b[3] >= n:      # zero at this precision
                 return Series([_ZERO] * n)
-            field = common_field(fa, fb)
-            da, va = _integer_vectors(a, n)
-            db, vb = _integer_vectors(b, n)
-            scale = da * db
-            # slots[s][k]: coefficient of a^s t^k, before reduction mod m(a);
-            # over QQ there is one slot and nothing to reduce
-            slots = [[0] * n for _ in range(len(va) + len(vb) - 1)]
-            for p, x in enumerate(va):
-                for q, y in enumerate(vb):
-                    iconv(x, y, n, slots[p + q])
-            out = [Fraction(x, scale) if x else _ZERO for x in slots[0]]
-            for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
-                c = field.element([Fraction(s[k], scale) for s in slots])
-                out[k] = c.coeffs[0] if c.is_rational() else c
-            return Series(out)
+            field = common_field(a[0], b[0])
+            return _from_slots(field, a[1] * b[1], _product(a[2], b[2], n))
         # scalar multiple; zero coefficients stay as they are
         return Series([c if scalar_is_zero(c) else c * other for c in self.coeffs])
 
@@ -182,37 +263,33 @@ class Series:
         return power(self, n, Series.one(self.trunc))
 
     def compose(self, inner: "Series") -> "Series":
-        """self(inner), requiring ord(inner) >= 1."""
+        """self(inner), requiring ord(inner) >= 1: the polynomial of the
+        coefficients below the common truncation, at inner."""
         o = inner.order()
         if o is not None and o < 1:
             raise D0resError("composition needs an inner series of order >= 1")
         n = min(self.trunc, inner.trunc)
-        result = Series.zero(n)
-        # Horner from the top coefficient down
-        for k in range(n - 1, -1, -1):
-            result = result * inner.truncate(n)
-            c = self.coeffs[k]
-            if not scalar_is_zero(c):
-                result = result + Series.monomial(0, c, n)
-        return result
+        terms = {(k,): c for k, c in enumerate(self.coeffs[:n]) if c}
+        return polynomial_at(terms, [inner.truncate(n)])
 
     def invert(self) -> "Series":
-        """Multiplicative inverse of a unit (ord == 0) series."""
-        o = self.order()
-        if o != 0:
+        """Multiplicative inverse of a unit (ord == 0) series, by Newton
+        doubling (Kung 1974): if b = 1/self mod t^h and k <= 2h, then
+        b * (2 - self * b) = b - b * (self * b - 1) = 1/self mod t^k.  As
+        self * b - 1 = 0 mod t^h, the step leaves b mod t^h as it is.  Only
+        the constant term is inverted as a scalar; the rest is products."""
+        if self.order() != 0:
             raise D0resError("only unit series (order 0) are invertible")
-        n = self.trunc
         a0 = self.coeffs[0]
-        inv0 = 1 / a0 if isinstance(a0, Fraction) else a0.inverse()
-        out = [inv0] + [_ZERO] * (n - 1)
-        for k in range(1, n):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if not scalar_is_zero(aj):
-                    acc = acc + aj * out[k - j]
-            out[k] = -inv0 * acc
-        return Series(out)
+        b = Series([1 / a0 if isinstance(a0, Fraction) else a0.inverse()])
+        h, n = 1, self.trunc
+        while h < n:
+            k = min(2 * h, n)
+            b = Series(b.coeffs, k)
+            e = Series(self.coeffs[:k]) * b
+            c = Series((_ZERO,) + e.coeffs[1:]) * b
+            b, h = Series(b.coeffs[:h] + tuple(-x for x in c.coeffs[h:])), k
+        return b
 
     # -- comparisons / display --------------------------------------------------
 

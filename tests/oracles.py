@@ -10,6 +10,9 @@ routes, and only the tests call them:
 * eval_series_at_matrix: s(A) for a truncated series and a nilpotent
   matrix, power by power; the reference for the closed-form jet actions
   of `modules.jet_pair`.
+* invert_by_recurrence: 1/s for a unit series by the coefficient
+  recurrence b_k = -b_0 * sum_{j=1..k} s_j b_{k-j}; the reference for the
+  Newton doubling of `Series.invert`.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ from d0res.errors import D0resError
 from d0res.fields import scalar_is_zero
 from d0res.linalg import ExactMatrix
 from d0res.poly import Poly, grlex_key
+from d0res.series import Series
 
 _ZERO = Fraction(0)
 
@@ -144,3 +148,20 @@ def eval_series_at_matrix(s, matrix: ExactMatrix):
             "the evaluation would be inexact"
         )
     return acc
+
+
+def invert_by_recurrence(s: Series) -> Series:
+    """1/s for a unit series s, one coefficient at a time:
+    b_k = -b_0 * sum_{j=1..k} s_j b_{k-j}, with b_0 = 1/s_0."""
+    if scalar_is_zero(s.coeffs[0]):
+        raise D0resError("only unit series (order 0) are invertible")
+    a0 = s.coeffs[0]
+    inv0 = 1 / a0 if isinstance(a0, Fraction) else a0.inverse()
+    out = [inv0]
+    for k in range(1, s.trunc):
+        acc = _ZERO
+        for j in range(1, k + 1):
+            if not scalar_is_zero(s.coeffs[j]):
+                acc = acc + s.coeffs[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return Series(out)

@@ -364,6 +364,26 @@ def test_below_critical_reports_match_snapshots(capsysbinary, name, ranks,
             == (DATA / f"{name}_below.{fmt}").read_bytes())
 
 
+@pytest.mark.parametrize("name, poly", [
+    # y^2 + 3/4 x^2 - 7/3 x^3: the two branches live over QQ(sqrt(-3/4))
+    ("conj_node", [[[0, 2], "1"], [[2, 0], "3/4"], [[3, 0], "-7/3"]]),
+    # (y - 8/3 x^2)(y - 8/3 x^2 - 5/4 x^3): contact 3
+    ("tacnode", [[[0, 2], "1"], [[2, 1], "-16/3"], [[3, 1], "-5/4"],
+                 [[4, 0], "64/9"], [[5, 0], "10/3"]]),
+    # y^3 = -3/2 x^5 + 1/4 x^6
+    ("e8", [[[0, 3], "1"], [[5, 0], "3/2"], [[6, 0], "-1/4"]]),
+])
+def test_rational_germ_reports_match_snapshots(tmp_path, capsysbinary, name,
+                                               poly):
+    """Germs with +-p/q coefficients, outside the corpus: their reports,
+    series coefficients over QQ(a) included, are pinned byte for byte."""
+    path = write_request(tmp_path, f"{name}.json",
+                         {"curve": {"implicit": {"poly": poly}}})
+    assert main(["analyze", path]) == 0
+    assert (capsysbinary.readouterr().out
+            == (DATA / f"rational_{name}.json").read_bytes())
+
+
 def test_analyze_output_file(tmp_path, capsysbinary):
     path = write_request(tmp_path, "cusp.json", CUSP_REQUEST)
     out_path = tmp_path / "report.json"

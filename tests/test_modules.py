@@ -15,8 +15,10 @@ from d0res.linalg import (
 from d0res.modules import (
     FiniteModule,
     JetPair,
+    _evaluation_rows,
     annihilator,
     fiber_annihilator,
+    fiber_functionals,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -248,6 +250,18 @@ def test_fiber_annihilator_matches_generic_oracle():
                                        bound + 2))
     with pytest.raises(RaiseTruncation):
         fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
+
+
+def test_skyscraper_filler_row_is_its_evaluation_row(repo_corpus_germs):
+    """The 1 x 1 filler's functional, written as [1, 0, ..., 0], is the row
+    its action matrices give; on every corpus branch, both fields and the
+    space branches included."""
+    for germ in repo_corpus_germs.values():
+        for b in germ.branches:
+            sky, _ = graph_skyscraper(b)
+            for bound in (1, 2, 5):
+                _, rows = fiber_functionals(b, 2, bound, sky)
+                assert rows[2:] == _evaluation_rows(sky, bound)[1]
 
 
 def test_annihilator_rows_are_sparse_in_column_order():

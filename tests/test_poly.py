@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d0res.errors import D0resError
-from d0res.fields import NumberField
+from d0res.fields import FieldElement, NumberField, format_scalar
 from d0res.poly import (
     Poly,
     gcd_bivariate,
@@ -17,6 +17,8 @@ from d0res.poly import (
 from d0res.series import Series
 
 F = Fraction
+GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
+CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
 
 
 def P(d):
@@ -60,6 +62,88 @@ def test_eval_series():
     g = P({(0, 1): 1, (2, 0): -1})  # y - x^2
     t = Series.variable(8)
     assert g.eval_series([t, Series.zero(8)]).order() == 2
+    # coordinates zero at precision keep only the terms free of them
+    h = P({(0, 0): 3, (2, 0): 1, (0, 1): 5, (1, 1): 7})
+    assert h.eval_series([Series.zero(6), Series.zero(9)]) == Series.monomial(0, F(3), 6)
+    assert (h.eval_series([t, Series.zero(8)])
+            == Series.from_pairs([(0, F(3)), (2, F(1))], 8))
+    assert (h.eval_series([Series.zero(8), t])
+            == Series.from_pairs([(0, F(3)), (1, F(5))], 8))
+    assert P({}).eval_series([t, t]) == Series.zero(8)
+    with pytest.raises(D0resError):
+        h.eval_series([t])
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def scalars(draw, field):
+    """A Fraction, or over a field possibly a FieldElement (rational or not)."""
+    if field is None or draw(st.booleans()):
+        return draw(small)
+    return field.element([draw(small) for _ in range(field.degree)])
+
+
+@st.composite
+def coordinates(draw, field, nvars):
+    """Series of differing truncations: dense, sparse from some order on,
+    or zero at precision."""
+    coords = []
+    for _ in range(nvars):
+        n = draw(st.integers(1, 20))
+        coeffs = [F(0)] * n
+        shape = draw(st.sampled_from(("dense", "dense", "sparse", "zero")))
+        start = draw(st.integers(0, 3))
+        if shape == "dense":
+            coeffs[start:] = [draw(scalars(field)) for _ in range(start, n)]
+        elif shape == "sparse":
+            for k in draw(st.sets(st.integers(start, n + 2), max_size=4)):
+                if k < n:
+                    coeffs[k] = draw(scalars(field))
+        coords.append(Series(coeffs))
+    return coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_series_matches_generic_evaluation(data):
+    """eval_series on integer vectors equals Poly.evaluate over Series.one(n)
+    at the truncated coordinates: over QQ, QQ(i) and QQ(cbrt 2) series, and
+    with FieldElement coefficients on rational series."""
+    coeff_field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    series_field = data.draw(st.sampled_from((None, coeff_field)))
+    nvars = data.draw(st.sampled_from((2, 3)))
+    shape = data.draw(st.sampled_from(("zero", "constant") + ("random",) * 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    if shape == "zero":
+        terms = {}
+    elif shape == "constant":
+        terms = {(0,) * nvars: data.draw(scalars(coeff_field))}
+    else:
+        terms = data.draw(st.dictionaries(exponents, scalars(coeff_field),
+                                          max_size=10))
+    f = Poly(nvars, terms)
+    coords = data.draw(coordinates(series_field, nvars))
+    n = min(s.trunc for s in coords)
+    got = f.eval_series(coords)
+    want = f.evaluate([s.truncate(n) for s in coords], Series.one(n))
+    assert got.trunc == n
+    assert got == want
+    assert ([format_scalar(c) for c in got.coeffs]
+            == [format_scalar(c) for c in want.coeffs])
+    # a coefficient with no generator part comes back as a Fraction
+    assert not any(isinstance(c, FieldElement) and c.is_rational() for c in got.coeffs)
+
+
+def test_eval_series_field_blocks_below_rational_ones():
+    """A Horner block over QQ(i) below a rational one widens the slots."""
+    i = GAUSS.gen()
+    f = Poly(2, {(0, 2): F(1), (1, 1): i, (0, 0): 1 + i})     # y^2 + i*x*y + 1 + i
+    x = Series.from_pairs([(1, F(1, 2))], 6)
+    y = Series.from_pairs([(1, F(1)), (2, F(-3))], 6)
+    assert f.eval_series([x, y]) == f.evaluate([x, y], Series.one(6))
+    assert f.eval_series([x, y]).coeffs[:3] == (1 + i, F(0), 1 + i / 2)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 6])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from d0res.errors import D0resError, UnsupportedFieldExtension
 from d0res.fields import FieldElement, NumberField, format_scalar, scalar_is_zero
+from d0res.poly import Poly
 from d0res.series import Series
+from oracles import invert_by_recurrence
 
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -43,6 +46,22 @@ def test_compose_example():
     assert outer.compose(inner) == S([(2, 1), (3, 2)], 4)
     with pytest.raises(D0resError):
         outer.compose(S([(0, 1)], 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_matches_evaluation_at_the_inner_series(data):
+    """compose is the outer coefficients as a polynomial, evaluated at the
+    inner series by the generic evaluator over Series.one(n)."""
+    field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    outer = data.draw(field_series(field, data.draw(st.integers(1, 16))))
+    inner = data.draw(field_series(field, data.draw(st.integers(1, 16))))
+    inner = Series((F(0),) + inner.coeffs[1:])      # order >= 1
+    n = min(outer.trunc, inner.trunc)
+    f = Poly(1, {(k,): c for k, c in enumerate(outer.coeffs[:n])})
+    got = outer.compose(inner)
+    assert got.trunc == n
+    assert got == f.evaluate([inner.truncate(n)], Series.one(n))
 
 
 def test_truncation_propagation():
@@ -143,3 +162,51 @@ def test_product_of_distinct_fields_raises():
         a * b
     with pytest.raises(UnsupportedFieldExtension):
         b * a
+
+
+def _unit(rng, field, n, shape):
+    """A unit series over `field` (QQ when None): dense, sparse, or with a
+    FieldElement constant term."""
+    def scalar():
+        value = F(rng.randint(-9, 9), rng.randint(1, 7))
+        if field is None or rng.random() < 0.3:
+            return value
+        return field.element([F(rng.randint(-9, 9), rng.randint(1, 7))
+                              for _ in range(field.degree)])
+
+    coeffs = [scalar() if shape == "dense" or rng.random() < 0.15 else F(0)
+              for _ in range(n)]
+    coeffs[0] = F(rng.randint(1, 9), rng.randint(1, 7))
+    if field is not None and shape == "field unit":
+        coeffs[0] = field.element([F(1, 3)] + [F(k + 2, 5)
+                                               for k in range(field.degree - 1)])
+    return Series(coeffs)
+
+
+@pytest.mark.parametrize("field", [None, GAUSS, CUBIC], ids=["QQ", "QQ(i)", "QQ(cbrt2)"])
+@pytest.mark.parametrize("shape", ["dense", "sparse", "field unit"])
+def test_invert_matches_coefficient_recurrence(field, shape):
+    """Newton doubling gives the recurrence's inverse at every truncation
+    1..70, coefficient types included (a rational one is a Fraction)."""
+    degree = 1 if field is None else field.degree
+    unit = _unit(random.Random(f"{shape} {degree}"), field, 70, shape)
+    want = invert_by_recurrence(unit)
+    for n in range(1, 71):
+        got = unit.truncate(n).invert()
+        assert got.trunc == n
+        assert got.coeffs == want.coeffs[:n]
+        assert [format_scalar(c) for c in got.coeffs] == [
+            format_scalar(c) for c in want.coeffs[:n]]
+        assert not any(isinstance(c, FieldElement) and c.is_rational()
+                       for c in got.coeffs)
+
+
+def test_invert_inverts_one_scalar(monkeypatch):
+    """Only the constant term goes through FieldElement.inverse."""
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse",
+                        lambda self: calls.append(self) or inverse(self))
+    unit = Series([CUBIC.gen() + 1] + [CUBIC.gen() * k for k in range(1, 40)])
+    assert unit * unit.invert() == Series.one(40)
+    assert len(calls) == 1
