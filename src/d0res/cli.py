@@ -5,9 +5,9 @@
     d0res corpus <dir> [--update-golden]
     d0res oracle <file>
 
-Exit codes: 0 success, 1 certificate failure or colength-oracle mismatch
-under --strict (or corpus/golden mismatch), 2 input error, 3 unsupported
-field extension.
+Exit codes: 0 success, 1 certificate failure, failed push-forward row or
+colength-oracle mismatch under --strict (or corpus/golden mismatch), 2 input
+error, 3 unsupported field extension.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .report import (
     check_ranks,
     check_truncation,
     emit_report,
+    oracles_pass,
     parse_request,
     report_passes,
     run_analyze,
@@ -55,8 +56,9 @@ def build_parser():
     p_an.add_argument("--truncation", type=int, default=None,
                       help="starting series truncation")
     p_an.add_argument("--strict", action="store_true",
-                      help="exit 1 when any requested certificate fails or a "
-                      "colength row disagrees with l_matrix")
+                      help="exit 1 when any requested certificate fails, a "
+                      "push-forward result is false or a colength row "
+                      "disagrees with l_matrix")
     p_an.add_argument("--format", choices=("json", "text"), default=None,
                       help="override the report format")
     p_an.add_argument("--output", default=None, help="write the report here")
@@ -164,12 +166,8 @@ def cmd_oracle(args) -> int:
 
     def stage(germ, ctx, trunc, ranks):
         oracles = _oracle_block(germ, ORACLE_MAX_RANK)
-        checks = [ok for row in oracles["pushforward_restriction"]
-                  for ok in row["results"].values()]
-        checks += [row["matches_l_matrix"]
-                   for row in oracles["colength_crosscheck"]]
         return {"version": __version__, "truncation": trunc, **oracles,
-                "pass": all(checks)}
+                "pass": oracles_pass(oracles)}
 
     out = run_with_escalation(req, stage)
     sys.stdout.write(json.dumps(out, indent=2) + "\n")

@@ -452,8 +452,13 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
     the terms without evaluating anything.  Otherwise a Newton lift doubles
     the precision: knowing y mod x^n, one step gives y mod x^m, m = min(2n,
     trunc), as y - f1(x, y) * g mod x^m.  f1(x, y) vanishes mod x^n, so g
-    = f_y(x, y)^-1 is only needed mod x^(m-n) and is inverted at that
-    precision.  The lift ends with one check that f1(x, y) = 0 mod x^trunc.
+    = f_y(x, y)^-1 is only needed mod x^(m-n).  It is carried from step to
+    step, starting from 1/f_y(0, 0) mod x.  Before every step but the last,
+    m = 2n, so the next step needs g mod x^(m'-n') with m' - n' <= n' =
+    2(m - n): twice the precision g has, at a y unchanged below x^n.  One
+    Newton step g - g * (f_y(x, y) * g - 1) doubles it (see
+    `Series.invert`).  The lift ends with one check that f1(x, y) = 0 mod
+    x^trunc.
     """
     if not scalar_is_zero(f1.coefficient((0, 0))):
         raise D0resError("tail polynomial does not vanish at the origin")
@@ -463,11 +468,14 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
     if all(i >= trunc for (i, j) in f1.terms if j == 0):
         return Series.zero(trunc)
     y, n = Series.zero(1), 1
+    g = Series([fy.coefficient((0, 0))]).invert()
     while n < trunc:
         m = min(2 * n, trunc)
         y = Series(y.coeffs, m)
         val = f1.eval_series([Series.variable(m), y])
-        g = fy.eval_series([Series.variable(m - n), y.truncate(m - n)]).invert()
+        g = Series(g.coeffs, m - n)
+        dfy = fy.eval_series([Series.variable(m - n), y.truncate(m - n)])
+        g = g - g * (dfy * g - Series.one(m - n))
         y, n = y - val * Series(g.coeffs, m), m
     if not f1.eval_series([Series.variable(trunc), y]).is_zero_at_precision():
         raise D0resError("series lift failed to converge")

@@ -615,7 +615,15 @@ def _series_text(pairs, trunc) -> str:
 
 
 def report_passes(report: dict) -> bool:
-    """Every certificate passes and every colength row matches l_matrix."""
+    """Every certificate passes and every oracle check holds."""
     return (all(cert["pass"] for cert in report["certificates"])
+            and oracles_pass(report["oracles"]))
+
+
+def oracles_pass(oracles: dict) -> bool:
+    """Every push-forward/restriction result is true and every colength row
+    matches l_matrix."""
+    return (all(ok for row in oracles["pushforward_restriction"]
+                for ok in row["results"].values())
             and all(row["matches_l_matrix"]
-                    for row in report["oracles"]["colength_crosscheck"]))
+                    for row in oracles["colength_crosscheck"]))

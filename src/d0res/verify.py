@@ -338,8 +338,16 @@ def pushforward_restriction_oracle(b, r: int) -> bool:
     the coordinate actions through the pullbacks: the `fiber_module` the
     certificates use.  Route 2 forms the module on a truncated product
     neighborhood first (quotient by the r-th diagonal power), pushes the
-    coordinate actions forward, and restricts by the first factor at the end.
-    Equality is checked up to a basis permutation.
+    coordinate actions forward, and restricts by the first factor at the end
+    (`_pushforward_actions`).  Equality is checked up to a basis permutation.
+
+    Route 2's quotient is of the box of monomials t1^i t2^j, i <= r and
+    j < 2r + 2, by the span of (t1 - t2)^r * m and t1 * m over its
+    monomials m.  None of that reads the branch: the quotient, its
+    complement basis and the normal form of every box monomial depend on r
+    alone.  So it is eliminated once per rank (`_product_quotient`) and
+    kept in `_PRODUCT_QUOTIENTS`.  Ranks above ORACLE_MAX_RANK are refused
+    before the table is read, so it holds at most ORACLE_MAX_RANK entries.
     """
     if r > ORACLE_MAX_RANK:
         raise D0resError(
@@ -349,77 +357,95 @@ def pushforward_restriction_oracle(b, r: int) -> bool:
                               needed=r + 1)
     # route 1: restrict, then push forward
     route1 = fiber_module(b, r).actions
-
     # route 2: push forward on the product neighborhood, then restrict
+    route2 = _pushforward_actions(b, r)
+    return route2 is not None and _equal_up_to_permutation(
+        [a.data for a in route1], route2)
+
+
+def _pushforward_actions(b, r: int):
+    """Route 2's coordinate actions on the product quotient, as tuples of
+    rows: coordinate s maps the j-th complement monomial m to the normal
+    form of s(t2) * m, the sum over e of s_e * NF(m * t2^e).  The normal
+    form is linear (the quotient's basis is in RREF), so this is the
+    reduction of the whole product.  None when the complement does not
+    have r elements."""
+    forms = _product_quotient(r)
+    if len(forms) != r:
+        return None
+    actions = []
+    for s in b.coords:
+        cols = []
+        for shifts in forms:
+            col = [_ZERO] * r
+            for c, form in zip(s.coeffs, shifts):
+                if scalar_is_zero(c):
+                    continue
+                for i, v in form:
+                    col[i] = col[i] + c * v
+            cols.append(col)
+        actions.append(tuple(zip(*cols)))
+    return actions
+
+
+# rank r -> _product_quotient(r), filled on first use
+_PRODUCT_QUOTIENTS = {}
+
+
+def _product_quotient(r: int):
+    """Route 2's product quotient at rank r, eliminated on first use.
+
+    For each box monomial (bi, bj) that is not a pivot of the RREF (the
+    complement, in column order), the normal forms of (bi, bj + e) for
+    each e with bj + e < 2r + 2, as sparse (complement index, value)
+    pairs.  A pivot monomial reduces to minus its RREF row off the pivots;
+    a complement monomial to itself."""
+    quotient = _PRODUCT_QUOTIENTS.get(r)
+    if quotient is None:
+        quotient = _PRODUCT_QUOTIENTS[r] = _eliminate_product_quotient(r)
+    return quotient
+
+
+def _eliminate_product_quotient(r: int):
     n1, n2 = r + 1, 2 * r + 2
     mons = [(i, j) for i in range(n1) for j in range(n2)]
     index = {m: k for k, m in enumerate(mons)}
-    dim = len(mons)
-
-    def mono_vec(coeff_map):
-        v = [_ZERO] * dim
-        for (i, j), c in coeff_map.items():
-            if i < n1 and j < n2:
-                v[index[(i, j)]] = v[index[(i, j)]] + c
-        return v
-
     # (t1 - t2)^r expansion
-    diag = {}
-    for k in range(r + 1):
-        diag[(k, r - k)] = Fraction((-1) ** (r - k) * comb(r, k))
+    diag = [((k, r - k), Fraction((-1) ** (r - k) * comb(r, k)))
+            for k in range(r + 1)]
     u_rows = []
     for (i, j) in mons:
-        shifted = {(i + a, j + c): v for (a, c), v in diag.items()}
-        u_rows.append(mono_vec(shifted))
-        u_rows.append(mono_vec({(i + 1, j): Fraction(1)}))
-    reduced, pivots = rref_rows([row for row in u_rows
-                                 if any(not scalar_is_zero(x) for x in row)])
-    pivot_set = set(pivots)
-    complement = [k for k in range(dim) if k not in pivot_set]
-    if len(complement) != r:
-        return False
+        shifted = [_ZERO] * len(mons)
+        for (a, c), v in diag:
+            if i + a < n1 and j + c < n2:
+                shifted[index[(i + a, j + c)]] = v
+        u_rows.append(shifted)
+        step = [_ZERO] * len(mons)
+        if i + 1 < n1:
+            step[index[(i + 1, j)]] = Fraction(1)
+        u_rows.append(step)
+    reduced, pivots = rref_rows([row for row in u_rows if any(row)])
+    pivot_row = {p: row for p, row in zip(pivots, reduced)}
+    complement = [k for k in range(len(mons)) if k not in pivot_row]
 
-    def reduce_vec(vec):
-        vec = list(vec)
-        for row_idx, p in enumerate(pivots):
-            c = vec[p]
-            if scalar_is_zero(c):
-                continue
-            row = reduced[row_idx]
-            for k in range(dim):
-                if not scalar_is_zero(row[k]):
-                    vec[k] = vec[k] - c * row[k]
-        return vec
+    def normal_form(k):
+        row = pivot_row.get(k)
+        if row is None:
+            return ((complement.index(k), Fraction(1)),)
+        return tuple((c, -row[k2]) for c, k2 in enumerate(complement) if row[k2])
 
-    route2 = []
-    for s in b.coords:
-        cols = []
-        for basis_k in complement:
-            (bi, bj) = mons[basis_k]
-            prod = {}
-            for e, c in enumerate(s.coeffs[:n2]):
-                if scalar_is_zero(c):
-                    continue
-                prod[(bi, bj + e)] = c
-            vec = reduce_vec(mono_vec(prod))
-            cols.append([vec[k] for k in complement])
-        route2.append(ExactMatrix([[cols[j][i] for j in range(r)]
-                                   for i in range(r)]))
-
-    return _equal_up_to_permutation(route1, route2)
+    return tuple(
+        tuple(normal_form(index[(bi, j)]) for j in range(bj, n2))
+        for bi, bj in (mons[k] for k in complement))
 
 
 def _equal_up_to_permutation(mats_a, mats_b) -> bool:
-    d = mats_a[0].rows
+    """Some basis permutation p reads every matrix of `mats_b` as its
+    partner in `mats_a`: b[p[i]][p[j]] == a[i][j].  Both are row tuples."""
+    d = len(mats_a[0])
     for perm in permutations(range(d)):
-        ok = True
-        for a, m in zip(mats_a, mats_b):
-            permuted = ExactMatrix([[m.data[perm[i]][perm[j]] for j in range(d)]
-                                    for i in range(d)])
-            if permuted != a:
-                ok = False
-                break
-        if ok:
+        if all(a[i] == tuple(m[perm[i]][p] for p in perm)
+               for a, m in zip(mats_a, mats_b) for i in range(d)):
             return True
     return False
 

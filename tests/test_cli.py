@@ -465,6 +465,28 @@ def test_strict_fails_on_a_colength_mismatch(tmp_path, monkeypatch,
     assert "node.json: r0=2 FAIL golden=ok" in capsysbinary.readouterr().out.decode()
 
 
+def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
+                                                 capsysbinary):
+    """A false push-forward/restriction result fails `analyze --strict` and
+    `corpus`, even with every certificate passing."""
+    monkeypatch.setattr(report_module, "pushforward_restriction_oracle",
+                        lambda b, r: False)
+    path = str(CORPUS / "cusp.json")
+    assert main(["analyze", path, "--strict"]) == 1
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    assert out["oracles"]["pushforward_restriction"] == [
+        {"branch": 0, "results": {"1": False, "2": False}}]
+    assert all(c["pass"] for c in out["certificates"])
+    assert main(["analyze", path]) == 0
+    capsysbinary.readouterr()
+    # goldens written under the same oracle: the golden matches, the row fails
+    shutil.copy(path, tmp_path / "cusp.json")
+    main(["corpus", str(tmp_path), "--update-golden"])
+    capsysbinary.readouterr()
+    assert main(["corpus", str(tmp_path)]) == 1
+    assert "cusp.json: r0=2 FAIL golden=ok" in capsysbinary.readouterr().out.decode()
+
+
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):
     """`d0res oracle` runs the report's oracle driver at ranks 1..4: its
     push-forward rows extend the report's, its colength rows are the

@@ -22,6 +22,7 @@ from d0res.puiseux import (
 from d0res.series import Series
 
 from conftest import curve_poly
+from oracles import lift_regular_tail_by_inversion
 
 F = Fraction
 
@@ -267,6 +268,15 @@ def test_lift_matches_coefficientwise_solver(f1, trunc, data):
     assert y.truncate(shorter) == solve_regular_tail(f1, shorter)
 
 
+@settings(max_examples=40, deadline=None)
+@given(regular_tails(), st.sampled_from(LIFT_TRUNCATIONS + (9, 17, 64)))
+def test_carried_inverse_matches_inverting_at_every_step(f1, trunc):
+    """The lift that refines g = 1/f_y(x, y) by one Newton step per step
+    equals the lift that inverts f_y(x, y) from scratch at every step."""
+    assert solve_regular_tail(f1, trunc) == lift_regular_tail_by_inversion(
+        f1, trunc)
+
+
 def test_lift_inverts_at_doubling_precisions(monkeypatch):
     sizes = []
     invert = Series.invert
@@ -280,7 +290,8 @@ def test_lift_inverts_at_doubling_precisions(monkeypatch):
     f1 = Poly(2, {(0, 1): F(1), (0, 3): F(1), (1, 0): F(-1)})
     y = solve_regular_tail(f1, 256)
     assert y.coeffs[:6] == (0, 1, 0, -1, 0, 3)
-    assert sum(sizes) < 2 * 256
+    # only 1/f_y(0, 0) is inverted; each step refines the carried inverse
+    assert sizes == [1]
     sizes.clear()
     decompose({(0, 2): F(1), (3, 0): F(-1)}, trunc=256)   # cusp: tail y = 0
     assert sizes == []

@@ -1,25 +1,37 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import ceil
+from functools import reduce
+from math import ceil, gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from d0res import verify as verify_module
+from d0res.branches import BranchParam
 from d0res.errors import D0resError
-from d0res.linalg import eval_poly_at_matrices
+from d0res.fields import NumberField, scalar_is_zero
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices
 from d0res.modules import (
     AnnihilatorIdeal,
     JetPair,
     annihilator,
     fiber_annihilator,
+    fiber_module,
     jet_pair,
 )
 from d0res.poly import Poly, poly_text
 from d0res.report import _certificate_block, _verdict_block
+from d0res.series import Series
 from d0res.verify import (
     INCONCLUSIVE,
     NOT_SEPARATED,
+    ORACLE_MAX_RANK,
     SEPARATED,
     aggregate_critical_rank,
     _point_witness,
@@ -32,9 +44,10 @@ from d0res.verify import (
     separates_points,
     separates_tangents,
 )
-from oracles import eval_series_at_matrix
+from oracles import eval_series_at_matrix, pushforward_actions_by_elimination
 
 F = Fraction
+REPO = Path(__file__).resolve().parent.parent
 
 def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
                                                      monkeypatch):
@@ -359,6 +372,104 @@ def test_pushforward_restriction_oracle_corpus(corpus_germs):
         for b in germ.branches:
             for r in (1, 2, 3, 4):
                 assert pushforward_restriction_oracle(b, r), (name, r)
+
+
+def _assert_pushforward_matches_elimination(b, r):
+    expected = pushforward_actions_by_elimination(b, r)
+    assert expected is not None
+    actions = verify_module._pushforward_actions(b, r)
+    assert [ExactMatrix(a) for a in actions] == expected
+
+
+def test_pushforward_table_matches_per_branch_elimination(repo_corpus_germs):
+    """Route 2 read off the per-rank table equals route 2 eliminated afresh
+    for each branch, on every corpus branch, both extension fields and the
+    space branches included."""
+    extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
+    assert extension_and_space <= set(repo_corpus_germs)
+    for name, germ in repo_corpus_germs.items():
+        for b in germ.branches:
+            for r in range(1, ORACLE_MAX_RANK + 1):
+                _assert_pushforward_matches_elimination(b, r)
+                assert pushforward_restriction_oracle(b, r), (name, r)
+    assert set(verify_module._PRODUCT_QUOTIENTS) <= set(
+        range(1, ORACLE_MAX_RANK + 1))
+
+
+ORACLE_GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
+ORACLE_CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
+
+
+@st.composite
+def oracle_branches(draw):
+    """Branches over QQ, QQ(i) or QQ(2^(1/3)) with sparse coordinates of
+    order >= 1 at truncation 5..9; non-primitive draws are skipped."""
+    field = draw(st.sampled_from([None, ORACLE_GAUSS, ORACLE_CUBIC]))
+    small = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=3))
+    if field is None:
+        scalar = small
+    else:
+        scalar = st.lists(small, min_size=field.degree,
+                          max_size=field.degree).map(field.element)
+    trunc = draw(st.integers(ORACLE_MAX_RANK + 1, 9))
+    coords = tuple(
+        Series([F(0)] + [draw(scalar) for _ in range(trunc - 1)])
+        for _ in range(draw(st.integers(2, 3))))
+    exps = [e for s in coords for e, c in enumerate(s.coeffs)
+            if not scalar_is_zero(c)]
+    assume(reduce(gcd, exps, 0) in (0, 1))
+    return BranchParam(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_branches(), st.integers(1, ORACLE_MAX_RANK))
+def test_pushforward_table_matches_elimination_on_random_branches(b, r):
+    _assert_pushforward_matches_elimination(b, r)
+    assert pushforward_restriction_oracle(b, r)
+
+
+def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
+                                                      monkeypatch):
+    """Route 1 replaced by a valid module of another branch, x doubled:
+    the oracle must see that route 2 disagrees."""
+    b = corpus_germs["node"].branches[0]
+    x, *rest = b.coords
+    other = BranchParam((x * F(2), *rest))
+    assert pushforward_restriction_oracle(b, 3)
+    monkeypatch.setattr(verify_module, "fiber_module",
+                        lambda branch, r: fiber_module(other, r))
+    assert not pushforward_restriction_oracle(b, 3)
+
+
+def test_pushforward_oracle_eliminates_once_per_rank(corpus_germs,
+                                                     monkeypatch):
+    calls = []
+    rref = verify_module.rref_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(verify_module, "_PRODUCT_QUOTIENTS", {})
+    monkeypatch.setattr(verify_module, "rref_rows", counted)
+    for germ in corpus_germs.values():
+        for b in germ.branches:
+            assert pushforward_restriction_oracle(b, 3)
+    assert len(calls) == 1
+    assert list(verify_module._PRODUCT_QUOTIENTS) == [3]
+
+
+def test_import_leaves_the_product_quotient_table_empty():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import d0res, d0res.cli; print(len(d0res.verify._PRODUCT_QUOTIENTS))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_exploratory_tangents_only_separated_or_inconclusive(corpus_germs):
