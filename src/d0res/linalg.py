@@ -62,15 +62,34 @@ class ExactMatrix:
         out = [[_ZERO] * total_c for _ in range(total_r)]
         r0 = c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                row = out[r0 + i]
-                for j in range(b.cols):
-                    row[c0 + j] = b.data[i][j]
+            for i, brow in enumerate(b.data):
+                out[r0 + i][c0:c0 + b.cols] = brow
             r0 += b.rows
             c0 += b.cols
         if all(b.rational for b in blocks):
             return cls._of_fractions(out)
         return cls(out)
+
+    def is_block_diag(self, *blocks):
+        """Whether this is block_diag(*blocks) of square blocks, compared one
+        row slice at a time.  A matrix that block_diag built shares its
+        entries and its zeros, so each comparison is by identity."""
+        size = sum(b.rows for b in blocks)
+        if (self.rows, self.cols) != (size, size):
+            return False
+        zeros = (_ZERO,) * size
+        rows = iter(self.data)
+        start = 0
+        for b in blocks:
+            if not b.is_square():
+                return False
+            end = start + b.rows
+            for inner, row in zip(b.data, rows):
+                if (row[start:end] != inner or row[:start] != zeros[:start]
+                        or row[end:] != zeros[end:]):
+                    return False
+            start = end
+        return True
 
     # -- basics ---------------------------------------------------------------
 

@@ -20,6 +20,20 @@ The key constructions:
   the reference eval_series_at_matrix(s, t_m2) in tests/oracles.py.
 * graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
   jet_pair(b, 1).  `pad` appends such blocks to a jet pair's layout.
+* pad(base, filler, copies): the direct sum, which keeps base and filler as
+  its `summands`, (summand, copies) runs, and is validated from them.
+  Block-diagonal matrices add and multiply block by block.  So the sum's
+  actions commute iff each summand's do, and a power of an action is zero
+  iff it is zero on every block: the sum is nilpotent iff each summand is.
+  A padded jet's (tops, bottoms) frame is its summands' frames laid end to
+  end, so its actions read [[A, 0], [C, A]] iff each summand's do.  Each
+  summand was validated when it was built, so validating the sum only
+  checks the layout: every action is the block-diagonal sum of the
+  summands' (`ExactMatrix.is_block_diag`, row slice by row slice), the
+  dims add up, and a jet's blocks, m1 and m2 are its summands'.  The
+  public constructors, given no summands, check the dense matrices.  For
+  the same reason `action_power` raises each distinct summand's block
+  once and assembles the powers.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
@@ -36,7 +50,7 @@ The key constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branches import BranchParam, _evaluation_columns
@@ -58,15 +72,24 @@ class FiniteModule:
     each is nilpotent.  A strictly lower-triangular action is nilpotent, as
     every fiber, jet and padded action built here is; any other action is
     raised to the power dim.
+
+    A direct sum built by `pad` also keeps its `summands`, (module, copies)
+    runs in block order, and is validated from them instead (see the
+    module docstring): its actions must be the block-diagonal sums of
+    theirs, and each summand was validated when it was built.
     """
 
     dim: int
     actions: tuple
+    summands: tuple = field(default=(), compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         for a in self.actions:
             if not a.is_square() or a.rows != self.dim:
                 raise D0resError("action matrices must be square of the module dim")
+        if self.summands:
+            self._check_summands()
+            return
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
                 if not commute(self.actions[i], self.actions[j]):
@@ -74,6 +97,18 @@ class FiniteModule:
         for a in self.actions:
             if not a.is_strictly_lower() and not (a ** self.dim).is_zero():
                 raise NotNilpotent("action is not nilpotent: support is not punctual")
+
+    def _check_summands(self):
+        _check_runs(self.summands, FiniteModule)
+        if any(s.ambient_dim != self.ambient_dim for s, _ in self.summands):
+            raise D0resError("ambient dimension mismatch in padding")
+        if sum(s.dim * copies for s, copies in self.summands) != self.dim:
+            raise D0resError("summand dims must sum to the module dim")
+        for k, a in enumerate(self.actions):
+            if not a.is_block_diag(*_blocks([(s.actions[k], c)
+                                             for s, c in self.summands])):
+                raise D0resError("a direct sum's actions must be the "
+                                 "block-diagonal sums of its summands'")
 
     @property
     def ambient_dim(self):
@@ -93,6 +128,11 @@ class JetPair:
     the bottoms and `proj` reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
     by construction.  The actions respect this frame iff each reads
     [[A, 0], [C, A]] on (tops, bottoms), A its M1 counterpart.
+
+    A padded jet pair built by `pad` keeps its `summands`, (jet pair,
+    copies) runs, and is validated from them: its `m1` and `m2` are the
+    direct sums of theirs, its uniformizer actions the block-diagonal sums
+    of theirs, and its blocks their blocks in order.
     """
 
     m1: FiniteModule
@@ -100,6 +140,7 @@ class JetPair:
     t_m1: ExactMatrix
     t_m2: ExactMatrix
     blocks: tuple
+    summands: tuple = field(default=(), compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if any(k < 1 for k in self.blocks) or sum(self.blocks) != self.m1.dim:
@@ -108,10 +149,30 @@ class JetPair:
             raise D0resError("jet must have twice the fiber dimension")
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
+        if self.summands:
+            self._check_summands()
+            return
         tops, bottoms = self._frame()
         for a2, a1 in zip(self.m2.actions, self.m1.actions):
             _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
         _check_jet_shape(self.t_m2, self.t_m1, tops, bottoms, "uniformizer action")
+
+    def _check_summands(self):
+        runs = self.summands
+        _check_runs(runs, JetPair)
+        if self.blocks != tuple(k for s, c in runs for k in s.blocks * c):
+            raise D0resError("jet blocks must be the summands' blocks in order")
+        for part in ("m1", "m2"):
+            parts = getattr(self, part).summands
+            if len(parts) != len(runs) or any(
+                    p is not getattr(s, part) or pc != c
+                    for (p, pc), (s, c) in zip(parts, runs)):
+                raise D0resError(f"a padded jet's {part} must be the direct "
+                                 f"sum of its summands' {part}")
+        if not (self.t_m1.is_block_diag(*_blocks([(s.t_m1, c) for s, c in runs]))
+                and self.t_m2.is_block_diag(*_blocks([(s.t_m2, c) for s, c in runs]))):
+            raise D0resError("a padded jet's uniformizer actions must be the "
+                             "block-diagonal sums of its summands'")
 
     @property
     def rank(self):
@@ -221,9 +282,38 @@ def graph_skyscraper(b: BranchParam):
     return fiber_module(b, 1), jet_pair(b, 1)
 
 
+def _check_runs(runs, kind):
+    """Direct-sum runs are (validated `kind`, copies >= 1) pairs."""
+    if any(not isinstance(s, kind) or not isinstance(c, int) or c < 1
+           for s, c in runs):
+        raise D0resError(f"direct summands must be {kind.__name__}s "
+                         f"with positive copy counts")
+
+
+def _blocks(runs):
+    """The blocks of the (block, copies) `runs`, each repeated in order."""
+    return [b for b, c in runs for _ in range(c)]
+
+
+def _block_sum(runs):
+    """The block-diagonal sum of the (block, copies) `runs`."""
+    return ExactMatrix.block_diag(*_blocks(runs))
+
+
+def _direct_sum(runs):
+    """The FiniteModule direct sum of the (module, copies) `runs`."""
+    ambient = runs[0][0].ambient_dim
+    actions = tuple(_block_sum([(s.actions[k], c) for s, c in runs])
+                    for k in range(ambient))
+    return FiniteModule(sum(s.dim * c for s, c in runs), actions,
+                        summands=tuple(runs))
+
+
 def pad(base, filler, copies: int):
     """Block-diagonal direct sum of `base` with `copies` copies of `filler`;
-    a jet pair's block layout grows by the filler's, `copies` times."""
+    a jet pair's block layout grows by the filler's, `copies` times.  The
+    result keeps base and filler as its summands and is validated from
+    them."""
     if copies < 0:
         raise D0resError("copies must be non-negative")
     if isinstance(base, FiniteModule) and isinstance(filler, FiniteModule):
@@ -231,20 +321,31 @@ def pad(base, filler, copies: int):
             raise D0resError("ambient dimension mismatch in padding")
         if copies == 0:
             return base
-        actions = []
-        for k in range(base.ambient_dim):
-            blocks = [base.actions[k]] + [filler.actions[k]] * copies
-            actions.append(ExactMatrix.block_diag(*blocks))
-        return FiniteModule(base.dim + copies * filler.dim, tuple(actions))
+        return _direct_sum(((base, 1), (filler, copies)))
     if isinstance(base, JetPair) and isinstance(filler, JetPair):
-        m1 = pad(base.m1, filler.m1, copies)    # checks the ambient dims
+        if base.m1.ambient_dim != filler.m1.ambient_dim:
+            raise D0resError("ambient dimension mismatch in padding")
         if copies == 0:
             return base
-        m2 = pad(base.m2, filler.m2, copies)
-        t1 = ExactMatrix.block_diag(base.t_m1, *([filler.t_m1] * copies))
-        t2 = ExactMatrix.block_diag(base.t_m2, *([filler.t_m2] * copies))
-        return JetPair(m1, m2, t1, t2, base.blocks + filler.blocks * copies)
+        runs = ((base, 1), (filler, copies))
+        return JetPair(
+            _direct_sum([(s.m1, c) for s, c in runs]),
+            _direct_sum([(s.m2, c) for s, c in runs]),
+            _block_sum([(s.t_m1, c) for s, c in runs]),
+            _block_sum([(s.t_m2, c) for s, c in runs]),
+            base.blocks + filler.blocks * copies,
+            summands=runs)
     raise D0resError("pad needs two modules or two jet pairs")
+
+
+def action_power(module: FiniteModule, coord: int, exponent: int) -> ExactMatrix:
+    """The action of coordinate `coord` raised to `exponent`.  Block-diagonal
+    matrices multiply block by block, so a direct sum raises each distinct
+    summand's block once and assembles the powers."""
+    if not module.summands:
+        return module.actions[coord] ** exponent
+    return _block_sum([(action_power(s, coord, exponent), c)
+                       for s, c in module.summands])
 
 
 # -- annihilators and lengths ------------------------------------------------------
@@ -312,9 +413,16 @@ def kernel_echelon(rows, ncols):
     return basis
 
 
-def _ideal(degree_bound, monomials, rows):
-    """The AnnihilatorIdeal cut out by the evaluation functionals `rows`."""
-    basis = kernel_echelon(rows, len(monomials))
+def functional_ideal(degree_bound, monomials, rows) -> AnnihilatorIdeal:
+    """The AnnihilatorIdeal at `degree_bound` cut out by the evaluation
+    functionals `rows` on the graded `monomials`.  These may run past the
+    bound: `monomials_upto` is graded, so the monomials of degree <= bound
+    are a prefix, and only its columns are read."""
+    width = sum(1 for m in monomials if sum(m) <= degree_bound)
+    if len(monomials) > width:
+        monomials = monomials[:width]
+        rows = [row[:width] for row in rows]
+    basis = kernel_echelon(rows, width)
     return AnnihilatorIdeal(degree_bound, tuple(monomials),
                             tuple(tuple(sorted(row.items())) for row in basis))
 
@@ -342,7 +450,7 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
     if degree_bound < module.dim:
         raise D0resError("annihilator degree bound below module dimension")
     monomials, rows = _evaluation_rows(module, degree_bound)
-    return _ideal(degree_bound, monomials, rows)
+    return functional_ideal(degree_bound, monomials, rows)
 
 
 def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
@@ -377,7 +485,8 @@ def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
                       filler: FiniteModule = None) -> AnnihilatorIdeal:
     """Annihilator of fiber_module(b, rank), or of its direct sum with one or
     more copies of `filler`, from series coefficients (`fiber_functionals`)."""
-    return _ideal(degree_bound, *fiber_functionals(b, rank, degree_bound, filler))
+    return functional_ideal(degree_bound,
+                            *fiber_functionals(b, rank, degree_bound, filler))
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

@@ -18,9 +18,15 @@ is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
 evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
 cyclic module iff it kills the generator, and on a direct sum iff it does
 on each summand; one pivot count at degree r + 1 checks that r suffices.
-The action matrices still give the independent checks: every witness is
-re-verified on the members' fibers, and the padding check compares each
-member's ideal with the generic annihilator of a fresh bare rank-r0 fiber.
+The functionals are evaluated once, at r + 1, and the ideal at r is read
+off their columns of degree <= r.  The action matrices still give the
+independent checks.  Every witness is re-verified on the action matrices
+of the member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
+polynomial kills a direct sum iff it kills each summand.  The padding
+check compares each member's ideal with the generic annihilator of a
+fresh bare rank-r0 fiber.  The tangent test raises the test coordinate's
+action on each distinct summand once and assembles the powers
+(`modules.action_power`).
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -41,10 +47,11 @@ from .linalg import ExactMatrix, rref_rows
 from .modules import (
     AnnihilatorIdeal,
     JetPair,
+    action_power,
     annihilator,
-    fiber_annihilator,
     fiber_functionals,
     fiber_module,
+    functional_ideal,
     graph_skyscraper,
     jet_pair,
     pad,
@@ -122,9 +129,11 @@ def _stable_annihilator(b, rank: int, bound: int,
                         filler=None) -> AnnihilatorIdeal:
     """modules.fiber_annihilator at degree `bound`, checked to have
     stabilized: the functionals at bound + 1 have rank equal to its quotient
-    dimension, so no monomial of degree bound + 1 adds to the quotient."""
-    ideal = fiber_annihilator(b, rank, bound, filler)
-    _, rows = fiber_functionals(b, rank, bound + 1, filler)
+    dimension, so no monomial of degree bound + 1 adds to the quotient.
+    The functionals are evaluated once, at bound + 1; `functional_ideal`
+    reads the ideal at `bound` off their columns of degree <= bound."""
+    monomials, rows = fiber_functionals(b, rank, bound + 1, filler)
+    ideal = functional_ideal(bound, monomials, rows)
     if len(rref_rows(rows)[1]) != ideal.quotient_dim:
         raise D0resError(f"annihilator not stabilized at degree {bound}")
     return ideal
@@ -192,7 +201,10 @@ def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
 
 
 def _kills(g, fiber):
-    """g acts as zero on the module `fiber` (its actions commute)."""
+    """g acts as zero on the module `fiber` (its actions commute).  A direct
+    sum is killed iff every summand is, so each distinct one is checked."""
+    if fiber.summands:
+        return all(_kills(g, s) for s, _ in fiber.summands)
     return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
 
 
@@ -226,8 +238,8 @@ def _tangent_verdicts(germ: Germ, r: int, jets):
                 )
         else:
             exponent = ceil(r / n)
-        f1 = jet.m1.actions[coord] ** exponent
-        f2 = jet.m2.actions[coord] ** exponent
+        f1 = action_power(jet.m1, coord, exponent)
+        f2 = action_power(jet.m2, coord, exponent)
         if f1.is_zero() and not f2.is_zero():
             verdicts.append(SeparationVerdict(
                 kind="tangents", subject=(i,), result=SEPARATED,

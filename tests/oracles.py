@@ -19,6 +19,10 @@ routes, and only the tests call them:
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
+* check_module_dense / check_jet_dense: module and jet-pair validation on
+  the dense matrices, pairwise commutators, the dim-th power of every
+  action and the [[A, 0], [C, A]] frame entry by entry; the reference for
+  the summand validation of the direct sums `modules.pad` builds.
 """
 
 from fractions import Fraction
@@ -245,3 +249,44 @@ def lift_regular_tail_by_inversion(f1, trunc) -> Series:
         g = fy.eval_series([Series.variable(m - n), y.truncate(m - n)]).invert()
         y, n = y - val * Series(g.coeffs, m), m
     return Series(y.coeffs, trunc)
+
+
+def check_module_dense(module):
+    """Raise D0resError unless the dense actions are square of the module
+    dim, commute pairwise (by their products) and are nilpotent (by their
+    dim-th powers, with no triangularity shortcut)."""
+    acts = module.actions
+    if any(not a.is_square() or a.rows != module.dim for a in acts):
+        raise D0resError("action matrices must be square of the module dim")
+    for i in range(len(acts)):
+        for j in range(i + 1, len(acts)):
+            if acts[i] * acts[j] != acts[j] * acts[i]:
+                raise D0resError("coordinate actions must commute")
+    for a in acts:
+        if not (a ** module.dim).is_zero():
+            raise D0resError("action is not nilpotent")
+
+
+def check_jet_dense(jet):
+    """Raise D0resError unless both modules pass `check_module_dense` and
+    every M2 action, the uniformizer's included, reads [[A, 0], [C, A]] on
+    the (tops, bottoms) of the jet's blocks, A its M1 counterpart, entry by
+    entry."""
+    check_module_dense(jet.m1)
+    check_module_dense(jet.m2)
+    if sum(jet.blocks) != jet.m1.dim or jet.m2.dim != 2 * jet.m1.dim:
+        raise D0resError("jet blocks do not fit the module dims")
+    tops, bottoms, start = [], [], 0
+    for k in jet.blocks:
+        tops += range(start, start + k)
+        bottoms += range(start + k, start + 2 * k)
+        start += 2 * k
+    pairs = list(zip(jet.m2.actions, jet.m1.actions)) + [(jet.t_m2, jet.t_m1)]
+    for a2, a1 in pairs:
+        if (a1.rows, a2.rows) != (len(tops), 2 * len(tops)):
+            raise D0resError("action has the wrong shape for the jet frame")
+        for i, (ti, bi) in enumerate(zip(tops, bottoms)):
+            for j, (tj, bj) in enumerate(zip(tops, bottoms)):
+                if (not scalar_is_zero(a2[ti, bj]) or a2[ti, tj] != a1[i, j]
+                        or a2[bi, bj] != a1[i, j]):
+                    raise D0resError("action is off the jet frame")

@@ -91,6 +91,20 @@ def test_certificates_at_rank_64(corpus_germs):
     _pass(f"rank-64 certificates: cusp and e6 pass in {elapsed:.2f}s")
 
 
+def test_certificates_at_rank_128(corpus_germs):
+    """cusp and e6 certify at r = 128 (126 and 125 skyscraper copies on top
+    of the critical-rank fiber), within the certificate suite's 30 s
+    budget."""
+    t0 = time.perf_counter()
+    for name in ("cusp", "e6"):
+        cert = certify(corpus_germs[name], 128)
+        assert cert.overall and cert.padding_support_ok, name
+        assert cert.padding["copies"] == 128 - corpus_germs[name].r0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"rank-128 certificates took {elapsed:.2f}s (budget 30s)"
+    _pass(f"rank-128 certificates: cusp and e6 pass in {elapsed:.2f}s")
+
+
 def test_jet_nilpotency_jump():
     """Uniformizer nilpotency on the jet pair: index r on the fiber, r+1 on
     the jet, for r = 2..8; exact."""

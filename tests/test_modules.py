@@ -31,7 +31,7 @@ from d0res.modules import (
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
 from d0res.verify import family_jet
-from oracles import eval_series_at_matrix
+from oracles import check_jet_dense, check_module_dense, eval_series_at_matrix
 
 F = Fraction
 
@@ -172,6 +172,99 @@ def test_pad_examples():
     assert jp.incl * jp.proj == jp.eps
     with pytest.raises(D0resError):
         pad(base, fiber_module(B([(1, 1)], [], [], n=8), 1), 1)
+
+
+def test_pad_builds_a_direct_sum_of_its_summands():
+    """`pad` keeps base and filler as (summand, copies) runs; the sum's
+    dense matrices pass the dense reference and equal those of a module
+    built from the same actions by the public, dense constructor."""
+    sky, sky_jet = graph_skyscraper(NODE1)
+    base = fiber_module(NODE1, 2)
+    padded = pad(base, sky, 3)
+    assert padded.summands == ((base, 1), (sky, 3))
+    assert padded == FiniteModule(5, padded.actions)
+    check_module_dense(padded)
+    jet = pad(jet_pair(NODE1, 2), sky_jet, 3)
+    assert [s for s, _ in jet.summands] == [jet_pair(NODE1, 2), sky_jet]
+    assert jet.m1.summands[1] == (sky_jet.m1, 3)
+    assert jet.m2.summands[1] == (sky_jet.m2, 3)
+    check_jet_dense(jet)
+    assert jet.m2.actions[0] == ExactMatrix.block_diag(
+        jet_pair(NODE1, 2).m2.actions[0], *[sky_jet.m2.actions[0]] * 3)
+
+
+def test_pad_rejects_mismatched_ambient_dimensions():
+    space = B([(1, 1)], [], [], n=8)
+    with pytest.raises(D0resError, match="ambient dimension"):
+        pad(fiber_module(NODE1, 2), graph_skyscraper(space)[0], 1)
+    with pytest.raises(D0resError, match="ambient dimension"):
+        pad(jet_pair(NODE1, 2), graph_skyscraper(space)[1], 1)
+    with pytest.raises(D0resError, match="two modules or two jet pairs"):
+        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[0], 1)
+
+
+def test_a_bad_filler_is_refused_when_built():
+    """A filler whose actions are not nilpotent, or do not commute, never
+    exists to be padded: the dense constructor refuses it."""
+    with pytest.raises(NotNilpotent):
+        FiniteModule(1, (M([[1]]), M([[0]])))
+    with pytest.raises(D0resError, match="commute"):
+        FiniteModule(2, (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])))
+
+
+PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1)[0], 2)
+
+
+@pytest.mark.parametrize("actions, summands", [
+    # an entry off the blocks, inside a block, and on a block's diagonal
+    ((_bumped(PADDED.actions[0], 0, 3), PADDED.actions[1]), PADDED.summands),
+    ((_bumped(PADDED.actions[0], 1, 1), PADDED.actions[1]), PADDED.summands),
+    ((PADDED.actions[0], _bumped(PADDED.actions[1], 3, 3)), PADDED.summands),
+    # summands that do not make up the module
+    (PADDED.actions, PADDED.summands[:1]),
+    (PADDED.actions, (PADDED.summands[0], (PADDED.summands[1][0], 3))),
+    (PADDED.actions, (PADDED.summands[0], (PADDED.summands[1][0], 0))),
+    (PADDED.actions, ((PADDED.actions[0], 1), PADDED.summands[1])),
+    (PADDED.actions, (PADDED.summands[0],
+                      (graph_skyscraper(B([(1, 1)], [], [], n=8))[0], 2))),
+])
+def test_a_direct_sum_must_be_its_summands(actions, summands):
+    """No call builds a direct sum whose actions differ from the block sums
+    of its summands', or whose summands do not fill it."""
+    assert FiniteModule(PADDED.dim, PADDED.actions,
+                        summands=PADDED.summands) == PADDED
+    with pytest.raises(D0resError, match="summand|direct sum|ambient"):
+        FiniteModule(PADDED.dim, actions, summands=summands)
+
+
+def test_a_padded_jet_must_be_its_summands():
+    """A padded jet pair's m1, m2, uniformizers and blocks must be the
+    direct sums of its summands'; the dense frame check is not run, so
+    each of these is what stops a jet that lies about its summands."""
+    jet = CUSP_PADDED
+    assert JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks,
+                   summands=jet.summands) == jet
+    other = pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[1], 2)
+    bad = [
+        (jet.m1, jet.m2, jet.t_m1, _bumped(jet.t_m2, 7, 5), jet.blocks),
+        (jet.m1, jet.m2, _bumped(jet.t_m1, 3, 2), jet.t_m2, jet.blocks),
+        (other.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks),
+        (jet.m1, other.m2, jet.t_m1, jet.t_m2, jet.blocks),
+        (FiniteModule(4, jet.m1.actions), jet.m2, jet.t_m1, jet.t_m2,
+         jet.blocks),
+        (jet.m1, jet.m2, jet.t_m1, jet.t_m2, (1, 1, 2)),
+    ]
+    for fields in bad:
+        with pytest.raises(D0resError):
+            JetPair(*fields, summands=jet.summands)
+    with pytest.raises(D0resError):
+        JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks,
+                summands=((jet.summands[0][0], 1),))
+    # a bottom mapped into the tops inside the first skyscraper's block:
+    # off the frame, and not the skyscraper's action
+    x2 = _bumped(jet.m2.actions[0], 4, 5)
+    with pytest.raises(D0resError, match="block-diagonal sums"):
+        FiniteModule(8, (x2,) + jet.m2.actions[1:], summands=jet.m2.summands)
 
 
 def test_annihilator_examples():

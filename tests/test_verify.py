@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import random
 import subprocess
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from d0res import verify as verify_module
 from d0res.branches import BranchParam
 from d0res.errors import D0resError
-from d0res.fields import NumberField, scalar_is_zero
+from d0res.fields import NumberField, format_scalar, scalar_is_zero
 from d0res.linalg import ExactMatrix, eval_poly_at_matrices
 from d0res.modules import (
     AnnihilatorIdeal,
     JetPair,
+    FiniteModule,
+    action_power,
     annihilator,
     fiber_annihilator,
     fiber_module,
@@ -34,8 +37,10 @@ from d0res.verify import (
     ORACLE_MAX_RANK,
     SEPARATED,
     aggregate_critical_rank,
+    _kills,
     _point_witness,
     _stable_annihilator,
+    _test_coordinate,
     certify,
     family_annihilator,
     family_jet,
@@ -44,7 +49,11 @@ from d0res.verify import (
     separates_points,
     separates_tangents,
 )
-from oracles import eval_series_at_matrix, pushforward_actions_by_elimination
+from oracles import (
+    check_jet_dense,
+    eval_series_at_matrix,
+    pushforward_actions_by_elimination,
+)
 
 F = Fraction
 REPO = Path(__file__).resolve().parent.parent
@@ -131,6 +140,69 @@ def test_jet_frame_satisfies_dense_identities(repo_corpus_germs):
                 jet = family_jet(germ, i, r)
                 assert sum(jet.blocks) == r, (name, i, r)
                 _assert_dense_jet_identities(jet)
+
+
+def _summand_ranks(germ):
+    """The ranks at which the summand paths are compared with dense
+    references: r0..r0+3, where the padding first appears, and 32."""
+    return list(range(germ.r0, germ.r0 + 4)) + [32]
+
+
+def test_family_members_pass_the_dense_reference(repo_corpus_germs):
+    """Every member is validated from its summands; its dense matrices pass
+    the dense reference, and the public constructors accept them too."""
+    for name, germ in repo_corpus_germs.items():
+        for i in range(germ.k):
+            for r in _summand_ranks(germ):
+                jet = family_jet(germ, i, r)
+                assert bool(jet.summands) == (r > germ.r0), (name, i, r)
+                check_jet_dense(jet)
+                dense = JetPair(FiniteModule(jet.m1.dim, jet.m1.actions),
+                                FiniteModule(jet.m2.dim, jet.m2.actions),
+                                jet.t_m1, jet.t_m2, jet.blocks)
+                assert dense == jet and not dense.summands, (name, i, r)
+
+
+def test_summand_powers_equal_dense_powers(repo_corpus_germs):
+    """The tangent test's f1 and f2, raised summand by summand, equal the
+    dense powers of the members' actions, and the printed jet power is the
+    dense one's text."""
+    for name, germ in repo_corpus_germs.items():
+        for r in _summand_ranks(germ):
+            verdicts = separates_tangents(germ, r)
+            for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
+                jet = family_jet(germ, i, r)
+                coord, e = _test_coordinate(b), germ.r0 // germ.n[i]
+                f1 = jet.m1.actions[coord] ** e
+                f2 = jet.m2.actions[coord] ** e
+                assert action_power(jet.m1, coord, e) == f1, (name, i, r)
+                assert action_power(jet.m2, coord, e) == f2, (name, i, r)
+                assert v.witness["jet_power"] == [
+                    [format_scalar(x) for x in row] for row in f2.data]
+
+
+def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
+    """For every point witness the corpus goldens print, and every other
+    annihilator basis element of a member, `_kills` on the summands agrees
+    with evaluating on the member's dense actions, on every member."""
+    printed = 0
+    for name, germ in repo_corpus_germs.items():
+        if germ.k < 2:
+            continue
+        golden = json.loads((REPO / "corpus" / "golden" / f"{name}.json").read_text())
+        for cert in golden["certificates"]:
+            r = cert["rank"]
+            fibers = [family_jet(germ, i, r).m1 for i in range(germ.k)]
+            basis = {poly_text(g): g for i in range(germ.k)
+                     for g in family_annihilator(germ, i, r).polys}
+            witnesses = [v["witness"]["polynomial"] for v in cert["points"]]
+            assert set(witnesses) <= set(basis), (name, r)
+            printed += len(witnesses)
+            for g in basis.values():
+                for fiber in fibers:
+                    dense = eval_poly_at_matrices(g, fiber.actions).is_zero()
+                    assert _kills(g, fiber) == dense, (name, r, poly_text(g))
+    assert printed > 0
 
 
 def test_node_points_r2(corpus_germs):
