@@ -32,8 +32,8 @@ The key constructions:
   summands' (`ExactMatrix.is_block_diag`, row slice by row slice), the
   dims add up, and a jet's blocks, m1 and m2 are its summands'.  The
   public constructors, given no summands, check the dense matrices.  For
-  the same reason `action_power` raises each distinct summand's block
-  once and assembles the powers.
+  the same reason `power_runs` raises each distinct summand's block once,
+  and `action_power` assembles the powers.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
@@ -46,12 +46,22 @@ The key constructions:
   one over the pullback series.  The basis is stored once, as the sparse
   rows of `kernel_echelon`; a row becomes a polynomial only when `polys`
   is iterated up to it.
+* degree caps: once an ideal holds every monomial of degree d, its reduced
+  echelon basis on graded columns is fixed above d.  Each row that leads
+  at degree >= d is that bare monomial, and no row that leads below d has
+  an entry at degree >= d (`AnnihilatorIdeal.extend` gives the argument
+  and checks both).  So the ideal at any bound >= d is stored as its part
+  below d plus "every monomial above", and costs what bound d costs.  A
+  punctual module of dim m is killed by every monomial of degree >= m,
+  and a fiber K[t]/(t^r) by every monomial of degree >= r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 
 from .branches import BranchParam, _evaluation_columns
 from .errors import D0resError, NotNilpotent, RaiseTruncation
@@ -339,43 +349,150 @@ def pad(base, filler, copies: int):
 
 
 def action_power(module: FiniteModule, coord: int, exponent: int) -> ExactMatrix:
-    """The action of coordinate `coord` raised to `exponent`.  Block-diagonal
-    matrices multiply block by block, so a direct sum raises each distinct
-    summand's block once and assembles the powers."""
+    """The action of coordinate `coord` raised to `exponent`, assembled from
+    `power_runs`."""
     if not module.summands:
         return module.actions[coord] ** exponent
-    return _block_sum([(action_power(s, coord, exponent), c)
-                       for s, c in module.summands])
+    return _block_sum(power_runs(module, coord, exponent))
+
+
+def power_runs(module: FiniteModule, coord: int, exponent: int):
+    """The action of coordinate `coord` raised to `exponent`, as (block,
+    copies) runs in block order.  Block-diagonal matrices multiply block by
+    block, so a direct sum raises each distinct summand's block once."""
+    if not module.summands:
+        return [(module.actions[coord] ** exponent, 1)]
+    runs = []
+    for s, copies in module.summands:
+        inner = power_runs(s, coord, exponent)
+        if len(inner) == 1:
+            runs.append((inner[0][0], inner[0][1] * copies))
+        else:
+            runs.extend(inner * copies)
+    return runs
 
 
 # -- annihilators and lengths ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AnnihilatorIdeal:
     """Reduced echelon basis of the polynomials (degree <= bound) killing a
     module; comparable across modules of the same ambient dimension.  Each
     row is sparse: the (column, coefficient) pairs of its nonzero entries in
-    column order, columns indexing `monomials`.  The basis is unique, so
-    equal fields mean equal ideals."""
+    column order, columns indexing the graded `monomials`, and the rows are
+    in the order of their leading (lowest) columns.  The basis is unique,
+    so equal bases mean equal ideals.
 
-    degree_bound: int
-    monomials: tuple
-    rows: tuple
+    The basis is stored below a degree `cap` (by default bound + 1, which
+    stores it all): `monomials` and `rows` are given as the monomials of
+    degree < cap and the rows that lead there, and every monomial of degree
+    cap..bound is a further basis row of its own.  Those rows are built
+    only when `monomials`, `rows` or `polys` reach them.  Equality reads
+    two ideals at the larger of their caps, so it does not depend on where
+    either is stored; `extend` says when such a cap holds.
+    """
+
+    def __init__(self, degree_bound, monomials, rows, cap=None):
+        self.degree_bound = degree_bound
+        self.cap = degree_bound + 1 if cap is None else cap
+        self.nvars = len(monomials[0])
+        self._low = (tuple(monomials), tuple(rows))
+
+    def _below(self, cap):
+        """(monomials, rows) of degree, and leading, below `cap` >= self.cap."""
+        monomials, rows = self._low
+        start = len(monomials)
+        if cap > self.cap:
+            monomials = monomials + _graded_between(self.nvars, self.cap, cap)
+            rows = rows + tuple(((c, _ONE),) for c in range(start, len(monomials)))
+        return monomials, rows
+
+    @cached_property
+    def monomials(self):
+        return self._below(self.degree_bound + 1)[0]
+
+    @cached_property
+    def rows(self):
+        return self._below(self.degree_bound + 1)[1]
+
+    def polys_below(self, degree):
+        """The basis rows that lead below `degree` as polynomials, in row
+        order, each built only when the iteration reaches it."""
+        monomials, rows = self._low
+        for row in rows:
+            if sum(monomials[row[0][0]]) >= degree:
+                return
+            yield Poly(self.nvars, {monomials[c]: v for c, v in row})
+        top = min(degree, self.degree_bound + 1)
+        for m in _graded_between(self.nvars, self.cap, top):
+            yield Poly(self.nvars, {m: _ONE})
 
     @property
     def polys(self):
         """The basis rows as polynomials, in row order, each built only
         when the iteration reaches it."""
-        nvars = len(self.monomials[0])
-        return (Poly(nvars, {self.monomials[c]: v for c, v in row})
-                for row in self.rows)
+        return self.polys_below(self.degree_bound + 1)
 
     @property
     def quotient_dim(self):
         """Dimension of the polynomials of degree <= bound modulo the ideal:
-        the dimension of the algebra the actions generate at that degree."""
-        return len(self.monomials) - len(self.rows)
+        the dimension of the algebra the actions generate at that degree.
+        Each monomial of degree >= cap is a row of its own."""
+        monomials, rows = self._low
+        return len(monomials) - len(rows)
+
+    def extend(self, bound: int, cap: int) -> "AnnihilatorIdeal":
+        """The ideal at degree bound `bound`, from this one, which must hold
+        every monomial of degree `cap`; stored below `cap`.
+
+        An ideal is closed under multiplication, so it then holds every
+        monomial of degree >= cap.  On graded columns that fixes its reduced
+        echelon basis at any bound >= cap: the columns of degree >= cap are
+        zero functionals, so none is a pivot of `kernel_echelon`'s reversed
+        elimination.  Each leads a row, and its dependency on the pivots
+        after it is empty: the row is the bare monomial.  A row that leads
+        below cap depends only on pivots, all of degree < cap, so it has no
+        entry at degree >= cap; and zero columns change neither the pivots
+        nor the reduced entries, so these rows do not depend on the bound.
+        Both halves are checked on this basis, and a basis that breaks
+        either raises D0resError.
+        """
+        if not 1 <= cap <= self.degree_bound <= bound:
+            raise D0resError("an annihilator extends to a higher bound from a "
+                             "cap at most its own bound")
+        monomials, rows = self._below(self.degree_bound + 1)
+        width = comb(cap - 1 + self.nvars, self.nvars)
+        low = tuple(row for row in rows if row[0][0] < width)
+        if (any(row[-1][0] >= width for row in low)
+                or rows[len(low):] != tuple(((c, _ONE),)
+                                            for c in range(width, len(monomials)))):
+            raise D0resError(f"annihilator does not hold every monomial of "
+                             f"degree {cap}")
+        return AnnihilatorIdeal(bound, monomials[:width], low, cap=cap)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnnihilatorIdeal):
+            return NotImplemented
+        cap = max(self.cap, other.cap)
+        return ((self.degree_bound, self.nvars)
+                == (other.degree_bound, other.nvars)
+                and self._below(cap) == other._below(cap))
+
+    def __hash__(self):
+        return hash((self.degree_bound, self.nvars, self.quotient_dim))
+
+    def __repr__(self):
+        monomials, rows = self._low
+        return (f"AnnihilatorIdeal(degree_bound={self.degree_bound}, "
+                f"cap={self.cap}, monomials={monomials!r}, rows={rows!r})")
+
+
+def _graded_between(nvars, low, high):
+    """The graded monomials of degree low..high - 1, in `monomials_upto`
+    order (graded first, so those of degree < low are its prefix)."""
+    if high <= low:
+        return ()
+    return tuple(monomials_upto(nvars, high - 1)[comb(low - 1 + nvars, nvars):])
 
 
 def kernel_echelon(rows, ncols):

@@ -317,6 +317,8 @@ def truncation_ceiling() -> int:
 
 
 def default_truncation(ranks, multiplicities) -> int:
+    """The truncation the pipeline lifts to for these ranks, at least 32.
+    `run_with_escalation` passes each rank capped at r0 + 2."""
     return max(32, 8 * max(ranks) * max(multiplicities))
 
 
@@ -368,6 +370,11 @@ def run_with_escalation(req: AnalysisRequest, stage):
     oracle still recomputes every plane `l_ij` on the final lift.  The
     retry sequence depends only on the input, and every truncation tried,
     requested, needed by the ranks or doubled, is capped by the ceiling.
+
+    The ranks drive the truncation only up to r0 + 2, the top default rank.
+    Above r0 a member is the rank-r0 jet plus skyscrapers, and its checks
+    read r0 + 1 series terms whatever the rank; a builder that needs more
+    raises RaiseTruncation, and the truncation doubles.
     """
     ceiling = truncation_ceiling()
     trunc, reason = req.truncation or 32, "the starting truncation"
@@ -386,9 +393,10 @@ def run_with_escalation(req: AnalysisRequest, stage):
             else:
                 germ = carry_invariants(proven, branches)
             ranks = req.ranks or [germ.r0, germ.r0 + 1, germ.r0 + 2]
-            needed = default_truncation(ranks, germ.n)
+            driving = [min(r, germ.r0 + 2) for r in ranks]
+            needed = default_truncation(driving, germ.n)
             if req.truncation is None and trunc < needed:
-                trunc, reason = needed, f"rank {max(ranks)} needs it"
+                trunc, reason = needed, f"rank {max(driving)} needs it"
                 continue
             return stage(germ, ctx, trunc, ranks)
         except RaiseTruncation as exc:

@@ -17,16 +17,30 @@ the cyclic K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
 is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
 evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
 cyclic module iff it kills the generator, and on a direct sum iff it does
-on each summand; one pivot count at degree r + 1 checks that r suffices.
-The functionals are evaluated once, at r + 1, and the ideal at r is read
-off their columns of degree <= r.  The action matrices still give the
-independent checks.  Every witness is re-verified on the action matrices
-of the member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
-polynomial kills a direct sum iff it kills each summand.  The padding
-check compares each member's ideal with the generic annihilator of a
-fresh bare rank-r0 fiber.  The tangent test raises the test coordinate's
-action on each distinct summand once and assembles the powers
-(`modules.action_power`).
+on each summand.
+
+Above r0 the cost does not grow with r.  Every coordinate pulls back to a
+series of order >= 1, so a monomial of degree >= d = min(r, r0) has order
+>= d and kills K[t]/(t^d), and it kills the skyscraper, whose actions are
+zero.  So the member ideal holds every monomial of degree >= d, and on
+graded columns its reduced echelon basis at bound r is its basis at bound
+d with the bare monomials of degree d..r appended
+(`modules.AnnihilatorIdeal.extend`).  The functionals are evaluated once,
+at d + 1: one pivot count there checks that the ideal at d has
+stabilized, and the ideal at d is checked to hold every monomial of degree
+d before it is stored as its part below d plus every monomial above.  A
+monomial of degree >= r0 kills every member at a rank >= r0, so it is
+never a point witness, and the witness search stops below the caps.
+
+The action matrices still give the independent checks.  Every witness is
+re-verified on the action matrices of the member's summands, the rank-r0
+fiber and the 1 x 1 skyscraper: a polynomial kills a direct sum iff it
+kills each summand.  The padding check compares each member's ideal with
+the generic annihilator of a fresh bare rank-r0 fiber at degree r0 + 1,
+extended to bound r by the same argument; equality at bound r also checks
+that the member's rows above r0 are exactly the bare monomials.  The
+tangent test raises the test coordinate's action on each distinct summand
+once (`modules.power_runs`) and prints the power from those blocks.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -47,7 +61,6 @@ from .linalg import ExactMatrix, rref_rows
 from .modules import (
     AnnihilatorIdeal,
     JetPair,
-    action_power,
     annihilator,
     fiber_functionals,
     fiber_module,
@@ -55,6 +68,7 @@ from .modules import (
     graph_skyscraper,
     jet_pair,
     pad,
+    power_runs,
 )
 from .poly import poly_text
 
@@ -127,16 +141,22 @@ def _member_annihilator(germ: Germ, index: int, r: int,
 
 def _stable_annihilator(b, rank: int, bound: int,
                         filler=None) -> AnnihilatorIdeal:
-    """modules.fiber_annihilator at degree `bound`, checked to have
-    stabilized: the functionals at bound + 1 have rank equal to its quotient
-    dimension, so no monomial of degree bound + 1 adds to the quotient.
-    The functionals are evaluated once, at bound + 1; `functional_ideal`
-    reads the ideal at `bound` off their columns of degree <= bound."""
-    monomials, rows = fiber_functionals(b, rank, bound + 1, filler)
-    ideal = functional_ideal(bound, monomials, rows)
+    """modules.fiber_annihilator at degree `bound`, computed at the degree
+    d from which every monomial kills the module: d = max(rank, filler
+    dim), or `bound` when that is lower (module docstring).
+
+    The ideal at d is checked to have stabilized: the functionals at d + 1
+    have rank equal to its quotient dimension, so no monomial of degree
+    d + 1 adds to the quotient.  The functionals are evaluated once, at
+    d + 1; `functional_ideal` reads the ideal at d off their columns of
+    degree <= d.  Above d it is extended to `bound`, which checks that it
+    holds every monomial of degree d."""
+    cap = min(bound, max(rank, filler.dim if filler is not None else 1))
+    monomials, rows = fiber_functionals(b, rank, cap + 1, filler)
+    ideal = functional_ideal(cap, monomials, rows)
     if len(rref_rows(rows)[1]) != ideal.quotient_dim:
-        raise D0resError(f"annihilator not stabilized at degree {bound}")
-    return ideal
+        raise D0resError(f"annihilator not stabilized at degree {cap}")
+    return ideal if bound == cap else ideal.extend(bound, cap)
 
 
 def _family(germ: Germ, r: int):
@@ -185,11 +205,14 @@ def _point_verdicts(ideals, fibers):
 
 def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
     """A polynomial in exactly one of the two annihilators, re-verified;
-    the first branch's annihilator is searched first."""
+    the first branch's annihilator is searched first.  A row that leads at
+    or above both caps is a bare monomial that both ideals hold, never a
+    witness, so the search stops there."""
+    cap = max(ann_i.cap, ann_j.cap)
     first, second = ("first", ann_i, fiber_i), ("second", ann_j, fiber_j)
     for (own, ann, fiber), (other, _, other_fiber) in ((first, second),
                                                        (second, first)):
-        for g in ann.polys:
+        for g in ann.polys_below(cap):
             if not _kills(g, other_fiber):
                 _check_kills(g, fiber)
                 return {
@@ -238,17 +261,17 @@ def _tangent_verdicts(germ: Germ, r: int, jets):
                 )
         else:
             exponent = ceil(r / n)
-        f1 = action_power(jet.m1, coord, exponent)
-        f2 = action_power(jet.m2, coord, exponent)
-        if f1.is_zero() and not f2.is_zero():
+        f1 = power_runs(jet.m1, coord, exponent)
+        f2 = power_runs(jet.m2, coord, exponent)
+        if (all(p.is_zero() for p, _ in f1)
+                and not all(p.is_zero() for p, _ in f2)):
             verdicts.append(SeparationVerdict(
                 kind="tangents", subject=(i,), result=SEPARATED,
                 witness={
                     "coordinate": coord,
                     "exponent": exponent,
                     "fiber_power_zero": True,
-                    "jet_power": [[format_scalar(x) for x in row]
-                                  for row in f2.data],
+                    "jet_power": _block_diag_text(f2),
                 },
             ))
         elif r >= germ.r0:
@@ -263,6 +286,22 @@ def _tangent_verdicts(germ: Germ, r: int, jets):
                 reason="no nilpotency jump at this rank",
             ))
     return verdicts
+
+
+def _block_diag_text(runs):
+    """The rows of the block-diagonal sum of the (block, copies) `runs`,
+    each entry formatted: every distinct block is formatted once, and the
+    zeros outside the blocks share one string."""
+    size = sum(block.rows * copies for block, copies in runs)
+    zero = format_scalar(_ZERO)
+    rows, start = [], 0
+    for block, copies in runs:
+        texts = [[format_scalar(x) for x in row] for row in block.data]
+        for _ in range(copies):
+            left, right = [zero] * start, [zero] * (size - start - block.cols)
+            rows.extend(left + row + right for row in texts)
+            start += block.rows
+    return rows
 
 
 def _test_coordinate(b) -> int:
@@ -333,10 +372,14 @@ def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
     fiber: each member's annihilator (`ideals`, read off series rows) equals
     the generic one of its bare rank-r0 fiber, read off that fiber's action
-    matrices, at the same degree bound."""
+    matrices, at the same degree bound r.  The generic one is computed at
+    r0 + 1 and extended to r, which checks that it holds every monomial of
+    degree r0 (module docstring).  The equality then also checks that the
+    member's rows above r0 are exactly the bare monomials."""
     if r == germ.r0:
         return True
-    return all(annihilator(fiber_module(b, germ.r0), r) == ideal
+    r0 = germ.r0
+    return all(annihilator(fiber_module(b, r0), r0 + 1).extend(r, r0) == ideal
                for b, ideal in zip(germ.branches, ideals))
 
 

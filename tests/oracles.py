@@ -23,6 +23,9 @@ routes, and only the tests call them:
   the dense matrices, pairwise commutators, the dim-th power of every
   action and the [[A, 0], [C, A]] frame entry by entry; the reference for
   the summand validation of the direct sums `modules.pad` builds.
+* padding_support_by_dense_annihilator: the padding check against the
+  generic annihilator of each bare rank-r0 fiber at the full bound r; the
+  reference for the degree-capped `verify._padding_support_unchanged`.
 """
 
 from fractions import Fraction
@@ -32,6 +35,7 @@ from d0res.branches import BranchParam
 from d0res.errors import D0resError
 from d0res.fields import scalar_is_zero
 from d0res.linalg import ExactMatrix, rref_rows
+from d0res.modules import annihilator, fiber_module
 from d0res.poly import Poly, grlex_key
 from d0res.series import Series
 
@@ -290,3 +294,13 @@ def check_jet_dense(jet):
                 if (not scalar_is_zero(a2[ti, bj]) or a2[ti, tj] != a1[i, j]
                         or a2[bi, bj] != a1[i, j]):
                     raise D0resError("action is off the jet frame")
+
+
+def padding_support_by_dense_annihilator(germ, r: int, ideals) -> bool:
+    """Each member ideal in `ideals` equals the generic annihilator of its
+    bare rank-r0 fiber, every monomial up to degree r evaluated on the
+    fiber's action matrices."""
+    if r == germ.r0:
+        return True
+    return all(annihilator(fiber_module(b, germ.r0), r) == ideal
+               for b, ideal in zip(germ.branches, ideals))

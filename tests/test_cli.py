@@ -296,14 +296,50 @@ def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):
 
 
 def test_rank_driven_truncation_obeys_ceiling(capsysbinary, monkeypatch):
-    """The truncation a requested rank needs (8 * 8 * 2 = 128 for the cusp
-    at rank 8) is capped by D0RES_MAX_TRUNCATION like every doubling."""
-    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "64")
+    """The truncation a requested rank needs (8 * min(8, r0 + 2) * 2 = 64
+    for the cusp at rank 8) is capped by D0RES_MAX_TRUNCATION like every
+    doubling."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "32")
     rc = main(["analyze", str(CORPUS / "cusp.json"), "--rank", "8"])
     captured = capsysbinary.readouterr()
     assert rc == 2
     assert captured.out == b""
     assert b"D0RES_MAX_TRUNCATION" in captured.err
+
+
+def test_e6_certifies_at_rank_256(capsysbinary):
+    """Above r0 + 2 the rank no longer drives the truncation: e6 at rank
+    256 lifts to 8 * 5 * 3 = 120 terms, far below the ceiling, and passes."""
+    assert main(["analyze", str(CORPUS / "e6.json"), "--rank", "256",
+                 "--strict"]) == 0
+    report = json.loads(capsysbinary.readouterr().out.decode())
+    assert report["truncation"] == 120
+    assert [c["rank"] for c in report["certificates"]] == [256]
+    assert report["certificates"][0]["pass"]
+
+
+@pytest.mark.parametrize("name, multiplicity", [("cusp", 2), ("e6", 3),
+                                                ("node", 1)])
+@pytest.mark.parametrize("rank", [16, 32])
+def test_a_higher_rank_changes_only_the_lift(capsysbinary, name,
+                                             multiplicity, rank):
+    """A report at the default truncation and one lifted to the truncation
+    the rank itself would need, max(32, 8 * r * n), differ only in the
+    printed truncation (and its echo in the input) and branch series:
+    certificates, the invariants and the oracles are identical."""
+    path = str(CORPUS / f"{name}.json")
+    reports = []
+    for extra in ([], ["--truncation", str(max(32, 8 * rank * multiplicity))]):
+        assert main(["analyze", path, "--rank", str(rank), "--strict",
+                     *extra]) == 0
+        reports.append(json.loads(capsysbinary.readouterr().out.decode()))
+    capped, full = reports
+    assert capped["truncation"] < full["truncation"]
+    assert full["input"].pop("truncation") == full["truncation"]
+    for report in reports:
+        del report["truncation"], report["germ"]["branches"]
+    assert capped == full
+    assert capped["certificates"][0]["pass"]
 
 
 def test_branches_agreeing_below_truncation_raise_it(tmp_path, capsysbinary):

@@ -28,11 +28,14 @@ def implicit(terms, ranks=None):
 
 
 # cusp, e6 and node at the ladder's ranks, and y^4 - x^6 at r0 = 14, with
-# the truncation each report prints
+# the truncation each report prints, 8 * min(r, r0 + 2) * max(n) (at least
+# 32), and the larger one the rank alone would ask for, 8 * r * max(n)
 LADDER = [
-    ("cusp", 4, 64), ("cusp", 8, 128), ("cusp", 12, 192), ("cusp", 16, 256),
-    ("e6", 4, 96), ("e6", 8, 192), ("e6", 12, 288), ("e6", 16, 384),
-    ("node", 4, 32), ("node", 8, 64), ("node", 12, 96),
+    ("cusp", 4, 64, 64), ("cusp", 8, 64, 128), ("cusp", 12, 64, 192),
+    ("cusp", 16, 64, 256),
+    ("e6", 4, 96, 96), ("e6", 8, 120, 192), ("e6", 12, 120, 288),
+    ("e6", 16, 120, 384),
+    ("node", 4, 32, 32), ("node", 8, 32, 64), ("node", 12, 32, 96),
 ]
 Y4_X6 = [((0, 4), "1"), ((6, 0), "-1")]
 
@@ -48,7 +51,7 @@ HARD_GERMS = [
 
 REQUESTS = (
     [corpus_request(p.stem) for p in sorted(CORPUS.glob("*.json"))]
-    + [corpus_request(name, ranks=[r]) for name, r, _ in LADDER]
+    + [corpus_request(name, ranks=[r]) for name, r, *_ in LADDER]
     + HARD_GERMS
 )
 
@@ -83,12 +86,22 @@ def test_carried_invariants_equal_recomputed(obj, invariant_calls):
     assert germ_invariants(germ.branches, req.point) == germ
 
 
-@pytest.mark.parametrize("name, rank, expected", LADDER + [("y4_x6", 14, 224)])
-def test_final_truncation_is_the_ranks_need(name, rank, expected):
+TRUNCATIONS = LADDER + [("y4_x6", 14, 224, 224)]
+
+
+@pytest.mark.parametrize("name, rank, expected, uncapped", TRUNCATIONS,
+                         ids=[f"{name}-{rank}-{uncapped}"
+                              for name, rank, _, uncapped in TRUNCATIONS])
+def test_final_truncation_is_the_ranks_need(name, rank, expected, uncapped):
+    """The rank drives the truncation only up to r0 + 2: the final one is
+    `expected`, below the `uncapped` need of the rank itself from r0 + 3
+    on."""
     obj = implicit(Y4_X6, [rank]) if name == "y4_x6" else corpus_request(
         name, ranks=[rank])
-    _, _, trunc = final_germ(obj)
+    _, germ, trunc = final_germ(obj)
     assert trunc == expected
+    assert report.default_truncation([rank], germ.n) == uncapped
+    assert (trunc < uncapped) == (rank > germ.r0 + 2)
 
 
 def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import ceil, gcd
+from math import ceil, comb, gcd
 from pathlib import Path
 
 import pytest
@@ -38,6 +38,7 @@ from d0res.verify import (
     SEPARATED,
     aggregate_critical_rank,
     _kills,
+    _padding_support_unchanged,
     _point_witness,
     _stable_annihilator,
     _test_coordinate,
@@ -52,6 +53,7 @@ from d0res.verify import (
 from oracles import (
     check_jet_dense,
     eval_series_at_matrix,
+    padding_support_by_dense_annihilator,
     pushforward_actions_by_elimination,
 )
 
@@ -110,6 +112,76 @@ def test_stabilization_check_rejects_a_growing_quotient(corpus_germs):
     with pytest.raises(D0resError, match="not stabilized at degree 1"):
         _stable_annihilator(cusp, 5, 1)
     assert _stable_annihilator(cusp, 5, 2) == fiber_annihilator(cusp, 5, 2)
+
+
+def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
+    """The padding check at bound r0 + 1, extended to r, and the reference
+    that evaluates every monomial up to degree r agree on every corpus
+    germ: on the members' ideals, on the same ideals stored dense, and on
+    ideals that must fail (the branches' ideals in reverse order, and each
+    member's ideal one rank lower).  At r = r0 nothing is padded, and the
+    check holds."""
+    checked = 0
+    for name, germ in repo_corpus_germs.items():
+        for r in (*range(germ.r0, germ.r0 + 4), 16, 32):
+            ideals = [family_annihilator(germ, i, r) for i in range(germ.k)]
+            dense = [AnnihilatorIdeal(r, ideal.monomials, ideal.rows)
+                     for ideal in ideals]
+            padded = r > germ.r0
+            cases = [(ideals, True), (dense, True),
+                     (ideals[::-1], germ.k == 1 or not padded)]
+            if padded:
+                cases.append(([family_annihilator(germ, i, r - 1)
+                               for i in range(germ.k)], False))
+            for candidate, expected in cases:
+                assert _padding_support_unchanged(germ, r, candidate) is expected
+                assert padding_support_by_dense_annihilator(
+                    germ, r, candidate) is expected, (name, r)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name, r", [("cusp", 3), ("e6", 8), ("node", 16)])
+def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
+    """Above d = r0 a member ideal's rows are the bare monomials, and its
+    rows below d have no entry at degree >= d.  Breaking either, in the
+    ideal stored dense, fails the padding check."""
+    germ = corpus_germs[name]
+    ideal = family_annihilator(germ, 0, r)
+    monomials, rows = ideal.monomials, list(ideal.rows)
+    width = comb(germ.r0 - 1 + 2, 2)          # the columns of degree < r0
+    first_high = next(k for k, row in enumerate(rows) if row[0][0] >= width)
+    assert rows[first_high] == ((width, F(1)),)
+    last = len(monomials) - 1
+
+    def check(rows):
+        members = [AnnihilatorIdeal(r, monomials, tuple(rows))]
+        members += [family_annihilator(germ, i, r) for i in range(1, germ.k)]
+        return _padding_support_unchanged(germ, r, members)
+
+    assert check(rows)
+    non_bare = rows.copy()
+    non_bare[first_high] = ((width, F(1)), (last, F(1)))
+    dropped = rows[:first_high] + rows[first_high + 1:]
+    low_entry = rows.copy()
+    low_entry[0] = rows[0] + ((last, F(1)),)
+    for mutated in (non_bare, dropped, low_entry):
+        assert not check(mutated)
+
+
+def test_extend_checks_that_the_ideal_holds_its_cap(corpus_germs):
+    """`extend` reads an ideal at a higher bound only from a degree whose
+    every monomial the ideal holds.  On a node branch's fiber K[t]/(t^2),
+    x pulls back to order 1, so degree 1 is refused and degree 2 taken."""
+    b = corpus_germs["node"].branches[0]
+    assert b.coords[0].order() == 1
+    ideal = annihilator(fiber_module(b, 2), 3)
+    capped = ideal.extend(12, 2)
+    assert capped == annihilator(fiber_module(b, 2), 12)
+    assert capped.quotient_dim == ideal.quotient_dim
+    assert list(capped.polys) == list(annihilator(fiber_module(b, 2), 12).polys)
+    with pytest.raises(D0resError, match="every monomial of degree 1"):
+        ideal.extend(12, 1)
 
 
 def _assert_dense_jet_identities(jet):
