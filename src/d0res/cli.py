@@ -5,9 +5,9 @@
     d0res corpus <dir> [--update-golden]
     d0res oracle <file>
 
-Exit codes: 0 success, 1 certificate failure, failed push-forward row or
-colength-oracle mismatch under --strict (or corpus/golden mismatch), 2 input
-error, 3 unsupported field extension.
+Exit codes: 0 success, 1 certificate failure, failed fiber annihilator
+cross-check row or colength-oracle mismatch under --strict (or corpus/golden
+mismatch), 2 input error, 3 unsupported field extension.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def build_parser():
                       help="starting series truncation")
     p_an.add_argument("--strict", action="store_true",
                       help="exit 1 when any requested certificate fails, a "
-                      "push-forward result is false or a colength row "
-                      "disagrees with l_matrix")
+                      "fiber annihilator cross-check is false or a "
+                      "colength row disagrees with l_matrix")
     p_an.add_argument("--format", choices=("json", "text"), default=None,
                       help="override the report format")
     p_an.add_argument("--output", default=None, help="write the report here")

@@ -5,7 +5,8 @@ The key constructions:
 
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
   multiplication with its pullback series (lower-triangular Toeplitz); also
-  the jet pair's special fiber and route 1 of the push-forward oracle.
+  the jet pair's special fiber and the matrix route of the fiber
+  annihilator cross-check.
 * jet_pair(b, r): the rank-r restriction over the dual numbers, one block
   of the JetPair frame.  Its special fiber M1 is fiber_module(b, r), on
   which the uniformizer acts as the r x r down-shift S; on the 2r-dim jet M2

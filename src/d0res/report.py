@@ -503,16 +503,16 @@ def _certificate_block(germ: Germ, r: int) -> dict:
 
 
 def _oracle_block(germ: Germ, max_rank: int) -> dict:
-    """The construction cross-checks: the push-forward/restriction oracle
+    """The construction cross-checks: the fiber annihilator cross-check
     per branch at ranks 1..max_rank, and the colength recomputation of
     every l_ij.  Colength rows are plane-only: on space germs the l_ij are
     colengths already, so the row would compare a value with itself."""
-    push = []
+    fibers = []
     for i, b in enumerate(germ.branches):
         row = {"branch": i, "results": {}}
         for r in range(1, max_rank + 1):
             row["results"][str(r)] = pushforward_restriction_oracle(b, r)
-        push.append(row)
+        fibers.append(row)
     colength = []
     if germ.branches[0].ambient_dim == 2:
         for i in range(germ.k):
@@ -526,7 +526,7 @@ def _oracle_block(germ: Germ, max_rank: int) -> dict:
                     "matches_l_matrix": value == germ.l_matrix[i][j],
                 })
     return {
-        "pushforward_restriction": push,
+        "fiber_annihilator_crosscheck": fibers,
         "colength_crosscheck": colength,
     }
 
@@ -629,9 +629,9 @@ def report_passes(report: dict) -> bool:
 
 
 def oracles_pass(oracles: dict) -> bool:
-    """Every push-forward/restriction result is true and every colength row
-    matches l_matrix."""
-    return (all(ok for row in oracles["pushforward_restriction"]
+    """Every fiber annihilator cross-check result is true and every
+    colength row matches l_matrix."""
+    return (all(ok for row in oracles["fiber_annihilator_crosscheck"]
                 for ok in row["results"].values())
             and all(row["matches_l_matrix"]
                     for row in oracles["colength_crosscheck"]))

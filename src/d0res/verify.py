@@ -39,8 +39,11 @@ kills each summand.  The padding check compares each member's ideal with
 the generic annihilator of a fresh bare rank-r0 fiber at degree r0 + 1,
 extended to bound r by the same argument; equality at bound r also checks
 that the member's rows above r0 are exactly the bare monomials.  The
-tangent test raises the test coordinate's action on each distinct summand
-once (`modules.power_runs`) and prints the power from those blocks.
+fiber annihilator cross-check (`pushforward_restriction_oracle`) compares
+the series and matrix annihilators of each bare rank-r fiber at the
+report's small ranks.  The tangent test raises the test coordinate's
+action on each distinct summand once (`modules.power_runs`) and prints
+the power from those blocks.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -51,17 +54,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import ceil, comb
+from math import ceil
 
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation
-from .fields import format_scalar, scalar_is_zero
+from .fields import format_scalar
 from .linalg import ExactMatrix, rref_rows
 from .modules import (
     AnnihilatorIdeal,
     JetPair,
     annihilator,
+    fiber_annihilator,
     fiber_functionals,
     fiber_module,
     functional_ideal,
@@ -78,7 +81,8 @@ SEPARATED = "separated"
 NOT_SEPARATED = "not_separated"
 INCONCLUSIVE = "inconclusive"
 
-# The push-forward oracle compares up to r! basis permutations.
+# The top rank of the cross-check rows that reports and `d0res oracle`
+# print; the check itself holds at any rank.
 ORACLE_MAX_RANK = 4
 
 
@@ -383,126 +387,29 @@ def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
                for b, ideal in zip(germ.branches, ideals))
 
 
-# -- push-forward / restriction oracle ------------------------------------------------
+# -- fiber annihilator cross-check ---------------------------------------------------
 
 
 def pushforward_restriction_oracle(b, r: int) -> bool:
-    """Build the rank-r fiber by both operation orders and compare.
+    """The fiber annihilator cross-check: the annihilator of the rank-r
+    fiber over branch `b`, read two ways, at degree bound r.
 
-    Route 1 restricts the diagonal family to the point first and then reads
-    the coordinate actions through the pullbacks: the `fiber_module` the
-    certificates use.  Route 2 forms the module on a truncated product
-    neighborhood first (quotient by the r-th diagonal power), pushes the
-    coordinate actions forward, and restricts by the first factor at the end
-    (`_pushforward_actions`).  Equality is checked up to a basis permutation.
+    The fiber is the push-forward of K[t]/(t^r) along the branch map, and
+    its annihilator is the ideal of the image subscheme.  The matrix route
+    evaluates every monomial on the Toeplitz actions `fiber_module` writes
+    (`annihilator`).  The series route reads the t^0..t^(r-1) coefficients
+    of f(x(t), y(t)) (`fiber_annihilator`), which is exact because the
+    fiber is generated by 1.  Both are reduced echelon bases on the same
+    graded columns, which are unique, so `==` is exact.
 
-    Route 2's quotient is of the box of monomials t1^i t2^j, i <= r and
-    j < 2r + 2, by the span of (t1 - t2)^r * m and t1 * m over its
-    monomials m.  None of that reads the branch: the quotient, its
-    complement basis and the normal form of every box monomial depend on r
-    alone.  So it is eliminated once per rank (`_product_quotient`) and
-    kept in `_PRODUCT_QUOTIENTS`.  Ranks above ORACLE_MAX_RANK are refused
-    before the table is read, so it holds at most ORACLE_MAX_RANK entries.
+    This checks equal annihilators, not isomorphic modules: K[t]/(t^r) need
+    not be cyclic over the ambient ring (on the cusp at r = 2 every
+    coordinate acts by zero), so the annihilator does not fix the module.
     """
-    if r > ORACLE_MAX_RANK:
-        raise D0resError(
-            f"oracle intended for small ranks (<= {ORACLE_MAX_RANK})")
     if b.trunc < r + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
                               needed=r + 1)
-    # route 1: restrict, then push forward
-    route1 = fiber_module(b, r).actions
-    # route 2: push forward on the product neighborhood, then restrict
-    route2 = _pushforward_actions(b, r)
-    return route2 is not None and _equal_up_to_permutation(
-        [a.data for a in route1], route2)
-
-
-def _pushforward_actions(b, r: int):
-    """Route 2's coordinate actions on the product quotient, as tuples of
-    rows: coordinate s maps the j-th complement monomial m to the normal
-    form of s(t2) * m, the sum over e of s_e * NF(m * t2^e).  The normal
-    form is linear (the quotient's basis is in RREF), so this is the
-    reduction of the whole product.  None when the complement does not
-    have r elements."""
-    forms = _product_quotient(r)
-    if len(forms) != r:
-        return None
-    actions = []
-    for s in b.coords:
-        cols = []
-        for shifts in forms:
-            col = [_ZERO] * r
-            for c, form in zip(s.coeffs, shifts):
-                if scalar_is_zero(c):
-                    continue
-                for i, v in form:
-                    col[i] = col[i] + c * v
-            cols.append(col)
-        actions.append(tuple(zip(*cols)))
-    return actions
-
-
-# rank r -> _product_quotient(r), filled on first use
-_PRODUCT_QUOTIENTS = {}
-
-
-def _product_quotient(r: int):
-    """Route 2's product quotient at rank r, eliminated on first use.
-
-    For each box monomial (bi, bj) that is not a pivot of the RREF (the
-    complement, in column order), the normal forms of (bi, bj + e) for
-    each e with bj + e < 2r + 2, as sparse (complement index, value)
-    pairs.  A pivot monomial reduces to minus its RREF row off the pivots;
-    a complement monomial to itself."""
-    quotient = _PRODUCT_QUOTIENTS.get(r)
-    if quotient is None:
-        quotient = _PRODUCT_QUOTIENTS[r] = _eliminate_product_quotient(r)
-    return quotient
-
-
-def _eliminate_product_quotient(r: int):
-    n1, n2 = r + 1, 2 * r + 2
-    mons = [(i, j) for i in range(n1) for j in range(n2)]
-    index = {m: k for k, m in enumerate(mons)}
-    # (t1 - t2)^r expansion
-    diag = [((k, r - k), Fraction((-1) ** (r - k) * comb(r, k)))
-            for k in range(r + 1)]
-    u_rows = []
-    for (i, j) in mons:
-        shifted = [_ZERO] * len(mons)
-        for (a, c), v in diag:
-            if i + a < n1 and j + c < n2:
-                shifted[index[(i + a, j + c)]] = v
-        u_rows.append(shifted)
-        step = [_ZERO] * len(mons)
-        if i + 1 < n1:
-            step[index[(i + 1, j)]] = Fraction(1)
-        u_rows.append(step)
-    reduced, pivots = rref_rows([row for row in u_rows if any(row)])
-    pivot_row = {p: row for p, row in zip(pivots, reduced)}
-    complement = [k for k in range(len(mons)) if k not in pivot_row]
-
-    def normal_form(k):
-        row = pivot_row.get(k)
-        if row is None:
-            return ((complement.index(k), Fraction(1)),)
-        return tuple((c, -row[k2]) for c, k2 in enumerate(complement) if row[k2])
-
-    return tuple(
-        tuple(normal_form(index[(bi, j)]) for j in range(bj, n2))
-        for bi, bj in (mons[k] for k in complement))
-
-
-def _equal_up_to_permutation(mats_a, mats_b) -> bool:
-    """Some basis permutation p reads every matrix of `mats_b` as its
-    partner in `mats_a`: b[p[i]][p[j]] == a[i][j].  Both are row tuples."""
-    d = len(mats_a[0])
-    for perm in permutations(range(d)):
-        if all(a[i] == tuple(m[perm[i]][p] for p in perm)
-               for a, m in zip(mats_a, mats_b) for i in range(d)):
-            return True
-    return False
+    return annihilator(fiber_module(b, r), r) == fiber_annihilator(b, r, r)
 
 
 # -- corpus-level aggregation ----------------------------------------------------------

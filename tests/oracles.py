@@ -13,9 +13,6 @@ routes, and only the tests call them:
 * invert_by_recurrence: 1/s for a unit series by the coefficient
   recurrence b_k = -b_0 * sum_{j=1..k} s_j b_{k-j}; the reference for the
   Newton doubling of `Series.invert`.
-* pushforward_actions_by_elimination: route 2 of the push-forward oracle
-  with the product quotient eliminated afresh for each branch; the
-  reference for the per-rank table of `verify._pushforward_actions`.
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
@@ -29,12 +26,11 @@ routes, and only the tests call them:
 """
 
 from fractions import Fraction
-from math import comb
 
 from d0res.branches import BranchParam
 from d0res.errors import D0resError
 from d0res.fields import scalar_is_zero
-from d0res.linalg import ExactMatrix, rref_rows
+from d0res.linalg import ExactMatrix
 from d0res.modules import annihilator, fiber_module
 from d0res.poly import Poly, grlex_key
 from d0res.series import Series
@@ -180,63 +176,6 @@ def invert_by_recurrence(s: Series) -> Series:
                 acc = acc + s.coeffs[j] * out[k - j]
         out.append(-inv0 * acc)
     return Series(out)
-
-
-def pushforward_actions_by_elimination(b, r: int):
-    """Route 2 of the push-forward oracle, eliminating the product quotient
-    for this branch: the quotient of the box t1^i t2^j, i <= r, j < 2r + 2,
-    by (t1 - t2)^r * m and t1 * m, with every product s(t2) * m reduced on
-    the RREF.  The coordinate actions as ExactMatrix, or None when the
-    complement does not have r elements."""
-    n1, n2 = r + 1, 2 * r + 2
-    mons = [(i, j) for i in range(n1) for j in range(n2)]
-    index = {m: k for k, m in enumerate(mons)}
-    dim = len(mons)
-
-    def mono_vec(coeff_map):
-        v = [_ZERO] * dim
-        for (i, j), c in coeff_map.items():
-            if i < n1 and j < n2:
-                v[index[(i, j)]] = v[index[(i, j)]] + c
-        return v
-
-    diag = {(k, r - k): Fraction((-1) ** (r - k) * comb(r, k))
-            for k in range(r + 1)}
-    u_rows = []
-    for (i, j) in mons:
-        u_rows.append(mono_vec({(i + a, j + c): v for (a, c), v in diag.items()}))
-        u_rows.append(mono_vec({(i + 1, j): Fraction(1)}))
-    reduced, pivots = rref_rows([row for row in u_rows
-                                 if any(not scalar_is_zero(x) for x in row)])
-    pivot_set = set(pivots)
-    complement = [k for k in range(dim) if k not in pivot_set]
-    if len(complement) != r:
-        return None
-
-    def reduce_vec(vec):
-        vec = list(vec)
-        for row_idx, p in enumerate(pivots):
-            c = vec[p]
-            if scalar_is_zero(c):
-                continue
-            row = reduced[row_idx]
-            for k in range(dim):
-                if not scalar_is_zero(row[k]):
-                    vec[k] = vec[k] - c * row[k]
-        return vec
-
-    actions = []
-    for s in b.coords:
-        cols = []
-        for basis_k in complement:
-            (bi, bj) = mons[basis_k]
-            prod = {(bi, bj + e): c for e, c in enumerate(s.coeffs[:n2])
-                    if not scalar_is_zero(c)}
-            vec = reduce_vec(mono_vec(prod))
-            cols.append([vec[k] for k in complement])
-        actions.append(ExactMatrix([[cols[j][i] for j in range(r)]
-                                    for i in range(r)]))
-    return actions
 
 
 def lift_regular_tail_by_inversion(f1, trunc) -> Series:

@@ -144,15 +144,16 @@ def test_support_length_lower_bound(corpus_germs):
 
 
 def test_pushforward_restriction_commute(corpus_germs):
-    """Both construction orders give the same fiber presentation (up to basis
-    permutation) for every corpus branch and r <= 4."""
+    """The annihilator of the rank-r fiber read off its action matrices
+    equals the one read off the series coefficients, for every corpus
+    branch and r <= 4."""
     checked = 0
     for name, germ in corpus_germs.items():
         for b in germ.branches:
             for r in (1, 2, 3, 4):
                 assert pushforward_restriction_oracle(b, r), (name, r)
                 checked += 1
-    _pass(f"push-forward/restriction oracle: {checked} cases agree")
+    _pass(f"fiber annihilator cross-check: {checked} cases agree")
 
 
 def test_branch_decomposition_residuals():

@@ -3,14 +3,22 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from d0res import modules as modules_module
 from d0res import report as report_module
+from d0res import verify as verify_module
+from d0res.branches import _evaluation_columns
 from d0res.cli import main
 from d0res.errors import InputError
+from d0res.linalg import ExactMatrix
+from d0res.modules import FiniteModule
 from d0res.report import emit_report, parse_report, parse_request, run_analyze
+from d0res.series import Series
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -503,14 +511,14 @@ def test_strict_fails_on_a_colength_mismatch(tmp_path, monkeypatch,
 
 def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
                                                  capsysbinary):
-    """A false push-forward/restriction result fails `analyze --strict` and
-    `corpus`, even with every certificate passing."""
+    """A false fiber annihilator cross-check result fails `analyze
+    --strict` and `corpus`, even with every certificate passing."""
     monkeypatch.setattr(report_module, "pushforward_restriction_oracle",
                         lambda b, r: False)
     path = str(CORPUS / "cusp.json")
     assert main(["analyze", path, "--strict"]) == 1
     out = json.loads(capsysbinary.readouterr().out.decode())
-    assert out["oracles"]["pushforward_restriction"] == [
+    assert out["oracles"]["fiber_annihilator_crosscheck"] == [
         {"branch": 0, "results": {"1": False, "2": False}}]
     assert all(c["pass"] for c in out["certificates"])
     assert main(["analyze", path]) == 0
@@ -523,9 +531,52 @@ def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
     assert "cusp.json: r0=2 FAIL golden=ok" in capsysbinary.readouterr().out.decode()
 
 
+def _shifted_fiber_module(b, r):
+    """A valid module of another series: every Toeplitz diagonal of
+    `fiber_module` one step further down, the actions of t * s(t)."""
+    actions = []
+    for s in b.coords:
+        data = [[Fraction(0)] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i - 1):
+                data[i][j] = s.coeffs[i - j - 1]
+        actions.append(ExactMatrix(data))
+    return FiniteModule(r, tuple(actions))
+
+
+def _shifted_evaluation_columns(b, monomials, nt):
+    """The series route's columns read along t * s(t) in place of s(t)."""
+    shifted = SimpleNamespace(
+        coords=[Series([Fraction(0), *s.coeffs[:-1]]) for s in b.coords],
+        trunc=b.trunc)
+    return _evaluation_columns(shifted, monomials, nt)
+
+
+@pytest.mark.parametrize("module, name, mutant", [
+    (verify_module, "fiber_module", _shifted_fiber_module),
+    (modules_module, "_evaluation_columns", _shifted_evaluation_columns),
+])
+def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
+        monkeypatch, capsysbinary, module, name, mutant):
+    """Either route fed the fiber of t * s(t): `oracle` exits 1 on every
+    corpus request, and `analyze --strict` exits 1 on the node, whose
+    report range 1..2 holds a false row."""
+    monkeypatch.setattr(module, name, mutant)
+    paths = sorted(CORPUS.glob("*.json"))
+    assert len(paths) == 11
+    for path in paths:
+        assert main(["oracle", str(path)]) == 1, path
+        out = json.loads(capsysbinary.readouterr().out.decode())
+        assert out["pass"] is False, path
+    assert main(["analyze", str(CORPUS / "node.json"), "--strict"]) == 1
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    assert not all(ok for row in out["oracles"]["fiber_annihilator_crosscheck"]
+                   for ok in row["results"].values())
+
+
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):
     """`d0res oracle` runs the report's oracle driver at ranks 1..4: its
-    push-forward rows extend the report's, its colength rows are the
+    fiber annihilator rows extend the report's, its colength rows are the
     report's (plane germs only), and `pass` is the AND of every check."""
     paths = sorted(CORPUS.glob("*.json"))
     assert len(paths) == 11
@@ -535,14 +586,14 @@ def test_oracle_subcommand_matches_report_oracles(capsysbinary):
         report = json.loads((CORPUS / "golden" / path.name).read_text())
         oracles = report["oracles"]
         assert out["colength_crosscheck"] == oracles["colength_crosscheck"], path
-        push = out["pushforward_restriction"]
-        assert [row["branch"] for row in push] == list(range(len(push)))
-        assert len(push) == len(oracles["pushforward_restriction"]), path
-        for row, reported in zip(push, oracles["pushforward_restriction"]):
+        fibers = out["fiber_annihilator_crosscheck"]
+        assert [row["branch"] for row in fibers] == list(range(len(fibers)))
+        assert len(fibers) == len(oracles["fiber_annihilator_crosscheck"]), path
+        for row, reported in zip(fibers, oracles["fiber_annihilator_crosscheck"]):
             assert row["branch"] == reported["branch"]
             assert list(row["results"]) == ["1", "2", "3", "4"]
             assert reported["results"].items() <= row["results"].items(), path
-        checks = [ok for row in push for ok in row["results"].values()]
+        checks = [ok for row in fibers for ok in row["results"].values()]
         checks += [row["matches_l_matrix"] for row in out["colength_crosscheck"]]
         assert out["pass"] is all(checks)
         assert rc == (0 if out["pass"] else 1)
