@@ -27,6 +27,7 @@ from .fields import FieldElement, NumberField, format_scalar, parse_scalar  # no
 from .linalg import ExactMatrix, eval_poly_at_matrices, nullspace  # noqa: F401
 from .modules import (  # noqa: F401
     AnnihilatorIdeal,
+    DirectSum,
     FiniteModule,
     JetPair,
     annihilator,

@@ -70,27 +70,6 @@ class ExactMatrix:
             return cls._of_fractions(out)
         return cls(out)
 
-    def is_block_diag(self, *blocks):
-        """Whether this is block_diag(*blocks) of square blocks, compared one
-        row slice at a time.  A matrix that block_diag built shares its
-        entries and its zeros, so each comparison is by identity."""
-        size = sum(b.rows for b in blocks)
-        if (self.rows, self.cols) != (size, size):
-            return False
-        zeros = (_ZERO,) * size
-        rows = iter(self.data)
-        start = 0
-        for b in blocks:
-            if not b.is_square():
-                return False
-            end = start + b.rows
-            for inner, row in zip(b.data, rows):
-                if (row[start:end] != inner or row[:start] != zeros[:start]
-                        or row[end:] != zeros[end:]):
-                    return False
-            start = end
-        return True
-
     # -- basics ---------------------------------------------------------------
 
     def __getitem__(self, idx):

@@ -20,21 +20,20 @@ The key constructions:
   jet_pair writes the actions in this closed form; tests compare it with
   the reference eval_series_at_matrix(s, t_m2) in tests/oracles.py.
 * graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
-  jet_pair(b, 1).  `pad` appends such blocks to a jet pair's layout.
-* pad(base, filler, copies): the direct sum, which keeps base and filler as
-  its `summands`, (summand, copies) runs, and is validated from them.
-  Block-diagonal matrices add and multiply block by block.  So the sum's
-  actions commute iff each summand's do, and a power of an action is zero
-  iff it is zero on every block: the sum is nilpotent iff each summand is.
-  A padded jet's (tops, bottoms) frame is its summands' frames laid end to
-  end, so its actions read [[A, 0], [C, A]] iff each summand's do.  Each
-  summand was validated when it was built, so validating the sum only
-  checks the layout: every action is the block-diagonal sum of the
-  summands' (`ExactMatrix.is_block_diag`, row slice by row slice), the
-  dims add up, and a jet's blocks, m1 and m2 are its summands'.  The
-  public constructors, given no summands, check the dense matrices.  For
-  the same reason `power_runs` raises each distinct summand's block once,
-  and `action_power` assembles the powers.
+  jet_pair(b, 1).
+* pad(base, filler, copies): the direct sum of base with `copies` copies
+  of filler, held as a `DirectSum` of (summand, copies) runs in block
+  order; no matrix is built.  Its dims, blocks and (for jets) m1 and m2
+  are read off the runs.  Every question the certificate asks of a sum is
+  answered summand by summand: a polynomial kills a direct sum iff it
+  kills each summand, and a power of a block-diagonal action is the
+  block-diagonal sum of the blocks' powers (`power_runs`, one power per
+  distinct summand).  Each summand was validated when it was built, and
+  block-diagonal matrices add and multiply block by block, so the sum's
+  actions commute, are nilpotent and read [[A, 0], [C, A]] on the jet
+  frame laid end to end because each summand's do.  The tests assemble
+  the dense sums (`tests/oracles.py`) and check them on the dense
+  matrices.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
@@ -59,7 +58,7 @@ The key constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -83,24 +82,15 @@ class FiniteModule:
     each is nilpotent.  A strictly lower-triangular action is nilpotent, as
     every fiber, jet and padded action built here is; any other action is
     raised to the power dim.
-
-    A direct sum built by `pad` also keeps its `summands`, (module, copies)
-    runs in block order, and is validated from them instead (see the
-    module docstring): its actions must be the block-diagonal sums of
-    theirs, and each summand was validated when it was built.
     """
 
     dim: int
     actions: tuple
-    summands: tuple = field(default=(), compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         for a in self.actions:
             if not a.is_square() or a.rows != self.dim:
                 raise D0resError("action matrices must be square of the module dim")
-        if self.summands:
-            self._check_summands()
-            return
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
                 if not commute(self.actions[i], self.actions[j]):
@@ -109,24 +99,15 @@ class FiniteModule:
             if not a.is_strictly_lower() and not (a ** self.dim).is_zero():
                 raise NotNilpotent("action is not nilpotent: support is not punctual")
 
-    def _check_summands(self):
-        _check_runs(self.summands, FiniteModule)
-        if any(s.ambient_dim != self.ambient_dim for s, _ in self.summands):
-            raise D0resError("ambient dimension mismatch in padding")
-        if sum(s.dim * copies for s, copies in self.summands) != self.dim:
-            raise D0resError("summand dims must sum to the module dim")
-        for k, a in enumerate(self.actions):
-            if not a.is_block_diag(*_blocks([(s.actions[k], c)
-                                             for s, c in self.summands])):
-                raise D0resError("a direct sum's actions must be the "
-                                 "block-diagonal sums of its summands'")
-
     @property
     def ambient_dim(self):
         return len(self.actions)
 
-    def same_presentation(self, other: "FiniteModule") -> bool:
-        return self.dim == other.dim and self.actions == other.actions
+    def same_presentation(self, other) -> bool:
+        """Equal dims and equal action matrices; False for a `DirectSum`,
+        whose dense matrices are never built to compare."""
+        return (isinstance(other, FiniteModule) and self.dim == other.dim
+                and self.actions == other.actions)
 
 
 @dataclass(frozen=True)
@@ -139,11 +120,6 @@ class JetPair:
     the bottoms and `proj` reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
     by construction.  The actions respect this frame iff each reads
     [[A, 0], [C, A]] on (tops, bottoms), A its M1 counterpart.
-
-    A padded jet pair built by `pad` keeps its `summands`, (jet pair,
-    copies) runs, and is validated from them: its `m1` and `m2` are the
-    direct sums of theirs, its uniformizer actions the block-diagonal sums
-    of theirs, and its blocks their blocks in order.
     """
 
     m1: FiniteModule
@@ -151,7 +127,6 @@ class JetPair:
     t_m1: ExactMatrix
     t_m2: ExactMatrix
     blocks: tuple
-    summands: tuple = field(default=(), compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         if any(k < 1 for k in self.blocks) or sum(self.blocks) != self.m1.dim:
@@ -160,34 +135,18 @@ class JetPair:
             raise D0resError("jet must have twice the fiber dimension")
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
-        if self.summands:
-            self._check_summands()
-            return
         tops, bottoms = self._frame()
         for a2, a1 in zip(self.m2.actions, self.m1.actions):
             _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
         _check_jet_shape(self.t_m2, self.t_m1, tops, bottoms, "uniformizer action")
 
-    def _check_summands(self):
-        runs = self.summands
-        _check_runs(runs, JetPair)
-        if self.blocks != tuple(k for s, c in runs for k in s.blocks * c):
-            raise D0resError("jet blocks must be the summands' blocks in order")
-        for part in ("m1", "m2"):
-            parts = getattr(self, part).summands
-            if len(parts) != len(runs) or any(
-                    p is not getattr(s, part) or pc != c
-                    for (p, pc), (s, c) in zip(parts, runs)):
-                raise D0resError(f"a padded jet's {part} must be the direct "
-                                 f"sum of its summands' {part}")
-        if not (self.t_m1.is_block_diag(*_blocks([(s.t_m1, c) for s, c in runs]))
-                and self.t_m2.is_block_diag(*_blocks([(s.t_m2, c) for s, c in runs]))):
-            raise D0resError("a padded jet's uniformizer actions must be the "
-                             "block-diagonal sums of its summands'")
-
     @property
     def rank(self):
         return self.m1.dim
+
+    @property
+    def ambient_dim(self):
+        return self.m1.ambient_dim
 
     def _frame(self):
         """The M2 indices of the tops and of the bottoms, in M1 order."""
@@ -293,84 +252,78 @@ def graph_skyscraper(b: BranchParam):
     return fiber_module(b, 1), jet_pair(b, 1)
 
 
-def _check_runs(runs, kind):
-    """Direct-sum runs are (validated `kind`, copies >= 1) pairs."""
-    if any(not isinstance(s, kind) or not isinstance(c, int) or c < 1
-           for s, c in runs):
-        raise D0resError(f"direct summands must be {kind.__name__}s "
-                         f"with positive copy counts")
-
-
-def _blocks(runs):
-    """The blocks of the (block, copies) `runs`, each repeated in order."""
-    return [b for b, c in runs for _ in range(c)]
-
-
-def _block_sum(runs):
-    """The block-diagonal sum of the (block, copies) `runs`."""
-    return ExactMatrix.block_diag(*_blocks(runs))
-
-
-def _direct_sum(runs):
-    """The FiniteModule direct sum of the (module, copies) `runs`."""
-    ambient = runs[0][0].ambient_dim
-    actions = tuple(_block_sum([(s.actions[k], c) for s, c in runs])
-                    for k in range(ambient))
-    return FiniteModule(sum(s.dim * c for s, c in runs), actions,
-                        summands=tuple(runs))
-
-
 def pad(base, filler, copies: int):
-    """Block-diagonal direct sum of `base` with `copies` copies of `filler`;
-    a jet pair's block layout grows by the filler's, `copies` times.  The
-    result keeps base and filler as its summands and is validated from
-    them."""
+    """The direct sum of `base` with `copies` copies of `filler`, two modules
+    or two jet pairs, as a `DirectSum` of their runs; `base` itself when
+    `copies` is 0."""
     if copies < 0:
         raise D0resError("copies must be non-negative")
-    if isinstance(base, FiniteModule) and isinstance(filler, FiniteModule):
-        if base.ambient_dim != filler.ambient_dim:
+    if not (isinstance(base, FiniteModule) and isinstance(filler, FiniteModule)
+            or isinstance(base, JetPair) and isinstance(filler, JetPair)):
+        raise D0resError("pad needs two modules or two jet pairs")
+    if base.ambient_dim != filler.ambient_dim:
+        raise D0resError("ambient dimension mismatch in padding")
+    return base if copies == 0 else DirectSum(((base, 1), (filler, copies)))
+
+
+@dataclass(frozen=True)
+class DirectSum:
+    """The direct sum of its (summand, copies) `runs`, in block order: all
+    FiniteModules or all JetPairs, of one ambient dimension, each with
+    copies >= 1.  It is held by its runs alone; no matrix of the sum is
+    built (module docstring).  A sum of jet pairs has the sums of its
+    summands' m1 and m2 as its own."""
+
+    runs: tuple
+
+    def __post_init__(self):
+        kind = type(self.runs[0][0]) if self.runs else None
+        if kind not in (FiniteModule, JetPair) or any(
+                type(s) is not kind or not isinstance(c, int) or c < 1
+                for s, c in self.runs):
+            raise D0resError("direct summands must be all modules or all jet "
+                             "pairs, with positive copy counts")
+        if any(s.ambient_dim != self.ambient_dim for s, _ in self.runs):
             raise D0resError("ambient dimension mismatch in padding")
-        if copies == 0:
-            return base
-        return _direct_sum(((base, 1), (filler, copies)))
-    if isinstance(base, JetPair) and isinstance(filler, JetPair):
-        if base.m1.ambient_dim != filler.m1.ambient_dim:
-            raise D0resError("ambient dimension mismatch in padding")
-        if copies == 0:
-            return base
-        runs = ((base, 1), (filler, copies))
-        return JetPair(
-            _direct_sum([(s.m1, c) for s, c in runs]),
-            _direct_sum([(s.m2, c) for s, c in runs]),
-            _block_sum([(s.t_m1, c) for s, c in runs]),
-            _block_sum([(s.t_m2, c) for s, c in runs]),
-            base.blocks + filler.blocks * copies,
-            summands=runs)
-    raise D0resError("pad needs two modules or two jet pairs")
+
+    @property
+    def ambient_dim(self):
+        return self.runs[0][0].ambient_dim
+
+    @property
+    def dim(self):
+        return sum(s.dim * c for s, c in self.runs)
+
+    @property
+    def rank(self):
+        return sum(s.rank * c for s, c in self.runs)
+
+    @property
+    def blocks(self):
+        return tuple(k for s, c in self.runs for k in s.blocks * c)
+
+    @property
+    def m1(self):
+        return DirectSum(tuple((s.m1, c) for s, c in self.runs))
+
+    @property
+    def m2(self):
+        return DirectSum(tuple((s.m2, c) for s, c in self.runs))
+
+    def same_presentation(self, other) -> bool:
+        """Equal runs mean equal block sums.  Different runs read False,
+        even where their sums might be equal: no equality is claimed that
+        was not checked."""
+        return isinstance(other, DirectSum) and self.runs == other.runs
 
 
-def action_power(module: FiniteModule, coord: int, exponent: int) -> ExactMatrix:
-    """The action of coordinate `coord` raised to `exponent`, assembled from
-    `power_runs`."""
-    if not module.summands:
-        return module.actions[coord] ** exponent
-    return _block_sum(power_runs(module, coord, exponent))
-
-
-def power_runs(module: FiniteModule, coord: int, exponent: int):
+def power_runs(module, coord: int, exponent: int):
     """The action of coordinate `coord` raised to `exponent`, as (block,
-    copies) runs in block order.  Block-diagonal matrices multiply block by
-    block, so a direct sum raises each distinct summand's block once."""
-    if not module.summands:
-        return [(module.actions[coord] ** exponent, 1)]
-    runs = []
-    for s, copies in module.summands:
-        inner = power_runs(s, coord, exponent)
-        if len(inner) == 1:
-            runs.append((inner[0][0], inner[0][1] * copies))
-        else:
-            runs.extend(inner * copies)
-    return runs
+    copies) runs in block order.  A block-diagonal matrix's power is the
+    block-diagonal sum of its blocks' powers, so a direct sum raises each
+    distinct summand's block once."""
+    runs = module.runs if isinstance(module, DirectSum) else ((module, 1),)
+    return [(s.actions[coord] ** exponent, c) for s, c in runs]
 
 
 # -- annihilators and lengths ------------------------------------------------------

@@ -507,12 +507,9 @@ def _oracle_block(germ: Germ, max_rank: int) -> dict:
     per branch at ranks 1..max_rank, and the colength recomputation of
     every l_ij.  Colength rows are plane-only: on space germs the l_ij are
     colengths already, so the row would compare a value with itself."""
-    fibers = []
-    for i, b in enumerate(germ.branches):
-        row = {"branch": i, "results": {}}
-        for r in range(1, max_rank + 1):
-            row["results"][str(r)] = pushforward_restriction_oracle(b, r)
-        fibers.append(row)
+    fibers = [{"branch": i,
+               "results": pushforward_restriction_oracle(b, max_rank)}
+              for i, b in enumerate(germ.branches)]
     colength = []
     if germ.branches[0].ambient_dim == 2:
         for i in range(germ.k):

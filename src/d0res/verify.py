@@ -2,7 +2,9 @@
 
 The rank-r family member over a branch is one object, `family_jet`: the
 rank-r0 jet pair padded with r - r0 graph-skyscraper jets (below r0, the
-bare rank-r jet pair).  Its special fiber m1 is the member's fiber module.
+bare rank-r jet pair).  Padded, it is a `modules.DirectSum` of those two
+runs, and no matrix of the sum is built.  Its special fiber m1 is the
+member's fiber module.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -32,18 +34,20 @@ d before it is stored as its part below d plus every monomial above.  A
 monomial of degree >= r0 kills every member at a rank >= r0, so it is
 never a point witness, and the witness search stops below the caps.
 
-The action matrices still give the independent checks.  Every witness is
-re-verified on the action matrices of the member's summands, the rank-r0
-fiber and the 1 x 1 skyscraper: a polynomial kills a direct sum iff it
-kills each summand.  The padding check compares each member's ideal with
-the generic annihilator of a fresh bare rank-r0 fiber at degree r0 + 1,
-extended to bound r by the same argument; equality at bound r also checks
-that the member's rows above r0 are exactly the bare monomials.  The
-fiber annihilator cross-check (`pushforward_restriction_oracle`) compares
-the series and matrix annihilators of each bare rank-r fiber at the
-report's small ranks.  The tangent test raises the test coordinate's
-action on each distinct summand once (`modules.power_runs`) and prints
-the power from those blocks.
+The action matrices still give the independent checks, read summand by
+summand.  Every witness is re-verified on the action matrices of the
+member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
+polynomial kills a direct sum iff it kills each summand.  The padding
+check compares each member's ideal with the generic annihilator of a
+fresh bare rank-r0 fiber at degree r0 + 1, extended to bound r by the
+same argument; equality at bound r also checks that the member's rows
+above r0 are exactly the bare monomials.  The fiber annihilator
+cross-check (`pushforward_restriction_oracle`) compares the series and
+matrix annihilators of each bare rank-r fiber at the report's small
+ranks, reading each branch's series once.  The tangent test raises the
+test coordinate's action on each distinct summand once
+(`modules.power_runs`) and prints the 2r x 2r jet power from those
+blocks, the one part of a certificate whose cost still grows with r.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -62,9 +66,8 @@ from .fields import format_scalar
 from .linalg import ExactMatrix, rref_rows
 from .modules import (
     AnnihilatorIdeal,
-    JetPair,
+    DirectSum,
     annihilator,
-    fiber_annihilator,
     fiber_functionals,
     fiber_module,
     functional_ideal,
@@ -114,10 +117,11 @@ class EmbeddingCertificate:
 # -- family members ---------------------------------------------------------------
 
 
-def family_jet(germ: Germ, index: int, r: int) -> JetPair:
-    """The rank-r member over branch `index` as a jet pair: the rank-r0 jet
-    pair padded with r - r0 graph-skyscraper jets (exploratory: the bare
-    rank-r jet pair when r < r0).  Its special fiber `m1` is the member."""
+def family_jet(germ: Germ, index: int, r: int):
+    """The rank-r member over branch `index`: the rank-r0 jet pair padded
+    with r - r0 graph-skyscraper jets, a `DirectSum` (the bare jet pair at
+    r = r0; exploratory, the bare rank-r jet pair when r < r0).  Its special
+    fiber `m1` is the member."""
     return _member_jet(germ, index, r, _skyscraper_jet(germ, index, r))
 
 
@@ -132,7 +136,7 @@ def _skyscraper_jet(germ: Germ, index: int, r: int):
     return graph_skyscraper(germ.branches[index])[1] if r > germ.r0 else None
 
 
-def _member_jet(germ: Germ, index: int, r: int, sky_jet) -> JetPair:
+def _member_jet(germ: Germ, index: int, r: int, sky_jet):
     base = jet_pair(germ.branches[index], min(r, germ.r0))
     return base if sky_jet is None else pad(base, sky_jet, r - germ.r0)
 
@@ -230,8 +234,8 @@ def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
 def _kills(g, fiber):
     """g acts as zero on the module `fiber` (its actions commute).  A direct
     sum is killed iff every summand is, so each distinct one is checked."""
-    if fiber.summands:
-        return all(_kills(g, s) for s, _ in fiber.summands)
+    if isinstance(fiber, DirectSum):
+        return all(_kills(g, s) for s, _ in fiber.runs)
     return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
 
 
@@ -390,26 +394,34 @@ def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
 # -- fiber annihilator cross-check ---------------------------------------------------
 
 
-def pushforward_restriction_oracle(b, r: int) -> bool:
-    """The fiber annihilator cross-check: the annihilator of the rank-r
-    fiber over branch `b`, read two ways, at degree bound r.
+def pushforward_restriction_oracle(b, max_rank: int) -> dict:
+    """The fiber annihilator cross-check: at each rank r = 1..max_rank, the
+    annihilator of the rank-r fiber over branch `b`, read two ways, at
+    degree bound r.  Returns the row {"1": ok, ..., str(max_rank): ok}.
 
     The fiber is the push-forward of K[t]/(t^r) along the branch map, and
     its annihilator is the ideal of the image subscheme.  The matrix route
     evaluates every monomial on the Toeplitz actions `fiber_module` writes
-    (`annihilator`).  The series route reads the t^0..t^(r-1) coefficients
-    of f(x(t), y(t)) (`fiber_annihilator`), which is exact because the
-    fiber is generated by 1.  Both are reduced echelon bases on the same
-    graded columns, which are unique, so `==` is exact.
+    (`annihilator`), at each rank.  The series route reads the t^0..t^(r-1)
+    coefficients of f(x(t), y(t)), which is exact because the fiber is
+    generated by 1.  The branch's series are read once, at max_rank
+    (`fiber_functionals`): a series truncated there agrees below t^r with
+    its truncation at r, so rank r's functionals are the first r rows, and
+    `functional_ideal` reads their columns of degree <= r.  Both routes
+    give reduced echelon bases on the same graded columns, which are
+    unique, so `==` is exact.
 
     This checks equal annihilators, not isomorphic modules: K[t]/(t^r) need
     not be cyclic over the ambient ring (on the cusp at r = 2 every
     coordinate acts by zero), so the annihilator does not fix the module.
     """
-    if b.trunc < r + 1:
+    if b.trunc < max_rank + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
-                              needed=r + 1)
-    return annihilator(fiber_module(b, r), r) == fiber_annihilator(b, r, r)
+                              needed=max_rank + 1)
+    monomials, rows = fiber_functionals(b, max_rank, max_rank)
+    return {str(r): annihilator(fiber_module(b, r), r)
+            == functional_ideal(r, monomials, rows[:r])
+            for r in range(1, max_rank + 1)}
 
 
 # -- corpus-level aggregation ----------------------------------------------------------

@@ -16,10 +16,15 @@ routes, and only the tests call them:
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
+* dense_sum: the dense FiniteModule or JetPair of a `modules.DirectSum`,
+  every action and uniformizer the block-diagonal sum of its summands',
+  built through the public constructors.  The program never builds it: it
+  reads a sum through its summands, and the tests compare those readings
+  (kills, powers, annihilators) with this dense sum.
 * check_module_dense / check_jet_dense: module and jet-pair validation on
   the dense matrices, pairwise commutators, the dim-th power of every
-  action and the [[A, 0], [C, A]] frame entry by entry; the reference for
-  the summand validation of the direct sums `modules.pad` builds.
+  action and the [[A, 0], [C, A]] frame entry by entry; they check that a
+  direct sum's dense matrices are a valid module or jet pair.
 * padding_support_by_dense_annihilator: the padding check against the
   generic annihilator of each bare rank-r0 fiber at the full bound r; the
   reference for the degree-capped `verify._padding_support_unchanged`.
@@ -31,7 +36,13 @@ from d0res.branches import BranchParam
 from d0res.errors import D0resError
 from d0res.fields import scalar_is_zero
 from d0res.linalg import ExactMatrix
-from d0res.modules import annihilator, fiber_module
+from d0res.modules import (
+    DirectSum,
+    FiniteModule,
+    JetPair,
+    annihilator,
+    fiber_module,
+)
 from d0res.poly import Poly, grlex_key
 from d0res.series import Series
 
@@ -192,6 +203,25 @@ def lift_regular_tail_by_inversion(f1, trunc) -> Series:
         g = fy.eval_series([Series.variable(m - n), y.truncate(m - n)]).invert()
         y, n = y - val * Series(g.coeffs, m), m
     return Series(y.coeffs, trunc)
+
+
+def dense_sum(member):
+    """The dense FiniteModule or JetPair of the `DirectSum` `member`, its
+    matrices the block-diagonal sums of its runs'; any other member as it
+    is."""
+    if not isinstance(member, DirectSum):
+        return member
+
+    def block_sum(matrix_of):
+        return ExactMatrix.block_diag(*[matrix_of(s) for s, copies in member.runs
+                                        for _ in range(copies)])
+
+    if isinstance(member.runs[0][0], FiniteModule):
+        return FiniteModule(member.dim, tuple(
+            block_sum(lambda s: s.actions[k]) for k in range(member.ambient_dim)))
+    return JetPair(dense_sum(member.m1), dense_sum(member.m2),
+                   block_sum(lambda s: s.t_m1), block_sum(lambda s: s.t_m2),
+                   member.blocks)
 
 
 def check_module_dense(module):

@@ -514,7 +514,8 @@ def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
     """A false fiber annihilator cross-check result fails `analyze
     --strict` and `corpus`, even with every certificate passing."""
     monkeypatch.setattr(report_module, "pushforward_restriction_oracle",
-                        lambda b, r: False)
+                        lambda b, max_rank: {str(r): False
+                                             for r in range(1, max_rank + 1)})
     path = str(CORPUS / "cusp.json")
     assert main(["analyze", path, "--strict"]) == 1
     out = json.loads(capsysbinary.readouterr().out.decode())

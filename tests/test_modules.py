@@ -13,6 +13,7 @@ from d0res.linalg import (
     rref_rows,
 )
 from d0res.modules import (
+    DirectSum,
     FiniteModule,
     JetPair,
     _evaluation_rows,
@@ -31,7 +32,12 @@ from d0res.modules import (
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
 from d0res.verify import family_jet
-from oracles import check_jet_dense, check_module_dense, eval_series_at_matrix
+from oracles import (
+    check_jet_dense,
+    check_module_dense,
+    dense_sum,
+    eval_series_at_matrix,
+)
 
 F = Fraction
 
@@ -128,7 +134,7 @@ def _bumped(a, i, j):
 # padded with two skyscrapers its M2 frame has tops 0, 1, 4, 6 and
 # bottoms 2, 3, 5, 7
 CUSP_JET = jet_pair(CUSP, 2)
-CUSP_PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+CUSP_PADDED = dense_sum(pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2))
 
 
 @pytest.mark.parametrize("jet, entry", [
@@ -165,32 +171,50 @@ def test_pad_examples():
     assert pad(base, fib, 0) is base
     padded = pad(base, fib, 1)
     assert padded.dim == 3
-    assert padded.actions[0] == M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    assert dense_sum(padded).actions[0] == M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     jp = pad(jet_pair(NODE1, 2), jet, 2)
-    assert jp.m1.dim == 4 and jp.m2.dim == 8
-    assert (jp.eps * jp.eps).is_zero()
-    assert jp.incl * jp.proj == jp.eps
+    assert jp.m1.dim == 4 and jp.m2.dim == 8 and jp.rank == 4
+    dense = dense_sum(jp)
+    assert (dense.eps * dense.eps).is_zero()
+    assert dense.incl * dense.proj == dense.eps
     with pytest.raises(D0resError):
         pad(base, fiber_module(B([(1, 1)], [], [], n=8), 1), 1)
 
 
 def test_pad_builds_a_direct_sum_of_its_summands():
-    """`pad` keeps base and filler as (summand, copies) runs; the sum's
-    dense matrices pass the dense reference and equal those of a module
-    built from the same actions by the public, dense constructor."""
+    """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
+    and m2 are the sums of its summands' m1 and m2.  The dense sums the
+    tests assemble pass the dense reference and the public constructors."""
     sky, sky_jet = graph_skyscraper(NODE1)
     base = fiber_module(NODE1, 2)
     padded = pad(base, sky, 3)
-    assert padded.summands == ((base, 1), (sky, 3))
-    assert padded == FiniteModule(5, padded.actions)
-    check_module_dense(padded)
+    assert padded == DirectSum(((base, 1), (sky, 3)))
+    assert (padded.dim, padded.ambient_dim) == (5, 2)
+    check_module_dense(dense_sum(padded))
     jet = pad(jet_pair(NODE1, 2), sky_jet, 3)
-    assert [s for s, _ in jet.summands] == [jet_pair(NODE1, 2), sky_jet]
-    assert jet.m1.summands[1] == (sky_jet.m1, 3)
-    assert jet.m2.summands[1] == (sky_jet.m2, 3)
-    check_jet_dense(jet)
-    assert jet.m2.actions[0] == ExactMatrix.block_diag(
+    assert jet.runs == ((jet_pair(NODE1, 2), 1), (sky_jet, 3))
+    assert jet.blocks == (2, 1, 1, 1) and jet.rank == 5
+    assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
+    assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
+    check_jet_dense(dense_sum(jet))
+    assert dense_sum(jet).m2.actions[0] == ExactMatrix.block_diag(
         jet_pair(NODE1, 2).m2.actions[0], *[sky_jet.m2.actions[0]] * 3)
+
+
+def test_pad_builds_no_matrix(monkeypatch):
+    """Padding a jet pair with a million skyscraper jets builds no matrix:
+    the sum is its two runs."""
+    sky_jet = graph_skyscraper(NODE1)[1]
+    base = jet_pair(NODE1, 2)
+
+    def refuse(*args):
+        raise AssertionError("pad built a matrix")
+
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(ExactMatrix, "_of_fractions", refuse)
+    jet = pad(base, sky_jet, 10**6)
+    assert jet.rank == 2 + 10**6 and len(jet.blocks) == 1 + 10**6
+    assert jet.m1.runs == ((base.m1, 1), (sky_jet.m1, 10**6))
 
 
 def test_pad_rejects_mismatched_ambient_dimensions():
@@ -213,58 +237,42 @@ def test_a_bad_filler_is_refused_when_built():
 
 
 PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1)[0], 2)
+SPACE_SKY = graph_skyscraper(B([(1, 1)], [], [], n=8))
 
 
-@pytest.mark.parametrize("actions, summands", [
-    # an entry off the blocks, inside a block, and on a block's diagonal
-    ((_bumped(PADDED.actions[0], 0, 3), PADDED.actions[1]), PADDED.summands),
-    ((_bumped(PADDED.actions[0], 1, 1), PADDED.actions[1]), PADDED.summands),
-    ((PADDED.actions[0], _bumped(PADDED.actions[1], 3, 3)), PADDED.summands),
-    # summands that do not make up the module
-    (PADDED.actions, PADDED.summands[:1]),
-    (PADDED.actions, (PADDED.summands[0], (PADDED.summands[1][0], 3))),
-    (PADDED.actions, (PADDED.summands[0], (PADDED.summands[1][0], 0))),
-    (PADDED.actions, ((PADDED.actions[0], 1), PADDED.summands[1])),
-    (PADDED.actions, (PADDED.summands[0],
-                      (graph_skyscraper(B([(1, 1)], [], [], n=8))[0], 2))),
+@pytest.mark.parametrize("runs", [
+    (PADDED.runs[0], (PADDED.runs[1][0], 0)),           # zero copies
+    (PADDED.runs[0], (PADDED.runs[1][0], -1)),          # negative copies
+    ((PADDED.runs[0][0].actions[0], 1), PADDED.runs[1]),  # a matrix summand
+    (PADDED.runs[0], (CUSP_JET, 1)),                    # a module and a jet
+    (PADDED.runs[0], (SPACE_SKY[0], 2)),                # ambient mismatch
+    (),                                                 # no runs
 ])
-def test_a_direct_sum_must_be_its_summands(actions, summands):
-    """No call builds a direct sum whose actions differ from the block sums
-    of its summands', or whose summands do not fill it."""
-    assert FiniteModule(PADDED.dim, PADDED.actions,
-                        summands=PADDED.summands) == PADDED
-    with pytest.raises(D0resError, match="summand|direct sum|ambient"):
-        FiniteModule(PADDED.dim, actions, summands=summands)
+def test_a_direct_sum_must_be_its_summands(runs):
+    """A sum of modules is built only from modules of one ambient
+    dimension, each with a positive copy count."""
+    assert DirectSum(PADDED.runs) == PADDED
+    with pytest.raises(D0resError, match="summands|ambient"):
+        DirectSum(runs)
 
 
 def test_a_padded_jet_must_be_its_summands():
-    """A padded jet pair's m1, m2, uniformizers and blocks must be the
-    direct sums of its summands'; the dense frame check is not run, so
-    each of these is what stops a jet that lies about its summands."""
-    jet = CUSP_PADDED
-    assert JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks,
-                   summands=jet.summands) == jet
-    other = pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[1], 2)
+    """A sum of jet pairs is built only from jet pairs of one ambient
+    dimension, each with a positive copy count, and its m1 and m2 are
+    the sums of its summands'."""
+    jet = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+    assert DirectSum(jet.runs) == jet
+    assert jet.m1.runs == ((CUSP_JET.m1, 1), (graph_skyscraper(CUSP)[1].m1, 2))
+    assert jet.m2.dim == 2 * jet.m1.dim == 2 * jet.rank == 8
     bad = [
-        (jet.m1, jet.m2, jet.t_m1, _bumped(jet.t_m2, 7, 5), jet.blocks),
-        (jet.m1, jet.m2, _bumped(jet.t_m1, 3, 2), jet.t_m2, jet.blocks),
-        (other.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks),
-        (jet.m1, other.m2, jet.t_m1, jet.t_m2, jet.blocks),
-        (FiniteModule(4, jet.m1.actions), jet.m2, jet.t_m1, jet.t_m2,
-         jet.blocks),
-        (jet.m1, jet.m2, jet.t_m1, jet.t_m2, (1, 1, 2)),
+        (jet.runs[0], (jet.runs[1][0], 0)),
+        (jet.runs[0], (CUSP_JET.m1, 1)),
+        (jet.runs[0], (SPACE_SKY[1], 2)),
+        (),
     ]
-    for fields in bad:
-        with pytest.raises(D0resError):
-            JetPair(*fields, summands=jet.summands)
-    with pytest.raises(D0resError):
-        JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks,
-                summands=((jet.summands[0][0], 1),))
-    # a bottom mapped into the tops inside the first skyscraper's block:
-    # off the frame, and not the skyscraper's action
-    x2 = _bumped(jet.m2.actions[0], 4, 5)
-    with pytest.raises(D0resError, match="block-diagonal sums"):
-        FiniteModule(8, (x2,) + jet.m2.actions[1:], summands=jet.m2.summands)
+    for runs in bad:
+        with pytest.raises(D0resError, match="summands|ambient"):
+            DirectSum(runs)
 
 
 def test_annihilator_examples():
@@ -338,9 +346,9 @@ def test_fiber_annihilator_matches_generic_oracle():
             for bound in (rank, rank + 2):
                 assert (fiber_annihilator(branch, rank, bound)
                         == annihilator(fiber_module(branch, rank), bound))
+                padded = dense_sum(pad(fiber_module(branch, rank), sky, 2))
                 assert (fiber_annihilator(branch, rank, bound + 2, sky)
-                        == annihilator(pad(fiber_module(branch, rank), sky, 2),
-                                       bound + 2))
+                        == annihilator(padded, bound + 2))
     with pytest.raises(RaiseTruncation):
         fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
 
@@ -461,7 +469,7 @@ def test_triangular_shortcut_agrees_with_dense_powers(repo_corpus_germs):
     for name, germ in repo_corpus_germs.items():
         for i in range(germ.k):
             for r in range(germ.r0, germ.r0 + 4):
-                jet = family_jet(germ, i, r)
+                jet = dense_sum(family_jet(germ, i, r))
                 for module in (jet.m1, jet.m2):
                     for a in module.actions:
                         assert a.is_strictly_lower(), (name, i, r)

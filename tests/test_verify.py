@@ -14,16 +14,18 @@ from d0res import verify as verify_module
 from d0res.branches import BranchParam
 from d0res.errors import D0resError
 from d0res.fields import NumberField, format_scalar, scalar_is_zero
-from d0res.linalg import eval_poly_at_matrices
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices
 from d0res.modules import (
     AnnihilatorIdeal,
+    DirectSum,
     JetPair,
     FiniteModule,
-    action_power,
     annihilator,
     fiber_annihilator,
     fiber_module,
     jet_pair,
+    pad,
+    power_runs,
 )
 from d0res.poly import Poly, poly_text
 from d0res.report import _certificate_block, _verdict_block
@@ -35,6 +37,7 @@ from d0res.verify import (
     aggregate_critical_rank,
     _kills,
     _padding_support_unchanged,
+    _point_verdicts,
     _point_witness,
     _stable_annihilator,
     _test_coordinate,
@@ -48,6 +51,7 @@ from d0res.verify import (
 )
 from oracles import (
     check_jet_dense,
+    dense_sum,
     eval_series_at_matrix,
     padding_support_by_dense_annihilator,
 )
@@ -87,7 +91,7 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
         for i in range(germ.k):
             for r in range(1, 11):
                 fast = family_annihilator(germ, i, r)
-                oracle = annihilator(family_jet(germ, i, r).m1, r)
+                oracle = annihilator(dense_sum(family_jet(germ, i, r)).m1, r)
                 assert fast == oracle, (name, i, r)
                 assert hash(fast) == hash(oracle)
                 assert all([c for c, _ in row] == sorted(c for c, _ in row)
@@ -206,7 +210,7 @@ def test_jet_frame_satisfies_dense_identities(repo_corpus_germs):
             for r in range(germ.r0, germ.r0 + 4):
                 jet = family_jet(germ, i, r)
                 assert sum(jet.blocks) == r, (name, i, r)
-                _assert_dense_jet_identities(jet)
+                _assert_dense_jet_identities(dense_sum(jet))
 
 
 def _summand_ranks(germ):
@@ -216,18 +220,18 @@ def _summand_ranks(germ):
 
 
 def test_family_members_pass_the_dense_reference(repo_corpus_germs):
-    """Every member is validated from its summands; its dense matrices pass
-    the dense reference, and the public constructors accept them too."""
+    """Every padded member is a direct sum of its two runs; its dense sum,
+    assembled by the tests through the public constructors, passes the
+    dense reference."""
     for name, germ in repo_corpus_germs.items():
         for i in range(germ.k):
             for r in _summand_ranks(germ):
                 jet = family_jet(germ, i, r)
-                assert bool(jet.summands) == (r > germ.r0), (name, i, r)
-                check_jet_dense(jet)
-                dense = JetPair(FiniteModule(jet.m1.dim, jet.m1.actions),
-                                FiniteModule(jet.m2.dim, jet.m2.actions),
-                                jet.t_m1, jet.t_m2, jet.blocks)
-                assert dense == jet and not dense.summands, (name, i, r)
+                assert isinstance(jet, DirectSum) == (r > germ.r0), (name, i, r)
+                dense = dense_sum(jet)
+                assert isinstance(dense, JetPair), (name, i, r)
+                assert dense.blocks == jet.blocks, (name, i, r)
+                check_jet_dense(dense)
 
 
 def test_summand_powers_equal_dense_powers(repo_corpus_germs):
@@ -239,13 +243,19 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
             verdicts = separates_tangents(germ, r)
             for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
                 jet = family_jet(germ, i, r)
+                dense = dense_sum(jet)
                 coord, e = _test_coordinate(b), germ.r0 // germ.n[i]
-                f1 = jet.m1.actions[coord] ** e
-                f2 = jet.m2.actions[coord] ** e
-                assert action_power(jet.m1, coord, e) == f1, (name, i, r)
-                assert action_power(jet.m2, coord, e) == f2, (name, i, r)
+                f1 = dense.m1.actions[coord] ** e
+                f2 = dense.m2.actions[coord] ** e
+                assert _assembled(power_runs(jet.m1, coord, e)) == f1, (name, i, r)
+                assert _assembled(power_runs(jet.m2, coord, e)) == f2, (name, i, r)
                 assert v.witness["jet_power"] == [
                     [format_scalar(x) for x in row] for row in f2.data]
+
+
+def _assembled(runs):
+    """The block-diagonal sum of the (block, copies) `runs`."""
+    return ExactMatrix.block_diag(*[b for b, c in runs for _ in range(c)])
 
 
 def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
@@ -267,7 +277,8 @@ def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
             printed += len(witnesses)
             for g in basis.values():
                 for fiber in fibers:
-                    dense = eval_poly_at_matrices(g, fiber.actions).is_zero()
+                    dense = eval_poly_at_matrices(
+                        g, dense_sum(fiber).actions).is_zero()
                     assert _kills(g, fiber) == dense, (name, r, poly_text(g))
     assert printed > 0
 
@@ -309,6 +320,55 @@ def test_tacnode_negative_control(corpus_germs):
     assert f0.same_presentation(f1)
     cert = certify(tac, tac.r0 - 1)
     assert cert.below_critical and not cert.overall
+
+
+def test_equal_ideals_with_different_runs_are_inconclusive(corpus_germs):
+    """Equal annihilators give NOT_SEPARATED only for presentations known
+    to be equal: equal runs, or equal dense matrices.  Sums with different
+    runs, or a sum against a dense module, read INCONCLUSIVE."""
+    node = corpus_germs["node"].branches
+    base, sky = fiber_module(node[0], 2), fiber_module(node[0], 1)
+    ideal = annihilator(base, 3)
+    cases = [
+        ((pad(base, sky, 1), pad(fiber_module(node[0], 2), sky, 1)),
+         NOT_SEPARATED),
+        ((pad(base, sky, 1), pad(base, sky, 2)), INCONCLUSIVE),
+        ((pad(base, sky, 1), pad(fiber_module(node[1], 2), sky, 1)),
+         INCONCLUSIVE),
+        ((pad(base, sky, 1), dense_sum(pad(base, sky, 1))), INCONCLUSIVE),
+        ((dense_sum(pad(base, sky, 1)), pad(base, sky, 1)), INCONCLUSIVE),
+        ((base, FiniteModule(2, base.actions)), NOT_SEPARATED),
+    ]
+    for fibers, expected in cases:
+        (verdict,) = _point_verdicts([ideal, ideal], list(fibers))
+        assert verdict.result == expected, fibers
+
+
+@pytest.mark.parametrize("name", ["cusp", "e6", "node", "tacnode"])
+def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
+                                                         monkeypatch, name):
+    """Above r0 nothing `certify` builds grows with r: the entries of every
+    ExactMatrix it builds add up to the same count at r0 + 1 and at 256."""
+    germ = corpus_germs[name]
+    init, of_fractions = ExactMatrix.__init__, ExactMatrix._of_fractions.__func__
+    entries = []
+
+    def counted_init(self, data):
+        init(self, data)
+        entries[-1] += self.rows * self.cols
+
+    def counted_of_fractions(cls, rows):
+        m = of_fractions(cls, rows)
+        entries[-1] += m.rows * m.cols
+        return m
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
+    monkeypatch.setattr(ExactMatrix, "_of_fractions",
+                        classmethod(counted_of_fractions))
+    for r in (germ.r0 + 1, 256):
+        entries.append(0)
+        assert certify(germ, r).overall, (name, r)
+    assert entries[0] == entries[1] > 0, (name, entries)
 
 
 @pytest.mark.parametrize("r", [0, -2])
@@ -430,7 +490,7 @@ def test_tangent_witness_validity(corpus_germs):
             for v in separates_tangents(germ, r):
                 assert v.result == SEPARATED, name
                 i = v.subject[0]
-                jet = family_jet(germ, i, r)
+                jet = dense_sum(family_jet(germ, i, r))
                 coord = v.witness["coordinate"]
                 e = v.witness["exponent"]
                 assert (jet.m1.actions[coord] ** e).is_zero()
@@ -509,8 +569,8 @@ def test_graph_jet_class(corpus_germs):
 def test_pushforward_restriction_oracle_corpus(corpus_germs):
     for name, germ in corpus_germs.items():
         for b in germ.branches:
-            for r in (1, 2, 3, 4):
-                assert pushforward_restriction_oracle(b, r), (name, r)
+            row = pushforward_restriction_oracle(b, 4)
+            assert row == {"1": True, "2": True, "3": True, "4": True}, name
 
 
 def test_fiber_annihilator_crosscheck_holds_to_rank_8(repo_corpus_germs):
@@ -522,8 +582,29 @@ def test_fiber_annihilator_crosscheck_holds_to_rank_8(repo_corpus_germs):
     for name, germ in repo_corpus_germs.items():
         for b in germ.branches:
             assert b.trunc > 8, name
-            for r in range(1, 9):
-                assert pushforward_restriction_oracle(b, r), (name, r)
+            row = pushforward_restriction_oracle(b, 8)
+            assert row == {str(r): True for r in range(1, 9)}, name
+
+
+def test_crosscheck_row_reads_the_series_once(corpus_germs, monkeypatch):
+    """One row reads the branch's series once, at the top rank, and each
+    rank's series annihilator, read off a prefix of those rows, is the one
+    `fiber_annihilator` computes at that rank alone."""
+    b = corpus_germs["e6"].branches[0]
+    calls = []
+    functionals = verify_module.fiber_functionals
+
+    def counted(*args):
+        calls.append(args[1:])
+        return functionals(*args)
+
+    monkeypatch.setattr(verify_module, "fiber_functionals", counted)
+    assert all(pushforward_restriction_oracle(b, 6).values())
+    assert calls == [(6, 6)]
+    monomials, rows = functionals(b, 6, 6)
+    for r in range(1, 7):
+        assert (verify_module.functional_ideal(r, monomials, rows[:r])
+                == fiber_annihilator(b, r, r)), r
 
 
 ORACLE_GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -556,7 +637,8 @@ def oracle_branches(draw):
 @settings(max_examples=60, deadline=None)
 @given(oracle_branches(), st.integers(1, 4))
 def test_fiber_annihilator_crosscheck_on_random_branches(b, r):
-    assert pushforward_restriction_oracle(b, r)
+    row = pushforward_restriction_oracle(b, r)
+    assert row == {str(k): True for k in range(1, r + 1)}
 
 
 def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
@@ -566,10 +648,10 @@ def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
     b = corpus_germs["node"].branches[0]
     x, *rest = b.coords
     other = BranchParam((x * F(2), *rest))
-    assert pushforward_restriction_oracle(b, 3)
+    assert pushforward_restriction_oracle(b, 3)["3"]
     monkeypatch.setattr(verify_module, "fiber_module",
                         lambda branch, r: fiber_module(other, r))
-    assert not pushforward_restriction_oracle(b, 3)
+    assert not pushforward_restriction_oracle(b, 3)["3"]
 
 
 def test_exploratory_tangents_only_separated_or_inconclusive(corpus_germs):
