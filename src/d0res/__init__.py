@@ -41,6 +41,7 @@ from .modules import (  # noqa: F401
 from .poly import Poly  # noqa: F401
 from .series import Series  # noqa: F401
 from .verify import (  # noqa: F401
+    CertificateFamily,
     EmbeddingCertificate,
     SeparationVerdict,
     aggregate_critical_rank,

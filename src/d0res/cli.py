@@ -83,7 +83,8 @@ def _load_request(path):
         obj = json.loads(text)
     except OSError as exc:
         raise InputError(path, f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, too many digits in an integer, or too deep nesting
         raise InputError(path, f"invalid JSON: {exc}")
     return parse_request(obj)
 

@@ -38,6 +38,7 @@ from .puiseux import FieldContext, has_rational_factor
 from .series import Series
 from .verify import (
     ORACLE_MAX_RANK,
+    CertificateFamily,
     certify,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
@@ -127,9 +128,13 @@ def check_ranks(ranks):
 
 
 def check_truncation(truncation):
-    """The request's `truncation` rule, also applied to `--truncation`."""
-    if not _is_int(truncation) or truncation < 4:
-        raise InputError("truncation", "truncation must be an integer >= 4")
+    """The request's `truncation` rule, also applied to `--truncation`: no
+    analysis can start above the ceiling."""
+    ceiling = truncation_ceiling()
+    if not _is_int(truncation) or not 4 <= truncation <= ceiling:
+        raise InputError("truncation", "truncation must be an integer from 4 "
+                         f"to the ceiling {ceiling} (set D0RES_MAX_TRUNCATION "
+                         "to raise it)")
 
 
 def _is_int(value):
@@ -410,10 +415,9 @@ def run_analyze(req: AnalysisRequest) -> dict:
 
 
 def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
-    """The report of one analysed germ: certificates per rank and oracles."""
-    certificates = []
-    for r in ranks:
-        certificates.append(_certificate_block(germ, r))
+    """The report of one analysed germ: one family's certificates, oracles."""
+    family = CertificateFamily(germ)
+    certificates = [_certificate_block(family, r) for r in ranks]
     oracles = _oracle_block(germ, min(ORACLE_MAX_RANK, max(2, germ.r0)))
     warnings = list(germ.notes)
     for r in ranks:
@@ -484,9 +488,9 @@ def _verdict_block(v) -> dict:
     return out
 
 
-def _certificate_block(germ: Germ, r: int) -> dict:
+def _certificate_block(family: CertificateFamily, r: int) -> dict:
     """The rank-r certificate; below r0 it has no padding entries."""
-    cert = certify(germ, r)
+    cert = certify(family, r)
     block = {
         "rank": r,
         "below_critical": cert.below_critical,

@@ -1,10 +1,11 @@
 """The two separation criteria and the per-germ embedding certificate.
 
-The rank-r family member over a branch is one object, `family_jet`: the
-rank-r0 jet pair padded with r - r0 graph-skyscraper jets (below r0, the
-bare rank-r jet pair).  Padded, it is a `modules.DirectSum` of those two
-runs, and no matrix of the sum is built.  Its special fiber m1 is the
-member's fiber module.
+The rank-r family member over a branch is one object: the rank-r0 jet
+pair padded with r - r0 graph-skyscraper jets (below r0, the bare rank-r
+jet pair).  Padded, it is a `modules.DirectSum` of those two runs, and no
+matrix of the sum is built.  Its special fiber m1 is the member's fiber
+module.  A request's ranks share one `CertificateFamily`, which builds each
+branch's base jet, skyscraper, capped ideal and padding reference once.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -38,10 +39,10 @@ The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
 polynomial kills a direct sum iff it kills each summand.  The padding
-check compares each member's ideal with the generic annihilator of a
-fresh bare rank-r0 fiber at degree r0 + 1, extended to bound r by the
-same argument; equality at bound r also checks that the member's rows
-above r0 are exactly the bare monomials.  The fiber annihilator
+check compares each member's ideal with the generic annihilator of the
+family's rank-r0 fiber at degree r0 + 1, extended to bound r by the same
+argument; equality at bound r also checks that the member's rows above r0
+are exactly the bare monomials.  The fiber annihilator
 cross-check (`pushforward_restriction_oracle`) compares the series and
 matrix annihilators of each bare rank-r fiber at the report's small
 ranks, reading each branch's series once.  The tangent test raises the
@@ -114,64 +115,86 @@ class EmbeddingCertificate:
     overall: bool
 
 
-# -- family members ---------------------------------------------------------------
+# -- the family ---------------------------------------------------------------
+
+
+class CertificateFamily:
+    """One germ's family over the ranks of one request.  Each branch's base
+    jet `jet_pair(b, min(r, r0))`, skyscraper jet, ideal at the cap and
+    padding reference are built on first use, then read from memory: above
+    r0 they are the same at every rank, and below r0 they are keyed by the
+    rank.  `certify` pads, extends and checks at each rank."""
+
+    def __init__(self, germ: Germ):
+        self.germ = germ
+        self._built = {}
+
+    def _once(self, key, build, *args):
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+    def member(self, index: int, r: int):
+        """The rank-r member over branch `index`: the rank-r0 jet pair padded
+        with r - r0 graph-skyscraper jets, a `DirectSum` (the bare jet pair
+        at r = r0; exploratory, the bare rank-r jet pair when r < r0).  Its
+        special fiber `m1` is the member."""
+        r0 = self.germ.r0
+        base = self._base_jet(index, min(r, r0))
+        return base if r <= r0 else pad(base, self._sky_jet(index), r - r0)
+
+    def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
+        """Annihilator of member(index, r).m1 at degree bound r: the ideal at
+        the cap min(r, r0) (`_stable_annihilator`), stored once per cap and
+        filler, extended to r at each call."""
+        cap = min(r, self.germ.r0)
+        filler = self._sky_jet(index).m1 if r > cap else None
+        ideal = self._once(("ideal", index, cap, filler is not None),
+                           _stable_annihilator, self.germ.branches[index],
+                           cap, cap, filler)
+        return ideal if r == cap else ideal.extend(r, cap)
+
+    def padding_reference(self, index: int) -> AnnihilatorIdeal:
+        """The generic annihilator of the branch's rank-r0 fiber, the base
+        jet's m1, at degree r0 + 1, read off its action matrices."""
+        r0 = self.germ.r0
+        return self._once(("padding", index), annihilator,
+                          self._base_jet(index, r0).m1, r0 + 1)
+
+    def _base_jet(self, index: int, rank: int):
+        return self._once(("jet", index, rank), jet_pair,
+                          self.germ.branches[index], rank)
+
+    def _sky_jet(self, index: int):
+        return self._once(("sky", index), graph_skyscraper,
+                          self.germ.branches[index])[1]
 
 
 def family_jet(germ: Germ, index: int, r: int):
-    """The rank-r member over branch `index`: the rank-r0 jet pair padded
-    with r - r0 graph-skyscraper jets, a `DirectSum` (the bare jet pair at
-    r = r0; exploratory, the bare rank-r jet pair when r < r0).  Its special
-    fiber `m1` is the member."""
-    return _member_jet(germ, index, r, _skyscraper_jet(germ, index, r))
+    """The rank-r member's jet pair over branch `index`, from a fresh family."""
+    return CertificateFamily(germ).member(index, r)
 
 
 def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
-    """Annihilator of family_jet(germ, index, r).m1 at degree bound r, read
-    off the branch's series coefficients (`_stable_annihilator`)."""
-    return _member_annihilator(germ, index, r, _skyscraper_jet(germ, index, r))
+    """Annihilator of family_jet(germ, index, r).m1 at degree bound r."""
+    return CertificateFamily(germ).ideal(index, r)
 
 
-def _skyscraper_jet(germ: Germ, index: int, r: int):
-    """The graph-skyscraper jet padded into the rank-r member, None at r <= r0."""
-    return graph_skyscraper(germ.branches[index])[1] if r > germ.r0 else None
-
-
-def _member_jet(germ: Germ, index: int, r: int, sky_jet):
-    base = jet_pair(germ.branches[index], min(r, germ.r0))
-    return base if sky_jet is None else pad(base, sky_jet, r - germ.r0)
-
-
-def _member_annihilator(germ: Germ, index: int, r: int,
-                        sky_jet) -> AnnihilatorIdeal:
-    filler = None if sky_jet is None else sky_jet.m1
-    return _stable_annihilator(germ.branches[index], min(r, germ.r0), r, filler)
-
-
-def _stable_annihilator(b, rank: int, bound: int,
+def _stable_annihilator(b, rank: int, cap: int,
                         filler=None) -> AnnihilatorIdeal:
-    """modules.fiber_annihilator at degree `bound`, computed at the degree
-    d from which every monomial kills the module: d = max(rank, filler
-    dim), or `bound` when that is lower (module docstring).
-
-    The ideal at d is checked to have stabilized: the functionals at d + 1
-    have rank equal to its quotient dimension, so no monomial of degree
-    d + 1 adds to the quotient.  The functionals are evaluated once, at
-    d + 1; `functional_ideal` reads the ideal at d off their columns of
-    degree <= d.  Above d it is extended to `bound`, which checks that it
-    holds every monomial of degree d."""
-    cap = min(bound, max(rank, filler.dim if filler is not None else 1))
+    """modules.fiber_annihilator at degree `cap`, checked to have
+    stabilized: the functionals at cap + 1 have rank equal to its quotient
+    dimension, so no monomial of degree cap + 1 adds to the quotient.  At
+    cap = max(rank, filler dim) every monomial of degree cap kills the
+    module (module docstring), and `extend` reads the ideal at any higher
+    bound.  The functionals are evaluated once, at cap + 1;
+    `functional_ideal` reads the ideal at cap off their columns of degree
+    <= cap."""
     monomials, rows = fiber_functionals(b, rank, cap + 1, filler)
     ideal = functional_ideal(cap, monomials, rows)
     if len(rref_rows(rows)[1]) != ideal.quotient_dim:
         raise D0resError(f"annihilator not stabilized at degree {cap}")
-    return ideal if bound == cap else ideal.extend(bound, cap)
-
-
-def _family(germ: Germ, r: int):
-    """Each branch's member ideal and member jet, built from one skyscraper."""
-    skies = [_skyscraper_jet(germ, i, r) for i in range(germ.k)]
-    ideals = [_member_annihilator(germ, i, r, sky) for i, sky in enumerate(skies)]
-    return ideals, [_member_jet(germ, i, r, sky) for i, sky in enumerate(skies)]
+    return ideal
 
 
 # -- point separation ---------------------------------------------------------------
@@ -179,9 +202,10 @@ def _family(germ: Germ, r: int):
 
 def separates_points(germ: Germ, r: int):
     """Pairwise annihilator comparison of the rank-r family members
-    (exploratory below the critical rank)."""
-    ideals, jets = _family(germ, r)
-    return _point_verdicts(ideals, [jet.m1 for jet in jets])
+    (exploratory below the critical rank), from a fresh family."""
+    family = CertificateFamily(germ)
+    return _point_verdicts([family.ideal(i, r) for i in range(germ.k)],
+                           [family.member(i, r).m1 for i in range(germ.k)])
 
 
 def _point_verdicts(ideals, fibers):
@@ -251,9 +275,10 @@ def _check_kills(g, fiber):
 
 def separates_tangents(germ: Germ, r: int):
     """Nilpotency-jump test on the padded jet pair of every branch
-    (exploratory below the critical rank)."""
-    jets = [family_jet(germ, i, r) for i in range(germ.k)]
-    return _tangent_verdicts(germ, r, jets)
+    (exploratory below the critical rank), from a fresh family."""
+    family = CertificateFamily(germ)
+    return _tangent_verdicts(germ, r,
+                             [family.member(i, r) for i in range(germ.k)])
 
 
 def _tangent_verdicts(germ: Germ, r: int, jets):
@@ -340,17 +365,21 @@ def graph_jet_class_vanishes(b) -> bool:
 # -- certificates ---------------------------------------------------------------
 
 
-def certify(germ: Germ, r: int) -> EmbeddingCertificate:
-    """Run both separation suites on the rank-r family, each member built
-    once, and assemble verdicts.  Below the critical rank the certificate is
-    exploratory: it has no padding, runs no padding check and cannot pass."""
-    ideals, jets = _family(germ, r)
+def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
+    """Run both separation suites on the rank-r members of `family`, and
+    assemble verdicts.  What the family already holds from another rank is
+    read, not rebuilt; every check runs at this rank.  Below the critical
+    rank the certificate is exploratory: it has no padding, runs no padding
+    check and cannot pass."""
+    germ = family.germ
+    ideals = [family.ideal(i, r) for i in range(germ.k)]
+    jets = [family.member(i, r) for i in range(germ.k)]
     point_verdicts = tuple(_point_verdicts(ideals, [jet.m1 for jet in jets]))
     tangent_verdicts = tuple(_tangent_verdicts(germ, r, jets))
     below_critical = r < germ.r0
     padding = padding_ok = support_points = None
     if not below_critical:
-        padding_ok = _padding_support_unchanged(germ, r, ideals)
+        padding_ok = _padding_support_unchanged(family, r, ideals)
         padding = {
             "filler": "graph-skyscraper",
             "copies": r - germ.r0,
@@ -376,19 +405,20 @@ def certify(germ: Germ, r: int) -> EmbeddingCertificate:
     )
 
 
-def _padding_support_unchanged(germ: Germ, r: int, ideals) -> bool:
+def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
     fiber: each member's annihilator (`ideals`, read off series rows) equals
     the generic one of its bare rank-r0 fiber, read off that fiber's action
-    matrices, at the same degree bound r.  The generic one is computed at
-    r0 + 1 and extended to r, which checks that it holds every monomial of
-    degree r0 (module docstring).  The equality then also checks that the
-    member's rows above r0 are exactly the bare monomials."""
-    if r == germ.r0:
+    matrices, at the same degree bound r.  The generic one is the family's
+    padding reference, computed at r0 + 1 and extended here to r, which
+    checks that it holds every monomial of degree r0 (module docstring).
+    The equality then also checks that the member's rows above r0 are
+    exactly the bare monomials."""
+    r0 = family.germ.r0
+    if r == r0:
         return True
-    r0 = germ.r0
-    return all(annihilator(fiber_module(b, r0), r0 + 1).extend(r, r0) == ideal
-               for b, ideal in zip(germ.branches, ideals))
+    return all(family.padding_reference(i).extend(r, r0) == ideal
+               for i, ideal in enumerate(ideals))
 
 
 # -- fiber annihilator cross-check ---------------------------------------------------

@@ -16,6 +16,7 @@ from d0res.poly import Poly
 from d0res.report import emit_report, parse_request, run_analyze
 from d0res.series import Series
 from d0res.verify import (
+    CertificateFamily,
     NOT_SEPARATED,
     certify,
     family_jet,
@@ -57,7 +58,7 @@ def test_embedding_certificates_all_ranks(corpus_germs):
     count = 0
     for name, germ in corpus_germs.items():
         for r in (germ.r0, germ.r0 + 1, germ.r0 + 2):
-            cert = certify(germ, r)
+            cert = certify(CertificateFamily(germ), r)
             assert cert.overall, (name, r)
             count += 1
     elapsed = time.perf_counter() - t0
@@ -70,7 +71,7 @@ def test_certificates_at_rank_32(corpus_germs):
     the critical-rank fiber), within the certificate suite's 30 s budget."""
     t0 = time.perf_counter()
     for name in ("cusp", "e6"):
-        cert = certify(corpus_germs[name], 32)
+        cert = certify(CertificateFamily(corpus_germs[name]), 32)
         assert cert.overall and cert.padding_support_ok, name
         assert cert.padding["copies"] == 32 - corpus_germs[name].r0
     elapsed = time.perf_counter() - t0
@@ -83,7 +84,7 @@ def test_certificates_at_rank_64(corpus_germs):
     the critical-rank fiber), within the certificate suite's 30 s budget."""
     t0 = time.perf_counter()
     for name in ("cusp", "e6"):
-        cert = certify(corpus_germs[name], 64)
+        cert = certify(CertificateFamily(corpus_germs[name]), 64)
         assert cert.overall and cert.padding_support_ok, name
         assert cert.padding["copies"] == 64 - corpus_germs[name].r0
     elapsed = time.perf_counter() - t0
@@ -97,7 +98,7 @@ def test_certificates_at_rank_128(corpus_germs):
     budget."""
     t0 = time.perf_counter()
     for name in ("cusp", "e6"):
-        cert = certify(corpus_germs[name], 128)
+        cert = certify(CertificateFamily(corpus_germs[name]), 128)
         assert cert.overall and cert.padding_support_ok, name
         assert cert.padding["copies"] == 128 - corpus_germs[name].r0
     elapsed = time.perf_counter() - t0

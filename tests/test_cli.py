@@ -408,7 +408,8 @@ def test_below_critical_reports_match_snapshots(capsysbinary, name, ranks,
             == (DATA / f"{name}_below.{fmt}").read_bytes())
 
 
-@pytest.mark.parametrize("name, poly", [
+# Germs with +-p/q coefficients outside the corpus, pinned under tests/data.
+RATIONAL_GERMS = [
     # y^2 + 3/4 x^2 - 7/3 x^3: the two branches live over QQ(sqrt(-3/4))
     ("conj_node", [[[0, 2], "1"], [[2, 0], "3/4"], [[3, 0], "-7/3"]]),
     # (y - 8/3 x^2)(y - 8/3 x^2 - 5/4 x^3): contact 3
@@ -416,7 +417,16 @@ def test_below_critical_reports_match_snapshots(capsysbinary, name, ranks,
                  [[4, 0], "64/9"], [[5, 0], "10/3"]]),
     # y^3 = -3/2 x^5 + 1/4 x^6
     ("e8", [[[0, 3], "1"], [[5, 0], "3/2"], [[6, 0], "-1/4"]]),
-])
+    # y^2 = 5/2 x^3 - 2/7 x^4
+    ("cusp", [[[0, 2], "1"], [[3, 0], "-5/2"], [[4, 0], "2/7"]]),
+    # y^3 = -4/3 x^4 + 3/5 x^5
+    ("e6", [[[0, 3], "1"], [[4, 0], "4/3"], [[5, 0], "-3/5"]]),
+    # (y - 2/3 x)(y + 5/4 x)
+    ("node", [[[0, 2], "1"], [[1, 1], "7/12"], [[2, 0], "-5/6"]]),
+]
+
+
+@pytest.mark.parametrize("name, poly", RATIONAL_GERMS)
 def test_rational_germ_reports_match_snapshots(tmp_path, capsysbinary, name,
                                                poly):
     """Germs with +-p/q coefficients, outside the corpus: their reports,
@@ -426,6 +436,91 @@ def test_rational_germ_reports_match_snapshots(tmp_path, capsysbinary, name,
     assert main(["analyze", path]) == 0
     assert (capsysbinary.readouterr().out
             == (DATA / f"rational_{name}.json").read_bytes())
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_mixed_rank_report_matches_snapshot(capsysbinary, fmt):
+    """Descending ranks, a repeated rank and a below-critical rank in one
+    request (tacnode, r0 = 3) are certified in the order asked, each as a
+    request for that rank alone would be; pinned byte for byte."""
+    ranks = [arg for r in (5, 3, 4, 3, 1) for arg in ("--rank", str(r))]
+    rc = main(["analyze", str(CORPUS / "tacnode.json"), *ranks,
+               "--format", fmt])
+    assert rc == 0
+    assert (capsysbinary.readouterr().out
+            == (DATA / f"tacnode_mixed.{fmt}").read_bytes())
+
+
+def _family_requests():
+    """Every corpus request, the rational snapshot germs and the mixed-rank
+    tacnode request."""
+    requests = [pytest.param(json.loads(path.read_text()), id=path.stem)
+                for path in sorted(CORPUS.glob("*.json"))]
+    requests += [pytest.param({"curve": {"implicit": {"poly": poly}}},
+                              id=f"rational_{name}")
+                 for name, poly in RATIONAL_GERMS]
+    tacnode = json.loads((CORPUS / "tacnode.json").read_text())
+    requests.append(pytest.param({**tacnode, "ranks": [5, 3, 4, 3, 1]},
+                                 id="tacnode_mixed"))
+    return requests
+
+
+def _count_builds(monkeypatch):
+    """Counters on the builders `d0res.verify` calls by name."""
+    names = ("jet_pair", "graph_skyscraper", "pad", "annihilator",
+             "fiber_module")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(verify_module, name,
+                            counted(name, getattr(verify_module, name)))
+    return counts
+
+
+@pytest.mark.parametrize("request_obj", _family_requests())
+def test_one_family_per_request_matches_fresh_families(monkeypatch,
+                                                       request_obj):
+    """Every certificate of a multi-rank request, whose ranks share one
+    family, equals the certificate of a request for that rank alone; and
+    a request run twice builds the same, so nothing is carried between
+    requests."""
+    counts = _count_builds(monkeypatch)
+    req = parse_request(request_obj)
+    report = run_analyze(req)
+    first = dict(counts)
+    assert run_analyze(parse_request(request_obj)) == report
+    assert {name: counts[name] - first[name] for name in counts} == first
+    monkeypatch.undo()
+    for block in report["certificates"]:
+        single = run_analyze(parse_request({**request_obj,
+                                            "ranks": [block["rank"]]}))
+        assert single["certificates"] == [block], block["rank"]
+
+
+def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
+    """At the default ranks r0..r0+2 a request builds each branch's rank-r0
+    jet pair, skyscraper and padding reference once; the other annihilator
+    calls are the cross-check's, one per branch per printed rank."""
+    counts = _count_builds(monkeypatch)
+    branches = 0
+    for path in sorted(CORPUS.glob("*.json")):
+        before = dict(counts)
+        report = run_analyze(parse_request(json.loads(path.read_text())))
+        built = {name: counts[name] - before[name] for name in counts}
+        k = len(report["germ"]["branches"])
+        checked = sum(len(row["results"]) for row
+                      in report["oracles"]["fiber_annihilator_crosscheck"])
+        assert built["jet_pair"] == built["graph_skyscraper"] == k, path.name
+        assert built["annihilator"] == k + checked, path.name
+        branches += k
+    assert branches == 20
+    assert (counts["jet_pair"], counts["graph_skyscraper"]) == (20, 20)
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):

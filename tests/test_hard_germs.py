@@ -13,7 +13,7 @@ from d0res.branches import (
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
-from d0res.verify import certify
+from d0res.verify import CertificateFamily, certify
 from oracles import sylvester_resultant_equation
 
 F = Fraction
@@ -36,7 +36,7 @@ def test_two_puiseux_pair_branch_roundtrip():
     assert y.order() == 6 and y.coeffs[6] == 1 and y.coeffs[7] == 1
     germ = germ_invariants(branches)
     assert germ.r0 == 4
-    assert certify(germ, 4).overall
+    assert certify(CertificateFamily(germ), 4).overall
 
 
 def test_tangent_cusps_high_critical_rank():
@@ -46,7 +46,7 @@ def test_tangent_cusps_high_critical_rank():
     assert germ.n == (2, 2)
     assert germ.l_matrix[0][1] == 6
     assert germ.r0 == 14
-    cert = certify(germ, 14)
+    cert = certify(CertificateFamily(germ), 14)
     assert cert.overall
 
 
@@ -54,7 +54,8 @@ def test_higher_cusp():
     f = Poly(2, {(0, 3): F(1), (5, 0): F(-1)})
     germ = germ_invariants(newton_puiseux(PlaneCurveInput(f), 40))
     assert germ.n == (3,) and germ.r0 == 3
-    assert certify(germ, 3).overall and certify(germ, 5).overall
+    family = CertificateFamily(germ)
+    assert certify(family, 3).overall and certify(family, 5).overall
 
 
 def test_branch_close_to_a_polynomial_graph():
@@ -68,7 +69,7 @@ def test_branch_close_to_a_polynomial_graph():
     assert germ.n == (2, 1)
     assert germ.l_matrix[0][1] == 2
     assert germ.r0 == 6
-    assert certify(germ, 6).overall
+    assert certify(CertificateFamily(germ), 6).overall
 
 
 def test_unit_component_is_ignored():
@@ -87,7 +88,7 @@ def test_four_branches_over_one_extension():
     assert germ.n == (1, 1, 1, 1)
     assert germ.bii == 1 and germ.r0 == 2
     for r in (2, 3):
-        assert certify(germ, r).overall
+        assert certify(CertificateFamily(germ), r).overall
 
 
 def test_non_reduced_square_rejected():

@@ -18,7 +18,7 @@ from d0res.branches import (
 )
 from d0res.poly import Poly, is_squarefree
 from d0res.series import Series
-from d0res.verify import certify
+from d0res.verify import CertificateFamily, certify
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def test_random_products_of_graph_branches():
                 )
                 assert germ.l_matrix[bi][bj] == direct, (trial, bi, bj)
         assert germ.r0 == (1 + germ.bii) * lcm(*germ.n)
-        assert certify(germ, germ.r0).overall, trial
+        assert certify(CertificateFamily(germ), germ.r0).overall, trial
 
 
 def test_random_scaled_cusps():
@@ -107,4 +107,4 @@ def test_random_scaled_cusps():
         assert g == Poly(2, {(0, 2): F(1), (3, 0): -a})
         germ = germ_invariants(branches)
         assert germ.r0 == 2
-        assert certify(germ, 2).overall
+        assert certify(CertificateFamily(germ), 2).overall

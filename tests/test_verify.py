@@ -31,6 +31,7 @@ from d0res.poly import Poly, poly_text
 from d0res.report import _certificate_block, _verdict_block
 from d0res.series import Series
 from d0res.verify import (
+    CertificateFamily,
     INCONCLUSIVE,
     NOT_SEPARATED,
     SEPARATED,
@@ -73,7 +74,7 @@ def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
         validate(self)
 
     monkeypatch.setattr(JetPair, "__post_init__", counted)
-    block = _certificate_block(germ, 2)
+    block = _certificate_block(CertificateFamily(germ), 2)
     monkeypatch.undo()
     assert len(built) == 2
     points = separates_points(germ, 2)
@@ -133,7 +134,8 @@ def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
                 cases.append(([family_annihilator(germ, i, r - 1)
                                for i in range(germ.k)], False))
             for candidate, expected in cases:
-                assert _padding_support_unchanged(germ, r, candidate) is expected
+                assert _padding_support_unchanged(
+                    CertificateFamily(germ), r, candidate) is expected
                 assert padding_support_by_dense_annihilator(
                     germ, r, candidate) is expected, (name, r)
                 checked += 1
@@ -156,7 +158,7 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
     def check(rows):
         members = [AnnihilatorIdeal(r, monomials, tuple(rows))]
         members += [family_annihilator(germ, i, r) for i in range(1, germ.k)]
-        return _padding_support_unchanged(germ, r, members)
+        return _padding_support_unchanged(CertificateFamily(germ), r, members)
 
     assert check(rows)
     non_bare = rows.copy()
@@ -318,7 +320,7 @@ def test_tacnode_negative_control(corpus_germs):
     f0 = family_jet(tac, 0, 2).m1
     f1 = family_jet(tac, 1, 2).m1
     assert f0.same_presentation(f1)
-    cert = certify(tac, tac.r0 - 1)
+    cert = certify(CertificateFamily(tac), tac.r0 - 1)
     assert cert.below_critical and not cert.overall
 
 
@@ -367,14 +369,15 @@ def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
                         classmethod(counted_of_fractions))
     for r in (germ.r0 + 1, 256):
         entries.append(0)
-        assert certify(germ, r).overall, (name, r)
+        assert certify(CertificateFamily(germ), r).overall, (name, r)
     assert entries[0] == entries[1] > 0, (name, entries)
 
 
 @pytest.mark.parametrize("r", [0, -2])
 def test_nonpositive_rank_rejected(corpus_germs, r):
     """The module builders reject r < 1, below-critical ranks included."""
-    for test in (separates_points, separates_tangents, certify):
+    for test in (separates_points, separates_tangents,
+                 lambda germ, r: certify(CertificateFamily(germ), r)):
         with pytest.raises(D0resError, match="rank must be positive"):
             test(corpus_germs["node"], r)
 
@@ -535,13 +538,13 @@ def test_padding_preserves_verdicts(corpus_germs):
 def test_certify_corpus(corpus_germs):
     for name, germ in corpus_germs.items():
         for r in (germ.r0, germ.r0 + 1, germ.r0 + 2):
-            cert = certify(germ, r)
+            cert = certify(CertificateFamily(germ), r)
             assert cert.overall, (name, r)
             assert cert.padding_support_ok
             assert cert.padding["copies"] == r - germ.r0
             assert all(pt == germ.point for pt in cert.support_points)
         if germ.r0 > 1:
-            cert = certify(germ, germ.r0 - 1)
+            cert = certify(CertificateFamily(germ), germ.r0 - 1)
             assert cert.below_critical and not cert.overall
             assert cert.padding is None and cert.padding_support_ok is None
 
