@@ -24,7 +24,7 @@ from .errors import (  # noqa: F401
     UnsupportedFieldExtension,
 )
 from .fields import FieldElement, NumberField, format_scalar, parse_scalar  # noqa: F401
-from .linalg import ExactMatrix, eval_poly_at_matrices, nullspace  # noqa: F401
+from .linalg import ExactMatrix, eval_poly_at_matrices  # noqa: F401
 from .modules import (  # noqa: F401
     AnnihilatorIdeal,
     DirectSum,

@@ -8,6 +8,7 @@ Everything is immutable and hashable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -253,12 +254,18 @@ def scalar_is_zero(x) -> bool:
 
 
 def format_scalar(x) -> str:
-    """Lossless string form: '3/2', '-1', '1+2*a', '1/2*a^2-1'."""
-    if not isinstance(x, FieldElement):
-        return str(_as_fraction(x))
-    if x.is_rational():
-        return str(x.coeffs[0])
-    return poly_str(x.coeffs, x.field.generator)
+    """Lossless string form: '3/2', '-1', '1+2*a', '1/2*a^2-1'.  An integer
+    with more digits than Python converts to a string raises D0resError."""
+    try:
+        if not isinstance(x, FieldElement):
+            return str(_as_fraction(x))
+        if x.is_rational():
+            return str(x.coeffs[0])
+        return poly_str(x.coeffs, x.field.generator)
+    except ValueError:
+        raise D0resError(f"a number in the report has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's "
+                         f"limit for printing an integer") from None
 
 
 def factor_text(text) -> str:

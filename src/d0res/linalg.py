@@ -281,10 +281,6 @@ def _rref_generic(rows):
     return nonzero + zero, pivots
 
 
-def nullspace(matrix: ExactMatrix):
-    return matrix.nullspace()
-
-
 def solve_exact(rows, rhs):
     """One exact solution of A x = b, or None when inconsistent.
 

@@ -46,21 +46,22 @@ The key constructions:
   one over the pullback series.  The basis is stored once, as the sparse
   rows of `kernel_echelon`; a row becomes a polynomial only when `polys`
   is iterated up to it.
-* degree caps: once an ideal holds every monomial of degree d, its reduced
+* top degree: once an ideal holds every monomial of degree d, its reduced
   echelon basis on graded columns is fixed above d.  Each row that leads
   at degree >= d is that bare monomial, and no row that leads below d has
-  an entry at degree >= d (`AnnihilatorIdeal.extend` gives the argument
-  and checks both).  So the ideal at any bound >= d is stored as its part
-  below d plus "every monomial above", and costs what bound d costs.  A
-  punctual module of dim m is killed by every monomial of degree >= m,
-  and a fiber K[t]/(t^r) by every monomial of degree >= r.
+  an entry at degree >= d (`AnnihilatorIdeal.holds_top_degree` gives the
+  argument and checks both at d = its bound).  So such an ideal is stored
+  at bound d and never built higher: two of them are equal at any bound
+  >= d iff they are equal at d, and a row above d, a monomial both hold,
+  separates nothing.  A punctual module of dim m is killed by every
+  monomial of degree >= m, and a fiber K[t]/(t^r) by every monomial of
+  degree >= r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 
 from .branches import BranchParam, _evaluation_columns
@@ -336,50 +337,24 @@ class AnnihilatorIdeal:
     column order, columns indexing the graded `monomials`, and the rows are
     in the order of their leading (lowest) columns.  The basis is unique,
     so equal bases mean equal ideals.
-
-    The basis is stored below a degree `cap` (by default bound + 1, which
-    stores it all): `monomials` and `rows` are given as the monomials of
-    degree < cap and the rows that lead there, and every monomial of degree
-    cap..bound is a further basis row of its own.  Those rows are built
-    only when `monomials`, `rows` or `polys` reach them.  Equality reads
-    two ideals at the larger of their caps, so it does not depend on where
-    either is stored; `extend` says when such a cap holds.
     """
 
-    def __init__(self, degree_bound, monomials, rows, cap=None):
+    def __init__(self, degree_bound, monomials, rows):
         self.degree_bound = degree_bound
-        self.cap = degree_bound + 1 if cap is None else cap
-        self.nvars = len(monomials[0])
-        self._low = (tuple(monomials), tuple(rows))
+        self.monomials = tuple(monomials)
+        self.rows = tuple(rows)
 
-    def _below(self, cap):
-        """(monomials, rows) of degree, and leading, below `cap` >= self.cap."""
-        monomials, rows = self._low
-        start = len(monomials)
-        if cap > self.cap:
-            monomials = monomials + _graded_between(self.nvars, self.cap, cap)
-            rows = rows + tuple(((c, _ONE),) for c in range(start, len(monomials)))
-        return monomials, rows
-
-    @cached_property
-    def monomials(self):
-        return self._below(self.degree_bound + 1)[0]
-
-    @cached_property
-    def rows(self):
-        return self._below(self.degree_bound + 1)[1]
+    @property
+    def nvars(self):
+        return len(self.monomials[0])
 
     def polys_below(self, degree):
         """The basis rows that lead below `degree` as polynomials, in row
         order, each built only when the iteration reaches it."""
-        monomials, rows = self._low
-        for row in rows:
-            if sum(monomials[row[0][0]]) >= degree:
+        for row in self.rows:
+            if sum(self.monomials[row[0][0]]) >= degree:
                 return
-            yield Poly(self.nvars, {monomials[c]: v for c, v in row})
-        top = min(degree, self.degree_bound + 1)
-        for m in _graded_between(self.nvars, self.cap, top):
-            yield Poly(self.nvars, {m: _ONE})
+            yield Poly(self.nvars, {self.monomials[c]: v for c, v in row})
 
     @property
     def polys(self):
@@ -390,63 +365,45 @@ class AnnihilatorIdeal:
     @property
     def quotient_dim(self):
         """Dimension of the polynomials of degree <= bound modulo the ideal:
-        the dimension of the algebra the actions generate at that degree.
-        Each monomial of degree >= cap is a row of its own."""
-        monomials, rows = self._low
-        return len(monomials) - len(rows)
+        the dimension of the algebra the actions generate at that degree."""
+        return len(self.monomials) - len(self.rows)
 
-    def extend(self, bound: int, cap: int) -> "AnnihilatorIdeal":
-        """The ideal at degree bound `bound`, from this one, which must hold
-        every monomial of degree `cap`; stored below `cap`.
+    def holds_top_degree(self) -> bool:
+        """True iff the ideal holds every monomial of degree `degree_bound`,
+        read off the basis: each of those monomials is a bare row, and no
+        row that leads below that degree has an entry there.
 
         An ideal is closed under multiplication, so it then holds every
-        monomial of degree >= cap.  On graded columns that fixes its reduced
-        echelon basis at any bound >= cap: the columns of degree >= cap are
-        zero functionals, so none is a pivot of `kernel_echelon`'s reversed
-        elimination.  Each leads a row, and its dependency on the pivots
-        after it is empty: the row is the bare monomial.  A row that leads
-        below cap depends only on pivots, all of degree < cap, so it has no
-        entry at degree >= cap; and zero columns change neither the pivots
-        nor the reduced entries, so these rows do not depend on the bound.
-        Both halves are checked on this basis, and a basis that breaks
-        either raises D0resError.
+        monomial of degree >= bound, and on graded columns that fixes its
+        reduced echelon basis at any higher bound: the columns of higher
+        degree are zero functionals, so none is a pivot of
+        `kernel_echelon`'s reversed elimination.  Each leads a row, and its
+        dependency on the pivots after it is empty: the row is the bare
+        monomial.  A row that leads lower depends only on pivots, all of
+        lower degree, so it has no entry at a higher degree; and zero
+        columns change neither the pivots nor the reduced entries.  So the
+        ideal at any bound above is this basis with the bare monomials of
+        the new degrees appended, and two such ideals agree at every higher
+        bound iff they agree at this one.
         """
-        if not 1 <= cap <= self.degree_bound <= bound:
-            raise D0resError("an annihilator extends to a higher bound from a "
-                             "cap at most its own bound")
-        monomials, rows = self._below(self.degree_bound + 1)
-        width = comb(cap - 1 + self.nvars, self.nvars)
-        low = tuple(row for row in rows if row[0][0] < width)
-        if (any(row[-1][0] >= width for row in low)
-                or rows[len(low):] != tuple(((c, _ONE),)
-                                            for c in range(width, len(monomials)))):
-            raise D0resError(f"annihilator does not hold every monomial of "
-                             f"degree {cap}")
-        return AnnihilatorIdeal(bound, monomials[:width], low, cap=cap)
+        width = comb(self.degree_bound - 1 + self.nvars, self.nvars)
+        low = tuple(row for row in self.rows if row[0][0] < width)
+        return (all(row[-1][0] < width for row in low)
+                and self.rows[len(low):] == tuple(
+                    ((c, _ONE),) for c in range(width, len(self.monomials))))
 
     def __eq__(self, other):
         if not isinstance(other, AnnihilatorIdeal):
             return NotImplemented
-        cap = max(self.cap, other.cap)
-        return ((self.degree_bound, self.nvars)
-                == (other.degree_bound, other.nvars)
-                and self._below(cap) == other._below(cap))
+        return ((self.degree_bound, self.monomials, self.rows)
+                == (other.degree_bound, other.monomials, other.rows))
 
     def __hash__(self):
         return hash((self.degree_bound, self.nvars, self.quotient_dim))
 
     def __repr__(self):
-        monomials, rows = self._low
         return (f"AnnihilatorIdeal(degree_bound={self.degree_bound}, "
-                f"cap={self.cap}, monomials={monomials!r}, rows={rows!r})")
-
-
-def _graded_between(nvars, low, high):
-    """The graded monomials of degree low..high - 1, in `monomials_upto`
-    order (graded first, so those of degree < low are its prefix)."""
-    if high <= low:
-        return ()
-    return tuple(monomials_upto(nvars, high - 1)[comb(low - 1 + nvars, nvars):])
+                f"monomials={self.monomials!r}, rows={self.rows!r})")
 
 
 def kernel_echelon(rows, ncols):

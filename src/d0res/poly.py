@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import D0resError
 from .fields import (
     factor_text,
+    format_scalar,
     power,
     scalar_is_zero,
     upoly_divmod,
@@ -305,13 +306,13 @@ def poly_text(f: Poly) -> str:
             elif k > 1:
                 factors.append(f"{name}^{k}")
         if not factors:
-            parts.append(str(c))
+            parts.append(format_scalar(c))
         elif c == 1:
             parts.append("*".join(factors))
         elif c == -1:
             parts.append("-" + "*".join(factors))
         else:
-            parts.append(f"{factor_text(str(c))}*" + "*".join(factors))
+            parts.append(factor_text(format_scalar(c)) + "*" + "*".join(factors))
     if not parts:
         return "0"
     out = parts[0]

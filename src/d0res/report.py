@@ -300,7 +300,7 @@ def _canonical_echo(req: AnalysisRequest) -> dict:
     if req.field is not None:
         echo["field"] = {
             "generator": req.field.generator,
-            "minpoly": [str(c) for c in req.field.minpoly],
+            "minpoly": [format_scalar(c) for c in req.field.minpoly],
         }
     return echo
 
@@ -451,7 +451,7 @@ def _field_block(ctx: FieldContext):
         return None
     return {
         "generator": ctx.field.generator,
-        "minpoly": [str(c) for c in ctx.field.minpoly],
+        "minpoly": [format_scalar(c) for c in ctx.field.minpoly],
     }
 
 

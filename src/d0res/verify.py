@@ -5,7 +5,7 @@ pair padded with r - r0 graph-skyscraper jets (below r0, the bare rank-r
 jet pair).  Padded, it is a `modules.DirectSum` of those two runs, and no
 matrix of the sum is built.  Its special fiber m1 is the member's fiber
 module.  A request's ranks share one `CertificateFamily`, which builds each
-branch's base jet, skyscraper, capped ideal and padding reference once.
+branch's base jet, skyscraper, member ideal and padding reference once.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -25,24 +25,25 @@ on each summand.
 Above r0 the cost does not grow with r.  Every coordinate pulls back to a
 series of order >= 1, so a monomial of degree >= d = min(r, r0) has order
 >= d and kills K[t]/(t^d), and it kills the skyscraper, whose actions are
-zero.  So the member ideal holds every monomial of degree >= d, and on
-graded columns its reduced echelon basis at bound r is its basis at bound
-d with the bare monomials of degree d..r appended
-(`modules.AnnihilatorIdeal.extend`).  The functionals are evaluated once,
-at d + 1: one pivot count there checks that the ideal at d has
-stabilized, and the ideal at d is checked to hold every monomial of degree
-d before it is stored as its part below d plus every monomial above.  A
-monomial of degree >= r0 kills every member at a rank >= r0, so it is
-never a point witness, and the witness search stops below the caps.
+zero.  So the member ideal holds every monomial of degree >= d, and its
+reduced echelon basis at bound r is its basis at bound d with the bare
+monomials of degree d + 1..r appended (`AnnihilatorIdeal.holds_top_degree`).
+Those rows are the same for every member, so the ideals are compared,
+searched and checked at bound d, and no row above d is built.  The
+functionals are evaluated once, at d + 1: one pivot count there checks
+that the ideal at d has stabilized, and the ideal is checked to hold
+every monomial of degree d when it is stored.  A monomial of degree d
+kills every member at rank r, so it is never a point witness, and the
+witness search stops below d.
 
 The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
 polynomial kills a direct sum iff it kills each summand.  The padding
 check compares each member's ideal with the generic annihilator of the
-family's rank-r0 fiber at degree r0 + 1, extended to bound r by the same
-argument; equality at bound r also checks that the member's rows above r0
-are exactly the bare monomials.  The fiber annihilator
+family's rank-r0 fiber, read off its action matrices at degree r0; as
+both hold every monomial of degree r0, equality there is equality at
+bound r.  The fiber annihilator
 cross-check (`pushforward_restriction_oracle`) compares the series and
 matrix annihilators of each bare rank-r fiber at the report's small
 ranks, reading each branch's series once.  The tangent test raises the
@@ -120,10 +121,10 @@ class EmbeddingCertificate:
 
 class CertificateFamily:
     """One germ's family over the ranks of one request.  Each branch's base
-    jet `jet_pair(b, min(r, r0))`, skyscraper jet, ideal at the cap and
-    padding reference are built on first use, then read from memory: above
-    r0 they are the same at every rank, and below r0 they are keyed by the
-    rank.  `certify` pads, extends and checks at each rank."""
+    jet `jet_pair(b, min(r, r0))`, skyscraper jet, member ideal at bound
+    min(r, r0) and padding reference are built on first use, then read from
+    memory: above r0 they are the same at every rank, and below r0 they are
+    keyed by the rank.  `certify` pads and checks at each rank."""
 
     def __init__(self, germ: Germ):
         self.germ = germ
@@ -144,22 +145,22 @@ class CertificateFamily:
         return base if r <= r0 else pad(base, self._sky_jet(index), r - r0)
 
     def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
-        """Annihilator of member(index, r).m1 at degree bound r: the ideal at
-        the cap min(r, r0) (`_stable_annihilator`), stored once per cap and
-        filler, extended to r at each call."""
-        cap = min(r, self.germ.r0)
-        filler = self._sky_jet(index).m1 if r > cap else None
-        ideal = self._once(("ideal", index, cap, filler is not None),
-                           _stable_annihilator, self.germ.branches[index],
-                           cap, cap, filler)
-        return ideal if r == cap else ideal.extend(r, cap)
+        """Annihilator of member(index, r).m1 at degree bound d = min(r, r0)
+        (`_stable_annihilator`), stored once per bound and filler.  It holds
+        every monomial of degree d, so it stands for the ideal at bound r
+        (module docstring)."""
+        bound = min(r, self.germ.r0)
+        filler = self._sky_jet(index).m1 if r > bound else None
+        return self._once(("ideal", index, bound, filler is not None),
+                          _stable_annihilator, self.germ.branches[index],
+                          bound, bound, filler)
 
     def padding_reference(self, index: int) -> AnnihilatorIdeal:
         """The generic annihilator of the branch's rank-r0 fiber, the base
-        jet's m1, at degree r0 + 1, read off its action matrices."""
+        jet's m1, at degree r0, read off its action matrices."""
         r0 = self.germ.r0
         return self._once(("padding", index), annihilator,
-                          self._base_jet(index, r0).m1, r0 + 1)
+                          self._base_jet(index, r0).m1, r0)
 
     def _base_jet(self, index: int, rank: int):
         return self._once(("jet", index, rank), jet_pair,
@@ -176,24 +177,29 @@ def family_jet(germ: Germ, index: int, r: int):
 
 
 def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
-    """Annihilator of family_jet(germ, index, r).m1 at degree bound r."""
+    """Annihilator of family_jet(germ, index, r).m1 at degree bound
+    min(r, r0), from a fresh family."""
     return CertificateFamily(germ).ideal(index, r)
 
 
-def _stable_annihilator(b, rank: int, cap: int,
+def _stable_annihilator(b, rank: int, bound: int,
                         filler=None) -> AnnihilatorIdeal:
-    """modules.fiber_annihilator at degree `cap`, checked to have
-    stabilized: the functionals at cap + 1 have rank equal to its quotient
-    dimension, so no monomial of degree cap + 1 adds to the quotient.  At
-    cap = max(rank, filler dim) every monomial of degree cap kills the
-    module (module docstring), and `extend` reads the ideal at any higher
-    bound.  The functionals are evaluated once, at cap + 1;
-    `functional_ideal` reads the ideal at cap off their columns of degree
-    <= cap."""
-    monomials, rows = fiber_functionals(b, rank, cap + 1, filler)
-    ideal = functional_ideal(cap, monomials, rows)
+    """modules.fiber_annihilator at degree `bound`, checked to have
+    stabilized: the functionals at bound + 1 have rank equal to its
+    quotient dimension, so no monomial of degree bound + 1 adds to the
+    quotient.  At bound >= rank every monomial of degree bound kills the
+    fiber and the 1 x 1 skyscraper (module docstring), and the ideal is
+    checked to hold them all (`holds_top_degree`): the family stores it at
+    that bound for every higher one.  The functionals are evaluated once,
+    at bound + 1; `functional_ideal` reads the ideal at bound off their
+    columns of degree <= bound."""
+    monomials, rows = fiber_functionals(b, rank, bound + 1, filler)
+    ideal = functional_ideal(bound, monomials, rows)
     if len(rref_rows(rows)[1]) != ideal.quotient_dim:
-        raise D0resError(f"annihilator not stabilized at degree {cap}")
+        raise D0resError(f"annihilator not stabilized at degree {bound}")
+    if bound >= rank and not ideal.holds_top_degree():
+        raise D0resError(f"annihilator does not hold every monomial of "
+                         f"degree {bound}")
     return ideal
 
 
@@ -237,14 +243,14 @@ def _point_verdicts(ideals, fibers):
 
 def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
     """A polynomial in exactly one of the two annihilators, re-verified;
-    the first branch's annihilator is searched first.  A row that leads at
-    or above both caps is a bare monomial that both ideals hold, never a
-    witness, so the search stops there."""
-    cap = max(ann_i.cap, ann_j.cap)
+    the first branch's annihilator is searched first.  Both share one
+    degree bound, and a row that leads there is a bare monomial that both
+    ideals hold, never a witness, so the search stops below it."""
+    bound = ann_i.degree_bound
     first, second = ("first", ann_i, fiber_i), ("second", ann_j, fiber_j)
     for (own, ann, fiber), (other, _, other_fiber) in ((first, second),
                                                        (second, first)):
-        for g in ann.polys_below(cap):
+        for g in ann.polys_below(bound):
             if not _kills(g, other_fiber):
                 _check_kills(g, fiber)
                 return {
@@ -407,17 +413,15 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
 
 def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
-    fiber: each member's annihilator (`ideals`, read off series rows) equals
-    the generic one of its bare rank-r0 fiber, read off that fiber's action
-    matrices, at the same degree bound r.  The generic one is the family's
-    padding reference, computed at r0 + 1 and extended here to r, which
-    checks that it holds every monomial of degree r0 (module docstring).
-    The equality then also checks that the member's rows above r0 are
-    exactly the bare monomials."""
-    r0 = family.germ.r0
-    if r == r0:
+    fiber: each member's annihilator (`ideals`, read off series rows at
+    bound r0) equals the generic one of its bare rank-r0 fiber, the
+    family's padding reference, read off that fiber's action matrices at
+    the same bound.  The member ideal was checked to hold every monomial of
+    degree r0 when it was stored, so equality at r0 is equality at any
+    bound r above (module docstring)."""
+    if r == family.germ.r0:
         return True
-    return all(family.padding_reference(i).extend(r, r0) == ideal
+    return all(family.padding_reference(i) == ideal
                for i, ideal in enumerate(ideals))
 
 

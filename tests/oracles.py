@@ -25,9 +25,14 @@ routes, and only the tests call them:
   the dense matrices, pairwise commutators, the dim-th power of every
   action and the [[A, 0], [C, A]] frame entry by entry; they check that a
   direct sum's dense matrices are a valid module or jet pair.
+* with_bare_rows: an ideal that holds every monomial of its degree bound,
+  read at a higher bound by appending those bare rows; it reads a member
+  ideal, which the program stores at bound min(r, r0), at the rank r the
+  references compute at.
 * padding_support_by_dense_annihilator: the padding check against the
   generic annihilator of each bare rank-r0 fiber at the full bound r; the
-  reference for the degree-capped `verify._padding_support_unchanged`.
+  reference for `verify._padding_support_unchanged`, which compares at
+  bound r0.
 """
 
 from fractions import Fraction
@@ -37,13 +42,14 @@ from d0res.errors import D0resError
 from d0res.fields import scalar_is_zero
 from d0res.linalg import ExactMatrix
 from d0res.modules import (
+    AnnihilatorIdeal,
     DirectSum,
     FiniteModule,
     JetPair,
     annihilator,
     fiber_module,
 )
-from d0res.poly import Poly, grlex_key
+from d0res.poly import Poly, grlex_key, monomials_upto
 from d0res.series import Series
 
 _ZERO = Fraction(0)
@@ -273,3 +279,16 @@ def padding_support_by_dense_annihilator(germ, r: int, ideals) -> bool:
         return True
     return all(annihilator(fiber_module(b, germ.r0), r) == ideal
                for b, ideal in zip(germ.branches, ideals))
+
+
+def with_bare_rows(ideal, bound: int):
+    """`ideal` at the higher degree bound `bound`: its rows, then one bare
+    row for each monomial of degree above its own bound, on the graded
+    monomials up to `bound`.  This is the ideal at `bound` when `ideal`
+    holds every monomial of its own bound."""
+    monomials = monomials_upto(ideal.nvars, bound)
+    start = len(ideal.monomials)
+    if bound < ideal.degree_bound or tuple(monomials[:start]) != ideal.monomials:
+        raise D0resError("bare rows extend an ideal on its graded monomials")
+    bare = tuple(((c, Fraction(1)),) for c in range(start, len(monomials)))
+    return AnnihilatorIdeal(bound, monomials, ideal.rows + bare)

@@ -207,6 +207,33 @@ def test_malformed_fields_exit_2_without_traceback(request_obj, path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("request_obj", [
+    {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[3, 0], "7" * 4200]]}}},
+    {"field": {"minpoly": ["3" * 4200, "0", "1/" + "7" * 4200]},
+     "curve": {"implicit": {"poly": CUSP_POLY}}},
+], ids=["series", "minpoly"])
+def test_a_number_too_long_to_print_exits_2_without_traceback(request_obj,
+                                                              fmt):
+    """4200-digit input numbers parse, but the series they grow, and the
+    monic minimal polynomial, have integers past Python's 4300-digit limit
+    for printing one: the limit stays, and the report is one error line
+    with exit 2."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from d0res.cli import main; sys.exit(main())",
+         "analyze", "-", "--format", fmt],
+        input=json.dumps(request_obj), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: a number in the report has more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+        f"printing an integer"]
+
+
 @pytest.mark.parametrize("request_obj, message", [
     ({"rank": [7], "curve": {"implicit": {"poly": CUSP_POLY}}},
      "$: unknown keys ['rank']; known keys: curve, point, ranks, truncation, "

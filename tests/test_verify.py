@@ -55,6 +55,7 @@ from oracles import (
     dense_sum,
     eval_series_at_matrix,
     padding_support_by_dense_annihilator,
+    with_bare_rows,
 )
 
 F = Fraction
@@ -84,14 +85,20 @@ def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
 
 
 def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
-    """The series-row annihilator of each member equals the generic one
-    computed from the member's action matrices, exploratory ranks too."""
+    """The series-row annihilator of each member is stored at bound
+    d = min(r, r0) and holds every monomial of degree d.  With the bare
+    monomials of degree d + 1..r appended it equals the generic one
+    computed from the member's action matrices at bound r, exploratory
+    ranks too."""
     extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
     assert extension_and_space <= set(repo_corpus_germs)
     for name, germ in repo_corpus_germs.items():
         for i in range(germ.k):
             for r in range(1, 11):
-                fast = family_annihilator(germ, i, r)
+                stored = family_annihilator(germ, i, r)
+                assert stored.degree_bound == min(r, germ.r0), (name, i, r)
+                assert stored.holds_top_degree(), (name, i, r)
+                fast = with_bare_rows(stored, r)
                 oracle = annihilator(dense_sum(family_jet(germ, i, r)).m1, r)
                 assert fast == oracle, (name, i, r)
                 assert hash(fast) == hash(oracle)
@@ -99,6 +106,20 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
                            for row in fast.rows)
                 assert ([poly_text(p) for p in fast.polys]
                         == [poly_text(p) for p in oracle.polys]), (name, i, r)
+
+
+def test_family_serves_every_rank_above_r0_from_one_stored_ideal(
+        repo_corpus_germs):
+    """Above r0 a member's ideal is the one stored at bound r0: ranks
+    r0 + 1 and 256 read the same objects, and rank 256 builds nothing."""
+    for name, germ in repo_corpus_germs.items():
+        family = CertificateFamily(germ)
+        near = [family.ideal(i, germ.r0 + 1) for i in range(germ.k)]
+        built = len(family._built)
+        far = [family.ideal(i, 256) for i in range(germ.k)]
+        assert all(a is b for a, b in zip(near, far)), name
+        assert len(family._built) == built, name
+        assert all(a.degree_bound == germ.r0 for a in far), name
 
 
 def test_stabilization_check_rejects_a_growing_quotient(corpus_germs):
@@ -115,40 +136,43 @@ def test_stabilization_check_rejects_a_growing_quotient(corpus_germs):
 
 
 def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
-    """The padding check at bound r0 + 1, extended to r, and the reference
-    that evaluates every monomial up to degree r agree on every corpus
-    germ: on the members' ideals, on the same ideals stored dense, and on
-    ideals that must fail (the branches' ideals in reverse order, and each
-    member's ideal one rank lower).  At r = r0 nothing is padded, and the
-    check holds."""
+    """The padding check at bound r0 and the reference that evaluates every
+    monomial up to degree r agree on every corpus germ: on the members'
+    ideals, and on ideals that must fail (the branches' ideals in reverse
+    order, and each bare rank-(r0 + 1) fiber's ideal at bound r0, which
+    lacks the test coordinate's power of order r0).  The reference reads
+    each ideal at bound r (`with_bare_rows`).  At r = r0 nothing is padded,
+    and the check holds."""
     checked = 0
     for name, germ in repo_corpus_germs.items():
+        longer = [fiber_annihilator(b, germ.r0 + 1, germ.r0)
+                  for b in germ.branches]
         for r in (*range(germ.r0, germ.r0 + 4), 16, 32):
             ideals = [family_annihilator(germ, i, r) for i in range(germ.k)]
-            dense = [AnnihilatorIdeal(r, ideal.monomials, ideal.rows)
-                     for ideal in ideals]
             padded = r > germ.r0
-            cases = [(ideals, True), (dense, True),
+            cases = [(ideals, True),
                      (ideals[::-1], germ.k == 1 or not padded)]
             if padded:
-                cases.append(([family_annihilator(germ, i, r - 1)
-                               for i in range(germ.k)], False))
+                cases.append((longer, False))
             for candidate, expected in cases:
                 assert _padding_support_unchanged(
                     CertificateFamily(germ), r, candidate) is expected
                 assert padding_support_by_dense_annihilator(
-                    germ, r, candidate) is expected, (name, r)
+                    germ, r, [with_bare_rows(ideal, r) for ideal in candidate]
+                ) is expected, (name, r)
                 checked += 1
     assert checked > 0
 
 
 @pytest.mark.parametrize("name, r", [("cusp", 3), ("e6", 8), ("node", 16)])
 def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
-    """Above d = r0 a member ideal's rows are the bare monomials, and its
-    rows below d have no entry at degree >= d.  Breaking either, in the
-    ideal stored dense, fails the padding check."""
+    """Above r0 a member ideal is stored at bound r0: its rows at degree r0
+    are the bare monomials, and its rows below have no entry at degree r0.
+    Breaking either fails the padding check, and the broken ideal no
+    longer holds its top degree."""
     germ = corpus_germs[name]
     ideal = family_annihilator(germ, 0, r)
+    assert ideal.degree_bound == germ.r0 < r
     monomials, rows = ideal.monomials, list(ideal.rows)
     width = comb(germ.r0 - 1 + 2, 2)          # the columns of degree < r0
     first_high = next(k for k, row in enumerate(rows) if row[0][0] >= width)
@@ -156,9 +180,12 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
     last = len(monomials) - 1
 
     def check(rows):
-        members = [AnnihilatorIdeal(r, monomials, tuple(rows))]
+        mutant = AnnihilatorIdeal(germ.r0, monomials, tuple(rows))
+        members = [mutant]
         members += [family_annihilator(germ, i, r) for i in range(1, germ.k)]
-        return _padding_support_unchanged(CertificateFamily(germ), r, members)
+        ok = _padding_support_unchanged(CertificateFamily(germ), r, members)
+        assert mutant.holds_top_degree() is ok
+        return ok
 
     assert check(rows)
     non_bare = rows.copy()
@@ -170,19 +197,24 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
         assert not check(mutated)
 
 
-def test_extend_checks_that_the_ideal_holds_its_cap(corpus_germs):
-    """`extend` reads an ideal at a higher bound only from a degree whose
-    every monomial the ideal holds.  On a node branch's fiber K[t]/(t^2),
-    x pulls back to order 1, so degree 1 is refused and degree 2 taken."""
+def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs):
+    """An ideal stands for every higher bound only where it holds every
+    monomial of its own.  On a node branch's fiber K[t]/(t^2), x pulls back
+    to order 1, so degree 1 is refused and degree 2 taken, and the ideal at
+    degree 2 with the bare monomials appended is the ideal at 12.  The
+    family never stores a refused ideal: the direct sum of K[t]/(t) with
+    that fiber is not killed by x, and its ideal at degree 1 is an error."""
     b = corpus_germs["node"].branches[0]
     assert b.coords[0].order() == 1
-    ideal = annihilator(fiber_module(b, 2), 3)
-    capped = ideal.extend(12, 2)
-    assert capped == annihilator(fiber_module(b, 2), 12)
-    assert capped.quotient_dim == ideal.quotient_dim
-    assert list(capped.polys) == list(annihilator(fiber_module(b, 2), 12).polys)
+    ideal = annihilator(fiber_module(b, 2), 2)
+    assert ideal.holds_top_degree()
+    assert not fiber_annihilator(b, 2, 1).holds_top_degree()
+    dense = annihilator(fiber_module(b, 2), 12)
+    assert with_bare_rows(ideal, 12) == dense
+    assert dense.quotient_dim == ideal.quotient_dim
+    assert list(with_bare_rows(ideal, 12).polys) == list(dense.polys)
     with pytest.raises(D0resError, match="every monomial of degree 1"):
-        ideal.extend(12, 1)
+        _stable_annihilator(b, 1, 1, fiber_module(b, 2))
 
 
 def _assert_dense_jet_identities(jet):
