@@ -159,15 +159,6 @@ class ExactMatrix:
             raise D0resError("negative matrix power")
         return power(self, n, ExactMatrix.identity(self.rows))
 
-    def apply_to(self, vector):
-        """Matrix-vector product (vector = sequence of scalars)."""
-        if len(vector) != self.cols:
-            raise D0resError("vector length mismatch")
-        return tuple(
-            sum((a * v for a, v in zip(row, vector) if not scalar_is_zero(v)), _ZERO)
-            for row in self.data
-        )
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise D0resError("shape mismatch")

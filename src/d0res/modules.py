@@ -38,14 +38,17 @@ The key constructions:
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
   functionals) and serves as the oracle.  `fiber_annihilator`, which the
-  certificates use, reads the same ideal off r series coefficients: the
-  fiber K[t]/(t^r) is cyclic, generated by 1, so f kills it iff
-  f(x(t)) = 0 mod t^r.  Both return the unique reduced echelon basis, so
-  they agree exactly, not just up to a change of basis.  Both evaluate the
-  monomials with `poly.monomial_values`, one over the action matrices and
-  one over the pullback series.  The basis is stored once, as the sparse
-  rows of `kernel_echelon`; a row becomes a polynomial only when `polys`
-  is iterated up to it.
+  certificates read as `functional_ideal` over `fiber_functionals`, reads
+  the same ideal off r series coefficients: the fiber K[t]/(t^r) is
+  cyclic, generated by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
+  t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
+  annihilator of the 1 x 1 graph skyscraper, and padding the fiber with
+  skyscrapers does not change it.  Both return the unique reduced echelon
+  basis, so they agree exactly, not just up to a change of basis.  Both
+  evaluate the monomials with `poly.monomial_values`, one over the action
+  matrices and one over the pullback series.  The basis is stored once,
+  as the sparse rows of `kernel_echelon`; a row becomes a polynomial only
+  when `polys` is iterated up to it.
 * top degree: once an ideal holds every monomial of degree d, its reduced
   echelon basis on graded columns is fixed above d.  Each row that leads
   at degree >= d is that bare monomial, and no row that leads below d has
@@ -481,18 +484,14 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
     return functional_ideal(degree_bound, monomials, rows)
 
 
-def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
-                      filler: FiniteModule = None):
+def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
     """(monomials, rows): the evaluation functionals on the polynomials of
     degree <= bound whose common kernel is the annihilator of
-    fiber_module(b, rank), or of its direct sum with copies of `filler`.
+    fiber_module(b, rank).
 
     The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
-    coefficients of f(x(t)) vanish: `rank` rows.  A direct sum is killed iff
-    every summand is, so the filler's evaluation rows are stacked below;
-    one copy gives the same kernel as many.  A 1 x 1 filler (the graph
-    skyscraper) has nilpotent, hence zero, actions: its one functional is
-    f -> f(0), the row [1, 0, ..., 0], written without evaluating.
+    coefficients of f(x(t)) vanish: `rank` rows.  The branch passes through
+    the origin, so the t^0 row is f -> f(0).
     """
     if rank < 1:
         raise D0resError("rank must be positive")
@@ -501,20 +500,15 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int,
                               needed=rank)
     monomials = monomials_upto(b.ambient_dim, degree_bound)
     cols, _ = _evaluation_columns(b, monomials, rank)
-    rows = [[col[i] for col in cols] for i in range(rank)]
-    if filler is not None and filler.dim == 1:
-        rows.append([_ONE] + [_ZERO] * (len(monomials) - 1))
-    elif filler is not None:
-        rows.extend(_evaluation_rows(filler, degree_bound)[1])
-    return monomials, rows
+    return monomials, [[col[i] for col in cols] for i in range(rank)]
 
 
-def fiber_annihilator(b: BranchParam, rank: int, degree_bound: int,
-                      filler: FiniteModule = None) -> AnnihilatorIdeal:
-    """Annihilator of fiber_module(b, rank), or of its direct sum with one or
-    more copies of `filler`, from series coefficients (`fiber_functionals`)."""
+def fiber_annihilator(b: BranchParam, rank: int,
+                      degree_bound: int) -> AnnihilatorIdeal:
+    """Annihilator of fiber_module(b, rank) from series coefficients
+    (`fiber_functionals`)."""
     return functional_ideal(degree_bound,
-                            *fiber_functionals(b, rank, degree_bound, filler))
+                            *fiber_functionals(b, rank, degree_bound))
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

@@ -95,12 +95,6 @@ class Poly:
             return None
         return min(sum(e) for e in self.terms)
 
-    def lowest_part(self):
-        d = self.min_degree()
-        if d is None:
-            return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def degree_in(self, index):
         if not self.terms:
             return -1

@@ -543,10 +543,6 @@ def emit_report(report: dict, fmt: str) -> bytes:
     raise D0resError(f"unknown format {fmt!r}")
 
 
-def parse_report(blob: bytes) -> dict:
-    return json.loads(blob.decode())
-
-
 def _emit_text(report: dict) -> str:
     lines = []
     germ = report["germ"]

@@ -15,26 +15,29 @@ that f^(r0/n) kills the special fiber assembly but not the jet assembly:
 the nilpotency jump that certifies a non-split extension.  Verdicts are
 three-valued; only a witnessed verdict counts as Separated.
 
-The annihilators are computed from series functionals: a member's fiber is
-the cyclic K[t]/(t^r0) plus skyscrapers, so at degree <= r its annihilator
-is the kernel of the r0 coefficients of f(x(t), y(t)) and the skyscraper's
-evaluation row (`family_annihilator`).  This is exact: f acts by zero on a
-cyclic module iff it kills the generator, and on a direct sum iff it does
-on each summand.
+The annihilators are computed from series functionals.  At rank r a
+member's fiber is K[t]/(t^d), d = min(r, r0), plus r - r0 graph
+skyscrapers above r0.  The fiber is cyclic, generated by 1, and f kills a
+cyclic module iff it kills the generator, so its ideal at degree <= d is
+the kernel of the d coefficients of f(x(t), y(t)).  f kills a direct sum
+iff it kills each summand.  The skyscraper's actions are zero, so its
+annihilator is {f : f(0) = 0}; every coordinate pulls back to a series of
+order >= 1, so the fiber's t^0 row is f -> f(0), and the fiber's ideal
+lies in the skyscraper's.  So a padded member's ideal is its fiber's, and
+a branch has one member ideal per bound d (`_stable_annihilator`).
 
-Above r0 the cost does not grow with r.  Every coordinate pulls back to a
-series of order >= 1, so a monomial of degree >= d = min(r, r0) has order
->= d and kills K[t]/(t^d), and it kills the skyscraper, whose actions are
-zero.  So the member ideal holds every monomial of degree >= d, and its
-reduced echelon basis at bound r is its basis at bound d with the bare
-monomials of degree d + 1..r appended (`AnnihilatorIdeal.holds_top_degree`).
-Those rows are the same for every member, so the ideals are compared,
-searched and checked at bound d, and no row above d is built.  The
-functionals are evaluated once, at d + 1: one pivot count there checks
-that the ideal at d has stabilized, and the ideal is checked to hold
-every monomial of degree d when it is stored.  A monomial of degree d
-kills every member at rank r, so it is never a point witness, and the
-witness search stops below d.
+Above r0 the cost does not grow with r.  A monomial of degree d has order
+>= d along the branch and kills K[t]/(t^d), so the member ideal holds
+every monomial of degree d, and its reduced echelon basis at bound r is
+its basis at bound d with the bare monomials of degree d + 1..r appended
+(`AnnihilatorIdeal.holds_top_degree`).  Those rows are the same for every
+member, so the ideals are compared, searched and checked at bound d, and
+no row above d is built.  The functionals are evaluated at d and
+eliminated once.  The stored ideal is checked to hold every monomial of
+degree d, which also proves that it has stabilized, and to have no basis
+row with a constant term, so that it kills the skyscraper.  A monomial of
+degree d kills every member at rank r, so it is never a point witness,
+and the witness search stops below d.
 
 The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
@@ -65,7 +68,8 @@ from math import ceil
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation
 from .fields import format_scalar
-from .linalg import ExactMatrix, rref_rows
+# unused here; perfbench/tracing.py patches d0res.verify.rref_rows
+from .linalg import ExactMatrix, rref_rows  # noqa: F401
 from .modules import (
     AnnihilatorIdeal,
     DirectSum,
@@ -145,15 +149,13 @@ class CertificateFamily:
         return base if r <= r0 else pad(base, self._sky_jet(index), r - r0)
 
     def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
-        """Annihilator of member(index, r).m1 at degree bound d = min(r, r0)
-        (`_stable_annihilator`), stored once per bound and filler.  It holds
-        every monomial of degree d, so it stands for the ideal at bound r
-        (module docstring)."""
+        """Annihilator of member(index, r).m1 at degree bound d = min(r, r0),
+        stored once per bound: above r0 it is the rank-r0 fiber's
+        (`_stable_annihilator`).  It holds every monomial of degree d, so
+        it stands for the ideal at bound r (module docstring)."""
         bound = min(r, self.germ.r0)
-        filler = self._sky_jet(index).m1 if r > bound else None
-        return self._once(("ideal", index, bound, filler is not None),
-                          _stable_annihilator, self.germ.branches[index],
-                          bound, bound, filler)
+        return self._once(("ideal", index, bound), _stable_annihilator,
+                          self.germ.branches[index], bound)
 
     def padding_reference(self, index: int) -> AnnihilatorIdeal:
         """The generic annihilator of the branch's rank-r0 fiber, the base
@@ -182,24 +184,22 @@ def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
     return CertificateFamily(germ).ideal(index, r)
 
 
-def _stable_annihilator(b, rank: int, bound: int,
-                        filler=None) -> AnnihilatorIdeal:
-    """modules.fiber_annihilator at degree `bound`, checked to have
-    stabilized: the functionals at bound + 1 have rank equal to its
-    quotient dimension, so no monomial of degree bound + 1 adds to the
-    quotient.  At bound >= rank every monomial of degree bound kills the
-    fiber and the 1 x 1 skyscraper (module docstring), and the ideal is
-    checked to hold them all (`holds_top_degree`): the family stores it at
-    that bound for every higher one.  The functionals are evaluated once,
-    at bound + 1; `functional_ideal` reads the ideal at bound off their
-    columns of degree <= bound."""
-    monomials, rows = fiber_functionals(b, rank, bound + 1, filler)
-    ideal = functional_ideal(bound, monomials, rows)
-    if len(rref_rows(rows)[1]) != ideal.quotient_dim:
-        raise D0resError(f"annihilator not stabilized at degree {bound}")
-    if bound >= rank and not ideal.holds_top_degree():
+def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
+    """The member ideal at degree `bound`: the annihilator of the
+    rank-`bound` fiber over `b`, from one evaluation of its series
+    functionals and one elimination.  It must hold every monomial of
+    degree `bound` (`holds_top_degree`), so that the family stores it at
+    that bound for every higher one.  No basis row may have an entry at
+    the constant monomial, so that every polynomial in it vanishes at 0
+    and kills the 1 x 1 skyscraper: then it is also the ideal of the fiber
+    padded with skyscrapers (module docstring)."""
+    ideal = functional_ideal(bound, *fiber_functionals(b, bound, bound))
+    if not ideal.holds_top_degree():
         raise D0resError(f"annihilator does not hold every monomial of "
                          f"degree {bound}")
+    if any(row[0][0] == 0 for row in ideal.rows):
+        raise D0resError("annihilator holds a polynomial with a constant "
+                         "term, which the skyscraper does not")
     return ideal
 
 

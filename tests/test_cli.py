@@ -17,7 +17,7 @@ from d0res.cli import main
 from d0res.errors import InputError
 from d0res.linalg import ExactMatrix
 from d0res.modules import FiniteModule
-from d0res.report import emit_report, parse_report, parse_request, run_analyze
+from d0res.report import emit_report, parse_request, run_analyze
 from d0res.series import Series
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,7 +85,7 @@ def test_report_roundtrip_and_determinism():
     req = parse_request(CUSP_REQUEST)
     blob1 = emit_report(run_analyze(req), "json")
     # parse -> re-emit is byte identical
-    assert emit_report(parse_report(blob1), "json") == blob1
+    assert emit_report(json.loads(blob1), "json") == blob1
     req2 = parse_request(CUSP_REQUEST)
     blob2 = emit_report(run_analyze(req2), "json")
     assert blob1 == blob2
@@ -493,9 +493,10 @@ def _family_requests():
 
 
 def _count_builds(monkeypatch):
-    """Counters on the builders `d0res.verify` calls by name."""
+    """Counters on the builders `d0res.verify` calls by name, the member
+    ideal's `_stable_annihilator` and its `fiber_functionals` included."""
     names = ("jet_pair", "graph_skyscraper", "pad", "annihilator",
-             "fiber_module")
+             "fiber_module", "_stable_annihilator", "fiber_functionals")
     counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -532,8 +533,10 @@ def test_one_family_per_request_matches_fresh_families(monkeypatch,
 
 def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
     """At the default ranks r0..r0+2 a request builds each branch's rank-r0
-    jet pair, skyscraper and padding reference once; the other annihilator
-    calls are the cross-check's, one per branch per printed rank."""
+    jet pair, skyscraper, padding reference and member ideal once; the
+    other annihilator calls are the cross-check's, one per branch per
+    printed rank.  Each member ideal reads one set of series functionals,
+    and the cross-check one per branch."""
     counts = _count_builds(monkeypatch)
     branches = 0
     for path in sorted(CORPUS.glob("*.json")):
@@ -545,9 +548,12 @@ def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
                       in report["oracles"]["fiber_annihilator_crosscheck"])
         assert built["jet_pair"] == built["graph_skyscraper"] == k, path.name
         assert built["annihilator"] == k + checked, path.name
+        assert built["_stable_annihilator"] == k, path.name
+        assert built["fiber_functionals"] == 2 * k, path.name
         branches += k
     assert branches == 20
-    assert (counts["jet_pair"], counts["graph_skyscraper"]) == (20, 20)
+    assert (counts["jet_pair"], counts["graph_skyscraper"],
+            counts["_stable_annihilator"]) == (20, 20, 20)
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):

@@ -169,7 +169,7 @@ def test_nullspace_property(rows, cols, data):
     basis = mat.nullspace()
     assert len(basis) == cols - mat.rank()
     for v in basis:
-        assert all(x == 0 for x in mat.apply_to(v))
+        assert (mat * M([[x] for x in v])).is_zero()
 
 
 @settings(max_examples=30, deadline=None)

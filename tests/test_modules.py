@@ -16,10 +16,8 @@ from d0res.modules import (
     DirectSum,
     FiniteModule,
     JetPair,
-    _evaluation_rows,
     annihilator,
     fiber_annihilator,
-    fiber_functionals,
     fiber_module,
     graph_skyscraper,
     jet_pair,
@@ -340,6 +338,9 @@ def test_kernel_echelon_matches_nullspace_rref(nrows, ncols, data):
 
 
 def test_fiber_annihilator_matches_generic_oracle():
+    """The series ideal of the bare fiber is the generic one of the fiber,
+    and of the fiber padded with two skyscrapers: its t^0 row f -> f(0)
+    already holds it inside the skyscraper's annihilator."""
     for branch in (CUSP, NODE1, B([(1, 1)], [(2, 1)]), B([(3, 1)], [(4, 1), (5, 2)])):
         sky, _ = graph_skyscraper(branch)
         for rank in (1, 2, 3, 5):
@@ -347,22 +348,10 @@ def test_fiber_annihilator_matches_generic_oracle():
                 assert (fiber_annihilator(branch, rank, bound)
                         == annihilator(fiber_module(branch, rank), bound))
                 padded = dense_sum(pad(fiber_module(branch, rank), sky, 2))
-                assert (fiber_annihilator(branch, rank, bound + 2, sky)
+                assert (fiber_annihilator(branch, rank, bound + 2)
                         == annihilator(padded, bound + 2))
     with pytest.raises(RaiseTruncation):
         fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
-
-
-def test_skyscraper_filler_row_is_its_evaluation_row(repo_corpus_germs):
-    """The 1 x 1 filler's functional, written as [1, 0, ..., 0], is the row
-    its action matrices give; on every corpus branch, both fields and the
-    space branches included."""
-    for germ in repo_corpus_germs.values():
-        for b in germ.branches:
-            sky, _ = graph_skyscraper(b)
-            for bound in (1, 2, 5):
-                _, rows = fiber_functionals(b, 2, bound, sky)
-                assert rows[2:] == _evaluation_rows(sky, bound)[1]
 
 
 def test_annihilator_rows_are_sparse_in_column_order():

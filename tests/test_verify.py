@@ -14,7 +14,7 @@ from d0res import verify as verify_module
 from d0res.branches import BranchParam
 from d0res.errors import D0resError
 from d0res.fields import NumberField, format_scalar, scalar_is_zero
-from d0res.linalg import ExactMatrix, eval_poly_at_matrices
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
     DirectSum,
@@ -122,17 +122,59 @@ def test_family_serves_every_rank_above_r0_from_one_stored_ideal(
         assert all(a.degree_bound == germ.r0 for a in far), name
 
 
-def test_stabilization_check_rejects_a_growing_quotient(corpus_germs):
-    """The functionals at bound + 1 must have as many pivots as the ideal's
-    quotient dimension.  On the cusp fiber K[t]/(t^5), t^4 = x^2 first
-    appears at degree 2: the quotient grows from 3 to 4, so bound 1 is
-    rejected and bound 2 accepted."""
+def test_member_ideal_at_bound_equal_to_rank_needs_no_second_elimination(
+        corpus_germs, repo_corpus_germs):
+    """A fiber read at a bound below its rank may not have stabilized: on
+    the cusp fiber K[t]/(t^5), t^4 = x^2 first appears at degree 2, and
+    the quotient grows from 3 to 4.  The family reads each fiber at bound
+    == rank d, where every monomial of degree d has order >= d along the
+    branch.  So on every corpus branch at d = 1..10 the ideal holds its
+    top degree, no basis row has a constant term, and the functionals at
+    d + 1 have exactly `quotient_dim` pivots: the ideal has stabilized,
+    and a second elimination at d + 1 would check nothing."""
     cusp = corpus_germs["cusp"].branches[0]
     dims = [fiber_annihilator(cusp, 5, d).quotient_dim for d in (1, 2, 3)]
     assert dims == [3, 4, 4]
-    with pytest.raises(D0resError, match="not stabilized at degree 1"):
-        _stable_annihilator(cusp, 5, 1)
-    assert _stable_annihilator(cusp, 5, 2) == fiber_annihilator(cusp, 5, 2)
+    assert not fiber_annihilator(cusp, 5, 1).holds_top_degree()
+    cases = 0
+    for name, germ in repo_corpus_germs.items():
+        for b in germ.branches:
+            for d in range(1, 11):
+                ideal = _stable_annihilator(b, d)
+                assert ideal.holds_top_degree(), (name, d)
+                assert all(row[0][0] > 0 for row in ideal.rows), (name, d)
+                _, rows = verify_module.fiber_functionals(b, d, d + 1)
+                assert len(rref_rows(rows)[1]) == ideal.quotient_dim, (name, d)
+                cases += 1
+    assert cases == 200
+
+
+@pytest.mark.parametrize("mutation", ["zeroed", "dropped"])
+def test_member_ideal_with_a_constant_term_is_refused(repo_corpus_germs,
+                                                      monkeypatch, mutation):
+    """The fiber's t^0 row f -> f(0) is what puts its ideal inside the
+    skyscraper's.  With that row zeroed or dropped, the constant 1 lies in
+    the ideal, which still holds its top degree: the family build raises
+    and stores no ideal, at r0 and above."""
+    functionals = verify_module.fiber_functionals
+
+    def mutated(b, rank, bound):
+        monomials, rows = functionals(b, rank, bound)
+        first = [[F(0)] * len(monomials)] if mutation == "zeroed" else []
+        return monomials, first + rows[1:]
+
+    monkeypatch.setattr(verify_module, "fiber_functionals", mutated)
+    for name, germ in repo_corpus_germs.items():
+        r0 = germ.r0
+        mutant = verify_module.functional_ideal(
+            r0, *mutated(germ.branches[0], r0, r0))
+        assert mutant.holds_top_degree(), name
+        assert mutant.rows[0] == ((0, F(1)),), name
+        for r in (r0, r0 + 1):
+            family = CertificateFamily(germ)
+            with pytest.raises(D0resError, match="constant term"):
+                family.ideal(0, r)
+            assert not any(key[0] == "ideal" for key in family._built), name
 
 
 def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
@@ -197,13 +239,15 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
         assert not check(mutated)
 
 
-def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs):
+def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs,
+                                                     monkeypatch):
     """An ideal stands for every higher bound only where it holds every
     monomial of its own.  On a node branch's fiber K[t]/(t^2), x pulls back
     to order 1, so degree 1 is refused and degree 2 taken, and the ideal at
     degree 2 with the bare monomials appended is the ideal at 12.  The
-    family never stores a refused ideal: the direct sum of K[t]/(t) with
-    that fiber is not killed by x, and its ideal at degree 1 is an error."""
+    family never stores a refused ideal: with its functionals read off the
+    rank-2 fiber where it asks for rank 1, the ideal at degree 1 is an
+    error."""
     b = corpus_germs["node"].branches[0]
     assert b.coords[0].order() == 1
     ideal = annihilator(fiber_module(b, 2), 2)
@@ -213,8 +257,11 @@ def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs):
     assert with_bare_rows(ideal, 12) == dense
     assert dense.quotient_dim == ideal.quotient_dim
     assert list(with_bare_rows(ideal, 12).polys) == list(dense.polys)
+    functionals = verify_module.fiber_functionals
+    monkeypatch.setattr(verify_module, "fiber_functionals",
+                        lambda b, rank, bound: functionals(b, rank + 1, bound))
     with pytest.raises(D0resError, match="every monomial of degree 1"):
-        _stable_annihilator(b, 1, 1, fiber_module(b, 2))
+        _stable_annihilator(b, 1)
 
 
 def _assert_dense_jet_identities(jet):
