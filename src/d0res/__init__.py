@@ -2,7 +2,7 @@
 compute its critical rank, build the punctual module family at and above that
 rank, and machine-verify that the family separates points and tangents."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .branches import (  # noqa: F401
     BranchParam,

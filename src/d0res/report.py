@@ -201,6 +201,7 @@ def _parse_poly(spec, field):
         i, j = item[0]
         if not _is_int(i) or not _is_int(j) or i < 0 or j < 0:
             raise InputError(path, "exponents must be non-negative integers")
+        _check_degree(i + j, path)
         coeff = _parse_scalar_str(item[1], field, path)
         key = (i, j)
         terms[key] = terms.get(key, _ZERO) + coeff
@@ -208,6 +209,18 @@ def _parse_poly(spec, field):
     if poly.is_zero():
         raise InputError("curve.implicit.poly", "polynomial is zero")
     return poly
+
+
+def _check_degree(degree, path):
+    """A term's degree is at most the truncation ceiling, checked before
+    any lift: the squarefree test and every Puiseux lift take time that
+    grows with the degree, so a term far above the truncations the ceiling
+    allows would stall the request before its first check."""
+    ceiling = truncation_ceiling()
+    if degree > ceiling:
+        raise InputError(path, f"term of degree {degree} is above the "
+                         f"truncation ceiling {ceiling} (set "
+                         "D0RES_MAX_TRUNCATION to raise it)")
 
 
 def _parse_branches(data, field):
@@ -240,6 +253,7 @@ def _parse_branches(data, field):
                 if (not isinstance(pair, list) or len(pair) != 2
                         or not _is_int(pair[0]) or pair[0] < 0):
                     raise InputError(f"{cpath}[{pidx}]", "expected [exp, coeff-string]")
+                _check_degree(pair[0], f"{cpath}[{pidx}]")
                 series_pairs.append(
                     (pair[0], _parse_scalar_str(pair[1], field, f"{cpath}[{pidx}]"))
                 )

@@ -51,8 +51,8 @@ cross-check (`pushforward_restriction_oracle`) compares the series and
 matrix annihilators of each bare rank-r fiber at the report's small
 ranks, reading each branch's series once.  The tangent test raises the
 test coordinate's action on each distinct summand once
-(`modules.power_runs`) and prints the 2r x 2r jet power from those
-blocks, the one part of a certificate whose cost still grows with r.
+(`modules.power_runs`) and prints the jet power as those (block, copies)
+runs, so no part of a certificate grows with r above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -62,7 +62,6 @@ and never passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 
 from .branches import Germ
@@ -83,8 +82,6 @@ from .modules import (
     power_runs,
 )
 from .poly import poly_text
-
-_ZERO = Fraction(0)
 
 SEPARATED = "separated"
 NOT_SEPARATED = "not_separated"
@@ -310,7 +307,9 @@ def _tangent_verdicts(germ: Germ, r: int, jets):
                     "coordinate": coord,
                     "exponent": exponent,
                     "fiber_power_zero": True,
-                    "jet_power": _block_diag_text(f2),
+                    "jet_power": [{"block": [[format_scalar(x) for x in row]
+                                             for row in block.data],
+                                   "copies": copies} for block, copies in f2],
                 },
             ))
         elif r >= germ.r0:
@@ -325,22 +324,6 @@ def _tangent_verdicts(germ: Germ, r: int, jets):
                 reason="no nilpotency jump at this rank",
             ))
     return verdicts
-
-
-def _block_diag_text(runs):
-    """The rows of the block-diagonal sum of the (block, copies) `runs`,
-    each entry formatted: every distinct block is formatted once, and the
-    zeros outside the blocks share one string."""
-    size = sum(block.rows * copies for block, copies in runs)
-    zero = format_scalar(_ZERO)
-    rows, start = [], 0
-    for block, copies in runs:
-        texts = [[format_scalar(x) for x in row] for row in block.data]
-        for _ in range(copies):
-            left, right = [zero] * start, [zero] * (size - start - block.cols)
-            rows.extend(left + row + right for row in texts)
-            start += block.rows
-    return rows
 
 
 def _test_coordinate(b) -> int:

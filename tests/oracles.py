@@ -33,13 +33,17 @@ routes, and only the tests call them:
   generic annihilator of each bare rank-r0 fiber at the full bound r; the
   reference for `verify._padding_support_unchanged`, which compares at
   bound r0.
+* expand_jet_power: the dense rows of a tangent witness's printed
+  `jet_power`, rebuilt from its (block, copies) runs with "0" off the
+  blocks; the report prints the runs, and the tests compare these rows
+  with the dense power of the member's dense sum.
 """
 
 from fractions import Fraction
 
 from d0res.branches import BranchParam
 from d0res.errors import D0resError
-from d0res.fields import scalar_is_zero
+from d0res.fields import format_scalar, scalar_is_zero
 from d0res.linalg import ExactMatrix
 from d0res.modules import (
     AnnihilatorIdeal,
@@ -292,3 +296,19 @@ def with_bare_rows(ideal, bound: int):
         raise D0resError("bare rows extend an ideal on its graded monomials")
     bare = tuple(((c, Fraction(1)),) for c in range(start, len(monomials)))
     return AnnihilatorIdeal(bound, monomials, ideal.rows + bare)
+
+
+def expand_jet_power(runs):
+    """The rows of the block-diagonal matrix whose printed runs are `runs`,
+    [{"block": rows, "copies": c}, ...]: each block `c` times down the
+    diagonal, every entry off the blocks formatted zero."""
+    blocks = [run["block"] for run in runs for _ in range(run["copies"])]
+    size = sum(len(block) for block in blocks)
+    zero = format_scalar(_ZERO)
+    rows, start = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append([zero] * start + row
+                        + [zero] * (size - start - len(row)))
+        start += len(block)
+    return rows

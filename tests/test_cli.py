@@ -271,14 +271,21 @@ def test_a_number_too_long_to_print_exits_2_without_traceback(request_obj,
     ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
                              {"x": [], "y": [[3, "0"]]}]}},
      "curve.branches[1]: all coordinates are zero"),
+    ({"curve": {"branches": [{"x": [[2, "1"]],
+                              "y": [[3, "1"], [10 ** 9, "1"]]}]}},
+     "curve.branches[0].y[1]: term of degree 1000000000 is above the "
+     "truncation ceiling 4096 (set D0RES_MAX_TRUNCATION to raise it)"),
 ])
 def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
-                                                   request_obj, message):
+                                                   monkeypatch, request_obj,
+                                                   message):
     """A key the format does not define is rejected, not ignored (a
     misspelt `rank` would certify the default ranks); a zero denominator is
     named as such; a curve or branch that misses the point is bad input
     naming `point` or the branch; a non-reduced curve is bad input naming
-    its polynomial; so is an explicit branch that is imprimitive or zero."""
+    its polynomial; so is an explicit branch that is imprimitive or zero,
+    or has a term above the truncation ceiling."""
+    monkeypatch.delenv("D0RES_MAX_TRUNCATION", raising=False)
     path = write_request(tmp_path, "bad.json", request_obj)
     assert main(["analyze", path]) == 2
     captured = capsysbinary.readouterr()
@@ -330,6 +337,40 @@ def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):
     assert "D0RES_MAX_TRUNCATION" in err
 
 
+def test_a_term_above_the_ceiling_is_refused_before_any_lift():
+    """y^2 - x^300000 is refused by the parser, naming its term, before the
+    squarefree test and the Puiseux lifts, whose work grows with the
+    degree, can start."""
+    request = {"curve": {"implicit": {"poly": [[[0, 2], "1"],
+                                               [[300000, 0], "-1"]]}}}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("D0RES_MAX_TRUNCATION", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "d0res", "analyze", "-"],
+        input=json.dumps(request), capture_output=True, text=True, env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "input error: curve.implicit.poly[1]: term of degree 300000 is above "
+        "the truncation ceiling 4096 (set D0RES_MAX_TRUNCATION to raise it)\n")
+
+
+def test_the_term_degree_limit_follows_the_ceiling(tmp_path, capsysbinary,
+                                                   monkeypatch):
+    """The limit is the ceiling itself: at D0RES_MAX_TRUNCATION=8 a term
+    of degree 9 is refused."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "8")
+    path = write_request(tmp_path, "a8.json", {
+        "curve": {"implicit": {"poly": [[[0, 2], "1"], [[3, 0], "-1"],
+                                        [[4, 5], "1"]]}}})
+    assert main(["analyze", path]) == 2
+    assert capsysbinary.readouterr().err.decode() == (
+        "input error: curve.implicit.poly[2]: term of degree 9 is above the "
+        "truncation ceiling 8 (set D0RES_MAX_TRUNCATION to raise it)\n")
+
+
 def test_rank_driven_truncation_obeys_ceiling(capsysbinary, monkeypatch):
     """The truncation a requested rank needs (8 * min(8, r0 + 2) * 2 = 64
     for the cusp at rank 8) is capped by D0RES_MAX_TRUNCATION like every
@@ -351,6 +392,41 @@ def test_e6_certifies_at_rank_256(capsysbinary):
     assert report["truncation"] == 120
     assert [c["rank"] for c in report["certificates"]] == [256]
     assert report["certificates"][0]["pass"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_rank_of_a_billion_certifies_in_a_small_report(capsysbinary, fmt):
+    """A padded member is printed by its runs, so the cusp's report at rank
+    10^9, whose jet power is a 2*10^9-square matrix, stays under 4 KB."""
+    assert main(["analyze", str(CORPUS / "cusp.json"), "--rank", "1000000000",
+                 "--strict", "--format", fmt]) == 0
+    out = capsysbinary.readouterr().out
+    assert len(out) < 4096
+    if fmt == "json":
+        cert, = json.loads(out)["certificates"]
+        assert cert["padding"]["copies"] == 10 ** 9 - 2
+        runs = cert["tangents"][0]["witness"]["jet_power"]
+        assert [run["copies"] for run in runs] == [1, 10 ** 9 - 2]
+
+
+def test_node_reports_at_ranks_256_and_1024_differ_only_in_counts(
+        capsysbinary):
+    """Above r0 the rank changes only the echoed rank, the certificate's
+    rank, the padding's copies and the copies of each jet-power run."""
+    reports = []
+    for rank in (256, 1024):
+        assert main(["analyze", str(CORPUS / "node.json"), "--rank",
+                     str(rank), "--strict"]) == 0
+        report = json.loads(capsysbinary.readouterr().out)
+        assert report["input"].pop("ranks") == [rank]
+        cert, = report["certificates"]
+        assert cert.pop("rank") == rank
+        assert cert["padding"].pop("copies") == rank - 2
+        for v in cert["tangents"]:
+            assert sum(len(run["block"]) * run.pop("copies")
+                       for run in v["witness"]["jet_power"]) == 2 * rank
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("name, multiplicity", [("cusp", 2), ("e6", 3),

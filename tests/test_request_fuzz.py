@@ -4,10 +4,11 @@ request shapes.
 Every input must either be analysed (exit 0, or 3 for a root outside the
 one supported field extension) or be refused with exit 2 and
 `input error: <field path>: ...` on stderr; no exception may leave `main`.
-Integer leaves of the request shapes stay small, so that every request
-the parser accepts is cheap to analyse: a valid rank of 10^9 would print a
-2*10^9-square jet power.  Large integers go to the truncation, which the
-parser bounds by the ceiling, and past Python's digit limit.
+Integer leaves include 10^9 and 2^31 beside small ones.  Neither makes an
+accepted request expensive: a rank's report prints each padded member's
+jet power by its runs, whatever the rank, and the parser refuses a term
+above the truncation ceiling, as it refuses such a truncation.  Integers
+past Python's digit limit go to the truncation.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 12),
+    st.sampled_from([10 ** 9, 2 ** 31]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=8),
     st.sampled_from(["1", "-1", "0", "1/2", "-7/3", "1/0", "a", "1+a", "2*a",
