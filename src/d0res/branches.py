@@ -5,17 +5,25 @@ analytic branch through the origin.  From the branch set this module computes
 the multiplicity n of each branch, pairwise intersection lengths l_ij, the
 branch intersection index bii = max l_ij, l0 = 1 + bii (1 for unibranch germs)
 and the critical rank r0 = l0 * lcm(n_i).
+
+A plane l_ij is the order of one branch's equation along the other.  The
+equation is built from power sums (`implicit_equation`): in a chart where
+x = a*t^n, n series powers of y and Newton's identities give its
+coefficients, with no linear algebra; an explicit branch whose x is not a
+monomial is first moved to such a chart (`_monomial_chart`).  Space germs
+take l_ij from the colength of the two branch ideals, which is also the
+independent check of the plane route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import D0resError, InputError, RaiseTruncation
-from .fields import scalar_is_zero
-from .linalg import rref_rows, solve_exact
+from .fields import FieldElement, scalar_is_zero
+from .linalg import rref_rows
 from .poly import Poly, is_squarefree, monomial_values, monomials_upto
 from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
 from .series import Series
@@ -194,20 +202,77 @@ def _evaluation_columns(b: BranchParam, monomials, nt):
     return [list(v.coeffs) for v in values], n
 
 
+def _is_monomial(s: Series) -> bool:
+    return sum(1 for c in s.coeffs if not scalar_is_zero(c)) == 1
+
+
+def _monomial_chart(b: BranchParam) -> BranchParam:
+    """The plane branch b in a parameter s with x = a*s^n, n = ord x.
+
+    Write x = a*t^n*u(t) with u(0) = 1.  Then s = t*w(t) with w = u^(1/n)
+    gives x = a*s^n.  w comes from the Miller power recurrence
+    w_k = sum_{j=1..k} ((1/n + 1)*j - k) * u_j * w_(k-j) / k, and the
+    inverse t = s*v(s) from Lagrange inversion,
+    [s^k] v = [t^k] w^-(k+1) / (k+1).  x is known mod t^T, so u, w and v
+    are known mod t^(T - n), and `BranchParam.reparametrized` truncates
+    the chart there.  Composed with s*v(s), x reads a*s^n mod s^(T - n),
+    and the true x of the branch is a*s^n*(1 + O(s^(T - n))).
+    """
+    xs, _ = b.coords
+    n, trunc = xs.order(), b.trunc
+    prec = trunc - n
+    if prec <= n:
+        raise RaiseTruncation(
+            f"the chart x = a*s^{n} needs truncation above {2 * n}",
+            needed=2 * trunc)
+    a = xs.coeffs[n]
+    u = [c / a for c in xs.coeffs[n:trunc]]
+    exponent = Fraction(1, n) + 1
+    w = [_ONE]
+    for k in range(1, prec):
+        acc = _ZERO
+        for j in range(1, k + 1):
+            if not scalar_is_zero(u[j]):
+                acc = acc + (exponent * j - k) * u[j] * w[k - j]
+        w.append(acc / k)
+    # [t^k] h^(k+1), h = 1/w, as one coefficient of giant * baby with
+    # giant = h^(q*step) and baby = h^r for k + 1 = q*step + r: about
+    # 2*sqrt(T) series products instead of one per power
+    h = Series(w).invert()
+    step = isqrt(prec)
+    babies = [Series.one(prec)]
+    for _ in range(step):
+        babies.append(babies[-1] * h)
+    giant, v = babies[0], []
+    for k in range(prec):
+        r = (k + 1) % step
+        if r == 0:
+            giant = giant * babies[step]
+        baby = babies[r].coeffs
+        acc = _ZERO
+        for i, g in enumerate(giant.coeffs[:k + 1]):
+            if not scalar_is_zero(g) and not scalar_is_zero(baby[k - i]):
+                acc = acc + g * baby[k - i]
+        v.append(acc / (k + 1))
+    return b.reparametrized(Series(v))
+
+
 def implicit_equation(b: BranchParam) -> Poly:
     """Local equation of a plane branch to the working precision.
 
-    Monic Weierstrass form y^n + a_{n-1}(x) y^{n-1} + ... + a_0(x) with n the
-    order of the x-pullback and each a_k truncated at x^M, solved exactly by
-    undetermined coefficients from g(x(t), y(t)) = 0 mod t^(n*M).  For
-    polynomial branches the solution terminates and is the exact irreducible
-    equation; for transcendental-looking branches (one analytic branch of an
-    irreducible curve) it is the branch generator to precision, which is what
-    intersection lengths need.  When y agrees with a polynomial in x to high
-    order, as for (t^2, t^4 + t^7), some x^m y^k near the top of the window
-    are dependent mod t^(n*M) and the solution is not unique; the free
-    coefficients are set to zero, and the result is still exact modulo
-    x^K for the K of `_equation_precision`.
+    Monic Weierstrass form y^n + c_1(x) y^(n-1) + ... + c_n(x), n = ord x,
+    with no linear algebra.  In a chart where x = a*t^n (`_monomial_chart`
+    makes one when x is not a monomial), the Weierstrass polynomial is
+    prod_zeta (Y - y(zeta*t)) over the n-th roots of unity zeta.  Its
+    power sums are p_k(x) = n * sum_m [t^(n*m)] y(t)^k * a^(-m) * x^m, as
+    the sum over zeta of zeta^j is n when n divides j and 0 otherwise, and
+    Newton's identities give c_k = -(c_(k-1) p_1 + ... + c_0 p_k) / k with
+    c_0 = 1.  No root of unity or field extension enters.
+
+    y is known mod t^T', T' the chart's truncation, so each c_k is computed
+    mod x^ceil(T'/n); `_equation_precision` says how much of it is exact.
+    For polynomial branches each c_k is a polynomial, and once ceil(T'/n)
+    passes its degree the result is the exact irreducible equation.
     """
     if b.ambient_dim != 2:
         raise D0resError("implicit equations are for plane branches only")
@@ -217,43 +282,37 @@ def implicit_equation(b: BranchParam) -> Poly:
         if ys.order() is None:
             raise D0resError("degenerate branch")
         return Poly.variable(2, 0)
-    nt = b.trunc
-    m_cap = nt // n - 1
-    # the solve window n*m_cap must see past every coordinate's pullback
-    # order, otherwise a spuriously short equation looks consistent
-    orders = [o for o in b.orders() if o is not None]
-    q_max = max(orders)
-    if m_cap < max(2, q_max + 1):
-        raise RaiseTruncation(
-            "truncation too small to solve for the branch equation",
-            needed=n * (q_max + 3),
-        )
-    t_prec = n * m_cap
-    exponents = [(m, k) for k in range(n) for m in range(m_cap)] + [(0, n)]
-    *products, y_n = monomial_values([s.truncate(nt) for s in b.coords],
-                                     exponents, Series.one(nt))
-    columns = []
-    labels = []
-    for exp, prod in zip(exponents, products):
-        col = prod.coeffs[:t_prec]
-        if all(scalar_is_zero(c) for c in col):
-            # contributes nothing below the working precision; its
-            # canonical value is zero
-            continue
-        columns.append(col)
-        labels.append(exp)
-    rows = [[columns[j][i] for j in range(len(columns))] for i in range(t_prec)]
-    rhs = [-c for c in y_n.coeffs[:t_prec]]
-    solution, _ = solve_exact(rows, rhs)
-    if solution is None:
-        raise RaiseTruncation(
-            "no truncated branch equation at this precision", needed=2 * nt
-        )
-    terms = {(0, n): Fraction(1)}
-    for (m, k), c in zip(labels, solution):
-        if not scalar_is_zero(c):
-            terms[(m, k)] = c
+    if not _is_monomial(xs):
+        xs, ys = _monomial_chart(b).coords
+    length = -(-ys.trunc // n)
+    a = xs.coeffs[n]
+    scale = [_ONE]                      # a^(-m)
+    for _ in range(1, length):
+        scale.append(_rational_if_possible(scale[-1] / a))
+    sums, y_power = [], ys
+    for k in range(1, n + 1):
+        if k > 1:
+            y_power = y_power * ys
+        sums.append(Series([
+            _rational_if_possible(n * y_power.coeffs[n * m] * scale[m])
+            for m in range(length)]))
+    coeffs = [Series.one(length)]
+    for k in range(1, n + 1):
+        acc = sums[k - 1]
+        for i in range(1, k):
+            acc = acc + coeffs[k - i] * sums[i - 1]
+        coeffs.append(acc * Fraction(-1, k))
+    terms = {}
+    for k, c in enumerate(coeffs):
+        for m, value in enumerate(c.coeffs):
+            terms[(m, n - k)] = value
     return Poly(2, terms)
+
+
+def _rational_if_possible(c):
+    if isinstance(c, FieldElement) and c.is_rational():
+        return c.coeffs[0]
+    return c
 
 
 # -- intersection lengths ----------------------------------------------------------
@@ -262,8 +321,10 @@ def implicit_equation(b: BranchParam) -> Poly:
 def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
     """Length of the scheme intersection of two distinct branches at the point.
 
-    Plane branches: order of one branch's equation along the other (checked
-    symmetric).  Higher ambient dimension: colength oracle.
+    Plane branches: order of one branch's power-sum equation
+    (`implicit_equation`) along the other, checked symmetric and trusted
+    only below the precision horizon of `_equation_error_order`.  Higher
+    ambient dimension: colength oracle.
     """
     if bi.ambient_dim != bj.ambient_dim:
         raise D0resError("branches live in different ambient spaces")
@@ -302,27 +363,40 @@ def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
 
 def _equation_error_order(bi: BranchParam, bj: BranchParam) -> int:
     """Order below which ord(g_j(branch_i)) is provably exact (and symmetric):
-    g_j is exact modulo x^K_j, and x has order >= n_i along branch i."""
+    g_j is exact modulo x^L_j (`_equation_precision`), and x has order
+    >= n_i along branch i, so the error terms have order >= L_j * n_i."""
     return min(_equation_precision(bj) * branch_multiplicity(bi),
                _equation_precision(bi) * branch_multiplicity(bj))
 
 
 def _equation_precision(b: BranchParam) -> int:
-    """K such that implicit_equation(b) is exact modulo x^K.
+    """L such that implicit_equation(b) equals the Weierstrass polynomial g
+    of the branch modulo x^L, coefficient by coefficient in y.
 
-    The equation g' solves for g mod t^(n M), n = ord x(t) and
-    M = trunc // n - 1, so it differs from the Weierstrass polynomial g of
-    the branch by h of y-degree < n with order >= n M along the branch.
-    With c the branch's conductor and K = M - ceil(c / n), every element
-    of O_b of order >= n K + c lies in x^K O_b, so h = x^K r + g u; dividing r by g (Weierstrass) shows h = x^K r' with r'
-    of y-degree < n, since the division of h by g is unique and has
-    remainder h.  A branch with x = 0 has the exact equation x.
+    Let n = ord x, and in the parameter s of the equation let
+    x = a*s^n*(1 + O(s^(T_x - n))) and y be known mod s^T_y, o = ord y.
+    The chart r with x = a*r^n exactly has s = r*(1 + O(r^(T_x - n))), and
+    y(s) - y(r) = (s - r) * q(r, s) with ord q >= o - 1, so y is known mod
+    r^T' with T' = min(T_y, T_x - n + o).  As ord y >= 1, every y^k is
+    known mod r^T' too, so the coefficients [r^(n*m)] y^k behind p_k are
+    exact for n*m < T', that is for m < L = ceil(T'/n).  Each c_k is a
+    polynomial in p_1..p_k over QQ (Newton's identities), so it is exact
+    mod x^L as well.
+
+    A monomial x is known mod t^T, so T_x = T_y = T and T' = min(T, T - n
+    + o).  Through `_monomial_chart`, T_x = T and T_y = T - n, so
+    T' = T - n.  A branch with x = 0 has the exact equation x.
     """
-    n = b.coords[0].order()
+    xs, ys = b.coords
+    n = xs.order()
     if n is None:
         return b.trunc - 1
-    _, c = _value_semigroup(b, branch_multiplicity(b))
-    return b.trunc // n - 1 - -(-c // n)
+    if _is_monomial(xs):
+        o = ys.order()
+        known = b.trunc if o is None else min(b.trunc, b.trunc - n + o)
+    else:
+        known = b.trunc - n
+    return -(-known // n)
 
 
 def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:

@@ -272,26 +272,6 @@ def _rref_generic(rows):
     return nonzero + zero, pivots
 
 
-def solve_exact(rows, rhs):
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero (rref particular solution); also returns
-    the number of free variables so callers can detect non-uniqueness:
-    (solution, n_free) or (None, 0).
-    """
-    if not rows:
-        return [], 0
-    ncols = len(rows[0])
-    augmented = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = rref_rows(augmented)
-    if ncols in pivots:
-        return None, 0
-    solution = [_ZERO] * ncols
-    for i, p in enumerate(pivots):
-        solution[p] = red[i][ncols]
-    return solution, ncols - len(pivots)
-
-
 def commute(a: ExactMatrix, b: ExactMatrix) -> bool:
     return a * b == b * a
 

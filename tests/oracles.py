@@ -6,7 +6,14 @@ routes, and only the tests call them:
 * sylvester_resultant_equation: a plane branch's implicit equation by
   eliminating the parameter, Res_s(x - x(s), y - y(s)), with a
   fraction-free (Bareiss) determinant over the polynomial ring; the
-  reference for `branches.implicit_equation`.
+  reference for `branches.implicit_equation` on polynomial branches.
+  weierstrass_remainder compares the two when x is not a monomial, where
+  the resultant is the Weierstrass polynomial times a unit.
+* undetermined_coefficients_equation: a plane branch's Weierstrass
+  polynomial mod x^M by one dense exact solve (`solve_exact`) of
+  g(x(t), y(t)) = 0 mod t^(n*M), exact mod x^K for the conductor-based K
+  of undetermined_coefficients_precision; the reference for the power-sum
+  route of `branches.implicit_equation`.
 * eval_series_at_matrix: s(A) for a truncated series and a nilpotent
   matrix, power by power; the reference for the closed-form jet actions
   of `modules.jet_pair`.
@@ -41,10 +48,10 @@ routes, and only the tests call them:
 
 from fractions import Fraction
 
-from d0res.branches import BranchParam
-from d0res.errors import D0resError
+from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
+from d0res.errors import D0resError, RaiseTruncation
 from d0res.fields import format_scalar, scalar_is_zero
-from d0res.linalg import ExactMatrix
+from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
     DirectSum,
@@ -53,7 +60,7 @@ from d0res.modules import (
     annihilator,
     fiber_module,
 )
-from d0res.poly import Poly, grlex_key, monomials_upto
+from d0res.poly import Poly, grlex_key, monomial_values, monomials_upto
 from d0res.series import Series
 
 _ZERO = Fraction(0)
@@ -110,6 +117,111 @@ def sylvester_resultant_equation(b: BranchParam) -> Poly:
         rows.append(row)
     det = _poly_determinant(rows)
     return _normalize_equation(det) if not det.is_zero() else det
+
+
+def weierstrass_remainder(f: Poly, g: Poly, bound: int) -> Poly:
+    """The remainder of f on division by g, monic in y, with every
+    coefficient taken mod x^bound.  It is zero when f is g times a series
+    in K[[x]][y] modulo x^bound."""
+    n = g.degree_in(1)
+    if g.terms.get((0, n)) != 1 or any(e[1] == n and e != (0, n) for e in g.terms):
+        raise D0resError("division needs an equation monic in y")
+    rem = {e: c for e, c in f.terms.items() if e[0] < bound}
+    while True:
+        top = max((e[1] for e in rem), default=-1)
+        if top < n:
+            return Poly(2, rem)
+        for e in [e for e in rem if e[1] == top]:
+            c = rem.pop(e)
+            for (gm, gk), gc in g.terms.items():
+                if (gm, gk) == (0, n) or e[0] + gm >= bound:
+                    continue
+                key = (e[0] + gm, top - n + gk)
+                value = rem.get(key, _ZERO) - c * gc
+                if scalar_is_zero(value):
+                    rem.pop(key, None)
+                else:
+                    rem[key] = value
+
+
+def solve_exact(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent.
+
+    Free variables are set to zero (rref particular solution); also returns
+    the number of free variables so callers can detect non-uniqueness:
+    (solution, n_free) or (None, 0).
+    """
+    if not rows:
+        return [], 0
+    ncols = len(rows[0])
+    augmented = [list(r) + [v] for r, v in zip(rows, rhs)]
+    red, pivots = rref_rows(augmented)
+    if ncols in pivots:
+        return None, 0
+    solution = [_ZERO] * ncols
+    for i, p in enumerate(pivots):
+        solution[p] = red[i][ncols]
+    return solution, ncols - len(pivots)
+
+
+def undetermined_coefficients_equation(b: BranchParam) -> Poly:
+    """Weierstrass form y^n + a_(n-1)(x) y^(n-1) + ... + a_0(x), n = ord x,
+    each a_k truncated at x^M for M = trunc // n - 1, solved exactly by
+    undetermined coefficients from g(x(t), y(t)) = 0 mod t^(n*M).  When
+    some x^m y^k near the top of the window are dependent mod t^(n*M), as
+    for (t^2, t^4 + t^7), the free coefficients are set to zero; the
+    result is exact mod x^K for the K of
+    `undetermined_coefficients_precision`."""
+    if b.ambient_dim != 2:
+        raise D0resError("implicit equations are for plane branches only")
+    xs, ys = b.coords
+    n = xs.order()
+    if n is None:
+        if ys.order() is None:
+            raise D0resError("degenerate branch")
+        return Poly.variable(2, 0)
+    nt = b.trunc
+    m_cap = nt // n - 1
+    # the solve window n*m_cap must see past every coordinate's pullback
+    # order, otherwise a spuriously short equation looks consistent
+    q_max = max(o for o in b.orders() if o is not None)
+    if m_cap < max(2, q_max + 1):
+        raise RaiseTruncation(
+            "truncation too small to solve for the branch equation",
+            needed=n * (q_max + 3))
+    t_prec = n * m_cap
+    exponents = [(m, k) for k in range(n) for m in range(m_cap)] + [(0, n)]
+    *products, y_n = monomial_values([s.truncate(nt) for s in b.coords],
+                                     exponents, Series.one(nt))
+    columns, labels = [], []
+    for exp, prod in zip(exponents, products):
+        col = prod.coeffs[:t_prec]
+        if any(not scalar_is_zero(c) for c in col):
+            columns.append(col)
+            labels.append(exp)
+    rows = [[col[i] for col in columns] for i in range(t_prec)]
+    solution, _ = solve_exact(rows, [-c for c in y_n.coeffs[:t_prec]])
+    if solution is None:
+        raise RaiseTruncation(
+            "no truncated branch equation at this precision", needed=2 * nt)
+    terms = {(0, n): Fraction(1)}
+    terms.update(zip(labels, solution))
+    return Poly(2, terms)
+
+
+def undetermined_coefficients_precision(b: BranchParam) -> int:
+    """K such that `undetermined_coefficients_equation(b)` is exact mod
+    x^K: K = M - ceil(c / n), c the branch's conductor.  The solution
+    differs from the Weierstrass polynomial g by h of y-degree < n and
+    order >= n M along the branch; every element of the branch ring of
+    order >= n K + c lies in x^K times it, and Weierstrass division of h
+    by g then leaves h = x^K r' with r' of y-degree < n.  A branch with
+    x = 0 has the exact equation x."""
+    n = b.coords[0].order()
+    if n is None:
+        return b.trunc - 1
+    _, c = _value_semigroup(b, branch_multiplicity(b))
+    return b.trunc // n - 1 - -(-c // n)
 
 
 def _poly_determinant(rows):

@@ -1,7 +1,9 @@
+import json
 import random
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,14 +19,24 @@ from d0res.branches import (
     intersection_length,
     newton_puiseux,
 )
+from d0res import branches, kernels, linalg
+from d0res.branches import _equation_precision, _monomial_chart
 from d0res.errors import D0resError, RaiseTruncation
+from d0res.fields import NumberField
 from d0res.poly import Poly, poly_text
+from d0res.report import parse_request, run_with_escalation
 from d0res.series import Series
 
 from conftest import EXPECTED_INVARIANTS
-from oracles import sylvester_resultant_equation
+from oracles import (
+    sylvester_resultant_equation,
+    undetermined_coefficients_equation,
+    undetermined_coefficients_precision,
+    weierstrass_remainder,
+)
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def B(*coords, n=16):
@@ -58,6 +70,131 @@ def test_implicit_equation_matches_resultant_on_polynomial_branches():
                    [[(2, 1)], [(4, -2), (7, 1)]]):
         b = B(*coords, n=24)
         assert implicit_equation(b) == sylvester_resultant_equation(b)
+
+
+def _below_x_power(g, bound):
+    return Poly(2, {e: c for e, c in g.terms.items() if e[0] < bound})
+
+
+def _plane_lifts(repo_corpus_germs):
+    """Every plane corpus branch, then the branches of the six rational
+    germ snapshots, the QQ(sqrt(-a)) node among them, at the truncation
+    their requests run at."""
+    for name, germ in repo_corpus_germs.items():
+        for b in germ.branches:
+            if b.ambient_dim == 2:
+                yield name, b
+    for path in sorted(DATA.glob("rational_*.json")):
+        req = parse_request(json.loads(path.read_text())["input"])
+        germ = run_with_escalation(req, lambda g, c, t, r: g)
+        for b in germ.branches:
+            yield path.stem, b
+
+
+def test_power_sum_equation_matches_undetermined_coefficients(
+        repo_corpus_germs):
+    """The power-sum equation agrees with the dense undetermined-
+    coefficients solve wherever that solve is exact, mod x^K_old, and the
+    power-sum bound L is at least K_old."""
+    seen = set()
+    for name, b in _plane_lifts(repo_corpus_germs):
+        seen.add(name)
+        k_old = undetermined_coefficients_precision(b)
+        assert k_old >= 1, name
+        assert _equation_precision(b) >= k_old, name
+        new = implicit_equation(b)
+        old = undetermined_coefficients_equation(b)
+        assert _below_x_power(new, k_old) == _below_x_power(old, k_old), name
+    assert "rational_conj_node" in seen and "gaussian_node" in seen
+
+
+def test_power_sum_equation_divides_the_resultant():
+    """With x not a monomial the resultant is the Weierstrass polynomial
+    times a unit: dividing it by the power-sum equation leaves no remainder
+    below x^L."""
+    for coords in ([[(2, 1), (3, 1)], [(3, 1)]],
+                   [[(2, 1), (3, 1)], [(3, 1), (5, 2)]],
+                   [[(2, 1), (5, -1)], [(3, 1), (4, 1)]],
+                   [[(3, 2), (4, 1)], [(4, 1), (5, -1)]],
+                   [[(1, 1), (2, 3)], [(2, 1)]]):
+        b = B(*coords, n=40)
+        g = implicit_equation(b)
+        assert g.degree_in(1) == branch_multiplicity(b)
+        resultant = sylvester_resultant_equation(b)
+        bound = _equation_precision(b)
+        assert bound >= 8
+        assert weierstrass_remainder(resultant, g, bound).is_zero(), coords
+
+
+def test_monomial_chart_reads_x_as_a_monomial():
+    """x = a*s^n exactly at truncation T - n, and the chart is a
+    parametrization of the same branch: its resultant vanishes on it."""
+    sqrt_m1 = NumberField([F(1), F(0), F(1)]).gen()
+    cases = [
+        B([(2, 1), (3, 1)], [(3, 1)], n=24),
+        B([(3, -2), (4, 1), (6, 5)], [(4, 1), (5, -1)], n=30),
+        BranchParam((Series([F(0), F(0), 3 * sqrt_m1, F(1)], 20),
+                     Series([F(0), F(0), F(0), sqrt_m1], 20))),
+    ]
+    for b in cases:
+        xs, ys = b.coords
+        n = xs.order()
+        chart = _monomial_chart(b)
+        assert chart.trunc == b.trunc - n
+        assert chart.coords[0] == Series.monomial(n, xs.coeffs[n], chart.trunc)
+        assert chart.coords[1].order() == ys.order()
+    for b in cases[:2]:
+        resultant = sylvester_resultant_equation(b)
+        assert resultant.eval_series(list(
+            _monomial_chart(b).coords)).is_zero_at_precision()
+
+
+def test_gaussian_node_keeps_its_length_through_a_chart(repo_corpus_germs):
+    """A reparametrized gaussian_node branch no longer has a monomial x;
+    its equation comes through `_monomial_chart` over QQ(i), and l_ij is
+    unchanged."""
+    germ = repo_corpus_germs["gaussian_node"]
+    unit = Series.from_pairs([(0, F(2)), (1, F(1)), (2, F(-1, 2))],
+                             germ.branches[0].trunc)
+    for target in range(germ.k):
+        branches = list(germ.branches)
+        branches[target] = branches[target].reparametrized(unit)
+        x = branches[target].coords[0]
+        assert sum(1 for c in x.coeffs if c) > 1
+        chart = _monomial_chart(branches[target])
+        assert chart.coords[0] == Series.monomial(1, x.coeffs[1], chart.trunc)
+        redone = germ_invariants(branches)
+        assert redone.l_matrix == germ.l_matrix
+        assert redone.r0 == germ.r0
+
+
+def test_implicit_equation_runs_no_elimination(monkeypatch):
+    """Neither route to the equation, monomial x or `_monomial_chart`,
+    reaches an echelon form."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("implicit_equation ran an elimination")
+
+    monkeypatch.setattr(kernels, "irow_echelon", refuse)
+    monkeypatch.setattr(linalg, "rref_rows", refuse)
+    monkeypatch.setattr(branches, "rref_rows", refuse)
+    for coords in ([[(3, 1)], [(4, 1), (5, 2)]],
+                   [[(2, 1), (3, 1)], [(3, 1), (4, -1)]]):
+        g = implicit_equation(B(*coords, n=40))
+        assert g.degree_in(1) == coords[0][0][0]
+
+
+def test_equation_precision_allows_for_x_past_the_truncation():
+    """(t^2 + t^5, t) read at truncation 5 shows x = t^2.  Its equation is
+    exact mod x^L for the L of `_equation_precision`, which counts the
+    unseen t^5, and not one power further."""
+    low = B([(2, 1), (5, 1)], [(1, 1)], n=5)
+    high = B([(2, 1), (5, 1)], [(1, 1)], n=64)
+    bound = _equation_precision(low)
+    assert bound == 2
+    g_low, g_high = implicit_equation(low), implicit_equation(high)
+    assert _below_x_power(g_low, bound) == _below_x_power(g_high, bound)
+    assert _below_x_power(g_low, bound + 1) != _below_x_power(
+        g_high, bound + 1)
 
 
 def test_intersection_length_examples():

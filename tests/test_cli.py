@@ -328,7 +328,7 @@ def test_rank_override_report_equals_ranks_in_request(tmp_path, capsysbinary):
 def test_truncation_ceiling(tmp_path, capsysbinary, monkeypatch):
     monkeypatch.setenv("D0RES_MAX_TRUNCATION", "6")
     tac = write_request(tmp_path, "tac.json", {
-        "curve": {"implicit": {"poly": [[[0, 2], "1"], [[4, 0], "-1"]]}},
+        "curve": {"implicit": {"poly": [[[0, 2], "1"], [[6, 0], "-1"]]}},
         "truncation": 4,
     })
     rc = main(["analyze", tac])

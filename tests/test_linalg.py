@@ -6,14 +6,10 @@ from hypothesis import strategies as st
 
 from d0res.errors import D0resError, NonCommutingActions
 from d0res.fields import NumberField
-from d0res.linalg import (
-    ExactMatrix,
-    eval_poly_at_matrices,
-    solve_exact,
-)
+from d0res.linalg import ExactMatrix, eval_poly_at_matrices
 from d0res.poly import Poly
 from d0res.series import Series
-from oracles import eval_series_at_matrix
+from oracles import eval_series_at_matrix, solve_exact
 
 F = Fraction
 
