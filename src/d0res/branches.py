@@ -18,11 +18,12 @@ independent check of the plane route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import D0resError, InputError, RaiseTruncation
-from .fields import FieldElement, scalar_is_zero
+from .fields import scalar_is_zero
 from .linalg import rref_rows
 from .poly import Poly, is_squarefree, monomial_values, monomials_upto
 from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
@@ -72,6 +73,20 @@ class BranchParam:
 
     def multiplicity(self):
         return branch_multiplicity(self)
+
+    @cached_property
+    def _equation_chart(self):
+        """(x, y, T') of a plane branch with x != 0: its coordinates in a
+        parameter where x = a*t^n exactly, through `_monomial_chart` when x
+        is not a monomial, and the precision T' to which y is known there
+        (`_equation_precision`).  Built once, whichever pairs read it."""
+        xs, ys = self.coords
+        if not _is_monomial(xs):
+            chart = _monomial_chart(self)
+            return (*chart.coords, self.trunc - xs.order())
+        n, o = xs.order(), ys.order()
+        known = self.trunc if o is None else min(self.trunc, self.trunc - n + o)
+        return xs, ys, known
 
     def reparametrized(self, unit: Series) -> "BranchParam":
         """Substitute t -> unit(t) * t (unit(0) != 0); same branch, new chart."""
@@ -235,25 +250,11 @@ def _monomial_chart(b: BranchParam) -> BranchParam:
             if not scalar_is_zero(u[j]):
                 acc = acc + (exponent * j - k) * u[j] * w[k - j]
         w.append(acc / k)
-    # [t^k] h^(k+1), h = 1/w, as one coefficient of giant * baby with
-    # giant = h^(q*step) and baby = h^r for k + 1 = q*step + r: about
-    # 2*sqrt(T) series products instead of one per power
     h = Series(w).invert()
-    step = isqrt(prec)
-    babies = [Series.one(prec)]
-    for _ in range(step):
-        babies.append(babies[-1] * h)
-    giant, v = babies[0], []
+    power, v = Series.one(prec), []
     for k in range(prec):
-        r = (k + 1) % step
-        if r == 0:
-            giant = giant * babies[step]
-        baby = babies[r].coeffs
-        acc = _ZERO
-        for i, g in enumerate(giant.coeffs[:k + 1]):
-            if not scalar_is_zero(g) and not scalar_is_zero(baby[k - i]):
-                acc = acc + g * baby[k - i]
-        v.append(acc / (k + 1))
+        power = power * h                       # h^(k+1)
+        v.append(power.coeffs[k] / (k + 1))
     return b.reparametrized(Series(v))
 
 
@@ -269,9 +270,10 @@ def implicit_equation(b: BranchParam) -> Poly:
     Newton's identities give c_k = -(c_(k-1) p_1 + ... + c_0 p_k) / k with
     c_0 = 1.  No root of unity or field extension enters.
 
-    y is known mod t^T', T' the chart's truncation, so each c_k is computed
-    mod x^ceil(T'/n); `_equation_precision` says how much of it is exact.
-    For polynomial branches each c_k is a polynomial, and once ceil(T'/n)
+    `BranchParam._equation_chart` picks the chart and the precision T' to
+    which y is known there; each c_k is computed to the chart's truncation,
+    and `_equation_precision` proves it exact mod x^ceil(T'/n).  For
+    polynomial branches each c_k is a polynomial, and once ceil(T'/n)
     passes its degree the result is the exact irreducible equation.
     """
     if b.ambient_dim != 2:
@@ -282,20 +284,18 @@ def implicit_equation(b: BranchParam) -> Poly:
         if ys.order() is None:
             raise D0resError("degenerate branch")
         return Poly.variable(2, 0)
-    if not _is_monomial(xs):
-        xs, ys = _monomial_chart(b).coords
+    xs, ys, _ = b._equation_chart
     length = -(-ys.trunc // n)
     a = xs.coeffs[n]
     scale = [_ONE]                      # a^(-m)
     for _ in range(1, length):
-        scale.append(_rational_if_possible(scale[-1] / a))
+        scale.append(scale[-1] / a)
     sums, y_power = [], ys
     for k in range(1, n + 1):
         if k > 1:
             y_power = y_power * ys
-        sums.append(Series([
-            _rational_if_possible(n * y_power.coeffs[n * m] * scale[m])
-            for m in range(length)]))
+        sums.append(Series([n * y_power.coeffs[n * m] * scale[m]
+                            for m in range(length)]))
     coeffs = [Series.one(length)]
     for k in range(1, n + 1):
         acc = sums[k - 1]
@@ -307,12 +307,6 @@ def implicit_equation(b: BranchParam) -> Poly:
         for m, value in enumerate(c.coeffs):
             terms[(m, n - k)] = value
     return Poly(2, terms)
-
-
-def _rational_if_possible(c):
-    if isinstance(c, FieldElement) and c.is_rational():
-        return c.coeffs[0]
-    return c
 
 
 # -- intersection lengths ----------------------------------------------------------
@@ -385,18 +379,14 @@ def _equation_precision(b: BranchParam) -> int:
 
     A monomial x is known mod t^T, so T_x = T_y = T and T' = min(T, T - n
     + o).  Through `_monomial_chart`, T_x = T and T_y = T - n, so
-    T' = T - n.  A branch with x = 0 has the exact equation x.
+    T' = T - n.  `BranchParam._equation_chart` gives T' together with the
+    chart the equation is built in, so route and bound cannot part.  A
+    branch with x = 0 has the exact equation x.
     """
-    xs, ys = b.coords
-    n = xs.order()
+    n = b.coords[0].order()
     if n is None:
         return b.trunc - 1
-    if _is_monomial(xs):
-        o = ys.order()
-        known = b.trunc if o is None else min(b.trunc, b.trunc - n + o)
-    else:
-        known = b.trunc - n
-    return -(-known // n)
+    return -(-b._equation_chart[2] // n)
 
 
 def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:

@@ -168,6 +168,26 @@ def test_gaussian_node_keeps_its_length_through_a_chart(repo_corpus_germs):
         assert redone.r0 == germ.r0
 
 
+def test_monomial_chart_is_built_once_per_branch(monkeypatch):
+    """Three branches, two with a non-monomial x: every pair reads each
+    branch's equation and its precision, but each chart is built once."""
+    built = []
+
+    def counting(b):
+        built.append(b)
+        return chart(b)
+
+    chart = branches._monomial_chart
+    monkeypatch.setattr(branches, "_monomial_chart", counting)
+    bs = [B([(2, 1), (3, 1)], [(3, 1), (4, 2)], n=64),
+          B([(2, 1)], [(3, -1)], n=64),
+          B([(1, 1), (2, 1)], [(1, 1)], n=64)]
+    germ = germ_invariants(bs)
+    assert len(built) == 2
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert germ.l_matrix[i][j] == colength_intersection_length(bs[i], bs[j])
+
+
 def test_implicit_equation_runs_no_elimination(monkeypatch):
     """Neither route to the equation, monomial x or `_monomial_chart`,
     reaches an echelon form."""
