@@ -7,12 +7,17 @@ branch intersection index bii = max l_ij, l0 = 1 + bii (1 for unibranch germs)
 and the critical rank r0 = l0 * lcm(n_i).
 
 A plane l_ij is the order of one branch's equation along the other.  The
-equation is built from power sums (`implicit_equation`): in a chart where
-x = a*t^n, n series powers of y and Newton's identities give its
-coefficients, with no linear algebra; an explicit branch whose x is not a
-monomial is first moved to such a chart (`_monomial_chart`).  Space germs
-take l_ij from the colength of the two branch ideals, which is also the
-independent check of the plane route.
+equation is built once per branch from power sums (`implicit_equation`):
+in a chart where x = a*t^n, n series powers of y and Newton's identities
+give its coefficients, with no linear algebra; an explicit branch whose x
+is not a monomial is first moved to such a chart (`_monomial_chart`).
+Space germs take l_ij from the colength of the two branch ideals, which is
+also the independent check of the plane route.
+
+An implicit germ has a second route with no truncation at all: its
+Newton-polygon tree (`newton_tree`) gives each n_i and each l_ij by the
+toric recursion, and so r0 before any lift; `newton_puiseux` lifts the
+branches from that tree to any truncation.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import rref_rows
 from .poly import Poly, is_squarefree, monomial_values, monomials_upto
-from .puiseux import FieldContext, expansion_leaves, leaf_to_coords
+from .puiseux import FieldContext, chart_orders, expansion_leaves, leaf_to_coords
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -87,6 +92,19 @@ class BranchParam:
         n, o = xs.order(), ys.order()
         known = self.trunc if o is None else min(self.trunc, self.trunc - n + o)
         return xs, ys, known
+
+    @cached_property
+    def _equation(self):
+        """`implicit_equation` of this branch, built once, whichever pairs
+        read it."""
+        return implicit_equation(self)
+
+    def truncate(self, trunc) -> "BranchParam":
+        """The same branch known mod t^trunc, trunc <= self.trunc; below
+        self.trunc a new BranchParam, which checks primitivity again."""
+        if trunc == self.trunc:
+            return self
+        return BranchParam(tuple(s.truncate(trunc) for s in self.coords))
 
     def reparametrized(self, unit: Series) -> "BranchParam":
         """Substitute t -> unit(t) * t (unit(0) != 0); same branch, new chart."""
@@ -156,48 +174,130 @@ def branch_multiplicity(b: BranchParam) -> int:
     return min(orders)
 
 
-def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None):
-    """Complete branch decomposition of the germ at the designated point.
+@dataclass(frozen=True)
+class NewtonTree:
+    """The Newton-polygon tree of a plane germ: its expansion leaves and
+    axis branches, in `newton_puiseux` order, and the invariants n and
+    l_matrix they fix with no truncation (`newton_tree`)."""
+
+    curve: PlaneCurveInput
+    local: Poly
+    y_axis: bool
+    leaves: tuple
+    x_axis: bool
+    n: tuple
+    l_matrix: tuple          # symmetric, None on the diagonal
+
+    @property
+    def r0(self):
+        return critical_rank(self.n, self.l_matrix)[2]
+
+    def check(self, germ: Germ):
+        """Raise unless the invariants proven on the branches lifted from
+        this tree equal the tree's."""
+        for i, (tree_n, series_n) in enumerate(zip(self.n, germ.n)):
+            if tree_n != series_n:
+                raise D0resError(f"branch {i} has multiplicity {tree_n} in the "
+                                 f"Newton tree, {series_n} on the series")
+        for i in range(germ.k):
+            for j in range(i + 1, germ.k):
+                if self.l_matrix[i][j] != germ.l_matrix[i][j]:
+                    raise D0resError(
+                        f"branches {i} and {j} meet with l = "
+                        f"{self.l_matrix[i][j]} in the Newton tree, "
+                        f"{germ.l_matrix[i][j]} on the series")
+
+
+def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
+    """The Newton-polygon tree of the germ at the designated point, with
+    any field extension its roots need adjoined to ctx.
 
     Branch order: the y=0 tail first, then polygon edges by increasing slope
     with characteristic roots in deterministic order, then the x=0 axis last.
+
+    Each branch has, in each chart c it passes through, root first, the
+    orders (a, b) = (ord_t x_c, ord_t y_c) of `puiseux.chart_orders`, None
+    standing for an infinite order; the y = 0 axis has (1, None) and the
+    x = 0 axis (None, 1), both in the root chart only.  Two leaves pass
+    through the same charts as far as their order keys agree, and part in
+    the next one.  So n_i = min(a_i, b_i) in the root chart, and l_ij is
+    the sum of min(a_i*b_j, a_j*b_i) over the charts both pass through,
+    the chart where they part included: the toric (Halphen-Zeuthen)
+    recursion l = p*q*m_i*m_j + l(next chart) while two branches share a
+    level (p, q, A, B), and the contact of two Puiseux leading terms where
+    they part (Wall, Singular Points of Plane Curves, 2004).
     """
-    if trunc < 4:
-        raise D0resError("truncation too small for branch decomposition")
     f = local = curve.local_poly()
-    if ctx is None:
-        ctx = FieldContext()
-    pre = []
-    post = []
     ydeg = f.monomial_content(1)
     if ydeg:
         if ydeg > 1:
             raise D0resError("input is not reduced (y-axis factor repeated)")
-        pre.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
         f = f.divide_by_monomial(1, 1)
     xdeg = f.monomial_content(0)
     if xdeg:
         if xdeg > 1:
             raise D0resError("input is not reduced (x-axis factor repeated)")
-        post.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
         f = f.divide_by_monomial(0, 1)
-    middle = []
-    if not scalar_is_zero(f.coefficient((0, 0))):
-        leaves = []
-    else:
-        leaves = expansion_leaves(f, ctx)
-    for leaf in leaves:
-        x, y = leaf_to_coords(leaf, trunc)
-        middle.append(BranchParam((x, y)))
-    branches = pre + middle + post
-    if not branches:
+    leaves = ()
+    if scalar_is_zero(f.coefficient((0, 0))):
+        leaves = tuple(expansion_leaves(f, ctx))
+    keys = [()] * bool(ydeg) + [leaf.order_key for leaf in leaves] + [()] * bool(xdeg)
+    orders = ([[(1, None)]] * bool(ydeg) + [chart_orders(leaf) for leaf in leaves]
+              + [[(None, 1)]] * bool(xdeg))
+    k = len(orders)
+    if not k:
         raise D0resError("no branches through the designated point")
+    l_matrix = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            shared = 0
+            while (shared < min(len(keys[i]), len(keys[j]))
+                   and keys[i][shared] == keys[j][shared]):
+                shared += 1
+            l_matrix[i][j] = l_matrix[j][i] = sum(
+                _chart_contact(u, v)
+                for u, v in zip(orders[i][:shared + 1], orders[j][:shared + 1]))
+    return NewtonTree(curve=curve, local=local, y_axis=bool(ydeg), leaves=leaves,
+                      x_axis=bool(xdeg),
+                      n=tuple(min(o for o in ab[0] if o is not None) for ab in orders),
+                      l_matrix=tuple(tuple(row) for row in l_matrix))
+
+
+def _chart_contact(u, v):
+    """min(a_i*b_j, a_j*b_i) for the orders u = (a_i, b_i) and v = (a_j, b_j)
+    of two branches in one chart, None standing for an infinite order."""
+    return min(s * t for s, t in ((u[0], v[1]), (v[0], u[1]))
+               if s is not None and t is not None)
+
+
+def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None,
+                   tree: NewtonTree = None):
+    """Complete branch decomposition of the germ at the designated point,
+    lifted to truncation trunc, in the order of its `newton_tree`.
+
+    `tree` is the curve's tree with its extension in ctx; it is built here
+    when not given.  No part of the tree depends on trunc, so one tree
+    serves the lifts at every truncation.
+    """
+    if trunc < 4:
+        raise D0resError("truncation too small for branch decomposition")
+    if ctx is None:
+        ctx = FieldContext()
+    if tree is None:
+        tree = newton_tree(curve, ctx)
+    branches = []
+    if tree.y_axis:
+        branches.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
+    for leaf in tree.leaves:
+        branches.append(BranchParam(leaf_to_coords(leaf, trunc)))
+    if tree.x_axis:
+        branches.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
     for b in branches:
-        residual = local.eval_series(list(b.coords))
+        residual = tree.local.eval_series(list(b.coords))
         if not residual.is_zero_at_precision():
             raise D0resError("branch residual does not vanish at precision")
     total = sum(branch_multiplicity(b) for b in branches)
-    expected = local.min_degree()
+    expected = tree.local.min_degree()
     if total != expected:
         raise D0resError(
             f"branch multiplicities sum to {total}, expected germ multiplicity "
@@ -329,8 +429,7 @@ def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
             "branches coincide at the working truncation; intersection "
             "lengths need distinct branches", needed=2 * shared)
     if bi.ambient_dim == 2:
-        gi = implicit_equation(bi)
-        gj = implicit_equation(bj)
+        gi, gj = bi._equation, bj._equation
         lij = gj.eval_series(list(bi.coords)).order()
         lji = gi.eval_series(list(bj.coords)).order()
         if lij is None or lji is None:
@@ -492,6 +591,17 @@ def _nonzero(rows):
 # -- germ assembly -------------------------------------------------------------------
 
 
+def critical_rank(n, l_matrix):
+    """(bii, l0, r0) of branches with multiplicities n and intersection
+    lengths l_matrix: bii = max l_ij (None for one branch), l0 = 1 + bii
+    (1 for one branch) and r0 = l0 * lcm(n_i)."""
+    k = len(n)
+    bii = max((l_matrix[i][j] for i in range(k) for j in range(i + 1, k)),
+              default=None)
+    l0 = 1 if bii is None else 1 + bii
+    return bii, l0, l0 * lcm(*n)
+
+
 def germ_invariants(branches, point=None) -> Germ:
     """Fill n, l_matrix, bii, l0 and r0 for a branch set at one point."""
     branches = tuple(branches)
@@ -507,13 +617,7 @@ def germ_invariants(branches, point=None) -> Germ:
             lij = intersection_length(branches[i], branches[j])
             l_matrix[i][j] = lij
             l_matrix[j][i] = lij
-    if k >= 2:
-        bii = max(l_matrix[i][j] for i in range(k) for j in range(i + 1, k))
-        l0 = 1 + bii
-    else:
-        bii = None
-        l0 = 1
-    r0 = l0 * lcm(*n)
+    bii, l0, r0 = critical_rank(n, l_matrix)
     notes = []
     if k == 1 and n[0] == 1:
         notes.append("smooth-point: the germ is not singular (one branch, n=1)")

@@ -4,7 +4,8 @@ Clearing denominators up front lets the whole elimination/product run on
 plain ints, skipping the per-operation gcd that Fraction arithmetic pays.
 `imatmul` and `irow_echelon` serve the matrix products and eliminations
 (`fmatmul`, `frref`); `iconv` serves the truncated series product, which
-`Series.__mul__` feeds one integer vector per power of the field generator.
+`Series.__mul__` feeds one integer vector per power of the field generator,
+the second factor as its `nonzero_pairs`.
 `IMPLEMENTATION` names these kernels in benchmark result stamps.
 """
 
@@ -34,20 +35,27 @@ def imatmul(a, b):
     return out
 
 
-def iconv(a, b, n, out=None):
-    """Convolution of integer coefficient vectors, truncated mod t^n.
+def nonzero_pairs(b):
+    """The (index, value) pairs of the nonzero entries of b, by index: the
+    form in which `iconv` takes its second factor, so that a factor used
+    in many products is scanned once."""
+    return [(j, w) for j, w in enumerate(b) if w]
+
+
+def iconv(a, b_pairs, n, out=None):
+    """Convolution of integer coefficient vectors a and b, truncated mod t^n,
+    with b given by its `nonzero_pairs`.
 
     Like `imatmul`, it multiplies nonzero pairs only: series met in
     the certificates and colength products are often sparse.  The
     product is added into `out` (length n) when given, else into zeros.
     """
-    b_nonzero = [(j, w) for j, w in enumerate(b[:n]) if w]
     if out is None:
         out = [0] * n
     for i, v in enumerate(a[:n]):
         if v:
             room = n - i
-            for j, w in b_nonzero:
+            for j, w in b_pairs:
                 if j >= room:
                     break
                 out[i + j] += v * w

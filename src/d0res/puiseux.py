@@ -488,14 +488,49 @@ def expansion_leaves(f: Poly, ctx: FieldContext):
 
 
 def leaf_to_coords(leaf: _Leaf, trunc):
-    """Back-substitute one expansion leaf into (x(t), y(t)) series."""
+    """Back-substitute one expansion leaf into (x(t), y(t)) series.
+
+    At every level x is a monomial c*t^e, so x^p * A is the monomial
+    c^p*A*t^(e*p) and x^q * (B + y) is B + y scaled by c^q and shifted by
+    e*q: no series product.  A coefficient whose value is rational is a
+    Fraction, as a series product leaves it."""
     if leaf.tail_poly is None:
-        y = Series.zero(trunc)
+        y = [_ZERO] * trunc
     else:
-        y = solve_regular_tail(leaf.tail_poly, trunc)
-    x = Series.variable(trunc)
+        y = list(solve_regular_tail(leaf.tail_poly, trunc).coeffs)
+    c, e = Fraction(1), 1                       # x = c * t^e
     for (p, q, A, B) in reversed(leaf.levels):
-        new_x = (x ** p) * A
-        new_y = (x ** q) * (Series.monomial(0, B, trunc) + y)
-        x, y = new_x, new_y
-    return x, y
+        scale, shift = c ** q, e * q
+        y[0] = y[0] + B
+        y = [_ZERO] * min(shift, trunc) + [
+            _rational(scale * v) if v else _ZERO for v in y[:trunc - shift]]
+        c, e = _rational(c ** p * A), e * p
+    return Series.monomial(e, c, trunc), Series(y)
+
+
+def _rational(c):
+    """c, a Fraction when its value is rational."""
+    if isinstance(c, FieldElement) and c.is_rational():
+        return c.coeffs[0]
+    return c
+
+
+def chart_orders(leaf: _Leaf):
+    """(ord_t x_c, ord_t y_c) of a leaf's branch in each chart c it passes
+    through, from the root chart down to the chart of its tail, None
+    standing for an infinite order.
+
+    In the tail's chart x = t, and y has the order of the tail
+    polynomial's y-free part (the tail's root y(x) is that part times a
+    unit), or is infinite (None) for a zero tail.  A level (p, q, A, B)
+    above a chart where ord x = m gives x = A*x_c^p and y = x_c^q*(B + y_c)
+    with B != 0, hence (p*m, q*m) in the chart above.  No truncation
+    enters."""
+    tail = None
+    if leaf.tail_poly is not None:
+        tail = min((i for (i, j) in leaf.tail_poly.terms if j == 0), default=None)
+    orders, m = [(1, tail)], 1
+    for (p, q, _, _) in reversed(leaf.levels):
+        orders.append((p * m, q * m))
+        m *= p
+    return orders[::-1]

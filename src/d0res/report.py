@@ -23,6 +23,7 @@ from .branches import (
     colength_intersection_length,
     germ_invariants,
     newton_puiseux,
+    newton_tree,
 )
 from .errors import D0resError, InputError, RaiseTruncation
 from .fields import (
@@ -341,10 +342,27 @@ def default_truncation(ranks, multiplicities) -> int:
     return max(32, 8 * max(ranks) * max(multiplicities))
 
 
-def _build_branches(req: AnalysisRequest, trunc: int, ctx: FieldContext):
-    if req.kind == "implicit":
-        curve = PlaneCurveInput(req.poly, req.point)
-        return newton_puiseux(curve, trunc, ctx)
+def _ranks(req: AnalysisRequest, invariants):
+    """(ranks, driving ranks) of a request on a germ or a Newton tree, both
+    of which carry `r0`: the requested ranks, r0..r0 + 2 by default, and
+    each capped at r0 + 2 for the truncation."""
+    r0 = invariants.r0
+    ranks = req.ranks or [r0, r0 + 1, r0 + 2]
+    return ranks, [min(r, r0 + 2) for r in ranks]
+
+
+def predicted_truncation(req: AnalysisRequest, tree) -> int:
+    """The truncation the ladder of `run_with_escalation` ends at when the
+    Newton tree's n and r0 are the proven ones and no check asks for
+    more: the requested truncation, else the one the ranks need."""
+    if req.truncation is not None:
+        return req.truncation
+    return default_truncation(_ranks(req, tree)[1], tree.n)
+
+
+def _build_branches(req: AnalysisRequest, trunc: int, ctx: FieldContext, tree):
+    if tree is not None:
+        return newton_puiseux(tree.curve, trunc, ctx, tree)
     # the parser checked each branch exactly; a BranchParam error here can
     # only ask for more truncation
     return [BranchParam(tuple(Series.from_pairs(pairs, trunc)
@@ -381,14 +399,28 @@ def carry_invariants(proven: Germ, branches) -> Germ:
 def run_with_escalation(req: AnalysisRequest, stage):
     """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation raises.
 
-    The invariants are proven once, by `germ_invariants` on the first lift
-    that decides them.  A raise (to the truncation the ranks need, or after
-    a RaiseTruncation from the lift, the invariants, certificates or
-    oracles) re-lifts the branches at the new truncation and carries the
-    proven invariants over (`carry_invariants`); the report's colength
-    oracle still recomputes every plane `l_ij` on the final lift.  The
-    retry sequence depends only on the input, and every truncation tried,
-    requested, needed by the ranks or doubled, is capped by the ceiling.
+    An implicit request builds its Newton tree (`branches.newton_tree`)
+    once, and lifts its branches once, at the truncation the tree predicts
+    (`predicted_truncation`, capped by the ceiling).  The ladder of
+    attempts then runs as if each attempt lifted anew: an attempt at a
+    truncation t up to the lift's takes the truncation of that lift to t,
+    which is the lift at t, so the ladder, the printed truncation and every
+    report byte do not depend on the prediction.  Only an attempt above it
+    re-lifts, from the same tree.  A lift at the predicted truncation that
+    asks for more itself is dropped, and each attempt lifts at its own
+    truncation.  Explicit branches have no tree, and each attempt builds
+    them at its truncation.
+
+    The invariants are proven once, by `germ_invariants` on the first
+    attempt that decides them, and the tree's n and l_ij must equal them
+    (`NewtonTree.check`): a second route to the plane l_ij.  A raise (to
+    the truncation the ranks need, or after a RaiseTruncation from the
+    branches, the invariants, certificates or oracles) carries the proven
+    invariants to the next attempt's branches (`carry_invariants`); the
+    report's colength oracle still recomputes every plane `l_ij` on the
+    final branches.  The retry sequence depends only on the input, and
+    every truncation tried, requested, needed by the ranks or doubled, is
+    capped by the ceiling.
 
     The ranks drive the truncation only up to r0 + 2, the top default rank.
     Above r0 a member is the rank-r0 jet plus skyscrapers, and its checks
@@ -397,22 +429,35 @@ def run_with_escalation(req: AnalysisRequest, stage):
     """
     ceiling = truncation_ceiling()
     trunc, reason = req.truncation or 32, "the starting truncation"
-    proven = None
+    ctx = FieldContext(req.field)
+    tree = lift = proven = None
+    top = 0                     # the truncation of `lift`, 0 for none
     while True:
         if trunc > ceiling:
             raise D0resError(
                 f"analysis needs truncation {trunc} but the ceiling is "
                 f"{ceiling} (set D0RES_MAX_TRUNCATION to raise it): {reason}"
             )
-        ctx = FieldContext(req.field)
         try:
-            branches = _build_branches(req, trunc, ctx)
+            if req.kind == "implicit" and tree is None:
+                tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
+                top = min(ceiling, predicted_truncation(req, tree))
+            if lift is None and trunc <= top:
+                try:
+                    lift = _build_branches(req, top, ctx, tree)
+                except RaiseTruncation:
+                    top = 0
+            if trunc <= top:
+                branches = [b.truncate(trunc) for b in lift]
+            else:
+                branches = _build_branches(req, trunc, ctx, tree)
             if proven is None:
                 germ = proven = germ_invariants(branches, req.point)
+                if tree is not None:
+                    tree.check(proven)
             else:
                 germ = carry_invariants(proven, branches)
-            ranks = req.ranks or [germ.r0, germ.r0 + 1, germ.r0 + 2]
-            driving = [min(r, germ.r0 + 2) for r in ranks]
+            ranks, driving = _ranks(req, germ)
             needed = default_truncation(driving, germ.n)
             if req.truncation is None and trunc < needed:
                 trunc, reason = needed, f"rank {max(driving)} needs it"

@@ -23,7 +23,7 @@ from math import lcm
 
 from .errors import D0resError
 from .fields import FieldElement, common_field, power, scalar_is_zero
-from .kernels import iconv
+from .kernels import iconv, nonzero_pairs
 
 _ZERO = Fraction(0)
 
@@ -62,7 +62,8 @@ def _slots(coeffs, n):
 
 def _product(xs, ys, n):
     """Slots of the product of two slot lists mod t^n, before reduction
-    mod m(a): one `iconv` per pair of slots, added into slot p + q."""
+    mod m(a): one `iconv` per pair of slots, added into slot p + q.  The
+    slots of ys come as their `nonzero_pairs`."""
     out = [[0] * n for _ in range(len(xs) + len(ys) - 1)]
     for p, x in enumerate(xs):
         for q, y in enumerate(ys):
@@ -87,7 +88,9 @@ def _horner(terms, operands, n):
     when no term contributes.  Horner in the last variable x: each step
     multiplies the accumulator by x and adds the next coefficient block,
     itself evaluated in the other variables.  A block of x^j is multiplied
-    by x^j later, so when x has order o it is only needed mod t^(n - j*o)."""
+    by x^j later, so when x has order o it is only needed mod t^(n - j*o).
+    The slots of x are scanned for their nonzero entries once, not once
+    per step."""
     if not terms:
         return None
     if not operands:                    # the one term left is a constant
@@ -99,6 +102,7 @@ def _horner(terms, operands, n):
     if operands[-1] is None:
         return _horner(blocks.get(0, ()), rest, n)
     _, dx, xs, o = operands[-1]
+    xs = [nonzero_pairs(s) for s in xs]
     top = max(blocks) if not o else min(max(blocks), (n - 1) // o)
     den, acc = 1, None
     for j in range(top, -1, -1):
@@ -251,7 +255,8 @@ class Series:
             if b is None or a[3] + b[3] >= n:      # zero at this precision
                 return Series([_ZERO] * n)
             field = common_field(a[0], b[0])
-            return _from_slots(field, a[1] * b[1], _product(a[2], b[2], n))
+            return _from_slots(field, a[1] * b[1], _product(
+                a[2], [nonzero_pairs(s) for s in b[2]], n))
         # scalar multiple; zero coefficients stay as they are
         return Series([c if scalar_is_zero(c) else c * other for c in self.coeffs])
 

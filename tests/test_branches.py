@@ -37,6 +37,7 @@ from oracles import (
 
 F = Fraction
 DATA = Path(__file__).resolve().parent / "data"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def B(*coords, n=16):
@@ -201,6 +202,23 @@ def test_implicit_equation_runs_no_elimination(monkeypatch):
                    [[(2, 1), (3, 1)], [(3, 1), (4, -1)]]):
         g = implicit_equation(B(*coords, n=40))
         assert g.degree_in(1) == coords[0][0][0]
+
+
+@pytest.mark.parametrize("name", ["triple_point", "cyclotomic_triple"])
+def test_each_branch_equation_is_built_once(monkeypatch, name):
+    """Three branches, three pairs: one equation per branch over a whole
+    analysis, through the module attribute the benchmark's tracer wraps."""
+    built = []
+
+    def counted(b):
+        built.append(b)
+        return implicit_equation(b)
+
+    monkeypatch.setattr(branches, "implicit_equation", counted)
+    req = parse_request(json.loads((CORPUS / f"{name}.json").read_text()))
+    germ = run_with_escalation(req, lambda g, c, t, r: g)
+    assert germ.k == 3
+    assert len(built) == 3
 
 
 def test_equation_precision_allows_for_x_past_the_truncation():

@@ -155,12 +155,15 @@ def test_carry_rejects_a_different_relift(relift, message):
 
 
 def test_pipeline_checks_the_relift(monkeypatch):
-    """The rank-driven re-lift goes through the check: a lift at 128 whose
-    multiplicity differs from the one proven at 32 stops the run."""
-    def build(req, trunc, ctx):
+    """The rank-driven re-lift goes through the check: with the lift made
+    at a predicted 32, the lift at 64 that rank 8 needs is a re-lift, and
+    one whose multiplicity differs from the one proven at 32 stops the
+    run."""
+    def build(req, trunc, ctx, tree):
         return [branch([(2, 1)], [(3, 1)], trunc) if trunc == 32
                 else branch([(3, 1)], [(4, 1)], trunc)]
 
     monkeypatch.setattr(report, "_build_branches", build)
-    with pytest.raises(D0resError, match="multiplicity"):
+    monkeypatch.setattr(report, "predicted_truncation", lambda req, tree: 32)
+    with pytest.raises(D0resError, match="re-lift of branch 0 has multiplicity 3"):
         final_germ(corpus_request("cusp", ranks=[8]))

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 from d0res import kernels
-from d0res.kernels import iconv, imatmul
+from d0res.kernels import iconv, imatmul, nonzero_pairs
 from d0res.linalg import _rref_generic
+from d0res.series import Series, polynomial_at
 
 F = Fraction
 
@@ -59,11 +60,34 @@ def test_iconv_matches_naive_convolution():
                 return vec
 
             a, b = draw(), draw()
-            assert iconv(a, b, n) == _naive_convolution(a, b, n)
+            pairs = nonzero_pairs(b)
+            assert iconv(a, pairs, n) == _naive_convolution(a, b, n)
             acc = [rng.randint(-9, 9) for _ in range(n)]
             expected = [u + v for u, v in zip(acc, _naive_convolution(a, b, n))]
-            assert iconv(a, b, n, acc) is acc
+            assert iconv(a, pairs, n, acc) is acc
             assert acc == expected
+
+
+def test_one_scan_serves_products_at_every_length():
+    """Horner's pattern: the nonzero pairs of x, taken once, multiply a
+    new accumulator at every step, mod t^n for n falling with the step.
+    Each product, and the whole evaluation, equals the dense one."""
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 14)
+        x = [0] + [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n - 1)]
+        pairs = nonzero_pairs(x)
+        for m in range(n, 0, -1):
+            acc = [rng.randint(-9, 9) for _ in range(m)]
+            assert iconv(acc, pairs, m) == _naive_convolution(acc, x, m)
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        dense = [0] * n
+        for c in reversed(coeffs):
+            dense = _naive_convolution(dense, x, n)
+            dense[0] += c
+        value = polynomial_at({(k,): F(c) for k, c in enumerate(coeffs) if c},
+                              [Series([F(v) for v in x])])
+        assert value == Series([F(v) for v in dense])
 
 
 def test_frref_matches_generic_path():
