@@ -16,7 +16,7 @@ also the independent check of the plane route.
 
 An implicit germ has a second route with no truncation at all: its
 Newton-polygon tree (`newton_tree`) gives each n_i and each l_ij by the
-toric recursion, and so r0 before any lift; `newton_puiseux` lifts the
+toric recursion, and so r0 before any lift; `NewtonTree.lift` lifts the
 branches from that tree to any truncation.
 """
 
@@ -177,10 +177,9 @@ def branch_multiplicity(b: BranchParam) -> int:
 @dataclass(frozen=True)
 class NewtonTree:
     """The Newton-polygon tree of a plane germ: its expansion leaves and
-    axis branches, in `newton_puiseux` order, and the invariants n and
+    axis branches, in the order of their lift, and the invariants n and
     l_matrix they fix with no truncation (`newton_tree`)."""
 
-    curve: PlaneCurveInput
     local: Poly
     y_axis: bool
     leaves: tuple
@@ -206,6 +205,33 @@ class NewtonTree:
                         f"branches {i} and {j} meet with l = "
                         f"{self.l_matrix[i][j]} in the Newton tree, "
                         f"{germ.l_matrix[i][j]} on the series")
+
+    def lift(self, trunc: int):
+        """The branches lifted to truncation trunc, in tree order, each
+        checked to annihilate the local equation to that precision, their
+        multiplicities summing to the germ's.  No part of the tree depends
+        on trunc."""
+        if trunc < 4:
+            raise D0resError("truncation too small for branch decomposition")
+        branches = []
+        if self.y_axis:
+            branches.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
+        for leaf in self.leaves:
+            branches.append(BranchParam(leaf_to_coords(leaf, trunc)))
+        if self.x_axis:
+            branches.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
+        for b in branches:
+            residual = self.local.eval_series(list(b.coords))
+            if not residual.is_zero_at_precision():
+                raise D0resError("branch residual does not vanish at precision")
+        total = sum(branch_multiplicity(b) for b in branches)
+        expected = self.local.min_degree()
+        if total != expected:
+            raise D0resError(
+                f"branch multiplicities sum to {total}, expected germ multiplicity "
+                f"{expected}; decomposition incomplete"
+            )
+        return branches
 
 
 def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
@@ -257,7 +283,7 @@ def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
             l_matrix[i][j] = l_matrix[j][i] = sum(
                 _chart_contact(u, v)
                 for u, v in zip(orders[i][:shared + 1], orders[j][:shared + 1]))
-    return NewtonTree(curve=curve, local=local, y_axis=bool(ydeg), leaves=leaves,
+    return NewtonTree(local=local, y_axis=bool(ydeg), leaves=leaves,
                       x_axis=bool(xdeg),
                       n=tuple(min(o for o in ab[0] if o is not None) for ab in orders),
                       l_matrix=tuple(tuple(row) for row in l_matrix))
@@ -270,40 +296,17 @@ def _chart_contact(u, v):
                if s is not None and t is not None)
 
 
-def newton_puiseux(curve: PlaneCurveInput, trunc: int, ctx: FieldContext = None,
-                   tree: NewtonTree = None):
+def newton_puiseux(curve, trunc: int, ctx: FieldContext = None):
     """Complete branch decomposition of the germ at the designated point,
     lifted to truncation trunc, in the order of its `newton_tree`.
 
-    `tree` is the curve's tree with its extension in ctx; it is built here
-    when not given.  No part of the tree depends on trunc, so one tree
-    serves the lifts at every truncation.
+    `curve` is a PlaneCurveInput, whose tree is built here with its
+    extension adjoined to ctx, or a NewtonTree, which has its extension
+    already and serves the lifts at every truncation (`NewtonTree.lift`).
     """
-    if trunc < 4:
-        raise D0resError("truncation too small for branch decomposition")
-    if ctx is None:
-        ctx = FieldContext()
-    if tree is None:
-        tree = newton_tree(curve, ctx)
-    branches = []
-    if tree.y_axis:
-        branches.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
-    for leaf in tree.leaves:
-        branches.append(BranchParam(leaf_to_coords(leaf, trunc)))
-    if tree.x_axis:
-        branches.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
-    for b in branches:
-        residual = tree.local.eval_series(list(b.coords))
-        if not residual.is_zero_at_precision():
-            raise D0resError("branch residual does not vanish at precision")
-    total = sum(branch_multiplicity(b) for b in branches)
-    expected = tree.local.min_degree()
-    if total != expected:
-        raise D0resError(
-            f"branch multiplicities sum to {total}, expected germ multiplicity "
-            f"{expected}; decomposition incomplete"
-        )
-    return branches
+    if not isinstance(curve, NewtonTree):
+        curve = newton_tree(curve, FieldContext() if ctx is None else ctx)
+    return curve.lift(trunc)
 
 
 # -- implicit equations ----------------------------------------------------------

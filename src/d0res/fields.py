@@ -250,6 +250,13 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
+def demote(x):
+    """x, as a Fraction when it is a FieldElement with a rational value."""
+    if isinstance(x, FieldElement) and x.is_rational():
+        return x.coeffs[0]
+    return x
+
+
 # -- formatting and parsing ----------------------------------------------------
 
 
@@ -315,8 +322,7 @@ def parse_scalar(text, field=None):
         if power >= field.degree:
             raise ValueError(f"term exponent {power} exceeds extension degree")
         coeffs[power] += coeff
-    elem = field.element(coeffs)
-    return elem.rational_part() if elem.is_rational() else elem
+    return demote(field.element(coeffs))
 
 
 def _split_terms(text):

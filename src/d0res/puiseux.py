@@ -28,6 +28,7 @@ from .errors import D0resError, UnsupportedFieldExtension
 from .fields import (
     FieldElement,
     NumberField,
+    demote,
     poly_str,
     rational_sqrt,
     scalar_is_zero,
@@ -503,16 +504,9 @@ def leaf_to_coords(leaf: _Leaf, trunc):
         scale, shift = c ** q, e * q
         y[0] = y[0] + B
         y = [_ZERO] * min(shift, trunc) + [
-            _rational(scale * v) if v else _ZERO for v in y[:trunc - shift]]
-        c, e = _rational(c ** p * A), e * p
+            demote(scale * v) if v else _ZERO for v in y[:max(trunc - shift, 0)]]
+        c, e = demote(c ** p * A), e * p
     return Series.monomial(e, c, trunc), Series(y)
-
-
-def _rational(c):
-    """c, a Fraction when its value is rational."""
-    if isinstance(c, FieldElement) and c.is_rational():
-        return c.coeffs[0]
-    return c
 
 
 def chart_orders(leaf: _Leaf):

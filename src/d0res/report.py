@@ -360,9 +360,9 @@ def predicted_truncation(req: AnalysisRequest, tree) -> int:
     return default_truncation(_ranks(req, tree)[1], tree.n)
 
 
-def _build_branches(req: AnalysisRequest, trunc: int, ctx: FieldContext, tree):
+def _build_branches(req: AnalysisRequest, trunc: int, tree):
     if tree is not None:
-        return newton_puiseux(tree.curve, trunc, ctx, tree)
+        return newton_puiseux(tree, trunc)
     # the parser checked each branch exactly; a BranchParam error here can
     # only ask for more truncation
     return [BranchParam(tuple(Series.from_pairs(pairs, trunc)
@@ -401,15 +401,16 @@ def run_with_escalation(req: AnalysisRequest, stage):
 
     An implicit request builds its Newton tree (`branches.newton_tree`)
     once, and lifts its branches once, at the truncation the tree predicts
-    (`predicted_truncation`, capped by the ceiling).  The ladder of
-    attempts then runs as if each attempt lifted anew: an attempt at a
-    truncation t up to the lift's takes the truncation of that lift to t,
-    which is the lift at t, so the ladder, the printed truncation and every
-    report byte do not depend on the prediction.  Only an attempt above it
-    re-lifts, from the same tree.  A lift at the predicted truncation that
-    asks for more itself is dropped, and each attempt lifts at its own
-    truncation.  Explicit branches have no tree, and each attempt builds
-    them at its truncation.
+    (`predicted_truncation`).  The ladder of attempts then runs as if each
+    attempt lifted anew: an attempt at a truncation t up to the lift's
+    takes the truncation of that lift to t, which is the lift at t, so the
+    ladder, the printed truncation and every report byte do not depend on
+    the prediction.  Only an attempt above it re-lifts, from the same tree.
+    There is no one lift, and each attempt lifts at its own truncation,
+    when the prediction is above the ceiling (the run is then expected to
+    stop there, once the invariants are proven) or when the lift at the
+    prediction asks for more itself.  Explicit branches have no tree, and
+    each attempt builds them at its truncation.
 
     The invariants are proven once, by `germ_invariants` on the first
     attempt that decides them, and the tree's n and l_ij must equal them
@@ -441,16 +442,18 @@ def run_with_escalation(req: AnalysisRequest, stage):
         try:
             if req.kind == "implicit" and tree is None:
                 tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
-                top = min(ceiling, predicted_truncation(req, tree))
+                top = predicted_truncation(req, tree)
+                if top > ceiling:
+                    top = 0
             if lift is None and trunc <= top:
                 try:
-                    lift = _build_branches(req, top, ctx, tree)
+                    lift = _build_branches(req, top, tree)
                 except RaiseTruncation:
                     top = 0
             if trunc <= top:
                 branches = [b.truncate(trunc) for b in lift]
             else:
-                branches = _build_branches(req, trunc, ctx, tree)
+                branches = _build_branches(req, trunc, tree)
             if proven is None:
                 germ = proven = germ_invariants(branches, req.point)
                 if tree is not None:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import D0resError
-from .fields import FieldElement, common_field, power, scalar_is_zero
+from .fields import FieldElement, common_field, demote, power, scalar_is_zero
 from .kernels import iconv, nonzero_pairs
 
 _ZERO = Fraction(0)
@@ -77,8 +77,7 @@ def _from_slots(field, den, slots):
     `field.element`, once; one with no generator part is a Fraction."""
     out = [Fraction(x, den) if x else _ZERO for x in slots[0]]
     for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
-        c = field.element([Fraction(s[k], den) for s in slots])
-        out[k] = c.coeffs[0] if c.is_rational() else c
+        out[k] = demote(field.element([Fraction(s[k], den) for s in slots]))
     return Series(out)
 
 

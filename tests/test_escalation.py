@@ -159,7 +159,7 @@ def test_pipeline_checks_the_relift(monkeypatch):
     at a predicted 32, the lift at 64 that rank 8 needs is a re-lift, and
     one whose multiplicity differs from the one proven at 32 stops the
     run."""
-    def build(req, trunc, ctx, tree):
+    def build(req, trunc, tree):
         return [branch([(2, 1)], [(3, 1)], trunc) if trunc == 32
                 else branch([(3, 1)], [(4, 1)], trunc)]
 

@@ -28,8 +28,9 @@ from d0res.branches import (
 from d0res.cli import main
 from d0res.errors import D0resError
 from d0res.poly import Poly
-from d0res.puiseux import FieldContext
+from d0res.puiseux import FieldContext, leaf_to_coords, solve_regular_tail
 from d0res.report import parse_request, run_with_escalation
+from d0res.series import Series
 
 from test_random_germs import BRANCH_POOL, graph_equation
 
@@ -51,9 +52,7 @@ def poly(*factors):
 
 
 def tree_of(f, field=None):
-    ctx = FieldContext(field)
-    curve = PlaneCurveInput(f)
-    return newton_tree(curve, ctx), curve, ctx
+    return newton_tree(PlaneCurveInput(f), FieldContext(field))
 
 
 def assert_routes_agree(tree, branches):
@@ -89,10 +88,10 @@ HAND_CASES = {
 @pytest.mark.parametrize("name", HAND_CASES)
 def test_tree_invariants_by_hand(name):
     f, n, l_matrix = HAND_CASES[name]
-    tree, curve, ctx = tree_of(f)
+    tree = tree_of(f)
     assert tree.n == n
     assert tree.l_matrix == l_matrix
-    assert_routes_agree(tree, newton_puiseux(curve, 64, ctx, tree))
+    assert_routes_agree(tree, tree.lift(64))
 
 
 IMPLICIT_CORPUS = [p.stem for p in sorted(CORPUS.glob("*.json"))
@@ -103,7 +102,7 @@ IMPLICIT_CORPUS = [p.stem for p in sorted(CORPUS.glob("*.json"))
 def test_tree_agrees_on_the_corpus(name):
     req = parse_request(json.loads((CORPUS / f"{name}.json").read_text()))
     germ = run_with_escalation(req, lambda g, c, t, r: g)
-    tree, _, _ = tree_of(req.poly, req.field)
+    tree = tree_of(req.poly, req.field)
     assert tree.n == germ.n and tree.l_matrix == germ.l_matrix
     assert_routes_agree(tree, germ.branches)
 
@@ -117,24 +116,73 @@ def test_tree_agrees_on_random_germs():
         f = Poly.constant(2, F(1))
         for pairs in chosen:
             f = f * graph_equation(pairs)
-        tree, curve, ctx = tree_of(f)
-        assert_routes_agree(tree, newton_puiseux(curve, 32, ctx, tree))
+        tree = tree_of(f)
+        assert_routes_agree(tree, tree.lift(32))
     rng = random.Random(7)
     for _ in range(6):
-        tree, curve, ctx = tree_of(poly({(0, 2): 1, (3, 0): -rng.randint(1, 5)}))
+        tree = tree_of(poly({(0, 2): 1, (3, 0): -rng.randint(1, 5)}))
         assert tree.n == (2,) and tree.r0 == 2
-        assert_routes_agree(tree, newton_puiseux(curve, 32, ctx, tree))
+        assert_routes_agree(tree, tree.lift(32))
 
 
 def test_lift_follows_the_tree_at_any_truncation():
     """One tree serves lifts at every truncation, and a lift truncated is
     the lift at the lower truncation."""
     f = HAND_CASES["cusp-vs-cusp"][0]
-    tree, curve, ctx = tree_of(f)
-    high = newton_puiseux(curve, 96, ctx, tree)
-    low = newton_puiseux(curve, 40, ctx, tree)
+    tree = tree_of(f)
+    high = tree.lift(96)
+    low = tree.lift(40)
     assert [b.truncate(40) for b in high] == low
-    assert newton_puiseux(curve, 40) == low
+    assert newton_puiseux(PlaneCurveInput(f), 40) == low
+    assert newton_puiseux(tree, 40) == low
+
+
+def coords_by_products(leaf, trunc):
+    """`leaf_to_coords` by series powers and products: x = x_c^p * A and
+    y = x_c^q * (B + y_c) at each level, from the tail up."""
+    if leaf.tail_poly is None:
+        y = Series.zero(trunc)
+    else:
+        y = solve_regular_tail(leaf.tail_poly, trunc)
+    x = Series.variable(trunc)
+    for (p, q, A, B) in reversed(leaf.levels):
+        x, y = (x ** p) * A, (x ** q) * (Series.monomial(0, B, trunc) + y)
+    return x, y
+
+
+# (y - x^40)(y + x): the branch y = x^40 has a level shift of 40, above
+# the truncation 32 its invariants are proven at
+SHIFT_ABOVE = poly({(0, 1): 1, (40, 0): -1}, {(0, 1): 1, (1, 0): 1})
+
+
+@pytest.mark.parametrize("trunc", [4, 8, 32, 39, 40, 41, 79, 80, 96])
+def test_shifts_match_the_series_products(trunc):
+    """The shift back-substitution equals the product one at every
+    truncation, below, at and above a level's shift, and every coordinate
+    has trunc coefficients."""
+    germs = [HAND_CASES[name][0] for name in ("cusp-vs-cusp", "y4-x6", "line-cusp")]
+    # y = +-sqrt(-2)*x: its coefficients lie in an extension field
+    germs += [SHIFT_ABOVE, poly({(0, 2): 1, (2, 0): 2})]
+    for f in germs:
+        for leaf in tree_of(f).leaves:
+            coords = leaf_to_coords(leaf, trunc)
+            assert coords == coords_by_products(leaf, trunc)
+            assert [len(s.coeffs) for s in coords] == [trunc, trunc]
+
+
+def test_a_shift_above_the_lift_prints_no_term(monkeypatch):
+    """The y = x^40 branch of (y - x^40)(y + x), proven at 32, prints a
+    zero y, as it does with no one lift (a prediction of 0)."""
+    terms = [[list(e), str(c)] for e, c in SHIFT_ABOVE.terms.items()]
+    code, blob = analyze(["analyze", "-"],
+                         json.dumps({"curve": {"implicit": {"poly": terms}}}))
+    assert code == 0
+    germ = json.loads(blob)["germ"]
+    assert json.loads(blob)["truncation"] == 32
+    assert germ["branches"][1] == {"x": [[1, "1"]], "y": [], "truncation": 32}
+    monkeypatch.setattr(report, "predicted_truncation", lambda req, tree: 0)
+    assert analyze(["analyze", "-"],
+                   json.dumps({"curve": {"implicit": {"poly": terms}}})) == (code, blob)
 
 
 @pytest.mark.parametrize("field, message", [
