@@ -6,18 +6,18 @@ the multiplicity n of each branch, pairwise intersection lengths l_ij, the
 branch intersection index bii = max l_ij, l0 = 1 + bii (1 for unibranch germs)
 and the critical rank r0 = l0 * lcm(n_i).
 
-A plane l_ij is the order of one branch's equation along the other.  The
-equation is built once per branch from power sums (`implicit_equation`):
-in a chart where x = a*t^n, n series powers of y and Newton's identities
-give its coefficients, with no linear algebra; an explicit branch whose x
-is not a monomial is first moved to such a chart (`_monomial_chart`).
-Space germs take l_ij from the colength of the two branch ideals, which is
-also the independent check of the plane route.
+An implicit germ takes each n_i and each l_ij from its Newton-polygon tree
+(`newton_tree`), by the toric recursion, with no truncation: r0 is known
+before any lift, and `NewtonTree.lift` lifts the branches from that tree to
+any truncation.  The colength of the two branch ideals
+(`colength_intersection_length`) is the independent check of those l_ij.
 
-An implicit germ has a second route with no truncation at all: its
-Newton-polygon tree (`newton_tree`) gives each n_i and each l_ij by the
-toric recursion, and so r0 before any lift; `NewtonTree.lift` lifts the
-branches from that tree to any truncation.
+Explicit branches have no tree.  A plane l_ij is then the order of one
+branch's equation along the other.  The equation is built once per branch
+from power sums (`implicit_equation`): in a chart where x = a*t^n, n series
+powers of y and Newton's identities give its coefficients, with no linear
+algebra; a branch whose x is not a monomial is first moved to such a chart
+(`_monomial_chart`).  Space germs take l_ij from the colength.
 """
 
 from __future__ import annotations
@@ -98,13 +98,6 @@ class BranchParam:
         """`implicit_equation` of this branch, built once, whichever pairs
         read it."""
         return implicit_equation(self)
-
-    def truncate(self, trunc) -> "BranchParam":
-        """The same branch known mod t^trunc, trunc <= self.trunc; below
-        self.trunc a new BranchParam, which checks primitivity again."""
-        if trunc == self.trunc:
-            return self
-        return BranchParam(tuple(s.truncate(trunc) for s in self.coords))
 
     def reparametrized(self, unit: Series) -> "BranchParam":
         """Substitute t -> unit(t) * t (unit(0) != 0); same branch, new chart."""
@@ -190,21 +183,6 @@ class NewtonTree:
     @property
     def r0(self):
         return critical_rank(self.n, self.l_matrix)[2]
-
-    def check(self, germ: Germ):
-        """Raise unless the invariants proven on the branches lifted from
-        this tree equal the tree's."""
-        for i, (tree_n, series_n) in enumerate(zip(self.n, germ.n)):
-            if tree_n != series_n:
-                raise D0resError(f"branch {i} has multiplicity {tree_n} in the "
-                                 f"Newton tree, {series_n} on the series")
-        for i in range(germ.k):
-            for j in range(i + 1, germ.k):
-                if self.l_matrix[i][j] != germ.l_matrix[i][j]:
-                    raise D0resError(
-                        f"branches {i} and {j} meet with l = "
-                        f"{self.l_matrix[i][j]} in the Newton tree, "
-                        f"{germ.l_matrix[i][j]} on the series")
 
     def lift(self, trunc: int):
         """The branches lifted to truncation trunc, in tree order, each
@@ -416,7 +394,8 @@ def implicit_equation(b: BranchParam) -> Poly:
 
 
 def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
-    """Length of the scheme intersection of two distinct branches at the point.
+    """Length of the scheme intersection of two distinct explicit branches
+    at the point (an implicit germ reads it off its `newton_tree`).
 
     Plane branches: order of one branch's power-sum equation
     (`implicit_equation`) along the other, checked symmetric and trusted
@@ -605,8 +584,14 @@ def critical_rank(n, l_matrix):
     return bii, l0, l0 * lcm(*n)
 
 
-def germ_invariants(branches, point=None) -> Germ:
-    """Fill n, l_matrix, bii, l0 and r0 for a branch set at one point."""
+def germ_invariants(branches, point=None, tree=None) -> Germ:
+    """Fill n, l_matrix, bii, l0 and r0 for a branch set at one point.
+
+    Branches lifted from a Newton tree `tree` take its n and l_matrix,
+    which hold with no truncation; each branch's multiplicity must equal
+    its tree n.  Explicit branches, with no tree, take each l_ij from
+    `intersection_length`.
+    """
     branches = tuple(branches)
     if not branches:
         raise D0resError("a germ needs at least one branch")
@@ -614,12 +599,19 @@ def germ_invariants(branches, point=None) -> Germ:
         point = (_ZERO,) * branches[0].ambient_dim
     n = tuple(branch_multiplicity(b) for b in branches)
     k = len(branches)
-    l_matrix = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            lij = intersection_length(branches[i], branches[j])
-            l_matrix[i][j] = lij
-            l_matrix[j][i] = lij
+    if tree is not None:
+        for i, (tree_n, series_n) in enumerate(zip(tree.n, n)):
+            if tree_n != series_n:
+                raise D0resError(f"branch {i} has multiplicity {tree_n} in the "
+                                 f"Newton tree, {series_n} on the series")
+        l_matrix = tree.l_matrix
+    else:
+        rows = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = rows[j][i] = intersection_length(branches[i],
+                                                              branches[j])
+        l_matrix = tuple(tuple(row) for row in rows)
     bii, l0, r0 = critical_rank(n, l_matrix)
     notes = []
     if k == 1 and n[0] == 1:
@@ -634,7 +626,7 @@ def germ_invariants(branches, point=None) -> Germ:
         point=tuple(point),
         branches=branches,
         n=n,
-        l_matrix=tuple(tuple(row) for row in l_matrix),
+        l_matrix=l_matrix,
         bii=bii,
         l0=l0,
         r0=r0,

@@ -352,9 +352,9 @@ def _ranks(req: AnalysisRequest, invariants):
 
 
 def predicted_truncation(req: AnalysisRequest, tree) -> int:
-    """The truncation the ladder of `run_with_escalation` ends at when the
-    Newton tree's n and r0 are the proven ones and no check asks for
-    more: the requested truncation, else the one the ranks need."""
+    """The truncation an implicit request starts at: the requested one,
+    else the one its ranks need on the Newton tree's n and r0, which are
+    the germ's.  Only a RaiseTruncation takes the run above it."""
     if req.truncation is not None:
         return req.truncation
     return default_truncation(_ranks(req, tree)[1], tree.n)
@@ -400,28 +400,23 @@ def run_with_escalation(req: AnalysisRequest, stage):
     """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation raises.
 
     An implicit request builds its Newton tree (`branches.newton_tree`)
-    once, and lifts its branches once, at the truncation the tree predicts
-    (`predicted_truncation`).  The ladder of attempts then runs as if each
-    attempt lifted anew: an attempt at a truncation t up to the lift's
-    takes the truncation of that lift to t, which is the lift at t, so the
-    ladder, the printed truncation and every report byte do not depend on
-    the prediction.  Only an attempt above it re-lifts, from the same tree.
-    There is no one lift, and each attempt lifts at its own truncation,
-    when the prediction is above the ceiling (the run is then expected to
-    stop there, once the invariants are proven) or when the lift at the
-    prediction asks for more itself.  Explicit branches have no tree, and
-    each attempt builds them at its truncation.
+    once.  The tree fixes n, l_ij and r0 with no truncation, so the run
+    starts at the truncation they ask for (`predicted_truncation`),
+    checked against the ceiling before any lift.  Each attempt lifts the
+    branches from the tree at its own truncation, and the invariants are
+    the tree's (`germ_invariants` checks each lifted branch's
+    multiplicity); the report's colength row recomputes every l_ij on the
+    final branches as the independent check.  Explicit branches have no
+    tree: their ladder starts at 32 (or the requested truncation), the
+    invariants are proven on the first attempt that decides them, and the
+    run then jumps to the truncation the ranks need.
 
-    The invariants are proven once, by `germ_invariants` on the first
-    attempt that decides them, and the tree's n and l_ij must equal them
-    (`NewtonTree.check`): a second route to the plane l_ij.  A raise (to
-    the truncation the ranks need, or after a RaiseTruncation from the
-    branches, the invariants, certificates or oracles) carries the proven
-    invariants to the next attempt's branches (`carry_invariants`); the
-    report's colength oracle still recomputes every plane `l_ij` on the
-    final branches.  The retry sequence depends only on the input, and
-    every truncation tried, requested, needed by the ranks or doubled, is
-    capped by the ceiling.
+    A raise (to the truncation the ranks need, or after a RaiseTruncation
+    from the branches, the invariants, certificates or oracles) carries
+    the invariants to the next attempt's branches (`carry_invariants`).
+    The retry sequence depends only on the input, and every truncation
+    tried, requested, needed by the ranks or doubled, is capped by the
+    ceiling.
 
     The ranks drive the truncation only up to r0 + 2, the top default rank.
     Above r0 a member is the rank-r0 jet plus skyscrapers, and its checks
@@ -429,10 +424,14 @@ def run_with_escalation(req: AnalysisRequest, stage):
     raises RaiseTruncation, and the truncation doubles.
     """
     ceiling = truncation_ceiling()
-    trunc, reason = req.truncation or 32, "the starting truncation"
     ctx = FieldContext(req.field)
-    tree = lift = proven = None
-    top = 0                     # the truncation of `lift`, 0 for none
+    tree = proven = None
+    if req.kind == "implicit":
+        tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
+        trunc = predicted_truncation(req, tree)
+        reason = f"rank {max(_ranks(req, tree)[1])} needs it"
+    else:
+        trunc, reason = req.truncation or 32, "the starting truncation"
     while True:
         if trunc > ceiling:
             raise D0resError(
@@ -440,24 +439,9 @@ def run_with_escalation(req: AnalysisRequest, stage):
                 f"{ceiling} (set D0RES_MAX_TRUNCATION to raise it): {reason}"
             )
         try:
-            if req.kind == "implicit" and tree is None:
-                tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
-                top = predicted_truncation(req, tree)
-                if top > ceiling:
-                    top = 0
-            if lift is None and trunc <= top:
-                try:
-                    lift = _build_branches(req, top, tree)
-                except RaiseTruncation:
-                    top = 0
-            if trunc <= top:
-                branches = [b.truncate(trunc) for b in lift]
-            else:
-                branches = _build_branches(req, trunc, tree)
+            branches = _build_branches(req, trunc, tree)
             if proven is None:
-                germ = proven = germ_invariants(branches, req.point)
-                if tree is not None:
-                    tree.check(proven)
+                germ = proven = germ_invariants(branches, req.point, tree)
             else:
                 germ = carry_invariants(proven, branches)
             ranks, driving = _ranks(req, germ)

@@ -203,12 +203,12 @@ def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
 # -- point separation ---------------------------------------------------------------
 
 
-def separates_points(germ: Germ, r: int):
-    """Pairwise annihilator comparison of the rank-r family members
-    (exploratory below the critical rank), from a fresh family."""
-    family = CertificateFamily(germ)
-    return _point_verdicts([family.ideal(i, r) for i in range(germ.k)],
-                           [family.member(i, r).m1 for i in range(germ.k)])
+def separates_points(family: CertificateFamily, r: int):
+    """Pairwise annihilator comparison of the rank-r members of `family`
+    (exploratory below the critical rank)."""
+    k = family.germ.k
+    return _point_verdicts([family.ideal(i, r) for i in range(k)],
+                           [family.member(i, r).m1 for i in range(k)])
 
 
 def _point_verdicts(ideals, fibers):
@@ -276,15 +276,11 @@ def _check_kills(g, fiber):
 # -- tangent separation ---------------------------------------------------------------
 
 
-def separates_tangents(germ: Germ, r: int):
-    """Nilpotency-jump test on the padded jet pair of every branch
-    (exploratory below the critical rank), from a fresh family."""
-    family = CertificateFamily(germ)
-    return _tangent_verdicts(germ, r,
-                             [family.member(i, r) for i in range(germ.k)])
-
-
-def _tangent_verdicts(germ: Germ, r: int, jets):
+def separates_tangents(family: CertificateFamily, r: int):
+    """Nilpotency-jump test on the padded jet pair of every rank-r member
+    of `family` (exploratory below the critical rank)."""
+    germ = family.germ
+    jets = [family.member(i, r) for i in range(germ.k)]
     verdicts = []
     for i, (b, jet) in enumerate(zip(germ.branches, jets)):
         n = germ.n[i]
@@ -361,14 +357,13 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
     rank the certificate is exploratory: it has no padding, runs no padding
     check and cannot pass."""
     germ = family.germ
-    ideals = [family.ideal(i, r) for i in range(germ.k)]
-    jets = [family.member(i, r) for i in range(germ.k)]
-    point_verdicts = tuple(_point_verdicts(ideals, [jet.m1 for jet in jets]))
-    tangent_verdicts = tuple(_tangent_verdicts(germ, r, jets))
+    point_verdicts = tuple(separates_points(family, r))
+    tangent_verdicts = tuple(separates_tangents(family, r))
     below_critical = r < germ.r0
     padding = padding_ok = support_points = None
     if not below_critical:
-        padding_ok = _padding_support_unchanged(family, r, ideals)
+        padding_ok = _padding_support_unchanged(
+            family, r, [family.ideal(i, r) for i in range(germ.k)])
         padding = {
             "filler": "graph-skyscraper",
             "copies": r - germ.r0,

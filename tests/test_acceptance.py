@@ -124,7 +124,7 @@ def test_negative_control_below_critical(corpus_germs):
     family cannot separate the two branches; exact."""
     tac = corpus_germs["tacnode"]
     assert tac.r0 == 3
-    verdicts = separates_points(tac, 2)
+    verdicts = separates_points(CertificateFamily(tac), 2)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
     assert family_jet(tac, 0, 2).m1.same_presentation(family_jet(tac, 1, 2).m1)
     _pass("negative control: tacnode rank 2 yields identical presentations")
@@ -172,17 +172,19 @@ def test_branch_decomposition_residuals():
     _pass("branch residuals vanish mod t^40; multiplicity sums match")
 
 
+def fresh_results(test, germ, r):
+    """The verdict results of `test` at rank r, from a fresh family."""
+    return [v.result for v in test(CertificateFamily(germ), r)]
+
+
 def test_robustness_properties(corpus_germs):
     """Unit-reparametrization invariance (10 random substitutions per germ),
     padding invariance up to r0+3, and byte-identical reports across runs."""
     rng = random.Random(13)
     for name, germ in corpus_germs.items():
-        base_point_results = [
-            v.result for v in separates_points(germ, germ.r0)
-        ] if germ.k >= 2 else []
-        base_tangent_results = [
-            v.result for v in separates_tangents(germ, germ.r0)
-        ]
+        base_point_results = fresh_results(
+            separates_points, germ, germ.r0) if germ.k >= 2 else []
+        base_tangent_results = fresh_results(separates_tangents, germ, germ.r0)
         for _ in range(10):
             target = rng.randrange(germ.k)
             unit = Series.from_pairs(
@@ -197,16 +199,16 @@ def test_robustness_properties(corpus_germs):
             assert redone.l_matrix == germ.l_matrix, name
             assert redone.r0 == germ.r0, name
             if germ.k >= 2:
-                assert [v.result for v in separates_points(redone, redone.r0)] \
+                assert fresh_results(separates_points, redone, redone.r0) \
                     == base_point_results, name
-            assert [v.result for v in separates_tangents(redone, redone.r0)] \
+            assert fresh_results(separates_tangents, redone, redone.r0) \
                 == base_tangent_results, name
         # padding invariance
         for r in range(germ.r0, germ.r0 + 4):
             if germ.k >= 2:
-                assert [v.result for v in separates_points(germ, r)] \
+                assert fresh_results(separates_points, germ, r) \
                     == base_point_results, name
-            assert [v.result for v in separates_tangents(germ, r)] \
+            assert fresh_results(separates_tangents, germ, r) \
                 == base_tangent_results, name
     # determinism: two full runs are byte-identical
     request = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[2, 0], "-1"],

@@ -206,8 +206,9 @@ def test_implicit_equation_runs_no_elimination(monkeypatch):
 
 @pytest.mark.parametrize("name", ["triple_point", "cyclotomic_triple"])
 def test_each_branch_equation_is_built_once(monkeypatch, name):
-    """Three branches, three pairs: one equation per branch over a whole
-    analysis, through the module attribute the benchmark's tracer wraps."""
+    """The germ's three lifted branches, given explicitly: three pairs,
+    one equation per branch over a whole analysis, through the module
+    attribute the benchmark's tracer wraps."""
     built = []
 
     def counted(b):
@@ -215,8 +216,13 @@ def test_each_branch_equation_is_built_once(monkeypatch, name):
         return implicit_equation(b)
 
     monkeypatch.setattr(branches, "implicit_equation", counted)
-    req = parse_request(json.loads((CORPUS / f"{name}.json").read_text()))
-    germ = run_with_escalation(req, lambda g, c, t, r: g)
+    golden = json.loads((CORPUS / "golden" / f"{name}.json").read_text())
+    obj = {"curve": {"branches": [
+        {key: pairs for key, pairs in b.items() if key != "truncation"}
+        for b in golden["germ"]["branches"]]}}
+    if golden["field"] is not None:
+        obj["field"] = golden["field"]
+    germ = run_with_escalation(parse_request(obj), lambda g, c, t, r: g)
     assert germ.k == 3
     assert len(built) == 3
 

@@ -1,6 +1,7 @@
 """Truncation raises in `report.run_with_escalation`: the germ invariants are
-proven once per request, on the first lift that decides them, and carried to
-every re-lift at a higher truncation."""
+set once per request, from the Newton tree of an implicit germ or on the
+first lift of explicit branches that decides them, and carried to every
+re-lift at a higher truncation."""
 
 import json
 from pathlib import Path
@@ -79,7 +80,8 @@ def final_germ(obj, stage=None):
 @pytest.mark.parametrize("obj", REQUESTS)
 def test_carried_invariants_equal_recomputed(obj, invariant_calls):
     """One `germ_invariants` call per request, and its invariants equal the
-    ones recomputed from scratch on the final, longest lift."""
+    ones recomputed from scratch, with no tree, on the final, longest
+    lift."""
     req, germ, trunc = final_germ(obj)
     assert len(invariant_calls) == 1
     assert germ.branches[0].trunc == trunc
@@ -126,11 +128,11 @@ def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
 
 def test_invariants_are_proven_on_the_first_deciding_lift(invariant_calls):
     """y^2 = x^10 from truncation 4: the branches y = +-x^5 coincide at 4,
-    which proves nothing; 8 decides the invariants, and neither the
-    certificate at rank 6 nor the colength oracle asks for more."""
+    but the tree's invariants hold there, so they are set once, at 4; the
+    certificate at rank 6 or the colength oracle asks for 8."""
     obj = implicit([((0, 2), "1"), ((10, 0), "-1")], [6]) | {"truncation": 4}
     out = report.run_analyze(parse_request(obj))
-    assert [args[0][0].trunc for args in invariant_calls] == [4, 8]
+    assert [args[0][0].trunc for args in invariant_calls] == [4]
     assert out["truncation"] == 8
     assert out["germ"]["l_matrix"] == [[None, 5], [5, None]]
     assert all(cert["pass"] for cert in out["certificates"])

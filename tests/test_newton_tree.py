@@ -1,10 +1,11 @@
 """The Newton tree's invariants and the one lift per request.
 
 `branches.newton_tree` reads n_i and l_ij off the Newton-polygon tree with
-no truncation; they must agree with the series l_ij of `germ_invariants`
-and with the colength oracle.  `report.run_with_escalation` lifts each
-implicit request once, at the truncation the tree predicts, and its
-reports do not depend on the prediction.
+no truncation.  They are an implicit germ's invariants, and must agree with
+the power-sum l_ij that `germ_invariants` computes for branches with no
+tree, and with the colength oracle.  `report.run_with_escalation` lifts
+each implicit request at the truncation the tree predicts, and only a
+RaiseTruncation takes it higher.
 """
 
 import io
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import d0res.report as report
+from d0res import branches
 from d0res.branches import (
     PlaneCurveInput,
     colength_intersection_length,
@@ -56,7 +58,8 @@ def tree_of(f, field=None):
 
 
 def assert_routes_agree(tree, branches):
-    """The tree's n and l_ij, the series ones and the colength oracle's."""
+    """The tree's n and l_ij, the power-sum ones and the colength
+    oracle's."""
     germ = germ_invariants(branches)
     assert tree.n == germ.n
     assert tree.l_matrix == germ.l_matrix
@@ -132,7 +135,8 @@ def test_lift_follows_the_tree_at_any_truncation():
     tree = tree_of(f)
     high = tree.lift(96)
     low = tree.lift(40)
-    assert [b.truncate(40) for b in high] == low
+    assert ([tuple(s.truncate(40) for s in b.coords) for b in high]
+            == [b.coords for b in low])
     assert newton_puiseux(PlaneCurveInput(f), 40) == low
     assert newton_puiseux(tree, 40) == low
 
@@ -151,7 +155,7 @@ def coords_by_products(leaf, trunc):
 
 
 # (y - x^40)(y + x): the branch y = x^40 has a level shift of 40, above
-# the truncation 32 its invariants are proven at
+# the truncation 32 its request is lifted at
 SHIFT_ABOVE = poly({(0, 1): 1, (40, 0): -1}, {(0, 1): 1, (1, 0): 1})
 
 
@@ -170,9 +174,9 @@ def test_shifts_match_the_series_products(trunc):
             assert [len(s.coeffs) for s in coords] == [trunc, trunc]
 
 
-def test_a_shift_above_the_lift_prints_no_term(monkeypatch):
-    """The y = x^40 branch of (y - x^40)(y + x), proven at 32, prints a
-    zero y, as it does with no one lift (a prediction of 0)."""
+def test_a_shift_above_the_lift_prints_no_term():
+    """The y = x^40 branch of (y - x^40)(y + x), lifted at 32, prints a
+    zero y."""
     terms = [[list(e), str(c)] for e, c in SHIFT_ABOVE.terms.items()]
     code, blob = analyze(["analyze", "-"],
                          json.dumps({"curve": {"implicit": {"poly": terms}}}))
@@ -180,27 +184,45 @@ def test_a_shift_above_the_lift_prints_no_term(monkeypatch):
     germ = json.loads(blob)["germ"]
     assert json.loads(blob)["truncation"] == 32
     assert germ["branches"][1] == {"x": [[1, "1"]], "y": [], "truncation": 32}
-    monkeypatch.setattr(report, "predicted_truncation", lambda req, tree: 0)
-    assert analyze(["analyze", "-"],
-                   json.dumps({"curve": {"implicit": {"poly": terms}}})) == (code, blob)
+
+
+def plant(monkeypatch, **fields):
+    """Make the pipeline's Newton tree carry the given wrong fields."""
+    def planted(curve, ctx):
+        return replace(newton_tree(curve, ctx), **fields)
+
+    monkeypatch.setattr(report, "newton_tree", planted)
+
+
+CUSP_VS_CUSP = [[list(e), str(c)]
+                for e, c in HAND_CASES["cusp-vs-cusp"][0].terms.items()]
 
 
 @pytest.mark.parametrize("field, message", [
-    ("l_matrix", "branches 0 and 1 meet with l = 9 in the Newton tree, 8 on"),
     ("n", "branch 1 has multiplicity 3 in the Newton tree, 2 on the series"),
 ])
 def test_a_wrong_tree_stops_the_run(monkeypatch, field, message):
-    """After the proof, the tree must agree with the series invariants."""
-    def planted(curve, ctx):
-        tree = newton_tree(curve, ctx)
-        wrong = ((None, 9), (9, None)) if field == "l_matrix" else (2, 3)
-        return replace(tree, **{field: wrong})
-
-    monkeypatch.setattr(report, "newton_tree", planted)
-    terms = [[list(e), str(c)] for e, c in HAND_CASES["cusp-vs-cusp"][0].terms.items()]
-    req = parse_request({"curve": {"implicit": {"poly": terms}}, "ranks": [18]})
+    """A tree n must be the multiplicity of the branch lifted from it."""
+    plant(monkeypatch, **{field: (2, 3)})
+    req = parse_request({"curve": {"implicit": {"poly": CUSP_VS_CUSP}},
+                         "ranks": [18]})
     with pytest.raises(D0resError, match=message):
         report.run_analyze(req)
+
+
+def test_a_wrong_tree_l_ij_fails_its_colength_row(monkeypatch):
+    """A wrong tree l_ij stands in l_matrix, and the colength row, which
+    recomputes it on the lifted branches, refutes it: `--strict` exits 1
+    though every certificate passes."""
+    plant(monkeypatch, l_matrix=((None, 9), (9, None)))
+    request = {"curve": {"implicit": {"poly": CUSP_VS_CUSP}}, "ranks": [20]}
+    code, blob = analyze(["analyze", "-", "--strict"], json.dumps(request))
+    assert code == 1
+    out = json.loads(blob)
+    assert out["germ"]["l_matrix"] == [[None, 9], [9, None]]
+    assert out["oracles"]["colength_crosscheck"] == [
+        {"pair": [0, 1], "colength": 8, "matches_l_matrix": False}]
+    assert all(cert["pass"] for cert in out["certificates"])
 
 
 # -- one lift per request --------------------------------------------------------------
@@ -235,6 +257,20 @@ def lifts(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def predictions(monkeypatch):
+    """The values of the pipeline's `predicted_truncation` calls."""
+    values = []
+    predict = report.predicted_truncation
+
+    def recorded(req, tree):
+        values.append(predict(req, tree))
+        return values[-1]
+
+    monkeypatch.setattr(report, "predicted_truncation", recorded)
+    return values
+
+
 def implicit_requests():
     """The implicit corpus requests, the rank ladder and the rational germs
     at seeds 1 and 5."""
@@ -248,40 +284,46 @@ def implicit_requests():
 
 
 @pytest.mark.parametrize("req", implicit_requests())
-def test_one_lift_per_request(req, lifts):
+def test_one_lift_per_request(req, lifts, predictions):
+    """Each request is lifted once, at the truncation the tree predicts,
+    and its report prints that truncation."""
     code, blob = analyze(req.argv, req.stdin)
     assert workloads.passes_gate(req, code, blob)
-    assert len(lifts) == 1
-    assert json.loads(blob)["truncation"] <= lifts[0]
+    assert json.loads(blob)["truncation"] == lifts[0] == predictions[0]
+    assert len(lifts) == len(predictions) == 1
+
+
+def test_implicit_requests_need_no_power_sums(monkeypatch):
+    """Every implicit request passes its gate with the power-sum route,
+    `intersection_length` and `implicit_equation`, refusing to run: the
+    tree gives the l_ij."""
+    def refuse(*args):
+        raise AssertionError("an implicit request ran the power-sum route")
+
+    monkeypatch.setattr(branches, "intersection_length", refuse)
+    monkeypatch.setattr(branches, "implicit_equation", refuse)
+    for param in implicit_requests():
+        (req,) = param.values
+        assert workloads.passes_gate(req, *analyze(req.argv, req.stdin)), req.label
 
 
 def test_a_prediction_below_the_need_relifts(lifts):
-    """y^2 - x^62 at rank 5: the tree asks for 8 * 5 = 40, but l = 31 is
-    too close to the precision horizon of 32, so the ladder goes to 64."""
+    """y^2 - x^62 at rank 5: the tree asks for 8 * 5 = 40, and its l = 31
+    needs no precision margin, so the run lifts once, at 40.  (The
+    power-sum route, whose horizon is 32 at 40, would need 64.)"""
     request = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[62, 0], "-1"]]}}}
     code, blob = analyze(["analyze", "-", "--rank", "5"], json.dumps(request))
     assert code == 0
-    assert json.loads(blob)["truncation"] == 64
-    assert lifts == [40, 64]
+    assert json.loads(blob)["truncation"] == 40
+    assert lifts == [40]
 
 
 def test_a_lift_that_asks_for_more_is_dropped(lifts):
     """y^2 = x^129 is the branch (t^2, t^129), not primitive below 130: the
-    lift at the tree's 64 asks for more, and each attempt lifts anew."""
+    lift at the tree's 64 asks for more, and the truncation doubles from
+    there."""
     request = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[129, 0], "-1"]]}}}
     code, blob = analyze(["analyze", "-"], json.dumps(request))
     assert code == 0
     assert json.loads(blob)["truncation"] == 256
-    assert lifts == [64, 32, 64, 128, 256]
-
-
-@pytest.mark.parametrize("scale", [F(1, 2), F(2)])
-def test_reports_do_not_depend_on_the_prediction(monkeypatch, scale):
-    """A tree that predicts half or double the truncation changes no byte
-    of any corpus report."""
-    predict = report.predicted_truncation
-    monkeypatch.setattr(report, "predicted_truncation",
-                        lambda req, tree: int(predict(req, tree) * scale))
-    for req in workloads.corpus(REPO):
-        code, blob = analyze(req.argv)
-        assert code == 0 and blob == req.golden, req.label
+    assert lifts == [64, 128, 256]

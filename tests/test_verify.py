@@ -79,8 +79,8 @@ def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
     block = _certificate_block(CertificateFamily(germ), 2)
     monkeypatch.undo()
     assert len(built) == 2
-    points = separates_points(germ, 2)
-    tangents = separates_tangents(germ, 2)
+    points = separates_points(CertificateFamily(germ), 2)
+    tangents = separates_tangents(CertificateFamily(germ), 2)
     assert block["points"] == [_verdict_block(v) for v in points]
     assert block["tangents"] == [_verdict_block(v) for v in tangents]
 
@@ -322,7 +322,7 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
     expand to the dense one's text."""
     for name, germ in repo_corpus_germs.items():
         for r in _summand_ranks(germ):
-            verdicts = separates_tangents(germ, r)
+            verdicts = separates_tangents(CertificateFamily(germ), r)
             for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
                 jet = family_jet(germ, i, r)
                 dense = dense_sum(jet)
@@ -366,7 +366,7 @@ def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
 
 
 def test_node_points_r2(corpus_germs):
-    verdicts = separates_points(corpus_germs["node"], 2)
+    verdicts = separates_points(CertificateFamily(corpus_germs["node"]), 2)
     assert [v.result for v in verdicts] == [SEPARATED]
     assert verdicts[0].witness["polynomial"]
 
@@ -388,14 +388,14 @@ def test_axes_node_annihilators_and_witness():
     ann1 = [poly_text(p) for p in annihilator(f1, 2).polys]
     assert "y" in ann0 and "x^2" in ann0 and "x" not in ann0
     assert "x" in ann1 and "y^2" in ann1 and "y" not in ann1
-    (verdict,) = separates_points(axes, 2)
+    (verdict,) = separates_points(CertificateFamily(axes), 2)
     assert verdict.result == SEPARATED
     assert verdict.witness["polynomial"] == "y"
 
 
 def test_tacnode_negative_control(corpus_germs):
     tac = corpus_germs["tacnode"]
-    verdicts = separates_points(tac, 2)
+    verdicts = separates_points(CertificateFamily(tac), 2)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
     f0 = family_jet(tac, 0, 2).m1
     f1 = family_jet(tac, 1, 2).m1
@@ -456,14 +456,13 @@ def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
 @pytest.mark.parametrize("r", [0, -2])
 def test_nonpositive_rank_rejected(corpus_germs, r):
     """The module builders reject r < 1, below-critical ranks included."""
-    for test in (separates_points, separates_tangents,
-                 lambda germ, r: certify(CertificateFamily(germ), r)):
+    for test in (separates_points, separates_tangents, certify):
         with pytest.raises(D0resError, match="rank must be positive"):
-            test(corpus_germs["node"], r)
+            test(CertificateFamily(corpus_germs["node"]), r)
 
 
 def test_tacnode_separates_at_r3(corpus_germs):
-    verdicts = separates_points(corpus_germs["tacnode"], 3)
+    verdicts = separates_points(CertificateFamily(corpus_germs["tacnode"]), 3)
     assert [v.result for v in verdicts] == [SEPARATED]
     poly = verdicts[0].witness["polynomial"]
     assert poly in ("y-x^2", "y+x^2")
@@ -473,7 +472,7 @@ def test_point_witness_validity(corpus_germs):
     for name, germ in corpus_germs.items():
         if germ.k < 2:
             continue
-        for v in separates_points(germ, germ.r0):
+        for v in separates_points(CertificateFamily(germ), germ.r0):
             assert v.result == SEPARATED
             i, j = v.subject
             witness = _parse_witness_poly(v.witness["polynomial"])
@@ -554,7 +553,7 @@ def _parse_witness_poly(text):
 
 
 def test_cusp_tangents_r2(corpus_germs):
-    verdicts = separates_tangents(corpus_germs["cusp"], 2)
+    verdicts = separates_tangents(CertificateFamily(corpus_germs["cusp"]), 2)
     (v,) = verdicts
     assert v.result == SEPARATED
     assert v.witness["coordinate"] == 0
@@ -562,7 +561,7 @@ def test_cusp_tangents_r2(corpus_germs):
 
 
 def test_node_tangents_exponent_two(corpus_germs):
-    verdicts = separates_tangents(corpus_germs["node"], 2)
+    verdicts = separates_tangents(CertificateFamily(corpus_germs["node"]), 2)
     assert all(v.result == SEPARATED for v in verdicts)
     assert all(v.witness["exponent"] == 2 for v in verdicts)
 
@@ -570,7 +569,7 @@ def test_node_tangents_exponent_two(corpus_germs):
 def test_tangent_witness_validity(corpus_germs):
     for name, germ in corpus_germs.items():
         for r in (germ.r0, germ.r0 + 1):
-            for v in separates_tangents(germ, r):
+            for v in separates_tangents(CertificateFamily(germ), r):
                 assert v.result == SEPARATED, name
                 i = v.subject[0]
                 jet = dense_sum(family_jet(germ, i, r))
@@ -605,14 +604,18 @@ def test_tangent_test_unit_robust(corpus_germs):
                 assert not (f2 ** e).is_zero(), name
 
 
+def fresh_results(test, germ, r):
+    """The verdict results of `test` at rank r, from a fresh family."""
+    return [v.result for v in test(CertificateFamily(germ), r)]
+
+
 def test_padding_preserves_verdicts(corpus_germs):
     for name, germ in corpus_germs.items():
-        base_points = [v.result for v in separates_points(germ, germ.r0)]
-        base_tangents = [v.result for v in separates_tangents(germ, germ.r0)]
+        base_points = fresh_results(separates_points, germ, germ.r0)
+        base_tangents = fresh_results(separates_tangents, germ, germ.r0)
         for r in range(germ.r0 + 1, germ.r0 + 4):
-            assert [v.result for v in separates_points(germ, r)] == base_points
-            assert ([v.result for v in separates_tangents(germ, r)]
-                    == base_tangents), name
+            assert fresh_results(separates_points, germ, r) == base_points
+            assert fresh_results(separates_tangents, germ, r) == base_tangents, name
 
 
 def test_certify_corpus(corpus_germs):
@@ -635,7 +638,7 @@ def test_monotone_negative_control(corpus_germs):
         if germ.k < 2:
             continue
         for s in range(1, germ.r0):
-            for v in separates_points(germ, s):
+            for v in separates_points(CertificateFamily(germ), s):
                 if v.result == NOT_SEPARATED:
                     i, j = v.subject
                     assert (s / germ.n[i] <= germ.bii
@@ -739,7 +742,7 @@ def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
 
 def test_exploratory_tangents_only_separated_or_inconclusive(corpus_germs):
     tac = corpus_germs["tacnode"]
-    for v in separates_tangents(tac, 2):
+    for v in separates_tangents(CertificateFamily(tac), 2):
         assert v.result in (SEPARATED, INCONCLUSIVE)
         if v.result == SEPARATED:
             assert v.witness["exponent"] == ceil(2 / tac.n[v.subject[0]])
