@@ -30,7 +30,7 @@ from math import gcd, lcm
 from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import rref_rows
-from .poly import Poly, is_squarefree, monomial_values, monomials_upto
+from .poly import Poly, is_reduced_at, monomial_values, monomials_upto
 from .puiseux import FieldContext, chart_orders, expansion_leaves, leaf_to_coords
 from .series import Series
 
@@ -76,9 +76,6 @@ class BranchParam:
     def orders(self):
         return tuple(s.order() for s in self.coords)
 
-    def multiplicity(self):
-        return branch_multiplicity(self)
-
     @cached_property
     def _equation_chart(self):
         """(x, y, T') of a plane branch with x != 0: its coordinates in a
@@ -111,7 +108,9 @@ class BranchParam:
 
 @dataclass(frozen=True)
 class PlaneCurveInput:
-    """Reduced plane curve with a designated singular point (default origin)."""
+    """Plane curve with a designated singular point (default origin), reduced
+    at that point: a square factor that does not vanish there is a unit of
+    the local ring, and the germ is the same without it."""
 
     poly: Poly
     point: tuple = None
@@ -125,7 +124,7 @@ class PlaneCurveInput:
         object.__setattr__(self, "point", tuple(pt))
         if not scalar_is_zero(self.poly.evaluate(self.point, _ONE)):
             raise InputError("point", "curve does not pass through the designated point")
-        if not is_squarefree(self.poly):
+        if not is_reduced_at(self.poly, self.point):
             raise InputError("curve.implicit.poly",
                              "curve is not reduced (polynomial has a square factor)")
 

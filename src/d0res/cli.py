@@ -33,7 +33,11 @@ from .report import (
     run_analyze,
     run_with_escalation,
 )
-from .verify import ORACLE_MAX_RANK, aggregate_critical_rank
+from .verify import (
+    ORACLE_MAX_RANK,
+    CertificateFamily,
+    aggregate_critical_rank,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -166,7 +170,7 @@ def cmd_oracle(args) -> int:
     req = _load_request(args.file)
 
     def stage(germ, ctx, trunc, ranks):
-        oracles = _oracle_block(germ, ORACLE_MAX_RANK)
+        oracles = _oracle_block(CertificateFamily(germ), ORACLE_MAX_RANK)
         return {"version": __version__, "truncation": trunc, **oracles,
                 "pass": oracles_pass(oracles)}
 

@@ -37,10 +37,10 @@ The key constructions:
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
   `annihilator` reads the ideal off the module's action matrices (dim^2
-  functionals) and serves as the oracle.  `fiber_annihilator`, which the
-  certificates read as `functional_ideal` over `fiber_functionals`, reads
-  the same ideal off r series coefficients: the fiber K[t]/(t^r) is
-  cyclic, generated by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
+  functionals) and serves as the oracle.  `functional_ideal` over
+  `fiber_functionals`, which the certificates read, gives the same ideal
+  from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
+  by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
   t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
   annihilator of the 1 x 1 graph skyscraper, and padding the fiber with
   skyscrapers does not change it.  Both return the unique reduced echelon
@@ -72,7 +72,6 @@ from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, rref_rows
 from .poly import Poly, monomial_values, monomials_upto
-from .series import Series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -214,18 +213,6 @@ def fiber_module(b: BranchParam, r: int) -> FiniteModule:
             # ord >= 1 keeps the diagonal zero
         actions.append(ExactMatrix(data))
     return FiniteModule(r, tuple(actions))
-
-
-def multiplication_matrix(s: Series, r: int) -> ExactMatrix:
-    """Multiplication by s on K[t]/(t^r) in the power basis (independent of
-    the Toeplitz shortcut; used by oracles)."""
-    cols = []
-    for j in range(r):
-        shifted = [_ZERO] * r
-        for i, c in enumerate(s.coeffs[: max(0, r - j)]):
-            shifted[i + j] = c
-        cols.append(shifted)
-    return ExactMatrix([[cols[j][i] for j in range(r)] for i in range(r)])
 
 
 def jet_pair(b: BranchParam, r: int) -> JetPair:
@@ -501,14 +488,6 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
     monomials = monomials_upto(b.ambient_dim, degree_bound)
     cols, _ = _evaluation_columns(b, monomials, rank)
     return monomials, [[col[i] for col in cols] for i in range(rank)]
-
-
-def fiber_annihilator(b: BranchParam, rank: int,
-                      degree_bound: int) -> AnnihilatorIdeal:
-    """Annihilator of fiber_module(b, rank) from series coefficients
-    (`fiber_functionals`)."""
-    return functional_ideal(degree_bound,
-                            *fiber_functionals(b, rank, degree_bound))
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

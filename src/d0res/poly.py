@@ -400,15 +400,19 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     return result
 
 
-def is_squarefree(f: Poly) -> bool:
-    """True iff the plane polynomial defines a reduced curve.
+def is_reduced_at(f: Poly, point) -> bool:
+    """True iff the plane curve f = 0 is reduced at `point`.
 
-    Char-0 criterion: gcd(f, f_x, f_y) is a nonzero constant.
+    Char-0 criterion: an irreducible g with g^2 | f divides f, f_x and
+    f_y, and an irreducible common factor of all three divides f twice.
+    So the repeated factors of f are those of G = gcd(f, f_x, f_y), and f
+    is reduced at the point iff G does not vanish there.  A square factor
+    away from the point is a unit of the local ring and is allowed.
     """
     if f.nvars != 2:
-        raise D0resError("squarefreeness check is for plane polynomials")
+        raise D0resError("reducedness check is for plane polynomials")
     if f.is_zero():
         return False
     g = gcd_bivariate(f, f.diff(0))
     g = gcd_bivariate(g, f.diff(1))
-    return g.total_degree() == 0
+    return not scalar_is_zero(g.evaluate(list(point), _ONE))

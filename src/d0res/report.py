@@ -345,19 +345,21 @@ def default_truncation(ranks, multiplicities) -> int:
 def _ranks(req: AnalysisRequest, invariants):
     """(ranks, driving ranks) of a request on a germ or a Newton tree, both
     of which carry `r0`: the requested ranks, r0..r0 + 2 by default, and
-    each capped at r0 + 2 for the truncation."""
+    each capped at r0 + 2 for the truncation (`predicted_truncation`)."""
     r0 = invariants.r0
     ranks = req.ranks or [r0, r0 + 1, r0 + 2]
     return ranks, [min(r, r0 + 2) for r in ranks]
 
 
-def predicted_truncation(req: AnalysisRequest, tree) -> int:
-    """The truncation an implicit request starts at: the requested one,
-    else the one its ranks need on the Newton tree's n and r0, which are
-    the germ's.  Only a RaiseTruncation takes the run above it."""
+def predicted_truncation(req: AnalysisRequest, invariants) -> int:
+    """The truncation a request needs on a germ or a Newton tree, both of
+    which carry `n` and `r0` (the tree's are the germ's): the requested
+    one, else the one its driving ranks need.  An implicit run starts
+    there; an explicit run jumps there once its first attempt has proven
+    the germ's invariants.  Only a RaiseTruncation takes a run above it."""
     if req.truncation is not None:
         return req.truncation
-    return default_truncation(_ranks(req, tree)[1], tree.n)
+    return default_truncation(_ranks(req, invariants)[1], invariants.n)
 
 
 def _build_branches(req: AnalysisRequest, trunc: int, tree):
@@ -409,7 +411,8 @@ def run_with_escalation(req: AnalysisRequest, stage):
     final branches as the independent check.  Explicit branches have no
     tree: their ladder starts at 32 (or the requested truncation), the
     invariants are proven on the first attempt that decides them, and the
-    run then jumps to the truncation the ranks need.
+    run then jumps to `predicted_truncation` on the germ if it is below it
+    (never with a requested truncation, which it starts at).
 
     A raise (to the truncation the ranks need, or after a RaiseTruncation
     from the branches, the invariants, certificates or oracles) carries
@@ -445,8 +448,8 @@ def run_with_escalation(req: AnalysisRequest, stage):
             else:
                 germ = carry_invariants(proven, branches)
             ranks, driving = _ranks(req, germ)
-            needed = default_truncation(driving, germ.n)
-            if req.truncation is None and trunc < needed:
+            needed = predicted_truncation(req, germ)
+            if trunc < needed:
                 trunc, reason = needed, f"rank {max(driving)} needs it"
                 continue
             return stage(germ, ctx, trunc, ranks)
@@ -464,7 +467,7 @@ def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
     """The report of one analysed germ: one family's certificates, oracles."""
     family = CertificateFamily(germ)
     certificates = [_certificate_block(family, r) for r in ranks]
-    oracles = _oracle_block(germ, min(ORACLE_MAX_RANK, max(2, germ.r0)))
+    oracles = _oracle_block(family, min(ORACLE_MAX_RANK, max(2, germ.r0)))
     warnings = list(germ.notes)
     for r in ranks:
         if r < germ.r0:
@@ -552,14 +555,16 @@ def _certificate_block(family: CertificateFamily, r: int) -> dict:
     return block
 
 
-def _oracle_block(germ: Germ, max_rank: int) -> dict:
-    """The construction cross-checks: the fiber annihilator cross-check
-    per branch at ranks 1..max_rank, and the colength recomputation of
-    every l_ij.  Colength rows are plane-only: on space germs the l_ij are
+def _oracle_block(family: CertificateFamily, max_rank: int) -> dict:
+    """The construction cross-checks on `family`'s germ: the fiber
+    annihilator cross-check per branch at ranks 1..max_rank, on the
+    family's stored annihilators, and the colength recomputation of every
+    l_ij.  Colength rows are plane-only: on space germs the l_ij are
     colengths already, so the row would compare a value with itself."""
+    germ = family.germ
     fibers = [{"branch": i,
-               "results": pushforward_restriction_oracle(b, max_rank)}
-              for i, b in enumerate(germ.branches)]
+               "results": pushforward_restriction_oracle(family, i, max_rank)}
+              for i in range(germ.k)]
     colength = []
     if germ.branches[0].ambient_dim == 2:
         for i in range(germ.k):

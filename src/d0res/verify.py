@@ -5,7 +5,10 @@ pair padded with r - r0 graph-skyscraper jets (below r0, the bare rank-r
 jet pair).  Padded, it is a `modules.DirectSum` of those two runs, and no
 matrix of the sum is built.  Its special fiber m1 is the member's fiber
 module.  A request's ranks share one `CertificateFamily`, which builds each
-branch's base jet, skyscraper, member ideal and padding reference once.
+branch's base jet and skyscraper once.  It is also the request's one
+store of annihilators: for each branch and rank d, the bare rank-d fiber's
+ideal read off its series and read off its action matrices, each built
+once and read by every check.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -43,16 +46,16 @@ The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
 polynomial kills a direct sum iff it kills each summand.  The padding
-check compares each member's ideal with the generic annihilator of the
-family's rank-r0 fiber, read off its action matrices at degree r0; as
-both hold every monomial of degree r0, equality there is equality at
-bound r.  The fiber annihilator
-cross-check (`pushforward_restriction_oracle`) compares the series and
-matrix annihilators of each bare rank-r fiber at the report's small
-ranks, reading each branch's series once.  The tangent test raises the
-test coordinate's action on each distinct summand once
-(`modules.power_runs`) and prints the jet power as those (block, copies)
-runs, so no part of a certificate grows with r above r0.
+check is the family's rank-r0 comparison: each member's ideal, the series
+entry at r0, against the matrix entry at r0, the generic annihilator of
+the bare rank-r0 fiber read off its action matrices; as both hold every
+monomial of degree r0, equality there is equality at bound r.  The fiber
+annihilator cross-check (`pushforward_restriction_oracle`) makes the same
+comparison at each of the report's small ranks 1..max_rank on the same
+stored entries, so no annihilator is computed twice.  The
+tangent test raises the test coordinate's action on each distinct summand
+once (`modules.power_runs`) and prints the jet power as those (block,
+copies) runs, so no part of a certificate grows with r above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -121,11 +124,13 @@ class EmbeddingCertificate:
 
 
 class CertificateFamily:
-    """One germ's family over the ranks of one request.  Each branch's base
-    jet `jet_pair(b, min(r, r0))`, skyscraper jet, member ideal at bound
-    min(r, r0) and padding reference are built on first use, then read from
-    memory: above r0 they are the same at every rank, and below r0 they are
-    keyed by the rank.  `certify` pads and checks at each rank."""
+    """One germ's family over the ranks of one request, and the one store
+    of its per-branch annihilators.  Each branch's base jet
+    `jet_pair(b, min(r, r0))` and skyscraper jet, and its two annihilators
+    of the bare rank-d fiber, are built on first use, then read from
+    memory: above r0 the jets and the member ideal are the same at every
+    rank, and below r0 they are keyed by the rank.  `certify` pads and
+    checks at each rank, and the cross-check reads the same annihilators."""
 
     def __init__(self, germ: Germ):
         self.germ = germ
@@ -146,20 +151,23 @@ class CertificateFamily:
         return base if r <= r0 else pad(base, self._sky_jet(index), r - r0)
 
     def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
-        """Annihilator of member(index, r).m1 at degree bound d = min(r, r0),
-        stored once per bound: above r0 it is the rank-r0 fiber's
-        (`_stable_annihilator`).  It holds every monomial of degree d, so
-        it stands for the ideal at bound r (module docstring)."""
-        bound = min(r, self.germ.r0)
-        return self._once(("ideal", index, bound), _stable_annihilator,
-                          self.germ.branches[index], bound)
+        """Annihilator of member(index, r).m1 at degree bound d = min(r, r0):
+        the series annihilator of the bare rank-d fiber.  It holds every
+        monomial of degree d, so it stands for the ideal at bound r (module
+        docstring)."""
+        return self.series_ideal(index, min(r, self.germ.r0))
 
-    def padding_reference(self, index: int) -> AnnihilatorIdeal:
-        """The generic annihilator of the branch's rank-r0 fiber, the base
-        jet's m1, at degree r0, read off its action matrices."""
-        r0 = self.germ.r0
-        return self._once(("padding", index), annihilator,
-                          self._base_jet(index, r0).m1, r0)
+    def series_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
+        """The annihilator of the bare rank-d fiber over branch `index` at
+        degree d, read off its series (`_stable_annihilator`)."""
+        return self._once(("ideal", index, d), _stable_annihilator,
+                          self.germ.branches[index], d)
+
+    def matrix_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
+        """The same annihilator read off the action matrices of the bare
+        rank-d fiber, `annihilator(fiber_module(b, d), d)`."""
+        return self._once(("matrix", index, d), _matrix_annihilator,
+                          self.germ.branches[index], d)
 
     def _base_jet(self, index: int, rank: int):
         return self._once(("jet", index, rank), jet_pair,
@@ -170,15 +178,8 @@ class CertificateFamily:
                           self.germ.branches[index])[1]
 
 
-def family_jet(germ: Germ, index: int, r: int):
-    """The rank-r member's jet pair over branch `index`, from a fresh family."""
-    return CertificateFamily(germ).member(index, r)
-
-
-def family_annihilator(germ: Germ, index: int, r: int) -> AnnihilatorIdeal:
-    """Annihilator of family_jet(germ, index, r).m1 at degree bound
-    min(r, r0), from a fresh family."""
-    return CertificateFamily(germ).ideal(index, r)
+def _matrix_annihilator(b, d: int) -> AnnihilatorIdeal:
+    return annihilator(fiber_module(b, d), d)
 
 
 def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
@@ -392,48 +393,49 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
 def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
     fiber: each member's annihilator (`ideals`, read off series rows at
-    bound r0) equals the generic one of its bare rank-r0 fiber, the
-    family's padding reference, read off that fiber's action matrices at
-    the same bound.  The member ideal was checked to hold every monomial of
-    degree r0 when it was stored, so equality at r0 is equality at any
-    bound r above (module docstring)."""
-    if r == family.germ.r0:
+    bound r0) equals the generic one of its bare rank-r0 fiber, read off
+    that fiber's action matrices at the same bound: the family's rank-r0
+    comparison, which the cross-check row at r0 reads too.  The member
+    ideal was checked to hold every monomial of degree r0 when it was
+    stored, so equality at r0 is equality at any bound r above (module
+    docstring)."""
+    r0 = family.germ.r0
+    if r == r0:
         return True
-    return all(family.padding_reference(i) == ideal
+    return all(family.matrix_ideal(i, r0) == ideal
                for i, ideal in enumerate(ideals))
 
 
 # -- fiber annihilator cross-check ---------------------------------------------------
 
 
-def pushforward_restriction_oracle(b, max_rank: int) -> dict:
-    """The fiber annihilator cross-check: at each rank r = 1..max_rank, the
-    annihilator of the rank-r fiber over branch `b`, read two ways, at
-    degree bound r.  Returns the row {"1": ok, ..., str(max_rank): ok}.
+def pushforward_restriction_oracle(family: CertificateFamily, index: int,
+                                   max_rank: int) -> dict:
+    """The fiber annihilator cross-check: at each rank d = 1..max_rank, the
+    annihilator of the bare rank-d fiber over branch `index` of `family`,
+    read two ways, at degree bound d.  Returns the row
+    {"1": ok, ..., str(max_rank): ok}.
 
-    The fiber is the push-forward of K[t]/(t^r) along the branch map, and
+    The fiber is the push-forward of K[t]/(t^d) along the branch map, and
     its annihilator is the ideal of the image subscheme.  The matrix route
     evaluates every monomial on the Toeplitz actions `fiber_module` writes
-    (`annihilator`), at each rank.  The series route reads the t^0..t^(r-1)
-    coefficients of f(x(t), y(t)), which is exact because the fiber is
-    generated by 1.  The branch's series are read once, at max_rank
-    (`fiber_functionals`): a series truncated there agrees below t^r with
-    its truncation at r, so rank r's functionals are the first r rows, and
-    `functional_ideal` reads their columns of degree <= r.  Both routes
+    (`annihilator`).  The series route reads the t^0..t^(d-1) coefficients
+    of f(x(t), y(t)), which is exact because the fiber is generated by 1
+    (`fiber_functionals`).  Both are the family's stored entries, and the
+    row at r0 compares what the padding check compares.  Both routes
     give reduced echelon bases on the same graded columns, which are
     unique, so `==` is exact.
 
-    This checks equal annihilators, not isomorphic modules: K[t]/(t^r) need
-    not be cyclic over the ambient ring (on the cusp at r = 2 every
+    This checks equal annihilators, not isomorphic modules: K[t]/(t^d) need
+    not be cyclic over the ambient ring (on the cusp at d = 2 every
     coordinate acts by zero), so the annihilator does not fix the module.
     """
-    if b.trunc < max_rank + 1:
+    if family.germ.branches[index].trunc < max_rank + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
                               needed=max_rank + 1)
-    monomials, rows = fiber_functionals(b, max_rank, max_rank)
-    return {str(r): annihilator(fiber_module(b, r), r)
-            == functional_ideal(r, monomials, rows[:r])
-            for r in range(1, max_rank + 1)}
+    return {str(d): family.matrix_ideal(index, d)
+            == family.series_ideal(index, d)
+            for d in range(1, max_rank + 1)}
 
 
 # -- corpus-level aggregation ----------------------------------------------------------

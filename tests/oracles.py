@@ -14,6 +14,9 @@ routes, and only the tests call them:
   g(x(t), y(t)) = 0 mod t^(n*M), exact mod x^K for the conductor-based K
   of undetermined_coefficients_precision; the reference for the power-sum
   route of `branches.implicit_equation`.
+* multiplication_matrix: multiplication by a series on K[t]/(t^r), one
+  shifted column per basis vector t^j; the reference for the Toeplitz
+  actions of `modules.fiber_module`.
 * eval_series_at_matrix: s(A) for a truncated series and a nilpotent
   matrix, power by power; the reference for the closed-form jet actions
   of `modules.jet_pair`.
@@ -265,6 +268,18 @@ def _poly_div_exact(num: Poly, den: Poly) -> Poly:
         out[exp] = c
         rem = rem - den * Poly.monomial(exp, c)
     return Poly(2, out)
+
+
+def multiplication_matrix(s: Series, r: int) -> ExactMatrix:
+    """Multiplication by s on K[t]/(t^r) in the power basis: column j is
+    t^j * s(t) mod t^r."""
+    cols = []
+    for j in range(r):
+        shifted = [_ZERO] * r
+        for i, c in enumerate(s.coeffs[: max(0, r - j)]):
+            shifted[i + j] = c
+        cols.append(shifted)
+    return ExactMatrix([[cols[j][i] for j in range(r)] for i in range(r)])
 
 
 def eval_series_at_matrix(s, matrix: ExactMatrix):

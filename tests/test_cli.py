@@ -33,6 +33,12 @@ def write_request(tmp_path, name, obj):
 
 CUSP_REQUEST = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[3, 0], "-1"]]}},
                 "ranks": [2]}
+# (y^2 - x^3)(1 + x)^2 and (y^2 - x^3)(y - 1)^2: reduced at the origin,
+# not where the squared factor vanishes
+CUSP_TIMES_UNIT_SQUARE_X = [[[0, 2], "1"], [[1, 2], "2"], [[2, 2], "1"],
+                            [[3, 0], "-1"], [[4, 0], "-2"], [[5, 0], "-1"]]
+CUSP_TIMES_UNIT_SQUARE_Y = [[[0, 4], "1"], [[0, 3], "-2"], [[0, 2], "1"],
+                            [[3, 2], "-1"], [[3, 1], "2"], [[3, 0], "-1"]]
 PARAMETRIC_CUSP = {"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]}]}}
 
 
@@ -275,6 +281,11 @@ def test_a_number_too_long_to_print_exits_2_without_traceback(request_obj,
                               "y": [[3, "1"], [10 ** 9, "1"]]}]}},
      "curve.branches[0].y[1]: term of degree 1000000000 is above the "
      "truncation ceiling 4096 (set D0RES_MAX_TRUNCATION to raise it)"),
+    # (y^2 - x^3)(1 + x)^2 at (-1, 0), where the square factor vanishes
+    ({"curve": {"implicit": {"poly": CUSP_TIMES_UNIT_SQUARE_X}},
+      "point": ["-1", "0"]},
+     "curve.implicit.poly: curve is not reduced (polynomial has a square "
+     "factor)"),
 ])
 def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
                                                    monkeypatch, request_obj,
@@ -291,6 +302,24 @@ def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
     captured = capsysbinary.readouterr()
     assert captured.out == b""
     assert captured.err.decode() == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("poly", [CUSP_TIMES_UNIT_SQUARE_X,
+                                  CUSP_TIMES_UNIT_SQUARE_Y])
+def test_a_square_factor_away_from_the_point_is_a_unit(tmp_path, capsysbinary,
+                                                      poly):
+    """A square factor that does not vanish at the point is a unit of the
+    local ring: (y^2 - x^3)(1 + x)^2 and (y^2 - x^3)(y - 1)^2 at the
+    origin are the cusp's germ, and print its germ table, certificates
+    and oracles, passing under --strict."""
+    cusp = json.loads((CORPUS / "golden" / "cusp.json").read_text())
+    path = write_request(tmp_path, "unit.json",
+                         {"curve": {"implicit": {"poly": poly}}})
+    assert main(["analyze", path, "--strict"]) == 0
+    report = json.loads(capsysbinary.readouterr().out.decode())
+    assert report["germ"]["n"] == [2] and report["germ"]["r0"] == 2
+    for key in ("truncation", "germ", "certificates", "oracles", "warnings"):
+        assert report[key] == cusp[key], key
 
 
 @pytest.mark.parametrize("flags, path", [
@@ -609,10 +638,12 @@ def test_one_family_per_request_matches_fresh_families(monkeypatch,
 
 def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
     """At the default ranks r0..r0+2 a request builds each branch's rank-r0
-    jet pair, skyscraper, padding reference and member ideal once; the
-    other annihilator calls are the cross-check's, one per branch per
-    printed rank.  Each member ideal reads one set of series functionals,
-    and the cross-check one per branch."""
+    jet pair and skyscraper once.  Its annihilators are the family's store:
+    one series and one matrix annihilator per branch per printed
+    cross-check rank, each read off its own bare fiber or series
+    functionals.  Every corpus r0 is a printed rank, so the member ideal
+    and the padding check's matrix ideal are the cross-check's entries at
+    r0, and nothing else builds an annihilator."""
     counts = _count_builds(monkeypatch)
     branches = 0
     for path in sorted(CORPUS.glob("*.json")):
@@ -623,13 +654,13 @@ def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
         checked = sum(len(row["results"]) for row
                       in report["oracles"]["fiber_annihilator_crosscheck"])
         assert built["jet_pair"] == built["graph_skyscraper"] == k, path.name
-        assert built["annihilator"] == k + checked, path.name
-        assert built["_stable_annihilator"] == k, path.name
-        assert built["fiber_functionals"] == 2 * k, path.name
+        assert built["annihilator"] == checked, path.name
+        assert built["fiber_module"] == checked, path.name
+        assert built["_stable_annihilator"] == checked, path.name
+        assert built["fiber_functionals"] == checked, path.name
         branches += k
     assert branches == 20
-    assert (counts["jet_pair"], counts["graph_skyscraper"],
-            counts["_stable_annihilator"]) == (20, 20, 20)
+    assert (counts["jet_pair"], counts["graph_skyscraper"]) == (20, 20)
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):
@@ -718,8 +749,8 @@ def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
     """A false fiber annihilator cross-check result fails `analyze
     --strict` and `corpus`, even with every certificate passing."""
     monkeypatch.setattr(report_module, "pushforward_restriction_oracle",
-                        lambda b, max_rank: {str(r): False
-                                             for r in range(1, max_rank + 1)})
+                        lambda family, index, max_rank: {
+                            str(r): False for r in range(1, max_rank + 1)})
     path = str(CORPUS / "cusp.json")
     assert main(["analyze", path, "--strict"]) == 1
     out = json.loads(capsysbinary.readouterr().out.decode())
@@ -765,7 +796,8 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
         monkeypatch, capsysbinary, module, name, mutant):
     """Either route fed the fiber of t * s(t): `oracle` exits 1 on every
     corpus request, and `analyze --strict` exits 1 on the node, whose
-    report range 1..2 holds a false row."""
+    report range 1..2 holds a false row.  The padding check compares the
+    same two annihilators at r0, so the node at rank 3 fails it too."""
     monkeypatch.setattr(module, name, mutant)
     paths = sorted(CORPUS.glob("*.json"))
     assert len(paths) == 11
@@ -777,6 +809,11 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     out = json.loads(capsysbinary.readouterr().out.decode())
     assert not all(ok for row in out["oracles"]["fiber_annihilator_crosscheck"]
                    for ok in row["results"].values())
+    assert main(["analyze", str(CORPUS / "node.json"), "--rank", "3",
+                 "--strict"]) == 1
+    out = json.loads(capsysbinary.readouterr().out.decode())
+    (cert,) = out["certificates"]
+    assert cert["padding_support_ok"] is False and cert["pass"] is False
 
 
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):

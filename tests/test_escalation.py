@@ -165,7 +165,11 @@ def test_pipeline_checks_the_relift(monkeypatch):
         return [branch([(2, 1)], [(3, 1)], trunc) if trunc == 32
                 else branch([(3, 1)], [(4, 1)], trunc)]
 
+    # the first prediction is the start's, on the tree; the germ's come after
+    predict, starts = report.predicted_truncation, iter([32])
     monkeypatch.setattr(report, "_build_branches", build)
-    monkeypatch.setattr(report, "predicted_truncation", lambda req, tree: 32)
+    monkeypatch.setattr(report, "predicted_truncation",
+                        lambda req, invariants: next(starts, None)
+                        or predict(req, invariants))
     with pytest.raises(D0resError, match="re-lift of branch 0 has multiplicity 3"):
         final_germ(corpus_request("cusp", ranks=[8]))

@@ -8,6 +8,7 @@ import pytest
 from d0res.branches import (
     BranchParam,
     PlaneCurveInput,
+    branch_multiplicity,
     germ_invariants,
     newton_puiseux,
 )
@@ -30,7 +31,7 @@ def test_two_puiseux_pair_branch_roundtrip():
     branches = newton_puiseux(PlaneCurveInput(g), 40)
     assert len(branches) == 1
     (b,) = branches
-    assert b.multiplicity() == 4
+    assert branch_multiplicity(b) == 4
     x, y = b.coords
     assert x.coeffs[4] == 1 and x.order() == 4
     assert y.order() == 6 and y.coeffs[6] == 1 and y.coeffs[7] == 1

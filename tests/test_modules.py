@@ -17,24 +17,25 @@ from d0res.modules import (
     FiniteModule,
     JetPair,
     annihilator,
-    fiber_annihilator,
+    fiber_functionals,
     fiber_module,
+    functional_ideal,
     graph_skyscraper,
     jet_pair,
     kernel_echelon,
-    multiplication_matrix,
     nilpotency_index,
     pad,
     support_length,
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
-from d0res.verify import family_jet
+from d0res.verify import CertificateFamily
 from oracles import (
     check_jet_dense,
     check_module_dense,
     dense_sum,
     eval_series_at_matrix,
+    multiplication_matrix,
 )
 
 F = Fraction
@@ -345,19 +346,22 @@ def test_fiber_annihilator_matches_generic_oracle():
         sky, _ = graph_skyscraper(branch)
         for rank in (1, 2, 3, 5):
             for bound in (rank, rank + 2):
-                assert (fiber_annihilator(branch, rank, bound)
+                functionals = fiber_functionals(branch, rank, bound)
+                assert (functional_ideal(bound, *functionals)
                         == annihilator(fiber_module(branch, rank), bound))
                 padded = dense_sum(pad(fiber_module(branch, rank), sky, 2))
-                assert (fiber_annihilator(branch, rank, bound + 2)
+                functionals = fiber_functionals(branch, rank, bound + 2)
+                assert (functional_ideal(bound + 2, *functionals)
                         == annihilator(padded, bound + 2))
     with pytest.raises(RaiseTruncation):
-        fiber_annihilator(B([(2, 1)], [(3, 1)], n=4), 5, 5)
+        fiber_functionals(B([(2, 1)], [(3, 1)], n=4), 5, 5)
 
 
 def test_annihilator_rows_are_sparse_in_column_order():
     """Each stored basis row lists its nonzero entries by increasing
     monomial column; on y = x^2 + x^3 at rank 4 some row has three."""
-    ann = fiber_annihilator(B([(1, 1)], [(2, 1), (3, 1)]), 4, 4)
+    ann = functional_ideal(
+        4, *fiber_functionals(B([(1, 1)], [(2, 1), (3, 1)]), 4, 4))
     assert max(len(row) for row in ann.rows) >= 3
     for row in ann.rows:
         cols = [c for c, _ in row]
@@ -456,9 +460,10 @@ def test_triangular_shortcut_agrees_with_dense_powers(repo_corpus_germs):
     """Every action of every corpus member at r0..r0+3, fiber and jet, is
     strictly lower-triangular, and its dim-th power is indeed zero."""
     for name, germ in repo_corpus_germs.items():
+        family = CertificateFamily(germ)
         for i in range(germ.k):
             for r in range(germ.r0, germ.r0 + 4):
-                jet = dense_sum(family_jet(germ, i, r))
+                jet = dense_sum(family.member(i, r))
                 for module in (jet.m1, jet.m2):
                     for a in module.actions:
                         assert a.is_strictly_lower(), (name, i, r)

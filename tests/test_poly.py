@@ -9,7 +9,7 @@ from d0res.fields import FieldElement, NumberField, format_scalar
 from d0res.poly import (
     Poly,
     gcd_bivariate,
-    is_squarefree,
+    is_reduced_at,
     monomial_values,
     monomials_upto,
     poly_text,
@@ -174,13 +174,26 @@ def test_translate():
 
 
 def test_squarefree_detection():
-    assert is_squarefree(P({(0, 2): 1, (3, 0): -1}))
-    assert is_squarefree(P({(1, 1): 1}))
+    """A square factor makes the curve non-reduced exactly where that
+    factor vanishes; elsewhere it is a unit of the local ring."""
+    origin = (F(0), F(0))
+    assert is_reduced_at(P({(0, 2): 1, (3, 0): -1}), origin)
+    assert is_reduced_at(P({(1, 1): 1}), origin)
     square = P({(0, 1): 1, (2, 0): -1}) * P({(0, 1): 1, (2, 0): -1})
-    assert not is_squarefree(square)
+    assert not is_reduced_at(square, origin)
     mixed = square * P({(1, 0): 1})
-    assert not is_squarefree(mixed)
-    assert is_squarefree(P({(0, 1): 1, (2, 0): -1}) * P({(1, 0): 1}))
+    assert not is_reduced_at(mixed, origin)
+    assert not is_reduced_at(mixed, (F(2), F(4)))
+    assert is_reduced_at(mixed, (F(1), F(0)))
+    assert is_reduced_at(P({(0, 1): 1, (2, 0): -1}) * P({(1, 0): 1}), origin)
+    cusp = P({(0, 2): 1, (3, 0): -1})
+    unit_x = cusp * P({(0, 0): 1, (1, 0): 1}) * P({(0, 0): 1, (1, 0): 1})
+    assert is_reduced_at(unit_x, origin)
+    assert not is_reduced_at(unit_x, (F(-1), F(0)))
+    unit_y = cusp * P({(0, 0): -1, (0, 1): 1}) * P({(0, 0): -1, (0, 1): 1})
+    assert is_reduced_at(unit_y, origin)
+    assert not is_reduced_at(unit_y, (F(1), F(1)))
+    assert not is_reduced_at(P({}), origin)
 
 
 def test_gcd_bivariate():

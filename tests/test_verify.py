@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res import verify as verify_module
-from d0res.branches import BranchParam
+from d0res.branches import BranchParam, Germ
 from d0res.errors import D0resError
 from d0res.fields import NumberField, format_scalar, scalar_is_zero
 from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
@@ -21,8 +21,9 @@ from d0res.modules import (
     JetPair,
     FiniteModule,
     annihilator,
-    fiber_annihilator,
+    fiber_functionals,
     fiber_module,
+    functional_ideal,
     jet_pair,
     pad,
     power_runs,
@@ -43,8 +44,6 @@ from d0res.verify import (
     _stable_annihilator,
     _test_coordinate,
     certify,
-    family_annihilator,
-    family_jet,
     graph_jet_class_vanishes,
     pushforward_restriction_oracle,
     separates_points,
@@ -94,13 +93,14 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
     extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
     assert extension_and_space <= set(repo_corpus_germs)
     for name, germ in repo_corpus_germs.items():
+        family = CertificateFamily(germ)
         for i in range(germ.k):
             for r in range(1, 11):
-                stored = family_annihilator(germ, i, r)
+                stored = family.ideal(i, r)
                 assert stored.degree_bound == min(r, germ.r0), (name, i, r)
                 assert stored.holds_top_degree(), (name, i, r)
                 fast = with_bare_rows(stored, r)
-                oracle = annihilator(dense_sum(family_jet(germ, i, r)).m1, r)
+                oracle = annihilator(dense_sum(family.member(i, r)).m1, r)
                 assert fast == oracle, (name, i, r)
                 assert hash(fast) == hash(oracle)
                 assert all([c for c, _ in row] == sorted(c for c, _ in row)
@@ -134,9 +134,10 @@ def test_member_ideal_at_bound_equal_to_rank_needs_no_second_elimination(
     d + 1 have exactly `quotient_dim` pivots: the ideal has stabilized,
     and a second elimination at d + 1 would check nothing."""
     cusp = corpus_germs["cusp"].branches[0]
-    dims = [fiber_annihilator(cusp, 5, d).quotient_dim for d in (1, 2, 3)]
-    assert dims == [3, 4, 4]
-    assert not fiber_annihilator(cusp, 5, 1).holds_top_degree()
+    ideals = [functional_ideal(d, *fiber_functionals(cusp, 5, d))
+              for d in (1, 2, 3)]
+    assert [ideal.quotient_dim for ideal in ideals] == [3, 4, 4]
+    assert not ideals[0].holds_top_degree()
     cases = 0
     for name, germ in repo_corpus_germs.items():
         for b in germ.branches:
@@ -188,10 +189,12 @@ def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
     and the check holds."""
     checked = 0
     for name, germ in repo_corpus_germs.items():
-        longer = [fiber_annihilator(b, germ.r0 + 1, germ.r0)
+        family = CertificateFamily(germ)
+        longer = [functional_ideal(germ.r0,
+                                   *fiber_functionals(b, germ.r0 + 1, germ.r0))
                   for b in germ.branches]
         for r in (*range(germ.r0, germ.r0 + 4), 16, 32):
-            ideals = [family_annihilator(germ, i, r) for i in range(germ.k)]
+            ideals = [family.ideal(i, r) for i in range(germ.k)]
             padded = r > germ.r0
             cases = [(ideals, True),
                      (ideals[::-1], germ.k == 1 or not padded)]
@@ -199,7 +202,7 @@ def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
                 cases.append((longer, False))
             for candidate, expected in cases:
                 assert _padding_support_unchanged(
-                    CertificateFamily(germ), r, candidate) is expected
+                    family, r, candidate) is expected
                 assert padding_support_by_dense_annihilator(
                     germ, r, [with_bare_rows(ideal, r) for ideal in candidate]
                 ) is expected, (name, r)
@@ -214,7 +217,8 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
     Breaking either fails the padding check, and the broken ideal no
     longer holds its top degree."""
     germ = corpus_germs[name]
-    ideal = family_annihilator(germ, 0, r)
+    family = CertificateFamily(germ)
+    ideal = family.ideal(0, r)
     assert ideal.degree_bound == germ.r0 < r
     monomials, rows = ideal.monomials, list(ideal.rows)
     width = comb(germ.r0 - 1 + 2, 2)          # the columns of degree < r0
@@ -225,8 +229,8 @@ def test_padding_check_rejects_a_mutated_member_ideal(corpus_germs, name, r):
     def check(rows):
         mutant = AnnihilatorIdeal(germ.r0, monomials, tuple(rows))
         members = [mutant]
-        members += [family_annihilator(germ, i, r) for i in range(1, germ.k)]
-        ok = _padding_support_unchanged(CertificateFamily(germ), r, members)
+        members += [family.ideal(i, r) for i in range(1, germ.k)]
+        ok = _padding_support_unchanged(family, r, members)
         assert mutant.holds_top_degree() is ok
         return ok
 
@@ -253,7 +257,7 @@ def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs,
     assert b.coords[0].order() == 1
     ideal = annihilator(fiber_module(b, 2), 2)
     assert ideal.holds_top_degree()
-    assert not fiber_annihilator(b, 2, 1).holds_top_degree()
+    assert not functional_ideal(1, *fiber_functionals(b, 2, 1)).holds_top_degree()
     dense = annihilator(fiber_module(b, 2), 12)
     assert with_bare_rows(ideal, 12) == dense
     assert dense.quotient_dim == ideal.quotient_dim
@@ -286,11 +290,12 @@ def test_jet_frame_satisfies_dense_identities(repo_corpus_germs):
     derived frame, each identity the entrywise [[A, 0], [C, A]] check stands
     for: eps^2 = 0, exactness, eps-linearity and both intertwinings."""
     for name, germ in repo_corpus_germs.items():
+        family = CertificateFamily(germ)
         for i, b in enumerate(germ.branches):
             for r in range(1, 7):
                 _assert_dense_jet_identities(jet_pair(b, r))
             for r in range(germ.r0, germ.r0 + 4):
-                jet = family_jet(germ, i, r)
+                jet = family.member(i, r)
                 assert sum(jet.blocks) == r, (name, i, r)
                 _assert_dense_jet_identities(dense_sum(jet))
 
@@ -306,9 +311,10 @@ def test_family_members_pass_the_dense_reference(repo_corpus_germs):
     assembled by the tests through the public constructors, passes the
     dense reference."""
     for name, germ in repo_corpus_germs.items():
+        family = CertificateFamily(germ)
         for i in range(germ.k):
             for r in _summand_ranks(germ):
-                jet = family_jet(germ, i, r)
+                jet = family.member(i, r)
                 assert isinstance(jet, DirectSum) == (r > germ.r0), (name, i, r)
                 dense = dense_sum(jet)
                 assert isinstance(dense, JetPair), (name, i, r)
@@ -322,9 +328,10 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
     expand to the dense one's text."""
     for name, germ in repo_corpus_germs.items():
         for r in _summand_ranks(germ):
-            verdicts = separates_tangents(CertificateFamily(germ), r)
+            family = CertificateFamily(germ)
+            verdicts = separates_tangents(family, r)
             for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
-                jet = family_jet(germ, i, r)
+                jet = family.member(i, r)
                 dense = dense_sum(jet)
                 coord, e = _test_coordinate(b), germ.r0 // germ.n[i]
                 f1 = dense.m1.actions[coord] ** e
@@ -351,9 +358,10 @@ def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
         golden = json.loads((REPO / "corpus" / "golden" / f"{name}.json").read_text())
         for cert in golden["certificates"]:
             r = cert["rank"]
-            fibers = [family_jet(germ, i, r).m1 for i in range(germ.k)]
+            family = CertificateFamily(germ)
+            fibers = [family.member(i, r).m1 for i in range(germ.k)]
             basis = {poly_text(g): g for i in range(germ.k)
-                     for g in family_annihilator(germ, i, r).polys}
+                     for g in family.ideal(i, r).polys}
             witnesses = [v["witness"]["polynomial"] for v in cert["points"]]
             assert set(witnesses) <= set(basis), (name, r)
             printed += len(witnesses)
@@ -382,8 +390,8 @@ def test_axes_node_annihilators_and_witness():
         BranchParam((Series.zero(16), Series.variable(16))),
     ])
     assert (axes.n, axes.bii, axes.l0, axes.r0) == ((1, 1), 1, 2, 2)
-    f0 = family_jet(axes, 0, 2).m1
-    f1 = family_jet(axes, 1, 2).m1
+    family = CertificateFamily(axes)
+    f0, f1 = family.member(0, 2).m1, family.member(1, 2).m1
     ann0 = [poly_text(p) for p in annihilator(f0, 2).polys]
     ann1 = [poly_text(p) for p in annihilator(f1, 2).polys]
     assert "y" in ann0 and "x^2" in ann0 and "x" not in ann0
@@ -397,8 +405,8 @@ def test_tacnode_negative_control(corpus_germs):
     tac = corpus_germs["tacnode"]
     verdicts = separates_points(CertificateFamily(tac), 2)
     assert [v.result for v in verdicts] == [NOT_SEPARATED]
-    f0 = family_jet(tac, 0, 2).m1
-    f1 = family_jet(tac, 1, 2).m1
+    family = CertificateFamily(tac)
+    f0, f1 = family.member(0, 2).m1, family.member(1, 2).m1
     assert f0.same_presentation(f1)
     cert = certify(CertificateFamily(tac), tac.r0 - 1)
     assert cert.below_critical and not cert.overall
@@ -472,12 +480,13 @@ def test_point_witness_validity(corpus_germs):
     for name, germ in corpus_germs.items():
         if germ.k < 2:
             continue
-        for v in separates_points(CertificateFamily(germ), germ.r0):
+        family = CertificateFamily(germ)
+        for v in separates_points(family, germ.r0):
             assert v.result == SEPARATED
             i, j = v.subject
             witness = _parse_witness_poly(v.witness["polynomial"])
-            fi = family_jet(germ, i, germ.r0).m1
-            fj = family_jet(germ, j, germ.r0).m1
+            fi = family.member(i, germ.r0).m1
+            fj = family.member(j, germ.r0).m1
             on_i = eval_poly_at_matrices(witness, fi.actions).is_zero()
             on_j = eval_poly_at_matrices(witness, fj.actions).is_zero()
             assert on_i != on_j, (name, v.subject)
@@ -486,7 +495,7 @@ def test_point_witness_validity(corpus_germs):
 def test_point_witness_rechecks_own_fiber(corpus_germs):
     """A candidate that does not kill its own fiber is an error, also under
     `python -O`."""
-    fiber = family_jet(corpus_germs["cusp"], 0, 2).m1
+    fiber = CertificateFamily(corpus_germs["cusp"]).member(0, 2).m1
     one = Poly.constant(2, F(1))
     bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=((0, 0),),
                              rows=(((0, F(1)),),))
@@ -569,10 +578,11 @@ def test_node_tangents_exponent_two(corpus_germs):
 def test_tangent_witness_validity(corpus_germs):
     for name, germ in corpus_germs.items():
         for r in (germ.r0, germ.r0 + 1):
-            for v in separates_tangents(CertificateFamily(germ), r):
+            family = CertificateFamily(germ)
+            for v in separates_tangents(family, r):
                 assert v.result == SEPARATED, name
                 i = v.subject[0]
-                jet = dense_sum(family_jet(germ, i, r))
+                jet = dense_sum(family.member(i, r))
                 coord = v.witness["coordinate"]
                 e = v.witness["exponent"]
                 assert (jet.m1.actions[coord] ** e).is_zero()
@@ -588,7 +598,7 @@ def test_tangent_test_unit_robust(corpus_germs):
         for i, b in enumerate(germ.branches):
             n = germ.n[i]
             e = germ.r0 // n
-            jet = family_jet(germ, i, germ.r0)
+            jet = CertificateFamily(germ).member(i, germ.r0)
             coord_idx = min(
                 (k for k, s in enumerate(b.coords) if s.order() is not None),
                 key=lambda k: b.coords[k].order(),
@@ -654,8 +664,9 @@ def test_graph_jet_class(corpus_germs):
 
 def test_pushforward_restriction_oracle_corpus(corpus_germs):
     for name, germ in corpus_germs.items():
-        for b in germ.branches:
-            row = pushforward_restriction_oracle(b, 4)
+        family = CertificateFamily(germ)
+        for i in range(germ.k):
+            row = pushforward_restriction_oracle(family, i, 4)
             assert row == {"1": True, "2": True, "3": True, "4": True}, name
 
 
@@ -666,31 +677,11 @@ def test_fiber_annihilator_crosscheck_holds_to_rank_8(repo_corpus_germs):
     extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
     assert extension_and_space <= set(repo_corpus_germs)
     for name, germ in repo_corpus_germs.items():
-        for b in germ.branches:
+        family = CertificateFamily(germ)
+        for i, b in enumerate(germ.branches):
             assert b.trunc > 8, name
-            row = pushforward_restriction_oracle(b, 8)
+            row = pushforward_restriction_oracle(family, i, 8)
             assert row == {str(r): True for r in range(1, 9)}, name
-
-
-def test_crosscheck_row_reads_the_series_once(corpus_germs, monkeypatch):
-    """One row reads the branch's series once, at the top rank, and each
-    rank's series annihilator, read off a prefix of those rows, is the one
-    `fiber_annihilator` computes at that rank alone."""
-    b = corpus_germs["e6"].branches[0]
-    calls = []
-    functionals = verify_module.fiber_functionals
-
-    def counted(*args):
-        calls.append(args[1:])
-        return functionals(*args)
-
-    monkeypatch.setattr(verify_module, "fiber_functionals", counted)
-    assert all(pushforward_restriction_oracle(b, 6).values())
-    assert calls == [(6, 6)]
-    monomials, rows = functionals(b, 6, 6)
-    for r in range(1, 7):
-        assert (verify_module.functional_ideal(r, monomials, rows[:r])
-                == fiber_annihilator(b, r, r)), r
 
 
 ORACLE_GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -720,10 +711,19 @@ def oracle_branches(draw):
     return BranchParam(coords)
 
 
+def _one_branch_germ(b):
+    """A germ holding the branch `b` alone.  The cross-check reads only a
+    germ's branches, so its invariants here are placeholders; a drawn
+    branch may be zero, which has no multiplicity."""
+    return Germ(point=(F(0),) * b.ambient_dim, branches=(b,), n=(1,),
+                l_matrix=((None,),), bii=None, l0=1, r0=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(oracle_branches(), st.integers(1, 4))
 def test_fiber_annihilator_crosscheck_on_random_branches(b, r):
-    row = pushforward_restriction_oracle(b, r)
+    family = CertificateFamily(_one_branch_germ(b))
+    row = pushforward_restriction_oracle(family, 0, r)
     assert row == {str(k): True for k in range(1, r + 1)}
 
 
@@ -731,13 +731,14 @@ def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
                                                       monkeypatch):
     """The matrix route fed a valid module of another branch, x doubled:
     the cross-check must see that the series route disagrees."""
-    b = corpus_germs["node"].branches[0]
-    x, *rest = b.coords
+    germ = corpus_germs["node"]
+    x, *rest = germ.branches[0].coords
     other = BranchParam((x * F(2), *rest))
-    assert pushforward_restriction_oracle(b, 3)["3"]
+    assert pushforward_restriction_oracle(CertificateFamily(germ), 0, 3)["3"]
     monkeypatch.setattr(verify_module, "fiber_module",
                         lambda branch, r: fiber_module(other, r))
-    assert not pushforward_restriction_oracle(b, 3)["3"]
+    assert not pushforward_restriction_oracle(CertificateFamily(germ), 0,
+                                              3)["3"]
 
 
 def test_exploratory_tangents_only_separated_or_inconclusive(corpus_germs):
