@@ -21,23 +21,37 @@ The key constructions:
   the reference eval_series_at_matrix(s, t_m2) in tests/oracles.py.
 * graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
   jet_pair(b, 1).
+* Toeplitz actions: a fiber's actions are strictly lower-triangular
+  Toeplitz, multiplication by their first columns in K[t]/(t^r), a
+  commutative algebra.  `toeplitz_column` reads that shape entry by entry
+  in O(r^2), and a module whose actions all have it keeps their first
+  columns (`FiniteModule.columns`).  Such actions commute with no matrix
+  product, a polynomial in them is the Toeplitz matrix of the same
+  polynomial in their columns, and it is zero iff that series is.  So
+  `annihilator` eliminates r first-column rows, `verify._kills` evaluates
+  a witness on series, and `power_runs` raises an action as a series
+  power; it raises a jet action [[A, 0], [C, A]] with A of that shape and
+  C zero but for its last row in closed form.  Any matrix of another
+  shape, a dense sum or a planted fault, takes the dense route: pairwise
+  products, dim^2 entry rows, matrix evaluation and matrix powers.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
   order; no matrix is built.  Its dims, blocks and (for jets) m1 and m2
   are read off the runs.  Every question the certificate asks of a sum is
   answered summand by summand: a polynomial kills a direct sum iff it
   kills each summand, and a power of a block-diagonal action is the
-  block-diagonal sum of the blocks' powers (`power_runs`, one power per
-  distinct summand).  Each summand was validated when it was built, and
-  block-diagonal matrices add and multiply block by block, so the sum's
-  actions commute, are nilpotent and read [[A, 0], [C, A]] on the jet
-  frame laid end to end because each summand's do.  The tests assemble
-  the dense sums (`tests/oracles.py`) and check them on the dense
-  matrices.
+  block-diagonal sum of the blocks' powers (`power_runs`, one closed-form
+  power per distinct summand).  Each summand was validated when it was
+  built, and block-diagonal matrices add and multiply block by block, so
+  the sum's actions commute, are nilpotent and read [[A, 0], [C, A]] on
+  the jet frame laid end to end because each summand's do.  The tests
+  assemble the dense sums (`tests/oracles.py`) and check them on the
+  dense matrices.
 * annihilator / support_length: the ideal of polynomials killing a module and
   the dimension of the algebra it generates; the separation invariants.
-  `annihilator` reads the ideal off the module's action matrices (dim^2
-  functionals) and serves as the oracle.  `functional_ideal` over
+  `annihilator` reads the ideal off the module's action matrices (the
+  dim first-column functionals of Toeplitz actions, the dim^2 entries of
+  any other) and serves as the oracle.  `functional_ideal` over
   `fiber_functionals`, which the certificates read, gives the same ideal
   from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
   by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
@@ -46,7 +60,8 @@ The key constructions:
   skyscrapers does not change it.  Both return the unique reduced echelon
   basis, so they agree exactly, not just up to a change of basis.  Both
   evaluate the monomials with `poly.monomial_values`, one over the action
-  matrices and one over the pullback series.  The basis is stored once,
+  matrices (over their first columns when Toeplitz) and one over the
+  pullback series (`branches._evaluation_columns`).  The basis is stored once,
   as the sparse rows of `kernel_echelon`; a row becomes a polynomial only
   when `polys` is iterated up to it.
 * top degree: once an ideal holds every monomial of degree d, its reduced
@@ -63,7 +78,7 @@ The key constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -72,9 +87,41 @@ from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, rref_rows
 from .poly import Poly, monomial_values, monomials_upto
+from .series import Series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def toeplitz_column(a: ExactMatrix):
+    """The first column of `a` as a Series when `a` is strictly
+    lower-triangular Toeplitz, checked entry by entry in O(dim^2): every
+    entry on and above the diagonal is zero and a[i][j] = a[i-j][0] below
+    it.  None for any other matrix.
+
+    Such a matrix is multiplication by its first column c(t) on
+    K[t]/(t^dim): the polynomial c(S) in the down-shift S.  These form the
+    commutative algebra K[t]/(t^dim), so two of them commute, each is
+    nilpotent, and a polynomial in them is the Toeplitz matrix of the same
+    polynomial in their columns, fixed by its own first column."""
+    r = a.rows
+    if r == 0 or a.cols != r:
+        return None
+    data = a.data
+    col = tuple(row[0] for row in data)
+    if col[0]:
+        return None
+    for i, row in enumerate(data):
+        if any(row[i + 1:]) or row[:i + 1] != col[i::-1]:
+            return None
+    return Series(col)
+
+
+def _toeplitz_matrix(s: Series) -> ExactMatrix:
+    """The lower-triangular Toeplitz matrix of `s`, multiplication by s on
+    K[t]/(t^trunc): entry (i, j) is s_(i-j)."""
+    c, r = s.coeffs, s.trunc
+    return ExactMatrix([c[i::-1] + (_ZERO,) * (r - 1 - i) for i in range(r)])
 
 
 @dataclass(frozen=True)
@@ -82,25 +129,35 @@ class FiniteModule:
     """Punctual module at the origin: dim + one action matrix per coordinate.
 
     Validation checks shapes, that the actions commute pairwise and that
-    each is nilpotent.  A strictly lower-triangular action is nilpotent, as
-    every fiber, jet and padded action built here is; any other action is
-    raised to the power dim.
+    each is nilpotent.  Every action is read by `toeplitz_column`, and
+    `columns` holds their first columns when all of them are strictly
+    lower-triangular Toeplitz, as every fiber's are; None otherwise.  Two
+    such actions commute, with no matrix product; any other pair is
+    multiplied out both ways.  A strictly lower-triangular action is
+    nilpotent, as every fiber, jet and padded action built here is; any
+    other action is raised to the power dim.
     """
 
     dim: int
     actions: tuple
+    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.actions:
             if not a.is_square() or a.rows != self.dim:
                 raise D0resError("action matrices must be square of the module dim")
+        columns = tuple(toeplitz_column(a) for a in self.actions)
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
+                if columns[i] is not None and columns[j] is not None:
+                    continue
                 if not commute(self.actions[i], self.actions[j]):
                     raise D0resError("coordinate actions must commute")
         for a in self.actions:
             if not a.is_strictly_lower() and not (a ** self.dim).is_zero():
                 raise NotNilpotent("action is not nilpotent: support is not punctual")
+        object.__setattr__(self, "columns", None if any(
+            c is None for c in columns) else columns)
 
     @property
     def ambient_dim(self):
@@ -312,9 +369,58 @@ def power_runs(module, coord: int, exponent: int):
     """The action of coordinate `coord` raised to `exponent`, as (block,
     copies) runs in block order.  A block-diagonal matrix's power is the
     block-diagonal sum of its blocks' powers, so a direct sum raises each
-    distinct summand's block once."""
+    distinct summand's block once (`_action_power`)."""
     runs = module.runs if isinstance(module, DirectSum) else ((module, 1),)
-    return [(s.actions[coord] ** exponent, c) for s, c in runs]
+    return [(_action_power(s, coord, exponent), c) for s, c in runs]
+
+
+def _action_power(module: FiniteModule, coord: int, k: int) -> ExactMatrix:
+    """The action of coordinate `coord` on `module` to the power k.
+
+    A strictly lower-triangular Toeplitz action is multiplication by its
+    first column a(t), and its power multiplication by a(t)^k.  A jet
+    action [[A, 0], [C, A]] with A of that shape and C zero but for its
+    last row c (`_jet_column`) has the power [[A^k, 0], [e c^T A^(k-1),
+    A^k]], e the last unit vector, for k >= 1: the lower-left block of
+    the power is the sum of A^i C A^j over i + j = k - 1, and A^i C = 0
+    for i >= 1 because A's last column is zero.  The row c^T A^(k-1) has
+    entry j = sum_i c_i q_(i-j), q(t) = a(t)^(k-1), which is the
+    t^(r-1-j) coefficient of rev(c)(t) q(t), rev(c) the series of c read
+    backwards.  Either way the dense block is built once, for the report.
+    Any other action is raised densely."""
+    a = module.actions[coord]
+    if module.columns is not None:
+        return _toeplitz_matrix(module.columns[coord] ** k)
+    jet = _jet_column(a) if k else None
+    if jet is None:
+        return a ** k
+    col, c = jet
+    q = col ** (k - 1)
+    top = _toeplitz_matrix(q * col).data
+    row = (Series(c[::-1]) * q).coeffs[::-1]
+    zeros = (_ZERO,) * col.trunc
+    return ExactMatrix([t + zeros for t in top]
+                       + [zeros + t for t in top[:-1]] + [row + top[-1]])
+
+
+def _jet_column(a: ExactMatrix):
+    """(column, c) when `a` reads [[A, 0], [C, A]] on two halves of its
+    basis, A strictly lower-triangular Toeplitz with first column `column`
+    (a Series) and C zero but for its last row c (a tuple), checked entry
+    by entry; None otherwise."""
+    if a.rows % 2 or a.cols != a.rows or not a.rows:
+        return None
+    r = a.rows // 2
+    data = a.data
+    col = toeplitz_column(ExactMatrix([row[:r] for row in data[:r]]))
+    if col is None:
+        return None
+    for top, bottom in zip(data[:r], data[r:]):
+        if any(top[r:]) or bottom[r:] != top[:r]:
+            return None
+    if any(any(bottom[:r]) for bottom in data[r:-1]):
+        return None
+    return col, data[-1][:r]
 
 
 # -- annihilators and lengths ------------------------------------------------------
@@ -447,21 +553,37 @@ def functional_ideal(degree_bound, monomials, rows) -> AnnihilatorIdeal:
 
 def _evaluation_rows(module: FiniteModule, degree):
     """Matrix of the evaluation map Poly_<=degree -> End(module); columns in
-    graded-lex monomial order, rows = flattened matrix entries."""
+    graded-lex monomial order, one row per functional.
+
+    When the actions are strictly lower-triangular Toeplitz (`columns`),
+    each monomial's value is the Toeplitz matrix of the product of their
+    first columns, one series product per monomial, and the rows are the
+    dim entries of that first column.  Every other entry of the value
+    repeats one of them or is zero, so these rows have the same kernel,
+    and the same rank, as the dim^2 rows of all entries, which any other
+    module is evaluated on, one matrix product per monomial."""
     monomials = monomials_upto(module.ambient_dim, degree)
-    values = monomial_values(module.actions, monomials,
-                             ExactMatrix.identity(module.dim))
-    cols = [value.flat() for value in values]
-    rows = [[cols[j][i] for j in range(len(monomials))]
-            for i in range(module.dim * module.dim)]
+    if module.columns is not None:
+        values = monomial_values(module.columns, monomials,
+                                 Series.one(module.dim))
+        cols = [value.coeffs for value in values]
+        nrows = module.dim
+    else:
+        values = monomial_values(module.actions, monomials,
+                                 ExactMatrix.identity(module.dim))
+        cols = [value.flat() for value in values]
+        nrows = module.dim * module.dim
+    rows = [[cols[j][i] for j in range(len(monomials))] for i in range(nrows)]
     return monomials, rows
 
 
 def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorIdeal:
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
-    the module, from its dim^2 action-matrix entries.  The default bound
-    (module dim) is provably enough: every monomial of degree >= dim kills a
-    punctual module of that dimension.
+    the module, from its action matrices: dim first-column rows for
+    Toeplitz actions, dim^2 entry rows otherwise (`_evaluation_rows`).  The
+    reduced echelon basis of the kernel is unique, so both give the same
+    ideal.  The default bound (module dim) is provably enough: every
+    monomial of degree >= dim kills a punctual module of that dimension.
     """
     if degree_bound is None:
         degree_bound = module.dim

@@ -45,17 +45,23 @@ and the witness search stops below d.
 The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
-polynomial kills a direct sum iff it kills each summand.  The padding
-check is the family's rank-r0 comparison: each member's ideal, the series
-entry at r0, against the matrix entry at r0, the generic annihilator of
-the bare rank-r0 fiber read off its action matrices; as both hold every
-monomial of degree r0, equality there is equality at bound r.  The fiber
+polynomial kills a direct sum iff it kills each summand.  Those actions
+are strictly lower-triangular Toeplitz, read entry by entry, so g kills a
+summand iff g at the actions' first columns is zero mod t^dim
+(`_kills`); a summand of any other shape is evaluated densely.  The
+padding check is the family's rank-r0 comparison: each member's ideal,
+the series entry at r0, against the matrix entry at r0, the generic
+annihilator of the bare rank-r0 fiber read off its action matrices (its
+r0 first-column rows, `modules.annihilator`); as both hold every monomial
+of degree r0, equality there is equality at bound r.  The fiber
 annihilator cross-check (`pushforward_restriction_oracle`) makes the same
 comparison at each of the report's small ranks 1..max_rank on the same
-stored entries, so no annihilator is computed twice.  The
-tangent test raises the test coordinate's action on each distinct summand
-once (`modules.power_runs`) and prints the jet power as those (block,
-copies) runs, so no part of a certificate grows with r above r0.
+stored entries, so no annihilator is computed twice.  The tangent test
+raises the test coordinate's action on each distinct summand once
+(`modules.power_runs`): a fiber action as the power of its first column,
+a jet action [[A, 0], [C, A]] in closed form, and only the block it
+prints is built.  It prints the jet power as those (block, copies) runs,
+so no part of a certificate grows with r above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -261,9 +267,14 @@ def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
 
 def _kills(g, fiber):
     """g acts as zero on the module `fiber` (its actions commute).  A direct
-    sum is killed iff every summand is, so each distinct one is checked."""
+    sum is killed iff every summand is, so each distinct one is checked.
+    On strictly lower-triangular Toeplitz actions g(A) is the Toeplitz
+    matrix of g at their first columns (`FiniteModule.columns`), so it is
+    zero iff that series is; any other module is evaluated densely."""
     if isinstance(fiber, DirectSum):
         return all(_kills(g, s) for s, _ in fiber.runs)
+    if fiber.columns is not None:
+        return g.eval_series(fiber.columns).is_zero_at_precision()
     return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
 
 
@@ -418,13 +429,14 @@ def pushforward_restriction_oracle(family: CertificateFamily, index: int,
 
     The fiber is the push-forward of K[t]/(t^d) along the branch map, and
     its annihilator is the ideal of the image subscheme.  The matrix route
-    evaluates every monomial on the Toeplitz actions `fiber_module` writes
-    (`annihilator`).  The series route reads the t^0..t^(d-1) coefficients
-    of f(x(t), y(t)), which is exact because the fiber is generated by 1
-    (`fiber_functionals`).  Both are the family's stored entries, and the
-    row at r0 compares what the padding check compares.  Both routes
-    give reduced echelon bases on the same graded columns, which are
-    unique, so `==` is exact.
+    reads the Toeplitz actions `fiber_module` writes, entry by entry, and
+    evaluates every monomial on their first columns (`annihilator`); a
+    fiber whose actions are not Toeplitz is evaluated densely.  The series
+    route reads the t^0..t^(d-1) coefficients of f(x(t), y(t)), which is
+    exact because the fiber is generated by 1 (`fiber_functionals`).  Both
+    are the family's stored entries, and the row at r0 compares what the
+    padding check compares.  Both routes give reduced echelon bases on the
+    same graded columns, which are unique, so `==` is exact.
 
     This checks equal annihilators, not isomorphic modules: K[t]/(t^d) need
     not be cyclic over the ambient ring (on the cusp at d = 2 every

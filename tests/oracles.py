@@ -39,10 +39,16 @@ routes, and only the tests call them:
   read at a higher bound by appending those bare rows; it reads a member
   ideal, which the program stores at bound min(r, r0), at the rank r the
   references compute at.
+* dense_annihilator: the annihilator of a module from all dim^2 entries
+  of every monomial's value, one matrix product per monomial; the
+  reference for `modules.annihilator`, which reads a Toeplitz fiber's dim
+  first-column entries.
 * padding_support_by_dense_annihilator: the padding check against the
-  generic annihilator of each bare rank-r0 fiber at the full bound r; the
+  dense annihilator of each bare rank-r0 fiber at the full bound r; the
   reference for `verify._padding_support_unchanged`, which compares at
   bound r0.
+* assembled: the block-diagonal matrix of `modules.power_runs`'s (block,
+  copies) runs, to compare with the dense power of a dense sum.
 * expand_jet_power: the dense rows of a tangent witness's printed
   `jet_power`, rebuilt from its (block, copies) runs with "0" off the
   blocks; the report prints the runs, and the tests compare these rows
@@ -60,8 +66,8 @@ from d0res.modules import (
     DirectSum,
     FiniteModule,
     JetPair,
-    annihilator,
     fiber_module,
+    functional_ideal,
 )
 from d0res.poly import Poly, grlex_key, monomial_values, monomials_upto
 from d0res.series import Series
@@ -402,13 +408,25 @@ def check_jet_dense(jet):
                     raise D0resError("action is off the jet frame")
 
 
+def dense_annihilator(module, degree_bound: int):
+    """The annihilator of `module` at `degree_bound`: every monomial up to
+    that degree evaluated on the action matrices, one row per entry of the
+    dim x dim values, whatever the actions' shape."""
+    monomials = monomials_upto(module.ambient_dim, degree_bound)
+    values = monomial_values(module.actions, monomials,
+                             ExactMatrix.identity(module.dim))
+    cols = [value.flat() for value in values]
+    rows = [[col[i] for col in cols] for i in range(module.dim * module.dim)]
+    return functional_ideal(degree_bound, monomials, rows)
+
+
 def padding_support_by_dense_annihilator(germ, r: int, ideals) -> bool:
-    """Each member ideal in `ideals` equals the generic annihilator of its
+    """Each member ideal in `ideals` equals the dense annihilator of its
     bare rank-r0 fiber, every monomial up to degree r evaluated on the
     fiber's action matrices."""
     if r == germ.r0:
         return True
-    return all(annihilator(fiber_module(b, germ.r0), r) == ideal
+    return all(dense_annihilator(fiber_module(b, germ.r0), r) == ideal
                for b, ideal in zip(germ.branches, ideals))
 
 
@@ -423,6 +441,11 @@ def with_bare_rows(ideal, bound: int):
         raise D0resError("bare rows extend an ideal on its graded monomials")
     bare = tuple(((c, Fraction(1)),) for c in range(start, len(monomials)))
     return AnnihilatorIdeal(bound, monomials, ideal.rows + bare)
+
+
+def assembled(runs):
+    """The block-diagonal sum of the (block, copies) `runs`."""
+    return ExactMatrix.block_diag(*[b for b, c in runs for _ in range(c)])
 
 
 def expand_jet_power(runs):

@@ -788,32 +788,106 @@ def _shifted_evaluation_columns(b, monomials, nt):
     return _evaluation_columns(shifted, monomials, nt)
 
 
+def _bumped_fiber_module(b, r):
+    """`fiber_module` with 1 added to x's action one entry below its first
+    column, at (r - 1, 1), from rank 3 on.  The action is no longer
+    Toeplitz, so the module is validated and read densely."""
+    fiber = modules_module.fiber_module(b, r)
+    if r < 3:
+        return fiber
+    data = [list(row) for row in fiber.actions[0].data]
+    data[r - 1][1] += 1
+    return FiniteModule(r, (ExactMatrix(data), *fiber.actions[1:]))
+
+
+# What catches each mutant: `oracle`'s exit code on each corpus request
+# (1 for a false cross-check row, 2 where the bumped x no longer commutes
+# with the other actions, 0 where the bump leaves the annihilators as they
+# are), then the request whose `analyze --strict` reports a false
+# cross-check row, and the padded rank at which its padding check fails.
+_SHIFTED = (dict.fromkeys(sorted(p.stem for p in CORPUS.glob("*.json")), 1),
+            "node", 3)
+CROSSCHECK_CATCHES = {
+    "_shifted_fiber_module": _SHIFTED,
+    "_shifted_evaluation_columns": _SHIFTED,
+    "_bumped_fiber_module": ({
+        "cusp": 0, "cyclotomic_triple": 2, "e6": 1, "gaussian_node": 2,
+        "node": 2, "parametric_cusp": 0, "ramphoid_cusp": 0,
+        "smooth_point": 1, "space_lines": 2, "tacnode": 1, "triple_point": 2,
+    }, "tacnode", 4),
+}
+
+
 @pytest.mark.parametrize("module, name, mutant", [
     (verify_module, "fiber_module", _shifted_fiber_module),
     (modules_module, "_evaluation_columns", _shifted_evaluation_columns),
+    (verify_module, "fiber_module", _bumped_fiber_module),
 ])
 def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
         monkeypatch, capsysbinary, module, name, mutant):
-    """Either route fed the fiber of t * s(t): `oracle` exits 1 on every
-    corpus request, and `analyze --strict` exits 1 on the node, whose
-    report range 1..2 holds a false row.  The padding check compares the
-    same two annihilators at r0, so the node at rank 3 fails it too."""
+    """Either route fed the fiber of t * s(t), or the matrix route fed a
+    fiber with one entry bumped below its first column, is caught where
+    `CROSSCHECK_CATCHES` says.  The shifted fibers fail `oracle` on every
+    corpus request, and `analyze --strict` on the node, whose report range
+    1..2 holds a false row; the padding check compares the same two
+    annihilators at r0, so the node at rank 3 fails it too.  The bumped
+    fiber fails the rank-3 row of the tacnode (r0 = 3) and its padding
+    check at rank 4."""
     monkeypatch.setattr(module, name, mutant)
+    oracle_rc, request, padded_rank = CROSSCHECK_CATCHES[mutant.__name__]
     paths = sorted(CORPUS.glob("*.json"))
-    assert len(paths) == 11
+    assert [path.stem for path in paths] == list(oracle_rc)
     for path in paths:
-        assert main(["oracle", str(path)]) == 1, path
-        out = json.loads(capsysbinary.readouterr().out.decode())
-        assert out["pass"] is False, path
-    assert main(["analyze", str(CORPUS / "node.json"), "--strict"]) == 1
+        assert main(["oracle", str(path)]) == oracle_rc[path.stem], path
+        captured = capsysbinary.readouterr()
+        if oracle_rc[path.stem] == 2:
+            assert b"coordinate actions must commute" in captured.err, path
+        else:
+            out = json.loads(captured.out.decode())
+            assert out["pass"] is (oracle_rc[path.stem] == 0), path
+    path = str(CORPUS / f"{request}.json")
+    assert main(["analyze", path, "--strict"]) == 1
     out = json.loads(capsysbinary.readouterr().out.decode())
     assert not all(ok for row in out["oracles"]["fiber_annihilator_crosscheck"]
                    for ok in row["results"].values())
-    assert main(["analyze", str(CORPUS / "node.json"), "--rank", "3",
-                 "--strict"]) == 1
+    assert main(["analyze", path, "--rank", str(padded_rank), "--strict"]) == 1
     out = json.loads(capsysbinary.readouterr().out.decode())
     (cert,) = out["certificates"]
     assert cert["padding_support_ok"] is False and cert["pass"] is False
+
+
+def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,
+                                          capsysbinary):
+    """With the Toeplitz reader switched off every module is validated,
+    annihilated and raised densely.  Every corpus report and `oracle`
+    output, and the reports of y^2 - x^(2c) for c = 4, 8 and 16, are
+    byte-identical to the Toeplitz route's."""
+    runs = [["oracle", str(path)] for path in sorted(CORPUS.glob("*.json"))]
+    runs += [["analyze", str(path)] for path in sorted(CORPUS.glob("*.json"))]
+    for c in (4, 8, 16):
+        runs.append(["analyze", write_request(
+            tmp_path, f"contact{c}.json", {"curve": {"implicit": {"poly": [
+                [[0, 2], "1"], [[2 * c, 0], "-1"]]}}})])
+
+    def outputs():
+        printed = []
+        for args in runs:
+            assert main(args) == 0, args
+            printed.append(capsysbinary.readouterr().out)
+        return printed
+
+    read = []
+    reader = modules_module.toeplitz_column
+
+    def recorded(a):
+        read.append(reader(a))
+        return read[-1]
+
+    monkeypatch.setattr(modules_module, "toeplitz_column", recorded)
+    structured = outputs()
+    assert any(column is not None for column in read)
+    monkeypatch.setattr(modules_module, "toeplitz_column", lambda a: None)
+    assert outputs() == structured
 
 
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res.branches import BranchParam
@@ -25,14 +27,18 @@ from d0res.modules import (
     kernel_echelon,
     nilpotency_index,
     pad,
+    power_runs,
     support_length,
+    toeplitz_column,
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
-from d0res.verify import CertificateFamily
+from d0res.verify import CertificateFamily, _kills
 from oracles import (
+    assembled,
     check_jet_dense,
     check_module_dense,
+    dense_annihilator,
     dense_sum,
     eval_series_at_matrix,
     multiplication_matrix,
@@ -468,3 +474,159 @@ def test_triangular_shortcut_agrees_with_dense_powers(repo_corpus_germs):
                     for a in module.actions:
                         assert a.is_strictly_lower(), (name, i, r)
                         assert (a ** module.dim).is_zero(), (name, i, r)
+
+
+# -- the Toeplitz routes against the dense ones ----------------------------
+
+# the fields of the Gaussian node and of the cyclotomic triple
+CYCLOTOMIC = NumberField([1, 1, 1])
+
+
+@st.composite
+def toeplitz_branches(draw):
+    """A branch over QQ, QQ(i) or QQ(a), a^2 + a + 1 = 0, with two or three
+    sparse coordinates of order >= 1 at truncation 10, enough for jets of
+    rank 8; non-primitive draws are skipped."""
+    field = draw(st.sampled_from([None, GAUSS, CYCLOTOMIC]))
+    small = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=3))
+    scalar = small if field is None else st.lists(
+        small, min_size=2, max_size=2).map(field.element)
+    coords = tuple(Series([F(0)] + [draw(scalar) for _ in range(9)])
+                   for _ in range(draw(st.integers(2, 3))))
+    exps = [e for s in coords for e, c in enumerate(s.coeffs)
+            if not scalar_is_zero(c)]
+    assume(reduce(gcd, exps, 0) in (0, 1))
+    return BranchParam(coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(toeplitz_branches(), st.integers(1, 8))
+def test_toeplitz_annihilator_equals_the_dense_one(b, r):
+    """The fiber's actions are read as Toeplitz, and its annihilator from
+    r first-column rows equals the one from all r^2 entries, at bound r
+    and above it."""
+    fiber = fiber_module(b, r)
+    assert fiber.columns == tuple(s.truncate(r) for s in b.coords)
+    for bound in (r, r + 1):
+        assert annihilator(fiber, bound) == dense_annihilator(fiber, bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(toeplitz_branches(), st.integers(1, 8))
+def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
+    """`power_runs` on the bare rank-r jet and on it padded with two
+    skyscraper jets equals the dense power of the dense sum, fiber and
+    jet, every coordinate, k = 0..r+1."""
+    jet = jet_pair(b, r)
+    for member in (jet, pad(jet, graph_skyscraper(b)[1], 2)):
+        dense = dense_sum(member)
+        for module, dense_module in ((member.m1, dense.m1),
+                                     (member.m2, dense.m2)):
+            for coord, a in enumerate(dense_module.actions):
+                for k in range(r + 2):
+                    assert assembled(power_runs(module, coord, k)) == a ** k
+
+
+@settings(max_examples=30, deadline=None)
+@given(toeplitz_branches(), st.integers(1, 8))
+def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
+    """Each basis row of the rank-r fiber's annihilator is judged on the
+    fibers of ranks 1..8, which those above r need not be killed by, and
+    on the rank-r fiber padded with skyscrapers, as the dense evaluation
+    judges it."""
+    ideal = annihilator(fiber_module(b, r), r)
+    fibers = [fiber_module(b, k) for k in range(1, 9)]
+    fibers.append(pad(fibers[r - 1], graph_skyscraper(b)[0], 2))
+    for g in ideal.polys:
+        for fiber in fibers:
+            dense = dense_sum(fiber)
+            assert _kills(g, fiber) == g.evaluate(
+                dense.actions, ExactMatrix.identity(dense.dim)).is_zero()
+
+
+def test_toeplitz_column_reads_entry_by_entry():
+    """The reader returns the first column of a strictly lower-triangular
+    Toeplitz matrix, and None once any one entry breaks the shape.  The
+    bottom entry of the first column lies on a diagonal of its own, so
+    bumping it gives the Toeplitz matrix of s + t^3."""
+    b = B([(1, 1), (2, 3)], [(2, 1), (3, F(1, 2))])
+    for a, s in zip(fiber_module(b, 4).actions, b.coords):
+        assert toeplitz_column(a) == s.truncate(4)
+        for i in range(4):
+            for j in range(4):
+                if (i, j) != (3, 0):
+                    assert toeplitz_column(_bumped(a, i, j)) is None, (i, j)
+        assert (toeplitz_column(_bumped(a, 3, 0))
+                == s.truncate(4) + Series.monomial(3, F(1), 4))
+    assert toeplitz_column(ExactMatrix.zeros(3, 3)) == Series.zero(3)
+    assert toeplitz_column(ExactMatrix.zeros(2, 3)) is None
+
+
+def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
+        repo_corpus_germs, monkeypatch):
+    """Every corpus member's fiber and jet actions, at r0 and padded at
+    r0 + 2, are raised in closed form, with no matrix power."""
+    def refused(self, n):
+        raise AssertionError("dense power")
+
+    monkeypatch.setattr(ExactMatrix, "__pow__", refused)
+    for germ in repo_corpus_germs.values():
+        family = CertificateFamily(germ)
+        for i in range(germ.k):
+            for r in (germ.r0, germ.r0 + 2):
+                jet = family.member(i, r)
+                for coord in range(germ.branches[i].ambient_dim):
+                    for e in (1, germ.r0):
+                        power_runs(jet.m1, coord, e)
+                        power_runs(jet.m2, coord, e)
+
+
+def test_toeplitz_action_with_a_diagonal_is_not_nilpotent():
+    """A Toeplitz action with a nonzero diagonal is not read as Toeplitz;
+    it commutes with a fiber action, and its dense power is not zero."""
+    fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
+    diagonal = M([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    assert toeplitz_column(diagonal) is None
+    with pytest.raises(NotNilpotent):
+        FiniteModule(3, (diagonal, fiber.actions[1]))
+
+
+def test_one_entry_below_the_first_column_is_checked_densely():
+    """A fiber action bumped one entry below its first column is no longer
+    Toeplitz: the pair is multiplied out, and it does not commute."""
+    fiber = fiber_module(B([(1, 1)], [(1, 1), (2, 1)]), 4)
+    x = _bumped(fiber.actions[0], 2, 1)
+    assert toeplitz_column(x) is None
+    with pytest.raises(D0resError, match="coordinate actions must commute"):
+        FiniteModule(4, (x, fiber.actions[1]))
+
+
+_JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
+
+
+@pytest.mark.parametrize("action", [
+    _bumped(_JET_X, 4, 0),              # C nonzero off its last row
+    _bumped(_JET_X, 5, 3),              # bottom-right block is not A
+    M([[0, 1], [0, 0]]),                # top-right block is not zero
+])
+def test_actions_off_the_closed_jet_form_are_raised_densely(action,
+                                                            monkeypatch):
+    """An action that is not [[A, 0], [C, A]] with A Toeplitz and C zero
+    but for its last row is raised as a matrix by `power_runs`, and its
+    powers are `**`'s."""
+    module = FiniteModule(action.rows, (action,))
+    assert module.columns is None
+    powers = []
+    original = ExactMatrix.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ExactMatrix, "__pow__", counted)
+    for k in range(1, action.rows + 1):
+        (block, copies), = power_runs(module, 0, k)
+        assert copies == 1 and block == original(action, k)
+    assert powers == list(range(1, action.rows + 1))

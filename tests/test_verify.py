@@ -50,7 +50,9 @@ from d0res.verify import (
     separates_tangents,
 )
 from oracles import (
+    assembled,
     check_jet_dense,
+    dense_annihilator,
     dense_sum,
     eval_series_at_matrix,
     expand_jet_power,
@@ -100,7 +102,8 @@ def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
                 assert stored.degree_bound == min(r, germ.r0), (name, i, r)
                 assert stored.holds_top_degree(), (name, i, r)
                 fast = with_bare_rows(stored, r)
-                oracle = annihilator(dense_sum(family.member(i, r)).m1, r)
+                oracle = dense_annihilator(
+                    dense_sum(family.member(i, r)).m1, r)
                 assert fast == oracle, (name, i, r)
                 assert hash(fast) == hash(oracle)
                 assert all([c for c, _ in row] == sorted(c for c, _ in row)
@@ -336,15 +339,10 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
                 coord, e = _test_coordinate(b), germ.r0 // germ.n[i]
                 f1 = dense.m1.actions[coord] ** e
                 f2 = dense.m2.actions[coord] ** e
-                assert _assembled(power_runs(jet.m1, coord, e)) == f1, (name, i, r)
-                assert _assembled(power_runs(jet.m2, coord, e)) == f2, (name, i, r)
+                assert assembled(power_runs(jet.m1, coord, e)) == f1, (name, i, r)
+                assert assembled(power_runs(jet.m2, coord, e)) == f2, (name, i, r)
                 assert expand_jet_power(v.witness["jet_power"]) == [
                     [format_scalar(x) for x in row] for row in f2.data]
-
-
-def _assembled(runs):
-    """The block-diagonal sum of the (block, copies) `runs`."""
-    return ExactMatrix.block_diag(*[b for b, c in runs for _ in range(c)])
 
 
 def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
