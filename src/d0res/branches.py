@@ -31,7 +31,13 @@ from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import rref_rows
 from .poly import Poly, is_reduced_at, monomial_values, monomials_upto
-from .puiseux import FieldContext, chart_orders, expansion_leaves, leaf_to_coords
+from .puiseux import (
+    FieldContext,
+    chart_orders,
+    characteristic,
+    expansion_leaves,
+    leaf_to_coords,
+)
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -96,6 +102,19 @@ class BranchParam:
         read it."""
         return implicit_equation(self)
 
+    @cached_property
+    def _semigroup(self):
+        """`_value_semigroup` of this branch, built once, whichever pairs
+        and truncation needs read it."""
+        return _value_semigroup(self, branch_multiplicity(self))
+
+    @property
+    def primitive_truncation(self):
+        """The least truncation at which this branch's exponents have gcd
+        1 (`primitive_at`); a longer lift of the same branch keeps them."""
+        return primitive_at(i for s in self.coords
+                            for i, c in enumerate(s.coeffs) if not scalar_is_zero(c))
+
     def reparametrized(self, unit: Series) -> "BranchParam":
         """Substitute t -> unit(t) * t (unit(0) != 0); same branch, new chart."""
         if unit.order() != 0:
@@ -155,6 +174,33 @@ class Germ:
     def is_singular(self):
         return self.k >= 2 or any(ni >= 2 for ni in self.n)
 
+    @property
+    def primitive_truncation(self):
+        """The truncation past which every branch is primitive, read off
+        its exponents."""
+        return max(b.primitive_truncation for b in self.branches)
+
+    @property
+    def colength_truncation(self):
+        """The truncation the colength row reads (`colength_reach`), from
+        each branch's value semigroup; 0 for a space germ, which has no
+        colength row, or a single branch."""
+        if self.k < 2 or self.branches[0].ambient_dim != 2:
+            return 0
+        return colength_reach(self.n, self.l_matrix,
+                              [b._semigroup[1] for b in self.branches])
+
+
+def primitive_at(exponents) -> int:
+    """The least truncation T at which the exponents below T have gcd 1;
+    None when they never do."""
+    g = 0
+    for e in sorted(exponents):
+        g = gcd(g, e)
+        if g == 1:
+            return e + 1
+    return None
+
 
 def branch_multiplicity(b: BranchParam) -> int:
     """Least vanishing order among the coordinate pullbacks."""
@@ -183,13 +229,63 @@ class NewtonTree:
     def r0(self):
         return critical_rank(self.n, self.l_matrix)[2]
 
+    @cached_property
+    def _characteristics(self):
+        """`puiseux.characteristic` of each branch, in lift order; an axis
+        is the smooth (1, [])."""
+        axis = [(1, [])]
+        return (axis * self.y_axis + [characteristic(leaf) for leaf in self.leaves]
+                + axis * self.x_axis)
+
+    @property
+    def primitive_truncation(self):
+        """The truncation past which every lifted branch is primitive:
+        past x's exponent N and y's characteristic exponents, as far as
+        their gcd reaches 1 (`primitive_at`).  Those terms are nonzero in
+        every lift that reaches them.  A tail term may bring the gcd to 1
+        sooner, but it is unknown before the lift."""
+        return max(primitive_at([big_n, *(beta for beta, _ in pairs)])
+                   for big_n, pairs in self._characteristics)
+
+    @property
+    def conductors(self):
+        """The conductor c of each branch's value semigroup, from its
+        characteristic exponents beta_i with respect to x = a*t^N and the
+        gcds e_i after them (e_0 = N):
+
+            c = sum_i (e_(i-1) - e_i) * (beta_i - 1).
+
+        The conductor of a branch is its Milnor number mu.  Along the
+        branch f_y has order sum_i (e_(i-1) - e_i) * beta_i, the sum of the
+        orders of y(t) - y(zeta*t) over the N-th roots of unity zeta != 1,
+        and I(f, x) = N; Teissier's lemma I(f, f_y) = mu + I(f, x) - 1
+        gives mu.  x need not be transversal, so N may exceed the
+        multiplicity (Wall, Singular Points of Plane Curves, 2004, ch. 4).
+        An axis branch is smooth, of conductor 0."""
+        out = []
+        for big_n, pairs in self._characteristics:
+            c, prev = 0, big_n
+            for beta, e in pairs:
+                c += (prev - e) * (beta - 1)
+                prev = e
+            out.append(c)
+        return tuple(out)
+
+    @property
+    def colength_truncation(self):
+        """The truncation the colength row reads (`colength_reach`)."""
+        return colength_reach(self.n, self.l_matrix, self.conductors)
+
     def lift(self, trunc: int):
         """The branches lifted to truncation trunc, in tree order, each
         checked to annihilate the local equation to that precision, their
         multiplicities summing to the germ's.  No part of the tree depends
-        on trunc."""
-        if trunc < 4:
-            raise D0resError("truncation too small for branch decomposition")
+        on trunc; below its `primitive_truncation` some branch would not be
+        primitive, and the lift asks for that truncation."""
+        need = self.primitive_truncation
+        if trunc < need:
+            raise RaiseTruncation(f"the tree's branches are primitive from "
+                                  f"truncation {need} on", needed=need)
         branches = []
         if self.y_axis:
             branches.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
@@ -512,8 +608,8 @@ def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
     exact.  Space germs take their l_ij, and so their r0, from it.
     """
     mi, mj = branch_multiplicity(bi), branch_multiplicity(bj)
-    below_ci, ci = _value_semigroup(bi, mi)
-    _, cj = _value_semigroup(bj, mj)
+    below_ci, ci = bi._semigroup
+    cj = bj._semigroup[1]
     e = mi
     while True:
         k = -(-(e + ci) // mi) + 1
@@ -540,6 +636,29 @@ def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
             continue
         n = orders[0] + ci
         return below_ci + (n - ci) - sum(1 for v in orders if v < n)
+
+
+def colength_reach(n, l_matrix, conductors) -> int:
+    """The truncation at which `colength_intersection_length(b_i, b_j)`
+    decides every pair i < j of branches with multiplicities n,
+    intersection lengths l_matrix and conductors c.
+
+    On a plane germ e = min v(J) is l_ij, as J = g_j O_i for the equation
+    g_j of branch j.  The count reads branch i to e + c_i and branch j to
+    T = K*m_j + c_j with K = ceil((e + c_i) / m_i) + 1, and raises below
+    either.  T > l_ij, so the element of order l_ij is seen.  Each guess
+    of e on the way is at most the least order along branch i of a space
+    W that holds the part of g_j of degree <= D, so at most l_ij unless
+    that part cancels to a higher order; such a guess raises, and costs a
+    re-lift.  The conductors come first, at c + m (`_value_semigroup`),
+    which l_ij + c_i >= m_i + c_i and T >= 2*m_j + c_j cover."""
+    need = 0
+    for i in range(len(n)):
+        for j in range(i + 1, len(n)):
+            reach = l_matrix[i][j] + conductors[i]
+            k = -(-reach // n[i]) + 1
+            need = max(need, reach, k * n[j] + conductors[j])
+    return need
 
 
 def _value_semigroup(b: BranchParam, m: int):

@@ -528,3 +528,26 @@ def chart_orders(leaf: _Leaf):
         orders.append((p * m, q * m))
         m *= p
     return orders[::-1]
+
+
+def characteristic(leaf: _Leaf):
+    """(N, pairs) of a leaf's branch: x = c*t^N, and for each level with
+    p > 1, outermost first, the pair (beta, e) of a characteristic exponent
+    beta of y with respect to x and the gcd e of N and every exponent of y
+    up to beta.
+
+    Below level i the chart's x_i is a monomial of order M_i (the product
+    of the p below it, M_0 = N), and y = x_1^q_1*(B_1 + x_2^q_2*(B_2 + ...))
+    with every B != 0.  So y's exponents are S_i = q_1*M_1 + ... + q_i*M_i,
+    one per level, then S_i plus the tail's; the gcd of N, S_1..S_i is M_i,
+    which drops exactly at the levels with p > 1.  No truncation enters."""
+    ms = [1]
+    for (p, _, _, _) in reversed(leaf.levels):
+        ms.append(ms[-1] * p)
+    ms.reverse()
+    pairs, beta = [], 0
+    for i, (p, q, _, _) in enumerate(leaf.levels):
+        beta += q * ms[i + 1]
+        if p > 1:
+            pairs.append((beta, ms[i + 1]))
+    return ms[0], pairs

@@ -38,16 +38,17 @@ from .poly import Poly, var_names
 from .puiseux import FieldContext, has_rational_factor
 from .series import Series
 from .verify import (
-    ORACLE_MAX_RANK,
     CertificateFamily,
     certify,
     graph_jet_class_vanishes,
+    oracle_rank,
     pushforward_restriction_oracle,
 )
 
 _ZERO = Fraction(0)
 
 DEFAULT_TRUNCATION_CEILING = 4096
+_NEED = "the report's checks read that far"
 _REQUEST_KEYS = ("curve", "point", "ranks", "truncation", "format", "field")
 _CURVE_KEYS = ("implicit", "branches")
 _COORD_KEYS = ("x", "y", "z", "w")
@@ -336,30 +337,52 @@ def truncation_ceiling() -> int:
     return DEFAULT_TRUNCATION_CEILING
 
 
-def default_truncation(ranks, multiplicities) -> int:
-    """The truncation the pipeline lifts to for these ranks, at least 32.
-    `run_with_escalation` passes each rank capped at r0 + 2."""
-    return max(32, 8 * max(ranks) * max(multiplicities))
+def needed_truncation(invariants, ranks) -> int:
+    """The truncation a request's readers need at these ranks, on a germ
+    or its Newton tree, both of which carry n, l_matrix and r0 (the tree's
+    are the germ's): the largest of these needs.
+
+    - Fibers and jets.  The rank-r member is the rank-d jet pair, d =
+      min(r, r0), padded above r0 with rank-1 skyscraper jets.  A rank-d
+      fiber reads t^0..t^(d-1), and `modules.jet_pair` reads d + 1 terms,
+      so the ranks need min(max(ranks), r0) + 1: above r0 the rank does
+      not drive the truncation.
+    - The oracle.  The fiber cross-check at ranks 1..`oracle_rank(r0)`
+      needs one term more than its top rank.
+    - Primitivity.  A branch lifted short of its last characteristic
+      exponent is not primitive and asks for more (`BranchParam`); the
+      tree reads that exponent off its levels (`primitive_truncation`).
+    - The colength row.  It reads branch i to l_ij + c_i and branch j to
+      K*m_j + c_j, with each branch's conductor c from its characteristic
+      exponents on a tree and from its value semigroup on a germ
+      (`branches.colength_reach`).
+
+    The need is at least 4, the least truncation a request may ask for
+    (`check_truncation`), so that every report can be asked for again at
+    the truncation it prints.  Every reader keeps its own RaiseTruncation:
+    a need stated too small here costs a re-lift, never a verdict.
+    """
+    r0 = invariants.r0
+    return max(4, min(max(ranks), r0) + 1, oracle_rank(r0) + 1,
+               invariants.primitive_truncation, invariants.colength_truncation)
 
 
 def _ranks(req: AnalysisRequest, invariants):
-    """(ranks, driving ranks) of a request on a germ or a Newton tree, both
-    of which carry `r0`: the requested ranks, r0..r0 + 2 by default, and
-    each capped at r0 + 2 for the truncation (`predicted_truncation`)."""
+    """The requested ranks, r0..r0 + 2 by default, on a germ or a Newton
+    tree, both of which carry `r0`."""
     r0 = invariants.r0
-    ranks = req.ranks or [r0, r0 + 1, r0 + 2]
-    return ranks, [min(r, r0 + 2) for r in ranks]
+    return req.ranks or [r0, r0 + 1, r0 + 2]
 
 
 def predicted_truncation(req: AnalysisRequest, invariants) -> int:
-    """The truncation a request needs on a germ or a Newton tree, both of
-    which carry `n` and `r0` (the tree's are the germ's): the requested
-    one, else the one its driving ranks need.  An implicit run starts
-    there; an explicit run jumps there once its first attempt has proven
-    the germ's invariants.  Only a RaiseTruncation takes a run above it."""
+    """The truncation a request needs on a germ or a Newton tree: the
+    requested one, else the one its readers need (`needed_truncation`).
+    An implicit run starts there; an explicit run jumps there once its
+    first attempt has proven the germ's invariants.  Only a
+    RaiseTruncation takes a run above it."""
     if req.truncation is not None:
         return req.truncation
-    return default_truncation(_ranks(req, invariants)[1], invariants.n)
+    return needed_truncation(invariants, _ranks(req, invariants))
 
 
 def _build_branches(req: AnalysisRequest, trunc: int, tree):
@@ -402,39 +425,39 @@ def run_with_escalation(req: AnalysisRequest, stage):
     """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation raises.
 
     An implicit request builds its Newton tree (`branches.newton_tree`)
-    once.  The tree fixes n, l_ij and r0 with no truncation, so the run
-    starts at the truncation they ask for (`predicted_truncation`),
-    checked against the ceiling before any lift.  Each attempt lifts the
+    once.  The tree fixes n, l_ij, r0 and each branch's characteristic
+    exponents with no truncation, so the run starts at the truncation the
+    checks ask for (`predicted_truncation`), checked against the ceiling
+    before any lift.  Each attempt lifts the
     branches from the tree at its own truncation, and the invariants are
     the tree's (`germ_invariants` checks each lifted branch's
     multiplicity); the report's colength row recomputes every l_ij on the
     final branches as the independent check.  Explicit branches have no
-    tree: their ladder starts at 32 (or the requested truncation), the
+    tree: their ladder starts at 4 (or the requested truncation), the
     invariants are proven on the first attempt that decides them, and the
     run then jumps to `predicted_truncation` on the germ if it is below it
     (never with a requested truncation, which it starts at).
 
-    A raise (to the truncation the ranks need, or after a RaiseTruncation
+    A raise (to the truncation the checks need, or after a RaiseTruncation
     from the branches, the invariants, certificates or oracles) carries
     the invariants to the next attempt's branches (`carry_invariants`).
     The retry sequence depends only on the input, and every truncation
-    tried, requested, needed by the ranks or doubled, is capped by the
+    tried, requested, needed by the checks or doubled, is capped by the
     ceiling.
 
-    The ranks drive the truncation only up to r0 + 2, the top default rank.
     Above r0 a member is the rank-r0 jet plus skyscrapers, and its checks
-    read r0 + 1 series terms whatever the rank; a builder that needs more
-    raises RaiseTruncation, and the truncation doubles.
+    read r0 + 1 series terms whatever the rank (`needed_truncation`); a
+    reader that needs more raises RaiseTruncation, and the truncation
+    doubles.
     """
     ceiling = truncation_ceiling()
     ctx = FieldContext(req.field)
     tree = proven = None
     if req.kind == "implicit":
         tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
-        trunc = predicted_truncation(req, tree)
-        reason = f"rank {max(_ranks(req, tree)[1])} needs it"
+        trunc, reason = predicted_truncation(req, tree), _NEED
     else:
-        trunc, reason = req.truncation or 32, "the starting truncation"
+        trunc, reason = req.truncation or 4, "the starting truncation"
     while True:
         if trunc > ceiling:
             raise D0resError(
@@ -447,12 +470,11 @@ def run_with_escalation(req: AnalysisRequest, stage):
                 germ = proven = germ_invariants(branches, req.point, tree)
             else:
                 germ = carry_invariants(proven, branches)
-            ranks, driving = _ranks(req, germ)
             needed = predicted_truncation(req, germ)
             if trunc < needed:
-                trunc, reason = needed, f"rank {max(driving)} needs it"
+                trunc, reason = needed, _NEED
                 continue
-            return stage(germ, ctx, trunc, ranks)
+            return stage(germ, ctx, trunc, _ranks(req, germ))
         except RaiseTruncation as exc:
             trunc, reason = max(trunc * 2, exc.needed or 0), exc
 
@@ -467,7 +489,7 @@ def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
     """The report of one analysed germ: one family's certificates, oracles."""
     family = CertificateFamily(germ)
     certificates = [_certificate_block(family, r) for r in ranks]
-    oracles = _oracle_block(family, min(ORACLE_MAX_RANK, max(2, germ.r0)))
+    oracles = _oracle_block(family, oracle_rank(germ.r0))
     warnings = list(germ.notes)
     for r in ranks:
         if r < germ.r0:

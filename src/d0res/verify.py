@@ -101,6 +101,12 @@ INCONCLUSIVE = "inconclusive"
 ORACLE_MAX_RANK = 4
 
 
+def oracle_rank(r0: int) -> int:
+    """The top rank of a report's cross-check rows: r0, at least 2 and at
+    most ORACLE_MAX_RANK."""
+    return min(ORACLE_MAX_RANK, max(2, r0))
+
+
 @dataclass(frozen=True)
 class SeparationVerdict:
     kind: str                 # "points" | "tangents"

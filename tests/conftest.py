@@ -49,12 +49,19 @@ def corpus_germs():
     return germs
 
 
+# A truncation past what the tests read off the corpus branches (jets to
+# rank 10, fibers to r0 + 3, dense equation solves); a request lifts only
+# as far as its own checks read (`report.needed_truncation`).
+LONG_TRUNCATION = 32
+
+
 @pytest.fixture(scope="session")
 def repo_corpus_germs():
     """Every `corpus/*.json` germ, both extension fields and the space
-    branches included."""
+    branches included, lifted to LONG_TRUNCATION."""
     germs = {}
     for path in sorted(CORPUS.glob("*.json")):
-        req = parse_request(json.loads(path.read_text()))
+        req = parse_request({**json.loads(path.read_text()),
+                             "truncation": LONG_TRUNCATION})
         germs[path.stem] = run_with_escalation(req, lambda g, c, t, r: g)
     return germs

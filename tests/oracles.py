@@ -53,8 +53,14 @@ routes, and only the tests call them:
   `jet_power`, rebuilt from its (block, copies) runs with "0" off the
   blocks; the report prints the runs, and the tests compare these rows
   with the dense power of the member's dense sum.
+* margin_truncation / cut_report: the truncation an analysis once lifted
+  to by default, max(32, 8 * max(min(r, r0 + 2)) * max(n)), and a longer
+  report cut down to a shorter truncation; the reference for the reports
+  at `report.needed_truncation`, which must differ from the reports at
+  that margin in nothing but the truncation and the series tails.
 """
 
+import copy
 from fractions import Fraction
 
 from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
@@ -70,6 +76,7 @@ from d0res.modules import (
     functional_ideal,
 )
 from d0res.poly import Poly, grlex_key, monomial_values, monomials_upto
+from d0res.report import emit_report, parse_request, run_analyze
 from d0res.series import Series
 
 _ZERO = Fraction(0)
@@ -462,3 +469,42 @@ def expand_jet_power(runs):
                         + [zero] * (size - start - len(row)))
         start += len(block)
     return rows
+
+
+def margin_truncation(report) -> int:
+    """The truncation the margin rule max(32, 8 * r * max(n)), each
+    certified rank r capped at r0 + 2, gives the germ of `report`."""
+    germ = report["germ"]
+    ranks = [min(cert["rank"], germ["r0"] + 2) for cert in report["certificates"]]
+    return max(32, 8 * max(ranks) * max(germ["n"]))
+
+
+def cut_report(report, trunc: int):
+    """`report` with every printed series cut below `trunc`, every
+    truncation field set to `trunc` and no echoed truncation."""
+    out = copy.deepcopy(report)
+    out["input"].pop("truncation", None)
+    out["truncation"] = trunc
+    for branch in out["germ"]["branches"]:
+        for name in ("x", "y", "z", "w"):
+            if name in branch:
+                branch[name] = [pair for pair in branch[name] if pair[0] < trunc]
+        branch["truncation"] = trunc
+    return out
+
+
+def margin_report_mismatches(request_obj) -> list:
+    """The formats in which the report of `request_obj` differs from its
+    report at the margin's truncation (`margin_truncation`) cut down to
+    the report's own truncation (`cut_report`); empty when only the
+    truncation fields, the echoed truncation and the series tails differ.
+    Raises if the margin lift is not the longer one."""
+    short = run_analyze(parse_request(request_obj))
+    margin = margin_truncation(short)
+    long = run_analyze(parse_request({**request_obj, "truncation": margin}))
+    if long["truncation"] < short["truncation"]:
+        raise D0resError(f"the margin's lift {long['truncation']} is shorter "
+                         f"than the need {short['truncation']}")
+    cut = cut_report(long, short["truncation"])
+    return [fmt for fmt in ("json", "text")
+            if emit_report(cut, fmt) != emit_report(short, fmt)]

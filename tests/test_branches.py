@@ -27,7 +27,7 @@ from d0res.poly import Poly, poly_text
 from d0res.report import parse_request, run_with_escalation
 from d0res.series import Series
 
-from conftest import EXPECTED_INVARIANTS
+from conftest import EXPECTED_INVARIANTS, LONG_TRUNCATION
 from oracles import (
     sylvester_resultant_equation,
     undetermined_coefficients_equation,
@@ -79,14 +79,15 @@ def _below_x_power(g, bound):
 
 def _plane_lifts(repo_corpus_germs):
     """Every plane corpus branch, then the branches of the six rational
-    germ snapshots, the QQ(sqrt(-a)) node among them, at the truncation
-    their requests run at."""
+    germ snapshots, the QQ(sqrt(-a)) node among them, at LONG_TRUNCATION,
+    where the dense solve is exact mod a positive power of x."""
     for name, germ in repo_corpus_germs.items():
         for b in germ.branches:
             if b.ambient_dim == 2:
                 yield name, b
     for path in sorted(DATA.glob("rational_*.json")):
-        req = parse_request(json.loads(path.read_text())["input"])
+        req = parse_request({**json.loads(path.read_text())["input"],
+                             "truncation": LONG_TRUNCATION})
         germ = run_with_escalation(req, lambda g, c, t, r: g)
         for b in germ.branches:
             yield path.stem, b

@@ -109,12 +109,15 @@ def test_text_report_parenthesizes_field_coefficients(capsysbinary):
     rc = main(["analyze", str(CORPUS / "cyclotomic_triple.json"), "--format", "text"])
     out = capsysbinary.readouterr().out.decode()
     assert rc == 0
-    assert "y(t) = (-1-a)*t + O(t^32)" in out
+    assert "y(t) = (-1-a)*t + O(t^4)" in out
     assert "(witness x+(1+a)*y)" in out
 
 
 def test_text_report_series_signs(capsysbinary):
-    rc = main(["analyze", str(CORPUS / "node.json"), "--format", "text"])
+    """Signs join the terms, and a series past six terms ends in '...';
+    the node's default lift is 4 terms, so the series are lifted to 32."""
+    rc = main(["analyze", str(CORPUS / "node.json"), "--format", "text",
+               "--truncation", "32"])
     out = capsysbinary.readouterr().out.decode()
     assert rc == 0
     assert ("y(t) = -t - 1/2*t^2 + 1/8*t^3 - 1/16*t^4 + 5/128*t^5 - 7/256*t^6"
@@ -400,25 +403,32 @@ def test_the_term_degree_limit_follows_the_ceiling(tmp_path, capsysbinary,
         "truncation ceiling 8 (set D0RES_MAX_TRUNCATION to raise it)\n")
 
 
-def test_rank_driven_truncation_obeys_ceiling(capsysbinary, monkeypatch):
-    """The truncation a requested rank needs (8 * min(8, r0 + 2) * 2 = 64
-    for the cusp at rank 8) is capped by D0RES_MAX_TRUNCATION like every
-    doubling."""
-    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "32")
-    rc = main(["analyze", str(CORPUS / "cusp.json"), "--rank", "8"])
+def test_rank_driven_truncation_obeys_ceiling(tmp_path, capsysbinary,
+                                             monkeypatch):
+    """The truncation a requested rank needs is capped by
+    D0RES_MAX_TRUNCATION like every doubling: y^4 - x^6 (r0 = 14, colength
+    row 12) at rank 14 needs its rank-14 jet's 15 terms, one above a
+    ceiling of 14, and at rank 12 needs 13."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "14")
+    path = write_request(tmp_path, "y4_x6.json", {
+        "curve": {"implicit": {"poly": [[[0, 4], "1"], [[6, 0], "-1"]]}}})
+    rc = main(["analyze", path, "--rank", "14"])
     captured = capsysbinary.readouterr()
     assert rc == 2
     assert captured.out == b""
-    assert b"D0RES_MAX_TRUNCATION" in captured.err
+    assert b"needs truncation 15 but the ceiling is 14" in captured.err
+    assert main(["analyze", path, "--rank", "12"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["truncation"] == 13
 
 
 def test_e6_certifies_at_rank_256(capsysbinary):
-    """Above r0 + 2 the rank no longer drives the truncation: e6 at rank
-    256 lifts to 8 * 5 * 3 = 120 terms, far below the ceiling, and passes."""
+    """Above r0 the rank no longer drives the truncation: e6 at rank 256
+    lifts to 5 terms, past its rank-3 jet's 4 and its characteristic
+    exponent 4, and passes."""
     assert main(["analyze", str(CORPUS / "e6.json"), "--rank", "256",
                  "--strict"]) == 0
     report = json.loads(capsysbinary.readouterr().out.decode())
-    assert report["truncation"] == 120
+    assert report["truncation"] == 5
     assert [c["rank"] for c in report["certificates"]] == [256]
     assert report["certificates"][0]["pass"]
 
@@ -498,17 +508,21 @@ def test_branches_agreeing_below_truncation_raise_it(tmp_path, capsysbinary):
 
 
 @pytest.mark.parametrize("request_obj, n, r0, truncation", [
-    # the branch (t^2, t^35) reads (t^2, 0) at the starting truncation 32
+    # the branch (t^2, t^35) reads (t^2, 0) at the requested truncation 32
     ({"curve": {"implicit": {"poly": [[[0, 2], "1"], [[35, 0], "-1"]]}},
-      "ranks": [2]}, [2], 2, 64),
+      "ranks": [2], "truncation": 32}, [2], 2, 64),
     ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[35, "1"]]}]},
       "ranks": [2]}, [2], 2, 64),
-    # every coordinate vanishes below the starting truncation
+    # every coordinate vanishes below the truncations 4 to 32
     ({"curve": {"branches": [{"x": [[33, "1"]], "y": [[34, "1"]]}]},
-      "ranks": [1]}, [33], 33, 264),
+      "ranks": [1]}, [33], 33, 64),
     # (t^3, t^4) reads (t^3, 0) at truncation 4
     ({"curve": {"implicit": {"poly": [[[0, 3], "1"], [[4, 0], "-1"]]}},
       "truncation": 4}, [3], 3, 8),
+    # with no requested truncation the tree of (t^2, t^35) asks for 36,
+    # past its characteristic exponent
+    ({"curve": {"implicit": {"poly": [[[0, 2], "1"], [[35, 0], "-1"]]}},
+      "ranks": [2]}, [2], 2, 36),
 ])
 def test_exponents_past_the_truncation_raise_it(tmp_path, capsysbinary,
                                                 request_obj, n, r0,

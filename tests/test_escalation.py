@@ -29,14 +29,14 @@ def implicit(terms, ranks=None):
 
 
 # cusp, e6 and node at the ladder's ranks, and y^4 - x^6 at r0 = 14, with
-# the truncation each report prints, 8 * min(r, r0 + 2) * max(n) (at least
-# 32), and the larger one the rank alone would ask for, 8 * r * max(n)
+# the truncation each report prints (`report.needed_truncation`) and the
+# margin 8 * r * max(n) the rank alone once asked for
 LADDER = [
-    ("cusp", 4, 64, 64), ("cusp", 8, 64, 128), ("cusp", 12, 64, 192),
-    ("cusp", 16, 64, 256),
-    ("e6", 4, 96, 96), ("e6", 8, 120, 192), ("e6", 12, 120, 288),
-    ("e6", 16, 120, 384),
-    ("node", 4, 32, 32), ("node", 8, 32, 64), ("node", 12, 32, 96),
+    ("cusp", 4, 4, 64), ("cusp", 8, 4, 128), ("cusp", 12, 4, 192),
+    ("cusp", 16, 4, 256),
+    ("e6", 4, 5, 96), ("e6", 8, 5, 192), ("e6", 12, 5, 288),
+    ("e6", 16, 5, 384),
+    ("node", 4, 4, 32), ("node", 8, 4, 64), ("node", 12, 4, 96),
 ]
 Y4_X6 = [((0, 4), "1"), ((6, 0), "-1")]
 
@@ -88,27 +88,29 @@ def test_carried_invariants_equal_recomputed(obj, invariant_calls):
     assert germ_invariants(germ.branches, req.point) == germ
 
 
-TRUNCATIONS = LADDER + [("y4_x6", 14, 224, 224)]
+TRUNCATIONS = LADDER + [("y4_x6", 14, 15, 224)]
 
 
-@pytest.mark.parametrize("name, rank, expected, uncapped", TRUNCATIONS,
-                         ids=[f"{name}-{rank}-{uncapped}"
-                              for name, rank, _, uncapped in TRUNCATIONS])
-def test_final_truncation_is_the_ranks_need(name, rank, expected, uncapped):
-    """The rank drives the truncation only up to r0 + 2: the final one is
-    `expected`, below the `uncapped` need of the rank itself from r0 + 3
-    on."""
+@pytest.mark.parametrize("name, rank, expected, margin", TRUNCATIONS,
+                         ids=[f"{name}-{rank}-{margin}"
+                              for name, rank, _, margin in TRUNCATIONS])
+def test_final_truncation_is_the_ranks_need(name, rank, expected, margin):
+    """The rank drives the truncation only up to r0: the final one is
+    `expected`, the germ's need at rank min(r, r0), far below the margin
+    8 * r * max(n) the rank once asked for.  y^4 - x^6 at r0 = 14 needs
+    its rank-14 jet's 15 terms; the cusp, e6 and node need what their
+    characteristic exponents, oracle rows and the floor of 4 ask for."""
     obj = implicit(Y4_X6, [rank]) if name == "y4_x6" else corpus_request(
         name, ranks=[rank])
     _, germ, trunc = final_germ(obj)
     assert trunc == expected
-    assert report.default_truncation([rank], germ.n) == uncapped
-    assert (trunc < uncapped) == (rank > germ.r0 + 2)
+    assert trunc == report.needed_truncation(germ, [min(rank, germ.r0)])
+    assert 8 * rank * max(germ.n) == margin > trunc
 
 
 def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
     """A RaiseTruncation from the certificates or oracles doubles the
-    truncation; the re-lift carries the invariants proven at 32."""
+    truncation; the re-lift carries the invariants proven at 4."""
     stage_truncs = []
 
     def stage(germ, ctx, trunc, ranks):
@@ -118,10 +120,10 @@ def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
         return germ
 
     germ = final_germ(corpus_request("triple_point"), stage)
-    assert stage_truncs == [32, 64]
+    assert stage_truncs == [4, 8]
     assert len(invariant_calls) == 1
-    assert invariant_calls[0][0][0].trunc == 32
-    assert germ.branches[0].trunc == 64
+    assert invariant_calls[0][0][0].trunc == 4
+    assert germ.branches[0].trunc == 8
     assert germ_invariants(germ.branches, germ.point) == germ
     assert germ.l_matrix == ((None, 1, 1), (1, None, 1), (1, 1, None))
 
@@ -157,19 +159,20 @@ def test_carry_rejects_a_different_relift(relift, message):
 
 
 def test_pipeline_checks_the_relift(monkeypatch):
-    """The rank-driven re-lift goes through the check: with the lift made
-    at a predicted 32, the lift at 64 that rank 8 needs is a re-lift, and
-    one whose multiplicity differs from the one proven at 32 stops the
-    run."""
+    """The need-driven re-lift goes through the check: with the lift made
+    at a predicted 8, the lift at 15 that y^4 - x^6 at rank 14 needs is a
+    re-lift, and one whose multiplicity differs from the one proven at 8
+    stops the run."""
     def build(req, trunc, tree):
-        return [branch([(2, 1)], [(3, 1)], trunc) if trunc == 32
-                else branch([(3, 1)], [(4, 1)], trunc)]
+        first = branch([(2, 1)], [(3, 1)], trunc) if trunc == 8 else branch(
+            [(3, 1)], [(4, 1)], trunc)
+        return [first, branch([(2, -1)], [(3, 1)], trunc)]
 
     # the first prediction is the start's, on the tree; the germ's come after
-    predict, starts = report.predicted_truncation, iter([32])
+    predict, starts = report.predicted_truncation, iter([8])
     monkeypatch.setattr(report, "_build_branches", build)
     monkeypatch.setattr(report, "predicted_truncation",
                         lambda req, invariants: next(starts, None)
                         or predict(req, invariants))
     with pytest.raises(D0resError, match="re-lift of branch 0 has multiplicity 3"):
-        final_germ(corpus_request("cusp", ranks=[8]))
+        final_germ(implicit(Y4_X6, [14]))

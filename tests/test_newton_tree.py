@@ -155,7 +155,7 @@ def coords_by_products(leaf, trunc):
 
 
 # (y - x^40)(y + x): the branch y = x^40 has a level shift of 40, above
-# the truncation 32 its request is lifted at
+# the truncation 4 its request is lifted at
 SHIFT_ABOVE = poly({(0, 1): 1, (40, 0): -1}, {(0, 1): 1, (1, 0): 1})
 
 
@@ -175,15 +175,15 @@ def test_shifts_match_the_series_products(trunc):
 
 
 def test_a_shift_above_the_lift_prints_no_term():
-    """The y = x^40 branch of (y - x^40)(y + x), lifted at 32, prints a
-    zero y."""
+    """The y = x^40 branch of (y - x^40)(y + x), lifted at its need 4,
+    prints a zero y."""
     terms = [[list(e), str(c)] for e, c in SHIFT_ABOVE.terms.items()]
     code, blob = analyze(["analyze", "-"],
                          json.dumps({"curve": {"implicit": {"poly": terms}}}))
     assert code == 0
     germ = json.loads(blob)["germ"]
-    assert json.loads(blob)["truncation"] == 32
-    assert germ["branches"][1] == {"x": [[1, "1"]], "y": [], "truncation": 32}
+    assert json.loads(blob)["truncation"] == 4
+    assert germ["branches"][1] == {"x": [[1, "1"]], "y": [], "truncation": 4}
 
 
 def plant(monkeypatch, **fields):
@@ -273,11 +273,11 @@ def predictions(monkeypatch):
 
 def implicit_requests():
     """The implicit corpus requests, the rank ladder and the rational germs
-    at seeds 1 and 5."""
+    at seeds 1 to 5."""
     requests = [pytest.param(r, id=r.label) for r in workloads.corpus(REPO)
                 if r.germ in IMPLICIT_CORPUS]
     requests += [pytest.param(r, id=r.label) for r in workloads.rank_ladder(REPO)]
-    for seed in (1, 5):
+    for seed in range(1, 6):
         requests += [pytest.param(r, id=f"seed{seed}-{r.label}")
                      for r in workloads.rational_germs(seed)]
     return requests
@@ -310,22 +310,23 @@ def test_implicit_requests_need_no_power_sums(monkeypatch):
 
 
 def test_a_prediction_below_the_need_relifts(lifts):
-    """y^2 - x^62 at rank 5: the tree asks for 8 * 5 = 40, and its l = 31
-    needs no precision margin, so the run lifts once, at 40.  (The
-    power-sum route, whose horizon is 32 at 40, would need 64.)"""
+    """y^2 - x^62 at rank 5: the tree's l = 31 needs no precision margin,
+    and the colength row reads K*m_j + c_j = 32 terms for it, above the
+    rank-5 jet's 6, so the run lifts once, at 32.  (The power-sum route,
+    which must see l + 2 = 33 below its horizon, would need more.)"""
     request = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[62, 0], "-1"]]}}}
     code, blob = analyze(["analyze", "-", "--rank", "5"], json.dumps(request))
     assert code == 0
-    assert json.loads(blob)["truncation"] == 40
-    assert lifts == [40]
+    assert json.loads(blob)["truncation"] == 32
+    assert lifts == [32]
 
 
 def test_a_lift_that_asks_for_more_is_dropped(lifts):
     """y^2 = x^129 is the branch (t^2, t^129), not primitive below 130: the
-    lift at the tree's 64 asks for more, and the truncation doubles from
-    there."""
+    tree reads the characteristic exponent 129 off its level, so the run
+    lifts once, at 130, and no lift is dropped."""
     request = {"curve": {"implicit": {"poly": [[[0, 2], "1"], [[129, 0], "-1"]]}}}
     code, blob = analyze(["analyze", "-"], json.dumps(request))
     assert code == 0
-    assert json.loads(blob)["truncation"] == 256
-    assert lifts == [64, 128, 256]
+    assert json.loads(blob)["truncation"] == 130
+    assert lifts == [130]
