@@ -215,11 +215,10 @@ def branch_multiplicity(b: BranchParam) -> int:
 @dataclass(frozen=True)
 class NewtonTree:
     """The Newton-polygon tree of a plane germ: its expansion leaves and
-    axis branches, in the order of their lift, and the invariants n and
+    the x = 0 axis, in the order of their lift, and the invariants n and
     l_matrix they fix with no truncation (`newton_tree`)."""
 
     local: Poly
-    y_axis: bool
     leaves: tuple
     x_axis: bool
     n: tuple
@@ -231,11 +230,9 @@ class NewtonTree:
 
     @cached_property
     def _characteristics(self):
-        """`puiseux.characteristic` of each branch, in lift order; an axis
-        is the smooth (1, [])."""
-        axis = [(1, [])]
-        return (axis * self.y_axis + [characteristic(leaf) for leaf in self.leaves]
-                + axis * self.x_axis)
+        """`puiseux.characteristic` of each branch, in lift order; the x = 0
+        axis is the smooth (1, [])."""
+        return [characteristic(leaf) for leaf in self.leaves] + [(1, [])] * self.x_axis
 
     @property
     def primitive_truncation(self):
@@ -286,11 +283,7 @@ class NewtonTree:
         if trunc < need:
             raise RaiseTruncation(f"the tree's branches are primitive from "
                                   f"truncation {need} on", needed=need)
-        branches = []
-        if self.y_axis:
-            branches.append(BranchParam((Series.variable(trunc), Series.zero(trunc))))
-        for leaf in self.leaves:
-            branches.append(BranchParam(leaf_to_coords(leaf, trunc)))
+        branches = [BranchParam(leaf_to_coords(leaf, trunc)) for leaf in self.leaves]
         if self.x_axis:
             branches.append(BranchParam((Series.zero(trunc), Series.variable(trunc))))
         for b in branches:
@@ -307,17 +300,20 @@ class NewtonTree:
         return branches
 
 
-def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
+def newton_tree(curve: PlaneCurveInput, ctx: FieldContext,
+                max_depth=None) -> NewtonTree:
     """The Newton-polygon tree of the germ at the designated point, with
-    any field extension its roots need adjoined to ctx.
+    any field extension its roots need adjoined to ctx.  A tree deeper than
+    max_depth levels asks for a truncation above it
+    (`puiseux.expansion_leaves`).
 
     Branch order: the y=0 tail first, then polygon edges by increasing slope
     with characteristic roots in deterministic order, then the x=0 axis last.
 
     Each branch has, in each chart c it passes through, root first, the
     orders (a, b) = (ord_t x_c, ord_t y_c) of `puiseux.chart_orders`, None
-    standing for an infinite order; the y = 0 axis has (1, None) and the
-    x = 0 axis (None, 1), both in the root chart only.  Two leaves pass
+    standing for an infinite order; the y = 0 tail has (1, None), and the
+    x = 0 axis (None, 1) in the root chart only.  Two leaves pass
     through the same charts as far as their order keys agree, and part in
     the next one.  So n_i = min(a_i, b_i) in the root chart, and l_ij is
     the sum of min(a_i*b_j, a_j*b_i) over the charts both pass through,
@@ -327,11 +323,6 @@ def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
     they part (Wall, Singular Points of Plane Curves, 2004).
     """
     f = local = curve.local_poly()
-    ydeg = f.monomial_content(1)
-    if ydeg:
-        if ydeg > 1:
-            raise D0resError("input is not reduced (y-axis factor repeated)")
-        f = f.divide_by_monomial(1, 1)
     xdeg = f.monomial_content(0)
     if xdeg:
         if xdeg > 1:
@@ -339,10 +330,9 @@ def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
         f = f.divide_by_monomial(0, 1)
     leaves = ()
     if scalar_is_zero(f.coefficient((0, 0))):
-        leaves = tuple(expansion_leaves(f, ctx))
-    keys = [()] * bool(ydeg) + [leaf.order_key for leaf in leaves] + [()] * bool(xdeg)
-    orders = ([[(1, None)]] * bool(ydeg) + [chart_orders(leaf) for leaf in leaves]
-              + [[(None, 1)]] * bool(xdeg))
+        leaves = tuple(expansion_leaves(f, ctx, max_depth))
+    keys = [leaf.order_key for leaf in leaves] + [()] * bool(xdeg)
+    orders = [chart_orders(leaf) for leaf in leaves] + [[(None, 1)]] * bool(xdeg)
     k = len(orders)
     if not k:
         raise D0resError("no branches through the designated point")
@@ -356,8 +346,7 @@ def newton_tree(curve: PlaneCurveInput, ctx: FieldContext) -> NewtonTree:
             l_matrix[i][j] = l_matrix[j][i] = sum(
                 _chart_contact(u, v)
                 for u, v in zip(orders[i][:shared + 1], orders[j][:shared + 1]))
-    return NewtonTree(local=local, y_axis=bool(ydeg), leaves=leaves,
-                      x_axis=bool(xdeg),
+    return NewtonTree(local=local, leaves=leaves, x_axis=bool(xdeg),
                       n=tuple(min(o for o in ab[0] if o is not None) for ab in orders),
                       l_matrix=tuple(tuple(row) for row in l_matrix))
 
@@ -706,9 +695,9 @@ def germ_invariants(branches, point=None, tree=None) -> Germ:
     """Fill n, l_matrix, bii, l0 and r0 for a branch set at one point.
 
     Branches lifted from a Newton tree `tree` take its n and l_matrix,
-    which hold with no truncation; each branch's multiplicity must equal
-    its tree n.  Explicit branches, with no tree, take each l_ij from
-    `intersection_length`.
+    which hold with no truncation; there must be one branch per tree
+    branch, each with its tree n as multiplicity.  Explicit branches, with
+    no tree, take each l_ij from `intersection_length`.
     """
     branches = tuple(branches)
     if not branches:
@@ -718,6 +707,9 @@ def germ_invariants(branches, point=None, tree=None) -> Germ:
     n = tuple(branch_multiplicity(b) for b in branches)
     k = len(branches)
     if tree is not None:
+        if len(tree.n) != k:
+            raise D0resError(f"the lift has {k} branches, the Newton tree "
+                             f"{len(tree.n)}")
         for i, (tree_n, series_n) in enumerate(zip(tree.n, n)):
             if tree_n != series_n:
                 raise D0resError(f"branch {i} has multiplicity {tree_n} in the "

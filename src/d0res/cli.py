@@ -168,9 +168,10 @@ def cmd_corpus(args) -> int:
 
 def cmd_oracle(args) -> int:
     req = _load_request(args.file)
+    req.oracle_top = ORACLE_MAX_RANK
 
     def stage(germ, ctx, trunc, ranks):
-        oracles = _oracle_block(CertificateFamily(germ), ORACLE_MAX_RANK)
+        oracles = _oracle_block(CertificateFamily(germ), req.oracle_top)
         return {"version": __version__, "truncation": trunc, **oracles,
                 "pass": oracles_pass(oracles)}
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd
 
-from .errors import D0resError, UnsupportedFieldExtension
+from .errors import D0resError, RaiseTruncation, UnsupportedFieldExtension
 from .fields import (
     FieldElement,
     NumberField,
@@ -43,7 +43,6 @@ from .poly import Poly
 from .series import Series
 
 _ZERO = Fraction(0)
-_MAX_DEPTH = 64
 
 
 class FieldContext:
@@ -408,20 +407,45 @@ def _regular_ready(f1: Poly) -> bool:
     return not scalar_is_zero(f1.coefficient((0, 1)))
 
 
-def _expand(f: Poly, ctx: FieldContext, depth, prefix_key):
-    """All expansion leaves of f at the origin (f free of the x-axis factor)."""
-    if depth > _MAX_DEPTH:
-        raise D0resError("polygon recursion too deep; input may not be reduced")
+def expansion_leaves(f: Poly, ctx: FieldContext, max_depth=None):
+    """All expansion leaves of f at the origin (f free of the x-axis factor),
+    sorted by order key.
+
+    The levels are walked depth first, in the order of their edges and
+    roots, so that any extension is adjoined in that order; a stack of
+    `_level_children` walks, not Python recursion, holds the path.  A node
+    d levels deep shares them with every leaf below it: two of those
+    leaves meet with l_ij > d, and a lone one has a characteristic
+    exponent above d.  So a node deeper than max_depth (None for no limit)
+    asks for a truncation above it."""
     leaves = []
+    stack = [_level_children(f, [], (), ctx, leaves)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        depth = len(node[1])
+        if max_depth is not None and depth > max_depth:
+            raise RaiseTruncation(f"the Newton polygon tree is at least {depth} "
+                                  "levels deep", needed=depth)
+        stack.append(_level_children(*node, ctx, leaves))
+    leaves.sort(key=lambda leaf: leaf.order_key)
+    return leaves
+
+
+def _level_children(f: Poly, levels, prefix_key, ctx: FieldContext, leaves):
+    """The leaves of one node f below `levels`, appended to `leaves`, and
+    its children (f1, levels, key) to expand, yielded one at a time."""
     # exact tail: y | f
     ytail = f.monomial_content(1)
     if ytail:
         if ytail > 1:
             raise D0resError("repeated y-axis factor; input not squarefree")
-        leaves.append(_Leaf([], None, prefix_key + ((-1, 0),)))
+        leaves.append(_Leaf(levels, None, prefix_key + ((-1, 0),)))
         f = f.divide_by_monomial(1, 1)
     if not scalar_is_zero(f.coefficient((0, 0))):
-        return leaves
+        return
     if f.monomial_content(0):
         # a vertical component inside the recursion means the input was not
         # in the expected shape (the caller strips x | f at the top level)
@@ -435,14 +459,11 @@ def _expand(f: Poly, ctx: FieldContext, depth, prefix_key):
             B = u_star ** exp_b
             key = prefix_key + ((edge_idx, root_idx),)
             f1 = puiseux_transform(f, p, q, A, B)
+            below = levels + [(p, q, A, B)]
             if mult == 1 and _regular_ready(f1):
-                leaves.append(_Leaf([(p, q, A, B)], f1, key))
+                leaves.append(_Leaf(below, f1, key))
             else:
-                for sub in _expand(f1, ctx, depth + 1, key):
-                    sub.levels.insert(0, (p, q, A, B))
-                    leaves.append(sub)
-    leaves.sort(key=lambda leaf: leaf.order_key)
-    return leaves
+                yield f1, below, key
 
 
 def solve_regular_tail(f1: Poly, trunc) -> Series:
@@ -481,11 +502,6 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
     if not f1.eval_series([Series.variable(trunc), y]).is_zero_at_precision():
         raise D0resError("series lift failed to converge")
     return y
-
-
-def expansion_leaves(f: Poly, ctx: FieldContext):
-    """Public wrapper used by the branches module."""
-    return _expand(f, ctx, 0, ())
 
 
 def leaf_to_coords(leaf: _Leaf, trunc):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +19,6 @@ from .branches import (
     BranchParam,
     Germ,
     PlaneCurveInput,
-    branch_multiplicity,
     colength_intersection_length,
     germ_invariants,
     newton_puiseux,
@@ -65,6 +64,7 @@ class AnalysisRequest:
     fmt: str = "json"
     field: NumberField = None
     echo: dict = None          # canonicalized input for the report
+    oracle_top: int = None     # top oracle rank; None for oracle_rank(r0)
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def truncation_ceiling() -> int:
     return DEFAULT_TRUNCATION_CEILING
 
 
-def needed_truncation(invariants, ranks) -> int:
+def needed_truncation(invariants, ranks, oracle_top=None) -> int:
     """The truncation a request's readers need at these ranks, on a germ
     or its Newton tree, both of which carry n, l_matrix and r0 (the tree's
     are the germ's): the largest of these needs.
@@ -347,8 +347,8 @@ def needed_truncation(invariants, ranks) -> int:
       fiber reads t^0..t^(d-1), and `modules.jet_pair` reads d + 1 terms,
       so the ranks need min(max(ranks), r0) + 1: above r0 the rank does
       not drive the truncation.
-    - The oracle.  The fiber cross-check at ranks 1..`oracle_rank(r0)`
-      needs one term more than its top rank.
+    - The oracle.  The fiber cross-check at ranks 1..oracle_top, by
+      default `oracle_rank(r0)`, needs one term more than its top rank.
     - Primitivity.  A branch lifted short of its last characteristic
       exponent is not primitive and asks for more (`BranchParam`); the
       tree reads that exponent off its levels (`primitive_truncation`).
@@ -363,7 +363,9 @@ def needed_truncation(invariants, ranks) -> int:
     a need stated too small here costs a re-lift, never a verdict.
     """
     r0 = invariants.r0
-    return max(4, min(max(ranks), r0) + 1, oracle_rank(r0) + 1,
+    if oracle_top is None:
+        oracle_top = oracle_rank(r0)
+    return max(4, min(max(ranks), r0) + 1, oracle_top + 1,
                invariants.primitive_truncation, invariants.colength_truncation)
 
 
@@ -377,12 +379,12 @@ def _ranks(req: AnalysisRequest, invariants):
 def predicted_truncation(req: AnalysisRequest, invariants) -> int:
     """The truncation a request needs on a germ or a Newton tree: the
     requested one, else the one its readers need (`needed_truncation`).
-    An implicit run starts there; an explicit run jumps there once its
-    first attempt has proven the germ's invariants.  Only a
-    RaiseTruncation takes a run above it."""
+    An implicit run starts there; an explicit run jumps there once an
+    attempt has proven the germ's invariants.  Only a RaiseTruncation
+    takes a run above it."""
     if req.truncation is not None:
         return req.truncation
-    return needed_truncation(invariants, _ranks(req, invariants))
+    return needed_truncation(invariants, _ranks(req, invariants), req.oracle_top)
 
 
 def _build_branches(req: AnalysisRequest, trunc: int, tree):
@@ -395,32 +397,6 @@ def _build_branches(req: AnalysisRequest, trunc: int, tree):
             for coords in req.branch_data]
 
 
-def carry_invariants(proven: Germ, branches) -> Germ:
-    """The invariants proven on a lower-truncation lift, on its re-lift.
-
-    `n`, `l_ij`, `bii`, `l0` and `r0` are facts about the branches, proven
-    at the lower truncation with their precision margins; a longer lift of
-    the same branches does not change them.  That it is the same branches,
-    in the same order, is checked here: same count, each branch with the
-    carried multiplicity and agreeing with the proven lift up to its
-    truncation.
-    """
-    branches = tuple(branches)
-    if len(branches) != proven.k:
-        raise D0resError(
-            f"re-lift found {len(branches)} branches, the proven lift {proven.k}")
-    for i, (new, old) in enumerate(zip(branches, proven.branches)):
-        multiplicity = branch_multiplicity(new)
-        if multiplicity != proven.n[i]:
-            raise D0resError(f"re-lift of branch {i} has multiplicity "
-                             f"{multiplicity}, the proven lift {proven.n[i]}")
-        if any(s.truncate(o.trunc) != o for s, o in zip(new.coords, old.coords)):
-            raise D0resError(
-                f"re-lift of branch {i} disagrees with the proven lift below "
-                f"truncation {old.trunc}")
-    return replace(proven, branches=branches)
-
-
 def run_with_escalation(req: AnalysisRequest, stage):
     """Run `stage(germ, ctx, trunc, ranks)` with automatic truncation raises.
 
@@ -428,22 +404,22 @@ def run_with_escalation(req: AnalysisRequest, stage):
     once.  The tree fixes n, l_ij, r0 and each branch's characteristic
     exponents with no truncation, so the run starts at the truncation the
     checks ask for (`predicted_truncation`), checked against the ceiling
-    before any lift.  Each attempt lifts the
-    branches from the tree at its own truncation, and the invariants are
-    the tree's (`germ_invariants` checks each lifted branch's
-    multiplicity); the report's colength row recomputes every l_ij on the
-    final branches as the independent check.  Explicit branches have no
-    tree: their ladder starts at 4 (or the requested truncation), the
-    invariants are proven on the first attempt that decides them, and the
-    run then jumps to `predicted_truncation` on the germ if it is below it
-    (never with a requested truncation, which it starts at).
+    before any lift; a tree deeper than the ceiling stops the run there.
+    Explicit branches have no tree: their ladder starts at 4 (or the
+    requested truncation), and the run jumps to `predicted_truncation` on
+    the first germ that decides its invariants if it is below it (never
+    with a requested truncation, which it starts at).
 
-    A raise (to the truncation the checks need, or after a RaiseTruncation
-    from the branches, the invariants, certificates or oracles) carries
-    the invariants to the next attempt's branches (`carry_invariants`).
-    The retry sequence depends only on the input, and every truncation
-    tried, requested, needed by the checks or doubled, is capped by the
-    ceiling.
+    Each attempt lifts the branches at its own truncation and computes
+    their invariants (`germ_invariants`): an implicit germ's are the
+    tree's, and each lifted branch must match its tree branch in count and
+    multiplicity; explicit branches prove theirs on the lift.  The
+    report's colength row recomputes every l_ij on the final branches as
+    the independent check.  A raise goes to the truncation the checks
+    need, or doubles after a RaiseTruncation from the branches, the
+    invariants, certificates or oracles.  The retry sequence depends only
+    on the input, and every truncation tried, requested, needed by the
+    checks or doubled, is capped by the ceiling.
 
     Above r0 a member is the rank-r0 jet plus skyscrapers, and its checks
     read r0 + 1 series terms whatever the rank (`needed_truncation`); a
@@ -452,10 +428,14 @@ def run_with_escalation(req: AnalysisRequest, stage):
     """
     ceiling = truncation_ceiling()
     ctx = FieldContext(req.field)
-    tree = proven = None
+    tree = None
     if req.kind == "implicit":
-        tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx)
-        trunc, reason = predicted_truncation(req, tree), _NEED
+        try:
+            tree = newton_tree(PlaneCurveInput(req.poly, req.point), ctx, ceiling)
+            trunc, reason = predicted_truncation(req, tree), _NEED
+        except RaiseTruncation as exc:
+            # a tree deeper than the ceiling needs more: the loop stops at once
+            trunc, reason = exc.needed, exc
     else:
         trunc, reason = req.truncation or 4, "the starting truncation"
     while True:
@@ -465,11 +445,7 @@ def run_with_escalation(req: AnalysisRequest, stage):
                 f"{ceiling} (set D0RES_MAX_TRUNCATION to raise it): {reason}"
             )
         try:
-            branches = _build_branches(req, trunc, tree)
-            if proven is None:
-                germ = proven = germ_invariants(branches, req.point, tree)
-            else:
-                germ = carry_invariants(proven, branches)
+            germ = germ_invariants(_build_branches(req, trunc, tree), req.point, tree)
             needed = predicted_truncation(req, germ)
             if trunc < needed:
                 trunc, reason = needed, _NEED

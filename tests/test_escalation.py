@@ -1,17 +1,20 @@
-"""Truncation raises in `report.run_with_escalation`: the germ invariants are
-set once per request, from the Newton tree of an implicit germ or on the
-first lift of explicit branches that decides them, and carried to every
-re-lift at a higher truncation."""
+"""Truncation raises in `report.run_with_escalation`: each attempt computes
+the germ invariants of its own lift, from the Newton tree of an implicit
+germ or on the lift of explicit branches, and every request of the
+workloads lifts once."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import d0res.report as report
-from d0res.branches import BranchParam, germ_invariants
+from d0res.branches import BranchParam, PlaneCurveInput, germ_invariants, newton_tree
 from d0res.errors import D0resError, RaiseTruncation
-from d0res.report import carry_invariants, parse_request, run_with_escalation
+from d0res.poly import Poly
+from d0res.puiseux import FieldContext
+from d0res.report import parse_request, run_with_escalation
 from d0res.series import Series
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -59,13 +62,13 @@ REQUESTS = (
 
 @pytest.fixture
 def invariant_calls(monkeypatch):
-    """Count the pipeline's `germ_invariants` calls, which the benchmark's
-    tracer also reads through `d0res.report`."""
+    """The germs of the pipeline's `germ_invariants` calls, which the
+    benchmark's tracer also counts through `d0res.report`."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return germ_invariants(*args, **kwargs)
+        calls.append(germ_invariants(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(report, "germ_invariants", counted)
     return calls
@@ -79,9 +82,8 @@ def final_germ(obj, stage=None):
 
 @pytest.mark.parametrize("obj", REQUESTS)
 def test_carried_invariants_equal_recomputed(obj, invariant_calls):
-    """One `germ_invariants` call per request, and its invariants equal the
-    ones recomputed from scratch, with no tree, on the final, longest
-    lift."""
+    """One `germ_invariants` call per request, on the one lift, and its
+    invariants equal the ones recomputed from scratch, with no tree."""
     req, germ, trunc = final_germ(obj)
     assert len(invariant_calls) == 1
     assert germ.branches[0].trunc == trunc
@@ -110,7 +112,8 @@ def test_final_truncation_is_the_ranks_need(name, rank, expected, margin):
 
 def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
     """A RaiseTruncation from the certificates or oracles doubles the
-    truncation; the re-lift carries the invariants proven at 4."""
+    truncation; each attempt computes the invariants of its own lift, and
+    the re-lift's equal the first's."""
     stage_truncs = []
 
     def stage(germ, ctx, trunc, ranks):
@@ -121,20 +124,22 @@ def test_raise_from_a_stage_relifts_without_reproving(invariant_calls):
 
     germ = final_germ(corpus_request("triple_point"), stage)
     assert stage_truncs == [4, 8]
-    assert len(invariant_calls) == 1
-    assert invariant_calls[0][0][0].trunc == 4
-    assert germ.branches[0].trunc == 8
+    assert [g.branches[0].trunc for g in invariant_calls] == [4, 8]
+    assert invariant_calls[-1] is germ
+    assert same_invariants(invariant_calls[0], germ)
     assert germ_invariants(germ.branches, germ.point) == germ
     assert germ.l_matrix == ((None, 1, 1), (1, None, 1), (1, 1, None))
 
 
 def test_invariants_are_proven_on_the_first_deciding_lift(invariant_calls):
     """y^2 = x^10 from truncation 4: the branches y = +-x^5 coincide at 4,
-    but the tree's invariants hold there, so they are set once, at 4; the
-    certificate at rank 6 or the colength oracle asks for 8."""
+    but the tree's invariants hold there; the certificate at rank 6 or the
+    colength oracle asks for 8, and the lift at 8 has the same invariants
+    and prints 8."""
     obj = implicit([((0, 2), "1"), ((10, 0), "-1")], [6]) | {"truncation": 4}
     out = report.run_analyze(parse_request(obj))
-    assert [args[0][0].trunc for args in invariant_calls] == [4]
+    assert [g.branches[0].trunc for g in invariant_calls] == [4, 8]
+    assert same_invariants(*invariant_calls)
     assert out["truncation"] == 8
     assert out["germ"]["l_matrix"] == [[None, 5], [5, None]]
     assert all(cert["pass"] for cert in out["certificates"])
@@ -145,23 +150,34 @@ def branch(x_pairs, y_pairs, trunc):
                         Series.from_pairs(y_pairs, trunc)))
 
 
-@pytest.mark.parametrize("relift, message", [
-    ([branch([(3, 1)], [(4, 1)], 64)], "multiplicity 3, the proven lift 2"),
-    ([branch([(2, 1)], [(3, 1), (5, 1)], 64)], "disagrees with the proven lift"),
-    ([branch([(2, 1)], [(3, 1)], 64), branch([(1, 1)], [(2, 1)], 64)],
-     "2 branches, the proven lift 1"),
-])
-def test_carry_rejects_a_different_relift(relift, message):
-    proven = germ_invariants([branch([(2, 1)], [(3, 1)], 32)])
+def same_invariants(first, second):
+    return ((first.n, first.l_matrix, first.bii, first.l0, first.r0)
+            == (second.n, second.l_matrix, second.bii, second.l0, second.r0))
+
+
+CUSP_POLY = Poly(2, {(0, 2): Fraction(1), (3, 0): Fraction(-1)})
+NODE_POLY = Poly(2, {(0, 2): Fraction(1), (2, 0): Fraction(-1)})
+
+
+@pytest.mark.parametrize("poly, lifted, message", [
+    (CUSP_POLY, [branch([(2, 1)], [(3, 1)], 32), branch([(1, 1)], [(2, 1)], 32)],
+     "the lift has 2 branches, the Newton tree 1"),
+    (NODE_POLY, [branch([(1, 1)], [(1, 1)], 32)],
+     "the lift has 1 branches, the Newton tree 2"),
+], ids=["more", "fewer"])
+def test_a_lift_must_have_the_trees_branch_count(poly, lifted, message):
+    """A lift with more or fewer branches than the tree is refused; zipping
+    it with the tree's n would check only the shorter list."""
+    tree = newton_tree(PlaneCurveInput(poly), FieldContext())
+    assert germ_invariants(tree.lift(32), tree=tree).k == len(tree.n)
     with pytest.raises(D0resError, match=message):
-        carry_invariants(proven, relift)
-    assert carry_invariants(proven, [branch([(2, 1)], [(3, 1)], 64)]).r0 == 2
+        germ_invariants(lifted, tree=tree)
 
 
 def test_pipeline_checks_the_relift(monkeypatch):
     """The need-driven re-lift goes through the check: with the lift made
     at a predicted 8, the lift at 15 that y^4 - x^6 at rank 14 needs is a
-    re-lift, and one whose multiplicity differs from the one proven at 8
+    re-lift, and one whose multiplicity differs from its tree branch's
     stops the run."""
     def build(req, trunc, tree):
         first = branch([(2, 1)], [(3, 1)], trunc) if trunc == 8 else branch(
@@ -174,5 +190,6 @@ def test_pipeline_checks_the_relift(monkeypatch):
     monkeypatch.setattr(report, "predicted_truncation",
                         lambda req, invariants: next(starts, None)
                         or predict(req, invariants))
-    with pytest.raises(D0resError, match="re-lift of branch 0 has multiplicity 3"):
+    with pytest.raises(D0resError,
+                       match="branch 0 has multiplicity 2 in the Newton tree, 3 on"):
         final_germ(implicit(Y4_X6, [14]))

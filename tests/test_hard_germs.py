@@ -1,6 +1,8 @@
 """Deeper germs than the acceptance corpus: multi-level polygon recursion,
 high critical ranks, and degenerate inputs."""
 
+import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,12 @@ from d0res.branches import (
     branch_multiplicity,
     germ_invariants,
     newton_puiseux,
+    newton_tree,
 )
+from d0res.errors import D0resError
 from d0res.poly import Poly, poly_text
+from d0res.puiseux import FieldContext
+from d0res.report import parse_request, report_passes, run_analyze
 from d0res.series import Series
 from d0res.verify import CertificateFamily, certify
 from oracles import sylvester_resultant_equation
@@ -96,3 +102,44 @@ def test_non_reduced_square_rejected():
     square = Poly(2, {(0, 2): F(1), (3, 0): F(-1)}) ** 2
     with pytest.raises(Exception):
         PlaneCurveInput(square)
+
+
+def deep_request(k):
+    """(y - x - x^2 - ... - x^k)^2 - x^(2k + 3): one branch of multiplicity
+    2, whose Newton tree has k + 1 levels, k of them on its first
+    characteristic exponent 2k + 3."""
+    s = Poly(2, {(i, 0): F(1) for i in range(1, k + 1)})
+    f = (Poly.variable(2, 1) - s) ** 2 - Poly(2, {(2 * k + 3, 0): F(1)})
+    return {"curve": {"implicit": {"poly": [[list(e), str(c)]
+                                            for e, c in f.sorted_terms()]}}}
+
+
+def test_a_reduced_germ_71_levels_deep_certifies():
+    """The depth-71 germ is reduced, and it certifies at n = (2), r0 = 2,
+    past its characteristic exponent 143.  Its 71 levels are walked with
+    no Python recursion: a recursion limit a few dozen frames above the
+    caller's holds."""
+    req = parse_request(deep_request(70))
+    curve = PlaneCurveInput(req.poly)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        tree = newton_tree(curve, FieldContext())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(leaf.levels) for leaf in tree.leaves] == [71]
+    out = run_analyze(req)
+    assert (out["germ"]["n"], out["germ"]["r0"], out["truncation"]) == ([2], 2, 144)
+    assert report_passes(out)
+
+
+def test_a_tree_deeper_than_the_ceiling_stops_the_run(monkeypatch):
+    """A tree deeper than the ceiling stops at it with the ceiling's
+    message: a leaf d levels deep needs a truncation above d."""
+    req = parse_request(deep_request(10))
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "8")
+    with pytest.raises(D0resError, match=(
+            r"analysis needs truncation 9 but the ceiling is 8 \(set "
+            r"D0RES_MAX_TRUNCATION to raise it\): the Newton polygon tree is "
+            "at least 9 levels deep")):
+        run_analyze(req)

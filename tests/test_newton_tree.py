@@ -29,6 +29,7 @@ from d0res.branches import (
 )
 from d0res.cli import main
 from d0res.errors import D0resError
+from d0res.fields import NumberField
 from d0res.poly import Poly
 from d0res.puiseux import FieldContext, leaf_to_coords, solve_regular_tail
 from d0res.report import parse_request, run_with_escalation
@@ -95,6 +96,26 @@ def test_tree_invariants_by_hand(name):
     assert tree.n == n
     assert tree.l_matrix == l_matrix
     assert_routes_agree(tree, tree.lift(64))
+
+
+def test_the_y_axis_is_the_first_leaf():
+    """y*(y^2 + x^2) over QQ(i): the y = 0 factor is the exact-tail leaf
+    that sorts first, (t, 0), before y = -i*t and y = i*t, and each pair
+    meets once."""
+    request = {"curve": {"implicit": {"poly": [[[0, 3], "1"], [[2, 1], "1"]]}},
+               "field": {"generator": "i", "minpoly": ["1", "0", "1"]}}
+    code, blob = analyze(["analyze", "-"], json.dumps(request))
+    assert code == 0
+    germ = json.loads(blob)["germ"]
+    assert germ["branches"] == [
+        {"x": [[1, "1"]], "y": [], "truncation": 4},
+        {"x": [[1, "1"]], "y": [[1, "-i"]], "truncation": 4},
+        {"x": [[1, "1"]], "y": [[1, "i"]], "truncation": 4}]
+    assert germ["n"] == [1, 1, 1]
+    assert germ["l_matrix"] == [[None, 1, 1], [1, None, 1], [1, 1, None]]
+    (tail, *_) = tree_of(poly({(0, 1): 1}, {(0, 2): 1, (2, 0): 1}),
+                         NumberField([F(1), F(0), F(1)], generator="i")).leaves
+    assert (tail.levels, tail.tail_poly, tail.order_key) == ([], None, ((-1, 0),))
 
 
 IMPLICIT_CORPUS = [p.stem for p in sorted(CORPUS.glob("*.json"))
@@ -188,8 +209,8 @@ def test_a_shift_above_the_lift_prints_no_term():
 
 def plant(monkeypatch, **fields):
     """Make the pipeline's Newton tree carry the given wrong fields."""
-    def planted(curve, ctx):
-        return replace(newton_tree(curve, ctx), **fields)
+    def planted(*args):
+        return replace(newton_tree(*args), **fields)
 
     monkeypatch.setattr(report, "newton_tree", planted)
 

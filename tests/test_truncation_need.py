@@ -238,3 +238,12 @@ def test_an_explicit_requested_truncation_is_where_a_run_starts(builds,
                  "--truncation", "48"]) == 0
     assert json.loads(capsysbinary.readouterr().out)["truncation"] == 48
     assert builds == [48]
+
+
+def test_the_oracle_command_lifts_once(builds, capsysbinary):
+    """`d0res oracle` reads its rows up to rank 4 on every germ, so its
+    need counts 5 terms: the cusp (r0 = 2) lifts once, at 5, not at the
+    analysis need 4 and again at 8."""
+    assert main(["oracle", str(CORPUS / "cusp.json")]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["truncation"] == 5
+    assert builds == [5]
