@@ -174,6 +174,22 @@ def test_a_lift_must_have_the_trees_branch_count(poly, lifted, message):
         germ_invariants(lifted, tree=tree)
 
 
+@pytest.mark.parametrize("relift, message", [
+    ([branch([(3, 1)], [(4, 1)], 64)],
+     "branch 0 has multiplicity 2 in the Newton tree, 3 on the series"),
+], ids=["relift0-multiplicity 3, the proven lift 2"])
+def test_carry_rejects_a_different_relift(relift, message):
+    """A re-lift of the cusp whose multiplicity is 3 where the lift at 32
+    proved 2 is refused by the tree both lifts come from; a re-lift that
+    agrees keeps the proven invariants."""
+    tree = newton_tree(PlaneCurveInput(CUSP_POLY), FieldContext())
+    proven = germ_invariants([branch([(2, 1)], [(3, 1)], 32)], tree=tree)
+    with pytest.raises(D0resError, match=message):
+        germ_invariants(relift, tree=tree)
+    assert same_invariants(
+        germ_invariants([branch([(2, 1)], [(3, 1)], 64)], tree=tree), proven)
+
+
 def test_pipeline_checks_the_relift(monkeypatch):
     """The need-driven re-lift goes through the check: with the lift made
     at a predicted 8, the lift at 15 that y^4 - x^6 at rank 14 needs is a
