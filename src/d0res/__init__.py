@@ -12,7 +12,6 @@ from .branches import (  # noqa: F401
     colength_intersection_length,
     germ_invariants,
     implicit_equation,
-    intersection_length,
     newton_puiseux,
 )
 from .errors import (  # noqa: F401

@@ -12,12 +12,10 @@ before any lift, and `NewtonTree.lift` lifts the branches from that tree to
 any truncation.  The colength of the two branch ideals
 (`colength_intersection_length`) is the independent check of those l_ij.
 
-Explicit branches have no tree.  A plane l_ij is then the order of one
-branch's equation along the other.  The equation is built once per branch
-from power sums (`implicit_equation`): in a chart where x = a*t^n, n series
-powers of y and Newton's identities give its coefficients, with no linear
-algebra; a branch whose x is not a monomial is first moved to such a chart
-(`_monomial_chart`).  Space germs take l_ij from the colength.
+Explicit branches have no tree: every l_ij, plane or space, is the
+colength, and a plane pair that `_one_branch` proves one branch in two
+parameters is refused.  `implicit_equation` builds a plane branch's
+equation from power sums, in a chart where x = a*t^n (`_monomial_chart`).
 """
 
 from __future__ import annotations
@@ -49,9 +47,12 @@ class BranchParam:
     """One branch, as truncated power-series coordinates of a primitive
     parametrization through the origin.  A common divisor of the truncated
     exponents asks for more truncation; explicit input is checked for
-    primitivity exactly when it is parsed."""
+    primitivity exactly when it is parsed.  `degree` is the degree of the
+    polynomials an explicit branch was given by, None for a lift or any
+    other series."""
 
     coords: tuple
+    degree: int = None
 
     def __post_init__(self):
         if len(self.coords) < 2:
@@ -87,7 +88,7 @@ class BranchParam:
         """(x, y, T') of a plane branch with x != 0: its coordinates in a
         parameter where x = a*t^n exactly, through `_monomial_chart` when x
         is not a monomial, and the precision T' to which y is known there
-        (`_equation_precision`).  Built once, whichever pairs read it."""
+        (`_equation_precision`).  Built once, whichever readers ask."""
         xs, ys = self.coords
         if not _is_monomial(xs):
             chart = _monomial_chart(self)
@@ -95,12 +96,6 @@ class BranchParam:
         n, o = xs.order(), ys.order()
         known = self.trunc if o is None else min(self.trunc, self.trunc - n + o)
         return xs, ys, known
-
-    @cached_property
-    def _equation(self):
-        """`implicit_equation` of this branch, built once, whichever pairs
-        read it."""
-        return implicit_equation(self)
 
     @cached_property
     def _semigroup(self):
@@ -182,9 +177,9 @@ class Germ:
 
     @property
     def colength_truncation(self):
-        """The truncation the colength row reads (`colength_reach`), from
-        each branch's value semigroup; 0 for a space germ, which has no
-        colength row, or a single branch."""
+        """The truncation the colength reads on these branches
+        (`colength_reach`), from each branch's value semigroup; 0 for a
+        space germ or a single branch."""
         if self.k < 2 or self.branches[0].ambient_dim != 2:
             return 0
         return colength_reach(self.n, self.l_matrix,
@@ -474,60 +469,6 @@ def implicit_equation(b: BranchParam) -> Poly:
     return Poly(2, terms)
 
 
-# -- intersection lengths ----------------------------------------------------------
-
-
-def intersection_length(bi: BranchParam, bj: BranchParam) -> int:
-    """Length of the scheme intersection of two distinct explicit branches
-    at the point (an implicit germ reads it off its `newton_tree`).
-
-    Plane branches: order of one branch's power-sum equation
-    (`implicit_equation`) along the other, checked symmetric and trusted
-    only below the precision horizon of `_equation_error_order`.  Higher
-    ambient dimension: colength oracle.
-    """
-    if bi.ambient_dim != bj.ambient_dim:
-        raise D0resError("branches live in different ambient spaces")
-    shared = min(bi.trunc, bj.trunc)
-    if all(si.truncate(shared) == sj.truncate(shared)
-           for si, sj in zip(bi.coords, bj.coords)):
-        raise RaiseTruncation(
-            "branches coincide at the working truncation; intersection "
-            "lengths need distinct branches", needed=2 * shared)
-    if bi.ambient_dim == 2:
-        gi, gj = bi._equation, bj._equation
-        lij = gj.eval_series(list(bi.coords)).order()
-        lji = gi.eval_series(list(bj.coords)).order()
-        if lij is None or lji is None:
-            raise RaiseTruncation(
-                "branches indistinguishable at this truncation",
-                needed=2 * min(bi.trunc, bj.trunc),
-            )
-        if lij != lji:
-            raise RaiseTruncation(
-                f"asymmetric intersection lengths {lij} != {lji}; raise truncation",
-                needed=2 * min(bi.trunc, bj.trunc),
-            )
-        # the truncated equations are only trusted below their error order
-        margin = _equation_error_order(bi, bj)
-        if lij + 2 > margin:
-            raise RaiseTruncation(
-                f"intersection length {lij} too close to the precision horizon "
-                f"{margin}",
-                needed=2 * min(bi.trunc, bj.trunc),
-            )
-        return lij
-    return colength_intersection_length(bi, bj)
-
-
-def _equation_error_order(bi: BranchParam, bj: BranchParam) -> int:
-    """Order below which ord(g_j(branch_i)) is provably exact (and symmetric):
-    g_j is exact modulo x^L_j (`_equation_precision`), and x has order
-    >= n_i along branch i, so the error terms have order >= L_j * n_i."""
-    return min(_equation_precision(bj) * branch_multiplicity(bi),
-               _equation_precision(bi) * branch_multiplicity(bj))
-
-
 def _equation_precision(b: BranchParam) -> int:
     """L such that implicit_equation(b) equals the Weierstrass polynomial g
     of the branch modulo x^L, coefficient by coefficient in y.
@@ -552,6 +493,9 @@ def _equation_precision(b: BranchParam) -> int:
     if n is None:
         return b.trunc - 1
     return -(-b._equation_chart[2] // n)
+
+
+# -- intersection lengths ----------------------------------------------------------
 
 
 def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
@@ -680,6 +624,45 @@ def _nonzero(rows):
 # -- germ assembly -------------------------------------------------------------------
 
 
+def _one_branch(bi: BranchParam, bj: BranchParam) -> bool:
+    """True when the plane branches bi and bj, given by polynomials of
+    degrees D_i and D_j, are proven one branch at their truncation T.
+
+    Distinct branches meet with l_ij <= D_i*D_j: by Bezout for two image
+    curves, each of degree at most its parametrization's, and as l_ij <=
+    delta <= (D - 1)(D - 2)/2 for two branches of one curve.  One branch
+    has the same orders in every parameter.  In the chart where the
+    coordinate u of least order n reads a*s^n (`BranchParam._equation_chart`
+    knows the other one, v, mod s^(T - n) at least), l_ij is the sum of
+    ord_s(v_j(s) - v_i(zeta*s)) over zeta^n = a_j/a_i.  So agreement past
+    s^(D_i*D_j) for one zeta proves one branch.  Each ratio w_k of the s^k
+    coefficients of v_j and v_i must be zeta^k: extended Euclid over these
+    k and n gives zeta^g for their gcd g, and each w_k must be its power.
+    """
+    if (bi.degree is None or bj.degree is None or bi.ambient_dim != 2
+            or bi.orders() != bj.orders()):
+        return False
+    bound, n = bi.degree * bj.degree, branch_multiplicity(bi)
+    if min(bi.trunc, bj.trunc) - n <= bound:
+        return False
+    (ui, vi, _), (uj, vj, _) = (
+        (b if b.coords[0].order() == n else BranchParam(b.coords[::-1]))._equation_chart
+        for b in (bi, bj))
+    powers = [(n, uj.coeffs[n] / ui.coeffs[n])]       # (k, zeta^k)
+    for k in range(1, bound + 1):
+        ci, cj = vi.coeffs[k], vj.coeffs[k]
+        if scalar_is_zero(ci) != scalar_is_zero(cj):
+            return False
+        if not scalar_is_zero(ci):
+            powers.append((k, cj / ci))
+    g, root = powers[0]                                # root = zeta^g
+    for k, w in powers[1:]:
+        h = gcd(g, k)
+        p = pow(g // h, -1, k // h)                    # p*g + q*k = h
+        root, g = root ** p * w ** ((h - p * g) // k), h
+    return all(w == root ** (k // g) for k, w in powers)
+
+
 def critical_rank(n, l_matrix):
     """(bii, l0, r0) of branches with multiplicities n and intersection
     lengths l_matrix: bii = max l_ij (None for one branch), l0 = 1 + bii
@@ -696,8 +679,11 @@ def germ_invariants(branches, point=None, tree=None) -> Germ:
 
     Branches lifted from a Newton tree `tree` take its n and l_matrix,
     which hold with no truncation; there must be one branch per tree
-    branch, each with its tree n as multiplicity.  Explicit branches, with
-    no tree, take each l_ij from `intersection_length`.
+    branch, each with its tree n as multiplicity.  Explicit branches, plane
+    or space, with no tree, take each l_ij from
+    `colength_intersection_length`.  A plane pair whose colength asks for
+    more truncation and that `_one_branch` proves to be one branch is
+    refused as input naming both indices.
     """
     branches = tuple(branches)
     if not branches:
@@ -719,8 +705,15 @@ def germ_invariants(branches, point=None, tree=None) -> Germ:
         rows = [[None] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
-                rows[i][j] = rows[j][i] = intersection_length(branches[i],
-                                                              branches[j])
+                try:
+                    rows[i][j] = rows[j][i] = colength_intersection_length(
+                        branches[i], branches[j])
+                except RaiseTruncation:
+                    if _one_branch(branches[i], branches[j]):
+                        raise InputError(f"curve.branches[{j}]",
+                                         f"repeats curve.branches[{i}] in "
+                                         "another parameter")
+                    raise
         l_matrix = tuple(tuple(row) for row in rows)
     bii, l0, r0 = critical_rank(n, l_matrix)
     notes = []

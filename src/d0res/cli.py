@@ -171,7 +171,7 @@ def cmd_oracle(args) -> int:
     req.oracle_top = ORACLE_MAX_RANK
 
     def stage(germ, ctx, trunc, ranks):
-        oracles = _oracle_block(CertificateFamily(germ), req.oracle_top)
+        oracles = _oracle_block(CertificateFamily(germ), req.oracle_top, req.kind)
         return {"version": __version__, "truncation": trunc, **oracles,
                 "pass": oracles_pass(oracles)}
 

@@ -392,8 +392,8 @@ def _build_branches(req: AnalysisRequest, trunc: int, tree):
         return newton_puiseux(tree, trunc)
     # the parser checked each branch exactly; a BranchParam error here can
     # only ask for more truncation
-    return [BranchParam(tuple(Series.from_pairs(pairs, trunc)
-                              for pairs in coords))
+    return [BranchParam(tuple(Series.from_pairs(pairs, trunc) for pairs in coords),
+                        degree=max(e for pairs in coords for e, _ in pairs))
             for coords in req.branch_data]
 
 
@@ -413,9 +413,10 @@ def run_with_escalation(req: AnalysisRequest, stage):
     Each attempt lifts the branches at its own truncation and computes
     their invariants (`germ_invariants`): an implicit germ's are the
     tree's, and each lifted branch must match its tree branch in count and
-    multiplicity; explicit branches prove theirs on the lift.  The
-    report's colength row recomputes every l_ij on the final branches as
-    the independent check.  A raise goes to the truncation the checks
+    multiplicity; explicit branches take each l_ij from the colength on
+    the lift, and a repeated plane branch is refused.  The report's
+    colength row recomputes every tree l_ij on the final branches as the
+    independent check.  A raise goes to the truncation the checks
     need, or doubles after a RaiseTruncation from the branches, the
     invariants, certificates or oracles.  The retry sequence depends only
     on the input, and every truncation tried, requested, needed by the
@@ -465,7 +466,7 @@ def assemble_report(req, germ, ctx, trunc, ranks) -> dict:
     """The report of one analysed germ: one family's certificates, oracles."""
     family = CertificateFamily(germ)
     certificates = [_certificate_block(family, r) for r in ranks]
-    oracles = _oracle_block(family, oracle_rank(germ.r0))
+    oracles = _oracle_block(family, oracle_rank(germ.r0), req.kind)
     warnings = list(germ.notes)
     for r in ranks:
         if r < germ.r0:
@@ -553,18 +554,18 @@ def _certificate_block(family: CertificateFamily, r: int) -> dict:
     return block
 
 
-def _oracle_block(family: CertificateFamily, max_rank: int) -> dict:
+def _oracle_block(family: CertificateFamily, max_rank: int, kind: str) -> dict:
     """The construction cross-checks on `family`'s germ: the fiber
     annihilator cross-check per branch at ranks 1..max_rank, on the
-    family's stored annihilators, and the colength recomputation of every
-    l_ij.  Colength rows are plane-only: on space germs the l_ij are
-    colengths already, so the row would compare a value with itself."""
+    family's stored annihilators, and on an implicit request (`kind`) the
+    colength recomputation of every l_ij its Newton tree gave.  Explicit
+    germs have no colength rows: their l_ij are colengths already."""
     germ = family.germ
     fibers = [{"branch": i,
                "results": pushforward_restriction_oracle(family, i, max_rank)}
               for i in range(germ.k)]
     colength = []
-    if germ.branches[0].ambient_dim == 2:
+    if kind == "implicit":
         for i in range(germ.k):
             for j in range(i + 1, germ.k):
                 value = colength_intersection_length(

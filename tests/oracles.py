@@ -9,6 +9,9 @@ routes, and only the tests call them:
   reference for `branches.implicit_equation` on polynomial branches.
   weierstrass_remainder compares the two when x is not a monomial, where
   the resultant is the Weierstrass polynomial times a unit.
+* resultant_intersection_length: l_ij as the order along branch i of
+  branch j's resultant equation; the reference for the colength that
+  `branches.germ_invariants` takes every explicit l_ij from.
 * undetermined_coefficients_equation: a plane branch's Weierstrass
   polynomial mod x^M by one dense exact solve (`solve_exact`) of
   g(x(t), y(t)) = 0 mod t^(n*M), exact mod x^K for the conductor-based K
@@ -133,6 +136,22 @@ def sylvester_resultant_equation(b: BranchParam) -> Poly:
         rows.append(row)
     det = _poly_determinant(rows)
     return _normalize_equation(det) if not det.is_zero() else det
+
+
+def resultant_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
+    """ord_t of `sylvester_resultant_equation(bj)` along branch i.
+
+    The resultant of a polynomial branch is the equation of its image
+    curve raised to the degree of t -> b_j(t) onto that image, and the order
+    along branch i counts every branch of the image at the origin.  So the
+    order is l_ij when t -> b_j(t) is birational and only t = 0 maps to
+    the origin, as for a primitive (a*t^n, y(t)) and for the branches the
+    tests pass.  An order at or past branch i's truncation asks for more."""
+    order = sylvester_resultant_equation(bj).eval_series(list(bi.coords)).order()
+    if order is None:
+        raise RaiseTruncation("the resultant vanishes along the other branch "
+                              f"below truncation {bi.trunc}", needed=2 * bi.trunc)
+    return order
 
 
 def weierstrass_remainder(f: Poly, g: Poly, bound: int) -> Poly:

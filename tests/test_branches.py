@@ -16,12 +16,11 @@ from d0res.branches import (
     colength_intersection_length,
     germ_invariants,
     implicit_equation,
-    intersection_length,
     newton_puiseux,
 )
 from d0res import branches, kernels, linalg
 from d0res.branches import _equation_precision, _monomial_chart
-from d0res.errors import D0resError, RaiseTruncation
+from d0res.errors import D0resError, InputError, RaiseTruncation
 from d0res.fields import NumberField
 from d0res.poly import Poly, poly_text
 from d0res.report import parse_request, run_with_escalation
@@ -29,6 +28,7 @@ from d0res.series import Series
 
 from conftest import EXPECTED_INVARIANTS, LONG_TRUNCATION
 from oracles import (
+    resultant_intersection_length,
     sylvester_resultant_equation,
     undetermined_coefficients_equation,
     undetermined_coefficients_precision,
@@ -40,10 +40,10 @@ DATA = Path(__file__).resolve().parent / "data"
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def B(*coords, n=16):
+def B(*coords, n=16, degree=None):
     return BranchParam(tuple(
         Series.from_pairs([(e, F(c)) for e, c in pairs], n) for pairs in coords
-    ))
+    ), degree)
 
 
 def test_branch_multiplicity_examples():
@@ -171,8 +171,10 @@ def test_gaussian_node_keeps_its_length_through_a_chart(repo_corpus_germs):
 
 
 def test_monomial_chart_is_built_once_per_branch(monkeypatch):
-    """Three branches, two with a non-monomial x: every pair reads each
-    branch's equation and its precision, but each chart is built once."""
+    """Every reader of a branch's chart shares one build: the
+    repeated-branch check, the equation and its precision.  The cusp given
+    as ((t + t^2)^2, (t + t^2)^3), next to (t^2, t^3), is refused, and only
+    its chart is built, once."""
     built = []
 
     def counting(b):
@@ -181,13 +183,16 @@ def test_monomial_chart_is_built_once_per_branch(monkeypatch):
 
     chart = branches._monomial_chart
     monkeypatch.setattr(branches, "_monomial_chart", counting)
-    bs = [B([(2, 1), (3, 1)], [(3, 1), (4, 2)], n=64),
-          B([(2, 1)], [(3, -1)], n=64),
-          B([(1, 1), (2, 1)], [(1, 1)], n=64)]
-    germ = germ_invariants(bs)
-    assert len(built) == 2
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert germ.l_matrix[i][j] == colength_intersection_length(bs[i], bs[j])
+    bs = [B([(2, 1), (3, 2), (4, 1)], [(3, 1), (4, 3), (5, 3), (6, 1)],
+            n=32, degree=6),
+          B([(2, 1)], [(3, 1)], n=32, degree=3)]
+    with pytest.raises(InputError, match=r"curve.branches\[1\]: repeats "
+                       r"curve.branches\[0\] in another parameter"):
+        germ_invariants(bs)
+    for b in bs:
+        assert implicit_equation(b).degree_in(1) == 2
+        assert _equation_precision(b) >= 8
+    assert built == [bs[0]]
 
 
 def test_implicit_equation_runs_no_elimination(monkeypatch):
@@ -205,29 +210,6 @@ def test_implicit_equation_runs_no_elimination(monkeypatch):
         assert g.degree_in(1) == coords[0][0][0]
 
 
-@pytest.mark.parametrize("name", ["triple_point", "cyclotomic_triple"])
-def test_each_branch_equation_is_built_once(monkeypatch, name):
-    """The germ's three lifted branches, given explicitly: three pairs,
-    one equation per branch over a whole analysis, through the module
-    attribute the benchmark's tracer wraps."""
-    built = []
-
-    def counted(b):
-        built.append(b)
-        return implicit_equation(b)
-
-    monkeypatch.setattr(branches, "implicit_equation", counted)
-    golden = json.loads((CORPUS / "golden" / f"{name}.json").read_text())
-    obj = {"curve": {"branches": [
-        {key: pairs for key, pairs in b.items() if key != "truncation"}
-        for b in golden["germ"]["branches"]]}}
-    if golden["field"] is not None:
-        obj["field"] = golden["field"]
-    germ = run_with_escalation(parse_request(obj), lambda g, c, t, r: g)
-    assert germ.k == 3
-    assert len(built) == 3
-
-
 def test_equation_precision_allows_for_x_past_the_truncation():
     """(t^2 + t^5, t) read at truncation 5 shows x = t^2.  Its equation is
     exact mod x^L for the L of `_equation_precision`, which counts the
@@ -243,12 +225,13 @@ def test_equation_precision_allows_for_x_past_the_truncation():
 
 
 def test_intersection_length_examples():
-    axes = intersection_length(B([(1, 1)], []), B([], [(1, 1)]))
-    assert axes == 1
-    tac = intersection_length(B([(1, 1)], [(2, 1)]), B([(1, 1)], [(2, -1)]))
-    assert tac == 2
-    lines = intersection_length(B([(1, 1)], []), B([(1, 1)], [(1, 1)]))
-    assert lines == 1
+    """The axes, the tacnode and two lines: every explicit l_ij is the
+    colength, which the resultant oracle confirms."""
+    for pair, expected in (((B([(1, 1)], []), B([], [(1, 1)])), 1),
+                           ((B([(1, 1)], [(2, 1)]), B([(1, 1)], [(2, -1)])), 2),
+                           ((B([(1, 1)], []), B([(1, 1)], [(1, 1)])), 1)):
+        assert germ_invariants(pair).l_matrix[0][1] == expected
+        assert resultant_intersection_length(*pair) == expected
 
 
 def test_colength_oracle_cross_checks():
@@ -268,7 +251,7 @@ def test_colength_oracle_cross_checks():
         ((B([], [(1, 1)], n=32), B([(3, 1)], [(7, 1)], n=32)), 3),
     ]
     for (bi, bj), expected in pairs:
-        assert intersection_length(bi, bj) == expected
+        assert resultant_intersection_length(bi, bj) == expected
         assert colength_intersection_length(bi, bj) == expected
         assert colength_intersection_length(bj, bi) == expected
 
@@ -306,7 +289,7 @@ def test_colength_reads_generators_past_their_degree():
             x, y = b.coords
             assert (x ** 3).truncate(6).is_zero_at_precision()
             assert (y ** 2).truncate(6).is_zero_at_precision()
-        assert intersection_length(bi, bj) == 6
+        assert resultant_intersection_length(bi, bj) == 6
         assert colength_intersection_length(bi, bj) == 6
         assert colength_intersection_length(bj, bi) == 6
 
@@ -318,7 +301,7 @@ def test_colength_of_tangent_lines_of_high_contact():
     for k in (10, 15, 20):
         plus = B([(1, 1)], [(k, 1)], n=4 * k)
         minus = B([(1, 1)], [(k, -1)], n=4 * k)
-        assert intersection_length(plus, minus) == k
+        assert resultant_intersection_length(plus, minus) == k
         assert colength_intersection_length(plus, minus) == k
         assert colength_intersection_length(minus, plus) == k
     elapsed = time.perf_counter() - t0
@@ -374,17 +357,94 @@ def _escalated(fn, pair):
 @settings(max_examples=40, deadline=None)
 @given(branch_pairs_with_contact())
 def test_colength_matches_series_length(pair):
-    expected = _escalated(intersection_length, pair)
+    expected = _escalated(resultant_intersection_length, pair)
     assert _escalated(colength_intersection_length, pair) == expected
     assert _escalated(colength_intersection_length, pair[::-1]) == expected
 
 
 def test_space_branches_use_colength():
+    """Two axes, and the x-axis against a twisted curve, each meet once."""
     x_axis = B([(1, 1)], [], [], n=16)
     y_axis = B([], [(1, 1)], [], n=16)
-    assert intersection_length(x_axis, y_axis) == 1
     twisted = B([(1, 1)], [(1, 1)], [(2, 1)], n=16)
-    assert intersection_length(x_axis, twisted) == 1
+    for other in (y_axis, twisted):
+        assert germ_invariants([x_axis, other]).l_matrix[0][1] == 1
+        assert colength_intersection_length(other, x_axis) == 1
+
+
+_CUSP = {"x": [[2, "1"]], "y": [[3, "1"]]}
+_I = {"generator": "i", "minpoly": ["1", "0", "1"]}
+_W = {"generator": "w", "minpoly": ["1", "1", "1"]}       # w^2 + w + 1 = 0
+
+
+def _explicit_germ(branches, field=None):
+    obj = {"curve": {"branches": branches}}
+    if field is not None:
+        obj["field"] = field
+    return run_with_escalation(parse_request(obj), lambda g, c, t, r: g)
+
+
+@pytest.mark.parametrize("explicit, field", [
+    # t -> -t
+    ([_CUSP, {"x": [[2, "1"]], "y": [[3, "-1"]]}], None),
+    # t -> t + t^2, where x is no monomial, second
+    ([_CUSP, {"x": [[2, "1"], [3, "2"], [4, "1"]],
+              "y": [[3, "1"], [4, "3"], [5, "3"], [6, "1"]]}], None),
+    # t -> i*t: zeta^2 = -1 and zeta^3 = -i give zeta = i
+    ([_CUSP, {"x": [[2, "-1"]], "y": [[3, "-i"]]}], _I),
+    # t -> w*t: zeta^3 = 1, zeta^4 = w and zeta^5 = w^2 give zeta = w
+    ([{"x": [[3, "1"]], "y": [[4, "1"], [5, "1"]]},
+      {"x": [[3, "1"]], "y": [[4, "w"], [5, "-1-w"]]}], _W),
+    # the y-axis twice, read in its y chart; a line between them
+    ([{"x": [], "y": [[1, "1"]]}, {"x": [[1, "1"]], "y": [[1, "1"]]},
+      {"x": [], "y": [[1, "1"], [2, "1"]]}], None),
+], ids=["minus-t", "t-plus-t2", "i-t", "w-t", "y-axis"])
+def test_a_branch_in_another_parameter_is_refused(monkeypatch, explicit, field):
+    """Two explicit plane branches that are one branch in two parameters
+    have no l_ij: once the truncation passes the product of their degrees,
+    the pair is refused as input naming both indices.  Every case is
+    proven below 64, and a ceiling there stops a missed refusal early."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "64")
+    last = len(explicit) - 1
+    with pytest.raises(InputError, match=rf"curve.branches\[{last}\]: repeats "
+                       r"curve.branches\[0\] in another parameter"):
+        _explicit_germ(explicit, field)
+
+
+def test_branches_that_agree_long_are_not_refused():
+    """Near misses: the w-t pair with one coefficient changed meets with
+    l = 4 + 5 + 4 over the three conjugates, and y = +-x^5 with l = 5.
+    Read past the bound 5*5, the check itself parts the w-t pair: the
+    ratios w at s^4 and 1 at s^5 are no powers of one zeta with zeta^3 = 1,
+    while the repeat's w and w^2 are."""
+    germ = _explicit_germ([{"x": [[3, "1"]], "y": [[4, "1"], [5, "1"]]},
+                           {"x": [[3, "1"]], "y": [[4, "w"], [5, "1"]]}], _W)
+    assert germ.l_matrix[0][1] == 13
+    germ = _explicit_germ([{"x": [[1, "1"]], "y": [[5, "1"]]},
+                           {"x": [[1, "1"]], "y": [[5, "-1"]]}])
+    assert germ.l_matrix[0][1] == 5
+    w = NumberField([F(1), F(1), F(1)], generator="w").gen()
+
+    def branch(y4, y5):
+        return BranchParam((Series.from_pairs([(3, F(1))], 64),
+                            Series.from_pairs([(4, y4), (5, y5)], 64)), 5)
+
+    assert branches._one_branch(branch(F(1), F(1)), branch(w, w * w))
+    assert not branches._one_branch(branch(F(1), F(1)), branch(w, F(1)))
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_a_repeat_the_ceiling_cannot_prove_keeps_the_ceiling_message(
+        monkeypatch, dims):
+    """(t^2, t^3) and (t^2, -t^3) are proven one branch past truncation
+    2 + 3*3; under a ceiling of 8 the run stops at the ceiling, as it does
+    for the same pair in space, which no degree check reads."""
+    monkeypatch.setenv("D0RES_MAX_TRUNCATION", "8")
+    zero = [{"z": []}] * 2 if dims == 3 else [{}] * 2
+    pair = [_CUSP | zero[0], {"x": [[2, "1"]], "y": [[3, "-1"]]} | zero[1]]
+    with pytest.raises(D0resError, match="but the ceiling is 8") as info:
+        _explicit_germ(pair)
+    assert not isinstance(info.value, InputError)
 
 
 def test_germ_invariants_against_expected(corpus_germs):

@@ -17,8 +17,10 @@ from d0res.cli import main
 from d0res.errors import InputError
 from d0res.linalg import ExactMatrix
 from d0res.modules import FiniteModule
-from d0res.report import emit_report, parse_request, run_analyze
+from d0res.report import emit_report, parse_request, run_analyze, run_with_escalation
 from d0res.series import Series
+
+from test_newton_tree import REPEATED_PAIRS
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -725,14 +727,27 @@ def test_oracle_passes_where_contact_outlasts_the_first_repeat(tmp_path,
     """(t^4, t^6 + t^7) against (t^2, t^3): l_01 = 13, since
     (t^6 + t^7)^2 - t^12 = 2t^13 + t^14.  Counting the colength up to
     e + c_0 = 13 + 16 finds 13; stopping at the first two equal values
-    found 12, and the oracle exited 1 on a correct germ."""
-    path = write_request(tmp_path, "contact13.json", {"curve": {"branches": [
+    found 12, and the oracle exited 1 on a correct germ.  The l_ij of an
+    explicit germ is that count, and its oracle prints no colength row."""
+    obj = {"curve": {"branches": [
         {"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]},
-        {"x": [[2, "1"]], "y": [[3, "1"]]}]}})
-    assert main(["oracle", path]) == 0
+        {"x": [[2, "1"]], "y": [[3, "1"]]}]}}
+    germ = run_with_escalation(parse_request(obj), lambda g, c, t, r: g)
+    assert germ.l_matrix == ((None, 13), (13, None))
+    assert main(["oracle", write_request(tmp_path, "contact13.json", obj)]) == 0
     out = json.loads(capsysbinary.readouterr().out.decode())
-    assert out["colength_crosscheck"] == [
-        {"pair": [0, 1], "colength": 13, "matches_l_matrix": True}]
+    assert out["colength_crosscheck"] == []
+    assert out["pass"] is True
+
+
+@pytest.mark.parametrize("pair", REPEATED_PAIRS, ids=["minus-t", "t-plus-t2"])
+def test_a_repeated_explicit_branch_exits_2(tmp_path, capsys, pair):
+    """The cusp next to itself at t -> -t or at t -> t + t^2 is refused as
+    input that names both branches, at the default ceiling."""
+    path = write_request(tmp_path, "repeat.json", {"curve": {"branches": pair}})
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == ("input error: curve.branches[1]: repeats "
+                                       "curve.branches[0] in another parameter\n")
 
 
 def test_strict_fails_on_a_colength_mismatch(tmp_path, monkeypatch,
@@ -907,7 +922,7 @@ def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):
     """`d0res oracle` runs the report's oracle driver at ranks 1..4: its
     fiber annihilator rows extend the report's, its colength rows are the
-    report's (plane germs only), and `pass` is the AND of every check."""
+    report's (implicit germs only), and `pass` is the AND of every check."""
     paths = sorted(CORPUS.glob("*.json"))
     assert len(paths) == 11
     for path in paths:
@@ -927,7 +942,7 @@ def test_oracle_subcommand_matches_report_oracles(capsysbinary):
         checks += [row["matches_l_matrix"] for row in out["colength_crosscheck"]]
         assert out["pass"] is all(checks)
         assert rc == (0 if out["pass"] else 1)
-        if path.stem == "space_lines":
+        if "branches" in json.loads(path.read_text())["curve"]:
             assert out["colength_crosscheck"] == []
 
 

@@ -2,8 +2,8 @@
 
 `branches.newton_tree` reads n_i and l_ij off the Newton-polygon tree with
 no truncation.  They are an implicit germ's invariants, and must agree with
-the power-sum l_ij that `germ_invariants` computes for branches with no
-tree, and with the colength oracle.  `report.run_with_escalation` lifts
+the colength l_ij that `germ_invariants` computes for the same branches
+given with no tree.  `report.run_with_escalation` lifts
 each implicit request at the truncation the tree predicts, and only a
 RaiseTruncation takes it higher.
 """
@@ -22,7 +22,6 @@ import d0res.report as report
 from d0res import branches
 from d0res.branches import (
     PlaneCurveInput,
-    colength_intersection_length,
     germ_invariants,
     newton_puiseux,
     newton_tree,
@@ -59,16 +58,12 @@ def tree_of(f, field=None):
 
 
 def assert_routes_agree(tree, branches):
-    """The tree's n and l_ij, the power-sum ones and the colength
-    oracle's."""
+    """The tree's n and l_ij, and the colength ones `germ_invariants` takes
+    for the same branches given with no tree."""
     germ = germ_invariants(branches)
     assert tree.n == germ.n
     assert tree.l_matrix == germ.l_matrix
     assert tree.r0 == germ.r0
-    for i in range(germ.k):
-        for j in range(i + 1, germ.k):
-            assert colength_intersection_length(
-                branches[i], branches[j]) == tree.l_matrix[i][j], (i, j)
 
 
 CUSP = {(0, 2): 1, (3, 0): -1}
@@ -234,16 +229,19 @@ def test_a_wrong_tree_stops_the_run(monkeypatch, field, message):
 def test_a_wrong_tree_l_ij_fails_its_colength_row(monkeypatch):
     """A wrong tree l_ij stands in l_matrix, and the colength row, which
     recomputes it on the lifted branches, refutes it: `--strict` exits 1
-    though every certificate passes."""
+    though every certificate passes, and so does `oracle`."""
     plant(monkeypatch, l_matrix=((None, 9), (9, None)))
     request = {"curve": {"implicit": {"poly": CUSP_VS_CUSP}}, "ranks": [20]}
     code, blob = analyze(["analyze", "-", "--strict"], json.dumps(request))
     assert code == 1
     out = json.loads(blob)
     assert out["germ"]["l_matrix"] == [[None, 9], [9, None]]
-    assert out["oracles"]["colength_crosscheck"] == [
-        {"pair": [0, 1], "colength": 8, "matches_l_matrix": False}]
+    row = {"pair": [0, 1], "colength": 8, "matches_l_matrix": False}
+    assert out["oracles"]["colength_crosscheck"] == [row]
     assert all(cert["pass"] for cert in out["certificates"])
+    code, blob = analyze(["oracle", "-"], json.dumps(request))
+    assert code == 1
+    assert json.loads(blob)["colength_crosscheck"] == [row]
 
 
 # -- one lift per request --------------------------------------------------------------
@@ -316,18 +314,59 @@ def test_one_lift_per_request(req, lifts, predictions):
     assert predictions == [lifts[0]] * 2
 
 
-def test_implicit_requests_need_no_power_sums(monkeypatch):
-    """Every implicit request passes its gate with the power-sum route,
-    `intersection_length` and `implicit_equation`, refusing to run: the
-    tree gives the l_ij."""
-    def refuse(*args):
-        raise AssertionError("an implicit request ran the power-sum route")
+def explicit_plane_requests():
+    """Explicit plane germs with two or more branches: y = +-x^5, the cusp
+    and its transpose, the contact-13 pair, and the lifted branches of
+    triple_point and cyclotomic_triple given explicitly."""
+    requests = [
+        {"curve": {"branches": [{"x": [[1, "1"]], "y": [[5, "1"]]},
+                                {"x": [[1, "1"]], "y": [[5, "-1"]]}]}},
+        {"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
+                                {"x": [[3, "1"]], "y": [[2, "1"]]}]}},
+        {"curve": {"branches": [{"x": [[4, "1"]], "y": [[6, "1"], [7, "1"]]},
+                                {"x": [[2, "1"]], "y": [[3, "1"]]}]}},
+    ]
+    for name in ("triple_point", "cyclotomic_triple"):
+        golden = json.loads((CORPUS / "golden" / f"{name}.json").read_text())
+        obj = {"curve": {"branches": [
+            {key: pairs for key, pairs in b.items() if key != "truncation"}
+            for b in golden["germ"]["branches"]]}}
+        if golden["field"] is not None:
+            obj["field"] = golden["field"]
+        requests.append(obj)
+    return requests
 
-    monkeypatch.setattr(branches, "intersection_length", refuse)
+
+REPEATED_PAIRS = [
+    [{"x": [[2, "1"]], "y": [[3, "1"]]}, {"x": [[2, "1"]], "y": [[3, "-1"]]}],
+    [{"x": [[2, "1"], [3, "2"], [4, "1"]],
+      "y": [[3, "1"], [4, "3"], [5, "3"], [6, "1"]]},
+     {"x": [[2, "1"]], "y": [[3, "1"]]}],
+]
+
+
+def test_implicit_requests_need_no_power_sums(monkeypatch):
+    """Every request passes its gate with the power-sum equation,
+    `implicit_equation`, refusing to run: the implicit requests of every
+    workload, the explicit corpus requests and the explicit plane germs,
+    whose l_ij come from the tree or the colength.  The repeated pairs
+    exit 2 without it too."""
+    def refuse(*args):
+        raise AssertionError("a request ran the power-sum route")
+
     monkeypatch.setattr(branches, "implicit_equation", refuse)
     for param in implicit_requests():
         (req,) = param.values
         assert workloads.passes_gate(req, *analyze(req.argv, req.stdin)), req.label
+    for req in workloads.corpus(REPO):
+        if req.germ not in IMPLICIT_CORPUS:
+            assert workloads.passes_gate(req, *analyze(req.argv, req.stdin)), req.label
+    for obj in explicit_plane_requests():
+        code, blob = analyze(["analyze", "-", "--strict"], json.dumps(obj))
+        assert code == 0 and json.loads(blob)["oracles"]["colength_crosscheck"] == []
+    for pair in REPEATED_PAIRS:
+        request = json.dumps({"curve": {"branches": pair}})
+        assert analyze(["analyze", "-"], request) == (2, b"")
 
 
 def test_a_prediction_below_the_need_relifts(lifts):

@@ -207,9 +207,10 @@ def builds(monkeypatch):
     # y = +-x^5 coincide at 4; at 8 l = 5 is proven, and r0 = 6 needs 7
     ({"curve": {"branches": [{"x": [[1, "1"]], "y": [[5, "1"]]},
                              {"x": [[1, "1"]], "y": [[5, "-1"]]}]}}, [4, 8]),
-    # the cusp and its transpose: l = 4 is proven at 8, and r0 = 10 needs 11
+    # the cusp and its transpose: the colength reads past 8 for l = 4, so
+    # it is proven at 16, above the need 11 of r0 = 10
     ({"curve": {"branches": [{"x": [[2, "1"]], "y": [[3, "1"]]},
-                             {"x": [[3, "1"]], "y": [[2, "1"]]}]}}, [4, 8, 11]),
+                             {"x": [[3, "1"]], "y": [[2, "1"]]}]}}, [4, 8, 16]),
 ])
 def test_explicit_requests_build_from_4_to_the_need(request_obj, truncations,
                                                     builds):
