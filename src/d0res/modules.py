@@ -29,7 +29,7 @@ The key constructions:
   product, a polynomial in them is the Toeplitz matrix of the same
   polynomial in their columns, and it is zero iff that series is.  So
   `annihilator` eliminates r first-column rows, `verify._kills` evaluates
-  a witness on series, and `power_runs` raises an action as a series
+  a witness on series, and `_action_power` raises an action as a series
   power; it raises a jet action [[A, 0], [C, A]] with A of that shape and
   C zero but for its last row in closed form.  Any matrix of another
   shape, a dense sum or a planted fault, takes the dense route: pairwise
@@ -40,11 +40,12 @@ The key constructions:
   are read off the runs.  Every question the certificate asks of a sum is
   answered summand by summand: a polynomial kills a direct sum iff it
   kills each summand, and a power of a block-diagonal action is the
-  block-diagonal sum of the blocks' powers (`power_runs`, one closed-form
-  power per distinct summand).  Each summand was validated when it was
-  built, and block-diagonal matrices add and multiply block by block, so
-  the sum's actions commute, are nilpotent and read [[A, 0], [C, A]] on
-  the jet frame laid end to end because each summand's do.  The tests
+  block-diagonal sum of the blocks' powers (one closed-form
+  `_action_power` per summand, which `verify.CertificateFamily` keeps).
+  Each summand was validated when it was built, and block-diagonal
+  matrices add and multiply block by block, so the sum's actions
+  commute, are nilpotent and read [[A, 0], [C, A]] on the jet frame laid
+  end to end because each summand's do.  The tests
   assemble the dense sums (`tests/oracles.py`) and check them on the
   dense matrices.
 * annihilator / support_length: the ideal of polynomials killing a module and
@@ -363,15 +364,6 @@ class DirectSum:
         even where their sums might be equal: no equality is claimed that
         was not checked."""
         return isinstance(other, DirectSum) and self.runs == other.runs
-
-
-def power_runs(module, coord: int, exponent: int):
-    """The action of coordinate `coord` raised to `exponent`, as (block,
-    copies) runs in block order.  A block-diagonal matrix's power is the
-    block-diagonal sum of its blocks' powers, so a direct sum raises each
-    distinct summand's block once (`_action_power`)."""
-    runs = module.runs if isinstance(module, DirectSum) else ((module, 1),)
-    return [(_action_power(s, coord, exponent), c) for s, c in runs]
 
 
 def _action_power(module: FiniteModule, coord: int, k: int) -> ExactMatrix:

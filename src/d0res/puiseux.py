@@ -111,6 +111,23 @@ def squarefree_decomposition(p):
 def _rational_roots(p):
     """The distinct rational roots of a nonzero rational polynomial, sorted.
 
+    A quadratic's roots are (-c1 -+ s) / (2 c2) when its discriminant has
+    a rational square root s, and it has none otherwise.  Other degrees
+    are bisected (`_sturm_roots`)."""
+    p = upoly_trim(list(p))
+    if len(p) != 3:
+        return _sturm_roots(p)
+    c0, c1, c2 = p
+    s = rational_sqrt(c1 * c1 - 4 * c2 * c0)
+    if s is None:
+        return []
+    return sorted({(-c1 - s) / (2 * c2), (-c1 + s) / (2 * c2)})
+
+
+def _sturm_roots(p):
+    """The distinct rational roots of a nonzero rational polynomial, sorted,
+    by Sturm bisection.
+
     With integer coefficients of content 1, a root u/v in lowest terms has
     v | an, the leading coefficient, so every rational root lies on the
     grid k/an.  Sturm's theorem counts the distinct real roots between two

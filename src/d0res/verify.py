@@ -5,7 +5,11 @@ pair padded with r - r0 graph-skyscraper jets (below r0, the bare rank-r
 jet pair).  Padded, it is a `modules.DirectSum` of those two runs, and no
 matrix of the sum is built.  Its special fiber m1 is the member's fiber
 module.  A request's ranks share one `CertificateFamily`, which builds each
-branch's base jet and skyscraper once.  It is also the request's one
+branch's base jet and skyscraper once, and keeps each one's answers: every
+kill of a witness row on its fiber and every power of an action on it is
+computed once, on that summand, and read by every rank whose members hold
+it.  So a rank above r0 computes only what its skyscraper run adds, and
+only if no rank before it did.  The family is also the request's one
 store of annihilators: for each branch and rank d, the bare rank-d fiber's
 ideal read off its series and read off its action matrices, each built
 once and read by every check.
@@ -45,7 +49,8 @@ and the witness search stops below d.
 The action matrices still give the independent checks, read summand by
 summand.  Every witness is re-verified on the action matrices of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
-polynomial kills a direct sum iff it kills each summand.  Those actions
+polynomial kills a direct sum iff it kills each summand, and each
+summand's answer is its own (`CertificateFamily.kills`).  Those actions
 are strictly lower-triangular Toeplitz, read entry by entry, so g kills a
 summand iff g at the actions' first columns is zero mod t^dim
 (`_kills`); a summand of any other shape is evaluated densely.  The
@@ -57,11 +62,13 @@ of degree r0, equality there is equality at bound r.  The fiber
 annihilator cross-check (`pushforward_restriction_oracle`) makes the same
 comparison at each of the report's small ranks 1..max_rank on the same
 stored entries, so no annihilator is computed twice.  The tangent test
-raises the test coordinate's action on each distinct summand once
-(`modules.power_runs`): a fiber action as the power of its first column,
-a jet action [[A, 0], [C, A]] in closed form, and only the block it
-prints is built.  It prints the jet power as those (block, copies) runs,
-so no part of a certificate grows with r above r0.
+raises the test coordinate's action on each summand of the member's jet
+pair once for all ranks (`modules._action_power`): a fiber action as the
+power of its first column, a jet action [[A, 0], [C, A]] in closed form,
+and only the block it prints is built, and formatted once.  A
+block-diagonal matrix's power is the block-diagonal sum of its blocks'
+powers, so it prints the jet power as those (block, copies) runs, and no
+part of a certificate grows with r above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -71,6 +78,7 @@ and never passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 
 from .branches import Germ
@@ -80,7 +88,7 @@ from .fields import format_scalar
 from .linalg import ExactMatrix, rref_rows  # noqa: F401
 from .modules import (
     AnnihilatorIdeal,
-    DirectSum,
+    _action_power,
     annihilator,
     fiber_functionals,
     fiber_module,
@@ -88,7 +96,6 @@ from .modules import (
     graph_skyscraper,
     jet_pair,
     pad,
-    power_runs,
 )
 from .poly import poly_text
 
@@ -135,23 +142,62 @@ class EmbeddingCertificate:
 # -- the family ---------------------------------------------------------------
 
 
+def _once(store: dict, key, build, *args):
+    """`store[key]`, built as `build(*args)` on first use."""
+    if key not in store:
+        store[key] = build(*args)
+    return store[key]
+
+
+class _Summand:
+    """A jet pair that the family's members are summed from, and its
+    answers: each kill, power and printed power block is computed on first
+    use, on this summand, and read by every rank whose members hold it."""
+
+    def __init__(self, jet):
+        self.jet = jet
+        self._answers = {}
+
+    def kills(self, row_key, g) -> bool:
+        """g, the stored-ideal basis row named `row_key`, acts as zero on
+        this summand's fiber (`_kills`)."""
+        return _once(self._answers, ("kills", row_key), _kills, g, self.jet.m1)
+
+    def power(self, side: str, coord: int, k: int):
+        """The action of coordinate `coord` on this summand's `side` ("m1"
+        or "m2") to the power k (`_action_power`)."""
+        return _once(self._answers, ("power", side, coord, k), _action_power,
+                     getattr(self.jet, side), coord, k)
+
+    def printed(self, coord: int, k: int):
+        """The entry strings of power("m2", coord, k), row by row."""
+        return _once(self._answers, ("printed", coord, k), _printed,
+                     self.power("m2", coord, k))
+
+
+def _printed(power):
+    return [[format_scalar(x) for x in row] for row in power.data]
+
+
 class CertificateFamily:
     """One germ's family over the ranks of one request, and the one store
-    of its per-branch annihilators.  Each branch's base jet
-    `jet_pair(b, min(r, r0))` and skyscraper jet, and its two annihilators
-    of the bare rank-d fiber, are built on first use, then read from
-    memory: above r0 the jets and the member ideal are the same at every
-    rank, and below r0 they are keyed by the rank.  `certify` pads and
-    checks at each rank, and the cross-check reads the same annihilators."""
+    of its per-branch summands and annihilators.  Each branch's base jet
+    `jet_pair(b, min(r, r0))`, stored under ("jet", i, min(r, r0)), its
+    skyscraper jet, under ("sky", i), each padded member and the two
+    annihilators of each bare rank-d fiber are built on first use, then
+    read from memory: above r0 the base jet and the member ideal are the
+    same at every rank, and below r0 they are keyed by the rank.  Each
+    stored summand also keeps its answers (`_Summand`): every kill of a
+    stored-ideal basis row on its fiber and every power of a coordinate's
+    action on it is computed once, on that summand, and read by every rank
+    whose members hold it.  So a rank above r0 pays only for what its
+    skyscraper run adds, the first time one does.  `certify` assembles
+    each rank's verdicts from those answers, and the cross-check reads the
+    same annihilators."""
 
     def __init__(self, germ: Germ):
         self.germ = germ
         self._built = {}
-
-    def _once(self, key, build, *args):
-        if key not in self._built:
-            self._built[key] = build(*args)
-        return self._built[key]
 
     def member(self, index: int, r: int):
         """The rank-r member over branch `index`: the rank-r0 jet pair padded
@@ -159,8 +205,26 @@ class CertificateFamily:
         at r = r0; exploratory, the bare rank-r jet pair when r < r0).  Its
         special fiber `m1` is the member."""
         r0 = self.germ.r0
-        base = self._base_jet(index, min(r, r0))
-        return base if r <= r0 else pad(base, self._sky_jet(index), r - r0)
+        if r <= r0:
+            return self._base(index, r).jet
+        return _once(self._built, ("member", index, r), pad,
+                     self._base(index, r0).jet, self._sky(index).jet, r - r0)
+
+    def summands(self, index: int, r: int):
+        """member(index, r) as (`_Summand`, copies) runs in block order: the
+        base jet once, then above r0 the skyscraper jet r - r0 times."""
+        r0 = self.germ.r0
+        runs = [(self._base(index, min(r, r0)), 1)]
+        if r > r0:
+            runs.append((self._sky(index), r - r0))
+        return runs
+
+    def kills(self, r: int, index: int, row: int, g, other: int) -> bool:
+        """g, basis row `row` of ideal(index, r), kills member(other, r).m1:
+        a polynomial kills a direct sum iff it kills each summand, and each
+        summand's answer is its own (`_Summand.kills`)."""
+        row_key = ("ideal", index, min(r, self.germ.r0), row)
+        return all(s.kills(row_key, g) for s, _ in self.summands(other, r))
 
     def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
         """Annihilator of member(index, r).m1 at degree bound d = min(r, r0):
@@ -172,22 +236,24 @@ class CertificateFamily:
     def series_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
         """The annihilator of the bare rank-d fiber over branch `index` at
         degree d, read off its series (`_stable_annihilator`)."""
-        return self._once(("ideal", index, d), _stable_annihilator,
-                          self.germ.branches[index], d)
+        return _once(self._built, ("ideal", index, d), _stable_annihilator,
+                     self.germ.branches[index], d)
 
     def matrix_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
         """The same annihilator read off the action matrices of the bare
         rank-d fiber, `annihilator(fiber_module(b, d), d)`."""
-        return self._once(("matrix", index, d), _matrix_annihilator,
-                          self.germ.branches[index], d)
+        return _once(self._built, ("matrix", index, d), _matrix_annihilator,
+                     self.germ.branches[index], d)
 
-    def _base_jet(self, index: int, rank: int):
-        return self._once(("jet", index, rank), jet_pair,
-                          self.germ.branches[index], rank)
+    def _base(self, index: int, rank: int) -> _Summand:
+        b = self.germ.branches[index]
+        return _once(self._built, ("jet", index, rank),
+                     lambda: _Summand(jet_pair(b, rank)))
 
-    def _sky_jet(self, index: int):
-        return self._once(("sky", index), graph_skyscraper,
-                          self.germ.branches[index])[1]
+    def _sky(self, index: int) -> _Summand:
+        b = self.germ.branches[index]
+        return _once(self._built, ("sky", index),
+                     lambda: _Summand(graph_skyscraper(b)[1]))
 
 
 def _matrix_annihilator(b, d: int) -> AnnihilatorIdeal:
@@ -221,18 +287,20 @@ def separates_points(family: CertificateFamily, r: int):
     (exploratory below the critical rank)."""
     k = family.germ.k
     return _point_verdicts([family.ideal(i, r) for i in range(k)],
-                           [family.member(i, r).m1 for i in range(k)])
+                           [family.member(i, r).m1 for i in range(k)],
+                           partial(family.kills, r))
 
 
-def _point_verdicts(ideals, fibers):
-    """Verdicts from the members' ideals; witnesses are re-checked on the
-    members' action matrices `fibers`."""
+def _point_verdicts(ideals, fibers, kills):
+    """Verdicts from the members' ideals.  Witnesses are re-checked on the
+    members' action matrices by `kills` (`_point_witness`); equal ideals
+    compare the members' presentations `fibers`."""
     verdicts = []
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
             pair = (i, j)
             if ideals[i] != ideals[j]:
-                witness = _point_witness(ideals[i], fibers[i], ideals[j], fibers[j])
+                witness = _point_witness(ideals, i, j, kills)
                 verdicts.append(SeparationVerdict(
                     kind="points", subject=pair, result=SEPARATED,
                     witness=witness,
@@ -251,44 +319,37 @@ def _point_verdicts(ideals, fibers):
     return verdicts
 
 
-def _point_witness(ann_i, fiber_i, ann_j, fiber_j):
-    """A polynomial in exactly one of the two annihilators, re-verified;
-    the first branch's annihilator is searched first.  Both share one
-    degree bound, and a row that leads there is a bare monomial that both
-    ideals hold, never a witness, so the search stops below it."""
-    bound = ann_i.degree_bound
-    first, second = ("first", ann_i, fiber_i), ("second", ann_j, fiber_j)
-    for (own, ann, fiber), (other, _, other_fiber) in ((first, second),
-                                                       (second, first)):
-        for g in ann.polys_below(bound):
-            if not _kills(g, other_fiber):
-                _check_kills(g, fiber)
+def _point_witness(ideals, i, j, kills):
+    """A polynomial in exactly one of ideals[i] and ideals[j], re-verified:
+    `kills(a, row, g, b)` tells whether g, basis row `row` of ideals[a],
+    acts as zero on member b's action matrices.  The first branch's
+    annihilator is searched first.  Both share one degree bound, and a row
+    that leads there is a bare monomial that both ideals hold, never a
+    witness, so the search stops below it."""
+    bound = ideals[i].degree_bound
+    for own, other, own_name, other_name in ((i, j, "first", "second"),
+                                             (j, i, "second", "first")):
+        for row, g in enumerate(ideals[own].polys_below(bound)):
+            if not kills(own, row, g, other):
+                if not kills(own, row, g, own):
+                    raise D0resError(f"witness {poly_text(g)} does not "
+                                     f"annihilate its own fiber")
                 return {
                     "polynomial": poly_text(g),
-                    "annihilates_branch": own,
-                    "nonzero_on_branch": other,
+                    "annihilates_branch": own_name,
+                    "nonzero_on_branch": other_name,
                 }
     raise D0resError("distinct annihilators but no separating element found")
 
 
 def _kills(g, fiber):
-    """g acts as zero on the module `fiber` (its actions commute).  A direct
-    sum is killed iff every summand is, so each distinct one is checked.
-    On strictly lower-triangular Toeplitz actions g(A) is the Toeplitz
-    matrix of g at their first columns (`FiniteModule.columns`), so it is
-    zero iff that series is; any other module is evaluated densely."""
-    if isinstance(fiber, DirectSum):
-        return all(_kills(g, s) for s, _ in fiber.runs)
+    """g acts as zero on the module `fiber` (its actions commute).  On
+    strictly lower-triangular Toeplitz actions g(A) is the Toeplitz matrix
+    of g at their first columns (`FiniteModule.columns`), so it is zero iff
+    that series is; any other module is evaluated densely."""
     if fiber.columns is not None:
         return g.eval_series(fiber.columns).is_zero_at_precision()
     return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
-
-
-def _check_kills(g, fiber):
-    if not _kills(g, fiber):
-        raise D0resError(
-            f"witness {poly_text(g)} does not annihilate its own fiber"
-        )
 
 
 # -- tangent separation ---------------------------------------------------------------
@@ -298,9 +359,8 @@ def separates_tangents(family: CertificateFamily, r: int):
     """Nilpotency-jump test on the padded jet pair of every rank-r member
     of `family` (exploratory below the critical rank)."""
     germ = family.germ
-    jets = [family.member(i, r) for i in range(germ.k)]
     verdicts = []
-    for i, (b, jet) in enumerate(zip(germ.branches, jets)):
+    for i, b in enumerate(germ.branches):
         n = germ.n[i]
         coord = _test_coordinate(b)
         if r >= germ.r0:
@@ -311,19 +371,19 @@ def separates_tangents(family: CertificateFamily, r: int):
                 )
         else:
             exponent = ceil(r / n)
-        f1 = power_runs(jet.m1, coord, exponent)
-        f2 = power_runs(jet.m2, coord, exponent)
-        if (all(p.is_zero() for p, _ in f1)
-                and not all(p.is_zero() for p, _ in f2)):
+        runs = family.summands(i, r)
+        if (all(s.power("m1", coord, exponent).is_zero() for s, _ in runs)
+                and not all(s.power("m2", coord, exponent).is_zero()
+                            for s, _ in runs)):
             verdicts.append(SeparationVerdict(
                 kind="tangents", subject=(i,), result=SEPARATED,
                 witness={
                     "coordinate": coord,
                     "exponent": exponent,
                     "fiber_power_zero": True,
-                    "jet_power": [{"block": [[format_scalar(x) for x in row]
-                                             for row in block.data],
-                                   "copies": copies} for block, copies in f2],
+                    "jet_power": [{"block": [list(row) for row
+                                             in s.printed(coord, exponent)],
+                                   "copies": copies} for s, copies in runs],
                 },
             ))
         elif r >= germ.r0:
@@ -370,8 +430,11 @@ def graph_jet_class_vanishes(b) -> bool:
 
 def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
     """Run both separation suites on the rank-r members of `family`, and
-    assemble verdicts.  What the family already holds from another rank is
-    read, not rebuilt; every check runs at this rank.  Below the critical
+    assemble verdicts.  Every kill and power the certificate claims was
+    computed once, on the summand it names, at this rank or at an earlier
+    rank of the family whose members hold that summand; what the family
+    holds is read, not recomputed.  The ideal comparisons and the padding
+    check run at this rank.  Below the critical
     rank the certificate is exploratory: it has no padding, runs no padding
     check and cannot pass."""
     germ = family.germ

@@ -50,8 +50,9 @@ routes, and only the tests call them:
   dense annihilator of each bare rank-r0 fiber at the full bound r; the
   reference for `verify._padding_support_unchanged`, which compares at
   bound r0.
-* assembled: the block-diagonal matrix of `modules.power_runs`'s (block,
-  copies) runs, to compare with the dense power of a dense sum.
+* assembled: the block-diagonal matrix of (block, copies) runs, each
+  block a summand's `modules._action_power`, to compare with the dense
+  power of a dense sum.
 * expand_jet_power: the dense rows of a tangent witness's printed
   `jet_power`, rebuilt from its (block, copies) runs with "0" off the
   blocks; the report prints the runs, and the tests compare these rows

@@ -17,6 +17,7 @@ from d0res.cli import main
 from d0res.errors import InputError
 from d0res.linalg import ExactMatrix
 from d0res.modules import FiniteModule
+from d0res.poly import poly_text
 from d0res.report import emit_report, parse_request, run_analyze, run_with_escalation
 from d0res.series import Series
 
@@ -610,6 +611,14 @@ def _family_requests():
     tacnode = json.loads((CORPUS / "tacnode.json").read_text())
     requests.append(pytest.param({**tacnode, "ranks": [5, 3, 4, 3, 1]},
                                  id="tacnode_mixed"))
+    # r0 = 2 over QQ(sqrt(-3/4)) and r0 = 4: descending, repeated and
+    # below-critical ranks, each rank above r0 read from stored answers
+    germs = dict(RATIONAL_GERMS)
+    for name, ranks in (("conj_node", [4, 2, 1, 3, 2, 5]),
+                        ("tacnode", [6, 4, 2, 5, 4, 3, 7])):
+        requests.append(pytest.param(
+            {"curve": {"implicit": {"poly": germs[name]}}, "ranks": ranks},
+            id=f"rational_{name}_mixed"))
     return requests
 
 
@@ -677,6 +686,42 @@ def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
         branches += k
     assert branches == 20
     assert (counts["jet_pair"], counts["graph_skyscraper"]) == (20, 20)
+
+
+def test_corpus_computes_each_summand_answer_once(monkeypatch):
+    """At the default ranks r0..r0+2 each branch's test coordinate is
+    raised four times, once for all three ranks: on the fiber and on the
+    jet of its rank-r0 jet pair and of its skyscraper jet.  No witness row
+    is evaluated twice on one summand, and the builds are those of
+    `test_corpus_builds_each_branch_jet_and_skyscraper_once`."""
+    counts = _count_builds(monkeypatch)
+    powers, kills = [], []
+    action_power, kills_fn = verify_module._action_power, verify_module._kills
+
+    def counted_power(module, coord, k):
+        powers.append((id(module), coord, k))
+        return action_power(module, coord, k)
+
+    def counted_kills(g, fiber):
+        kills.append((poly_text(g), id(fiber)))
+        return kills_fn(g, fiber)
+
+    monkeypatch.setattr(verify_module, "_action_power", counted_power)
+    monkeypatch.setattr(verify_module, "_kills", counted_kills)
+    for path in sorted(CORPUS.glob("*.json")):
+        before = dict(counts)
+        del powers[:], kills[:]
+        report = run_analyze(parse_request(json.loads(path.read_text())))
+        built = {name: counts[name] - before[name] for name in counts}
+        k = len(report["germ"]["branches"])
+        r0 = report["germ"]["r0"]
+        assert [c["rank"] for c in report["certificates"]] == [r0, r0 + 1,
+                                                               r0 + 2]
+        assert len(powers) == len(set(powers)) == 4 * k, path.name
+        assert len(kills) == len(set(kills)), path.name
+        assert (k < 2) == (not kills), path.name
+        assert built["jet_pair"] == built["graph_skyscraper"] == k, path.name
+        assert built["pad"] == 2 * k, path.name
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):
@@ -883,6 +928,39 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     out = json.loads(capsysbinary.readouterr().out.decode())
     (cert,) = out["certificates"]
     assert cert["padding_support_ok"] is False and cert["pass"] is False
+
+
+def test_a_faulty_skyscraper_fails_every_padded_rank(monkeypatch,
+                                                    capsysbinary):
+    """The skyscraper is planted as the rank-(r0 + 1) jet pair of its
+    branch, on which the test coordinate's power is t^r0, not zero.  The
+    rank-r0 certificate, which holds no skyscraper, is computed first and
+    passes; every padded rank after it, alone or after another padded
+    rank, reads the planted summand's own answers and fails `--strict`:
+    its tangent verdicts are inconclusive, or, on the node, a witness that
+    kills the rank-r0 fiber does not kill the planted one, an error."""
+    for path in sorted(CORPUS.glob("*.json")):
+        golden = json.loads((CORPUS / "golden" / path.name).read_text())
+        r0 = golden["germ"]["r0"]
+        monkeypatch.setattr(verify_module, "graph_skyscraper", lambda b: (
+            modules_module.fiber_module(b, r0 + 1),
+            modules_module.jet_pair(b, r0 + 1)))
+        for ranks in ([r0, r0 + 1], [r0, r0 + 2], [r0, r0 + 1, r0 + 2]):
+            args = [arg for r in ranks for arg in ("--rank", str(r))]
+            rc = main(["analyze", str(path), *args, "--strict"])
+            captured = capsysbinary.readouterr()
+            if path.stem == "node":
+                assert rc != 0, (path.name, ranks)
+                assert b"does not annihilate its own fiber" in captured.err
+                continue
+            assert rc == 1, (path.name, ranks)
+            first, *padded = json.loads(captured.out)["certificates"]
+            assert first["rank"] == r0 and first["pass"], (path.name, ranks)
+            assert [c["rank"] for c in padded] == ranks[1:]
+            for cert in padded:
+                assert not cert["pass"], (path.name, cert["rank"])
+                assert {v["result"] for v in cert["tangents"]} == {
+                    "inconclusive"}, (path.name, cert["rank"])
 
 
 def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,

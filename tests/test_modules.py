@@ -16,6 +16,7 @@ from d0res.linalg import (
 )
 from d0res.modules import (
     DirectSum,
+    _action_power,
     FiniteModule,
     JetPair,
     annihilator,
@@ -27,7 +28,6 @@ from d0res.modules import (
     kernel_echelon,
     nilpotency_index,
     pad,
-    power_runs,
     support_length,
     toeplitz_column,
 )
@@ -516,34 +516,41 @@ def test_toeplitz_annihilator_equals_the_dense_one(b, r):
 @settings(max_examples=30, deadline=None)
 @given(toeplitz_branches(), st.integers(1, 8))
 def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
-    """`power_runs` on the bare rank-r jet and on it padded with two
-    skyscraper jets equals the dense power of the dense sum, fiber and
-    jet, every coordinate, k = 0..r+1."""
-    jet = jet_pair(b, r)
-    for member in (jet, pad(jet, graph_skyscraper(b)[1], 2)):
-        dense = dense_sum(member)
-        for module, dense_module in ((member.m1, dense.m1),
-                                     (member.m2, dense.m2)):
-            for coord, a in enumerate(dense_module.actions):
-                for k in range(r + 2):
-                    assert assembled(power_runs(module, coord, k)) == a ** k
+    """`_action_power` on the bare rank-r jet equals its dense power, and
+    on it and the skyscraper jet, assembled block by block, the dense
+    power of the jet padded with two skyscraper jets: fiber and jet, every
+    coordinate, k = 0..r+1."""
+    jet, sky = jet_pair(b, r), graph_skyscraper(b)[1]
+    runs = ((jet, 1), (sky, 2))
+    dense = dense_sum(pad(jet, sky, 2))
+    for side in ("m1", "m2"):
+        for coord, a in enumerate(getattr(dense, side).actions):
+            bare = getattr(jet, side).actions[coord]
+            for k in range(r + 2):
+                assert _action_power(getattr(jet, side), coord, k) == bare ** k
+                assert assembled([
+                    (_action_power(getattr(s, side), coord, k), copies)
+                    for s, copies in runs]) == a ** k
 
 
 @settings(max_examples=30, deadline=None)
 @given(toeplitz_branches(), st.integers(1, 8))
 def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
     """Each basis row of the rank-r fiber's annihilator is judged on the
-    fibers of ranks 1..8, which those above r need not be killed by, and
-    on the rank-r fiber padded with skyscrapers, as the dense evaluation
-    judges it."""
+    fibers of ranks 1..8, which those above r need not be killed by, as
+    the dense evaluation judges it; and on the rank-r fiber padded with
+    skyscrapers, summand by summand, as on the dense sum."""
     ideal = annihilator(fiber_module(b, r), r)
     fibers = [fiber_module(b, k) for k in range(1, 9)]
-    fibers.append(pad(fibers[r - 1], graph_skyscraper(b)[0], 2))
+    padded = pad(fibers[r - 1], graph_skyscraper(b)[0], 2)
+    dense_padded = dense_sum(padded)
     for g in ideal.polys:
         for fiber in fibers:
-            dense = dense_sum(fiber)
             assert _kills(g, fiber) == g.evaluate(
-                dense.actions, ExactMatrix.identity(dense.dim)).is_zero()
+                fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
+        assert all(_kills(g, s) for s, _ in padded.runs) == g.evaluate(
+            dense_padded.actions,
+            ExactMatrix.identity(dense_padded.dim)).is_zero()
 
 
 def test_toeplitz_column_reads_entry_by_entry():
@@ -566,8 +573,8 @@ def test_toeplitz_column_reads_entry_by_entry():
 
 def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
         repo_corpus_germs, monkeypatch):
-    """Every corpus member's fiber and jet actions, at r0 and padded at
-    r0 + 2, are raised in closed form, with no matrix power."""
+    """Every summand of every corpus member, fiber and jet, at r0 and
+    padded at r0 + 2, is raised in closed form, with no matrix power."""
     def refused(self, n):
         raise AssertionError("dense power")
 
@@ -576,11 +583,11 @@ def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
         family = CertificateFamily(germ)
         for i in range(germ.k):
             for r in (germ.r0, germ.r0 + 2):
-                jet = family.member(i, r)
-                for coord in range(germ.branches[i].ambient_dim):
-                    for e in (1, germ.r0):
-                        power_runs(jet.m1, coord, e)
-                        power_runs(jet.m2, coord, e)
+                for s, _ in family.summands(i, r):
+                    for coord in range(germ.branches[i].ambient_dim):
+                        for e in (1, germ.r0):
+                            s.power("m1", coord, e)
+                            s.power("m2", coord, e)
 
 
 def test_toeplitz_action_with_a_diagonal_is_not_nilpotent():
@@ -614,8 +621,8 @@ _JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
 def test_actions_off_the_closed_jet_form_are_raised_densely(action,
                                                             monkeypatch):
     """An action that is not [[A, 0], [C, A]] with A Toeplitz and C zero
-    but for its last row is raised as a matrix by `power_runs`, and its
-    powers are `**`'s."""
+    but for its last row is raised as a matrix by `_action_power`, and
+    its powers are `**`'s."""
     module = FiniteModule(action.rows, (action,))
     assert module.columns is None
     powers = []
@@ -627,6 +634,5 @@ def test_actions_off_the_closed_jet_form_are_raised_densely(action,
 
     monkeypatch.setattr(ExactMatrix, "__pow__", counted)
     for k in range(1, action.rows + 1):
-        (block, copies), = power_runs(module, 0, k)
-        assert copies == 1 and block == original(action, k)
+        assert _action_power(module, 0, k) == original(action, k)
     assert powers == list(range(1, action.rows + 1))

@@ -13,6 +13,7 @@ from d0res.puiseux import (
     FieldContext,
     _depressed_quartic_split,
     _rational_roots,
+    _sturm_roots,
     has_rational_factor,
     newton_polygon_edges,
     roots_in_tower,
@@ -138,6 +139,22 @@ def test_rational_roots_match_the_divisor_search(linear_roots, other):
     found = _rational_roots(p)
     assert found == roots_by_divisors(p)
     assert set(linear_roots) <= set(found)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_fractions.filter(bool), small_fractions, small_fractions,
+       st.one_of(st.just(F(0)), small_fractions))
+def test_quadratic_roots_match_the_bisection(lead, a, b, shift):
+    """A quadratic's roots come from its discriminant; they equal Sturm
+    bisection's, sorted, on lead * (u - a)(u - b) + shift: two roots, a
+    double root, or none when the shift leaves no rational square."""
+    p = [lead * a * b + shift, -lead * (a + b), lead]
+    assert _rational_roots(p) == _sturm_roots(p)
+    if not shift:
+        assert _rational_roots(p) == sorted({a, b})
 
 
 def test_rational_roots_of_large_coefficients():

@@ -26,7 +26,6 @@ from d0res.modules import (
     functional_ideal,
     jet_pair,
     pad,
-    power_runs,
 )
 from d0res.poly import Poly, poly_text
 from d0res.report import _certificate_block, _verdict_block
@@ -334,21 +333,23 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
             family = CertificateFamily(germ)
             verdicts = separates_tangents(family, r)
             for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
-                jet = family.member(i, r)
-                dense = dense_sum(jet)
+                dense = dense_sum(family.member(i, r))
+                runs = family.summands(i, r)
                 coord, e = _test_coordinate(b), germ.r0 // germ.n[i]
                 f1 = dense.m1.actions[coord] ** e
                 f2 = dense.m2.actions[coord] ** e
-                assert assembled(power_runs(jet.m1, coord, e)) == f1, (name, i, r)
-                assert assembled(power_runs(jet.m2, coord, e)) == f2, (name, i, r)
+                for side, f in (("m1", f1), ("m2", f2)):
+                    assert assembled([(s.power(side, coord, e), copies)
+                                      for s, copies in runs]) == f, (name, i, r)
                 assert expand_jet_power(v.witness["jet_power"]) == [
                     [format_scalar(x) for x in row] for row in f2.data]
 
 
 def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
     """For every point witness the corpus goldens print, and every other
-    annihilator basis element of a member, `_kills` on the summands agrees
-    with evaluating on the member's dense actions, on every member."""
+    annihilator basis element of a member, the family's kill answer, read
+    off the summands, agrees with evaluating on the member's dense
+    actions, on every member."""
     printed = 0
     for name, germ in repo_corpus_germs.items():
         if germ.k < 2:
@@ -358,16 +359,18 @@ def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
             r = cert["rank"]
             family = CertificateFamily(germ)
             fibers = [family.member(i, r).m1 for i in range(germ.k)]
-            basis = {poly_text(g): g for i in range(germ.k)
-                     for g in family.ideal(i, r).polys}
+            basis = [(i, row, g) for i in range(germ.k)
+                     for row, g in enumerate(family.ideal(i, r).polys)]
             witnesses = [v["witness"]["polynomial"] for v in cert["points"]]
-            assert set(witnesses) <= set(basis), (name, r)
+            assert set(witnesses) <= {poly_text(g) for _, _, g in basis}, (
+                name, r)
             printed += len(witnesses)
-            for g in basis.values():
-                for fiber in fibers:
+            for i, row, g in basis:
+                for j, fiber in enumerate(fibers):
                     dense = eval_poly_at_matrices(
                         g, dense_sum(fiber).actions).is_zero()
-                    assert _kills(g, fiber) == dense, (name, r, poly_text(g))
+                    assert family.kills(r, i, row, g, j) == dense, (
+                        name, r, poly_text(g))
     assert printed > 0
 
 
@@ -427,8 +430,11 @@ def test_equal_ideals_with_different_runs_are_inconclusive(corpus_germs):
         ((dense_sum(pad(base, sky, 1)), pad(base, sky, 1)), INCONCLUSIVE),
         ((base, FiniteModule(2, base.actions)), NOT_SEPARATED),
     ]
+    def no_search(*args):
+        raise AssertionError("equal ideals are searched for no witness")
+
     for fibers, expected in cases:
-        (verdict,) = _point_verdicts([ideal, ideal], list(fibers))
+        (verdict,) = _point_verdicts([ideal, ideal], list(fibers), no_search)
         assert verdict.result == expected, fibers
 
 
@@ -499,7 +505,8 @@ def test_point_witness_rechecks_own_fiber(corpus_germs):
                              rows=(((0, F(1)),),))
     assert list(bogus.polys) == [one]
     with pytest.raises(D0resError, match="does not annihilate"):
-        _point_witness(bogus, fiber, bogus, fiber)
+        _point_witness([bogus, bogus], 0, 1,
+                       lambda own, row, g, other: _kills(g, fiber))
 
 
 def test_no_assert_statements_in_package():
