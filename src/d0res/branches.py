@@ -28,7 +28,7 @@ from math import gcd, lcm
 from .errors import D0resError, InputError, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import rref_rows
-from .poly import Poly, is_reduced_at, monomial_values, monomials_upto
+from .poly import Poly, is_reduced_at, reachable_values
 from .puiseux import (
     FieldContext,
     chart_orders,
@@ -369,12 +369,17 @@ def newton_puiseux(curve, trunc: int, ctx: FieldContext = None):
 # -- implicit equations ----------------------------------------------------------
 
 
-def _evaluation_columns(b: BranchParam, monomials, nt):
-    """Column per monomial: coefficients of its evaluation along the branch."""
+def _evaluation_columns(b: BranchParam, degree, nt):
+    """(monomials, columns, n): the monomials of degree <= `degree` that can
+    be nonzero along the branch mod t^n, n = min(nt, b.trunc), in graded
+    order, and one column per monomial, the coefficients of its value.
+    They are read off the orders of the truncated coordinates
+    (`poly.reachable_values`); every other monomial is zero mod t^n, and
+    none is evaluated but the checked corners."""
     n = min(nt, b.trunc)
-    values = monomial_values([s.truncate(n) for s in b.coords], monomials,
-                             Series.one(n))
-    return [list(v.coeffs) for v in values], n
+    monomials, values = reachable_values([s.truncate(n) for s in b.coords],
+                                         degree)
+    return monomials, [list(v.coeffs) for v in values], n
 
 
 def _is_monomial(s: Series) -> bool:
@@ -520,6 +525,8 @@ def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
     a guess until the W it gives has that least order.  One echelon of
     each monomial's [value along branch j mod t^T | value along branch i]
     gives W's orders along branch i: the pivots past the first T columns.
+    A monomial whose order is past both precisions is a zero row, and only
+    the others are evaluated (`_evaluation_columns`, `_joined_columns`).
 
     No spurious generator can lower the count.  An h in W has order >= T
     on branch j; orders >= K m_j + c_j on branch j lie in x^K O_j for a
@@ -552,10 +559,11 @@ def colength_intersection_length(bi: BranchParam, bj: BranchParam) -> int:
             raise RaiseTruncation(
                 f"colength needs precision {t_prec} on one branch and "
                 f"{e + ci} on the other", needed=max(t_prec, e + ci))
-        monomials = monomials_upto(bi.ambient_dim, -(-t_prec // mj) - 1)
-        on_j, _ = _evaluation_columns(bj, monomials, t_prec)
-        on_i, n_i = _evaluation_columns(bi, monomials, 2 * reach)
-        _, pivots = rref_rows(_nonzero(a + b for a, b in zip(on_j, on_i)))
+        degree = -(-t_prec // mj) - 1
+        on_j = _evaluation_columns(bj, degree, t_prec)
+        on_i = _evaluation_columns(bi, degree, 2 * reach)
+        n_i = on_i[2]
+        _, pivots = rref_rows(_joined_columns(on_j, on_i))
         orders = [p - t_prec for p in pivots if p >= t_prec]
         if not orders:
             if n_i < 2 * reach:
@@ -598,15 +606,16 @@ def _value_semigroup(b: BranchParam, m: int):
     """(#(Γ ∩ [0, c)), c) for the value semigroup Γ of a branch of
     multiplicity m and its conductor c.  Γ ∩ [0, n) is the pivot set of one
     echelon of the monomials of degree d < n / m taken mod t^n; the others
-    have order >= n.  c is where m consecutive values first appear: adding
-    m then reaches every later integer."""
+    have order >= n.  Only those of order below n are evaluated
+    (`_evaluation_columns`), so every row is nonzero.  c is where m
+    consecutive values first appear: adding m then reaches every later
+    integer."""
     if m == 1:
         return 0, 0
     n = 4 * m
     while True:
-        monomials = monomials_upto(b.ambient_dim, -(-n // m) - 1)
-        columns, n = _evaluation_columns(b, monomials, n)
-        _, values = rref_rows(_nonzero(columns))
+        _, columns, n = _evaluation_columns(b, -(-n // m) - 1, n)
+        _, values = rref_rows(columns)
         for k in range(m - 1, len(values)):
             if values[k] - values[k - m + 1] == m - 1:
                 return k - m + 1, values[k - m + 1]
@@ -617,8 +626,17 @@ def _value_semigroup(b: BranchParam, m: int):
         n *= 2
 
 
-def _nonzero(rows):
-    return [row for row in rows if any(not scalar_is_zero(x) for x in row)]
+def _joined_columns(on_j, on_i):
+    """One row per monomial that can be nonzero along either branch: its
+    column on branch j, then its column on branch i, from two
+    `_evaluation_columns` results.  A monomial live on one branch only is
+    zero on the other; a monomial live on neither is a zero row, and is
+    left out."""
+    (mono_j, cols_j, n_j), (mono_i, cols_i, n_i) = on_j, on_i
+    zero_j, zero_i = [_ZERO] * n_j, [_ZERO] * n_i
+    by_j, by_i = dict(zip(mono_j, cols_j)), dict(zip(mono_i, cols_i))
+    return [by_j.get(e, zero_j) + by_i.get(e, zero_i)
+            for e in {**by_j, **by_i}]
 
 
 # -- germ assembly -------------------------------------------------------------------

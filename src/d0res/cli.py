@@ -13,6 +13,7 @@ mismatch), 2 input error, 3 unsupported field extension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,11 @@ EXIT_INPUT_ERROR = 2
 EXIT_UNSUPPORTED_FIELD = 3
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every
+    later `main` call of the process: parsing fills a new namespace each
+    time and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="d0res",
         description="certify punctual-module separation data for curve germs",

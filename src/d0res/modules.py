@@ -59,35 +59,53 @@ The key constructions:
   t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
   annihilator of the 1 x 1 graph skyscraper, and padding the fiber with
   skyscrapers does not change it.  Both return the unique reduced echelon
-  basis, so they agree exactly, not just up to a change of basis.  Both
-  evaluate the monomials with `poly.monomial_values`, one over the action
-  matrices (over their first columns when Toeplitz) and one over the
-  pullback series (`branches._evaluation_columns`).  The basis is stored once,
-  as the sparse rows of `kernel_echelon`; a row becomes a polynomial only
-  when `polys` is iterated up to it.
+  basis, so they agree exactly, not just up to a change of basis.
+* reachable monomials: on a fiber, the value of x^e is the product of the
+  coordinates' series, and leading coefficients multiply in a field, so
+  it has order sum e_k * ord x_k exactly.  A monomial of order >= r is
+  zero on K[t]/(t^r): a zero column, free in `kernel_echelon` and
+  dependent on nothing, whose basis row is the bare monomial.  So both
+  routes evaluate only the monomials of order below r, read off their own
+  series (`branches._evaluation_columns`) or first columns
+  (`_evaluation_rows`), one series product each, and build no other.
+  The skip is checked, not trusted: the minimal skipped monomials, the
+  corners of the staircase, are evaluated, and one that is not zero mod
+  t^r is an error (`poly.reachable_values`); every other skipped monomial
+  is a multiple of a corner.  For y = x^128 at r = 129 that is about 130
+  of 8,515 monomials.  A module that is not Toeplitz, a dense sum or a
+  planted fault, is evaluated on every monomial.  The ideal holds its bare
+  rows implicitly (`AnnihilatorIdeal`): it stores the live columns and
+  the sparse rows `kernel_echelon` gives on them, and a row becomes a
+  polynomial only when `polys` is iterated up to it.
 * top degree: once an ideal holds every monomial of degree d, its reduced
   echelon basis on graded columns is fixed above d.  Each row that leads
   at degree >= d is that bare monomial, and no row that leads below d has
-  an entry at degree >= d (`AnnihilatorIdeal.holds_top_degree` gives the
-  argument and checks both at d = its bound).  So such an ideal is stored
+  an entry at degree >= d.  An `AnnihilatorIdeal` whose live columns all
+  lie below d holds both by construction (`holds_top_degree` gives the
+  argument and checks it at d = its bound).  So such an ideal is stored
   at bound d and never built higher: two of them are equal at any bound
   >= d iff they are equal at d, and a row above d, a monomial both hold,
   separates nothing.  A punctual module of dim m is killed by every
   monomial of degree >= m, and a fiber K[t]/(t^r) by every monomial of
-  degree >= r.
+  degree >= r, as each has order >= r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .branches import BranchParam, _evaluation_columns
 from .errors import D0resError, NotNilpotent, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, rref_rows
-from .poly import Poly, monomial_values, monomials_upto
+from .poly import (
+    Poly,
+    graded_monomials,
+    monomial_values,
+    monomials_upto,
+    reachable_values,
+)
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -420,29 +438,62 @@ def _jet_column(a: ExactMatrix):
 
 class AnnihilatorIdeal:
     """Reduced echelon basis of the polynomials (degree <= bound) killing a
-    module; comparable across modules of the same ambient dimension.  Each
-    row is sparse: the (column, coefficient) pairs of its nonzero entries in
-    column order, columns indexing the graded `monomials`, and the rows are
-    in the order of their leading (lowest) columns.  The basis is unique,
-    so equal bases mean equal ideals.
+    module, on the graded monomials of degree <= bound; comparable across
+    modules of the same ambient dimension.  The basis is unique, so equal
+    bases mean equal ideals.
+
+    It is held in two parts.  A monomial whose functionals all vanish is a
+    zero column: `kernel_echelon` leaves it free, dependent on nothing,
+    and its basis row is the bare monomial.  Those rows are held
+    implicitly, one for every monomial of degree <= bound that is not
+    `live`.  The other rows are `live_rows`, each the (index into `live`,
+    coefficient) pairs of its nonzero entries in column order, in the
+    order of their leading columns; a live row depends only on pivots, so
+    it has no entry at a zero column.
+
+    The constructor takes graded columns `monomials` and sparse `rows` on
+    their indices.  A monomial of degree <= bound that is not among them is
+    a bare row, and so is a row ((c, 1),) at which no other row has an
+    entry: both go to the implicit part, so that equal bases have equal
+    parts, and `==` compares those.  `monomials` and `rows` write the whole
+    basis out, bare rows and all, for tests; the program reads neither.
     """
 
     def __init__(self, degree_bound, monomials, rows):
         self.degree_bound = degree_bound
-        self.monomials = tuple(monomials)
-        self.rows = tuple(rows)
+        self.nvars = len(monomials[0])
+        rows = tuple(rows)
+        bare = {row[0][0] for row in rows if len(row) == 1 and row[0][1] == _ONE}
+        if bare:
+            bare -= {c for row in rows if len(row) > 1 for c, _ in row}
+            kept = [c for c in range(len(monomials)) if c not in bare]
+            index = {c: k for k, c in enumerate(kept)}
+            monomials = [monomials[c] for c in kept]
+            rows = tuple(tuple((index[c], v) for c, v in row)
+                         for row in rows if row[0][0] not in bare)
+        self.live = tuple(monomials)
+        self.live_rows = rows
 
-    @property
-    def nvars(self):
-        return len(self.monomials[0])
+    def _basis(self, degree):
+        """The basis rows that lead below `degree`, in row order, each as the
+        (monomial, coefficient) pairs of its entries in column order, made
+        only when the iteration reaches it: the live row that leads at a
+        live monomial, if any, and the bare row of any other monomial."""
+        index = {m: k for k, m in enumerate(self.live)}
+        lead = {row[0][0]: row for row in self.live_rows}
+        for m in graded_monomials(self.nvars,
+                                  min(degree - 1, self.degree_bound)):
+            k = index.get(m)
+            if k is None:
+                yield ((m, _ONE),)
+            elif k in lead:
+                yield tuple((self.live[c], v) for c, v in lead[k])
 
     def polys_below(self, degree):
         """The basis rows that lead below `degree` as polynomials, in row
         order, each built only when the iteration reaches it."""
-        for row in self.rows:
-            if sum(self.monomials[row[0][0]]) >= degree:
-                return
-            yield Poly(self.nvars, {self.monomials[c]: v for c, v in row})
+        for row in self._basis(degree):
+            yield Poly(self.nvars, dict(row))
 
     @property
     def polys(self):
@@ -451,15 +502,32 @@ class AnnihilatorIdeal:
         return self.polys_below(self.degree_bound + 1)
 
     @property
+    def monomials(self):
+        """Every monomial of degree <= bound, in graded order: the columns
+        of `rows`."""
+        return tuple(monomials_upto(self.nvars, self.degree_bound))
+
+    @property
+    def rows(self):
+        """The whole basis as sparse rows on `monomials`, bare rows
+        written out, in the order of their leading columns."""
+        index = {m: c for c, m in enumerate(self.monomials)}
+        return tuple(tuple((index[m], v) for m, v in row)
+                     for row in self._basis(self.degree_bound + 1))
+
+    @property
     def quotient_dim(self):
         """Dimension of the polynomials of degree <= bound modulo the ideal:
-        the dimension of the algebra the actions generate at that degree."""
-        return len(self.monomials) - len(self.rows)
+        the dimension of the algebra the actions generate at that degree.
+        Each bare row removes its own monomial, so it is the live columns
+        that lead no live row."""
+        return len(self.live) - len(self.live_rows)
 
     def holds_top_degree(self) -> bool:
-        """True iff the ideal holds every monomial of degree `degree_bound`,
-        read off the basis: each of those monomials is a bare row, and no
-        row that leads below that degree has an entry there.
+        """True iff the ideal holds every monomial of degree `degree_bound`:
+        no live monomial has that degree, so each of them is a bare row, and
+        no live row, whose entries are all at live columns, has an entry
+        there.
 
         An ideal is closed under multiplication, so it then holds every
         monomial of degree >= bound, and on graded columns that fixes its
@@ -470,28 +538,33 @@ class AnnihilatorIdeal:
         monomial.  A row that leads lower depends only on pivots, all of
         lower degree, so it has no entry at a higher degree; and zero
         columns change neither the pivots nor the reduced entries.  So the
-        ideal at any bound above is this basis with the bare monomials of
-        the new degrees appended, and two such ideals agree at every higher
-        bound iff they agree at this one.
+        ideal at any bound above has the same live part, the bare
+        monomials of the new degrees joining the implicit one, and two such
+        ideals agree at every higher bound iff they agree at this one.
         """
-        width = comb(self.degree_bound - 1 + self.nvars, self.nvars)
-        low = tuple(row for row in self.rows if row[0][0] < width)
-        return (all(row[-1][0] < width for row in low)
-                and self.rows[len(low):] == tuple(
-                    ((c, _ONE),) for c in range(width, len(self.monomials))))
+        return max(map(sum, self.live), default=-1) < self.degree_bound
+
+    def in_maximal_ideal(self) -> bool:
+        """True iff no basis row has an entry at the constant monomial, so
+        that every polynomial in the ideal vanishes at the origin.  The
+        constant is the first column, and only a row that leads there can
+        have an entry there: it must be live and lead no live row."""
+        return (bool(self.live) and not any(self.live[0])
+                and not (self.live_rows and self.live_rows[0][0][0] == 0))
 
     def __eq__(self, other):
         if not isinstance(other, AnnihilatorIdeal):
             return NotImplemented
-        return ((self.degree_bound, self.monomials, self.rows)
-                == (other.degree_bound, other.monomials, other.rows))
+        return ((self.degree_bound, self.nvars, self.live, self.live_rows)
+                == (other.degree_bound, other.nvars, other.live,
+                    other.live_rows))
 
     def __hash__(self):
         return hash((self.degree_bound, self.nvars, self.quotient_dim))
 
     def __repr__(self):
         return (f"AnnihilatorIdeal(degree_bound={self.degree_bound}, "
-                f"monomials={self.monomials!r}, rows={self.rows!r})")
+                f"monomials={self.live!r}, rows={self.live_rows!r})")
 
 
 def kernel_echelon(rows, ncols):
@@ -506,6 +579,14 @@ def kernel_echelon(rows, ncols):
     1 at c, minus the dependency coefficients at the pivots, zero at every
     other leading column.  The reduced echelon basis of a subspace is
     unique, so this equals the RREF of any kernel basis.
+
+    A zero column is free and depends on nothing, so its row is the bare
+    column, and it changes neither the pivots nor any other row.  The
+    annihilators pass only the live columns, the monomials a Toeplitz
+    module or a branch can reach, and eliminate only those; the zero
+    columns they leave out are the bare rows that `AnnihilatorIdeal` holds
+    implicitly.  A dense module's zero columns are passed, and come back
+    as bare rows.
     """
     reversed_rows = [row[::-1] for row in rows
                      if any(not scalar_is_zero(x) for x in row)]
@@ -531,9 +612,10 @@ def kernel_echelon(rows, ncols):
 
 def functional_ideal(degree_bound, monomials, rows) -> AnnihilatorIdeal:
     """The AnnihilatorIdeal at `degree_bound` cut out by the evaluation
-    functionals `rows` on the graded `monomials`.  These may run past the
-    bound: `monomials_upto` is graded, so the monomials of degree <= bound
-    are a prefix, and only its columns are read."""
+    functionals `rows` on the graded `monomials`; every monomial of degree
+    <= bound that is not among them is a zero functional, a bare row.
+    They may run past the bound: they are graded, so the monomials of
+    degree <= bound are a prefix, and only its columns are read."""
     width = sum(1 for m in monomials if sum(m) <= degree_bound)
     if len(monomials) > width:
         monomials = monomials[:width]
@@ -544,35 +626,38 @@ def functional_ideal(degree_bound, monomials, rows) -> AnnihilatorIdeal:
 
 
 def _evaluation_rows(module: FiniteModule, degree):
-    """Matrix of the evaluation map Poly_<=degree -> End(module); columns in
-    graded-lex monomial order, one row per functional.
+    """(monomials, rows): the evaluation map Poly_<=degree -> End(module)
+    on the graded `monomials` it is read on, one row per functional; every
+    monomial of degree <= `degree` left out is zero on the module.
 
     When the actions are strictly lower-triangular Toeplitz (`columns`),
     each monomial's value is the Toeplitz matrix of the product of their
-    first columns, one series product per monomial, and the rows are the
-    dim entries of that first column.  Every other entry of the value
-    repeats one of them or is zero, so these rows have the same kernel,
-    and the same rank, as the dim^2 rows of all entries, which any other
-    module is evaluated on, one matrix product per monomial."""
-    monomials = monomials_upto(module.ambient_dim, degree)
+    first columns, and the rows are the dim entries of that first column.
+    Every other entry of the value repeats one of them or is zero, so these
+    rows have the same kernel, and the same rank, as the dim^2 rows of all
+    entries.  The product has the sum of the columns' orders, so only the
+    monomials whose order is below dim are evaluated, one series product
+    each, and the corners of the rest are checked to be zero
+    (`poly.reachable_values`).  Any other module is evaluated densely, on
+    every monomial, one matrix product each, and its dim^2 entries."""
     if module.columns is not None:
-        values = monomial_values(module.columns, monomials,
-                                 Series.one(module.dim))
+        monomials, values = reachable_values(module.columns, degree)
         cols = [value.coeffs for value in values]
         nrows = module.dim
     else:
+        monomials = monomials_upto(module.ambient_dim, degree)
         values = monomial_values(module.actions, monomials,
                                  ExactMatrix.identity(module.dim))
         cols = [value.flat() for value in values]
         nrows = module.dim * module.dim
-    rows = [[cols[j][i] for j in range(len(monomials))] for i in range(nrows)]
-    return monomials, rows
+    return monomials, [[col[i] for col in cols] for i in range(nrows)]
 
 
 def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorIdeal:
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
-    the module, from its action matrices: dim first-column rows for
-    Toeplitz actions, dim^2 entry rows otherwise (`_evaluation_rows`).  The
+    the module, from its action matrices: dim first-column rows on the
+    monomials they reach for Toeplitz actions, dim^2 entry rows on every
+    monomial otherwise (`_evaluation_rows`).  The
     reduced echelon basis of the kernel is unique, so both give the same
     ideal.  The default bound (module dim) is provably enough: every
     monomial of degree >= dim kills a punctual module of that dimension.
@@ -588,7 +673,9 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
 def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
     """(monomials, rows): the evaluation functionals on the polynomials of
     degree <= bound whose common kernel is the annihilator of
-    fiber_module(b, rank).
+    fiber_module(b, rank), on the monomials that can be nonzero mod
+    t^rank (`branches._evaluation_columns`); each one left out is zero
+    there, a bare row of the ideal.
 
     The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
     coefficients of f(x(t)) vanish: `rank` rows.  The branch passes through
@@ -599,8 +686,7 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
     if b.trunc < rank:
         raise RaiseTruncation("fiber construction needs truncation >= rank",
                               needed=rank)
-    monomials = monomials_upto(b.ambient_dim, degree_bound)
-    cols, _ = _evaluation_columns(b, monomials, rank)
+    monomials, cols, _ = _evaluation_columns(b, degree_bound, rank)
     return monomials, [[col[i] for col in cols] for i in range(rank)]
 
 

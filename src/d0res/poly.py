@@ -19,6 +19,7 @@ gives the same series and is the reference the tests compare it with.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import D0resError
 from .fields import (
@@ -265,19 +266,86 @@ def monomial_values(values, exponents, one):
 
 def monomials_upto(nvars, degree):
     """All exponent tuples with total degree <= degree, in graded-lex order."""
-    out = []
+    return list(graded_monomials(nvars, degree))
 
-    def rec(prefix, remaining, slots):
+
+def graded_monomials(nvars, degree):
+    """The exponent tuples of total degree <= degree, in graded-lex order:
+    by degree, then with the last variable strongest.  Each is made only
+    when the iteration reaches it."""
+
+    def of_degree(d, slots):
         if slots == 1:
-            for d in range(remaining + 1):
-                out.append(prefix + (d,))
+            yield (d,)
             return
-        for d in range(remaining + 1):
-            rec(prefix + (d,), remaining - d, slots - 1)
+        for last in range(d + 1):
+            for rest in of_degree(d - last, slots - 1):
+                yield rest + (last,)
 
-    rec((), degree, nvars)
-    out.sort(key=grlex_key)
-    return out
+    for d in range(degree + 1):
+        yield from of_degree(d, nvars)
+
+
+@lru_cache(maxsize=1024)
+def reachable_monomials(orders, degree, n):
+    """(live, corners), two tuples, for commuting values of t-orders
+    `orders` (a tuple, None for a value that is zero) in K[t]/(t^n).
+
+    Leading coefficients multiply in a field, so the monomial with exponent
+    e has order sum e_k * orders[k] exactly, and it is zero mod t^n iff
+    that order is >= n or it holds a zero value.  `live` are the monomials
+    of degree <= `degree` whose order is below n, in graded-lex order.
+    `corners` are the minimal others of degree <= `degree`, each a live
+    monomial times one variable with every divisor live.  Every skipped
+    monomial is a multiple of a corner, so its value is zero once each
+    corner's is (`reachable_values` checks them).  The answer depends on
+    small integers alone, and the same few repeat across the ranks, routes
+    and branches of a request, so it is kept."""
+    if n <= 0:                        # the constant is the one corner
+        return (), ((0,) * len(orders),)
+    live = []
+
+    def rec(prefix, k, left, budget):
+        if k == len(orders):
+            live.append(prefix)
+            return
+        o = orders[k]
+        top = 0 if o is None else left if not o else min(left, budget // o)
+        for e in range(top + 1):
+            rec(prefix + (e,), k + 1, left - e, budget - e * (o or 0))
+
+    rec((), 0, degree, n - 1)
+    live.sort(key=grlex_key)
+    held = set(live)
+    corners = set()
+    for e in live:
+        if sum(e) == degree:
+            continue
+        for k in range(len(e)):
+            c = e[:k] + (e[k] + 1,) + e[k + 1:]
+            if c not in held and all(
+                    c[:j] + (c[j] - 1,) + c[j + 1:] in held
+                    for j in range(len(c)) if c[j]):
+                corners.add(c)
+    return tuple(live), tuple(sorted(corners, key=grlex_key))
+
+
+def reachable_values(series, degree):
+    """(monomials, values): the monomials of degree <= `degree` that can be
+    nonzero at the commuting `series`, all of one truncation n, and their
+    values mod t^n.  The monomials are read off the series' orders
+    (`reachable_monomials`), and no other monomial is evaluated but the
+    corners, each checked to be zero mod t^n: a skip that the orders got
+    wrong is an error, not a missing column."""
+    n = series[0].trunc
+    live, corners = reachable_monomials(tuple(s.order() for s in series),
+                                        degree, n)
+    values = monomial_values(series, live + corners, Series.one(n))
+    for e, value in zip(corners, values[len(live):]):
+        if not value.is_zero_at_precision():
+            raise D0resError(f"skipped monomial {poly_text(Poly.monomial(e, _ONE))} "
+                             f"is not zero mod t^{n}")
+    return live, values[:len(live)]
 
 
 _VAR_NAMES = ("x", "y", "z", "w")

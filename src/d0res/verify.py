@@ -40,7 +40,11 @@ its basis at bound d with the bare monomials of degree d + 1..r appended
 (`AnnihilatorIdeal.holds_top_degree`).  Those rows are the same for every
 member, so the ideals are compared, searched and checked at bound d, and
 no row above d is built.  The functionals are evaluated at d and
-eliminated once.  The stored ideal is checked to hold every monomial of
+eliminated once, and only on the monomials of order below d along the
+branch: every other monomial is zero on K[t]/(t^d), a bare row that the
+ideal holds implicitly, so the work follows the monomials the branch
+reaches, not all O(d^2) of degree <= d (`modules`, "reachable
+monomials").  The stored ideal is checked to hold every monomial of
 degree d, which also proves that it has stabilized, and to have no basis
 row with a constant term, so that it kills the skyscraper.  A monomial of
 degree d kills every member at rank r, so it is never a point witness,
@@ -273,7 +277,7 @@ def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
     if not ideal.holds_top_degree():
         raise D0resError(f"annihilator does not hold every monomial of "
                          f"degree {bound}")
-    if any(row[0][0] == 0 for row in ideal.rows):
+    if not ideal.in_maximal_ideal():
         raise D0resError("annihilator holds a polynomial with a constant "
                          "term, which the skyscraper does not")
     return ideal
@@ -438,6 +442,8 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
     rank the certificate is exploratory: it has no padding, runs no padding
     check and cannot pass."""
     germ = family.germ
+    for i in range(germ.k):
+        _check_member(family, i, r)
     point_verdicts = tuple(separates_points(family, r))
     tangent_verdicts = tuple(separates_tangents(family, r))
     below_critical = r < germ.r0
@@ -470,6 +476,21 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
     )
 
 
+def _check_member(family, index: int, r: int):
+    """Raise unless member(index, r) is what a rank-r certificate claims:
+    above r0 each padding summand is the 1-dimensional skyscraper jet, of
+    blocks (1,), and the member has rank r."""
+    for summand, _ in family.summands(index, r)[1:]:
+        if summand.jet.blocks != (1,):
+            raise D0resError(f"branch {index} at rank {r}: a padding summand "
+                             f"has blocks {summand.jet.blocks}, not the "
+                             f"1-dimensional skyscraper's (1,)")
+    rank = family.member(index, r).rank
+    if rank != r:
+        raise D0resError(f"branch {index} at rank {r}: the member has rank "
+                         f"{rank}")
+
+
 def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
     fiber: each member's annihilator (`ideals`, read off series rows at
@@ -499,8 +520,9 @@ def pushforward_restriction_oracle(family: CertificateFamily, index: int,
     The fiber is the push-forward of K[t]/(t^d) along the branch map, and
     its annihilator is the ideal of the image subscheme.  The matrix route
     reads the Toeplitz actions `fiber_module` writes, entry by entry, and
-    evaluates every monomial on their first columns (`annihilator`); a
-    fiber whose actions are not Toeplitz is evaluated densely.  The series
+    evaluates on their first columns the monomials whose order, read off
+    those columns, is below d (`annihilator`); a fiber whose actions are
+    not Toeplitz is evaluated densely, on every monomial.  The series
     route reads the t^0..t^(d-1) coefficients of f(x(t), y(t)), which is
     exact because the fiber is generated by 1 (`fiber_functionals`).  Both
     are the family's stored entries, and the row at r0 compares what the

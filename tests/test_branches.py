@@ -362,6 +362,45 @@ def test_colength_matches_series_length(pair):
     assert _escalated(colength_intersection_length, pair[::-1]) == expected
 
 
+@st.composite
+def moved_plane_pairs(draw):
+    """Two distinct plane branches as (x terms, y terms) pairs: a pair of
+    `branch_pairs_with_contact` with x scaled by one drawn a for both, or
+    with its second branch replaced by an axis, (t, 0) or (0, t), which has
+    a zero coordinate; then either pair with its coordinates swapped.  A
+    common linear change of coordinates keeps the two branches distinct."""
+    (n, ya), (nb, yb) = draw(branch_pairs_with_contact())
+    a = draw(_COEFF) / draw(st.sampled_from([1, 2, 3]))
+    first, second = ([(n, a)], ya), ([(nb, a)], yb)
+    axis = draw(st.sampled_from([None, ([(1, 1)], []), ([], [(1, 1)])]))
+    if axis is not None:
+        first, second = ([(n, 1)], ya), axis
+    if draw(st.booleans()):
+        first, second = first[::-1], second[::-1]
+    return first, second
+
+
+@settings(max_examples=40, deadline=None)
+@given(moved_plane_pairs())
+def test_colength_on_reachable_monomials_matches_the_resultant(pair):
+    """The colength evaluates only the monomials each branch can reach,
+    its x, y or both scaled, swapped or zero, and counts what the
+    resultant does, both ways round."""
+    def escalated(fn, first, second):
+        trunc = 32
+        while True:
+            try:
+                return fn(B(*first, n=trunc), B(*second, n=trunc))
+            except RaiseTruncation:
+                trunc *= 2
+                assert trunc <= 1024
+
+    first, second = pair
+    expected = escalated(resultant_intersection_length, first, second)
+    assert escalated(colength_intersection_length, first, second) == expected
+    assert escalated(colength_intersection_length, second, first) == expected
+
+
 def test_space_branches_use_colength():
     """Two axes, and the x-axis against a twisted curve, each meet once."""
     x_axis = B([(1, 1)], [], [], n=16)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -9,7 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from d0res import cli as cli_module
 from d0res import modules as modules_module
+from d0res import poly as poly_module
 from d0res import report as report_module
 from d0res import verify as verify_module
 from d0res.branches import _evaluation_columns
@@ -343,6 +346,24 @@ def test_cli_overrides_follow_request_rules(flags, path, capsysbinary):
     assert rc == 2
     assert captured.out == b""
     assert f"input error: {path}:".encode() in captured.err
+
+
+def test_main_calls_in_a_row_share_no_parsed_state(capsysbinary):
+    """The parser is built once per process, and the `--rank` values and
+    `--format` of one `main` call do not reach the next: a bare call prints
+    the golden report, and a later `--rank` holds only its own ranks."""
+    assert cli_module.build_parser() is cli_module.build_parser()
+    path = str(CORPUS / "cusp.json")
+    assert main(["analyze", path, "--rank", "5", "--rank", "7",
+                 "--format", "text"]) == 0
+    first = capsysbinary.readouterr().out.decode()
+    assert "rank 5" in first and "rank 7" in first and not first.startswith("{")
+    assert main(["analyze", path]) == 0
+    assert capsysbinary.readouterr().out == (
+        CORPUS / "golden" / "cusp.json").read_bytes()
+    assert main(["analyze", path, "--rank", "3"]) == 0
+    report = json.loads(capsysbinary.readouterr().out)
+    assert [c["rank"] for c in report["certificates"]] == [3]
 
 
 def test_rank_override_report_equals_ranks_in_request(tmp_path, capsysbinary):
@@ -724,6 +745,25 @@ def test_corpus_computes_each_summand_answer_once(monkeypatch):
         assert built["pad"] == 2 * k, path.name
 
 
+def _contact_ladder_pins():
+    """{c: (sha256, bytes)} from tests/data/contact_ladder.sha256."""
+    lines = (DATA / "contact_ladder.sha256").read_text().splitlines()
+    return {int(c): (sha, int(size)) for c, sha, size in (
+        line.split() for line in lines if not line.startswith("#"))}
+
+
+def test_contact_rung_32_prints_the_pinned_report(tmp_path, capsysbinary):
+    """y^2 - x^64 (c = 32, r0 = 33) evaluates only the monomials its two
+    branches reach, and its report is byte for byte the one pinned in
+    tests/data/contact_ladder.sha256."""
+    path = write_request(tmp_path, "contact32.json", {"curve": {"implicit": {
+        "poly": [[[0, 2], "1"], [[64, 0], "-1"]]}}})
+    assert main(["analyze", path, "--strict"]) == 0
+    report = capsysbinary.readouterr().out
+    assert (hashlib.sha256(report).hexdigest(), len(report)) == (
+        _contact_ladder_pins()[32])
+
+
 def test_analyze_output_file(tmp_path, capsysbinary):
     path = write_request(tmp_path, "cusp.json", CUSP_REQUEST)
     out_path = tmp_path / "report.json"
@@ -854,12 +894,12 @@ def _shifted_fiber_module(b, r):
     return FiniteModule(r, tuple(actions))
 
 
-def _shifted_evaluation_columns(b, monomials, nt):
+def _shifted_evaluation_columns(b, degree, nt):
     """The series route's columns read along t * s(t) in place of s(t)."""
     shifted = SimpleNamespace(
         coords=[Series([Fraction(0), *s.coeffs[:-1]]) for s in b.coords],
         trunc=b.trunc)
-    return _evaluation_columns(shifted, monomials, nt)
+    return _evaluation_columns(shifted, degree, nt)
 
 
 def _bumped_fiber_module(b, r):
@@ -930,37 +970,110 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     assert cert["padding_support_ok"] is False and cert["pass"] is False
 
 
+# A reachability threshold off by one: every route skips the monomials of
+# order >= n - 1 in place of >= n.  The corner check of
+# `poly.reachable_values` catches it on every corpus request, as an
+# internal error (exit 2), at the first evaluation that skips a monomial of
+# order n - 1; pinned here per request, for `analyze` and for `oracle`.
+_SKIP_1, _SKIP_X, _SKIP_Y = (f"skipped monomial {m} is not zero mod t^{n}"
+                             for m, n in (("1", 1), ("x", 2), ("y", 2)))
+SKIP_FAULT_CATCHES = {
+    "cusp": (_SKIP_1, _SKIP_1),
+    "cyclotomic_triple": (_SKIP_X, _SKIP_1),
+    "e6": (_SKIP_1, _SKIP_1),
+    "gaussian_node": (_SKIP_X, _SKIP_1),
+    "node": (_SKIP_X, _SKIP_1),
+    "parametric_cusp": (_SKIP_1, _SKIP_1),
+    "ramphoid_cusp": (_SKIP_1, _SKIP_1),
+    "smooth_point": (_SKIP_1, _SKIP_1),
+    "space_lines": (_SKIP_Y, _SKIP_Y),
+    "tacnode": ("skipped monomial y is not zero mod t^3", _SKIP_1),
+    "triple_point": (_SKIP_X, _SKIP_1),
+}
+
+
+def test_a_reachability_threshold_off_by_one_is_caught(monkeypatch,
+                                                       capsysbinary):
+    """With the skip threshold one too low, every corpus request exits 2
+    under `analyze` and `oracle` with the corner check's message that
+    `SKIP_FAULT_CATCHES` pins, and prints no report."""
+    reach = poly_module.reachable_monomials
+    monkeypatch.setattr(poly_module, "reachable_monomials",
+                        lambda orders, degree, n: reach(orders, degree, n - 1))
+    paths = sorted(CORPUS.glob("*.json"))
+    assert [path.stem for path in paths] == list(SKIP_FAULT_CATCHES)
+    for path in paths:
+        for command, message in zip(("analyze", "oracle"),
+                                    SKIP_FAULT_CATCHES[path.stem]):
+            assert main([command, str(path)]) == 2, (command, path.name)
+            captured = capsysbinary.readouterr()
+            assert not captured.out, (command, path.name)
+            assert captured.err.decode() == f"error: {message}\n", (
+                command, path.name)
+
+
 def test_a_faulty_skyscraper_fails_every_padded_rank(monkeypatch,
                                                     capsysbinary):
     """The skyscraper is planted as the rank-(r0 + 1) jet pair of its
-    branch, on which the test coordinate's power is t^r0, not zero.  The
-    rank-r0 certificate, which holds no skyscraper, is computed first and
-    passes; every padded rank after it, alone or after another padded
-    rank, reads the planted summand's own answers and fails `--strict`:
-    its tangent verdicts are inconclusive, or, on the node, a witness that
-    kills the rank-r0 fiber does not kill the planted one, an error."""
+    branch.  The rank-r0 certificate holds no skyscraper, and a request for
+    r0 alone still passes.  Every request with a padded rank, alone or
+    after r0 or another padded rank, is refused at its first padded rank
+    with an internal error that names branch 0 and that rank: the padding
+    summand is not the 1-dimensional skyscraper (`verify._check_member`).
+    No report is printed."""
     for path in sorted(CORPUS.glob("*.json")):
         golden = json.loads((CORPUS / "golden" / path.name).read_text())
         r0 = golden["germ"]["r0"]
         monkeypatch.setattr(verify_module, "graph_skyscraper", lambda b: (
             modules_module.fiber_module(b, r0 + 1),
             modules_module.jet_pair(b, r0 + 1)))
-        for ranks in ([r0, r0 + 1], [r0, r0 + 2], [r0, r0 + 1, r0 + 2]):
+        assert main(["analyze", str(path), "--rank", str(r0), "--strict"]) == 0
+        capsysbinary.readouterr()
+        for ranks in ([r0, r0 + 1], [r0, r0 + 2], [r0, r0 + 1, r0 + 2],
+                      [r0 + 2, r0]):
             args = [arg for r in ranks for arg in ("--rank", str(r))]
             rc = main(["analyze", str(path), *args, "--strict"])
             captured = capsysbinary.readouterr()
-            if path.stem == "node":
-                assert rc != 0, (path.name, ranks)
-                assert b"does not annihilate its own fiber" in captured.err
-                continue
-            assert rc == 1, (path.name, ranks)
-            first, *padded = json.loads(captured.out)["certificates"]
-            assert first["rank"] == r0 and first["pass"], (path.name, ranks)
-            assert [c["rank"] for c in padded] == ranks[1:]
-            for cert in padded:
-                assert not cert["pass"], (path.name, cert["rank"])
-                assert {v["result"] for v in cert["tangents"]} == {
-                    "inconclusive"}, (path.name, cert["rank"])
+            padded = next(r for r in ranks if r > r0)
+            assert rc == 2 and not captured.out, (path.name, ranks)
+            assert (f"branch 0 at rank {padded}: a padding summand has "
+                    f"blocks ({r0 + 1},)").encode() in captured.err, (
+                        path.name, ranks)
+
+
+@pytest.mark.parametrize("name", ["cusp", "node", "tacnode", "e6"])
+def test_a_two_dimensional_skyscraper_is_refused(monkeypatch, capsysbinary,
+                                                 name):
+    """With the skyscraper planted as the rank-2 fiber and jet pair of its
+    branch, the padded members have rank r0 + 2*(r - r0), not r.  Every
+    padded rank is refused with an internal error naming the branch and
+    the rank, where a certificate of the wrong member used to pass."""
+    monkeypatch.setattr(verify_module, "graph_skyscraper", lambda b: (
+        modules_module.fiber_module(b, 2), modules_module.jet_pair(b, 2)))
+    path = str(CORPUS / f"{name}.json")
+    r0 = json.loads((CORPUS / "golden" / f"{name}.json").read_text())[
+        "germ"]["r0"]
+    assert main(["analyze", path, "--rank", str(r0), "--strict"]) == 0
+    capsysbinary.readouterr()
+    for r in (r0 + 1, r0 + 2, 16):
+        assert main(["analyze", path, "--rank", str(r), "--strict"]) == 2
+        captured = capsysbinary.readouterr()
+        assert not captured.out
+        assert (f"error: branch 0 at rank {r}: a padding summand has blocks "
+                f"(2,), not the 1-dimensional skyscraper's (1,)").encode() in (
+                    captured.err), (name, r)
+
+
+def test_a_base_jet_of_the_wrong_rank_is_refused(monkeypatch, capsysbinary):
+    """With every jet pair built one rank too high, the rank-r member is
+    refused for its rank, naming the branch and the rank asked for."""
+    monkeypatch.setattr(verify_module, "jet_pair",
+                        lambda b, r: modules_module.jet_pair(b, r + 1))
+    path = str(CORPUS / "cusp.json")
+    for r in (1, 2, 3):
+        assert main(["analyze", path, "--rank", str(r)]) == 2
+        assert (f"error: branch 0 at rank {r}: the member has rank {r + 1}"
+                .encode()) in capsysbinary.readouterr().err
 
 
 def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,

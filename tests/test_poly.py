@@ -1,18 +1,24 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d0res import poly as poly_module
 from d0res.errors import D0resError
 from d0res.fields import FieldElement, NumberField, format_scalar
 from d0res.poly import (
     Poly,
     gcd_bivariate,
+    graded_monomials,
+    grlex_key,
     is_reduced_at,
     monomial_values,
     monomials_upto,
     poly_text,
+    reachable_monomials,
+    reachable_values,
 )
 from d0res.series import Series
 
@@ -228,3 +234,50 @@ def test_poly_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.one_of(st.none(), st.integers(0, 4)), min_size=k, max_size=k)),
+       st.integers(0, 7), st.integers(0, 12))
+def test_reachable_monomials_match_a_scan_of_every_monomial(orders, degree, n):
+    """The live monomials are those of degree <= `degree` and order below
+    n, in graded order, and the corners are the minimal others, as a scan
+    of every monomial finds them; a value of order None kills every
+    monomial that holds it.  `graded_monomials` walks the graded order."""
+    def order(e):
+        if any(k and o is None for k, o in zip(e, orders)):
+            return None
+        return sum(k * o for k, o in zip(e, orders) if k)
+
+    every = sorted((e for e in product(range(degree + 1), repeat=len(orders))
+                    if sum(e) <= degree), key=grlex_key)
+    assert list(graded_monomials(len(orders), degree)) == every
+    live = [e for e in every if order(e) is not None and order(e) < n]
+    dead = [e for e in every if e not in live]
+
+    def divides(a, b):
+        return a != b and all(x <= y for x, y in zip(a, b))
+
+    corners = [e for e in dead if not any(divides(d, e) for d in dead)]
+    assert reachable_monomials(tuple(orders), degree, n) == (
+        tuple(live), tuple(corners))
+
+
+def test_a_skipped_monomial_that_is_not_zero_is_an_error(monkeypatch):
+    """`reachable_values` evaluates the corners it skips: with the skip
+    threshold one too low (order >= n - 1) at x = t, y = t^2, the corners
+    y and x^2 of order 2 are skipped mod t^3, and the check refuses the
+    first."""
+    x, y = Series([F(0), F(1), F(0)]), Series([F(0), F(0), F(1)])
+    monomials, values = reachable_values([x, y], 4)
+    assert monomials == ((0, 0), (1, 0), (0, 1), (2, 0))
+    assert [v.coeffs for v in values] == [
+        (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)),
+        (F(0), F(0), F(1))]
+    reach = poly_module.reachable_monomials
+    monkeypatch.setattr(poly_module, "reachable_monomials",
+                        lambda orders, degree, n: reach(orders, degree, n - 1))
+    with pytest.raises(D0resError,
+                       match=r"skipped monomial y is not zero mod t\^3"):
+        reachable_values([x, y], 4)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from d0res import verify as verify_module
 from d0res.branches import BranchParam, Germ
-from d0res.errors import D0resError
+from d0res.errors import D0resError, RaiseTruncation
 from d0res.fields import NumberField, format_scalar, scalar_is_zero
 from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
 from d0res.modules import (
@@ -27,7 +27,7 @@ from d0res.modules import (
     jet_pair,
     pad,
 )
-from d0res.poly import Poly, poly_text
+from d0res.poly import Poly, monomials_upto, poly_text
 from d0res.report import _certificate_block, _verdict_block
 from d0res.series import Series
 from d0res.verify import (
@@ -501,7 +501,8 @@ def test_point_witness_rechecks_own_fiber(corpus_germs):
     `python -O`."""
     fiber = CertificateFamily(corpus_germs["cusp"]).member(0, 2).m1
     one = Poly.constant(2, F(1))
-    bogus = AnnihilatorIdeal(degree_bound=fiber.dim, monomials=((0, 0),),
+    bogus = AnnihilatorIdeal(degree_bound=fiber.dim,
+                             monomials=monomials_upto(2, fiber.dim),
                              rows=(((0, F(1)),),))
     assert list(bogus.polys) == [one]
     with pytest.raises(D0resError, match="does not annihilate"):
@@ -730,6 +731,37 @@ def test_fiber_annihilator_crosscheck_on_random_branches(b, r):
     family = CertificateFamily(_one_branch_germ(b))
     row = pushforward_restriction_oracle(family, 0, r)
     assert row == {str(k): True for k in range(1, r + 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_branches(), st.data())
+def test_reachable_annihilators_match_the_dense_reference(b, data):
+    """The series route (`fiber_functionals`) and the Toeplitz matrix route
+    (`annihilator`) evaluate only the monomials a fiber can reach, and hold
+    the others as implicit bare rows.  Both give the ideal, written out
+    row for row, that `dense_annihilator` reads off every monomial's
+    dim x dim value: on plane and space branches over QQ, QQ(i) and
+    QQ(2^(1/3)), with one coordinate zeroed half the time, at ranks 1..6
+    and at bounds from 0 to twice the rank, below and above the critical
+    rank of the branch alone, its multiplicity."""
+    if data.draw(st.booleans()):
+        coords = list(b.coords)
+        coords[data.draw(st.integers(0, len(coords) - 1))] = Series.zero(b.trunc)
+        try:
+            b = BranchParam(tuple(coords))
+        except RaiseTruncation:
+            assume(False)
+    rank = data.draw(st.integers(1, min(6, b.trunc)))
+    bound = data.draw(st.integers(0, 2 * rank))
+    fiber = fiber_module(b, rank)
+    dense = dense_annihilator(fiber, bound)
+    series = functional_ideal(bound, *fiber_functionals(b, rank, bound))
+    assert series == dense
+    assert series.rows == dense.rows
+    assert series.quotient_dim == dense.quotient_dim
+    assert series.holds_top_degree() is dense.holds_top_degree()
+    if bound >= rank:
+        assert annihilator(fiber, bound) == dense
 
 
 def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
