@@ -23,7 +23,7 @@ from .errors import (  # noqa: F401
     UnsupportedFieldExtension,
 )
 from .fields import FieldElement, NumberField, format_scalar, parse_scalar  # noqa: F401
-from .linalg import ExactMatrix, eval_poly_at_matrices  # noqa: F401
+from .linalg import ExactMatrix  # noqa: F401
 from .modules import (  # noqa: F401
     AnnihilatorIdeal,
     DirectSum,
@@ -33,9 +33,7 @@ from .modules import (  # noqa: F401
     fiber_module,
     graph_skyscraper,
     jet_pair,
-    nilpotency_index,
     pad,
-    support_length,
 )
 from .poly import Poly  # noqa: F401
 from .series import Series  # noqa: F401

@@ -124,7 +124,9 @@ class BranchParam:
 class PlaneCurveInput:
     """Plane curve with a designated singular point (default origin), reduced
     at that point: a square factor that does not vanish there is a unit of
-    the local ring, and the germ is the same without it."""
+    the local ring, and the germ is the same without it.  `is_reduced_at`
+    decides it, by a modular certificate that a rational curve is
+    squarefree, or else by the exact gcd(f, f_x, f_y) at the point."""
 
     poly: Poly
     point: tuple = None

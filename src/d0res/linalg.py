@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import D0resError, NonCommutingActions
+from .errors import D0resError
 from .fields import FieldElement, power, scalar_is_zero
 from .kernels import fmatmul, frref
 
@@ -176,32 +176,6 @@ class ExactMatrix:
         _, pivots = self.rref()
         return len(pivots)
 
-    def nullspace(self):
-        """Exact basis of the right kernel, one vector per free column.
-
-        The vector for free column f has 1 in slot f and -rref[i][f] in the
-        i-th pivot slot.  Empty list iff the matrix is injective on columns.
-        """
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            rref_data, pivots = [], []
-        else:
-            m, pivots = self.rref()
-            rref_data = m.data
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vec = [_ZERO] * self.cols
-            vec[f] = _ONE
-            for i, p in enumerate(pivots):
-                vec[p] = -rref_data[i][f]
-            basis.append(tuple(vec))
-        return basis
-
-
 def _norm(x):
     if isinstance(x, int):
         return Fraction(x)
@@ -274,26 +248,3 @@ def _rref_generic(rows):
 
 def commute(a: ExactMatrix, b: ExactMatrix) -> bool:
     return a * b == b * a
-
-
-def eval_poly_at_matrices(f, mats):
-    """f(A_1, ..., A_m) for pairwise commuting square matrices of equal size.
-
-    The commutation check is mandatory: without it the substitution is not a
-    ring homomorphism and the module axioms are broken.
-    """
-    if f.nvars != len(mats):
-        raise D0resError("polynomial arity != number of matrices")
-    if not mats:
-        raise D0resError("need at least one matrix")
-    n = mats[0].rows
-    for m in mats:
-        if not m.is_square() or m.rows != n:
-            raise D0resError("matrices must be square and same size")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not commute(mats[i], mats[j]):
-                raise NonCommutingActions(
-                    f"action matrices {i} and {j} do not commute"
-                )
-    return f.evaluate(mats, ExactMatrix.identity(n))

@@ -48,12 +48,11 @@ The key constructions:
   end to end because each summand's do.  The tests
   assemble the dense sums (`tests/oracles.py`) and check them on the
   dense matrices.
-* annihilator / support_length: the ideal of polynomials killing a module and
-  the dimension of the algebra it generates; the separation invariants.
-  `annihilator` reads the ideal off the module's action matrices (the
-  dim first-column functionals of Toeplitz actions, the dim^2 entries of
-  any other) and serves as the oracle.  `functional_ideal` over
-  `fiber_functionals`, which the certificates read, gives the same ideal
+* annihilator: the ideal of polynomials killing a module, the separation
+  invariant.  `annihilator` reads the ideal off the module's action
+  matrices (the dim first-column functionals of Toeplitz actions, the
+  dim^2 entries of any other) and serves as the oracle.
+  `functional_ideal` over `fiber_functionals`, which the certificates read, gives the same ideal
   from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
   by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
   t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
@@ -688,35 +687,3 @@ def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
                               needed=rank)
     monomials, cols, _ = _evaluation_columns(b, degree_bound, rank)
     return monomials, [[col[i] for col in cols] for i in range(rank)]
-
-
-def support_length(module: FiniteModule, degree_bound: int = None) -> int:
-    """Dimension of the algebra generated by the actions: the length of the
-    scheme-theoretic support.  Checks stabilization at bound+1."""
-    if degree_bound is None:
-        degree_bound = module.dim
-    value = _image_algebra_dim(module, degree_bound)
-    check = _image_algebra_dim(module, degree_bound + 1)
-    if value != check:
-        raise D0resError(
-            f"support length not stabilized at degree {degree_bound} "
-            f"({value} vs {check})"
-        )
-    return value
-
-
-def _image_algebra_dim(module, degree):
-    _, rows = _evaluation_rows(module, degree)
-    return ExactMatrix(rows).rank()
-
-
-def nilpotency_index(a: ExactMatrix) -> int:
-    """Smallest k with a^k = 0; error if not nilpotent within dim steps."""
-    if not a.is_square():
-        raise D0resError("nilpotency index needs a square matrix")
-    power = ExactMatrix.identity(a.rows)
-    for k in range(1, a.rows + 1):
-        power = power * a
-        if power.is_zero():
-            return k
-    raise NotNilpotent("matrix is not nilpotent within its dimension")

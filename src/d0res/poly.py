@@ -468,6 +468,92 @@ def gcd_bivariate(f: Poly, g: Poly) -> Poly:
     return result
 
 
+# -- a modular squarefree certificate ------------------------------------------
+
+_CERTIFICATE_PRIME = (1 << 61) - 1
+_SPECIALIZATIONS = (1, 2, 3)
+
+
+def certifies_squarefree(f: Poly) -> bool:
+    """True when a modular certificate shows that the plane polynomial f
+    has no repeated factor; False when it cannot tell.
+
+    For rational f, q = 2^61 - 1 and a small integer c, the certificate
+    for y is that f(c, y) mod q has the full y-degree of f and gcd(p, p')
+    = 1 in F_q[y]; for x it is the same with f(x, d).  A variable of which
+    f has degree 0 needs no test.  Both holding, f is squarefree (Brown,
+    JACM 1971):
+
+    Say f = g^2 h over QQ with g not constant.  Every coefficient of f
+    lies in Z_(q), the rationals whose denominator q does not divide (it
+    is checked), a discrete valuation ring.  Scale g to content 1 there;
+    by Gauss's lemma g^2 has content 1 too, so h = f / g^2 has the content
+    of f and lies in Z_(q)[x, y].  Reducing mod q gives f = g^2 h in
+    F_q[x, y], and setting x = c gives p = g(c, y)^2 h(c, y).  Over a field
+    degrees add, and setting x = c lowers none of them; p keeps the full
+    degree deg_y f = 2 deg_y g + deg_y h, so g(c, y) keeps deg_y g.  If
+    deg_y g > 0, g(c, y)^2 divides p, so g(c, y) divides gcd(p, p') and the
+    y certificate fails.  Otherwise deg_x g > 0 and the x certificate fails
+    the same way.
+
+    Each variable tries the values in `_SPECIALIZATIONS` in turn: a bad
+    value (a tangent line, a fiber through a singular point, a leading
+    coefficient that vanishes there) only fails to certify.  A coefficient
+    outside QQ also answers False."""
+    q = _CERTIFICATE_PRIME
+    residues = []
+    for e, c in f.terms.items():
+        if not isinstance(c, (int, Fraction)) or c.denominator % q == 0:
+            return False
+        residues.append((e, c.numerator * pow(c.denominator, -1, q) % q))
+    for k in (0, 1):
+        degree = f.degree_in(k)
+        if degree > 0 and not any(
+                _squarefree_specialization(residues, k, degree, v, q)
+                for v in _SPECIALIZATIONS):
+            return False
+    return True
+
+
+def _squarefree_specialization(residues, k, degree, value, q):
+    """True iff f with the variable other than x_k set to `value`, mod q,
+    has x_k-degree `degree` and is coprime to its derivative."""
+    p = [0] * (degree + 1)
+    powers = {}
+    for e, r in residues:
+        other = e[1 - k]
+        if other not in powers:
+            powers[other] = pow(value, other, q)
+        p[e[k]] = (p[e[k]] + r * powers[other]) % q
+    if not p[degree]:
+        return False
+    dp = [i * a % q for i, a in enumerate(p)][1:]
+    return _coprime_mod(p[::-1], _trimmed(dp[::-1]), q)
+
+
+def _trimmed(p):
+    """p, highest degree first, without its leading zeros."""
+    start = 0
+    while start < len(p) and not p[start]:
+        start += 1
+    return p[start:]
+
+
+def _coprime_mod(a, b, q):
+    """True iff gcd(a, b) = 1 in F_q[t] for deg a >= deg b and b nonzero,
+    both highest degree first and trimmed (Euclid)."""
+    while len(b) > 1:
+        inv, db = pow(b[0], -1, q), len(b) - 1
+        a = list(a)
+        for i in range(len(a) - db):
+            c = a[i] * inv % q
+            if c:
+                for j in range(1, db + 1):
+                    a[i + j] = (a[i + j] - c * b[j]) % q
+        a, b = b, _trimmed(a[-db:])
+    return len(b) == 1
+
+
 def is_reduced_at(f: Poly, point) -> bool:
     """True iff the plane curve f = 0 is reduced at `point`.
 
@@ -476,11 +562,18 @@ def is_reduced_at(f: Poly, point) -> bool:
     So the repeated factors of f are those of G = gcd(f, f_x, f_y), and f
     is reduced at the point iff G does not vanish there.  A square factor
     away from the point is a unit of the local ring and is allowed.
+
+    A squarefree f is reduced at every point, so a rational f that
+    `certifies_squarefree` (integer arithmetic mod a prime) needs no G.
+    Only when the certificate cannot tell, or a coefficient lies in an
+    extension, is G computed exactly (`gcd_bivariate`).
     """
     if f.nvars != 2:
         raise D0resError("reducedness check is for plane polynomials")
     if f.is_zero():
         return False
+    if certifies_squarefree(f):
+        return True
     g = gcd_bivariate(f, f.diff(0))
     g = gcd_bivariate(g, f.diff(1))
     return not scalar_is_zero(g.evaluate(list(point), _ONE))

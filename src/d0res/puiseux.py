@@ -22,7 +22,7 @@ parametrizations instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, comb, gcd
 
 from .errors import D0resError, RaiseTruncation, UnsupportedFieldExtension
 from .fields import (
@@ -395,14 +395,41 @@ def edge_characteristic(f: Poly, p, q, pts):
 
 
 def puiseux_transform(f: Poly, p, q, A, B):
-    """f(A*x1^p, x1^q*(B+y1)) divided by the largest power of x1."""
-    x1 = Poly(2, {(p, 0): A})
-    y1 = Poly(2, {(q, 1): Fraction(1), (q, 0): B})
-    g = f.evaluate([x1, y1], Poly.constant(2, Fraction(1)))
-    v = g.monomial_content(0)
-    if v:
-        g = g.divide_by_monomial(0, v)
-    return g
+    """f(A*x1^p, x1^q*(B + y1)) divided by the largest power of x1, on the
+    term dict.
+
+    A term c*x^i*y^j goes to c*A^i * binom(j, k)*B^(j-k) * x1^(p*i+q*j) *
+    y1^k for k = 0..j: one binomial row, with the rows and the powers of
+    A kept for the call, and one Poly is built at the end (Duval,
+    Compositio Math. 1989, per edge).  The terms are taken in graded order
+    and a sum is dropped when it reaches zero, as adding the substituted
+    terms one Poly at a time does, so each coefficient is a Fraction or a
+    FieldElement exactly where that substitution leaves one (the tests
+    compare the two)."""
+    one = Fraction(1)
+    a_powers, rows, out = {}, {}, {}
+    for (i, j), c in f.sorted_terms():
+        if i:
+            if i not in a_powers:
+                a_powers[i] = A ** i
+            c = c * a_powers[i]
+        if j not in rows:
+            rows[j] = [comb(j, k) * B ** (j - k) for k in range(j)] + [one]
+        shift = p * i + q * j
+        for k, w in enumerate(rows[j]):
+            t = c * w if k < j else c
+            e = (shift, k)
+            s = out.get(e)
+            if s is None:
+                out[e] = t
+            else:
+                s = s + t
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    v = min((i for i, _ in out), default=0)
+    return Poly(2, {(i - v, k): c for (i, k), c in out.items()})
 
 
 # -- expansion chains -------------------------------------------------------------

@@ -62,20 +62,35 @@ routes, and only the tests call them:
   report cut down to a shorter truncation; the reference for the reports
   at `report.needed_truncation`, which must differ from the reports at
   that margin in nothing but the truncation and the series tails.
+* puiseux_transform_by_evaluation: one Newton-polygon level,
+  f(A*x^p, x^q*(B + y)) / x^v, by substituting Polys into f
+  (`Poly.evaluate`); the reference for `puiseux.puiseux_transform`, which
+  builds the same polynomial on the term dict.
+* nullspace, eval_poly_at_matrices, nilpotency_index, support_length:
+  small linear-algebra facts the tests state about modules and jets (a
+  kernel basis, f at commuting matrices, the least k with A^k = 0, the
+  dimension of the algebra the actions generate).  The program reads none
+  of them.
 """
 
 import copy
 from fractions import Fraction
 
 from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
-from d0res.errors import D0resError, RaiseTruncation
+from d0res.errors import (
+    D0resError,
+    NonCommutingActions,
+    NotNilpotent,
+    RaiseTruncation,
+)
 from d0res.fields import format_scalar, scalar_is_zero
-from d0res.linalg import ExactMatrix, rref_rows
+from d0res.linalg import ExactMatrix, commute, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
     DirectSum,
     FiniteModule,
     JetPair,
+    _evaluation_rows,
     fiber_module,
     functional_ideal,
 )
@@ -528,3 +543,96 @@ def margin_report_mismatches(request_obj) -> list:
     cut = cut_report(long, short["truncation"])
     return [fmt for fmt in ("json", "text")
             if emit_report(cut, fmt) != emit_report(short, fmt)]
+
+
+def puiseux_transform_by_evaluation(f: Poly, p, q, A, B) -> Poly:
+    """f(A*x1^p, x1^q*(B + y1)) divided by the largest power of x1, by
+    substituting the two Polys into f."""
+    x1 = Poly(2, {(p, 0): A})
+    y1 = Poly(2, {(q, 1): Fraction(1), (q, 0): B})
+    g = f.evaluate([x1, y1], Poly.constant(2, Fraction(1)))
+    v = g.monomial_content(0)
+    if v:
+        g = g.divide_by_monomial(0, v)
+    return g
+
+
+def nullspace(m: ExactMatrix):
+    """Exact basis of the right kernel of m, one vector per free column.
+
+    The vector for free column f has 1 in slot f and -rref[i][f] in the
+    i-th pivot slot.  Empty list iff m is injective on columns.
+    """
+    if m.cols == 0:
+        return []
+    if m.rows == 0:
+        rref_data, pivots = [], []
+    else:
+        reduced, pivots = m.rref()
+        rref_data = reduced.data
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        vec = [_ZERO] * m.cols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -rref_data[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def eval_poly_at_matrices(f, mats):
+    """f(A_1, ..., A_m) for pairwise commuting square matrices of equal size.
+
+    The commutation check is mandatory: without it the substitution is not a
+    ring homomorphism and the module axioms are broken.
+    """
+    if f.nvars != len(mats):
+        raise D0resError("polynomial arity != number of matrices")
+    if not mats:
+        raise D0resError("need at least one matrix")
+    n = mats[0].rows
+    for m in mats:
+        if not m.is_square() or m.rows != n:
+            raise D0resError("matrices must be square and same size")
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if not commute(mats[i], mats[j]):
+                raise NonCommutingActions(
+                    f"action matrices {i} and {j} do not commute"
+                )
+    return f.evaluate(mats, ExactMatrix.identity(n))
+
+
+def nilpotency_index(a: ExactMatrix) -> int:
+    """Smallest k with a^k = 0; error if not nilpotent within dim steps."""
+    if not a.is_square():
+        raise D0resError("nilpotency index needs a square matrix")
+    power = ExactMatrix.identity(a.rows)
+    for k in range(1, a.rows + 1):
+        power = power * a
+        if power.is_zero():
+            return k
+    raise NotNilpotent("matrix is not nilpotent within its dimension")
+
+
+def support_length(module: FiniteModule, degree_bound: int = None) -> int:
+    """Dimension of the algebra generated by the actions: the length of the
+    scheme-theoretic support.  Checks stabilization at bound+1."""
+    if degree_bound is None:
+        degree_bound = module.dim
+    value = _image_algebra_dim(module, degree_bound)
+    check = _image_algebra_dim(module, degree_bound + 1)
+    if value != check:
+        raise D0resError(
+            f"support length not stabilized at degree {degree_bound} "
+            f"({value} vs {check})"
+        )
+    return value
+
+
+def _image_algebra_dim(module, degree):
+    _, rows = _evaluation_rows(module, degree)
+    return ExactMatrix(rows).rank()

@@ -16,7 +16,7 @@ from d0res.branches import (
     germ_invariants,
     newton_puiseux,
 )
-from d0res.modules import fiber_module, jet_pair, nilpotency_index, support_length
+from d0res.modules import fiber_module, jet_pair
 from d0res.poly import Poly
 from d0res.report import emit_report, parse_request, run_analyze
 from d0res.series import Series
@@ -30,6 +30,7 @@ from d0res.verify import (
 )
 
 from conftest import ACCEPTANCE_CURVES, EXPECTED_INVARIANTS
+from oracles import nilpotency_index, support_length
 
 F = Fraction
 

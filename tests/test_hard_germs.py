@@ -1,9 +1,13 @@
 """Deeper germs than the acceptance corpus: multi-level polygon recursion,
 high critical ranks, and degenerate inputs."""
 
+import hashlib
 import inspect
+import io
+import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from d0res.branches import (
     newton_puiseux,
     newton_tree,
 )
+from d0res.cli import main
 from d0res.errors import D0resError
 from d0res.poly import Poly, poly_text
 from d0res.puiseux import FieldContext
@@ -131,6 +136,27 @@ def test_a_reduced_germ_71_levels_deep_certifies():
     out = run_analyze(req)
     assert (out["germ"]["n"], out["germ"]["r0"], out["truncation"]) == ([2], 2, 144)
     assert report_passes(out)
+
+
+def _deep_tree_pins():
+    """{levels: (sha256, bytes)} from tests/data/deep_tree.sha256."""
+    path = Path(__file__).resolve().parent / "data" / "deep_tree.sha256"
+    return {int(k): (sha, int(size)) for k, sha, size in (
+        line.split() for line in path.read_text().splitlines()
+        if not line.startswith("#"))}
+
+
+@pytest.mark.parametrize("levels", [71, 141])
+def test_a_deep_tree_prints_the_pinned_report(monkeypatch, levels):
+    """The deep germs' reports, whose tree levels are built on the term
+    dict, are byte for byte the ones pinned in tests/data/deep_tree.sha256."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(deep_request(levels - 1))))
+    assert main(["analyze", "-", "--strict"]) == 0
+    out.flush()
+    report = out.buffer.getvalue()
+    assert (hashlib.sha256(report).hexdigest(), len(report)) == _deep_tree_pins()[levels]
 
 
 def test_a_tree_deeper_than_the_ceiling_stops_the_run(monkeypatch):

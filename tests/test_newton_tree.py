@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import d0res.report as report
-from d0res import branches
+from d0res import branches, puiseux
+from d0res import poly as poly_module
 from d0res.branches import (
     PlaneCurveInput,
     germ_invariants,
@@ -367,6 +368,46 @@ def test_implicit_requests_need_no_power_sums(monkeypatch):
     for pair in REPEATED_PAIRS:
         request = json.dumps({"curve": {"branches": pair}})
         assert analyze(["analyze", "-"], request) == (2, b"")
+
+
+def test_the_front_end_runs_no_gcd_and_no_substitution(monkeypatch):
+    """Every rational implicit corpus request certifies reducedness mod a
+    prime, with no `gcd_bivariate` call, and no tree level substitutes
+    Polys (`Poly.evaluate`) inside `puiseux_transform`.  A request whose
+    coefficients lie in its field takes the exact route."""
+    gcds, inside, substitutions = [], [], []
+    exact, transform, evaluate = (poly_module.gcd_bivariate,
+                                  puiseux.puiseux_transform, Poly.evaluate)
+
+    def counted_gcd(f, g):
+        gcds.append(f)
+        return exact(f, g)
+
+    def marked_transform(*args):
+        inside.append(True)
+        try:
+            return transform(*args)
+        finally:
+            inside.pop()
+
+    def counted_evaluate(self, *args):
+        if inside:
+            substitutions.append(self)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(poly_module, "gcd_bivariate", counted_gcd)
+    monkeypatch.setattr(puiseux, "puiseux_transform", marked_transform)
+    monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    for req in workloads.corpus(REPO):
+        if req.germ in IMPLICIT_CORPUS:
+            assert workloads.passes_gate(req, *analyze(req.argv, req.stdin)), req.label
+    assert gcds == [] and substitutions == []
+    # y^2 + i*x^3 over QQ(i)
+    request = {"field": {"generator": "i", "minpoly": ["1", "0", "1"]},
+               "curve": {"implicit": {"poly": [[[0, 2], "1"], [[3, 0], "i"]]}}}
+    code, blob = analyze(["analyze", "-", "--strict"], json.dumps(request))
+    assert code == 0 and json.loads(blob)["germ"]["r0"] == 2
+    assert len(gcds) == 2 and substitutions == []
 
 
 def test_a_prediction_below_the_need_relifts(lifts):

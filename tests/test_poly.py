@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res import poly as poly_module
@@ -10,6 +10,7 @@ from d0res.errors import D0resError
 from d0res.fields import FieldElement, NumberField, format_scalar
 from d0res.poly import (
     Poly,
+    certifies_squarefree,
     gcd_bivariate,
     graded_monomials,
     grlex_key,
@@ -200,6 +201,73 @@ def test_squarefree_detection():
     assert is_reduced_at(unit_y, origin)
     assert not is_reduced_at(unit_y, (F(1), F(1)))
     assert not is_reduced_at(P({}), origin)
+
+
+def _counted_gcds(monkeypatch):
+    """The calls `is_reduced_at` makes to the exact route, `gcd_bivariate`."""
+    calls = []
+    exact = poly_module.gcd_bivariate
+
+    def counted(f, g):
+        calls.append((f, g))
+        return exact(f, g)
+
+    monkeypatch.setattr(poly_module, "gcd_bivariate", counted)
+    return calls
+
+
+def test_reducedness_is_exact_only_where_the_certificate_cannot_tell(monkeypatch):
+    """A squarefree rational curve is certified mod a prime, with no
+    gcd; a square factor, even a unit one at the point, and a coefficient
+    in an extension take the exact route."""
+    origin = (F(0), F(0))
+    calls = _counted_gcds(monkeypatch)
+    cusp = P({(0, 2): 1, (3, 0): -1})
+    wide = P({(0, 2): 1, (3, 0): -1, (2048, 2048): -1})
+    assert certifies_squarefree(cusp) and certifies_squarefree(wide)
+    assert is_reduced_at(cusp, origin) and is_reduced_at(wide, origin)
+    assert is_reduced_at(P({(1, 0): 1}), origin)      # no y: x alone is tested
+    assert calls == []
+    square = cusp * cusp
+    assert not certifies_squarefree(square)
+    assert not is_reduced_at(square, origin) and len(calls) == 2
+    unit_x = cusp * P({(0, 0): 1, (1, 0): 1}) ** 2
+    assert not certifies_squarefree(unit_x)
+    assert is_reduced_at(unit_x, origin) and len(calls) == 4
+    gaussian = P({(0, 2): 1}) + Poly(2, {(2, 0): GAUSS.gen()})   # y^2 + i*x^2
+    assert not certifies_squarefree(gaussian)
+    assert is_reduced_at(gaussian, origin) and len(calls) == 6
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def factor_pairs(draw):
+    """(h, g): two plane polynomials with small +-p/q coefficients, each
+    variable of degree 0 to 2, so that one is sometimes missing."""
+    def factor():
+        dx, dy = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, dx), st.integers(0, dy)), _SMALL,
+            min_size=1, max_size=4))
+        return Poly(2, terms)
+    return factor(), factor()
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs(), st.sampled_from([1, 2]))
+def test_the_certificate_never_passes_a_repeated_factor(pair, k):
+    """Whenever the certificate holds for f = h * g^k, the exact G =
+    gcd(f, f_x, f_y) is a unit; and it never holds when g^2 divides f
+    with g not constant."""
+    h, g = pair
+    f = h * g ** k
+    assume(not f.is_zero())
+    if certifies_squarefree(f):
+        exact = gcd_bivariate(gcd_bivariate(f, f.diff(0)), f.diff(1))
+        assert exact.total_degree() == 0
+        assert not (k == 2 and g.total_degree() > 0)
 
 
 def test_gcd_bivariate():

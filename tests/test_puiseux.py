@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from d0res.branches import PlaneCurveInput, branch_multiplicity, newton_puiseux
@@ -16,6 +16,7 @@ from d0res.puiseux import (
     _sturm_roots,
     has_rational_factor,
     newton_polygon_edges,
+    puiseux_transform,
     roots_in_tower,
     solve_regular_tail,
     squarefree_decomposition,
@@ -23,7 +24,7 @@ from d0res.puiseux import (
 from d0res.series import Series
 
 from conftest import curve_poly
-from oracles import lift_regular_tail_by_inversion
+from oracles import lift_regular_tail_by_inversion, puiseux_transform_by_evaluation
 
 F = Fraction
 
@@ -319,3 +320,46 @@ def test_exact_tail_is_read_off_the_y_free_terms():
     f1 = Poly(2, {(0, 1): F(1), (1, 1): F(1), (5, 0): F(1)})
     assert solve_regular_tail(f1, 5) == Series.zero(5)
     assert solve_regular_tail(f1, 6).coeffs == (0, 0, 0, 0, 0, -1)
+
+
+# -- one Newton-polygon level ------------------------------------------------------
+
+
+@st.composite
+def transform_levels(draw):
+    """(f, p, q, A, B): f with small +-p/q coefficients and a level with
+    p = 1 or p > 1, over QQ, or over QQ(i) with some coefficients
+    FieldElements of rational value, so that Fraction and FieldElement
+    terms meet in one sum."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        scalar = rational
+    else:
+        scalar = st.one_of(rational, _scalar(GAUSS))
+    nonzero = scalar.filter(lambda c: c != 0)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                                 scalar, min_size=1, max_size=6))
+    f = Poly(2, terms)
+    assume(not f.is_zero())
+    p = draw(st.sampled_from([1, 2, 3]))
+    q = draw(st.integers(1, 5).filter(lambda q: gcd(p, q) == 1))
+    A = F(1) if p == 1 and draw(st.booleans()) else draw(nonzero)
+    return f, p, q, A, draw(nonzero)
+
+
+@settings(max_examples=120, deadline=None)
+@given(transform_levels())
+# x^2 + (-1)*x*y + 2*y^2 at (1, 1, 1, 1): the three terms meet at x1^2 in
+# graded order, and the rational-valued FieldElement sum 1 - 1 is dropped
+# before the last, so the coefficient is the Fraction 2
+@example((Poly(2, {(2, 0): GAUSS.one(), (1, 1): F(-1), (0, 2): F(2)}),
+          1, 1, F(1), F(1)))
+def test_the_transform_matches_substitution(level):
+    """The term-dict transform equals substituting Polys into f
+    (`Poly.evaluate`), coefficient by coefficient and in the type of each:
+    a FieldElement exactly where the substitution leaves one."""
+    got = puiseux_transform(*level)
+    want = puiseux_transform_by_evaluation(*level)
+    assert got == want
+    assert ({e: type(c) for e, c in got.terms.items()}
+            == {e: type(c) for e, c in want.terms.items()})

@@ -14,7 +14,7 @@ from d0res import verify as verify_module
 from d0res.branches import BranchParam, Germ
 from d0res.errors import D0resError, RaiseTruncation
 from d0res.fields import NumberField, format_scalar, scalar_is_zero
-from d0res.linalg import ExactMatrix, eval_poly_at_matrices, rref_rows
+from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
     DirectSum,
@@ -53,6 +53,7 @@ from oracles import (
     check_jet_dense,
     dense_annihilator,
     dense_sum,
+    eval_poly_at_matrices,
     eval_series_at_matrix,
     expand_jet_power,
     padding_support_by_dense_annihilator,
