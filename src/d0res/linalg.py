@@ -34,14 +34,18 @@ class ExactMatrix:
         self.rational = all(isinstance(x, Fraction) for row in data for x in row)
 
     @classmethod
-    def _of_fractions(cls, rows):
-        """Trusted construction from equal-length rows of `Fraction`s only,
-        such as kernel output: no `_norm` and no `rational` rescan."""
+    def _trusted(cls, rows, rational=None):
+        """Trusted construction from equal-length rows whose entries are
+        already `Fraction`s or `FieldElement`s, such as kernel output or a
+        closed form written from a module's own entries: no `_norm` and no
+        ragged-row check.  `rational` is scanned for as `__init__` does;
+        only kernel output and direct sums of rational blocks pass True."""
         m = cls.__new__(cls)
         m.data = tuple(map(tuple, rows))
         m.rows = len(m.data)
         m.cols = len(m.data[0]) if m.data else 0
-        m.rational = True
+        m.rational = (all(isinstance(x, Fraction) for row in m.data for x in row)
+                      if rational is None else rational)
         return m
 
     # -- constructors ---------------------------------------------------------
@@ -67,7 +71,7 @@ class ExactMatrix:
             r0 += b.rows
             c0 += b.cols
         if all(b.rational for b in blocks):
-            return cls._of_fractions(out)
+            return cls._trusted(out, True)
         return cls(out)
 
     # -- basics ---------------------------------------------------------------
@@ -77,7 +81,8 @@ class ExactMatrix:
         return self.data[i][j]
 
     def is_zero(self):
-        return all(scalar_is_zero(x) for row in self.data for x in row)
+        # every entry is a Fraction or a FieldElement, false exactly at zero
+        return not any(map(any, self.data))
 
     def is_square(self):
         return self.rows == self.cols
@@ -141,7 +146,7 @@ class ExactMatrix:
                     f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
             if self.rational and other.rational:
-                return ExactMatrix._of_fractions(fmatmul(self.data, other.data))
+                return ExactMatrix._trusted(fmatmul(self.data, other.data), True)
             return ExactMatrix(_generic_matmul(self.data, other.data))
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)

@@ -30,10 +30,16 @@ The key constructions:
   polynomial in their columns, and it is zero iff that series is.  So
   `annihilator` eliminates r first-column rows, `verify._kills` evaluates
   a witness on series, and `_action_power` raises an action as a series
-  power; it raises a jet action [[A, 0], [C, A]] with A of that shape and
-  C zero but for its last row in closed form.  Any matrix of another
-  shape, a dense sum or a planted fault, takes the dense route: pairwise
-  products, dim^2 entry rows, matrix evaluation and matrix powers.
+  power.  A jet's actions read [[A, 0], [e c^T, A]], A of that shape and
+  e the last unit vector; a module whose actions all read so, and not all
+  as Toeplitz, keeps each once as (first column of A, c)
+  (`FiniteModule.jets`).  Two of them commute iff c^T B = d^T A, one
+  1 x r by r x r product per side; the jet pair compares their first
+  columns with its fiber's; `_action_power` raises them in closed form.
+  Every such matrix is built once, from entries already normalized
+  (`ExactMatrix._trusted`).  Any matrix of another shape, a dense sum or
+  a planted fault, takes the dense route: pairwise products, entry-wise
+  frame checks, dim^2 entry rows, matrix evaluation and matrix powers.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
   order; no matrix is built.  Its dims, blocks and (for jets) m1 and m2
@@ -127,10 +133,14 @@ def toeplitz_column(a: ExactMatrix):
         return None
     data = a.data
     col = tuple(row[0] for row in data)
-    if col[0]:
+    # the last row is the first column read backwards: a cheap early exit
+    if col[0] or data[-1] != col[::-1]:
         return None
+    # a zero entry is `_ZERO` itself where a module wrote it, so comparing
+    # with `zeros` mostly compares identities
+    zeros = (_ZERO,) * r
     for i, row in enumerate(data):
-        if any(row[i + 1:]) or row[:i + 1] != col[i::-1]:
+        if row[i + 1:] != zeros[i + 1:] or row[:i + 1] != col[i::-1]:
             return None
     return Series(col)
 
@@ -139,7 +149,8 @@ def _toeplitz_matrix(s: Series) -> ExactMatrix:
     """The lower-triangular Toeplitz matrix of `s`, multiplication by s on
     K[t]/(t^trunc): entry (i, j) is s_(i-j)."""
     c, r = s.coeffs, s.trunc
-    return ExactMatrix([c[i::-1] + (_ZERO,) * (r - 1 - i) for i in range(r)])
+    return ExactMatrix._trusted(
+        [c[i::-1] + (_ZERO,) * (r - 1 - i) for i in range(r)])
 
 
 @dataclass(frozen=True)
@@ -147,35 +158,57 @@ class FiniteModule:
     """Punctual module at the origin: dim + one action matrix per coordinate.
 
     Validation checks shapes, that the actions commute pairwise and that
-    each is nilpotent.  Every action is read by `toeplitz_column`, and
-    `columns` holds their first columns when all of them are strictly
-    lower-triangular Toeplitz, as every fiber's are; None otherwise.  Two
-    such actions commute, with no matrix product; any other pair is
-    multiplied out both ways.  A strictly lower-triangular action is
-    nilpotent, as every fiber, jet and padded action built here is; any
-    other action is raised to the power dim.
+    each is nilpotent, from one reading of each action.  `columns` holds
+    their first columns when all of them are strictly lower-triangular
+    Toeplitz (`toeplitz_column`), as every fiber's are; None otherwise.
+    When not all are, `jets` holds (column, c) for each action when all of
+    them read [[A, 0], [e c^T, A]] (`_jet_column`), as every jet's do; None
+    otherwise.  Two Toeplitz actions commute, with no matrix product.  Two
+    jet actions [[A, 0], [e c^T, A]] and [[B, 0], [e d^T, B]] commute iff
+    c^T B = d^T A: AB = BA as both are Toeplitz, and A e = B e = 0 as both
+    are strictly lower, so the lower-left blocks of the two products are
+    e c^T B and e d^T A.  That is one 1 x r by r x r product per side, on
+    the top-left blocks `_jet_column` read.  Any other pair, of a dense sum
+    or a planted fault, is multiplied out both ways.  An action read by
+    either reading is strictly lower-triangular by it, so nilpotent; a
+    strictly lower-triangular action is nilpotent too, and any other action
+    is raised to the power dim.
     """
 
     dim: int
     actions: tuple
     columns: tuple = field(init=False, repr=False, compare=False)
+    jets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in self.actions:
             if not a.is_square() or a.rows != self.dim:
                 raise D0resError("action matrices must be square of the module dim")
         columns = tuple(toeplitz_column(a) for a in self.actions)
+        jets = None
+        if None in columns:
+            jets = tuple(_jet_column(a) for a in self.actions)
+            if None in jets:
+                jets = None
         for i in range(len(self.actions)):
             for j in range(i + 1, len(self.actions)):
                 if columns[i] is not None and columns[j] is not None:
                     continue
-                if not commute(self.actions[i], self.actions[j]):
+                if jets is not None:
+                    (_, c, a), (_, d, b) = jets[i], jets[j]
+                    ok = (ExactMatrix._trusted((c,)) * b
+                          == ExactMatrix._trusted((d,)) * a)
+                else:
+                    ok = commute(self.actions[i], self.actions[j])
+                if not ok:
                     raise D0resError("coordinate actions must commute")
-        for a in self.actions:
-            if not a.is_strictly_lower() and not (a ** self.dim).is_zero():
+        for a, column in zip(self.actions, columns):
+            if (column is None and jets is None and not a.is_strictly_lower()
+                    and not (a ** self.dim).is_zero()):
                 raise NotNilpotent("action is not nilpotent: support is not punctual")
-        object.__setattr__(self, "columns", None if any(
-            c is None for c in columns) else columns)
+        object.__setattr__(self, "columns", None if None in columns else columns)
+        object.__setattr__(self, "jets", None if jets is None else tuple(
+            (column, c) for column, c, _ in jets))
 
     @property
     def ambient_dim(self):
@@ -198,6 +231,13 @@ class JetPair:
     the bottoms and `proj` reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
     by construction.  The actions respect this frame iff each reads
     [[A, 0], [C, A]] on (tops, bottoms), A its M1 counterpart.
+
+    On one block, with M1 read by `columns` and M2 by `jets`
+    (`FiniteModule`), each M2 action already reads [[A', 0], [e c^T, A']]
+    with A' Toeplitz, so it respects the frame iff A' has the first column
+    of its M1 counterpart: the columns are compared, not the entries.  A
+    frame of several blocks, or modules read neither way, are checked
+    entry by entry (`_check_jet_shape`), as is the uniformizer.
     """
 
     m1: FiniteModule
@@ -214,8 +254,15 @@ class JetPair:
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
         tops, bottoms = self._frame()
-        for a2, a1 in zip(self.m2.actions, self.m1.actions):
-            _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
+        if (self.blocks == (self.m1.dim,) and self.m1.columns is not None
+                and self.m2.jets is not None):
+            if any(jet[0] != column
+                   for jet, column in zip(self.m2.jets, self.m1.columns)):
+                raise D0resError("inclusion and projection must intertwine "
+                                 "the coordinate actions")
+        else:
+            for a2, a1 in zip(self.m2.actions, self.m1.actions):
+                _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
         _check_jet_shape(self.t_m2, self.t_m1, tops, bottoms, "uniformizer action")
 
     @property
@@ -256,7 +303,7 @@ def _unit_matrix(rows, cols, ones):
     data = [[_ZERO] * cols for _ in range(rows)]
     for i, j in ones:
         data[i][j] = _ONE
-    return ExactMatrix(data)
+    return ExactMatrix._trusted(data)
 
 
 def _check_jet_shape(a2, a1, tops, bottoms, what):
@@ -278,15 +325,14 @@ def fiber_module(b: BranchParam, r: int) -> FiniteModule:
         raise D0resError("rank must be positive")
     if b.trunc < r:
         raise RaiseTruncation("fiber construction needs truncation >= rank", needed=r)
+    zeros = (_ZERO,) * r
     actions = []
     for s in b.coords:
-        data = [[_ZERO] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i):
-                # coefficient of t^i in x_k(t) * t^j
-                data[i][j] = s.coeffs[i - j]
-            # ord >= 1 keeps the diagonal zero
-        actions.append(ExactMatrix(data))
+        c = s.coeffs
+        # entry (i, j < i) is the coefficient of t^i in x_k(t) * t^j, c_(i-j);
+        # ord >= 1 keeps the diagonal zero
+        actions.append(ExactMatrix._trusted(
+            [c[i:0:-1] + zeros[i:] for i in range(r)]))
     return FiniteModule(r, tuple(actions))
 
 
@@ -299,17 +345,22 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
                               needed=r + 1)
     shift = _unit_matrix(r, r, ((i + 1, i) for i in range(r - 1)))
     # S on the tops and on the bottoms, plus r*eps from the last top
-    data = [list(row) for row in ExactMatrix.block_diag(shift, shift).data]
+    data = [[_ZERO] * (2 * r) for _ in range(2 * r)]
+    for i in range(2 * r - 1):
+        data[i + 1][i] = _ONE
+    data[r][r - 1] = _ZERO
     data[2 * r - 1][r - 1] = Fraction(r)
-    t_m2 = ExactMatrix(data)
+    t_m2 = ExactMatrix._trusted(data)
     m1 = fiber_module(b, r)
+    zeros = (_ZERO,) * r
     actions = []
     for s, a in zip(b.coords, m1.actions):
         # s(t_m2) = [[A, 0], [C, A]]: C is r * s_k at (last, r - k), k = 1..r
-        tops = [row + (_ZERO,) * r for row in a.data]
-        bottoms = [(_ZERO,) * r + row for row in a.data]
-        bottoms[-1] = tuple(r * s.coeffs[r - j] for j in range(r)) + a.data[-1]
-        actions.append(ExactMatrix(tops + bottoms))
+        c = tuple(r * s.coeffs[r - j] for j in range(r))
+        tops = [row + zeros for row in a.data]
+        bottoms = [zeros + row for row in a.data]
+        bottoms[-1] = c + a.data[-1]
+        actions.append(ExactMatrix._trusted(tops + bottoms))
     return JetPair(m1, FiniteModule(2 * r, tuple(actions)), shift, t_m2, (r,))
 
 
@@ -387,49 +438,52 @@ def _action_power(module: FiniteModule, coord: int, k: int) -> ExactMatrix:
     """The action of coordinate `coord` on `module` to the power k.
 
     A strictly lower-triangular Toeplitz action is multiplication by its
-    first column a(t), and its power multiplication by a(t)^k.  A jet
-    action [[A, 0], [C, A]] with A of that shape and C zero but for its
-    last row c (`_jet_column`) has the power [[A^k, 0], [e c^T A^(k-1),
-    A^k]], e the last unit vector, for k >= 1: the lower-left block of
-    the power is the sum of A^i C A^j over i + j = k - 1, and A^i C = 0
-    for i >= 1 because A's last column is zero.  The row c^T A^(k-1) has
-    entry j = sum_i c_i q_(i-j), q(t) = a(t)^(k-1), which is the
-    t^(r-1-j) coefficient of rev(c)(t) q(t), rev(c) the series of c read
-    backwards.  Either way the dense block is built once, for the report.
-    Any other action is raised densely."""
-    a = module.actions[coord]
+    first column a(t) (`module.columns`), and its power multiplication by
+    a(t)^k.  A jet action [[A, 0], [C, A]] with A of that shape and C zero
+    but for its last row c, read once as (a(t), c) (`module.jets`), has
+    the power [[A^k, 0], [e c^T A^(k-1), A^k]], e the last unit vector, for
+    k >= 1: the lower-left block of the power is the sum of A^i C A^j over
+    i + j = k - 1, and A^i C = 0 for i >= 1 because A's last column is
+    zero.  The row c^T A^(k-1) has entry j = sum_i c_i q_(i-j), q(t) =
+    a(t)^(k-1), which is the t^(r-1-j) coefficient of rev(c)(t) q(t),
+    rev(c) the series of c read backwards.  Either way the dense block is
+    built once, for the report, from entries already normalized.  Any
+    other action, of a dense sum or a planted fault, is raised densely."""
     if module.columns is not None:
         return _toeplitz_matrix(module.columns[coord] ** k)
-    jet = _jet_column(a) if k else None
-    if jet is None:
-        return a ** k
-    col, c = jet
+    if module.jets is None or not k:
+        return module.actions[coord] ** k
+    col, c = module.jets[coord]
     q = col ** (k - 1)
-    top = _toeplitz_matrix(q * col).data
+    top = _toeplitz_matrix(q * col)
     row = (Series(c[::-1]) * q).coeffs[::-1]
     zeros = (_ZERO,) * col.trunc
-    return ExactMatrix([t + zeros for t in top]
-                       + [zeros + t for t in top[:-1]] + [row + top[-1]])
+    return ExactMatrix._trusted(
+        [t + zeros for t in top.data] + [zeros + t for t in top.data[:-1]]
+        + [row + top.data[-1]])
 
 
 def _jet_column(a: ExactMatrix):
-    """(column, c) when `a` reads [[A, 0], [C, A]] on two halves of its
-    basis, A strictly lower-triangular Toeplitz with first column `column`
-    (a Series) and C zero but for its last row c (a tuple), checked entry
-    by entry; None otherwise."""
+    """(column, c, top) when `a` reads [[A, 0], [C, A]] on two halves of
+    its basis, A strictly lower-triangular Toeplitz with first column
+    `column` (a Series) and C zero but for its last row c (a tuple),
+    checked entry by entry; `top` is A, the block the reading sliced.  None
+    otherwise."""
     if a.rows % 2 or a.cols != a.rows or not a.rows:
         return None
     r = a.rows // 2
     data = a.data
-    col = toeplitz_column(ExactMatrix([row[:r] for row in data[:r]]))
+    top = ExactMatrix._trusted([row[:r] for row in data[:r]])
+    col = toeplitz_column(top)
     if col is None:
         return None
-    for top, bottom in zip(data[:r], data[r:]):
-        if any(top[r:]) or bottom[r:] != top[:r]:
+    zeros = (_ZERO,) * r
+    for top_row, bottom in zip(data[:r], data[r:]):
+        if top_row[r:] != zeros or bottom[r:] != top_row[:r]:
             return None
-    if any(any(bottom[:r]) for bottom in data[r:-1]):
+    if any(bottom[:r] != zeros for bottom in data[r:-1]):
         return None
-    return col, data[-1][:r]
+    return col, data[-1][:r], top
 
 
 # -- annihilators and lengths ------------------------------------------------------

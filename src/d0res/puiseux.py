@@ -80,13 +80,16 @@ def _ueval(p, x):
 def squarefree_decomposition(p):
     """Yun's algorithm over a field of characteristic zero.
 
-    Returns [(factor, multiplicity)] with factor monic and squarefree.
+    Returns [(factor, multiplicity)] with factor monic and squarefree.  A
+    linear p is its own decomposition, with no gcd or division.
     """
     p = upoly_trim(list(p))
     if len(p) <= 1:
         return []
     inv = 1 / p[-1]
     p = [c * inv for c in p]
+    if len(p) == 2:
+        return [(p, 1)]
     dp = upoly_deriv(p)
     a = upoly_gcd(p, dp)
     b, _ = upoly_divmod(p, a)

@@ -970,6 +970,65 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     assert cert["padding_support_ok"] is False and cert["pass"] is False
 
 
+_JET_PAIR = modules_module.jet_pair
+
+
+def _doubled_c_row_jet_pair(b, r):
+    """`jet_pair` with a wrong C row: x's action on M2 has the row c, the
+    last row of its lower-left block, doubled.  The action still reads
+    [[A, 0], [e c^T, A]], so it is read as a jet and the frame holds."""
+    jet = _JET_PAIR(b, r)
+    data = [list(row) for row in jet.m2.actions[0].data]
+    data[-1][:r] = [2 * x for x in data[-1][:r]]
+    m2 = FiniteModule(2 * r, (ExactMatrix(data), *jet.m2.actions[1:]))
+    return modules_module.JetPair(jet.m1, m2, jet.t_m1, jet.t_m2, jet.blocks)
+
+
+# What catches a wrong C row in `jet_pair` on each corpus request under
+# `analyze --strict`: "commute" where the doubled row breaks c^T B = d^T A
+# against another coordinate (exit 2); "golden" where every jet the
+# request builds has Toeplitz actions (A = 0 on the rank-r0 jet of a
+# branch of order >= r0, and on every rank-1 skyscraper), which commute
+# whatever c is, so every certificate still passes and only the printed
+# jet power differs from the golden.
+JET_FAULT_CATCHES = {
+    "cusp": "golden", "cyclotomic_triple": "commute", "e6": "golden",
+    "gaussian_node": "commute", "node": "commute",
+    "parametric_cusp": "golden", "ramphoid_cusp": "golden",
+    "smooth_point": "golden", "space_lines": "commute", "tacnode": "commute",
+    "triple_point": "commute",
+}
+
+
+def test_a_wrong_c_row_in_jet_pair_is_caught(monkeypatch, capsysbinary):
+    """With x's C row doubled in every jet pair, base and skyscraper, each
+    corpus request is caught where `JET_FAULT_CATCHES` says.  The
+    commutation is judged on the jet rows (c^T B = d^T A), never by dense
+    products."""
+    for module in (modules_module, verify_module):
+        monkeypatch.setattr(module, "jet_pair", _doubled_c_row_jet_pair)
+
+    def refused(a, b):
+        raise AssertionError("a dense commutation product")
+
+    monkeypatch.setattr(modules_module, "commute", refused)
+    paths = sorted(CORPUS.glob("*.json"))
+    assert [path.stem for path in paths] == list(JET_FAULT_CATCHES)
+    for path in paths:
+        rc = main(["analyze", str(path), "--strict"])
+        captured = capsysbinary.readouterr()
+        if JET_FAULT_CATCHES[path.stem] == "commute":
+            assert rc == 2, path.name
+            assert captured.err == b"error: coordinate actions must commute\n"
+            assert not captured.out, path.name
+        else:
+            assert rc == 0, path.name
+            out = json.loads(captured.out.decode())
+            assert all(c["pass"] for c in out["certificates"]), path.name
+            golden = (CORPUS / "golden" / path.name).read_bytes()
+            assert captured.out != golden, path.name
+
+
 # A reachability threshold off by one: every route skips the monomials of
 # order >= n - 1 in place of >= n.  The corner check of
 # `poly.reachable_values` catches it on every corpus request, as an

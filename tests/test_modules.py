@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from d0res.branches import BranchParam
 from d0res.errors import D0resError, NotNilpotent, RaiseTruncation
 from d0res.fields import FieldElement, NumberField, scalar_is_zero
-from d0res.linalg import ExactMatrix, rref_rows
+from d0res import linalg as linalg_module
+from d0res import modules as modules_module
+from d0res.linalg import ExactMatrix, commute, rref_rows
 from d0res.modules import (
     DirectSum,
     _action_power,
+    _jet_column,
     FiniteModule,
     JetPair,
     annihilator,
@@ -214,7 +217,7 @@ def test_pad_builds_no_matrix(monkeypatch):
         raise AssertionError("pad built a matrix")
 
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
-    monkeypatch.setattr(ExactMatrix, "_of_fractions", refuse)
+    monkeypatch.setattr(ExactMatrix, "_trusted", refuse)
     jet = pad(base, sky_jet, 10**6)
     assert jet.rank == 2 + 10**6 and len(jet.blocks) == 1 + 10**6
     assert jet.m1.runs == ((base.m1, 1), (sky_jet.m1, 10**6))
@@ -634,3 +637,146 @@ def test_actions_off_the_closed_jet_form_are_raised_densely(action,
     for k in range(1, action.rows + 1):
         assert _action_power(module, 0, k) == original(action, k)
     assert powers == list(range(1, action.rows + 1))
+
+
+# -- jet actions read once, in closed form ------------------------------------
+
+
+def _jet_bumps(jet):
+    """(coordinate, entry, on the last row) for single-entry bumps of C in
+    each M2 action [[A, 0], [C, A]]: every entry of C's last row, which the
+    jet reading keeps as c, and, from rank 2 on, C's first row and the
+    last entry of the row above the last, which break the reading."""
+    r = jet.rank
+    for coord in range(jet.ambient_dim):
+        for j in range(r):
+            yield coord, (2 * r - 1, j), True
+        if r >= 2:
+            for entry in [(r, j) for j in range(r)] + [(2 * r - 2, r - 1)]:
+                yield coord, entry, False
+
+
+def test_row_and_dense_commutation_agree(repo_corpus_germs, monkeypatch):
+    """Over every corpus branch at r = 1..8, M2 with one action bumped at
+    one entry of C is accepted exactly when the dense products commute.
+    `jets` is set exactly when not every action is Toeplitz and
+    `_jet_column` reads each: a bump on C's last row keeps the reading
+    and is judged by c^T B = d^T A with no dense product, a bump elsewhere
+    in C breaks it and takes the dense route."""
+    dense_calls = []
+
+    def counted(a, b):
+        dense_calls.append((a.rows, b.rows))
+        return commute(a, b)
+
+    monkeypatch.setattr(modules_module, "commute", counted)
+    seen = set()
+    for germ in repo_corpus_germs.values():
+        for b in germ.branches:
+            for r in range(1, 9):
+                jet = jet_pair(b, r)
+                for coord, entry, on_last_row in _jet_bumps(jet):
+                    actions = list(jet.m2.actions)
+                    actions[coord] = _bumped(actions[coord], *entry)
+                    toeplitz = all(toeplitz_column(a) for a in actions)
+                    read = all(_jet_column(a) for a in actions)
+                    assert read == on_last_row, (b, r, entry)
+                    commuting = all(commute(x, y) for i, x in enumerate(actions)
+                                    for y in actions[i + 1:])
+                    dense_calls.clear()
+                    try:
+                        module = FiniteModule(2 * r, tuple(actions))
+                    except D0resError as err:
+                        assert "coordinate actions must commute" in str(err)
+                        assert not commuting, (b, r, coord, entry)
+                    else:
+                        assert commuting, (b, r, coord, entry)
+                        assert (module.jets is not None) == (
+                            read and not toeplitz), (b, r, coord, entry)
+                        if module.jets is not None:
+                            assert module.jets == tuple(
+                                _jet_column(a)[:2] for a in actions)
+                    assert bool(dense_calls) == (not read and not toeplitz), (
+                        b, r, coord, entry)
+                    seen.add((on_last_row, toeplitz, commuting))
+    # each route met both verdicts, except a Toeplitz sum, which commutes
+    assert seen >= {(True, False, True), (True, False, False),
+                    (False, False, True), (False, False, False)}, seen
+
+
+def test_jet_pair_compares_first_columns(repo_corpus_germs):
+    """A single-block jet pair whose M2 reads as jets is checked by first
+    columns: an M2 of another branch's jet, valid on its own, is refused
+    where its columns differ from M1's and accepted where they agree."""
+    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
+    refused = accepted = 0
+    for b in branches:
+        for other in branches:
+            if other.ambient_dim != b.ambient_dim:
+                continue
+            jet, foreign = jet_pair(b, 4), jet_pair(other, 4)
+            if foreign.m2.jets is None or jet.m1.columns is None:
+                continue
+            same = all(
+                c == col for (c, _), col in zip(foreign.m2.jets,
+                                                jet.m1.columns))
+            try:
+                JetPair(jet.m1, foreign.m2, jet.t_m1, jet.t_m2, (4,))
+            except D0resError as err:
+                assert "intertwine the coordinate actions" in str(err)
+                assert not same
+                refused += 1
+            else:
+                assert same
+                accepted += 1
+    assert refused and accepted
+
+
+def test_trusted_matrices_equal_checked_ones(repo_corpus_germs):
+    """Every matrix `fiber_module`, `jet_pair` and `_action_power` build on
+    trust equals the one `ExactMatrix` builds from the same entries, with
+    the same `rational` flag, over every corpus branch at r = 1..6 (the
+    Gaussian node's and the space lines' included)."""
+    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
+    assert any(b.ambient_dim == 3 for b in branches)
+    assert any(isinstance(x, FieldElement) and not x.is_rational()
+               for b in branches for s in b.coords for x in s.coeffs)
+    flags = set()
+    for b in branches:
+        for r in range(1, 7):
+            jet = jet_pair(b, r)
+            built = [*fiber_module(b, r).actions, *jet.m1.actions,
+                     *jet.m2.actions, jet.t_m1, jet.t_m2,
+                     jet.eps, jet.incl, jet.proj]
+            for module in (jet.m1, jet.m2):
+                built += [_action_power(module, coord, k)
+                          for coord in range(b.ambient_dim)
+                          for k in range(r + 2)]
+            for m in built:
+                checked = ExactMatrix(m.data)
+                assert m == checked and m.rational == checked.rational, (b, r)
+                flags.add(m.rational)
+    assert flags == {True, False}
+
+
+def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
+    """Building any corpus jet, at r = 1..10, multiplies only one-row
+    matrices: the c^T B = d^T A rows of `FiniteModule`, never a dense
+    2r x 2r product, on either the integer or the generic path."""
+    left_rows = []
+
+    def recorded(product):
+        def wrapped(a, b):
+            left_rows.append(len(a))
+            return product(a, b)
+        return wrapped
+
+    monkeypatch.setattr(linalg_module, "fmatmul",
+                        recorded(linalg_module.fmatmul))
+    monkeypatch.setattr(linalg_module, "_generic_matmul",
+                        recorded(linalg_module._generic_matmul))
+    for germ in repo_corpus_germs.values():
+        for b in germ.branches:
+            for r in range(1, 11):
+                jet_pair(b, r)
+    assert left_rows and set(left_rows) == {1}

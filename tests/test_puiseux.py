@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from d0res.branches import PlaneCurveInput, branch_multiplicity, newton_puiseux
 from d0res.errors import D0resError, UnsupportedFieldExtension
-from d0res.fields import NumberField
+from d0res import puiseux as puiseux_module
+from d0res.fields import (
+    NumberField,
+    scalar_is_zero,
+    upoly_deriv,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_sub,
+    upoly_trim,
+)
 from d0res.poly import Poly
 from d0res.puiseux import (
     FieldContext,
@@ -212,6 +221,63 @@ def test_roots_in_tower_multiplicities():
     assert sorted((str(r), m) for r, m in roots) == [("-2", 1), ("1", 2)]
     sq = squarefree_decomposition([F(2), F(-3), F(0), F(1)])
     assert [(m, len(f) - 1) for f, m in sq] == [(1, 1), (2, 1)]
+
+
+def _yun(p):
+    """Yun's algorithm, gcds and divisions all the way: the reference that
+    `squarefree_decomposition` skips on linear input."""
+    p = upoly_trim(list(p))
+    if len(p) <= 1:
+        return []
+    inv = 1 / p[-1]
+    p = [c * inv for c in p]
+    dp = upoly_deriv(p)
+    a = upoly_gcd(p, dp)
+    b, _ = upoly_divmod(p, a)
+    c, _ = upoly_divmod(dp, a)
+    d = upoly_sub(c, upoly_deriv(b))
+    out, i = [], 1
+    while len(b) > 1:
+        a = upoly_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, _ = upoly_divmod(b, a)
+        c, _ = upoly_divmod(d, a)
+        d = upoly_sub(c, upoly_deriv(b))
+        i += 1
+    return out
+
+
+_LINEAR_SCALARS = (F(0), F(1), F(-3, 2), F(7))
+
+
+@pytest.mark.parametrize("field", [None, NumberField([1, 0, 1], generator="i")])
+def test_a_linear_characteristic_is_its_own_decomposition(field, monkeypatch):
+    """A linear p decomposes as [(monic p, 1)] with no gcd or division,
+    equal to Yun's output over QQ and QQ(i); higher degrees still run
+    Yun's algorithm and agree with it too."""
+    scalars = (_LINEAR_SCALARS if field is None else
+               [field.element([a, b]) for a in _LINEAR_SCALARS
+                for b in _LINEAR_SCALARS])
+    linear = [[c0, c1] for c0 in scalars for c1 in scalars
+              if not scalar_is_zero(c1)]
+    expected = [_yun(p) for p in linear]
+
+    def refused(*args):
+        raise AssertionError("a gcd or division on a linear polynomial")
+
+    for name in ("upoly_gcd", "upoly_divmod"):
+        monkeypatch.setattr(puiseux_module, name, refused)
+    for p, want in zip(linear, expected):
+        got = squarefree_decomposition(p + [F(0)])
+        assert got == want and len(got) == 1 and got[0][1] == 1, p
+        assert got[0][0][-1] == 1, p
+    monkeypatch.undo()
+    one = F(1) if field is None else field.one()
+    for p in ([F(2), F(-3), F(0), F(1)], [F(1), F(0), F(1)],
+              [F(0), F(0), F(1)]):
+        p = [c * one for c in p]
+        assert squarefree_decomposition(p) == _yun(p), p
 
 
 def test_non_primitive_parametrization_rejected():

@@ -445,21 +445,21 @@ def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
     """Above r0 nothing `certify` builds grows with r: the entries of every
     ExactMatrix it builds add up to the same count at r0 + 1 and at 256."""
     germ = corpus_germs[name]
-    init, of_fractions = ExactMatrix.__init__, ExactMatrix._of_fractions.__func__
+    init, trusted = ExactMatrix.__init__, ExactMatrix._trusted.__func__
     entries = []
 
     def counted_init(self, data):
         init(self, data)
         entries[-1] += self.rows * self.cols
 
-    def counted_of_fractions(cls, rows):
-        m = of_fractions(cls, rows)
+    def counted_trusted(cls, rows, rational=None):
+        m = trusted(cls, rows, rational)
         entries[-1] += m.rows * m.cols
         return m
 
     monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
-    monkeypatch.setattr(ExactMatrix, "_of_fractions",
-                        classmethod(counted_of_fractions))
+    monkeypatch.setattr(ExactMatrix, "_trusted",
+                        classmethod(counted_trusted))
     for r in (germ.r0 + 1, 256):
         entries.append(0)
         assert certify(CertificateFamily(germ), r).overall, (name, r)
