@@ -7,20 +7,19 @@ The key constructions:
   multiplication with its pullback series (lower-triangular Toeplitz); also
   the jet pair's special fiber and the matrix route of the fiber
   annihilator cross-check.
-* jet_pair(b, r): the rank-r restriction over the dual numbers, one block
-  of the JetPair frame.  Its special fiber M1 is fiber_module(b, r), on
-  which the uniformizer acts as the r x r down-shift S; on the 2r-dim jet M2
-  it acts as t_m2 = [[S, 0], [N, S]], S on the tops and on the bottoms plus
-  N = r*eps from the last top.  Its nilpotency index jumps from r to r+1
-  exactly when the jet does not split.  A coordinate s acts on M2 as
-  s(t_m2) = [[A, 0], [C, A]], A its action on M1.  S N = 0 (N lands on
-  the last bottom, which S kills), so t_m2^k = [[S^k, 0], [N S^(k-1), S^k]]
-  and C is zero but for its last row, whose column r-k holds r*s_k
-  (k = 1..r; s_0 = 0 as the branch passes through the origin).
-  jet_pair writes the actions in this closed form; tests compare it with
-  the reference eval_series_at_matrix(s, t_m2) in tests/oracles.py.
-* graph_skyscraper(b): the rank-1 padding, fiber_module(b, 1) and
-  jet_pair(b, 1).
+* jet_pair(b, r): the rank-r fiber M1 = fiber_module(b, r) of the branch
+  and its first-order jet M2 over the dual numbers, 2r-dimensional on a
+  fixed frame: tops 0..r-1 lifting M1's basis, then bottoms r..2r-1, their
+  eps-multiples.  A coordinate s acts on M2 as [[A, 0], [C, A]], A its
+  action on M1, and C is zero but for its last row, whose column r-k holds
+  r*s_k (k = 1..r; s_0 = 0 as the branch passes through the origin).
+  That is s(T) for the jet's uniformizer T = [[S, 0], [N, S]], S the
+  r x r down-shift and N = r*eps from the last top: S N = 0, so
+  T^k = [[S^k, 0], [N S^(k-1), S^k]].  T has nilpotency index r + 1, one
+  more than S, exactly when the jet does not split.  jet_pair writes the
+  actions in closed form and builds no uniformizer; the tests build T
+  (`tests/oracles.jet_uniformizer`) and compare.
+* graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1) and its fiber.
 * Toeplitz actions: a fiber's actions are strictly lower-triangular
   Toeplitz, multiplication by their first columns in K[t]/(t^r), a
   commutative algebra.  `toeplitz_column` reads that shape entry by entry
@@ -34,15 +33,17 @@ The key constructions:
   e the last unit vector; a module whose actions all read so, and not all
   as Toeplitz, keeps each once as (first column of A, c)
   (`FiniteModule.jets`).  Two of them commute iff c^T B = d^T A, one
-  1 x r by r x r product per side; the jet pair compares their first
-  columns with its fiber's; `_action_power` raises them in closed form.
-  Every such matrix is built once, from entries already normalized
+  1 x r by r x r product per side, and `_action_power` raises them in
+  closed form.  A jet pair checks its frame on whichever reading its M2
+  has, by first columns (`JetPair`): the rank-1 skyscrapers and the jets
+  with A = 0 are Toeplitz, every other jet is read as jets.  Every such
+  matrix is built once, from entries already normalized
   (`ExactMatrix._trusted`).  Any matrix of another shape, a dense sum or
   a planted fault, takes the dense route: pairwise products, entry-wise
   frame checks, dim^2 entry rows, matrix evaluation and matrix powers.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
-  order; no matrix is built.  Its dims, blocks and (for jets) m1 and m2
+  order; no matrix is built.  Its dims, ranks and (for jets) m1 and m2
   are read off the runs.  Every question the certificate asks of a sum is
   answered summand by summand: a polynomial kills a direct sum iff it
   kills each summand, and a power of a block-diagonal action is the
@@ -101,7 +102,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branches import BranchParam, _evaluation_columns
-from .errors import D0resError, NotNilpotent, RaiseTruncation
+from .errors import (D0resError, NonCommutingActions, NotNilpotent,
+                     RaiseTruncation)
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, commute, rref_rows
 from .poly import (
@@ -201,7 +203,7 @@ class FiniteModule:
                 else:
                     ok = commute(self.actions[i], self.actions[j])
                 if not ok:
-                    raise D0resError("coordinate actions must commute")
+                    raise NonCommutingActions("coordinate actions must commute")
         for a, column in zip(self.actions, columns):
             if (column is None and jets is None and not a.is_strictly_lower()
                     and not (a ** self.dim).is_zero()):
@@ -223,47 +225,56 @@ class FiniteModule:
 
 @dataclass(frozen=True)
 class JetPair:
-    """Rank-r module M1 with its first-order jet M2 over the dual numbers.
+    """The rank-r fiber M1 of one branch and its first-order jet M2 over
+    the dual numbers, and nothing else.
 
-    `blocks` are the ranks of the direct summands.  A rank-k summand has k
-    basis vectors of M1 and 2k of M2: k tops lifting them, then k bottoms,
-    their eps-multiples.  So eps maps tops to bottoms, `incl` embeds M1 onto
-    the bottoms and `proj` reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
-    by construction.  The actions respect this frame iff each reads
-    [[A, 0], [C, A]] on (tops, bottoms), A its M1 counterpart.
+    The frame is fixed: M2's basis is the r tops 0..r-1, lifting M1's
+    basis, then the r bottoms r..2r-1, their eps-multiples.  So eps maps
+    tops to bottoms, the inclusion M1 -> M2 lands on the bottoms and the
+    projection M2 -> M1 reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
+    by construction.  The actions respect the frame iff each M2 action
+    reads [[A, 0], [C, A]], A its M1 counterpart.
 
-    On one block, with M1 read by `columns` and M2 by `jets`
-    (`FiniteModule`), each M2 action already reads [[A', 0], [e c^T, A']]
-    with A' Toeplitz, so it respects the frame iff A' has the first column
-    of its M1 counterpart: the columns are compared, not the entries.  A
-    frame of several blocks, or modules read neither way, are checked
-    entry by entry (`_check_jet_shape`), as is the uniformizer.
+    When M1 is read by `columns` (`FiniteModule`), that is checked once
+    per action on the reading M2 already has, by first columns:
+
+    * M2 read by `jets`: each action is [[A', 0], [e c^T, A']] with A'
+      strictly lower-triangular Toeplitz, so it respects the frame iff
+      A' = A, and two Toeplitz matrices are equal iff their first columns
+      are.
+    * M2 read by `columns`: each action is the strictly lower-triangular
+      Toeplitz matrix of a column c of length 2r, entry (i, j) = c_(i-j)
+      for i > j and 0 otherwise.  Its top-right block (i < r <= j) lies
+      above the diagonal, so it is zero.  Its top-left block has entry
+      c_(i-j) at (i, j), and its bottom-right block the same entry at
+      (r + i, r + j): both are the Toeplitz matrix of c_0..c_(r-1).  So it
+      respects the frame iff that matrix is A, iff c truncated to r is A's
+      first column.
+
+    Modules read neither way, only the dense sums of the tests and planted
+    faults, are checked entry by entry (`_check_jet_shape`).
     """
 
     m1: FiniteModule
     m2: FiniteModule
-    t_m1: ExactMatrix
-    t_m2: ExactMatrix
-    blocks: tuple
 
     def __post_init__(self):
-        if any(k < 1 for k in self.blocks) or sum(self.blocks) != self.m1.dim:
-            raise D0resError("jet blocks must be positive and sum to the fiber dim")
         if self.m2.dim != 2 * self.m1.dim:
             raise D0resError("jet must have twice the fiber dimension")
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
-        tops, bottoms = self._frame()
-        if (self.blocks == (self.m1.dim,) and self.m1.columns is not None
-                and self.m2.jets is not None):
-            if any(jet[0] != column
-                   for jet, column in zip(self.m2.jets, self.m1.columns)):
-                raise D0resError("inclusion and projection must intertwine "
-                                 "the coordinate actions")
+        r, columns = self.m1.dim, self.m1.columns
+        if columns is not None and self.m2.jets is not None:
+            read = tuple(jet[0] for jet in self.m2.jets)
+        elif columns is not None and self.m2.columns is not None:
+            read = tuple(c.truncate(r) for c in self.m2.columns)
         else:
             for a2, a1 in zip(self.m2.actions, self.m1.actions):
-                _check_jet_shape(a2, a1, tops, bottoms, "coordinate action")
-        _check_jet_shape(self.t_m2, self.t_m1, tops, bottoms, "uniformizer action")
+                _check_jet_shape(a2, a1)
+            return
+        if read != columns:
+            raise D0resError("inclusion and projection must intertwine "
+                             "the coordinate actions")
 
     @property
     def rank(self):
@@ -273,50 +284,17 @@ class JetPair:
     def ambient_dim(self):
         return self.m1.ambient_dim
 
-    def _frame(self):
-        """The M2 indices of the tops and of the bottoms, in M1 order."""
-        tops, bottoms, start = [], [], 0
-        for k in self.blocks:
-            tops.extend(range(start, start + k))
-            bottoms.extend(range(start + k, start + 2 * k))
-            start += 2 * k
-        return tops, bottoms
 
-    @property
-    def eps(self):
-        tops, bottoms = self._frame()
-        return _unit_matrix(2 * self.rank, 2 * self.rank, zip(bottoms, tops))
-
-    @property
-    def incl(self):
-        return _unit_matrix(2 * self.rank, self.rank,
-                            zip(self._frame()[1], range(self.rank)))
-
-    @property
-    def proj(self):
-        return _unit_matrix(self.rank, 2 * self.rank,
-                            zip(range(self.rank), self._frame()[0]))
-
-
-def _unit_matrix(rows, cols, ones):
-    """The rows x cols 0/1 matrix with ones at the (i, j) pairs `ones`."""
-    data = [[_ZERO] * cols for _ in range(rows)]
-    for i, j in ones:
-        data[i][j] = _ONE
-    return ExactMatrix._trusted(data)
-
-
-def _check_jet_shape(a2, a1, tops, bottoms, what):
-    """a2 reads [[a1, 0], [C, a1]] on (tops, bottoms), entry by entry."""
-    r = len(tops)
-    if (a1.rows, a1.cols, a2.rows, a2.cols) != (r, r, 2 * r, 2 * r):
-        raise D0resError(f"{what} has the wrong shape for the jet frame")
-    for row1, ti, bi in zip(a1.data, tops, bottoms):
-        top, bottom = a2.data[ti], a2.data[bi]
-        for x, tj, bj in zip(row1, tops, bottoms):
-            if not scalar_is_zero(top[bj]) or top[tj] != x or bottom[bj] != x:
-                raise D0resError(f"inclusion and projection must intertwine "
-                                 f"the {what}s")
+def _check_jet_shape(a2, a1):
+    """a2 reads [[a1, 0], [C, a1]] on the tops 0..r-1 and the bottoms
+    r..2r-1, entry by entry; a1 is r x r and a2 2r x 2r, as `JetPair`
+    checked the dims."""
+    r = a1.rows
+    for row1, top, bottom in zip(a1.data, a2.data, a2.data[r:]):
+        if (any(not scalar_is_zero(x) for x in top[r:]) or top[:r] != row1
+                or bottom[r:] != row1):
+            raise D0resError("inclusion and projection must intertwine "
+                             "the coordinate actions")
 
 
 def fiber_module(b: BranchParam, r: int) -> FiniteModule:
@@ -343,30 +321,24 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
     if b.trunc < r + 1:
         raise RaiseTruncation("jet construction needs truncation >= rank+1",
                               needed=r + 1)
-    shift = _unit_matrix(r, r, ((i + 1, i) for i in range(r - 1)))
-    # S on the tops and on the bottoms, plus r*eps from the last top
-    data = [[_ZERO] * (2 * r) for _ in range(2 * r)]
-    for i in range(2 * r - 1):
-        data[i + 1][i] = _ONE
-    data[r][r - 1] = _ZERO
-    data[2 * r - 1][r - 1] = Fraction(r)
-    t_m2 = ExactMatrix._trusted(data)
     m1 = fiber_module(b, r)
     zeros = (_ZERO,) * r
     actions = []
     for s, a in zip(b.coords, m1.actions):
-        # s(t_m2) = [[A, 0], [C, A]]: C is r * s_k at (last, r - k), k = 1..r
+        # [[A, 0], [C, A]]: C is r * s_k at (last, r - k), k = 1..r
         c = tuple(r * s.coeffs[r - j] for j in range(r))
         tops = [row + zeros for row in a.data]
         bottoms = [zeros + row for row in a.data]
         bottoms[-1] = c + a.data[-1]
         actions.append(ExactMatrix._trusted(tops + bottoms))
-    return JetPair(m1, FiniteModule(2 * r, tuple(actions)), shift, t_m2, (r,))
+    return JetPair(m1, FiniteModule(2 * r, tuple(actions)))
 
 
 def graph_skyscraper(b: BranchParam):
-    """The rank-1 padding: skyscraper fiber and its dual-number jet."""
-    return fiber_module(b, 1), jet_pair(b, 1)
+    """The rank-1 padding: (skyscraper fiber, its dual-number jet), one
+    jet pair and the fiber it holds."""
+    jet = jet_pair(b, 1)
+    return jet.m1, jet
 
 
 def pad(base, filler, copies: int):
@@ -414,10 +386,6 @@ class DirectSum:
     @property
     def rank(self):
         return sum(s.rank * c for s, c in self.runs)
-
-    @property
-    def blocks(self):
-        return tuple(k for s, c in self.runs for k in s.blocks * c)
 
     @property
     def m1(self):

@@ -478,13 +478,13 @@ def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
 
 def _check_member(family, index: int, r: int):
     """Raise unless member(index, r) is what a rank-r certificate claims:
-    above r0 each padding summand is the 1-dimensional skyscraper jet, of
-    blocks (1,), and the member has rank r."""
+    above r0 each padding summand is the skyscraper jet, of rank 1, and
+    the member has rank r."""
     for summand, _ in family.summands(index, r)[1:]:
-        if summand.jet.blocks != (1,):
+        if summand.jet.rank != 1:
             raise D0resError(f"branch {index} at rank {r}: a padding summand "
-                             f"has blocks {summand.jet.blocks}, not the "
-                             f"1-dimensional skyscraper's (1,)")
+                             f"has rank {summand.jet.rank}, not the "
+                             f"skyscraper's 1")
     rank = family.member(index, r).rank
     if rank != r:
         raise D0resError(f"branch {index} at rank {r}: the member has rank "

@@ -29,15 +29,23 @@ routes, and only the tests call them:
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
-* dense_sum: the dense FiniteModule or JetPair of a `modules.DirectSum`,
-  every action and uniformizer the block-diagonal sum of its summands',
-  built through the public constructors.  The program never builds it: it
-  reads a sum through its summands, and the tests compare those readings
-  (kills, powers, annihilators) with this dense sum.
-* check_module_dense / check_jet_dense: module and jet-pair validation on
-  the dense matrices, pairwise commutators, the dim-th power of every
-  action and the [[A, 0], [C, A]] frame entry by entry; they check that a
-  direct sum's dense matrices are a valid module or jet pair.
+* jet_uniformizer / jet_frame / DenseJet: the uniformizer's actions on a
+  rank-r fiber and its jet, S and T = [[S, 0], [N, S]], and the frame maps
+  eps, incl and proj of a jet of several blocks.  `modules.JetPair` holds
+  only the fiber and the jet on one fixed frame and builds neither; a
+  `DenseJet` carries them beside its m1 and m2, and checks its frame
+  entry by entry when built.
+* dense_sum: the dense FiniteModule of a `modules.DirectSum` of modules,
+  or the `DenseJet` of a jet pair or a sum of them, every action and
+  uniformizer the block-diagonal sum of its summands', built through the
+  public constructors.  The program never builds it: it reads a sum
+  through its summands, and the tests compare those readings (kills,
+  powers, annihilators) with this dense sum.
+* check_module_dense / check_jet_dense: module and jet validation on the
+  dense matrices, pairwise commutators, the dim-th power of every action
+  and the [[A, 0], [C, A]] frame of every block entry by entry, the
+  uniformizer's included; they check that a direct sum's dense matrices
+  are a valid module or jet.
 * with_bare_rows: an ideal that holds every monomial of its degree bound,
   read at a higher bound by appending those bare rows; it reads a member
   ideal, which the program stores at bound min(r, r0), at the rank r the
@@ -74,6 +82,7 @@ routes, and only the tests call them:
 """
 
 import copy
+from dataclasses import dataclass
 from fractions import Fraction
 
 from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
@@ -99,6 +108,7 @@ from d0res.report import emit_report, parse_request, run_analyze
 from d0res.series import Series
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _normalize_equation(g: Poly) -> Poly:
@@ -390,23 +400,107 @@ def lift_regular_tail_by_inversion(f1, trunc) -> Series:
     return Series(y.coeffs, trunc)
 
 
+def jet_uniformizer(r: int):
+    """(S, T): the uniformizer t acting on the rank-r fiber K[t]/(t^r), the
+    r x r down-shift S, and on its 2r-dimensional jet, T = [[S, 0], [N, S]]
+    on (tops, bottoms), N = r*eps from the last top.  A coordinate s acts
+    on the fiber as s(S) and on the jet as s(T); S has nilpotency index r
+    and T, as the jet does not split, r + 1."""
+    shift = [[_ZERO] * r for _ in range(r)]
+    for i in range(r - 1):
+        shift[i + 1][i] = _ONE
+    data = [[_ZERO] * (2 * r) for _ in range(2 * r)]
+    for i in range(2 * r - 1):
+        data[i + 1][i] = _ONE
+    data[r][r - 1] = _ZERO
+    data[2 * r - 1][r - 1] = Fraction(r)
+    return ExactMatrix(shift), ExactMatrix(data)
+
+
+def _frame_indices(blocks):
+    """The jet indices of the tops and of the bottoms, in fiber order: a
+    rank-k block has k tops, then their k eps-multiples, the bottoms."""
+    tops, bottoms, start = [], [], 0
+    for k in blocks:
+        tops += range(start, start + k)
+        bottoms += range(start + k, start + 2 * k)
+        start += 2 * k
+    return tops, bottoms
+
+
+def jet_frame(blocks):
+    """(eps, incl, proj) of the jet frame of `blocks`: eps maps each top to
+    its bottom, incl embeds the fiber onto the bottoms and proj reads the
+    tops, so 0 -> M1 -> M2 -> M1 -> 0 is exact."""
+    tops, bottoms = _frame_indices(blocks)
+    r = len(tops)
+
+    def unit(rows, cols, ones):
+        data = [[_ZERO] * cols for _ in range(rows)]
+        for i, j in ones:
+            data[i][j] = _ONE
+        return ExactMatrix(data)
+
+    return (unit(2 * r, 2 * r, zip(bottoms, tops)),
+            unit(2 * r, r, zip(bottoms, range(r))),
+            unit(r, 2 * r, zip(range(r), tops)))
+
+
+@dataclass(frozen=True)
+class DenseJet:
+    """A jet laid out densely: the fiber m1 and the jet m2 as FiniteModules,
+    the uniformizer's actions t_m1 and t_m2, and the ranks `blocks` of its
+    direct summands, each on its own frame, laid end to end.  Its frame is
+    checked entry by entry when built (`check_jet_frame`)."""
+
+    m1: FiniteModule
+    m2: FiniteModule
+    t_m1: ExactMatrix
+    t_m2: ExactMatrix
+    blocks: tuple
+
+    def __post_init__(self):
+        check_jet_frame(self)
+
+    @property
+    def rank(self):
+        return self.m1.dim
+
+    @property
+    def eps(self):
+        return jet_frame(self.blocks)[0]
+
+    @property
+    def incl(self):
+        return jet_frame(self.blocks)[1]
+
+    @property
+    def proj(self):
+        return jet_frame(self.blocks)[2]
+
+
 def dense_sum(member):
-    """The dense FiniteModule or JetPair of the `DirectSum` `member`, its
-    matrices the block-diagonal sums of its runs'; any other member as it
-    is."""
+    """The dense FiniteModule of a module or of a `DirectSum` of modules,
+    its actions the block-diagonal sums of its runs'; the `DenseJet` of a
+    jet pair or of a `DirectSum` of jet pairs, each summand one block with
+    the uniformizer of `jet_uniformizer`; a dense module or jet as it is."""
+    if isinstance(member, JetPair):
+        return DenseJet(member.m1, member.m2, *jet_uniformizer(member.rank),
+                        (member.rank,))
     if not isinstance(member, DirectSum):
         return member
+    runs = [(dense_sum(s), copies) for s, copies in member.runs]
 
     def block_sum(matrix_of):
-        return ExactMatrix.block_diag(*[matrix_of(s) for s, copies in member.runs
+        return ExactMatrix.block_diag(*[matrix_of(s) for s, copies in runs
                                         for _ in range(copies)])
 
-    if isinstance(member.runs[0][0], FiniteModule):
+    if isinstance(runs[0][0], FiniteModule):
         return FiniteModule(member.dim, tuple(
             block_sum(lambda s: s.actions[k]) for k in range(member.ambient_dim)))
-    return JetPair(dense_sum(member.m1), dense_sum(member.m2),
-                   block_sum(lambda s: s.t_m1), block_sum(lambda s: s.t_m2),
-                   member.blocks)
+    return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
+                    block_sum(lambda s: s.t_m1), block_sum(lambda s: s.t_m2),
+                    tuple(k for s, copies in runs for k in s.blocks * copies))
 
 
 def check_module_dense(module):
@@ -425,20 +519,15 @@ def check_module_dense(module):
             raise D0resError("action is not nilpotent")
 
 
-def check_jet_dense(jet):
-    """Raise D0resError unless both modules pass `check_module_dense` and
-    every M2 action, the uniformizer's included, reads [[A, 0], [C, A]] on
-    the (tops, bottoms) of the jet's blocks, A its M1 counterpart, entry by
-    entry."""
-    check_module_dense(jet.m1)
-    check_module_dense(jet.m2)
-    if sum(jet.blocks) != jet.m1.dim or jet.m2.dim != 2 * jet.m1.dim:
+def check_jet_frame(jet):
+    """Raise D0resError unless the jet's blocks are positive and fit its
+    dims, and every M2 action, the uniformizer's included, reads
+    [[A, 0], [C, A]] on the (tops, bottoms) of its blocks, A its M1
+    counterpart, entry by entry."""
+    if (any(k < 1 for k in jet.blocks) or sum(jet.blocks) != jet.m1.dim
+            or jet.m2.dim != 2 * jet.m1.dim):
         raise D0resError("jet blocks do not fit the module dims")
-    tops, bottoms, start = [], [], 0
-    for k in jet.blocks:
-        tops += range(start, start + k)
-        bottoms += range(start + k, start + 2 * k)
-        start += 2 * k
+    tops, bottoms = _frame_indices(jet.blocks)
     pairs = list(zip(jet.m2.actions, jet.m1.actions)) + [(jet.t_m2, jet.t_m1)]
     for a2, a1 in pairs:
         if (a1.rows, a2.rows) != (len(tops), 2 * len(tops)):
@@ -448,6 +537,15 @@ def check_jet_dense(jet):
                 if (not scalar_is_zero(a2[ti, bj]) or a2[ti, tj] != a1[i, j]
                         or a2[bi, bj] != a1[i, j]):
                     raise D0resError("action is off the jet frame")
+
+
+def check_jet_dense(jet):
+    """Raise D0resError unless both modules of the `DenseJet` of `jet` pass
+    `check_module_dense` and its frame passes `check_jet_frame`."""
+    jet = dense_sum(jet)
+    check_module_dense(jet.m1)
+    check_module_dense(jet.m2)
+    check_jet_frame(jet)
 
 
 def dense_annihilator(module, degree_bound: int):

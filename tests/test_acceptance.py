@@ -30,7 +30,12 @@ from d0res.verify import (
 )
 
 from conftest import ACCEPTANCE_CURVES, EXPECTED_INVARIANTS
-from oracles import nilpotency_index, support_length
+from oracles import (
+    eval_series_at_matrix,
+    jet_uniformizer,
+    nilpotency_index,
+    support_length,
+)
 
 F = Fraction
 
@@ -113,14 +118,22 @@ def test_certificates_at_rank_128(corpus_germs):
 
 def test_jet_nilpotency_jump():
     """Uniformizer nilpotency on the jet pair: index r on the fiber, r+1 on
-    the jet, for r = 2..8; exact."""
+    the jet, for r = 2..8; exact.  The jet pair builds no uniformizer: its
+    actions are the coordinates' series at the oracle's S on the fiber and
+    T on the jet, whose indices are read."""
     branch = newton_puiseux(
         PlaneCurveInput(Poly(2, ACCEPTANCE_CURVES["cusp"])), 16
     )[0]
     for r in range(2, 9):
         jp = jet_pair(branch, r)
-        assert nilpotency_index(jp.t_m1) == r
-        assert nilpotency_index(jp.t_m2) == r + 1
+        t_m1, t_m2 = jet_uniformizer(r)
+        assert jp.m1.actions == tuple(
+            eval_series_at_matrix(s.truncate(r), t_m1) for s in branch.coords)
+        assert jp.m2.actions == tuple(
+            eval_series_at_matrix(s.truncate(r + 1), t_m2)
+            for s in branch.coords)
+        assert nilpotency_index(t_m1) == r
+        assert nilpotency_index(t_m2) == r + 1
     _pass("jet nilpotency jump: indices (r, r+1) for r = 2..8")
 
 

@@ -24,7 +24,7 @@ from d0res.poly import poly_text
 from d0res.report import emit_report, parse_request, run_analyze, run_with_escalation
 from d0res.series import Series
 
-from test_newton_tree import REPEATED_PAIRS
+from test_newton_tree import REPEATED_PAIRS, analyze, workloads
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -981,7 +981,7 @@ def _doubled_c_row_jet_pair(b, r):
     data = [list(row) for row in jet.m2.actions[0].data]
     data[-1][:r] = [2 * x for x in data[-1][:r]]
     m2 = FiniteModule(2 * r, (ExactMatrix(data), *jet.m2.actions[1:]))
-    return modules_module.JetPair(jet.m1, m2, jet.t_m1, jet.t_m2, jet.blocks)
+    return modules_module.JetPair(jet.m1, m2)
 
 
 # What catches a wrong C row in `jet_pair` on each corpus request under
@@ -1096,8 +1096,8 @@ def test_a_faulty_skyscraper_fails_every_padded_rank(monkeypatch,
             padded = next(r for r in ranks if r > r0)
             assert rc == 2 and not captured.out, (path.name, ranks)
             assert (f"branch 0 at rank {padded}: a padding summand has "
-                    f"blocks ({r0 + 1},)").encode() in captured.err, (
-                        path.name, ranks)
+                    f"rank {r0 + 1}, not the skyscraper's 1").encode() in (
+                        captured.err), (path.name, ranks)
 
 
 @pytest.mark.parametrize("name", ["cusp", "node", "tacnode", "e6"])
@@ -1118,9 +1118,8 @@ def test_a_two_dimensional_skyscraper_is_refused(monkeypatch, capsysbinary,
         assert main(["analyze", path, "--rank", str(r), "--strict"]) == 2
         captured = capsysbinary.readouterr()
         assert not captured.out
-        assert (f"error: branch 0 at rank {r}: a padding summand has blocks "
-                f"(2,), not the 1-dimensional skyscraper's (1,)").encode() in (
-                    captured.err), (name, r)
+        assert (f"error: branch 0 at rank {r}: a padding summand has rank "
+                f"2, not the skyscraper's 1").encode() in captured.err, (name, r)
 
 
 def test_a_base_jet_of_the_wrong_rank_is_refused(monkeypatch, capsysbinary):
@@ -1167,6 +1166,45 @@ def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,
     assert any(column is not None for column in read)
     monkeypatch.setattr(modules_module, "toeplitz_column", lambda a: None)
     assert outputs() == structured
+
+
+def test_no_certificate_jet_is_checked_entry_by_entry(monkeypatch):
+    """Every jet pair a certificate builds, base jet or skyscraper, checks
+    its frame by first columns on the reading its M2 already has: with
+    `modules._check_jet_shape` refused, every corpus request, the
+    benchmark's rank ladder and y^2 - x^(2c) for c = 4, 8 and 16 pass
+    `--strict`.  With the Toeplitz reader switched off, as on the dense
+    reference route, each corpus request runs the entry-by-entry check."""
+    requests = [(req.argv, req.stdin, req) for req in
+                workloads.corpus(REPO) + workloads.rank_ladder(REPO)]
+    for c in (4, 8, 16):
+        contact = {"curve": {"implicit": {"poly": [[[0, 2], "1"],
+                                                   [[2 * c, 0], "-1"]]}}}
+        requests.append((("analyze", "-", "--strict"), json.dumps(contact),
+                         None))
+    shape = modules_module._check_jet_shape
+
+    def refused(a2, a1):
+        raise AssertionError("an entry-by-entry frame check")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(modules_module, "_check_jet_shape", refused)
+        for argv, stdin, req in requests:
+            code, blob = analyze(argv, stdin)
+            assert code == 0, argv
+            assert req is None or workloads.passes_gate(req, code, blob), argv
+    checked = []
+
+    def recorded(a2, a1):
+        checked.append(a2.rows)
+        shape(a2, a1)
+
+    monkeypatch.setattr(modules_module, "_check_jet_shape", recorded)
+    monkeypatch.setattr(modules_module, "toeplitz_column", lambda a: None)
+    for req in workloads.corpus(REPO):
+        checked.clear()
+        assert workloads.passes_gate(req, *analyze(req.argv)), req.label
+        assert checked, req.label
 
 
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res.branches import BranchParam
-from d0res.errors import D0resError, NotNilpotent, RaiseTruncation
+from d0res.errors import (D0resError, NonCommutingActions, NotNilpotent,
+                          RaiseTruncation)
 from d0res.fields import FieldElement, NumberField, scalar_is_zero
 from d0res import linalg as linalg_module
 from d0res import modules as modules_module
@@ -39,6 +41,7 @@ from oracles import (
     dense_sum,
     eval_poly_at_matrices,
     eval_series_at_matrix,
+    jet_uniformizer,
     multiplication_matrix,
     nilpotency_index,
     nullspace,
@@ -87,7 +90,7 @@ def test_fiber_equals_multiplication_table():
 
 
 def test_jet_pair_structure():
-    jp = jet_pair(CUSP, 3)
+    jp = dense_sum(jet_pair(CUSP, 3))
     r = jp.rank
     assert jp.m1.dim == 3 and jp.m2.dim == 6
     assert (jp.eps * jp.eps).is_zero()
@@ -101,7 +104,7 @@ def test_jet_pair_structure():
 
 @pytest.mark.parametrize("r", range(2, 9))
 def test_jet_nilpotency_indices(r):
-    jp = jet_pair(CUSP, r)
+    jp = dense_sum(jet_pair(CUSP, r))
     assert nilpotency_index(jp.t_m1) == r
     assert nilpotency_index(jp.t_m2) == r + 1
 
@@ -122,6 +125,7 @@ def test_jet_matches_fiber():
 
 def test_graph_skyscraper():
     fib, jet = graph_skyscraper(SMOOTH)
+    assert fib is jet.m1 and jet == jet_pair(SMOOTH, 1)
     assert fib.dim == 1 and all(a.is_zero() for a in fib.actions)
     assert not jet.m2.actions[0].is_zero()      # coefficient of t is 1
     assert jet.m2.actions[1].is_zero()
@@ -152,23 +156,39 @@ CUSP_PADDED = dense_sum(pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2))
 ])
 def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
     """An M2 action that is a valid module action but does not read
-    [[A, 0], [C, A]] on (tops, bottoms) is rejected."""
-    assert JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, jet.blocks) == jet
+    [[A, 0], [C, A]] on (tops, bottoms) is rejected: by `JetPair` on its
+    one block, by the tests' `DenseJet` across several."""
+    assert replace(jet) == jet
     x2 = _bumped(jet.m2.actions[0], *entry)
     m2 = FiniteModule(jet.m2.dim, (x2,) + jet.m2.actions[1:])   # still valid
     with pytest.raises(D0resError):
-        JetPair(jet.m1, m2, jet.t_m1, jet.t_m2, jet.blocks)
+        replace(jet, m2=m2)
 
 
-def test_jet_pair_checks_uniformizer_and_blocks():
+def test_a_jet_pair_is_its_fiber_and_its_jet():
+    """A jet pair holds M1 and M2 and nothing else, on one fixed frame; it
+    refuses a jet of the wrong dimension or ambient dimension."""
     jet = CUSP_JET
+    assert [f.name for f in fields(JetPair)] == ["m1", "m2"]
+    assert JetPair(jet.m1, jet.m2) == jet
+    with pytest.raises(D0resError, match="twice the fiber dimension"):
+        JetPair(jet.m1, jet_pair(CUSP, 3).m2)
+    space = jet_pair(B([(2, 1)], [(3, 1)], [(4, 1)]), 2)
+    with pytest.raises(D0resError, match="share the ambient dimension"):
+        JetPair(jet.m1, space.m2)
+
+
+def test_the_dense_jet_checks_uniformizer_and_blocks():
+    """The tests' dense jet refuses a uniformizer off its frame and blocks
+    that do not fit its dims."""
+    jet = dense_sum(CUSP_JET)
     with pytest.raises(D0resError):     # t_m1 is not t_m2's diagonal block
-        JetPair(jet.m1, jet.m2, ExactMatrix.zeros(2, 2), jet.t_m2, jet.blocks)
+        replace(jet, t_m1=ExactMatrix.zeros(2, 2))
     with pytest.raises(D0resError):     # t_m2 maps a bottom into the tops
-        JetPair(jet.m1, jet.m2, jet.t_m1, _bumped(jet.t_m2, 0, 3), jet.blocks)
+        replace(jet, t_m2=_bumped(jet.t_m2, 0, 3))
     for blocks in ((1,), (3,), (2, 0), (1, 1)):
         with pytest.raises(D0resError):
-            JetPair(jet.m1, jet.m2, jet.t_m1, jet.t_m2, blocks)
+            replace(jet, blocks=blocks)
 
 
 def test_pad_examples():
@@ -199,7 +219,7 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     check_module_dense(dense_sum(padded))
     jet = pad(jet_pair(NODE1, 2), sky_jet, 3)
     assert jet.runs == ((jet_pair(NODE1, 2), 1), (sky_jet, 3))
-    assert jet.blocks == (2, 1, 1, 1) and jet.rank == 5
+    assert dense_sum(jet).blocks == (2, 1, 1, 1) and jet.rank == 5
     assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
     assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
     check_jet_dense(dense_sum(jet))
@@ -219,7 +239,7 @@ def test_pad_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__init__", refuse)
     monkeypatch.setattr(ExactMatrix, "_trusted", refuse)
     jet = pad(base, sky_jet, 10**6)
-    assert jet.rank == 2 + 10**6 and len(jet.blocks) == 1 + 10**6
+    assert jet.rank == 2 + 10**6 and jet.runs == ((base, 1), (sky_jet, 10**6))
     assert jet.m1.runs == ((base.m1, 1), (sky_jet.m1, 10**6))
 
 
@@ -457,9 +477,9 @@ def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
                for b in branches for s in b.coords for x in s.coeffs)
     for b in branches:
         for r in range(1, 11):
-            jet = jet_pair(b, r)
-            assert jet.m2.actions == tuple(
-                eval_series_at_matrix(s.truncate(r + 1), jet.t_m2)
+            t_m2 = jet_uniformizer(r)[1]
+            assert jet_pair(b, r).m2.actions == tuple(
+                eval_series_at_matrix(s.truncate(r + 1), t_m2)
                 for s in b.coords), (b, r)
 
 
@@ -721,7 +741,7 @@ def test_jet_pair_compares_first_columns(repo_corpus_germs):
                 c == col for (c, _), col in zip(foreign.m2.jets,
                                                 jet.m1.columns))
             try:
-                JetPair(jet.m1, foreign.m2, jet.t_m1, jet.t_m2, (4,))
+                JetPair(jet.m1, foreign.m2)
             except D0resError as err:
                 assert "intertwine the coordinate actions" in str(err)
                 assert not same
@@ -746,8 +766,7 @@ def test_trusted_matrices_equal_checked_ones(repo_corpus_germs):
         for r in range(1, 7):
             jet = jet_pair(b, r)
             built = [*fiber_module(b, r).actions, *jet.m1.actions,
-                     *jet.m2.actions, jet.t_m1, jet.t_m2,
-                     jet.eps, jet.incl, jet.proj]
+                     *jet.m2.actions]
             for module in (jet.m1, jet.m2):
                 built += [_action_power(module, coord, k)
                           for coord in range(b.ambient_dim)
@@ -780,3 +799,112 @@ def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
             for r in range(1, 11):
                 jet_pair(b, r)
     assert left_rows and set(left_rows) == {1}
+
+
+def test_non_commuting_actions_raise_their_own_class(monkeypatch):
+    """Actions that do not commute raise `NonCommutingActions`, with the
+    text the CLI prints, on the row route (a jet's C row doubled, judged by
+    c^T B = d^T A with no dense product) and on the dense route (two
+    matrices read neither way)."""
+    jet = jet_pair(B([(1, 1)], [(2, 1)]), 3)
+    data = [list(row) for row in jet.m2.actions[0].data]
+    data[-1][:3] = [2 * x for x in data[-1][:3]]
+    doubled = (ExactMatrix(data), jet.m2.actions[1])
+    assert all(_jet_column(a) for a in doubled)
+
+    def refused(a, b):
+        raise AssertionError("a dense commutation product")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(modules_module, "commute", refused)
+        with pytest.raises(NonCommutingActions) as row_route:
+            FiniteModule(6, doubled)
+    dense = (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]]))
+    assert toeplitz_column(dense[0]) is None and _jet_column(dense[0]) is None
+    with pytest.raises(NonCommutingActions) as dense_route:
+        FiniteModule(2, dense)
+    for caught in (row_route, dense_route):
+        assert str(caught.value) == "coordinate actions must commute"
+
+
+def _frame_mutants(jet):
+    """(kind, M2 actions) for the mutants of the jet's M2: the actions as
+    they are, and one action bumped at a time.  Single entries are bumped
+    in the top-right block and in the bottom-right block alone.  The
+    diagonal blocks are bumped together at matching Toeplitz positions,
+    one whole subdiagonal of each (for the last, the one corner entry):
+    a jet stays read as a jet, with another first column.  An M2 read by
+    `columns` also has each whole diagonal of one action bumped, which
+    keeps it Toeplitz: below the diagonal blocks' reach that respects the
+    frame, within it the first column is wrong."""
+    r, actions = jet.rank, jet.m2.actions
+    yield "none", actions
+    for coord, a in enumerate(actions):
+        def bumped(entries):
+            data = [list(row) for row in a.data]
+            for i, j in entries:
+                data[i][j] += 1
+            return actions[:coord] + (ExactMatrix(data),) + actions[coord + 1:]
+
+        for i, j in {(0, r), (0, 2 * r - 1), (r - 1, r), (r - 1, 2 * r - 1)}:
+            yield "top-right", bumped([(i, j)])
+        for i in range(r):
+            for j in range(i + 1):
+                yield "bottom-right", bumped([(r + i, r + j)])
+        for k in range(1, r):
+            yield "diagonal blocks", bumped(
+                [(i, i - k) for i in range(k, r)]
+                + [(r + i, r + i - k) for i in range(k, r)])
+        if jet.m2.columns is not None:
+            for k in range(1, 2 * r):
+                yield "Toeplitz", bumped([(i, i - k) for i in range(k, 2 * r)])
+
+
+def _jet_outcome(r, m1_actions, m2_actions):
+    """(route, error) of building the jet pair of these actions: the
+    reading M2 took, and the class and text of the refusal, None if it is
+    accepted."""
+    route = None
+    try:
+        m2 = FiniteModule(2 * r, m2_actions)
+        route = ("jets" if m2.jets is not None else
+                 "columns" if m2.columns is not None else "dense")
+        JetPair(FiniteModule(r, m1_actions), m2)
+    except D0resError as err:
+        return route, (type(err), str(err))
+    return route, None
+
+
+def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs,
+                                                       monkeypatch):
+    """Over the base jets and skyscrapers of every corpus branch at
+    r = 1..6, each M2 mutant of `_frame_mutants` is accepted, or refused
+    with the same error, whether `FiniteModule` reads the actions (and
+    `JetPair` compares first columns) or, with both readers off, every
+    check runs entry by entry and by dense products.  Both readings of M2
+    accept a jet and refuse a wrong first column, and the dense route
+    refuses a bump off the frame."""
+    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
+    assert any(b.ambient_dim == 3 for b in branches)
+    assert any(isinstance(x, FieldElement) and not x.is_rational()
+               for b in branches for s in b.coords for x in s.coeffs)
+    seen = set()
+    for b in branches:
+        for jet in [graph_skyscraper(b)[1]] + [jet_pair(b, r) for r in range(1, 7)]:
+            r, m1 = jet.rank, jet.m1.actions
+            for kind, m2 in _frame_mutants(jet):
+                route, read = _jet_outcome(r, m1, m2)
+                with monkeypatch.context() as off:
+                    off.setattr(modules_module, "toeplitz_column", lambda a: None)
+                    off.setattr(modules_module, "_jet_column", lambda a: None)
+                    dense_route, dense = _jet_outcome(r, m1, m2)
+                assert dense_route in ("dense", None)
+                assert read == dense, (b, r, kind, route, read, dense)
+                seen.add((route, kind, read and read[1]))
+    frame = ("inclusion and projection must intertwine the coordinate "
+             "actions")
+    assert seen >= {("jets", "none", None), ("jets", "diagonal blocks", frame),
+                    ("columns", "none", None), ("columns", "Toeplitz", None),
+                    ("columns", "Toeplitz", frame),
+                    ("dense", "top-right", frame),
+                    ("dense", "bottom-right", frame)}, seen

@@ -49,6 +49,7 @@ from d0res.verify import (
     separates_tangents,
 )
 from oracles import (
+    DenseJet,
     assembled,
     check_jet_dense,
     dense_annihilator,
@@ -273,8 +274,8 @@ def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs,
 
 
 def _assert_dense_jet_identities(jet):
-    """The exact-sequence identities, checked by dense products on the
-    derived eps/incl/proj."""
+    """The exact-sequence identities of a `DenseJet`, checked by dense
+    products on its eps/incl/proj and its uniformizer."""
     r, eps, incl, proj = jet.rank, jet.eps, jet.incl, jet.proj
     assert jet.m2.dim == 2 * r
     assert (eps * eps).is_zero()
@@ -296,11 +297,11 @@ def test_jet_frame_satisfies_dense_identities(repo_corpus_germs):
         family = CertificateFamily(germ)
         for i, b in enumerate(germ.branches):
             for r in range(1, 7):
-                _assert_dense_jet_identities(jet_pair(b, r))
+                _assert_dense_jet_identities(dense_sum(jet_pair(b, r)))
             for r in range(germ.r0, germ.r0 + 4):
-                jet = family.member(i, r)
-                assert sum(jet.blocks) == r, (name, i, r)
-                _assert_dense_jet_identities(dense_sum(jet))
+                dense = dense_sum(family.member(i, r))
+                assert sum(dense.blocks) == r, (name, i, r)
+                _assert_dense_jet_identities(dense)
 
 
 def _summand_ranks(germ):
@@ -320,8 +321,9 @@ def test_family_members_pass_the_dense_reference(repo_corpus_germs):
                 jet = family.member(i, r)
                 assert isinstance(jet, DirectSum) == (r > germ.r0), (name, i, r)
                 dense = dense_sum(jet)
-                assert isinstance(dense, JetPair), (name, i, r)
-                assert dense.blocks == jet.blocks, (name, i, r)
+                assert isinstance(dense, DenseJet), (name, i, r)
+                assert dense.blocks == (germ.r0,) + (1,) * (r - germ.r0), (
+                    name, i, r)
                 check_jet_dense(dense)
 
 
@@ -605,7 +607,7 @@ def test_tangent_test_unit_robust(corpus_germs):
         for i, b in enumerate(germ.branches):
             n = germ.n[i]
             e = germ.r0 // n
-            jet = CertificateFamily(germ).member(i, germ.r0)
+            jet = dense_sum(CertificateFamily(germ).member(i, germ.r0))
             coord_idx = min(
                 (k for k, s in enumerate(b.coords) if s.order() is not None),
                 key=lambda k: b.coords[k].order(),
