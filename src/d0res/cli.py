@@ -28,6 +28,7 @@ from .report import (
     check_ranks,
     check_truncation,
     emit_report,
+    json_text,
     oracles_pass,
     parse_request,
     report_passes,
@@ -181,7 +182,7 @@ def cmd_oracle(args) -> int:
                 "pass": oracles_pass(oracles)}
 
     out = run_with_escalation(req, stage)
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    sys.stdout.write(json_text(out) + "\n")
     return EXIT_OK if out["pass"] else EXIT_VERIFICATION_FAILED
 
 

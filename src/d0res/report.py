@@ -51,6 +51,7 @@ _NEED = "the report's checks read that far"
 _REQUEST_KEYS = ("curve", "point", "ranks", "truncation", "format", "field")
 _CURVE_KEYS = ("implicit", "branches")
 _COORD_KEYS = ("x", "y", "z", "w")
+_quote = json.encoder.encode_basestring
 
 
 @dataclass
@@ -586,11 +587,70 @@ def _oracle_block(family: CertificateFamily, max_rank: int, kind: str) -> dict:
 
 
 def emit_report(report: dict, fmt: str) -> bytes:
+    """The report as UTF-8 bytes: in "json" exactly those of
+    `json.dumps(report, indent=2, ensure_ascii=False) + "\\n"`."""
     if fmt == "json":
-        return (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
+        return (json_text(report) + "\n").encode()
     if fmt == "text":
         return _emit_text(report).encode()
     raise D0resError(f"unknown format {fmt!r}")
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2, ensure_ascii=False)` on what reports
+    hold: dicts with str keys, lists, str, int, bool and None.  Anything
+    else raises TypeError.  Strings go through the C encoder, which
+    `json.dumps` with an indent never uses."""
+    pieces = []
+    _json_pieces(value, "\n", pieces)
+    return "".join(pieces)
+
+
+def _json_pieces(value, newline, out):
+    """Append `value` to `out` as `json_text` writes it at the nesting
+    whose line break and indent is `newline`."""
+    cls = value.__class__
+    if cls is str:
+        out.append(_quote(value))
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if value[0].__class__ is str:
+            try:
+                out.append(f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]")
+                return
+            except TypeError:  # a later item is not a string
+                pass
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _json_pieces(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            # a key that is not a str raises TypeError naming its type
+            out.append(lead + _quote(key) + ": ")
+            _json_pieces(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif cls is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a report holds no {cls.__name__}")
 
 
 def _emit_text(report: dict) -> str:

@@ -69,10 +69,10 @@ stored entries, so no annihilator is computed twice.  The tangent test
 raises the test coordinate's action on each summand of the member's jet
 pair once for all ranks (`modules._action_power`): a fiber action as the
 power of its first column, a jet action [[A, 0], [C, A]] in closed form,
-and only the block it prints is built, and formatted once.  A
-block-diagonal matrix's power is the block-diagonal sum of its blocks'
-powers, so it prints the jet power as those (block, copies) runs, and no
-part of a certificate grows with r above r0.
+and only the block it prints is built, scanned for zero once and
+formatted once.  A block-diagonal matrix's power is the block-diagonal
+sum of its blocks' powers, so it prints the jet power as those (block,
+copies) runs, and no part of a certificate grows with r above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -155,8 +155,9 @@ def _once(store: dict, key, build, *args):
 
 class _Summand:
     """A jet pair that the family's members are summed from, and its
-    answers: each kill, power and printed power block is computed on first
-    use, on this summand, and read by every rank whose members hold it."""
+    answers: each kill, power, power's zero test and printed power block
+    is computed on first use, on this summand, and read by every rank
+    whose members hold it."""
 
     def __init__(self, jet):
         self.jet = jet
@@ -172,6 +173,11 @@ class _Summand:
         or "m2") to the power k (`_action_power`)."""
         return _once(self._answers, ("power", side, coord, k), _action_power,
                      getattr(self.jet, side), coord, k)
+
+    def power_is_zero(self, side: str, coord: int, k: int) -> bool:
+        """power(side, coord, k) is the zero matrix, scanned once."""
+        return _once(self._answers, ("zero", side, coord, k),
+                     ExactMatrix.is_zero, self.power(side, coord, k))
 
     def printed(self, coord: int, k: int):
         """The entry strings of power("m2", coord, k), row by row."""
@@ -376,8 +382,8 @@ def separates_tangents(family: CertificateFamily, r: int):
         else:
             exponent = ceil(r / n)
         runs = family.summands(i, r)
-        if (all(s.power("m1", coord, exponent).is_zero() for s, _ in runs)
-                and not all(s.power("m2", coord, exponent).is_zero()
+        if (all(s.power_is_zero("m1", coord, exponent) for s, _ in runs)
+                and not all(s.power_is_zero("m2", coord, exponent)
                             for s, _ in runs)):
             verdicts.append(SeparationVerdict(
                 kind="tangents", subject=(i,), result=SEPARATED,

@@ -28,7 +28,12 @@ from d0res.modules import (
     pad,
 )
 from d0res.poly import Poly, monomials_upto, poly_text
-from d0res.report import _certificate_block, _verdict_block
+from d0res.report import (
+    _certificate_block,
+    _verdict_block,
+    parse_request,
+    run_with_escalation,
+)
 from d0res.series import Series
 from d0res.verify import (
     CertificateFamily,
@@ -125,6 +130,35 @@ def test_family_serves_every_rank_above_r0_from_one_stored_ideal(
         assert all(a is b for a, b in zip(near, far)), name
         assert len(family._built) == built, name
         assert all(a.degree_bound == germ.r0 for a in far), name
+
+
+def test_each_stored_power_is_scanned_once_for_zero(monkeypatch):
+    """At the default ranks r0..r0+2 a base jet serves three ranks, but
+    the tangent test asks each stored power whether it is zero once: no
+    more `ExactMatrix.is_zero` calls than (summand, side, coordinate,
+    exponent) keys."""
+    scanned = []
+    is_zero = ExactMatrix.is_zero
+
+    def counted(m):
+        scanned.append(m)
+        return is_zero(m)
+
+    def certify_ranks(germ, ctx, trunc, ranks):
+        family = CertificateFamily(germ)
+        for r in ranks:
+            certify(family, r)
+        return family
+
+    monkeypatch.setattr(ExactMatrix, "is_zero", counted)
+    for path in sorted((REPO / "corpus").glob("*.json")):
+        scanned.clear()
+        family = run_with_escalation(
+            parse_request(json.loads(path.read_text())), certify_ranks)
+        powers = sum(key[0] == "power" for summand in family._built.values()
+                     if isinstance(summand, verify_module._Summand)
+                     for key in summand._answers)
+        assert 0 < len(scanned) <= powers, path.stem
 
 
 def test_member_ideal_at_bound_equal_to_rank_needs_no_second_elimination(
