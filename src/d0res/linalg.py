@@ -1,7 +1,8 @@
 """Exact dense matrices over the scalar field, with deterministic elimination.
 
-Matrices over plain rationals route through the integer kernels; matrices
-containing extension elements use the generic scalar path.
+A product or elimination whose operands are all plain rationals routes
+through the integer kernels, scanned for when it runs; one with an
+extension element uses the generic scalar path.
 Everything is immutable; no operation ever rounds.
 """
 
@@ -18,7 +19,7 @@ _ONE = Fraction(1)
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "data", "rational")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
         data = tuple(tuple(_norm(x) for x in row) for row in data)
@@ -31,21 +32,17 @@ class ExactMatrix:
         self.data = data
         self.rows = len(data)
         self.cols = width
-        self.rational = all(isinstance(x, Fraction) for row in data for x in row)
 
     @classmethod
-    def _trusted(cls, rows, rational=None):
+    def _trusted(cls, rows):
         """Trusted construction from equal-length rows whose entries are
         already `Fraction`s or `FieldElement`s, such as kernel output or a
         closed form written from a module's own entries: no `_norm` and no
-        ragged-row check.  `rational` is scanned for as `__init__` does;
-        only kernel output and direct sums of rational blocks pass True."""
+        ragged-row check."""
         m = cls.__new__(cls)
         m.data = tuple(map(tuple, rows))
         m.rows = len(m.data)
         m.cols = len(m.data[0]) if m.data else 0
-        m.rational = (all(isinstance(x, Fraction) for row in m.data for x in row)
-                      if rational is None else rational)
         return m
 
     # -- constructors ---------------------------------------------------------
@@ -57,22 +54,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def block_diag(cls, *blocks):
-        """Direct sum; works for rectangular blocks too."""
-        total_r = sum(b.rows for b in blocks)
-        total_c = sum(b.cols for b in blocks)
-        out = [[_ZERO] * total_c for _ in range(total_r)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i, brow in enumerate(b.data):
-                out[r0 + i][c0:c0 + b.cols] = brow
-            r0 += b.rows
-            c0 += b.cols
-        if all(b.rational for b in blocks):
-            return cls._trusted(out, True)
-        return cls(out)
 
     # -- basics ---------------------------------------------------------------
 
@@ -86,12 +67,6 @@ class ExactMatrix:
 
     def is_square(self):
         return self.rows == self.cols
-
-    def is_strictly_lower(self):
-        """Square with every entry on and above the diagonal zero, which
-        proves it nilpotent (its dim-th power is zero)."""
-        return self.is_square() and all(
-            scalar_is_zero(x) for i, row in enumerate(self.data) for x in row[i:])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -145,8 +120,8 @@ class ExactMatrix:
                 raise D0resError(
                     f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
-            if self.rational and other.rational:
-                return ExactMatrix._trusted(fmatmul(self.data, other.data), True)
+            if _rational(self.data) and _rational(other.data):
+                return ExactMatrix._trusted(fmatmul(self.data, other.data))
             return ExactMatrix(_generic_matmul(self.data, other.data))
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.scale(other)
@@ -211,7 +186,7 @@ def rref_rows(rows):
     """RREF of a list-of-list scalar matrix; returns (rows, pivot columns)."""
     if not rows or not rows[0]:
         return rows, []
-    if all(isinstance(x, Fraction) for row in rows for x in row):
+    if _rational(rows):
         return frref(rows)
     return _rref_generic(rows)
 
@@ -251,5 +226,6 @@ def _rref_generic(rows):
     return nonzero + zero, pivots
 
 
-def commute(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return a * b == b * a
+def _rational(rows) -> bool:
+    """Every entry is a plain rational, so the integer kernels apply."""
+    return all(isinstance(x, Fraction) for row in rows for x in row)

@@ -1,5 +1,6 @@
 """Finite-length modules over the ambient local ring, as commuting nilpotent
-action matrices, plus the first-order jet pairs used by the tangent test.
+action matrices of two shapes, plus the first-order jet pairs used by the
+tangent test.
 
 The key constructions:
 
@@ -20,7 +21,7 @@ The key constructions:
   actions in closed form and builds no uniformizer; the tests build T
   (`tests/oracles.jet_uniformizer`) and compare.
 * graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1) and its fiber.
-* Toeplitz actions: a fiber's actions are strictly lower-triangular
+* Two shapes of action: a fiber's actions are strictly lower-triangular
   Toeplitz, multiplication by their first columns in K[t]/(t^r), a
   commutative algebra.  `toeplitz_column` reads that shape entry by entry
   in O(r^2), and a module whose actions all have it keeps their first
@@ -38,9 +39,11 @@ The key constructions:
   has, by first columns (`JetPair`): the rank-1 skyscrapers and the jets
   with A = 0 are Toeplitz, every other jet is read as jets.  Every such
   matrix is built once, from entries already normalized
-  (`ExactMatrix._trusted`).  Any matrix of another shape, a dense sum or
-  a planted fault, takes the dense route: pairwise products, entry-wise
-  frame checks, dim^2 entry rows, matrix evaluation and matrix powers.
+  (`ExactMatrix._trusted`).  A module with an action of any other shape
+  is refused when built, and so is a series reading (`annihilator`,
+  `verify._kills`, a jet pair's fiber) of a module not read by
+  `columns`.  The tests keep dense modules of their own
+  (`tests/oracles.py`) as references.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
   order; no matrix is built.  Its dims, ranks and (for jets) m1 and m2
@@ -55,11 +58,11 @@ The key constructions:
   end to end because each summand's do.  The tests
   assemble the dense sums (`tests/oracles.py`) and check them on the
   dense matrices.
-* annihilator: the ideal of polynomials killing a module, the separation
-  invariant.  `annihilator` reads the ideal off the module's action
-  matrices (the dim first-column functionals of Toeplitz actions, the
-  dim^2 entries of any other) and serves as the oracle.
-  `functional_ideal` over `fiber_functionals`, which the certificates read, gives the same ideal
+* annihilator: the ideal of polynomials killing a fiber, the separation
+  invariant.  `annihilator` reads the ideal off the fiber's Toeplitz
+  action matrices, the dim first-column functionals, and serves as the
+  oracle; it refuses any other module.  `functional_ideal` over
+  `fiber_functionals`, which the certificates read, gives the same ideal
   from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
   by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
   t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
@@ -78,11 +81,10 @@ The key constructions:
   corners of the staircase, are evaluated, and one that is not zero mod
   t^r is an error (`poly.reachable_values`); every other skipped monomial
   is a multiple of a corner.  For y = x^128 at r = 129 that is about 130
-  of 8,515 monomials.  A module that is not Toeplitz, a dense sum or a
-  planted fault, is evaluated on every monomial.  The ideal holds its bare
-  rows implicitly (`AnnihilatorIdeal`): it stores the live columns and
-  the sparse rows `kernel_echelon` gives on them, and a row becomes a
-  polynomial only when `polys` is iterated up to it.
+  of 8,515 monomials.  The ideal holds its bare rows implicitly
+  (`AnnihilatorIdeal`): it stores the live columns and the sparse rows
+  `kernel_echelon` gives on them, and a row becomes a polynomial only
+  when `polys` is iterated up to it.
 * top degree: once an ideal holds every monomial of degree d, its reduced
   echelon basis on graded columns is fixed above d.  Each row that leads
   at degree >= d is that bare monomial, and no row that leads below d has
@@ -102,17 +104,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .branches import BranchParam, _evaluation_columns
-from .errors import (D0resError, NonCommutingActions, NotNilpotent,
-                     RaiseTruncation)
+from .errors import D0resError, NonCommutingActions, RaiseTruncation
 from .fields import scalar_is_zero
-from .linalg import ExactMatrix, commute, rref_rows
-from .poly import (
-    Poly,
-    graded_monomials,
-    monomial_values,
-    monomials_upto,
-    reachable_values,
-)
+from .linalg import ExactMatrix, rref_rows
+from .poly import Poly, graded_monomials, monomials_upto, reachable_values
 from .series import Series
 
 _ZERO = Fraction(0)
@@ -157,24 +152,22 @@ def _toeplitz_matrix(s: Series) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Punctual module at the origin: dim + one action matrix per coordinate.
+    """Punctual module at the origin: dim + one action matrix per coordinate,
+    each read once, in one of two shapes, or refused.
 
-    Validation checks shapes, that the actions commute pairwise and that
-    each is nilpotent, from one reading of each action.  `columns` holds
-    their first columns when all of them are strictly lower-triangular
-    Toeplitz (`toeplitz_column`), as every fiber's are; None otherwise.
-    When not all are, `jets` holds (column, c) for each action when all of
-    them read [[A, 0], [e c^T, A]] (`_jet_column`), as every jet's do; None
-    otherwise.  Two Toeplitz actions commute, with no matrix product.  Two
-    jet actions [[A, 0], [e c^T, A]] and [[B, 0], [e d^T, B]] commute iff
-    c^T B = d^T A: AB = BA as both are Toeplitz, and A e = B e = 0 as both
-    are strictly lower, so the lower-left blocks of the two products are
-    e c^T B and e d^T A.  That is one 1 x r by r x r product per side, on
-    the top-left blocks `_jet_column` read.  Any other pair, of a dense sum
-    or a planted fault, is multiplied out both ways.  An action read by
-    either reading is strictly lower-triangular by it, so nilpotent; a
-    strictly lower-triangular action is nilpotent too, and any other action
-    is raised to the power dim.
+    When every action is strictly lower-triangular Toeplitz
+    (`toeplitz_column`), as every fiber's is, `columns` holds their first
+    columns and `jets` is None.  Otherwise every action must read
+    [[A, 0], [e c^T, A]] (`_jet_column`), as every jet's does; `jets` holds
+    (column, c) for each and `columns` is None.  A module with an action
+    of any other shape is refused.  Both readings are strictly
+    lower-triangular, so every action is nilpotent.  Two Toeplitz actions
+    commute, with no matrix product.  Two jet actions [[A, 0], [e c^T, A]]
+    and [[B, 0], [e d^T, B]] commute iff c^T B = d^T A: AB = BA as both
+    are Toeplitz, and A e = B e = 0 as both are strictly lower, so the
+    lower-left blocks of the two products are e c^T B and e d^T A.  That is
+    one 1 x r by r x r product per side, on the top-left blocks
+    `_jet_column` read.
     """
 
     dim: int
@@ -191,26 +184,21 @@ class FiniteModule:
         if None in columns:
             jets = tuple(_jet_column(a) for a in self.actions)
             if None in jets:
-                jets = None
-        for i in range(len(self.actions)):
-            for j in range(i + 1, len(self.actions)):
-                if columns[i] is not None and columns[j] is not None:
-                    continue
-                if jets is not None:
-                    (_, c, a), (_, d, b) = jets[i], jets[j]
-                    ok = (ExactMatrix._trusted((c,)) * b
-                          == ExactMatrix._trusted((d,)) * a)
-                else:
-                    ok = commute(self.actions[i], self.actions[j])
-                if not ok:
-                    raise NonCommutingActions("coordinate actions must commute")
-        for a, column in zip(self.actions, columns):
-            if (column is None and jets is None and not a.is_strictly_lower()
-                    and not (a ** self.dim).is_zero()):
-                raise NotNilpotent("action is not nilpotent: support is not punctual")
-        object.__setattr__(self, "columns", None if None in columns else columns)
-        object.__setattr__(self, "jets", None if jets is None else tuple(
-            (column, c) for column, c, _ in jets))
+                raise D0resError("an action is neither strictly "
+                                 "lower-triangular Toeplitz nor a jet action")
+            for i, (_, c, a) in enumerate(jets):
+                for j in range(i + 1, len(jets)):
+                    if columns[i] is not None and columns[j] is not None:
+                        continue
+                    _, d, b = jets[j]
+                    if (ExactMatrix._trusted((c,)) * b
+                            != ExactMatrix._trusted((d,)) * a):
+                        raise NonCommutingActions(
+                            "coordinate actions must commute")
+            columns = None
+            jets = tuple((column, c) for column, c, _ in jets)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "jets", jets)
 
     @property
     def ambient_dim(self):
@@ -235,7 +223,8 @@ class JetPair:
     by construction.  The actions respect the frame iff each M2 action
     reads [[A, 0], [C, A]], A its M1 counterpart.
 
-    When M1 is read by `columns` (`FiniteModule`), that is checked once
+    M1 must be read by `columns` (`FiniteModule`), as a fiber is; a jet
+    pair whose M1 is read as jets is refused.  The frame is checked once
     per action on the reading M2 already has, by first columns:
 
     * M2 read by `jets`: each action is [[A', 0], [e c^T, A']] with A'
@@ -251,8 +240,7 @@ class JetPair:
       respects the frame iff that matrix is A, iff c truncated to r is A's
       first column.
 
-    Modules read neither way, only the dense sums of the tests and planted
-    faults, are checked entry by entry (`_check_jet_shape`).
+    `FiniteModule` reads M2 one way or the other, or refuses it.
     """
 
     m1: FiniteModule
@@ -263,15 +251,11 @@ class JetPair:
             raise D0resError("jet must have twice the fiber dimension")
         if len(self.m1.actions) != len(self.m2.actions):
             raise D0resError("fiber and jet must share the ambient dimension")
-        r, columns = self.m1.dim, self.m1.columns
-        if columns is not None and self.m2.jets is not None:
+        r, columns = self.m1.dim, _fiber_columns(self.m1)
+        if self.m2.jets is not None:
             read = tuple(jet[0] for jet in self.m2.jets)
-        elif columns is not None and self.m2.columns is not None:
-            read = tuple(c.truncate(r) for c in self.m2.columns)
         else:
-            for a2, a1 in zip(self.m2.actions, self.m1.actions):
-                _check_jet_shape(a2, a1)
-            return
+            read = tuple(c.truncate(r) for c in self.m2.columns)
         if read != columns:
             raise D0resError("inclusion and projection must intertwine "
                              "the coordinate actions")
@@ -285,16 +269,14 @@ class JetPair:
         return self.m1.ambient_dim
 
 
-def _check_jet_shape(a2, a1):
-    """a2 reads [[a1, 0], [C, a1]] on the tops 0..r-1 and the bottoms
-    r..2r-1, entry by entry; a1 is r x r and a2 2r x 2r, as `JetPair`
-    checked the dims."""
-    r = a1.rows
-    for row1, top, bottom in zip(a1.data, a2.data, a2.data[r:]):
-        if (any(not scalar_is_zero(x) for x in top[r:]) or top[:r] != row1
-                or bottom[r:] != row1):
-            raise D0resError("inclusion and projection must intertwine "
-                             "the coordinate actions")
+def _fiber_columns(module: FiniteModule):
+    """The first columns of the module's strictly lower-triangular Toeplitz
+    actions (`FiniteModule.columns`), which every series reading of a
+    fiber reads; a module read as jets is refused."""
+    if module.columns is None:
+        raise D0resError("a fiber's actions must be strictly "
+                         "lower-triangular Toeplitz")
+    return module.columns
 
 
 def fiber_module(b: BranchParam, r: int) -> FiniteModule:
@@ -403,24 +385,24 @@ class DirectSum:
 
 
 def _action_power(module: FiniteModule, coord: int, k: int) -> ExactMatrix:
-    """The action of coordinate `coord` on `module` to the power k.
+    """The action of coordinate `coord` on `module` to the power k >= 1
+    (every tangent exponent is at least 1).
 
     A strictly lower-triangular Toeplitz action is multiplication by its
     first column a(t) (`module.columns`), and its power multiplication by
     a(t)^k.  A jet action [[A, 0], [C, A]] with A of that shape and C zero
     but for its last row c, read once as (a(t), c) (`module.jets`), has
-    the power [[A^k, 0], [e c^T A^(k-1), A^k]], e the last unit vector, for
-    k >= 1: the lower-left block of the power is the sum of A^i C A^j over
+    the power [[A^k, 0], [e c^T A^(k-1), A^k]], e the last unit vector:
+    the lower-left block of the power is the sum of A^i C A^j over
     i + j = k - 1, and A^i C = 0 for i >= 1 because A's last column is
     zero.  The row c^T A^(k-1) has entry j = sum_i c_i q_(i-j), q(t) =
     a(t)^(k-1), which is the t^(r-1-j) coefficient of rev(c)(t) q(t),
     rev(c) the series of c read backwards.  Either way the dense block is
-    built once, for the report, from entries already normalized.  Any
-    other action, of a dense sum or a planted fault, is raised densely."""
+    built once, for the report, from entries already normalized.  Every
+    `FiniteModule` is read one way or the other; at k = 0 a jet action is
+    refused, as a negative series power."""
     if module.columns is not None:
         return _toeplitz_matrix(module.columns[coord] ** k)
-    if module.jets is None or not k:
-        return module.actions[coord] ** k
     col, c = module.jets[coord]
     q = col ** (k - 1)
     top = _toeplitz_matrix(q * col)
@@ -604,10 +586,10 @@ def kernel_echelon(rows, ncols):
     A zero column is free and depends on nothing, so its row is the bare
     column, and it changes neither the pivots nor any other row.  The
     annihilators pass only the live columns, the monomials a Toeplitz
-    module or a branch can reach, and eliminate only those; the zero
+    fiber or a branch can reach, and eliminate only those; the zero
     columns they leave out are the bare rows that `AnnihilatorIdeal` holds
-    implicitly.  A dense module's zero columns are passed, and come back
-    as bare rows.
+    implicitly.  A module of any other shape is refused before a row is
+    built.  A zero column that is passed comes back as a bare row.
     """
     reversed_rows = [row[::-1] for row in rows
                      if any(not scalar_is_zero(x) for x in row)]
@@ -651,37 +633,29 @@ def _evaluation_rows(module: FiniteModule, degree):
     on the graded `monomials` it is read on, one row per functional; every
     monomial of degree <= `degree` left out is zero on the module.
 
-    When the actions are strictly lower-triangular Toeplitz (`columns`),
-    each monomial's value is the Toeplitz matrix of the product of their
-    first columns, and the rows are the dim entries of that first column.
-    Every other entry of the value repeats one of them or is zero, so these
-    rows have the same kernel, and the same rank, as the dim^2 rows of all
-    entries.  The product has the sum of the columns' orders, so only the
-    monomials whose order is below dim are evaluated, one series product
-    each, and the corners of the rest are checked to be zero
-    (`poly.reachable_values`).  Any other module is evaluated densely, on
-    every monomial, one matrix product each, and its dim^2 entries."""
-    if module.columns is not None:
-        monomials, values = reachable_values(module.columns, degree)
-        cols = [value.coeffs for value in values]
-        nrows = module.dim
-    else:
-        monomials = monomials_upto(module.ambient_dim, degree)
-        values = monomial_values(module.actions, monomials,
-                                 ExactMatrix.identity(module.dim))
-        cols = [value.flat() for value in values]
-        nrows = module.dim * module.dim
-    return monomials, [[col[i] for col in cols] for i in range(nrows)]
+    The actions must be strictly lower-triangular Toeplitz (`columns`), as
+    a fiber's are; a module read as jets is refused.  Each monomial's value
+    is the Toeplitz matrix of the product of their first columns, and the
+    rows are the dim entries of that first column.  Every other entry of
+    the value repeats one of them or is zero, so these rows have the same
+    kernel, and the same rank, as the dim^2 rows of all entries.  The
+    product has the sum of the columns' orders, so only the monomials
+    whose order is below dim are evaluated, one series product each, and
+    the corners of the rest are checked to be zero
+    (`poly.reachable_values`)."""
+    monomials, values = reachable_values(_fiber_columns(module), degree)
+    cols = [value.coeffs for value in values]
+    return monomials, [[col[i] for col in cols] for i in range(module.dim)]
 
 
 def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorIdeal:
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
-    the module, from its action matrices: dim first-column rows on the
-    monomials they reach for Toeplitz actions, dim^2 entry rows on every
-    monomial otherwise (`_evaluation_rows`).  The
-    reduced echelon basis of the kernel is unique, so both give the same
-    ideal.  The default bound (module dim) is provably enough: every
-    monomial of degree >= dim kills a punctual module of that dimension.
+    the fiber `module`, from its Toeplitz action matrices: dim first-column
+    rows on the monomials they reach (`_evaluation_rows`); a module read as
+    jets is refused.  The reduced echelon basis of the kernel is unique,
+    so it equals the one from all dim^2 entries on every monomial.  The
+    default bound (module dim) is provably enough: every monomial of
+    degree >= dim kills a punctual module of that dimension.
     """
     if degree_bound is None:
         degree_bound = module.dim

@@ -85,11 +85,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def min_degree(self):
         """Order of vanishing at the origin (multiplicity of the lowest part)."""
         if not self.terms:

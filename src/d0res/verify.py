@@ -57,7 +57,7 @@ polynomial kills a direct sum iff it kills each summand, and each
 summand's answer is its own (`CertificateFamily.kills`).  Those actions
 are strictly lower-triangular Toeplitz, read entry by entry, so g kills a
 summand iff g at the actions' first columns is zero mod t^dim
-(`_kills`); a summand of any other shape is evaluated densely.  The
+(`_kills`); a fiber of any other shape is refused when read.  The
 padding check is the family's rank-r0 comparison: each member's ideal,
 the series entry at r0, against the matrix entry at r0, the generic
 annihilator of the bare rank-r0 fiber read off its action matrices (its
@@ -68,7 +68,8 @@ comparison at each of the report's small ranks 1..max_rank on the same
 stored entries, so no annihilator is computed twice.  The tangent test
 raises the test coordinate's action on each summand of the member's jet
 pair once for all ranks (`modules._action_power`): a fiber action as the
-power of its first column, a jet action [[A, 0], [C, A]] in closed form,
+power of its first column, a jet action [[A, 0], [C, A]] in closed form
+(every module is read one of the two ways or refused when built),
 and only the block it prints is built, scanned for zero once and
 formatted once.  A block-diagonal matrix's power is the block-diagonal
 sum of its blocks' powers, so it prints the jet power as those (block,
@@ -93,6 +94,7 @@ from .linalg import ExactMatrix, rref_rows  # noqa: F401
 from .modules import (
     AnnihilatorIdeal,
     _action_power,
+    _fiber_columns,
     annihilator,
     fiber_functionals,
     fiber_module,
@@ -353,13 +355,11 @@ def _point_witness(ideals, i, j, kills):
 
 
 def _kills(g, fiber):
-    """g acts as zero on the module `fiber` (its actions commute).  On
-    strictly lower-triangular Toeplitz actions g(A) is the Toeplitz matrix
-    of g at their first columns (`FiniteModule.columns`), so it is zero iff
-    that series is; any other module is evaluated densely."""
-    if fiber.columns is not None:
-        return g.eval_series(fiber.columns).is_zero_at_precision()
-    return g.evaluate(fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
+    """g acts as zero on the module `fiber`.  Its actions must be strictly
+    lower-triangular Toeplitz (`FiniteModule.columns`), as a fiber's are,
+    and a module read as jets is refused: g(A) is the Toeplitz matrix of g
+    at their first columns, so it is zero iff that series is."""
+    return g.eval_series(_fiber_columns(fiber)).is_zero_at_precision()
 
 
 # -- tangent separation ---------------------------------------------------------------
@@ -528,9 +528,9 @@ def pushforward_restriction_oracle(family: CertificateFamily, index: int,
     reads the Toeplitz actions `fiber_module` writes, entry by entry, and
     evaluates on their first columns the monomials whose order, read off
     those columns, is below d (`annihilator`); a fiber whose actions are
-    not Toeplitz is evaluated densely, on every monomial.  The series
-    route reads the t^0..t^(d-1) coefficients of f(x(t), y(t)), which is
-    exact because the fiber is generated by 1 (`fiber_functionals`).  Both
+    not Toeplitz is refused.  The series route reads the t^0..t^(d-1)
+    coefficients of f(x(t), y(t)), which is exact because the fiber is
+    generated by 1 (`fiber_functionals`).  Both
     are the family's stored entries, and the row at r0 compares what the
     padding check compares.  Both routes give reduced echelon bases on the
     same graded columns, which are unique, so `==` is exact.

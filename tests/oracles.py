@@ -29,18 +29,24 @@ routes, and only the tests call them:
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
+* DenseModule: a module held by its dense action matrices, of any
+  shape, checked by `check_module_dense` when built.  `modules.FiniteModule`
+  reads only strictly lower-triangular Toeplitz and jet actions and
+  refuses any other; the tests build dense sums, conjugated fibers and
+  planted faults as DenseModules and compare the program's series
+  readings with them.
 * jet_uniformizer / jet_frame / DenseJet: the uniformizer's actions on a
   rank-r fiber and its jet, S and T = [[S, 0], [N, S]], and the frame maps
   eps, incl and proj of a jet of several blocks.  `modules.JetPair` holds
   only the fiber and the jet on one fixed frame and builds neither; a
   `DenseJet` carries them beside its m1 and m2, and checks its frame
   entry by entry when built.
-* dense_sum: the dense FiniteModule of a `modules.DirectSum` of modules,
-  or the `DenseJet` of a jet pair or a sum of them, every action and
-  uniformizer the block-diagonal sum of its summands', built through the
-  public constructors.  The program never builds it: it reads a sum
-  through its summands, and the tests compare those readings (kills,
-  powers, annihilators) with this dense sum.
+* block_diag / dense_sum: the block-diagonal sum of matrices; the
+  DenseModule of a `modules.DirectSum` of modules, or the `DenseJet` of a
+  jet pair or a sum of them, every action and uniformizer the
+  block-diagonal sum of its summands'.  The program never builds it: it
+  reads a sum through its summands, and the tests compare those readings
+  (kills, powers, annihilators) with this dense sum.
 * check_module_dense / check_jet_dense: module and jet validation on the
   dense matrices, pairwise commutators, the dim-th power of every action
   and the [[A, 0], [C, A]] frame of every block entry by entry, the
@@ -74,11 +80,12 @@ routes, and only the tests call them:
   f(A*x^p, x^q*(B + y)) / x^v, by substituting Polys into f
   (`Poly.evaluate`); the reference for `puiseux.puiseux_transform`, which
   builds the same polynomial on the term dict.
-* nullspace, eval_poly_at_matrices, nilpotency_index, support_length:
-  small linear-algebra facts the tests state about modules and jets (a
-  kernel basis, f at commuting matrices, the least k with A^k = 0, the
-  dimension of the algebra the actions generate).  The program reads none
-  of them.
+* nullspace, eval_poly_at_matrices, nilpotency_index, is_strictly_lower,
+  support_length, total_degree: small algebra facts the tests state about
+  modules, jets and polynomials (a kernel basis, f at commuting matrices,
+  the least k with A^k = 0, zeros on and above the diagonal, the
+  dimension of the algebra the actions generate, the largest degree of a
+  term).  The program reads none of them.
 """
 
 import copy
@@ -93,7 +100,7 @@ from d0res.errors import (
     RaiseTruncation,
 )
 from d0res.fields import format_scalar, scalar_is_zero
-from d0res.linalg import ExactMatrix, commute, rref_rows
+from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
     DirectSum,
@@ -308,8 +315,13 @@ def _poly_determinant(rows):
     return det if sign == 1 else -det
 
 
+def total_degree(f: Poly) -> int:
+    """The largest total degree of a term of f; -1 for the zero Poly."""
+    return max(map(sum, f.terms), default=-1)
+
+
 def _poly_div_exact(num: Poly, den: Poly) -> Poly:
-    if den.total_degree() == 0:
+    if total_degree(den) == 0:
         c = den.terms[(0, 0)]
         inv = 1 / c if isinstance(c, Fraction) else c.inverse()
         return num.scale(inv)
@@ -447,11 +459,32 @@ def jet_frame(blocks):
 
 
 @dataclass(frozen=True)
+class DenseModule:
+    """A module held by its dense action matrices alone, whatever their
+    shape; `check_module_dense` checks it when built."""
+
+    dim: int
+    actions: tuple
+
+    def __post_init__(self):
+        check_module_dense(self)
+
+    @property
+    def ambient_dim(self):
+        return len(self.actions)
+
+    def same_presentation(self, other) -> bool:
+        return (isinstance(other, DenseModule) and self.dim == other.dim
+                and self.actions == other.actions)
+
+
+@dataclass(frozen=True)
 class DenseJet:
-    """A jet laid out densely: the fiber m1 and the jet m2 as FiniteModules,
-    the uniformizer's actions t_m1 and t_m2, and the ranks `blocks` of its
-    direct summands, each on its own frame, laid end to end.  Its frame is
-    checked entry by entry when built (`check_jet_frame`)."""
+    """A jet laid out densely: the fiber m1 and the jet m2, each a
+    FiniteModule or a DenseModule, the uniformizer's actions t_m1 and t_m2,
+    and the ranks `blocks` of its direct summands, each on its own frame,
+    laid end to end.  Its frame is checked entry by entry when built
+    (`check_jet_frame`)."""
 
     m1: FiniteModule
     m2: FiniteModule
@@ -479,11 +512,24 @@ class DenseJet:
         return jet_frame(self.blocks)[2]
 
 
+def block_diag(*blocks):
+    """The block-diagonal sum of `blocks`; rectangular blocks too."""
+    out = [[_ZERO] * sum(b.cols for b in blocks)
+           for _ in range(sum(b.rows for b in blocks))]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, brow in enumerate(b.data):
+            out[r0 + i][c0:c0 + b.cols] = brow
+        r0 += b.rows
+        c0 += b.cols
+    return ExactMatrix(out)
+
+
 def dense_sum(member):
-    """The dense FiniteModule of a module or of a `DirectSum` of modules,
-    its actions the block-diagonal sums of its runs'; the `DenseJet` of a
-    jet pair or of a `DirectSum` of jet pairs, each summand one block with
-    the uniformizer of `jet_uniformizer`; a dense module or jet as it is."""
+    """The DenseModule of a `DirectSum` of modules, its actions the
+    block-diagonal sums of its runs'; the `DenseJet` of a jet pair or of a
+    `DirectSum` of jet pairs, each summand one block with the uniformizer
+    of `jet_uniformizer`; any other module or jet as it is."""
     if isinstance(member, JetPair):
         return DenseJet(member.m1, member.m2, *jet_uniformizer(member.rank),
                         (member.rank,))
@@ -492,11 +538,11 @@ def dense_sum(member):
     runs = [(dense_sum(s), copies) for s, copies in member.runs]
 
     def block_sum(matrix_of):
-        return ExactMatrix.block_diag(*[matrix_of(s) for s, copies in runs
-                                        for _ in range(copies)])
+        return block_diag(*[matrix_of(s) for s, copies in runs
+                            for _ in range(copies)])
 
     if isinstance(runs[0][0], FiniteModule):
-        return FiniteModule(member.dim, tuple(
+        return DenseModule(member.dim, tuple(
             block_sum(lambda s: s.actions[k]) for k in range(member.ambient_dim)))
     return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
                     block_sum(lambda s: s.t_m1), block_sum(lambda s: s.t_m2),
@@ -505,18 +551,19 @@ def dense_sum(member):
 
 def check_module_dense(module):
     """Raise D0resError unless the dense actions are square of the module
-    dim, commute pairwise (by their products) and are nilpotent (by their
-    dim-th powers, with no triangularity shortcut)."""
+    dim, commute pairwise (by their products; `NonCommutingActions`) and
+    are nilpotent (by their dim-th powers, with no triangularity
+    shortcut; `NotNilpotent`)."""
     acts = module.actions
     if any(not a.is_square() or a.rows != module.dim for a in acts):
         raise D0resError("action matrices must be square of the module dim")
     for i in range(len(acts)):
         for j in range(i + 1, len(acts)):
             if acts[i] * acts[j] != acts[j] * acts[i]:
-                raise D0resError("coordinate actions must commute")
+                raise NonCommutingActions("coordinate actions must commute")
     for a in acts:
         if not (a ** module.dim).is_zero():
-            raise D0resError("action is not nilpotent")
+            raise NotNilpotent("action is not nilpotent")
 
 
 def check_jet_frame(jet):
@@ -585,7 +632,7 @@ def with_bare_rows(ideal, bound: int):
 
 def assembled(runs):
     """The block-diagonal sum of the (block, copies) `runs`."""
-    return ExactMatrix.block_diag(*[b for b, c in runs for _ in range(c)])
+    return block_diag(*[b for b, c in runs for _ in range(c)])
 
 
 def expand_jet_power(runs):
@@ -697,7 +744,7 @@ def eval_poly_at_matrices(f, mats):
             raise D0resError("matrices must be square and same size")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not commute(mats[i], mats[j]):
+            if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise NonCommutingActions(
                     f"action matrices {i} and {j} do not commute"
                 )
@@ -714,6 +761,13 @@ def nilpotency_index(a: ExactMatrix) -> int:
         if power.is_zero():
             return k
     raise NotNilpotent("matrix is not nilpotent within its dimension")
+
+
+def is_strictly_lower(a: ExactMatrix) -> bool:
+    """Square with every entry on and above the diagonal zero, which
+    proves it nilpotent (its dim-th power is zero)."""
+    return a.is_square() and all(
+        scalar_is_zero(x) for i, row in enumerate(a.data) for x in row[i:])
 
 
 def support_length(module: FiniteModule, degree_bound: int = None) -> int:

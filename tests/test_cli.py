@@ -24,7 +24,7 @@ from d0res.poly import poly_text
 from d0res.report import emit_report, parse_request, run_analyze, run_with_escalation
 from d0res.series import Series
 
-from test_newton_tree import REPEATED_PAIRS, analyze, workloads
+from test_newton_tree import REPEATED_PAIRS
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -904,8 +904,8 @@ def _shifted_evaluation_columns(b, degree, nt):
 
 def _bumped_fiber_module(b, r):
     """`fiber_module` with 1 added to x's action one entry below its first
-    column, at (r - 1, 1), from rank 3 on.  The action is no longer
-    Toeplitz, so the module is validated and read densely."""
+    column, at (r - 1, 1), from rank 3 on.  The action is neither Toeplitz
+    nor a jet action, so `FiniteModule` refuses it."""
     fiber = modules_module.fiber_module(b, r)
     if r < 3:
         return fiber
@@ -915,20 +915,18 @@ def _bumped_fiber_module(b, r):
 
 
 # What catches each mutant: `oracle`'s exit code on each corpus request
-# (1 for a false cross-check row, 2 where the bumped x no longer commutes
-# with the other actions, 0 where the bump leaves the annihilators as they
-# are), then the request whose `analyze --strict` reports a false
-# cross-check row, and the padded rank at which its padding check fails.
-_SHIFTED = (dict.fromkeys(sorted(p.stem for p in CORPUS.glob("*.json")), 1),
-            "node", 3)
+# (1 for a false cross-check row, 2 where `FiniteModule` refuses the bumped
+# x), then a request, the exit code of `analyze --strict` on it (1 for a
+# false cross-check row, 2 for the refusal), and a padded rank at which it
+# fails too (1 for a failed padding check, 2 for the refusal).
+REFUSED = (b"error: an action is neither strictly lower-triangular Toeplitz "
+           b"nor a jet action\n")
+_STEMS = sorted(p.stem for p in CORPUS.glob("*.json"))
+_SHIFTED = (dict.fromkeys(_STEMS, 1), "node", 1, 3)
 CROSSCHECK_CATCHES = {
     "_shifted_fiber_module": _SHIFTED,
     "_shifted_evaluation_columns": _SHIFTED,
-    "_bumped_fiber_module": ({
-        "cusp": 0, "cyclotomic_triple": 2, "e6": 1, "gaussian_node": 2,
-        "node": 2, "parametric_cusp": 0, "ramphoid_cusp": 0,
-        "smooth_point": 1, "space_lines": 2, "tacnode": 1, "triple_point": 2,
-    }, "tacnode", 4),
+    "_bumped_fiber_module": (dict.fromkeys(_STEMS, 2), "tacnode", 2, 4),
 }
 
 
@@ -945,29 +943,37 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     corpus request, and `analyze --strict` on the node, whose report range
     1..2 holds a false row; the padding check compares the same two
     annihilators at r0, so the node at rank 3 fails it too.  The bumped
-    fiber fails the rank-3 row of the tacnode (r0 = 3) and its padding
-    check at rank 4."""
+    fiber is refused, with no report, by `oracle` on every corpus request
+    (its ranks 1..4 reach 3) and by `analyze --strict` on the tacnode
+    (r0 = 3) at its default ranks and at rank 4."""
     monkeypatch.setattr(module, name, mutant)
-    oracle_rc, request, padded_rank = CROSSCHECK_CATCHES[mutant.__name__]
+    oracle_rc, request, analyze_rc, padded_rank = CROSSCHECK_CATCHES[
+        mutant.__name__]
     paths = sorted(CORPUS.glob("*.json"))
     assert [path.stem for path in paths] == list(oracle_rc)
     for path in paths:
         assert main(["oracle", str(path)]) == oracle_rc[path.stem], path
         captured = capsysbinary.readouterr()
         if oracle_rc[path.stem] == 2:
-            assert b"coordinate actions must commute" in captured.err, path
+            assert captured.err == REFUSED and not captured.out, path
         else:
             out = json.loads(captured.out.decode())
             assert out["pass"] is (oracle_rc[path.stem] == 0), path
     path = str(CORPUS / f"{request}.json")
-    assert main(["analyze", path, "--strict"]) == 1
-    out = json.loads(capsysbinary.readouterr().out.decode())
-    assert not all(ok for row in out["oracles"]["fiber_annihilator_crosscheck"]
-                   for ok in row["results"].values())
-    assert main(["analyze", path, "--rank", str(padded_rank), "--strict"]) == 1
-    out = json.loads(capsysbinary.readouterr().out.decode())
-    (cert,) = out["certificates"]
-    assert cert["padding_support_ok"] is False and cert["pass"] is False
+    for ranks in ([], ["--rank", str(padded_rank)]):
+        assert main(["analyze", path, *ranks, "--strict"]) == analyze_rc
+        captured = capsysbinary.readouterr()
+        if analyze_rc == 2:
+            assert captured.err == REFUSED and not captured.out, ranks
+        elif ranks:
+            (cert,) = json.loads(captured.out.decode())["certificates"]
+            assert cert["padding_support_ok"] is False
+            assert cert["pass"] is False
+        else:
+            out = json.loads(captured.out.decode())
+            assert not all(
+                ok for row in out["oracles"]["fiber_annihilator_crosscheck"]
+                for ok in row["results"].values())
 
 
 _JET_PAIR = modules_module.jet_pair
@@ -1002,16 +1008,11 @@ JET_FAULT_CATCHES = {
 
 def test_a_wrong_c_row_in_jet_pair_is_caught(monkeypatch, capsysbinary):
     """With x's C row doubled in every jet pair, base and skyscraper, each
-    corpus request is caught where `JET_FAULT_CATCHES` says.  The
-    commutation is judged on the jet rows (c^T B = d^T A), never by dense
-    products."""
+    corpus request is caught where `JET_FAULT_CATCHES` says.  The doubled
+    row still reads as a jet, so the commutation is judged on the jet rows
+    (c^T B = d^T A)."""
     for module in (modules_module, verify_module):
         monkeypatch.setattr(module, "jet_pair", _doubled_c_row_jet_pair)
-
-    def refused(a, b):
-        raise AssertionError("a dense commutation product")
-
-    monkeypatch.setattr(modules_module, "commute", refused)
     paths = sorted(CORPUS.glob("*.json"))
     assert [path.stem for path in paths] == list(JET_FAULT_CATCHES)
     for path in paths:
@@ -1132,79 +1133,6 @@ def test_a_base_jet_of_the_wrong_rank_is_refused(monkeypatch, capsysbinary):
         assert main(["analyze", path, "--rank", str(r)]) == 2
         assert (f"error: branch 0 at rank {r}: the member has rank {r + 1}"
                 .encode()) in capsysbinary.readouterr().err
-
-
-def test_dense_route_prints_the_same_bytes(tmp_path, monkeypatch,
-                                          capsysbinary):
-    """With the Toeplitz reader switched off every module is validated,
-    annihilated and raised densely.  Every corpus report and `oracle`
-    output, and the reports of y^2 - x^(2c) for c = 4, 8 and 16, are
-    byte-identical to the Toeplitz route's."""
-    runs = [["oracle", str(path)] for path in sorted(CORPUS.glob("*.json"))]
-    runs += [["analyze", str(path)] for path in sorted(CORPUS.glob("*.json"))]
-    for c in (4, 8, 16):
-        runs.append(["analyze", write_request(
-            tmp_path, f"contact{c}.json", {"curve": {"implicit": {"poly": [
-                [[0, 2], "1"], [[2 * c, 0], "-1"]]}}})])
-
-    def outputs():
-        printed = []
-        for args in runs:
-            assert main(args) == 0, args
-            printed.append(capsysbinary.readouterr().out)
-        return printed
-
-    read = []
-    reader = modules_module.toeplitz_column
-
-    def recorded(a):
-        read.append(reader(a))
-        return read[-1]
-
-    monkeypatch.setattr(modules_module, "toeplitz_column", recorded)
-    structured = outputs()
-    assert any(column is not None for column in read)
-    monkeypatch.setattr(modules_module, "toeplitz_column", lambda a: None)
-    assert outputs() == structured
-
-
-def test_no_certificate_jet_is_checked_entry_by_entry(monkeypatch):
-    """Every jet pair a certificate builds, base jet or skyscraper, checks
-    its frame by first columns on the reading its M2 already has: with
-    `modules._check_jet_shape` refused, every corpus request, the
-    benchmark's rank ladder and y^2 - x^(2c) for c = 4, 8 and 16 pass
-    `--strict`.  With the Toeplitz reader switched off, as on the dense
-    reference route, each corpus request runs the entry-by-entry check."""
-    requests = [(req.argv, req.stdin, req) for req in
-                workloads.corpus(REPO) + workloads.rank_ladder(REPO)]
-    for c in (4, 8, 16):
-        contact = {"curve": {"implicit": {"poly": [[[0, 2], "1"],
-                                                   [[2 * c, 0], "-1"]]}}}
-        requests.append((("analyze", "-", "--strict"), json.dumps(contact),
-                         None))
-    shape = modules_module._check_jet_shape
-
-    def refused(a2, a1):
-        raise AssertionError("an entry-by-entry frame check")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(modules_module, "_check_jet_shape", refused)
-        for argv, stdin, req in requests:
-            code, blob = analyze(argv, stdin)
-            assert code == 0, argv
-            assert req is None or workloads.passes_gate(req, code, blob), argv
-    checked = []
-
-    def recorded(a2, a1):
-        checked.append(a2.rows)
-        shape(a2, a1)
-
-    monkeypatch.setattr(modules_module, "_check_jet_shape", recorded)
-    monkeypatch.setattr(modules_module, "toeplitz_column", lambda a: None)
-    for req in workloads.corpus(REPO):
-        checked.clear()
-        assert workloads.passes_gate(req, *analyze(req.argv)), req.label
-        assert checked, req.label
 
 
 def test_oracle_subcommand_matches_report_oracles(capsysbinary):

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from d0res.errors import D0resError, NonCommutingActions
 from d0res.fields import NumberField
+from d0res import linalg as linalg_module
 from d0res.linalg import ExactMatrix
 from d0res.poly import Poly
 from d0res.series import Series
 from oracles import (
+    block_diag,
     eval_poly_at_matrices,
     eval_series_at_matrix,
+    is_strictly_lower,
     nullspace,
     solve_exact,
 )
@@ -85,22 +88,20 @@ def test_solve_exact():
 def test_block_diag():
     a = M([[1, 2], [3, 4]])
     b = M([[5]])
-    c = ExactMatrix.block_diag(a, b)
+    c = block_diag(a, b)
     assert c.rows == 3 and c.cols == 3
     assert c[2, 2] == 5 and c[2, 0] == 0
 
 
 def _assert_as_if_checked(m):
     """`m` equals ExactMatrix(m's rows) built through the checked
-    constructor, slot by slot: tuple rows, entry types, shape and the
-    `rational` flag."""
+    constructor, slot by slot: tuple rows, entry types and shape."""
     checked = ExactMatrix([list(row) for row in m.data])
     assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
     assert m.data == checked.data
     assert [type(x) for row in m.data for x in row] == [
         type(x) for row in checked.data for x in row]
-    assert (m.rows, m.cols, m.rational) == (
-        checked.rows, checked.cols, checked.rational)
+    assert (m.rows, m.cols) == (checked.rows, checked.cols)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -109,40 +110,46 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_trusted_products_and_direct_sums(n, k, m, data):
-    """Products of rational matrices and direct sums of rational blocks
-    skip the constructor's checks; they still equal the checked matrix."""
+    """Products of rational matrices skip the constructor's checks; they
+    still equal the checked matrix, and so do the tests' direct sums."""
     a = ExactMatrix([[data.draw(rationals) for _ in range(k)] for _ in range(n)])
     b = ExactMatrix([[data.draw(rationals) for _ in range(m)] for _ in range(k)])
     prod = a * b
     _assert_as_if_checked(prod)
-    assert prod.rational
     assert prod == ExactMatrix([[sum(a[i, l] * b[l, j] for l in range(k))
                                  for j in range(m)] for i in range(n)])
-    total = ExactMatrix.block_diag(a, b, prod)
+    total = block_diag(a, b, prod)
     _assert_as_if_checked(total)
-    assert total.rational
     assert (total.rows, total.cols) == (n + k + n, k + m + m)
 
 
-def test_direct_sum_with_field_elements_is_checked():
+def test_direct_sum_with_field_elements_is_checked(monkeypatch):
+    """A product scans its two operands for its kernel: rational by
+    rational runs the integer kernel, and a field element on either side
+    the generic one.  Both products, and direct sums mixing the two kinds
+    of block, equal the checked matrix."""
+    kernels = []
+    for name in ("fmatmul", "_generic_matmul"):
+        def recorded(a, b, name=name, product=getattr(linalg_module, name)):
+            kernels.append(name)
+            return product(a, b)
+        monkeypatch.setattr(linalg_module, name, recorded)
     gauss = NumberField([1, 0, 1], generator="i")
     field_block = ExactMatrix([[gauss.gen(), F(0)], [F(1), gauss.gen()]])
     rational_block = M([[1, 2], [3, 4]])
     for blocks in ((field_block, rational_block), (rational_block, field_block)):
-        total = ExactMatrix.block_diag(*blocks)
-        _assert_as_if_checked(total)
-        assert not total.rational
-    product = field_block * rational_block
-    _assert_as_if_checked(product)
-    assert not product.rational
+        _assert_as_if_checked(block_diag(*blocks))
+        _assert_as_if_checked(blocks[0] * blocks[1])
+    _assert_as_if_checked(rational_block * rational_block)
+    assert kernels == ["_generic_matmul", "_generic_matmul", "fmatmul"]
 
 
 def test_is_strictly_lower():
-    assert M([[0, 0], [5, 0]]).is_strictly_lower()
-    assert ExactMatrix.zeros(3, 3).is_strictly_lower()
-    assert not M([[0, 0], [5, 1]]).is_strictly_lower()
-    assert not M([[0, 1], [0, 0]]).is_strictly_lower()
-    assert not ExactMatrix.zeros(2, 3).is_strictly_lower()
+    assert is_strictly_lower(M([[0, 0], [5, 0]]))
+    assert is_strictly_lower(ExactMatrix.zeros(3, 3))
+    assert not is_strictly_lower(M([[0, 0], [5, 1]]))
+    assert not is_strictly_lower(M([[0, 1], [0, 0]]))
+    assert not is_strictly_lower(ExactMatrix.zeros(2, 3))
 
 
 def test_extension_field_matrices():
@@ -150,7 +157,6 @@ def test_extension_field_matrices():
     i = gauss.gen()
     m = ExactMatrix([[i, gauss.from_rational(1)],
                      [gauss.from_rational(-1), i]])
-    assert not m.rational
     # (i row-reduces to a rank-1 matrix: second row = -i * first)
     assert m.rank() == 1
     ns = nullspace(m)

@@ -12,8 +12,7 @@ from d0res.errors import (D0resError, NonCommutingActions, NotNilpotent,
                           RaiseTruncation)
 from d0res.fields import FieldElement, NumberField, scalar_is_zero
 from d0res import linalg as linalg_module
-from d0res import modules as modules_module
-from d0res.linalg import ExactMatrix, commute, rref_rows
+from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     DirectSum,
     _action_power,
@@ -34,18 +33,23 @@ from d0res.poly import Poly, poly_text
 from d0res.series import Series
 from d0res.verify import CertificateFamily, _kills
 from oracles import (
+    DenseJet,
+    DenseModule,
     assembled,
+    block_diag,
     check_jet_dense,
     check_module_dense,
     dense_annihilator,
     dense_sum,
     eval_poly_at_matrices,
     eval_series_at_matrix,
+    is_strictly_lower,
     jet_uniformizer,
     multiplication_matrix,
     nilpotency_index,
     nullspace,
     support_length,
+    total_degree,
 )
 
 F = Fraction
@@ -64,6 +68,13 @@ SMOOTH = NODE1
 
 def M(rows):
     return ExactMatrix([[F(x) for x in row] for row in rows])
+
+
+# what `FiniteModule` says of an action it reads neither way, and what a
+# series reading says of a module read as jets
+REFUSED = ("an action is neither strictly lower-triangular Toeplitz nor a "
+           "jet action")
+NOT_A_FIBER = "a fiber's actions must be strictly lower-triangular Toeplitz"
 
 
 def test_fiber_module_examples():
@@ -155,14 +166,16 @@ CUSP_PADDED = dense_sum(pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2))
     (CUSP_PADDED, (7, 5)),      # bottom-right across two blocks
 ])
 def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
-    """An M2 action that is a valid module action but does not read
-    [[A, 0], [C, A]] on (tops, bottoms) is rejected: by `JetPair` on its
-    one block, by the tests' `DenseJet` across several."""
+    """An M2 action that is a valid module action, as the dense reference
+    finds, but does not read [[A, 0], [C, A]] on (tops, bottoms) is
+    rejected: on one block by `FiniteModule`, which reads it neither as
+    Toeplitz nor as a jet, across several by the tests' `DenseJet`."""
     assert replace(jet) == jet
     x2 = _bumped(jet.m2.actions[0], *entry)
-    m2 = FiniteModule(jet.m2.dim, (x2,) + jet.m2.actions[1:])   # still valid
+    actions = (x2,) + jet.m2.actions[1:]
+    DenseModule(jet.m2.dim, actions)                    # still valid
     with pytest.raises(D0resError):
-        replace(jet, m2=m2)
+        replace(jet, m2=type(jet.m2)(jet.m2.dim, actions))
 
 
 def test_a_jet_pair_is_its_fiber_and_its_jet():
@@ -223,7 +236,7 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
     assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
     check_jet_dense(dense_sum(jet))
-    assert dense_sum(jet).m2.actions[0] == ExactMatrix.block_diag(
+    assert dense_sum(jet).m2.actions[0] == block_diag(
         jet_pair(NODE1, 2).m2.actions[0], *[sky_jet.m2.actions[0]] * 3)
 
 
@@ -255,11 +268,17 @@ def test_pad_rejects_mismatched_ambient_dimensions():
 
 def test_a_bad_filler_is_refused_when_built():
     """A filler whose actions are not nilpotent, or do not commute, never
-    exists to be padded: the dense constructor refuses it."""
-    with pytest.raises(NotNilpotent):
-        FiniteModule(1, (M([[1]]), M([[0]])))
-    with pytest.raises(D0resError, match="commute"):
-        FiniteModule(2, (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])))
+    exists to be padded: `FiniteModule` refuses it by its shape, and the
+    dense reference by its powers or its products."""
+    not_nilpotent = (M([[1]]), M([[0]]))
+    not_commuting = (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]]))
+    for actions, dense_error in ((not_nilpotent, NotNilpotent),
+                                 (not_commuting, NonCommutingActions)):
+        with pytest.raises(D0resError) as caught:
+            FiniteModule(actions[0].rows, actions)
+        assert str(caught.value) == REFUSED
+        with pytest.raises(dense_error):
+            DenseModule(actions[0].rows, actions)
 
 
 PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1)[0], 2)
@@ -321,7 +340,7 @@ def test_annihilator_ideal_closure():
     for p in ann.polys:
         for var in range(2):
             shifted = p * Poly.variable(2, var)
-            if shifted.total_degree() <= ann.degree_bound:
+            if total_degree(shifted) <= ann.degree_bound:
                 assert eval_poly_at_matrices(shifted, module.actions).is_zero()
 
 
@@ -331,8 +350,8 @@ def test_annihilator_is_iso_invariant_not_basis_dependent():
     p = M([[1, 0, 0], [2, 1, 0], [0, 1, 1]])
     p_inv = M([[1, 0, 0], [-2, 1, 0], [2, -1, 1]])
     assert p * p_inv == ExactMatrix.identity(3)
-    conj = FiniteModule(3, tuple(p * a * p_inv for a in mod.actions))
-    assert annihilator(conj, 3) == annihilator(mod, 3)
+    conj = DenseModule(3, tuple(p * a * p_inv for a in mod.actions))
+    assert dense_annihilator(conj, 3) == annihilator(mod, 3)
 
 
 GAUSS = NumberField([1, 0, 1], generator="i")
@@ -379,7 +398,7 @@ def test_fiber_annihilator_matches_generic_oracle():
                 padded = dense_sum(pad(fiber_module(branch, rank), sky, 2))
                 functionals = fiber_functionals(branch, rank, bound + 2)
                 assert (functional_ideal(bound + 2, *functionals)
-                        == annihilator(padded, bound + 2))
+                        == dense_annihilator(padded, bound + 2))
     with pytest.raises(RaiseTruncation):
         fiber_functionals(B([(2, 1)], [(3, 1)], n=4), 5, 5)
 
@@ -419,35 +438,44 @@ def test_nilpotency_index_examples():
 
 
 def test_finite_module_validation():
+    """`FiniteModule` refuses actions of the wrong size, and any action it
+    reads neither as Toeplitz nor as a jet, whatever else is wrong with
+    it; the dense reference names what is."""
     a = M([[0, 1], [0, 0]])
     b = M([[0, 0], [1, 0]])
-    with pytest.raises(D0resError):
-        FiniteModule(2, (a, b))       # non-commuting
-    with pytest.raises(NotNilpotent):
-        FiniteModule(2, (ExactMatrix.identity(2),))
     # strictly lower-triangular, so nilpotent, but not commuting
     lower_a = M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     lower_b = M([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-    with pytest.raises(D0resError):
-        FiniteModule(3, (lower_a, lower_b))
+    assert is_strictly_lower(lower_a) and is_strictly_lower(lower_b)
     # one entry on the diagonal of a fiber action: lower-triangular, not
     # nilpotent
     fiber = fiber_module(NODE1, 3)
     on_diagonal = _bumped(fiber.actions[0], 2, 2)
-    assert not on_diagonal.is_strictly_lower()
-    with pytest.raises(NotNilpotent):
-        FiniteModule(3, (on_diagonal, fiber.actions[1]))
+    assert not is_strictly_lower(on_diagonal)
+    for actions, dense_error in (
+            ((a, b), NonCommutingActions),
+            ((ExactMatrix.identity(2),), NotNilpotent),
+            ((lower_a, lower_b), NonCommutingActions),
+            ((on_diagonal, fiber.actions[1]), NotNilpotent)):
+        with pytest.raises(D0resError, match=REFUSED):
+            FiniteModule(actions[0].rows, actions)
+        with pytest.raises(dense_error):
+            DenseModule(actions[0].rows, actions)
+    with pytest.raises(D0resError, match="square of the module dim"):
+        FiniteModule(2, fiber.actions)
 
 
 def test_non_triangular_module_is_validated_by_its_powers(monkeypatch):
-    """A conjugated fiber is nilpotent but not triangular, so it reaches
-    the dense check a ** dim; conjugated non-nilpotent actions still fail."""
+    """A conjugated fiber is nilpotent but not triangular: `FiniteModule`
+    refuses it by its shape, raising no matrix power, and only the dense
+    reference validates it, by a ** dim; conjugated non-nilpotent actions
+    fail there."""
     p = M([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     p_inv = M([[1, -2, 0], [0, 1, 0], [-1, 2, 1]])
     fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
     conj = tuple(p_inv * a * p for a in fiber.actions)
     assert conj[0] == M([[-2, -4, 0], [1, 2, 0], [2, 5, 0]])
-    assert conj[1].is_strictly_lower()
+    assert is_strictly_lower(conj[1])
     powers = []
     original = ExactMatrix.__pow__
 
@@ -456,14 +484,15 @@ def test_non_triangular_module_is_validated_by_its_powers(monkeypatch):
         return original(self, n)
 
     monkeypatch.setattr(ExactMatrix, "__pow__", counted)
-    assert FiniteModule(3, conj).actions == conj
-    assert powers == [3]
-    with pytest.raises(NotNilpotent):
-        FiniteModule(3, (p_inv * _bumped(fiber.actions[0], 0, 0) * p,
-                         ExactMatrix.zeros(3, 3)))
-    powers.clear()
+    with pytest.raises(D0resError, match=REFUSED):
+        FiniteModule(3, conj)
     FiniteModule(3, fiber.actions)
     assert powers == []
+    assert DenseModule(3, conj).actions == conj
+    assert powers == [3, 3]
+    with pytest.raises(NotNilpotent):
+        DenseModule(3, (p_inv * _bumped(fiber.actions[0], 0, 0) * p,
+                        ExactMatrix.zeros(3, 3)))
 
 
 def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
@@ -493,7 +522,7 @@ def test_triangular_shortcut_agrees_with_dense_powers(repo_corpus_germs):
                 jet = dense_sum(family.member(i, r))
                 for module in (jet.m1, jet.m2):
                     for a in module.actions:
-                        assert a.is_strictly_lower(), (name, i, r)
+                        assert is_strictly_lower(a), (name, i, r)
                         assert (a ** module.dim).is_zero(), (name, i, r)
 
 
@@ -540,14 +569,14 @@ def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
     """`_action_power` on the bare rank-r jet equals its dense power, and
     on it and the skyscraper jet, assembled block by block, the dense
     power of the jet padded with two skyscraper jets: fiber and jet, every
-    coordinate, k = 0..r+1."""
+    coordinate, k = 1..r+1 (every tangent exponent is at least 1)."""
     jet, sky = jet_pair(b, r), graph_skyscraper(b)[1]
     runs = ((jet, 1), (sky, 2))
     dense = dense_sum(pad(jet, sky, 2))
     for side in ("m1", "m2"):
         for coord, a in enumerate(getattr(dense, side).actions):
             bare = getattr(jet, side).actions[coord]
-            for k in range(r + 2):
+            for k in range(1, r + 2):
                 assert _action_power(getattr(jet, side), coord, k) == bare ** k
                 assert assembled([
                     (_action_power(getattr(s, side), coord, k), copies)
@@ -612,23 +641,31 @@ def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
 
 
 def test_toeplitz_action_with_a_diagonal_is_not_nilpotent():
-    """A Toeplitz action with a nonzero diagonal is not read as Toeplitz;
-    it commutes with a fiber action, and its dense power is not zero."""
+    """A Toeplitz action with a nonzero diagonal is not read as Toeplitz,
+    and `FiniteModule` refuses it; it commutes with a fiber action, and the
+    dense reference finds its power not zero."""
     fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
     diagonal = M([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     assert toeplitz_column(diagonal) is None
-    with pytest.raises(NotNilpotent):
+    with pytest.raises(D0resError, match=REFUSED):
         FiniteModule(3, (diagonal, fiber.actions[1]))
+    with pytest.raises(NotNilpotent):
+        DenseModule(3, (diagonal, fiber.actions[1]))
 
 
 def test_one_entry_below_the_first_column_is_checked_densely():
     """A fiber action bumped one entry below its first column is no longer
-    Toeplitz: the pair is multiplied out, and it does not commute."""
+    Toeplitz, nor a jet action, and `FiniteModule` refuses it with the
+    text the CLI prints; checked densely, by the dense reference, the pair
+    does not commute."""
     fiber = fiber_module(B([(1, 1)], [(1, 1), (2, 1)]), 4)
     x = _bumped(fiber.actions[0], 2, 1)
-    assert toeplitz_column(x) is None
-    with pytest.raises(D0resError, match="coordinate actions must commute"):
+    assert toeplitz_column(x) is None and _jet_column(x) is None
+    with pytest.raises(D0resError) as caught:
         FiniteModule(4, (x, fiber.actions[1]))
+    assert str(caught.value) == REFUSED
+    with pytest.raises(NonCommutingActions):
+        DenseModule(4, (x, fiber.actions[1]))
 
 
 _JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
@@ -639,24 +676,16 @@ _JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
     _bumped(_JET_X, 5, 3),              # bottom-right block is not A
     M([[0, 1], [0, 0]]),                # top-right block is not zero
 ])
-def test_actions_off_the_closed_jet_form_are_raised_densely(action,
-                                                            monkeypatch):
+def test_actions_off_the_closed_jet_form_are_raised_densely(action):
     """An action that is not [[A, 0], [C, A]] with A Toeplitz and C zero
-    but for its last row is raised as a matrix by `_action_power`, and
-    its powers are `**`'s."""
-    module = FiniteModule(action.rows, (action,))
-    assert module.columns is None
-    powers = []
-    original = ExactMatrix.__pow__
-
-    def counted(self, n):
-        powers.append(n)
-        return original(self, n)
-
-    monkeypatch.setattr(ExactMatrix, "__pow__", counted)
-    for k in range(1, action.rows + 1):
-        assert _action_power(module, 0, k) == original(action, k)
-    assert powers == list(range(1, action.rows + 1))
+    but for its last row, nor Toeplitz, is refused by `FiniteModule`, so
+    `_action_power` never meets it; only the dense reference holds it, and
+    raises it by `**` to zero."""
+    assert toeplitz_column(action) is None and _jet_column(action) is None
+    with pytest.raises(D0resError, match=REFUSED):
+        FiniteModule(action.rows, (action,))
+    dense = DenseModule(action.rows, (action,))
+    assert (dense.actions[0] ** dense.dim).is_zero()
 
 
 # -- jet actions read once, in closed form ------------------------------------
@@ -676,52 +705,98 @@ def _jet_bumps(jet):
                 yield coord, entry, False
 
 
-def test_row_and_dense_commutation_agree(repo_corpus_germs, monkeypatch):
+def _judge_c_bumps(b, r, seen):
+    """Build M2 of the rank-r jet of `b` with one action bumped at one
+    entry of C, for each bump of `_jet_bumps`, and check the outcome
+    against the dense products; add (on the last row, all Toeplitz,
+    commuting) to `seen` for each."""
+    jet = jet_pair(b, r)
+    for coord, entry, on_last_row in _jet_bumps(jet):
+        actions = list(jet.m2.actions)
+        actions[coord] = _bumped(actions[coord], *entry)
+        toeplitz = all(toeplitz_column(a) is not None for a in actions)
+        read = all(_jet_column(a) is not None for a in actions)
+        assert read == on_last_row, (b, r, entry)
+        commuting = all(x * y == y * x for i, x in enumerate(actions)
+                        for y in actions[i + 1:])
+        try:
+            module = FiniteModule(2 * r, tuple(actions))
+        except D0resError as err:
+            if read or toeplitz:
+                assert str(err) == "coordinate actions must commute"
+                assert not commuting, (b, r, coord, entry)
+            else:
+                assert str(err) == REFUSED, (b, r, coord, entry)
+        else:
+            assert commuting and (read or toeplitz), (b, r, coord, entry)
+            assert (module.jets is not None) == (not toeplitz), (
+                b, r, coord, entry)
+            if module.jets is not None:
+                assert module.jets == tuple(_jet_column(a)[:2]
+                                            for a in actions)
+        seen.add((on_last_row, toeplitz, commuting))
+
+
+def test_row_and_dense_commutation_agree(repo_corpus_germs):
     """Over every corpus branch at r = 1..8, M2 with one action bumped at
-    one entry of C is accepted exactly when the dense products commute.
-    `jets` is set exactly when not every action is Toeplitz and
-    `_jet_column` reads each: a bump on C's last row keeps the reading
-    and is judged by c^T B = d^T A with no dense product, a bump elsewhere
-    in C breaks it and takes the dense route."""
-    dense_calls = []
-
-    def counted(a, b):
-        dense_calls.append((a.rows, b.rows))
-        return commute(a, b)
-
-    monkeypatch.setattr(modules_module, "commute", counted)
+    one entry of C is accepted exactly when `_jet_column` still reads each
+    action (or all are Toeplitz) and the dense products commute.  `jets`
+    is set exactly when not every action is Toeplitz: a bump on C's last
+    row keeps the reading and is judged by c^T B = d^T A as the dense
+    products judge it, a bump elsewhere in C breaks it and is refused,
+    whether the dense products commute or not."""
     seen = set()
     for germ in repo_corpus_germs.values():
         for b in germ.branches:
             for r in range(1, 9):
-                jet = jet_pair(b, r)
-                for coord, entry, on_last_row in _jet_bumps(jet):
-                    actions = list(jet.m2.actions)
-                    actions[coord] = _bumped(actions[coord], *entry)
-                    toeplitz = all(toeplitz_column(a) for a in actions)
-                    read = all(_jet_column(a) for a in actions)
-                    assert read == on_last_row, (b, r, entry)
-                    commuting = all(commute(x, y) for i, x in enumerate(actions)
-                                    for y in actions[i + 1:])
-                    dense_calls.clear()
-                    try:
-                        module = FiniteModule(2 * r, tuple(actions))
-                    except D0resError as err:
-                        assert "coordinate actions must commute" in str(err)
-                        assert not commuting, (b, r, coord, entry)
-                    else:
-                        assert commuting, (b, r, coord, entry)
-                        assert (module.jets is not None) == (
-                            read and not toeplitz), (b, r, coord, entry)
-                        if module.jets is not None:
-                            assert module.jets == tuple(
-                                _jet_column(a)[:2] for a in actions)
-                    assert bool(dense_calls) == (not read and not toeplitz), (
-                        b, r, coord, entry)
-                    seen.add((on_last_row, toeplitz, commuting))
-    # each route met both verdicts, except a Toeplitz sum, which commutes
+                _judge_c_bumps(b, r, seen)
+    # each reading met both verdicts, except a Toeplitz sum, which
+    # commutes; the refusal met both
     assert seen >= {(True, False, True), (True, False, False),
                     (False, False, True), (False, False, False)}, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(toeplitz_branches(), st.integers(1, 8))
+def test_every_built_module_is_read_by_columns_or_jets(b, r):
+    """The refusal never fires on a module the program builds: over
+    rational branches and branches over QQ(i) and QQ(a), every fiber of
+    `fiber_module`, `jet_pair` and `graph_skyscraper` is read by
+    `columns`, and every jet by `columns` when all its actions are
+    Toeplitz, by `jets` exactly when not, each reading the actions' own
+    first columns and C rows.  The C bumps of the corpus test are judged
+    on these branches too."""
+    sky_fiber, sky = graph_skyscraper(b)
+    jet = jet_pair(b, r)
+    for module in (fiber_module(b, r), jet.m1, sky_fiber, sky.m1):
+        assert module.jets is None
+        assert module.columns == tuple(toeplitz_column(a)
+                                       for a in module.actions)
+    for module in (jet.m2, sky.m2):
+        columns = tuple(toeplitz_column(a) for a in module.actions)
+        if None in columns:
+            assert module.columns is None
+            assert module.jets == tuple(_jet_column(a)[:2]
+                                        for a in module.actions)
+        else:
+            assert module.columns == columns and module.jets is None
+    _judge_c_bumps(b, r, set())
+
+
+def test_series_readings_refuse_a_module_read_as_jets():
+    """A jet pair whose M1 is read as jets, and the annihilator and the
+    witness check of such a module, are refused as not a fiber.  (The
+    refusal of a non-Toeplitz fiber action and of a jet action with a
+    nonzero top-right entry is pinned with the tests that plant them.)"""
+    b = B([(1, 1)], [(2, 1)])
+    jet = jet_pair(b, 3)
+    assert jet.m2.columns is None and jet.m2.jets is not None
+    for read in (lambda: JetPair(jet.m2, jet_pair(b, 6).m2),
+                 lambda: annihilator(jet.m2),
+                 lambda: _kills(Poly.variable(2, 1), jet.m2)):
+        with pytest.raises(D0resError) as caught:
+            read()
+        assert str(caught.value) == NOT_A_FIBER
 
 
 def test_jet_pair_compares_first_columns(repo_corpus_germs):
@@ -755,13 +830,13 @@ def test_jet_pair_compares_first_columns(repo_corpus_germs):
 def test_trusted_matrices_equal_checked_ones(repo_corpus_germs):
     """Every matrix `fiber_module`, `jet_pair` and `_action_power` build on
     trust equals the one `ExactMatrix` builds from the same entries, with
-    the same `rational` flag, over every corpus branch at r = 1..6 (the
+    the same entry types, over every corpus branch at r = 1..6 (the
     Gaussian node's and the space lines' included)."""
     branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
     assert any(b.ambient_dim == 3 for b in branches)
     assert any(isinstance(x, FieldElement) and not x.is_rational()
                for b in branches for s in b.coords for x in s.coeffs)
-    flags = set()
+    types = set()
     for b in branches:
         for r in range(1, 7):
             jet = jet_pair(b, r)
@@ -770,12 +845,15 @@ def test_trusted_matrices_equal_checked_ones(repo_corpus_germs):
             for module in (jet.m1, jet.m2):
                 built += [_action_power(module, coord, k)
                           for coord in range(b.ambient_dim)
-                          for k in range(r + 2)]
+                          for k in range(1, r + 2)]
             for m in built:
                 checked = ExactMatrix(m.data)
-                assert m == checked and m.rational == checked.rational, (b, r)
-                flags.add(m.rational)
-    assert flags == {True, False}
+                assert m == checked, (b, r)
+                entry_types = [type(x) for row in m.data for x in row]
+                assert entry_types == [type(x) for row in checked.data
+                                       for x in row], (b, r)
+                types.update(entry_types)
+    assert types == {Fraction, FieldElement}
 
 
 def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
@@ -803,28 +881,28 @@ def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
 
 def test_non_commuting_actions_raise_their_own_class(monkeypatch):
     """Actions that do not commute raise `NonCommutingActions`, with the
-    text the CLI prints, on the row route (a jet's C row doubled, judged by
-    c^T B = d^T A with no dense product) and on the dense route (two
-    matrices read neither way)."""
+    text the CLI prints: a jet's C row doubled, judged by c^T B = d^T A
+    with one-row products only, as the dense reference judges it."""
     jet = jet_pair(B([(1, 1)], [(2, 1)]), 3)
     data = [list(row) for row in jet.m2.actions[0].data]
     data[-1][:3] = [2 * x for x in data[-1][:3]]
     doubled = (ExactMatrix(data), jet.m2.actions[1])
-    assert all(_jet_column(a) for a in doubled)
+    assert all(_jet_column(a) is not None for a in doubled)
+    left_rows = []
+    product = linalg_module.fmatmul
 
-    def refused(a, b):
-        raise AssertionError("a dense commutation product")
+    def recorded(a, b):
+        left_rows.append(len(a))
+        return product(a, b)
 
     with monkeypatch.context() as patched:
-        patched.setattr(modules_module, "commute", refused)
-        with pytest.raises(NonCommutingActions) as row_route:
+        patched.setattr(linalg_module, "fmatmul", recorded)
+        with pytest.raises(NonCommutingActions) as caught:
             FiniteModule(6, doubled)
-    dense = (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]]))
-    assert toeplitz_column(dense[0]) is None and _jet_column(dense[0]) is None
-    with pytest.raises(NonCommutingActions) as dense_route:
-        FiniteModule(2, dense)
-    for caught in (row_route, dense_route):
-        assert str(caught.value) == "coordinate actions must commute"
+    assert left_rows and set(left_rows) == {1}
+    assert str(caught.value) == "coordinate actions must commute"
+    with pytest.raises(NonCommutingActions):
+        DenseModule(6, doubled)
 
 
 def _frame_mutants(jet):
@@ -862,28 +940,38 @@ def _frame_mutants(jet):
 
 def _jet_outcome(r, m1_actions, m2_actions):
     """(route, error) of building the jet pair of these actions: the
-    reading M2 took, and the class and text of the refusal, None if it is
-    accepted."""
+    reading M2 took, None if it was refused, and the text of the refusal,
+    None if it is accepted."""
     route = None
     try:
         m2 = FiniteModule(2 * r, m2_actions)
-        route = ("jets" if m2.jets is not None else
-                 "columns" if m2.columns is not None else "dense")
+        route = "jets" if m2.jets is not None else "columns"
         JetPair(FiniteModule(r, m1_actions), m2)
     except D0resError as err:
-        return route, (type(err), str(err))
+        return route, str(err)
     return route, None
 
 
-def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs,
-                                                       monkeypatch):
+def _dense_accepts(m1, m2_actions):
+    """The dense reference accepts these M2 actions over the dense fiber
+    `m1`: a valid module whose every action reads [[A, 0], [C, A]] on the
+    jet frame, entry by entry (`DenseJet`)."""
+    try:
+        DenseJet(m1, DenseModule(2 * m1.dim, m2_actions),
+                 *jet_uniformizer(m1.dim), (m1.dim,))
+    except D0resError:
+        return False
+    return True
+
+
+def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
     """Over the base jets and skyscrapers of every corpus branch at
-    r = 1..6, each M2 mutant of `_frame_mutants` is accepted, or refused
-    with the same error, whether `FiniteModule` reads the actions (and
-    `JetPair` compares first columns) or, with both readers off, every
-    check runs entry by entry and by dense products.  Both readings of M2
-    accept a jet and refuse a wrong first column, and the dense route
-    refuses a bump off the frame."""
+    r = 1..6, each M2 mutant of `_frame_mutants` is accepted by
+    `FiniteModule`, which reads the actions, and `JetPair`, which compares
+    first columns, exactly when the dense reference accepts it, checking
+    products, powers and the frame entry by entry.  Both readings of M2
+    accept a jet and refuse a wrong first column, and a bump off the frame
+    is refused by its shape."""
     branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
     assert any(b.ambient_dim == 3 for b in branches)
     assert any(isinstance(x, FieldElement) and not x.is_rational()
@@ -892,19 +980,16 @@ def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs,
     for b in branches:
         for jet in [graph_skyscraper(b)[1]] + [jet_pair(b, r) for r in range(1, 7)]:
             r, m1 = jet.rank, jet.m1.actions
+            dense_m1 = DenseModule(r, m1)
             for kind, m2 in _frame_mutants(jet):
-                route, read = _jet_outcome(r, m1, m2)
-                with monkeypatch.context() as off:
-                    off.setattr(modules_module, "toeplitz_column", lambda a: None)
-                    off.setattr(modules_module, "_jet_column", lambda a: None)
-                    dense_route, dense = _jet_outcome(r, m1, m2)
-                assert dense_route in ("dense", None)
-                assert read == dense, (b, r, kind, route, read, dense)
-                seen.add((route, kind, read and read[1]))
+                route, error = _jet_outcome(r, m1, m2)
+                assert (error is None) == _dense_accepts(dense_m1, m2), (
+                    b, r, kind, route, error)
+                seen.add((route, kind, error))
     frame = ("inclusion and projection must intertwine the coordinate "
              "actions")
     assert seen >= {("jets", "none", None), ("jets", "diagonal blocks", frame),
                     ("columns", "none", None), ("columns", "Toeplitz", None),
                     ("columns", "Toeplitz", frame),
-                    ("dense", "top-right", frame),
-                    ("dense", "bottom-right", frame)}, seen
+                    (None, "top-right", REFUSED),
+                    (None, "bottom-right", REFUSED)}, seen

@@ -22,6 +22,7 @@ from d0res.poly import (
     reachable_values,
 )
 from d0res.series import Series
+from oracles import total_degree
 
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -38,7 +39,7 @@ def test_arithmetic_and_text():
     assert poly_text(f) == "y^2-x^3"
     assert poly_text(f * g) == "x*y^2-x^4"
     assert (f - f).is_zero()
-    assert f.total_degree() == 3
+    assert total_degree(f) == 3
     assert f.min_degree() == 2
 
 
@@ -266,8 +267,8 @@ def test_the_certificate_never_passes_a_repeated_factor(pair, k):
     assume(not f.is_zero())
     if certifies_squarefree(f):
         exact = gcd_bivariate(gcd_bivariate(f, f.diff(0)), f.diff(1))
-        assert exact.total_degree() == 0
-        assert not (k == 2 and g.total_degree() > 0)
+        assert total_degree(exact) == 0
+        assert not (k == 2 and total_degree(g) > 0)
 
 
 def test_gcd_bivariate():
@@ -275,8 +276,8 @@ def test_gcd_bivariate():
     b = P({(0, 1): 1, (1, 0): 1})        # y + x
     g = gcd_bivariate(a * b, a * P({(0, 1): 2, (1, 0): 1}))
     # common factor is a (up to normalization)
-    assert g.total_degree() == a.total_degree()
-    assert gcd_bivariate(a, b).total_degree() == 0
+    assert total_degree(g) == total_degree(a)
+    assert total_degree(gcd_bivariate(a, b)) == 0
 
 
 def test_monomials_upto_order():

@@ -488,8 +488,8 @@ def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
         init(self, data)
         entries[-1] += self.rows * self.cols
 
-    def counted_trusted(cls, rows, rational=None):
-        m = trusted(cls, rows, rational)
+    def counted_trusted(cls, rows):
+        m = trusted(cls, rows)
         entries[-1] += m.rows * m.cols
         return m
 
