@@ -18,7 +18,6 @@ from .errors import (  # noqa: F401
     D0resError,
     InputError,
     NonCommutingActions,
-    NotNilpotent,
     RaiseTruncation,
     UnsupportedFieldExtension,
 )

@@ -29,10 +29,6 @@ class NonCommutingActions(D0resError):
     """Coordinate action matrices must commute (module axiom)."""
 
 
-class NotNilpotent(D0resError):
-    """A matrix expected to be nilpotent is not (support not punctual)."""
-
-
 class InputError(D0resError):
     """Malformed analysis request; carries the offending field path."""
 

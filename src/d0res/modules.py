@@ -1,49 +1,48 @@
-"""Finite-length modules over the ambient local ring, as commuting nilpotent
-action matrices of two shapes, plus the first-order jet pairs used by the
-tangent test.
+"""Finite-length modules over the ambient local ring, held by the series
+their commuting nilpotent actions are made of, in one of two shapes, plus
+the first-order jet pairs used by the tangent test.
 
 The key constructions:
 
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
-  multiplication with its pullback series (lower-triangular Toeplitz); also
-  the jet pair's special fiber and the matrix route of the fiber
-  annihilator cross-check.
+  multiplication with its pullback series: the lower-triangular Toeplitz
+  matrix of that series, held as the series truncated to r, its first
+  column.  It is also the jet pair's special fiber and the column route
+  of the fiber annihilator cross-check.
 * jet_pair(b, r): the rank-r fiber M1 = fiber_module(b, r) of the branch
   and its first-order jet M2 over the dual numbers, 2r-dimensional on a
   fixed frame: tops 0..r-1 lifting M1's basis, then bottoms r..2r-1, their
-  eps-multiples.  A coordinate s acts on M2 as [[A, 0], [C, A]], A its
-  action on M1, and C is zero but for its last row, whose column r-k holds
-  r*s_k (k = 1..r; s_0 = 0 as the branch passes through the origin).
-  That is s(T) for the jet's uniformizer T = [[S, 0], [N, S]], S the
-  r x r down-shift and N = r*eps from the last top: S N = 0, so
+  eps-multiples.  A coordinate s acts on M2 as [[A, 0], [e c^T, A]], A its
+  action on M1, e the last unit vector and c_(r-k) = r*s_k (k = 1..r;
+  s_0 = 0 as the branch passes through the origin), held as (first column
+  of A, c).  That is s(T) for the jet's uniformizer T = [[S, 0], [N, S]],
+  S the r x r down-shift and N = r*eps from the last top: S N = 0, so
   T^k = [[S^k, 0], [N S^(k-1), S^k]].  T has nilpotency index r + 1, one
   more than S, exactly when the jet does not split.  jet_pair writes the
-  actions in closed form and builds no uniformizer; the tests build T
+  series in closed form and builds no uniformizer; the tests build T
   (`tests/oracles.jet_uniformizer`) and compare.
 * graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1) and its fiber.
-* Two shapes of action: a fiber's actions are strictly lower-triangular
-  Toeplitz, multiplication by their first columns in K[t]/(t^r), a
-  commutative algebra.  `toeplitz_column` reads that shape entry by entry
-  in O(r^2), and a module whose actions all have it keeps their first
-  columns (`FiniteModule.columns`).  Such actions commute with no matrix
-  product, a polynomial in them is the Toeplitz matrix of the same
-  polynomial in their columns, and it is zero iff that series is.  So
-  `annihilator` eliminates r first-column rows, `verify._kills` evaluates
-  a witness on series, and `_action_power` raises an action as a series
-  power.  A jet's actions read [[A, 0], [e c^T, A]], A of that shape and
-  e the last unit vector; a module whose actions all read so, and not all
-  as Toeplitz, keeps each once as (first column of A, c)
-  (`FiniteModule.jets`).  Two of them commute iff c^T B = d^T A, one
-  1 x r by r x r product per side, and `_action_power` raises them in
-  closed form.  A jet pair checks its frame on whichever reading its M2
-  has, by first columns (`JetPair`): the rank-1 skyscrapers and the jets
-  with A = 0 are Toeplitz, every other jet is read as jets.  Every such
-  matrix is built once, from entries already normalized
-  (`ExactMatrix._trusted`).  A module with an action of any other shape
-  is refused when built, and so is a series reading (`annihilator`,
-  `verify._kills`, a jet pair's fiber) of a module not read by
-  `columns`.  The tests keep dense modules of their own
-  (`tests/oracles.py`) as references.
+* Two shapes of action, each held by its series (`FiniteModule`): a
+  fiber's actions are strictly lower-triangular Toeplitz, multiplication
+  by their first columns in K[t]/(t^r), a commutative algebra (`columns`).
+  Such actions commute with no matrix product, a polynomial in them is the
+  Toeplitz matrix of the same polynomial in their columns, and it is zero
+  iff that series is.  So `annihilator` eliminates r first-column rows,
+  `verify._kills` evaluates a witness on series, and `_action_power` raises
+  an action as a series power.  A jet's actions are [[A, 0], [e c^T, A]]
+  with A of that shape, each held once as (first column of A, c) (`jets`).
+  Two of them commute iff c^T B = d^T A, one 1 x r by r x r product per
+  side, and `_action_power` raises them in closed form.  A column with a
+  zero t^0 coefficient makes its action strictly lower-triangular, so
+  nilpotent, and that is checked when a module is built.  A jet pair
+  checks its frame by first columns (`JetPair`).  No dense action is
+  written: the only matrices a module builds are the r x r Toeplitz
+  blocks and 1 x r rows of the commutation check
+  (`ExactMatrix._trusted`).  A series reading (`annihilator`,
+  `verify._kills`, a jet pair's fiber) of a module held as jets is
+  refused.  The tests write the dense actions of a module
+  (`tests/oracles.dense_actions`) and keep dense modules of their own as
+  references.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
   order; no matrix is built.  Its dims, ranks and (for jets) m1 and m2
@@ -59,9 +58,9 @@ The key constructions:
   assemble the dense sums (`tests/oracles.py`) and check them on the
   dense matrices.
 * annihilator: the ideal of polynomials killing a fiber, the separation
-  invariant.  `annihilator` reads the ideal off the fiber's Toeplitz
-  action matrices, the dim first-column functionals, and serves as the
-  oracle; it refuses any other module.  `functional_ideal` over
+  invariant.  `annihilator` reads the ideal off the fiber's columns, the
+  dim first-column functionals of its Toeplitz actions, and serves as the
+  oracle; it refuses a module held as jets.  `functional_ideal` over
   `fiber_functionals`, which the certificates read, gives the same ideal
   from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
   by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
@@ -100,7 +99,7 @@ The key constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .branches import BranchParam, _evaluation_columns
@@ -114,34 +113,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def toeplitz_column(a: ExactMatrix):
-    """The first column of `a` as a Series when `a` is strictly
-    lower-triangular Toeplitz, checked entry by entry in O(dim^2): every
-    entry on and above the diagonal is zero and a[i][j] = a[i-j][0] below
-    it.  None for any other matrix.
-
-    Such a matrix is multiplication by its first column c(t) on
-    K[t]/(t^dim): the polynomial c(S) in the down-shift S.  These form the
-    commutative algebra K[t]/(t^dim), so two of them commute, each is
-    nilpotent, and a polynomial in them is the Toeplitz matrix of the same
-    polynomial in their columns, fixed by its own first column."""
-    r = a.rows
-    if r == 0 or a.cols != r:
-        return None
-    data = a.data
-    col = tuple(row[0] for row in data)
-    # the last row is the first column read backwards: a cheap early exit
-    if col[0] or data[-1] != col[::-1]:
-        return None
-    # a zero entry is `_ZERO` itself where a module wrote it, so comparing
-    # with `zeros` mostly compares identities
-    zeros = (_ZERO,) * r
-    for i, row in enumerate(data):
-        if row[i + 1:] != zeros[i + 1:] or row[:i + 1] != col[i::-1]:
-            return None
-    return Series(col)
-
-
 def _toeplitz_matrix(s: Series) -> ExactMatrix:
     """The lower-triangular Toeplitz matrix of `s`, multiplication by s on
     K[t]/(t^trunc): entry (i, j) is s_(i-j)."""
@@ -152,63 +123,64 @@ def _toeplitz_matrix(s: Series) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Punctual module at the origin: dim + one action matrix per coordinate,
-    each read once, in one of two shapes, or refused.
+    """Punctual module at the origin of dimension `dim`, held by the series
+    its actions are made of, one per coordinate, in one of two shapes.
 
-    When every action is strictly lower-triangular Toeplitz
-    (`toeplitz_column`), as every fiber's is, `columns` holds their first
-    columns and `jets` is None.  Otherwise every action must read
-    [[A, 0], [e c^T, A]] (`_jet_column`), as every jet's does; `jets` holds
-    (column, c) for each and `columns` is None.  A module with an action
-    of any other shape is refused.  Both readings are strictly
-    lower-triangular, so every action is nilpotent.  Two Toeplitz actions
-    commute, with no matrix product.  Two jet actions [[A, 0], [e c^T, A]]
-    and [[B, 0], [e d^T, B]] commute iff c^T B = d^T A: AB = BA as both
-    are Toeplitz, and A e = B e = 0 as both are strictly lower, so the
+    A fiber holds `columns`: for each action, the Series of length dim
+    that is its first column.  The action is that series' strictly
+    lower-triangular Toeplitz matrix, multiplication in K[t]/(t^dim).  A
+    jet holds `jets`: for each action, a (column, c) pair on dim = 2r.  The
+    action is [[A, 0], [e c^T, A]], A the Toeplitz matrix of `column`
+    (length r), e the last unit vector and c a tuple of r scalars.  Exactly
+    one of the two is set.
+
+    Built, the module checks that data and nothing else: the lengths; each
+    column's t^0 coefficient is zero, which makes every action strictly
+    lower-triangular and so nilpotent; and the actions commute.  Toeplitz
+    actions always do.  Two jet actions [[A, 0], [e c^T, A]] and
+    [[B, 0], [e d^T, B]] commute iff c^T B = d^T A: AB = BA as both are
+    Toeplitz, and A e = B e = 0 as both are strictly lower, so the
     lower-left blocks of the two products are e c^T B and e d^T A.  That is
-    one 1 x r by r x r product per side, on the top-left blocks
-    `_jet_column` read.
+    one 1 x r by r x r product per side.
     """
 
     dim: int
-    actions: tuple
-    columns: tuple = field(init=False, repr=False, compare=False)
-    jets: tuple = field(init=False, repr=False, compare=False)
+    columns: tuple = None
+    jets: tuple = None
 
     def __post_init__(self):
-        for a in self.actions:
-            if not a.is_square() or a.rows != self.dim:
-                raise D0resError("action matrices must be square of the module dim")
-        columns = tuple(toeplitz_column(a) for a in self.actions)
-        jets = None
-        if None in columns:
-            jets = tuple(_jet_column(a) for a in self.actions)
-            if None in jets:
-                raise D0resError("an action is neither strictly "
-                                 "lower-triangular Toeplitz nor a jet action")
-            for i, (_, c, a) in enumerate(jets):
-                for j in range(i + 1, len(jets)):
-                    if columns[i] is not None and columns[j] is not None:
-                        continue
-                    _, d, b = jets[j]
-                    if (ExactMatrix._trusted((c,)) * b
-                            != ExactMatrix._trusted((d,)) * a):
-                        raise NonCommutingActions(
-                            "coordinate actions must commute")
-            columns = None
-            jets = tuple((column, c) for column, c, _ in jets)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "jets", jets)
+        fiber = self.jets is None
+        if fiber == (self.columns is None):
+            raise D0resError("a module holds either fiber columns or jets")
+        columns = self.columns if fiber else tuple(col for col, _ in self.jets)
+        r = self.dim if fiber else self.dim // 2
+        if (not fiber and self.dim % 2
+                or any(col.trunc != r for col in columns)):
+            raise D0resError("action columns must fit the module dim")
+        if any(not scalar_is_zero(col.coeffs[0]) for col in columns):
+            raise D0resError("an action's column has a nonzero t^0 "
+                             "coefficient, so the action is not nilpotent")
+        if fiber:
+            return
+        if any(len(c) != r for _, c in self.jets):
+            raise D0resError("a jet's c row must have the fiber's length")
+        rows = [ExactMatrix._trusted((c,)) for _, c in self.jets]
+        blocks = [_toeplitz_matrix(col) for col in columns]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if rows[i] * blocks[j] != rows[j] * blocks[i]:
+                    raise NonCommutingActions(
+                        "coordinate actions must commute")
 
     @property
     def ambient_dim(self):
-        return len(self.actions)
+        return len(self.columns if self.jets is None else self.jets)
 
     def same_presentation(self, other) -> bool:
-        """Equal dims and equal action matrices; False for a `DirectSum`,
-        whose dense matrices are never built to compare."""
-        return (isinstance(other, FiniteModule) and self.dim == other.dim
-                and self.actions == other.actions)
+        """Equal dims and equal series, which fix equal action matrices;
+        False for a `DirectSum`, whose matrices are never built to
+        compare."""
+        return isinstance(other, FiniteModule) and self == other
 
 
 @dataclass(frozen=True)
@@ -223,24 +195,11 @@ class JetPair:
     by construction.  The actions respect the frame iff each M2 action
     reads [[A, 0], [C, A]], A its M1 counterpart.
 
-    M1 must be read by `columns` (`FiniteModule`), as a fiber is; a jet
-    pair whose M1 is read as jets is refused.  The frame is checked once
-    per action on the reading M2 already has, by first columns:
-
-    * M2 read by `jets`: each action is [[A', 0], [e c^T, A']] with A'
-      strictly lower-triangular Toeplitz, so it respects the frame iff
-      A' = A, and two Toeplitz matrices are equal iff their first columns
-      are.
-    * M2 read by `columns`: each action is the strictly lower-triangular
-      Toeplitz matrix of a column c of length 2r, entry (i, j) = c_(i-j)
-      for i > j and 0 otherwise.  Its top-right block (i < r <= j) lies
-      above the diagonal, so it is zero.  Its top-left block has entry
-      c_(i-j) at (i, j), and its bottom-right block the same entry at
-      (r + i, r + j): both are the Toeplitz matrix of c_0..c_(r-1).  So it
-      respects the frame iff that matrix is A, iff c truncated to r is A's
-      first column.
-
-    `FiniteModule` reads M2 one way or the other, or refuses it.
+    M1 must hold `columns` and M2 `jets` (`FiniteModule`).  An M2 action
+    [[A', 0], [e c^T, A']] has a zero top-right block and equal diagonal
+    blocks by its shape, so it respects the frame iff A' = A, and two
+    Toeplitz matrices are equal iff their first columns are: the jets'
+    columns must be M1's.
     """
 
     m1: FiniteModule
@@ -249,14 +208,12 @@ class JetPair:
     def __post_init__(self):
         if self.m2.dim != 2 * self.m1.dim:
             raise D0resError("jet must have twice the fiber dimension")
-        if len(self.m1.actions) != len(self.m2.actions):
+        if self.m1.ambient_dim != self.m2.ambient_dim:
             raise D0resError("fiber and jet must share the ambient dimension")
-        r, columns = self.m1.dim, _fiber_columns(self.m1)
-        if self.m2.jets is not None:
-            read = tuple(jet[0] for jet in self.m2.jets)
-        else:
-            read = tuple(c.truncate(r) for c in self.m2.columns)
-        if read != columns:
+        columns = _fiber_columns(self.m1)
+        if self.m2.jets is None:
+            raise D0resError("a jet pair's M2 must be held as jets")
+        if tuple(col for col, _ in self.m2.jets) != columns:
             raise D0resError("inclusion and projection must intertwine "
                              "the coordinate actions")
 
@@ -272,7 +229,7 @@ class JetPair:
 def _fiber_columns(module: FiniteModule):
     """The first columns of the module's strictly lower-triangular Toeplitz
     actions (`FiniteModule.columns`), which every series reading of a
-    fiber reads; a module read as jets is refused."""
+    fiber reads; a module held as jets is refused."""
     if module.columns is None:
         raise D0resError("a fiber's actions must be strictly "
                          "lower-triangular Toeplitz")
@@ -280,20 +237,13 @@ def _fiber_columns(module: FiniteModule):
 
 
 def fiber_module(b: BranchParam, r: int) -> FiniteModule:
-    """K[t]/(t^r) with coordinates acting by their pullback multiplication."""
+    """K[t]/(t^r) with coordinates acting by their pullback multiplication,
+    each held as its series truncated to r."""
     if r < 1:
         raise D0resError("rank must be positive")
     if b.trunc < r:
         raise RaiseTruncation("fiber construction needs truncation >= rank", needed=r)
-    zeros = (_ZERO,) * r
-    actions = []
-    for s in b.coords:
-        c = s.coeffs
-        # entry (i, j < i) is the coefficient of t^i in x_k(t) * t^j, c_(i-j);
-        # ord >= 1 keeps the diagonal zero
-        actions.append(ExactMatrix._trusted(
-            [c[i:0:-1] + zeros[i:] for i in range(r)]))
-    return FiniteModule(r, tuple(actions))
+    return FiniteModule(r, columns=tuple(s.truncate(r) for s in b.coords))
 
 
 def jet_pair(b: BranchParam, r: int) -> JetPair:
@@ -304,16 +254,10 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
         raise RaiseTruncation("jet construction needs truncation >= rank+1",
                               needed=r + 1)
     m1 = fiber_module(b, r)
-    zeros = (_ZERO,) * r
-    actions = []
-    for s, a in zip(b.coords, m1.actions):
-        # [[A, 0], [C, A]]: C is r * s_k at (last, r - k), k = 1..r
-        c = tuple(r * s.coeffs[r - j] for j in range(r))
-        tops = [row + zeros for row in a.data]
-        bottoms = [zeros + row for row in a.data]
-        bottoms[-1] = c + a.data[-1]
-        actions.append(ExactMatrix._trusted(tops + bottoms))
-    return JetPair(m1, FiniteModule(2 * r, tuple(actions)))
+    # c_j = r * s_(r-j), j = 0..r-1: the last row of C in [[A, 0], [C, A]]
+    jets = tuple((col, tuple(r * s.coeffs[r - j] for j in range(r)))
+                 for s, col in zip(b.coords, m1.columns))
+    return JetPair(m1, FiniteModule(2 * r, jets=jets))
 
 
 def graph_skyscraper(b: BranchParam):
@@ -384,56 +328,26 @@ class DirectSum:
         return isinstance(other, DirectSum) and self.runs == other.runs
 
 
-def _action_power(module: FiniteModule, coord: int, k: int) -> ExactMatrix:
+def _action_power(module: FiniteModule, coord: int, k: int):
     """The action of coordinate `coord` on `module` to the power k >= 1
-    (every tangent exponent is at least 1).
+    (every tangent exponent is at least 1), in closed form, as the
+    (column, row) it is made of; no matrix is built.
 
-    A strictly lower-triangular Toeplitz action is multiplication by its
-    first column a(t) (`module.columns`), and its power multiplication by
-    a(t)^k.  A jet action [[A, 0], [C, A]] with A of that shape and C zero
-    but for its last row c, read once as (a(t), c) (`module.jets`), has
-    the power [[A^k, 0], [e c^T A^(k-1), A^k]], e the last unit vector:
-    the lower-left block of the power is the sum of A^i C A^j over
-    i + j = k - 1, and A^i C = 0 for i >= 1 because A's last column is
-    zero.  The row c^T A^(k-1) has entry j = sum_i c_i q_(i-j), q(t) =
-    a(t)^(k-1), which is the t^(r-1-j) coefficient of rev(c)(t) q(t),
-    rev(c) the series of c read backwards.  Either way the dense block is
-    built once, for the report, from entries already normalized.  Every
-    `FiniteModule` is read one way or the other; at k = 0 a jet action is
-    refused, as a negative series power."""
+    A fiber action is multiplication by its column a(t) (`module.columns`),
+    and its power is multiplication by a(t)^k: (a(t)^k, None).  A jet
+    action [[A, 0], [e c^T, A]] (`module.jets`) has the power
+    [[A^k, 0], [e w^T, A^k]], w^T = c^T A^(k-1): the lower-left block of
+    the power is the sum of A^i e c^T A^j over i + j = k - 1, and A^i e = 0
+    for i >= 1 because A's last column is zero.  So the power is
+    (a(t)^k, w), of the jet's own shape.  Entry j of w is
+    sum_i c_i q_(i-j), q(t) = a(t)^(k-1), which is the t^(r-1-j)
+    coefficient of rev(c)(t) q(t), rev(c) the series of c read backwards.
+    At k = 0 a jet action is refused, as a negative series power."""
     if module.columns is not None:
-        return _toeplitz_matrix(module.columns[coord] ** k)
+        return module.columns[coord] ** k, None
     col, c = module.jets[coord]
     q = col ** (k - 1)
-    top = _toeplitz_matrix(q * col)
-    row = (Series(c[::-1]) * q).coeffs[::-1]
-    zeros = (_ZERO,) * col.trunc
-    return ExactMatrix._trusted(
-        [t + zeros for t in top.data] + [zeros + t for t in top.data[:-1]]
-        + [row + top.data[-1]])
-
-
-def _jet_column(a: ExactMatrix):
-    """(column, c, top) when `a` reads [[A, 0], [C, A]] on two halves of
-    its basis, A strictly lower-triangular Toeplitz with first column
-    `column` (a Series) and C zero but for its last row c (a tuple),
-    checked entry by entry; `top` is A, the block the reading sliced.  None
-    otherwise."""
-    if a.rows % 2 or a.cols != a.rows or not a.rows:
-        return None
-    r = a.rows // 2
-    data = a.data
-    top = ExactMatrix._trusted([row[:r] for row in data[:r]])
-    col = toeplitz_column(top)
-    if col is None:
-        return None
-    zeros = (_ZERO,) * r
-    for top_row, bottom in zip(data[:r], data[r:]):
-        if top_row[r:] != zeros or bottom[r:] != top_row[:r]:
-            return None
-    if any(bottom[:r] != zeros for bottom in data[r:-1]):
-        return None
-    return col, data[-1][:r], top
+    return q * col, (Series(c[::-1]) * q).coeffs[::-1]
 
 
 # -- annihilators and lengths ------------------------------------------------------
@@ -588,8 +502,8 @@ def kernel_echelon(rows, ncols):
     annihilators pass only the live columns, the monomials a Toeplitz
     fiber or a branch can reach, and eliminate only those; the zero
     columns they leave out are the bare rows that `AnnihilatorIdeal` holds
-    implicitly.  A module of any other shape is refused before a row is
-    built.  A zero column that is passed comes back as a bare row.
+    implicitly.  A module held as jets is refused before a row is built.
+    A zero column that is passed comes back as a bare row.
     """
     reversed_rows = [row[::-1] for row in rows
                      if any(not scalar_is_zero(x) for x in row)]
@@ -633,8 +547,8 @@ def _evaluation_rows(module: FiniteModule, degree):
     on the graded `monomials` it is read on, one row per functional; every
     monomial of degree <= `degree` left out is zero on the module.
 
-    The actions must be strictly lower-triangular Toeplitz (`columns`), as
-    a fiber's are; a module read as jets is refused.  Each monomial's value
+    The module must hold `columns`, as a fiber does; a module held as jets
+    is refused.  Each monomial's value
     is the Toeplitz matrix of the product of their first columns, and the
     rows are the dim entries of that first column.  Every other entry of
     the value repeats one of them or is zero, so these rows have the same
@@ -650,10 +564,11 @@ def _evaluation_rows(module: FiniteModule, degree):
 
 def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorIdeal:
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
-    the fiber `module`, from its Toeplitz action matrices: dim first-column
-    rows on the monomials they reach (`_evaluation_rows`); a module read as
-    jets is refused.  The reduced echelon basis of the kernel is unique,
-    so it equals the one from all dim^2 entries on every monomial.  The
+    the fiber `module`, from its columns, the first columns of its
+    Toeplitz actions: dim first-column rows on the monomials they reach
+    (`_evaluation_rows`); a module held as jets is refused.  The reduced
+    echelon basis of the kernel is unique, so it equals the one from all
+    dim^2 entries of the dense actions on every monomial.  The
     default bound (module dim) is provably enough: every monomial of
     degree >= dim kills a punctual module of that dimension.
     """

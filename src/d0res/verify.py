@@ -11,8 +11,8 @@ computed once, on that summand, and read by every rank whose members hold
 it.  So a rank above r0 computes only what its skyscraper run adds, and
 only if no rank before it did.  The family is also the request's one
 store of annihilators: for each branch and rank d, the bare rank-d fiber's
-ideal read off its series and read off its action matrices, each built
-once and read by every check.
+ideal read off its series functionals and read off the fiber module's
+columns, each built once and read by every check.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -50,30 +50,31 @@ row with a constant term, so that it kills the skyscraper.  A monomial of
 degree d kills every member at rank r, so it is never a point witness,
 and the witness search stops below d.
 
-The action matrices still give the independent checks, read summand by
-summand.  Every witness is re-verified on the action matrices of the
+The modules the family builds still give the independent checks, read
+summand by summand.  Every witness is re-verified on the modules of the
 member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
 polynomial kills a direct sum iff it kills each summand, and each
-summand's answer is its own (`CertificateFamily.kills`).  Those actions
-are strictly lower-triangular Toeplitz, read entry by entry, so g kills a
-summand iff g at the actions' first columns is zero mod t^dim
-(`_kills`); a fiber of any other shape is refused when read.  The
-padding check is the family's rank-r0 comparison: each member's ideal,
-the series entry at r0, against the matrix entry at r0, the generic
-annihilator of the bare rank-r0 fiber read off its action matrices (its
-r0 first-column rows, `modules.annihilator`); as both hold every monomial
-of degree r0, equality there is equality at bound r.  The fiber
-annihilator cross-check (`pushforward_restriction_oracle`) makes the same
-comparison at each of the report's small ranks 1..max_rank on the same
-stored entries, so no annihilator is computed twice.  The tangent test
-raises the test coordinate's action on each summand of the member's jet
-pair once for all ranks (`modules._action_power`): a fiber action as the
-power of its first column, a jet action [[A, 0], [C, A]] in closed form
-(every module is read one of the two ways or refused when built),
-and only the block it prints is built, scanned for zero once and
-formatted once.  A block-diagonal matrix's power is the block-diagonal
-sum of its blocks' powers, so it prints the jet power as those (block,
-copies) runs, and no part of a certificate grows with r above r0.
+summand's answer is its own (`CertificateFamily.kills`).  A fiber holds
+the first columns of its strictly lower-triangular Toeplitz actions, so
+g kills it iff g at those columns is zero mod t^dim (`_kills`); a module
+held as jets is refused there.  The padding check is the family's
+rank-r0 comparison: each member's ideal, the series entry at r0, against
+the module entry at r0, the generic annihilator of the bare rank-r0
+fiber module read off its columns (its r0 first-column rows,
+`modules.annihilator`); as both hold every monomial of degree r0,
+equality there is equality at bound r.  The fiber annihilator
+cross-check (`pushforward_restriction_oracle`) makes the same comparison
+at each of the report's small ranks 1..max_rank on the same stored
+entries, so no annihilator is computed twice.  The tangent test raises
+the test coordinate's action on each summand of the member's jet pair
+once for all ranks, in closed form (`modules._action_power`): a fiber
+action as the power of its column, a jet action [[A, 0], [e c^T, A]] as
+the column of A^k and the row c^T A^(k-1).  Its zero test reads the
+series, and only the block it prints is written out, as entry strings,
+each scalar formatted once.  A block-diagonal matrix's power is the
+block-diagonal sum of its blocks' powers, so it prints the jet power as
+those (block, copies) runs, and no part of a certificate grows with r
+above r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -83,6 +84,7 @@ and never passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from math import ceil
 
@@ -90,7 +92,7 @@ from .branches import Germ
 from .errors import D0resError, RaiseTruncation
 from .fields import format_scalar
 # unused here; perfbench/tracing.py patches d0res.verify.rref_rows
-from .linalg import ExactMatrix, rref_rows  # noqa: F401
+from .linalg import rref_rows  # noqa: F401
 from .modules import (
     AnnihilatorIdeal,
     _action_power,
@@ -172,14 +174,14 @@ class _Summand:
 
     def power(self, side: str, coord: int, k: int):
         """The action of coordinate `coord` on this summand's `side` ("m1"
-        or "m2") to the power k (`_action_power`)."""
+        or "m2") to the power k, as its (column, row) (`_action_power`)."""
         return _once(self._answers, ("power", side, coord, k), _action_power,
                      getattr(self.jet, side), coord, k)
 
     def power_is_zero(self, side: str, coord: int, k: int) -> bool:
-        """power(side, coord, k) is the zero matrix, scanned once."""
+        """power(side, coord, k) is zero, read off its series once."""
         return _once(self._answers, ("zero", side, coord, k),
-                     ExactMatrix.is_zero, self.power(side, coord, k))
+                     _power_is_zero, self.power(side, coord, k))
 
     def printed(self, coord: int, k: int):
         """The entry strings of power("m2", coord, k), row by row."""
@@ -187,8 +189,26 @@ class _Summand:
                      self.power("m2", coord, k))
 
 
+def _power_is_zero(power) -> bool:
+    """A power (column, row) of `_action_power` is zero: A^k = 0 iff its
+    column is zero mod t^r, and a jet power also needs its row
+    w = c^T A^(k-1) zero."""
+    column, row = power
+    return column.is_zero_at_precision() and not any(row or ())
+
+
 def _printed(power):
-    return [[format_scalar(x) for x in row] for row in power.data]
+    """The 2r x 2r entry strings of the jet power [[A^k, 0], [e w^T, A^k]]
+    that `_action_power` gives as (column of A^k, w): each coefficient and
+    each entry of w is formatted once, and the Toeplitz block is laid out
+    from those strings."""
+    column, row = power
+    r = column.trunc
+    text = [format_scalar(x) for x in column.coeffs]
+    zeros = [format_scalar(Fraction(0))] * r
+    top = [text[i::-1] + zeros[i + 1:] for i in range(r)]
+    return ([t + zeros for t in top] + [zeros + t for t in top[:-1]]
+            + [[format_scalar(x) for x in row] + top[-1]])
 
 
 class CertificateFamily:
@@ -251,10 +271,10 @@ class CertificateFamily:
         return _once(self._built, ("ideal", index, d), _stable_annihilator,
                      self.germ.branches[index], d)
 
-    def matrix_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
-        """The same annihilator read off the action matrices of the bare
-        rank-d fiber, `annihilator(fiber_module(b, d), d)`."""
-        return _once(self._built, ("matrix", index, d), _matrix_annihilator,
+    def module_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
+        """The same annihilator read off the columns of the bare rank-d
+        fiber module, `annihilator(fiber_module(b, d), d)`."""
+        return _once(self._built, ("module", index, d), _module_annihilator,
                      self.germ.branches[index], d)
 
     def _base(self, index: int, rank: int) -> _Summand:
@@ -268,7 +288,7 @@ class CertificateFamily:
                      lambda: _Summand(graph_skyscraper(b)[1]))
 
 
-def _matrix_annihilator(b, d: int) -> AnnihilatorIdeal:
+def _module_annihilator(b, d: int) -> AnnihilatorIdeal:
     return annihilator(fiber_module(b, d), d)
 
 
@@ -305,8 +325,8 @@ def separates_points(family: CertificateFamily, r: int):
 
 def _point_verdicts(ideals, fibers, kills):
     """Verdicts from the members' ideals.  Witnesses are re-checked on the
-    members' action matrices by `kills` (`_point_witness`); equal ideals
-    compare the members' presentations `fibers`."""
+    members' modules by `kills` (`_point_witness`); equal ideals compare
+    the members' presentations `fibers`."""
     verdicts = []
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
@@ -334,7 +354,7 @@ def _point_verdicts(ideals, fibers, kills):
 def _point_witness(ideals, i, j, kills):
     """A polynomial in exactly one of ideals[i] and ideals[j], re-verified:
     `kills(a, row, g, b)` tells whether g, basis row `row` of ideals[a],
-    acts as zero on member b's action matrices.  The first branch's
+    acts as zero on member b's modules.  The first branch's
     annihilator is searched first.  Both share one degree bound, and a row
     that leads there is a bare monomial that both ideals hold, never a
     witness, so the search stops below it."""
@@ -355,10 +375,11 @@ def _point_witness(ideals, i, j, kills):
 
 
 def _kills(g, fiber):
-    """g acts as zero on the module `fiber`.  Its actions must be strictly
-    lower-triangular Toeplitz (`FiniteModule.columns`), as a fiber's are,
-    and a module read as jets is refused: g(A) is the Toeplitz matrix of g
-    at their first columns, so it is zero iff that series is."""
+    """g acts as zero on the module `fiber`.  It must hold the first
+    columns of its strictly lower-triangular Toeplitz actions
+    (`FiniteModule.columns`), as a fiber does, and a module held as jets
+    is refused: g(A) is the Toeplitz matrix of g at those columns, so it
+    is zero iff that series is."""
     return g.eval_series(_fiber_columns(fiber)).is_zero_at_precision()
 
 
@@ -501,7 +522,7 @@ def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
     fiber: each member's annihilator (`ideals`, read off series rows at
     bound r0) equals the generic one of its bare rank-r0 fiber, read off
-    that fiber's action matrices at the same bound: the family's rank-r0
+    that fiber module's columns at the same bound: the family's rank-r0
     comparison, which the cross-check row at r0 reads too.  The member
     ideal was checked to hold every monomial of degree r0 when it was
     stored, so equality at r0 is equality at any bound r above (module
@@ -509,7 +530,7 @@ def _padding_support_unchanged(family, r: int, ideals) -> bool:
     r0 = family.germ.r0
     if r == r0:
         return True
-    return all(family.matrix_ideal(i, r0) == ideal
+    return all(family.module_ideal(i, r0) == ideal
                for i, ideal in enumerate(ideals))
 
 
@@ -524,11 +545,13 @@ def pushforward_restriction_oracle(family: CertificateFamily, index: int,
     {"1": ok, ..., str(max_rank): ok}.
 
     The fiber is the push-forward of K[t]/(t^d) along the branch map, and
-    its annihilator is the ideal of the image subscheme.  The matrix route
-    reads the Toeplitz actions `fiber_module` writes, entry by entry, and
-    evaluates on their first columns the monomials whose order, read off
-    those columns, is below d (`annihilator`); a fiber whose actions are
-    not Toeplitz is refused.  The series route reads the t^0..t^(d-1)
+    its annihilator is the ideal of the image subscheme.  The module route
+    reads the columns `fiber_module` holds, the first columns of the
+    fiber's Toeplitz actions, and evaluates on them the monomials whose
+    order, read off those columns, is below d (`annihilator`).  The two
+    routes are two calls, `annihilator(fiber_module(b, d), d)` and
+    `functional_ideal(d, *fiber_functionals(b, d, d))`, so a fault in either
+    builder shows as a false row.  The series route reads the t^0..t^(d-1)
     coefficients of f(x(t), y(t)), which is exact because the fiber is
     generated by 1 (`fiber_functionals`).  Both
     are the family's stored entries, and the row at r0 compares what the
@@ -542,7 +565,7 @@ def pushforward_restriction_oracle(family: CertificateFamily, index: int,
     if family.germ.branches[index].trunc < max_rank + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
                               needed=max_rank + 1)
-    return {str(d): family.matrix_ideal(index, d)
+    return {str(d): family.module_ideal(index, d)
             == family.series_ideal(index, d)
             for d in range(1, max_rank + 1)}
 

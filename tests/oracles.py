@@ -17,6 +17,16 @@ routes, and only the tests call them:
   g(x(t), y(t)) = 0 mod t^(n*M), exact mod x^K for the conductor-based K
   of undetermined_coefficients_precision; the reference for the power-sum
   route of `branches.implicit_equation`.
+* DenseMatrix: an `ExactMatrix` with the whole dense API, checked
+  construction, zeros and identity, entries, sums, scalar multiples,
+  powers, elimination and rank, in which the tests state their facts.
+  The program keeps only the product and equality.
+* dense_action / dense_actions: the dense action matrix of a column (the
+  lower-triangular Toeplitz matrix of a fiber action) or of a (column, c)
+  pair (the jet action [[A, 0], [e c^T, A]]), and the dense
+  actions of a `modules.FiniteModule`, which holds only those series.
+  They also expand a closed-form power of `modules._action_power`, which
+  has the same two shapes.
 * multiplication_matrix: multiplication by a series on K[t]/(t^r), one
   shifted column per basis vector t^j; the reference for the Toeplitz
   actions of `modules.fiber_module`.
@@ -30,10 +40,11 @@ routes, and only the tests call them:
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
 * DenseModule: a module held by its dense action matrices, of any
-  shape, checked by `check_module_dense` when built.  `modules.FiniteModule`
-  reads only strictly lower-triangular Toeplitz and jet actions and
-  refuses any other; the tests build dense sums, conjugated fibers and
-  planted faults as DenseModules and compare the program's series
+  shape, checked by `check_module_dense` when built (`NotNilpotent` names
+  an action whose dim-th power is not zero).  `modules.FiniteModule`
+  holds only the series of strictly lower-triangular Toeplitz and jet
+  actions; the tests build dense views, dense sums, conjugated fibers
+  and planted faults as DenseModules and compare the program's series
   readings with them.
 * jet_uniformizer / jet_frame / DenseJet: the uniformizer's actions on a
   rank-r fiber and its jet, S and T = [[S, 0], [N, S]], and the frame maps
@@ -42,9 +53,9 @@ routes, and only the tests call them:
   `DenseJet` carries them beside its m1 and m2, and checks its frame
   entry by entry when built.
 * block_diag / dense_sum: the block-diagonal sum of matrices; the
-  DenseModule of a `modules.DirectSum` of modules, or the `DenseJet` of a
-  jet pair or a sum of them, every action and uniformizer the
-  block-diagonal sum of its summands'.  The program never builds it: it
+  DenseModule of a module or of a `modules.DirectSum` of modules, or the
+  `DenseJet` of a jet pair or a sum of them, every action and uniformizer
+  the block-diagonal sum of its summands'.  The program never builds it: it
   reads a sum through its summands, and the tests compare those readings
   (kills, powers, annihilators) with this dense sum.
 * check_module_dense / check_jet_dense: module and jet validation on the
@@ -65,8 +76,8 @@ routes, and only the tests call them:
   reference for `verify._padding_support_unchanged`, which compares at
   bound r0.
 * assembled: the block-diagonal matrix of (block, copies) runs, each
-  block a summand's `modules._action_power`, to compare with the dense
-  power of a dense sum.
+  block a summand's `modules._action_power` expanded by `dense_action`,
+  to compare with the dense power of a dense sum.
 * expand_jet_power: the dense rows of a tangent witness's printed
   `jet_power`, rebuilt from its (block, copies) runs with "0" off the
   blocks; the report prints the runs, and the tests compare these rows
@@ -93,13 +104,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
-from d0res.errors import (
-    D0resError,
-    NonCommutingActions,
-    NotNilpotent,
-    RaiseTruncation,
-)
-from d0res.fields import format_scalar, scalar_is_zero
+from d0res.errors import D0resError, NonCommutingActions, RaiseTruncation
+from d0res.fields import FieldElement, format_scalar, power, scalar_is_zero
 from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
@@ -116,6 +122,140 @@ from d0res.series import Series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class NotNilpotent(D0resError):
+    """A matrix expected to be nilpotent is not (support not punctual)."""
+
+
+class DenseMatrix(ExactMatrix):
+    """An `ExactMatrix` with the dense API: built from any rows of ints,
+    `Fraction`s and `FieldElement`s, checked for ragged rows; entries,
+    sums, scalar multiples, powers, elimination and rank.  Products of two
+    DenseMatrices run the program's `ExactMatrix.__mul__`."""
+
+    __slots__ = ()
+
+    def __init__(self, data):
+        data = tuple(tuple(_norm(x) for x in row) for row in data)
+        if data and any(len(row) != len(data[0]) for row in data):
+            raise D0resError("ragged matrix rows")
+        self.data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls([[_ZERO] * cols for _ in range(rows)])
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+
+    def __getitem__(self, idx):
+        i, j = idx
+        return self.data[i][j]
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        return f"DenseMatrix[{self.rows}x{self.cols}: {body}]"
+
+    def is_zero(self):
+        return all(scalar_is_zero(x) for row in self.data for x in row)
+
+    def is_square(self):
+        return self.rows == self.cols
+
+    def flat(self):
+        """Row-major entry tuple (used to column-ize matrices)."""
+        return tuple(x for row in self.data for x in row)
+
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise D0resError("shape mismatch")
+
+    def __add__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        self._same_shape(other)
+        return DenseMatrix([[a + b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.data, other.data)])
+
+    def __sub__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        self._same_shape(other)
+        return DenseMatrix([[a - b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.data, other.data)])
+
+    def __neg__(self):
+        return DenseMatrix([[-x for x in row] for row in self.data])
+
+    def scale(self, scalar):
+        return DenseMatrix([[x * scalar for x in row] for row in self.data])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return self.scale(other)
+        return super().__mul__(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not self.is_square():
+            raise D0resError("powers need a square matrix")
+        if n < 0:
+            raise D0resError("negative matrix power")
+        return power(self, n, DenseMatrix.identity(self.rows))
+
+    def rref(self):
+        """(reduced row echelon form, pivot columns); deterministic pivoting."""
+        rows, pivots = rref_rows([list(r) for r in self.data])
+        return DenseMatrix(rows), pivots
+
+    def rank(self):
+        if self.rows == 0 or self.cols == 0:
+            return 0
+        return len(self.rref()[1])
+
+
+def _norm(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Fraction, FieldElement)):
+        return x
+    raise D0resError(f"not an exact scalar: {x!r}")
+
+
+def dense_action(column, c=None) -> DenseMatrix:
+    """The dense action of a fiber column, the lower-triangular Toeplitz
+    matrix of `column`, entry (i, j) = column_(i-j) on and below the
+    diagonal and zero above it; or, with a row `c`, the jet action
+    [[A, 0], [e c^T, A]], A that Toeplitz matrix and e the last unit
+    vector.  `modules._action_power`'s (column, row) is expanded the same
+    way."""
+    r, s = column.trunc, column.coeffs
+    a = [[s[i - j] if i >= j else _ZERO for j in range(r)] for i in range(r)]
+    if c is None:
+        return DenseMatrix(a)
+    zeros = [_ZERO] * r
+    rows = [row + zeros for row in a] + [zeros + row for row in a]
+    rows[-1][:r] = c
+    return DenseMatrix(rows)
+
+
+def dense_actions(module) -> tuple:
+    """The dense action matrices of a `modules.FiniteModule`, written from
+    the columns or the (column, c) jets it holds."""
+    if module.columns is not None:
+        return tuple(dense_action(col) for col in module.columns)
+    return tuple(dense_action(col, c) for col, c in module.jets)
 
 
 def _normalize_equation(g: Poly) -> Poly:
@@ -340,7 +480,7 @@ def _poly_div_exact(num: Poly, den: Poly) -> Poly:
     return Poly(2, out)
 
 
-def multiplication_matrix(s: Series, r: int) -> ExactMatrix:
+def multiplication_matrix(s: Series, r: int) -> DenseMatrix:
     """Multiplication by s on K[t]/(t^r) in the power basis: column j is
     t^j * s(t) mod t^r."""
     cols = []
@@ -349,10 +489,10 @@ def multiplication_matrix(s: Series, r: int) -> ExactMatrix:
         for i, c in enumerate(s.coeffs[: max(0, r - j)]):
             shifted[i + j] = c
         cols.append(shifted)
-    return ExactMatrix([[cols[j][i] for j in range(r)] for i in range(r)])
+    return DenseMatrix([[cols[j][i] for j in range(r)] for i in range(r)])
 
 
-def eval_series_at_matrix(s, matrix: ExactMatrix):
+def eval_series_at_matrix(s, matrix: DenseMatrix):
     """s(A) for a truncated series s and nilpotent A with A^trunc == 0.
 
     Exact as long as the nilpotency index of A is at most the truncation of s;
@@ -362,8 +502,8 @@ def eval_series_at_matrix(s, matrix: ExactMatrix):
     n = matrix.rows
     if not matrix.is_square():
         raise D0resError("series evaluation needs a square matrix")
-    acc = ExactMatrix.zeros(n, n)
-    power = ExactMatrix.identity(n)
+    acc = DenseMatrix.zeros(n, n)
+    power = DenseMatrix.identity(n)
     for k, c in enumerate(s.coeffs):
         if k > 0:
             power = power * matrix
@@ -426,7 +566,7 @@ def jet_uniformizer(r: int):
         data[i + 1][i] = _ONE
     data[r][r - 1] = _ZERO
     data[2 * r - 1][r - 1] = Fraction(r)
-    return ExactMatrix(shift), ExactMatrix(data)
+    return DenseMatrix(shift), DenseMatrix(data)
 
 
 def _frame_indices(blocks):
@@ -451,7 +591,7 @@ def jet_frame(blocks):
         data = [[_ZERO] * cols for _ in range(rows)]
         for i, j in ones:
             data[i][j] = _ONE
-        return ExactMatrix(data)
+        return DenseMatrix(data)
 
     return (unit(2 * r, 2 * r, zip(bottoms, tops)),
             unit(2 * r, r, zip(bottoms, range(r))),
@@ -481,15 +621,15 @@ class DenseModule:
 @dataclass(frozen=True)
 class DenseJet:
     """A jet laid out densely: the fiber m1 and the jet m2, each a
-    FiniteModule or a DenseModule, the uniformizer's actions t_m1 and t_m2,
+    DenseModule, the uniformizer's actions t_m1 and t_m2,
     and the ranks `blocks` of its direct summands, each on its own frame,
     laid end to end.  Its frame is checked entry by entry when built
     (`check_jet_frame`)."""
 
-    m1: FiniteModule
-    m2: FiniteModule
-    t_m1: ExactMatrix
-    t_m2: ExactMatrix
+    m1: DenseModule
+    m2: DenseModule
+    t_m1: DenseMatrix
+    t_m2: DenseMatrix
     blocks: tuple
 
     def __post_init__(self):
@@ -522,17 +662,20 @@ def block_diag(*blocks):
             out[r0 + i][c0:c0 + b.cols] = brow
         r0 += b.rows
         c0 += b.cols
-    return ExactMatrix(out)
+    return DenseMatrix(out)
 
 
 def dense_sum(member):
-    """The DenseModule of a `DirectSum` of modules, its actions the
-    block-diagonal sums of its runs'; the `DenseJet` of a jet pair or of a
-    `DirectSum` of jet pairs, each summand one block with the uniformizer
-    of `jet_uniformizer`; any other module or jet as it is."""
+    """The DenseModule of a `FiniteModule` (`dense_actions`) or of a
+    `DirectSum` of modules, its actions the block-diagonal sums of its
+    runs'; the `DenseJet` of a jet pair or of a `DirectSum` of jet pairs,
+    each summand one block with the uniformizer of `jet_uniformizer`; any
+    other module or jet as it is."""
+    if isinstance(member, FiniteModule):
+        return DenseModule(member.dim, dense_actions(member))
     if isinstance(member, JetPair):
-        return DenseJet(member.m1, member.m2, *jet_uniformizer(member.rank),
-                        (member.rank,))
+        return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
+                        *jet_uniformizer(member.rank), (member.rank,))
     if not isinstance(member, DirectSum):
         return member
     runs = [(dense_sum(s), copies) for s, copies in member.runs]
@@ -541,7 +684,7 @@ def dense_sum(member):
         return block_diag(*[matrix_of(s) for s, copies in runs
                             for _ in range(copies)])
 
-    if isinstance(runs[0][0], FiniteModule):
+    if isinstance(runs[0][0], DenseModule):
         return DenseModule(member.dim, tuple(
             block_sum(lambda s: s.actions[k]) for k in range(member.ambient_dim)))
     return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
@@ -597,11 +740,12 @@ def check_jet_dense(jet):
 
 def dense_annihilator(module, degree_bound: int):
     """The annihilator of `module` at `degree_bound`: every monomial up to
-    that degree evaluated on the action matrices, one row per entry of the
-    dim x dim values, whatever the actions' shape."""
+    that degree evaluated on the dense action matrices (`dense_sum`), one
+    row per entry of the dim x dim values, whatever the actions' shape."""
+    module = dense_sum(module)
     monomials = monomials_upto(module.ambient_dim, degree_bound)
     values = monomial_values(module.actions, monomials,
-                             ExactMatrix.identity(module.dim))
+                             DenseMatrix.identity(module.dim))
     cols = [value.flat() for value in values]
     rows = [[col[i] for col in cols] for i in range(module.dim * module.dim)]
     return functional_ideal(degree_bound, monomials, rows)
@@ -702,7 +846,7 @@ def puiseux_transform_by_evaluation(f: Poly, p, q, A, B) -> Poly:
     return g
 
 
-def nullspace(m: ExactMatrix):
+def nullspace(m: DenseMatrix):
     """Exact basis of the right kernel of m, one vector per free column.
 
     The vector for free column f has 1 in slot f and -rref[i][f] in the
@@ -748,14 +892,14 @@ def eval_poly_at_matrices(f, mats):
                 raise NonCommutingActions(
                     f"action matrices {i} and {j} do not commute"
                 )
-    return f.evaluate(mats, ExactMatrix.identity(n))
+    return f.evaluate(mats, DenseMatrix.identity(n))
 
 
-def nilpotency_index(a: ExactMatrix) -> int:
+def nilpotency_index(a: DenseMatrix) -> int:
     """Smallest k with a^k = 0; error if not nilpotent within dim steps."""
     if not a.is_square():
         raise D0resError("nilpotency index needs a square matrix")
-    power = ExactMatrix.identity(a.rows)
+    power = DenseMatrix.identity(a.rows)
     for k in range(1, a.rows + 1):
         power = power * a
         if power.is_zero():
@@ -763,7 +907,7 @@ def nilpotency_index(a: ExactMatrix) -> int:
     raise NotNilpotent("matrix is not nilpotent within its dimension")
 
 
-def is_strictly_lower(a: ExactMatrix) -> bool:
+def is_strictly_lower(a: DenseMatrix) -> bool:
     """Square with every entry on and above the diagonal zero, which
     proves it nilpotent (its dim-th power is zero)."""
     return a.is_square() and all(
@@ -787,4 +931,4 @@ def support_length(module: FiniteModule, degree_bound: int = None) -> int:
 
 def _image_algebra_dim(module, degree):
     _, rows = _evaluation_rows(module, degree)
-    return ExactMatrix(rows).rank()
+    return DenseMatrix(rows).rank()

@@ -745,6 +745,29 @@ def test_corpus_computes_each_summand_answer_once(monkeypatch):
         assert built["pad"] == 2 * k, path.name
 
 
+def test_no_matrix_larger_than_r0_is_built(monkeypatch):
+    """`analyze` on every corpus request, at its default ranks and at
+    r0 + 2 alone, builds no `ExactMatrix` larger than r0 x r0.  Modules
+    hold their series, and a jet's commutation check multiplies a 1 x r
+    row by an r x r Toeplitz block, so no 2r x 2r action is written."""
+    trusted = ExactMatrix._trusted.__func__
+    shapes = []
+
+    def recorded(cls, rows):
+        m = trusted(cls, rows)
+        shapes.append((m.rows, m.cols))
+        return m
+
+    monkeypatch.setattr(ExactMatrix, "_trusted", classmethod(recorded))
+    for path in sorted(CORPUS.glob("*.json")):
+        request = json.loads(path.read_text())
+        del shapes[:]
+        r0 = run_analyze(parse_request(request))["germ"]["r0"]
+        run_analyze(parse_request({**request, "ranks": [r0 + 2]}))
+        assert shapes and max(map(max, shapes)) <= r0, (path.name, r0,
+                                                        max(shapes))
+
+
 def _contact_ladder_pins():
     """{c: (sha256, bytes)} from tests/data/contact_ladder.sha256."""
     lines = (DATA / "contact_ladder.sha256").read_text().splitlines()
@@ -882,16 +905,10 @@ def test_strict_fails_on_a_false_pushforward_row(tmp_path, monkeypatch,
 
 
 def _shifted_fiber_module(b, r):
-    """A valid module of another series: every Toeplitz diagonal of
-    `fiber_module` one step further down, the actions of t * s(t)."""
-    actions = []
-    for s in b.coords:
-        data = [[Fraction(0)] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i - 1):
-                data[i][j] = s.coeffs[i - j - 1]
-        actions.append(ExactMatrix(data))
-    return FiniteModule(r, tuple(actions))
+    """A valid module of another series: every column of `fiber_module`
+    one step further down, the actions of t * s(t)."""
+    return FiniteModule(r, columns=tuple(
+        Series([Fraction(0), *s.coeffs[:r - 1]]) for s in b.coords))
 
 
 def _shifted_evaluation_columns(b, degree, nt):
@@ -903,30 +920,27 @@ def _shifted_evaluation_columns(b, degree, nt):
 
 
 def _bumped_fiber_module(b, r):
-    """`fiber_module` with 1 added to x's action one entry below its first
-    column, at (r - 1, 1), from rank 3 on.  The action is neither Toeplitz
-    nor a jet action, so `FiniteModule` refuses it."""
+    """`fiber_module` with x's column bumped by 1 at t^(r - 2) from rank 3
+    on: the Toeplitz diagonal on which an entry at (r - 1, 1) sits.  It is
+    a valid fiber of another series, so only the comparisons catch it."""
     fiber = modules_module.fiber_module(b, r)
     if r < 3:
         return fiber
-    data = [list(row) for row in fiber.actions[0].data]
-    data[r - 1][1] += 1
-    return FiniteModule(r, (ExactMatrix(data), *fiber.actions[1:]))
+    x, *rest = fiber.columns
+    return FiniteModule(r, columns=(
+        x + Series.monomial(r - 2, Fraction(1), r), *rest))
 
 
 # What catches each mutant: `oracle`'s exit code on each corpus request
-# (1 for a false cross-check row, 2 where `FiniteModule` refuses the bumped
-# x), then a request, the exit code of `analyze --strict` on it (1 for a
-# false cross-check row, 2 for the refusal), and a padded rank at which it
-# fails too (1 for a failed padding check, 2 for the refusal).
-REFUSED = (b"error: an action is neither strictly lower-triangular Toeplitz "
-           b"nor a jet action\n")
+# (1 for a false cross-check row), then a request, the exit code of
+# `analyze --strict` on it (1 for a false cross-check row), and a padded
+# rank at which the padding check fails.
 _STEMS = sorted(p.stem for p in CORPUS.glob("*.json"))
 _SHIFTED = (dict.fromkeys(_STEMS, 1), "node", 1, 3)
 CROSSCHECK_CATCHES = {
     "_shifted_fiber_module": _SHIFTED,
     "_shifted_evaluation_columns": _SHIFTED,
-    "_bumped_fiber_module": (dict.fromkeys(_STEMS, 2), "tacnode", 2, 4),
+    "_bumped_fiber_module": (dict.fromkeys(_STEMS, 1), "tacnode", 1, 4),
 }
 
 
@@ -937,15 +951,15 @@ CROSSCHECK_CATCHES = {
 ])
 def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
         monkeypatch, capsysbinary, module, name, mutant):
-    """Either route fed the fiber of t * s(t), or the matrix route fed a
-    fiber with one entry bumped below its first column, is caught where
+    """Either route fed the fiber of t * s(t), or the module route fed a
+    fiber whose x column is bumped at t^(r - 2), is caught where
     `CROSSCHECK_CATCHES` says.  The shifted fibers fail `oracle` on every
     corpus request, and `analyze --strict` on the node, whose report range
     1..2 holds a false row; the padding check compares the same two
     annihilators at r0, so the node at rank 3 fails it too.  The bumped
-    fiber is refused, with no report, by `oracle` on every corpus request
-    (its ranks 1..4 reach 3) and by `analyze --strict` on the tacnode
-    (r0 = 3) at its default ranks and at rank 4."""
+    fiber fails `oracle` on every corpus request (its ranks 1..4 reach 3),
+    and `analyze --strict` on the tacnode (r0 = 3): its row at 3 is false
+    at the default ranks, and the padding check fails at rank 4."""
     monkeypatch.setattr(module, name, mutant)
     oracle_rc, request, analyze_rc, padded_rank = CROSSCHECK_CATCHES[
         mutant.__name__]
@@ -953,19 +967,13 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     assert [path.stem for path in paths] == list(oracle_rc)
     for path in paths:
         assert main(["oracle", str(path)]) == oracle_rc[path.stem], path
-        captured = capsysbinary.readouterr()
-        if oracle_rc[path.stem] == 2:
-            assert captured.err == REFUSED and not captured.out, path
-        else:
-            out = json.loads(captured.out.decode())
-            assert out["pass"] is (oracle_rc[path.stem] == 0), path
+        out = json.loads(capsysbinary.readouterr().out.decode())
+        assert out["pass"] is (oracle_rc[path.stem] == 0), path
     path = str(CORPUS / f"{request}.json")
     for ranks in ([], ["--rank", str(padded_rank)]):
         assert main(["analyze", path, *ranks, "--strict"]) == analyze_rc
         captured = capsysbinary.readouterr()
-        if analyze_rc == 2:
-            assert captured.err == REFUSED and not captured.out, ranks
-        elif ranks:
+        if ranks:
             (cert,) = json.loads(captured.out.decode())["certificates"]
             assert cert["padding_support_ok"] is False
             assert cert["pass"] is False
@@ -980,23 +988,22 @@ _JET_PAIR = modules_module.jet_pair
 
 
 def _doubled_c_row_jet_pair(b, r):
-    """`jet_pair` with a wrong C row: x's action on M2 has the row c, the
-    last row of its lower-left block, doubled.  The action still reads
-    [[A, 0], [e c^T, A]], so it is read as a jet and the frame holds."""
+    """`jet_pair` with a wrong C row: x's jet on M2 has its row c, the
+    last row of the lower-left block, doubled.  It is still a jet with
+    M1's columns, so the frame holds."""
     jet = _JET_PAIR(b, r)
-    data = [list(row) for row in jet.m2.actions[0].data]
-    data[-1][:r] = [2 * x for x in data[-1][:r]]
-    m2 = FiniteModule(2 * r, (ExactMatrix(data), *jet.m2.actions[1:]))
+    (column, c), *rest = jet.m2.jets
+    m2 = FiniteModule(2 * r, jets=((column, tuple(2 * x for x in c)), *rest))
     return modules_module.JetPair(jet.m1, m2)
 
 
 # What catches a wrong C row in `jet_pair` on each corpus request under
 # `analyze --strict`: "commute" where the doubled row breaks c^T B = d^T A
 # against another coordinate (exit 2); "golden" where every jet the
-# request builds has Toeplitz actions (A = 0 on the rank-r0 jet of a
-# branch of order >= r0, and on every rank-1 skyscraper), which commute
-# whatever c is, so every certificate still passes and only the printed
-# jet power differs from the golden.
+# request builds has A = 0 on every coordinate (the rank-r0 jet of a
+# branch of order >= r0, and every rank-1 skyscraper), whose actions
+# commute whatever c is, so every certificate still passes and only the
+# printed jet power differs from the golden.
 JET_FAULT_CATCHES = {
     "cusp": "golden", "cyclotomic_triple": "commute", "e6": "golden",
     "gaussian_node": "commute", "node": "commute",
@@ -1009,7 +1016,7 @@ JET_FAULT_CATCHES = {
 def test_a_wrong_c_row_in_jet_pair_is_caught(monkeypatch, capsysbinary):
     """With x's C row doubled in every jet pair, base and skyscraper, each
     corpus request is caught where `JET_FAULT_CATCHES` says.  The doubled
-    row still reads as a jet, so the commutation is judged on the jet rows
+    row is still a jet, so the commutation is judged on the jet rows
     (c^T B = d^T A)."""
     for module in (modules_module, verify_module):
         monkeypatch.setattr(module, "jet_pair", _doubled_c_row_jet_pair)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from d0res.errors import D0resError, NonCommutingActions
 from d0res.fields import NumberField
 from d0res import linalg as linalg_module
-from d0res.linalg import ExactMatrix
 from d0res.poly import Poly
 from d0res.series import Series
 from oracles import (
+    DenseMatrix,
     block_diag,
     eval_poly_at_matrices,
     eval_series_at_matrix,
@@ -23,13 +23,13 @@ F = Fraction
 
 
 def M(rows):
-    return ExactMatrix([[F(x) for x in row] for row in rows])
+    return DenseMatrix([[F(x) for x in row] for row in rows])
 
 
 def test_nullspace_examples():
     assert nullspace(M([[1, 2], [2, 4]])) == [(F(-2), F(1))]
-    assert nullspace(ExactMatrix.identity(3)) == []
-    basis = nullspace(ExactMatrix.zeros(2, 3))
+    assert nullspace(DenseMatrix.identity(3)) == []
+    basis = nullspace(DenseMatrix.zeros(2, 3))
     assert len(basis) == 3
     assert basis[0] == (F(1), F(0), F(0))
 
@@ -46,14 +46,14 @@ def test_matmul_and_pow():
     sq = shift * shift
     assert sq == M([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     assert (shift ** 3).is_zero()
-    assert shift ** 0 == ExactMatrix.identity(3)
+    assert shift ** 0 == DenseMatrix.identity(3)
 
 
 def test_eval_poly_at_matrices_examples():
     shift3 = M([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    zero3 = ExactMatrix.zeros(3, 3)
+    zero3 = DenseMatrix.zeros(3, 3)
     one = Poly.constant(2, F(1))
-    assert eval_poly_at_matrices(one, [shift3, zero3]) == ExactMatrix.identity(3)
+    assert eval_poly_at_matrices(one, [shift3, zero3]) == DenseMatrix.identity(3)
     xsq = Poly(2, {(2, 0): F(1)})
     assert eval_poly_at_matrices(xsq, [shift3, zero3]) == shift3 * shift3
     xy = Poly(2, {(1, 1): F(1)})
@@ -94,9 +94,9 @@ def test_block_diag():
 
 
 def _assert_as_if_checked(m):
-    """`m` equals ExactMatrix(m's rows) built through the checked
+    """`m` equals DenseMatrix(m's rows) built through the checked
     constructor, slot by slot: tuple rows, entry types and shape."""
-    checked = ExactMatrix([list(row) for row in m.data])
+    checked = DenseMatrix([list(row) for row in m.data])
     assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
     assert m.data == checked.data
     assert [type(x) for row in m.data for x in row] == [
@@ -112,11 +112,11 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 def test_trusted_products_and_direct_sums(n, k, m, data):
     """Products of rational matrices skip the constructor's checks; they
     still equal the checked matrix, and so do the tests' direct sums."""
-    a = ExactMatrix([[data.draw(rationals) for _ in range(k)] for _ in range(n)])
-    b = ExactMatrix([[data.draw(rationals) for _ in range(m)] for _ in range(k)])
+    a = DenseMatrix([[data.draw(rationals) for _ in range(k)] for _ in range(n)])
+    b = DenseMatrix([[data.draw(rationals) for _ in range(m)] for _ in range(k)])
     prod = a * b
     _assert_as_if_checked(prod)
-    assert prod == ExactMatrix([[sum(a[i, l] * b[l, j] for l in range(k))
+    assert prod == DenseMatrix([[sum(a[i, l] * b[l, j] for l in range(k))
                                  for j in range(m)] for i in range(n)])
     total = block_diag(a, b, prod)
     _assert_as_if_checked(total)
@@ -135,7 +135,7 @@ def test_direct_sum_with_field_elements_is_checked(monkeypatch):
             return product(a, b)
         monkeypatch.setattr(linalg_module, name, recorded)
     gauss = NumberField([1, 0, 1], generator="i")
-    field_block = ExactMatrix([[gauss.gen(), F(0)], [F(1), gauss.gen()]])
+    field_block = DenseMatrix([[gauss.gen(), F(0)], [F(1), gauss.gen()]])
     rational_block = M([[1, 2], [3, 4]])
     for blocks in ((field_block, rational_block), (rational_block, field_block)):
         _assert_as_if_checked(block_diag(*blocks))
@@ -146,16 +146,16 @@ def test_direct_sum_with_field_elements_is_checked(monkeypatch):
 
 def test_is_strictly_lower():
     assert is_strictly_lower(M([[0, 0], [5, 0]]))
-    assert is_strictly_lower(ExactMatrix.zeros(3, 3))
+    assert is_strictly_lower(DenseMatrix.zeros(3, 3))
     assert not is_strictly_lower(M([[0, 0], [5, 1]]))
     assert not is_strictly_lower(M([[0, 1], [0, 0]]))
-    assert not is_strictly_lower(ExactMatrix.zeros(2, 3))
+    assert not is_strictly_lower(DenseMatrix.zeros(2, 3))
 
 
 def test_extension_field_matrices():
     gauss = NumberField([1, 0, 1], generator="i")
     i = gauss.gen()
-    m = ExactMatrix([[i, gauss.from_rational(1)],
+    m = DenseMatrix([[i, gauss.from_rational(1)],
                      [gauss.from_rational(-1), i]])
     # (i row-reduces to a rank-1 matrix: second row = -i * first)
     assert m.rank() == 1

@@ -8,15 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res.branches import BranchParam
-from d0res.errors import (D0resError, NonCommutingActions, NotNilpotent,
-                          RaiseTruncation)
-from d0res.fields import FieldElement, NumberField, scalar_is_zero
+from d0res.errors import D0resError, NonCommutingActions, RaiseTruncation
+from d0res.fields import FieldElement, NumberField, format_scalar, scalar_is_zero
 from d0res import linalg as linalg_module
 from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     DirectSum,
     _action_power,
-    _jet_column,
     FiniteModule,
     JetPair,
     annihilator,
@@ -27,18 +25,21 @@ from d0res.modules import (
     jet_pair,
     kernel_echelon,
     pad,
-    toeplitz_column,
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
-from d0res.verify import CertificateFamily, _kills
+from d0res.verify import CertificateFamily, _kills, _power_is_zero, _printed
 from oracles import (
     DenseJet,
+    DenseMatrix,
     DenseModule,
+    NotNilpotent,
     assembled,
     block_diag,
     check_jet_dense,
     check_module_dense,
+    dense_action,
+    dense_actions,
     dense_annihilator,
     dense_sum,
     eval_poly_at_matrices,
@@ -67,24 +68,36 @@ SMOOTH = NODE1
 
 
 def M(rows):
-    return ExactMatrix([[F(x) for x in row] for row in rows])
+    return DenseMatrix([[F(x) for x in row] for row in rows])
 
 
-# what `FiniteModule` says of an action it reads neither way, and what a
-# series reading says of a module read as jets
-REFUSED = ("an action is neither strictly lower-triangular Toeplitz nor a "
-           "jet action")
+# what `FiniteModule` says of a column with a t^0 term and of a jet row of
+# the wrong length, what `JetPair` says of a jet off its fiber's columns,
+# and what a series reading says of a module held as jets
+NOT_NILPOTENT = ("an action's column has a nonzero t^0 coefficient, so the "
+                 "action is not nilpotent")
+C_LENGTH = "a jet's c row must have the fiber's length"
+FRAME = "inclusion and projection must intertwine the coordinate actions"
 NOT_A_FIBER = "a fiber's actions must be strictly lower-triangular Toeplitz"
+NOT_COMMUTING = "coordinate actions must commute"
+
+
+def _dense_of(columns=(), jets=()):
+    """The dense actions that `columns` or `jets` write, whether or not
+    `FiniteModule` would hold them."""
+    return (tuple(dense_action(col) for col in columns)
+            + tuple(dense_action(col, c) for col, c in jets))
 
 
 def test_fiber_module_examples():
     fm = fiber_module(CUSP, 2)
-    assert all(a.is_zero() for a in fm.actions)
+    assert fm.columns == (Series.zero(2), Series.zero(2)) and fm.jets is None
+    assert all(a.is_zero() for a in dense_actions(fm))
     fm2 = fiber_module(NODE1, 2)
-    assert fm2.actions[0] == M([[0, 0], [1, 0]])
-    assert fm2.actions[1].is_zero()
+    assert dense_actions(fm2)[0] == M([[0, 0], [1, 0]])
+    assert dense_actions(fm2)[1].is_zero()
     fm3 = fiber_module(SMOOTH, 1)
-    assert fm3.dim == 1 and all(a.is_zero() for a in fm3.actions)
+    assert fm3.dim == 1 and all(a.is_zero() for a in dense_actions(fm3))
 
 
 def test_fiber_module_needs_truncation():
@@ -96,7 +109,7 @@ def test_fiber_equals_multiplication_table():
     for branch in (CUSP, NODE1, B([(1, 1)], [(2, 1)])):
         for r in (1, 2, 3, 4, 6):
             fm = fiber_module(branch, r)
-            for s, a in zip(branch.coords, fm.actions):
+            for s, a in zip(branch.coords, dense_actions(fm)):
                 assert multiplication_matrix(s.truncate(r), r) == a
 
 
@@ -122,9 +135,10 @@ def test_jet_nilpotency_indices(r):
 
 def test_cusp_jet_coordinate_action():
     jp = jet_pair(CUSP, 2)
-    x2 = jp.m2.actions[0]
+    assert jp.m2.jets[0] == (Series.zero(2), (F(2), F(0)))
+    x2 = dense_actions(jp.m2)[0]
     assert x2 == M([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
-    assert jp.m1.actions[0].is_zero()
+    assert dense_actions(jp.m1)[0].is_zero()
 
 
 def test_jet_matches_fiber():
@@ -137,25 +151,25 @@ def test_jet_matches_fiber():
 def test_graph_skyscraper():
     fib, jet = graph_skyscraper(SMOOTH)
     assert fib is jet.m1 and jet == jet_pair(SMOOTH, 1)
-    assert fib.dim == 1 and all(a.is_zero() for a in fib.actions)
-    assert not jet.m2.actions[0].is_zero()      # coefficient of t is 1
-    assert jet.m2.actions[1].is_zero()
+    assert fib.dim == 1 and all(a.is_zero() for a in dense_actions(fib))
+    assert not dense_actions(jet.m2)[0].is_zero()   # coefficient of t is 1
+    assert dense_actions(jet.m2)[1].is_zero()
     _, jet_cusp = graph_skyscraper(CUSP)
-    assert all(a.is_zero() for a in jet_cusp.m2.actions)
+    assert all(a.is_zero() for a in dense_actions(jet_cusp.m2))
 
 
 def _bumped(a, i, j):
     """`a` with 1 added at entry (i, j)."""
     data = [list(row) for row in a.data]
     data[i][j] += 1
-    return ExactMatrix(data)
+    return DenseMatrix(data)
 
 
 # the cusp's rank-2 jet: all M1 actions zero, M2's x action 2*E(3, 0);
 # padded with two skyscrapers its M2 frame has tops 0, 1, 4, 6 and
 # bottoms 2, 3, 5, 7
 CUSP_JET = jet_pair(CUSP, 2)
-CUSP_PADDED = dense_sum(pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2))
+CUSP_PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
 
 
 @pytest.mark.parametrize("jet, entry", [
@@ -168,19 +182,23 @@ CUSP_PADDED = dense_sum(pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2))
 def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
     """An M2 action that is a valid module action, as the dense reference
     finds, but does not read [[A, 0], [C, A]] on (tops, bottoms) is
-    rejected: on one block by `FiniteModule`, which reads it neither as
-    Toeplitz nor as a jet, across several by the tests' `DenseJet`."""
-    assert replace(jet) == jet
-    x2 = _bumped(jet.m2.actions[0], *entry)
-    actions = (x2,) + jet.m2.actions[1:]
-    DenseModule(jet.m2.dim, actions)                    # still valid
-    with pytest.raises(D0resError):
-        replace(jet, m2=type(jet.m2)(jet.m2.dim, actions))
+    rejected by the tests' `DenseJet`, on one block and across several.
+    A jet held by its series cannot be such an action: it holds only A's
+    column and C's last row."""
+    dense = dense_sum(jet)
+    assert replace(dense) == dense
+    x2 = _bumped(dense.m2.actions[0], *entry)
+    actions = (x2,) + dense.m2.actions[1:]
+    DenseModule(dense.m2.dim, actions)                  # still valid
+    with pytest.raises(D0resError, match="off the jet frame"):
+        replace(dense, m2=DenseModule(dense.m2.dim, actions))
 
 
 def test_a_jet_pair_is_its_fiber_and_its_jet():
     """A jet pair holds M1 and M2 and nothing else, on one fixed frame; it
-    refuses a jet of the wrong dimension or ambient dimension."""
+    refuses a jet of the wrong dimension or ambient dimension, an M2 held
+    by columns, and jets whose columns are not its fiber's, with the text
+    the CLI prints."""
     jet = CUSP_JET
     assert [f.name for f in fields(JetPair)] == ["m1", "m2"]
     assert JetPair(jet.m1, jet.m2) == jet
@@ -189,6 +207,11 @@ def test_a_jet_pair_is_its_fiber_and_its_jet():
     space = jet_pair(B([(2, 1)], [(3, 1)], [(4, 1)]), 2)
     with pytest.raises(D0resError, match="share the ambient dimension"):
         JetPair(jet.m1, space.m2)
+    with pytest.raises(D0resError, match="M2 must be held as jets"):
+        JetPair(jet.m1, fiber_module(CUSP, 4))
+    with pytest.raises(D0resError) as caught:
+        JetPair(fiber_module(NODE1, 2), jet_pair(B([(1, 1)], [(1, 1)]), 2).m2)
+    assert str(caught.value) == FRAME
 
 
 def test_the_dense_jet_checks_uniformizer_and_blocks():
@@ -196,7 +219,7 @@ def test_the_dense_jet_checks_uniformizer_and_blocks():
     that do not fit its dims."""
     jet = dense_sum(CUSP_JET)
     with pytest.raises(D0resError):     # t_m1 is not t_m2's diagonal block
-        replace(jet, t_m1=ExactMatrix.zeros(2, 2))
+        replace(jet, t_m1=DenseMatrix.zeros(2, 2))
     with pytest.raises(D0resError):     # t_m2 maps a bottom into the tops
         replace(jet, t_m2=_bumped(jet.t_m2, 0, 3))
     for blocks in ((1,), (3,), (2, 0), (1, 1)):
@@ -237,7 +260,8 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
     check_jet_dense(dense_sum(jet))
     assert dense_sum(jet).m2.actions[0] == block_diag(
-        jet_pair(NODE1, 2).m2.actions[0], *[sky_jet.m2.actions[0]] * 3)
+        dense_actions(jet_pair(NODE1, 2).m2)[0],
+        *[dense_actions(sky_jet.m2)[0]] * 3)
 
 
 def test_pad_builds_no_matrix(monkeypatch):
@@ -249,7 +273,6 @@ def test_pad_builds_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("pad built a matrix")
 
-    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
     monkeypatch.setattr(ExactMatrix, "_trusted", refuse)
     jet = pad(base, sky_jet, 10**6)
     assert jet.rank == 2 + 10**6 and jet.runs == ((base, 1), (sky_jet, 10**6))
@@ -268,15 +291,164 @@ def test_pad_rejects_mismatched_ambient_dimensions():
 
 def test_a_bad_filler_is_refused_when_built():
     """A filler whose actions are not nilpotent, or do not commute, never
-    exists to be padded: `FiniteModule` refuses it by its shape, and the
-    dense reference by its powers or its products."""
-    not_nilpotent = (M([[1]]), M([[0]]))
-    not_commuting = (M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]]))
-    for actions, dense_error in ((not_nilpotent, NotNilpotent),
-                                 (not_commuting, NonCommutingActions)):
+    exists to be padded: `FiniteModule` refuses a column with a t^0 term
+    and jets whose rows break c^T B = d^T A, and the dense reference
+    refuses their dense actions by its powers or its products."""
+    shift = Series([F(0), F(1)])
+    not_nilpotent = {"columns": (Series([F(1)]), Series.zero(1))}
+    # [[S, 0], [e (0, 1), S]] and [[S, 0], [0, S]]: e c^T S = e (1, 0)
+    not_commuting = {"jets": ((shift, (F(0), F(1))), (shift, (F(0), F(0))))}
+    for held, dim, text, dense_error in (
+            (not_nilpotent, 1, NOT_NILPOTENT, NotNilpotent),
+            (not_commuting, 4, NOT_COMMUTING, NonCommutingActions)):
         with pytest.raises(D0resError) as caught:
-            FiniteModule(actions[0].rows, actions)
-        assert str(caught.value) == REFUSED
+            FiniteModule(dim, **held)
+        assert str(caught.value) == text
+        with pytest.raises(dense_error):
+            DenseModule(dim, _dense_of(**held))
+
+
+PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+
+
+@pytest.mark.parametrize("jet, entry", [
+    (CUSP_JET, (1, 2)),         # top-right: a bottom mapped into the tops
+    (CUSP_JET, (3, 2)),         # bottom-right differs from the M1 action
+    (CUSP_JET, (1, 0)),         # top-left differs from the M1 action
+    (CUSP_PADDED, (4, 7)),      # top-right across two blocks
+    (CUSP_PADDED, (7, 5)),      # bottom-right across two blocks
+])
+def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
+    """An M2 action that is a valid module action, as the dense reference
+    finds, but does not read [[A, 0], [C, A]] on (tops, bottoms) is
+    rejected by the tests' `DenseJet`, on one block and across several.
+    A jet held by its series cannot be such an action: it holds only A's
+    column and C's last row."""
+    dense = dense_sum(jet)
+    assert replace(dense) == dense
+    x2 = _bumped(dense.m2.actions[0], *entry)
+    actions = (x2,) + dense.m2.actions[1:]
+    DenseModule(dense.m2.dim, actions)                  # still valid
+    with pytest.raises(D0resError, match="off the jet frame"):
+        replace(dense, m2=DenseModule(dense.m2.dim, actions))
+
+
+def test_a_jet_pair_is_its_fiber_and_its_jet():
+    """A jet pair holds M1 and M2 and nothing else, on one fixed frame; it
+    refuses a jet of the wrong dimension or ambient dimension, an M2 held
+    by columns, and jets whose columns are not its fiber's, with the text
+    the CLI prints."""
+    jet = CUSP_JET
+    assert [f.name for f in fields(JetPair)] == ["m1", "m2"]
+    assert JetPair(jet.m1, jet.m2) == jet
+    with pytest.raises(D0resError, match="twice the fiber dimension"):
+        JetPair(jet.m1, jet_pair(CUSP, 3).m2)
+    space = jet_pair(B([(2, 1)], [(3, 1)], [(4, 1)]), 2)
+    with pytest.raises(D0resError, match="share the ambient dimension"):
+        JetPair(jet.m1, space.m2)
+    with pytest.raises(D0resError, match="M2 must be held as jets"):
+        JetPair(jet.m1, fiber_module(CUSP, 4))
+    with pytest.raises(D0resError) as caught:
+        JetPair(fiber_module(NODE1, 2), jet_pair(B([(1, 1)], [(1, 1)]), 2).m2)
+    assert str(caught.value) == FRAME
+
+
+def test_the_dense_jet_checks_uniformizer_and_blocks():
+    """The tests' dense jet refuses a uniformizer off its frame and blocks
+    that do not fit its dims."""
+    jet = dense_sum(CUSP_JET)
+    with pytest.raises(D0resError):     # t_m1 is not t_m2's diagonal block
+        replace(jet, t_m1=DenseMatrix.zeros(2, 2))
+    with pytest.raises(D0resError):     # t_m2 maps a bottom into the tops
+        replace(jet, t_m2=_bumped(jet.t_m2, 0, 3))
+    for blocks in ((1,), (3,), (2, 0), (1, 1)):
+        with pytest.raises(D0resError):
+            replace(jet, blocks=blocks)
+
+
+def test_pad_examples():
+    fib, jet = graph_skyscraper(NODE1)
+    base = fiber_module(NODE1, 2)
+    assert pad(base, fib, 0) is base
+    padded = pad(base, fib, 1)
+    assert padded.dim == 3
+    assert dense_sum(padded).actions[0] == M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    jp = pad(jet_pair(NODE1, 2), jet, 2)
+    assert jp.m1.dim == 4 and jp.m2.dim == 8 and jp.rank == 4
+    dense = dense_sum(jp)
+    assert (dense.eps * dense.eps).is_zero()
+    assert dense.incl * dense.proj == dense.eps
+    with pytest.raises(D0resError):
+        pad(base, fiber_module(B([(1, 1)], [], [], n=8), 1), 1)
+
+
+def test_pad_builds_a_direct_sum_of_its_summands():
+    """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
+    and m2 are the sums of its summands' m1 and m2.  The dense sums the
+    tests assemble pass the dense reference and the public constructors."""
+    sky, sky_jet = graph_skyscraper(NODE1)
+    base = fiber_module(NODE1, 2)
+    padded = pad(base, sky, 3)
+    assert padded == DirectSum(((base, 1), (sky, 3)))
+    assert (padded.dim, padded.ambient_dim) == (5, 2)
+    check_module_dense(dense_sum(padded))
+    jet = pad(jet_pair(NODE1, 2), sky_jet, 3)
+    assert jet.runs == ((jet_pair(NODE1, 2), 1), (sky_jet, 3))
+    assert dense_sum(jet).blocks == (2, 1, 1, 1) and jet.rank == 5
+    assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
+    assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
+    check_jet_dense(dense_sum(jet))
+    assert dense_sum(jet).m2.actions[0] == block_diag(
+        dense_actions(jet_pair(NODE1, 2).m2)[0],
+        *[dense_actions(sky_jet.m2)[0]] * 3)
+
+
+def test_pad_builds_no_matrix(monkeypatch):
+    """Padding a jet pair with a million skyscraper jets builds no matrix:
+    the sum is its two runs."""
+    sky_jet = graph_skyscraper(NODE1)[1]
+    base = jet_pair(NODE1, 2)
+
+    def refuse(*args):
+        raise AssertionError("pad built a matrix")
+
+    monkeypatch.setattr(ExactMatrix, "_trusted", refuse)
+    jet = pad(base, sky_jet, 10**6)
+    assert jet.rank == 2 + 10**6 and jet.runs == ((base, 1), (sky_jet, 10**6))
+    assert jet.m1.runs == ((base.m1, 1), (sky_jet.m1, 10**6))
+
+
+def test_pad_rejects_mismatched_ambient_dimensions():
+    space = B([(1, 1)], [], [], n=8)
+    with pytest.raises(D0resError, match="ambient dimension"):
+        pad(fiber_module(NODE1, 2), graph_skyscraper(space)[0], 1)
+    with pytest.raises(D0resError, match="ambient dimension"):
+        pad(jet_pair(NODE1, 2), graph_skyscraper(space)[1], 1)
+    with pytest.raises(D0resError, match="two modules or two jet pairs"):
+        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[0], 1)
+
+
+def test_a_bad_filler_is_refused_when_built():
+    """A filler whose actions are not nilpotent, or do not commute, never
+    exists to be padded: `FiniteModule` refuses a column with a t^0 term
+    and jets whose rows break c^T B = d^T A, and the dense reference
+    refuses their dense actions by its powers or its products."""
+    shift, zero = Series([F(0), F(1)]), Series.zero(2)
+    not_nilpotent = ([(Series([F(1)]), None), (Series.zero(1), None)],
+                     NOT_NILPOTENT, NotNilpotent)
+    # [[S, 0], [e (0, 1), S]] and [[S, 0], [0, S]]: e c^T S = e (1, 0)
+    not_commuting = ([(shift, (F(0), F(1))), (shift, (F(0), F(0)))],
+                     NOT_COMMUTING, NonCommutingActions)
+    assert (zero, None) not in not_commuting[0]
+    for series, text, dense_error in (not_nilpotent, not_commuting):
+        actions = tuple(dense_action(*s) for s in series)
+        with pytest.raises(D0resError) as caught:
+            if series[0][1] is None:
+                FiniteModule(actions[0].rows,
+                             columns=tuple(col for col, _ in series))
+            else:
+                FiniteModule(actions[0].rows, jets=tuple(series))
+        assert str(caught.value) == text
         with pytest.raises(dense_error):
             DenseModule(actions[0].rows, actions)
 
@@ -288,7 +460,7 @@ SPACE_SKY = graph_skyscraper(B([(1, 1)], [], [], n=8))
 @pytest.mark.parametrize("runs", [
     (PADDED.runs[0], (PADDED.runs[1][0], 0)),           # zero copies
     (PADDED.runs[0], (PADDED.runs[1][0], -1)),          # negative copies
-    ((PADDED.runs[0][0].actions[0], 1), PADDED.runs[1]),  # a matrix summand
+    ((PADDED.runs[0][0].columns[0], 1), PADDED.runs[1]),  # a series summand
     (PADDED.runs[0], (CUSP_JET, 1)),                    # a module and a jet
     (PADDED.runs[0], (SPACE_SKY[0], 2)),                # ambient mismatch
     (),                                                 # no runs
@@ -341,7 +513,8 @@ def test_annihilator_ideal_closure():
         for var in range(2):
             shifted = p * Poly.variable(2, var)
             if total_degree(shifted) <= ann.degree_bound:
-                assert eval_poly_at_matrices(shifted, module.actions).is_zero()
+                assert eval_poly_at_matrices(
+                    shifted, dense_actions(module)).is_zero()
 
 
 def test_annihilator_is_iso_invariant_not_basis_dependent():
@@ -349,8 +522,8 @@ def test_annihilator_is_iso_invariant_not_basis_dependent():
     # conjugate by an invertible change of basis: annihilator must not change
     p = M([[1, 0, 0], [2, 1, 0], [0, 1, 1]])
     p_inv = M([[1, 0, 0], [-2, 1, 0], [2, -1, 1]])
-    assert p * p_inv == ExactMatrix.identity(3)
-    conj = DenseModule(3, tuple(p * a * p_inv for a in mod.actions))
+    assert p * p_inv == DenseMatrix.identity(3)
+    conj = DenseModule(3, tuple(p * a * p_inv for a in dense_actions(mod)))
     assert dense_annihilator(conj, 3) == annihilator(mod, 3)
 
 
@@ -369,7 +542,7 @@ sparse_gaussians = st.tuples(sparse_rationals, sparse_rationals).map(
 def test_kernel_echelon_matches_nullspace_rref(nrows, ncols, data):
     scalars = data.draw(st.sampled_from([sparse_rationals, sparse_gaussians]))
     rows = [[data.draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
-    kernel = nullspace(ExactMatrix(rows))
+    kernel = nullspace(DenseMatrix(rows))
     expected = []
     if kernel:
         reduced, _ = rref_rows([list(v) for v in kernel])
@@ -432,67 +605,66 @@ def test_support_length_lower_bound_small():
 def test_nilpotency_index_examples():
     shift = M([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert nilpotency_index(shift) == 3
-    assert nilpotency_index(ExactMatrix.zeros(2, 2)) == 1
+    assert nilpotency_index(DenseMatrix.zeros(2, 2)) == 1
     with pytest.raises(NotNilpotent):
-        nilpotency_index(ExactMatrix.identity(2))
+        nilpotency_index(DenseMatrix.identity(2))
 
 
 def test_finite_module_validation():
-    """`FiniteModule` refuses actions of the wrong size, and any action it
-    reads neither as Toeplitz nor as a jet, whatever else is wrong with
-    it; the dense reference names what is."""
-    a = M([[0, 1], [0, 0]])
-    b = M([[0, 0], [1, 0]])
-    # strictly lower-triangular, so nilpotent, but not commuting
-    lower_a = M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    lower_b = M([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-    assert is_strictly_lower(lower_a) and is_strictly_lower(lower_b)
-    # one entry on the diagonal of a fiber action: lower-triangular, not
-    # nilpotent
+    """`FiniteModule` checks the series it holds and nothing else, with the
+    texts the CLI prints: one of the two shapes, columns of the module's
+    length, a zero t^0 coefficient in every column, fiber's or jet's, and
+    jet rows of the fiber's length.  The dense reference finds the dense
+    action of a column with a t^0 term not nilpotent."""
     fiber = fiber_module(NODE1, 3)
-    on_diagonal = _bumped(fiber.actions[0], 2, 2)
-    assert not is_strictly_lower(on_diagonal)
-    for actions, dense_error in (
-            ((a, b), NonCommutingActions),
-            ((ExactMatrix.identity(2),), NotNilpotent),
-            ((lower_a, lower_b), NonCommutingActions),
-            ((on_diagonal, fiber.actions[1]), NotNilpotent)):
-        with pytest.raises(D0resError, match=REFUSED):
-            FiniteModule(actions[0].rows, actions)
-        with pytest.raises(dense_error):
-            DenseModule(actions[0].rows, actions)
-    with pytest.raises(D0resError, match="square of the module dim"):
-        FiniteModule(2, fiber.actions)
+    x, y = fiber.columns
+    jet = jet_pair(NODE1, 3).m2
+    (x_column, c), y_jet = jet.jets
+    on_diagonal = x + Series.one(3)
+    with pytest.raises(NotNilpotent):
+        DenseModule(3, _dense_of(columns=(on_diagonal, y)))
+    for held, text in (
+            ({"columns": (on_diagonal, y)}, NOT_NILPOTENT),
+            ({"jets": ((on_diagonal, c), y_jet)}, NOT_NILPOTENT),
+            ({"jets": ((x_column, c[:-1]), y_jet)}, C_LENGTH)):
+        with pytest.raises(D0resError) as caught:
+            FiniteModule(6 if "jets" in held else 3, **held)
+        assert str(caught.value) == text
+    for dim, held in ((2, {"columns": fiber.columns}),
+                      (7, {"jets": jet.jets}), (3, {"jets": jet.jets})):
+        with pytest.raises(D0resError, match="columns must fit the module dim"):
+            FiniteModule(dim, **held)
+    for held in ({}, {"columns": fiber.columns, "jets": jet.jets}):
+        with pytest.raises(D0resError, match="either fiber columns or jets"):
+            FiniteModule(3, **held)
 
 
 def test_non_triangular_module_is_validated_by_its_powers(monkeypatch):
-    """A conjugated fiber is nilpotent but not triangular: `FiniteModule`
-    refuses it by its shape, raising no matrix power, and only the dense
-    reference validates it, by a ** dim; conjugated non-nilpotent actions
-    fail there."""
+    """A conjugated fiber is nilpotent but not triangular, so no module
+    held by its series is it: only the dense reference holds it, and it
+    validates it by a ** dim; conjugated non-nilpotent actions fail there.
+    A fiber held by its columns is built with no matrix power."""
     p = M([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
     p_inv = M([[1, -2, 0], [0, 1, 0], [-1, 2, 1]])
     fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
-    conj = tuple(p_inv * a * p for a in fiber.actions)
+    conj = tuple(p_inv * a * p for a in dense_actions(fiber))
     assert conj[0] == M([[-2, -4, 0], [1, 2, 0], [2, 5, 0]])
-    assert is_strictly_lower(conj[1])
+    assert not is_strictly_lower(conj[0]) and is_strictly_lower(conj[1])
     powers = []
-    original = ExactMatrix.__pow__
+    original = DenseMatrix.__pow__
 
     def counted(self, n):
         powers.append(n)
         return original(self, n)
 
-    monkeypatch.setattr(ExactMatrix, "__pow__", counted)
-    with pytest.raises(D0resError, match=REFUSED):
-        FiniteModule(3, conj)
-    FiniteModule(3, fiber.actions)
+    monkeypatch.setattr(DenseMatrix, "__pow__", counted)
+    FiniteModule(3, columns=fiber.columns)
     assert powers == []
     assert DenseModule(3, conj).actions == conj
     assert powers == [3, 3]
     with pytest.raises(NotNilpotent):
-        DenseModule(3, (p_inv * _bumped(fiber.actions[0], 0, 0) * p,
-                        ExactMatrix.zeros(3, 3)))
+        DenseModule(3, (p_inv * _bumped(dense_actions(fiber)[0], 0, 0) * p,
+                        DenseMatrix.zeros(3, 3)))
 
 
 def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
@@ -507,7 +679,7 @@ def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
     for b in branches:
         for r in range(1, 11):
             t_m2 = jet_uniformizer(r)[1]
-            assert jet_pair(b, r).m2.actions == tuple(
+            assert dense_actions(jet_pair(b, r).m2) == tuple(
                 eval_series_at_matrix(s.truncate(r + 1), t_m2)
                 for s in b.coords), (b, r)
 
@@ -566,7 +738,8 @@ def test_toeplitz_annihilator_equals_the_dense_one(b, r):
 @settings(max_examples=30, deadline=None)
 @given(toeplitz_branches(), st.integers(1, 8))
 def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
-    """`_action_power` on the bare rank-r jet equals its dense power, and
+    """`_action_power` on the bare rank-r jet, expanded by
+    `oracles.dense_action`, equals its dense power, and
     on it and the skyscraper jet, assembled block by block, the dense
     power of the jet padded with two skyscraper jets: fiber and jet, every
     coordinate, k = 1..r+1 (every tangent exponent is at least 1)."""
@@ -575,11 +748,13 @@ def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
     dense = dense_sum(pad(jet, sky, 2))
     for side in ("m1", "m2"):
         for coord, a in enumerate(getattr(dense, side).actions):
-            bare = getattr(jet, side).actions[coord]
+            bare = dense_actions(getattr(jet, side))[coord]
             for k in range(1, r + 2):
-                assert _action_power(getattr(jet, side), coord, k) == bare ** k
+                assert dense_action(*_action_power(getattr(jet, side), coord,
+                                                   k)) == bare ** k
                 assert assembled([
-                    (_action_power(getattr(s, side), coord, k), copies)
+                    (dense_action(*_action_power(getattr(s, side), coord, k)),
+                     copies)
                     for s, copies in runs]) == a ** k
 
 
@@ -597,78 +772,70 @@ def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
     for g in ideal.polys:
         for fiber in fibers:
             assert _kills(g, fiber) == g.evaluate(
-                fiber.actions, ExactMatrix.identity(fiber.dim)).is_zero()
+                dense_actions(fiber), DenseMatrix.identity(fiber.dim)).is_zero()
         assert all(_kills(g, s) for s, _ in padded.runs) == g.evaluate(
             dense_padded.actions,
-            ExactMatrix.identity(dense_padded.dim)).is_zero()
-
-
-def test_toeplitz_column_reads_entry_by_entry():
-    """The reader returns the first column of a strictly lower-triangular
-    Toeplitz matrix, and None once any one entry breaks the shape.  The
-    bottom entry of the first column lies on a diagonal of its own, so
-    bumping it gives the Toeplitz matrix of s + t^3."""
-    b = B([(1, 1), (2, 3)], [(2, 1), (3, F(1, 2))])
-    for a, s in zip(fiber_module(b, 4).actions, b.coords):
-        assert toeplitz_column(a) == s.truncate(4)
-        for i in range(4):
-            for j in range(4):
-                if (i, j) != (3, 0):
-                    assert toeplitz_column(_bumped(a, i, j)) is None, (i, j)
-        assert (toeplitz_column(_bumped(a, 3, 0))
-                == s.truncate(4) + Series.monomial(3, F(1), 4))
-    assert toeplitz_column(ExactMatrix.zeros(3, 3)) == Series.zero(3)
-    assert toeplitz_column(ExactMatrix.zeros(2, 3)) is None
+            DenseMatrix.identity(dense_padded.dim)).is_zero()
 
 
 def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
         repo_corpus_germs, monkeypatch):
     """Every summand of every corpus member, fiber and jet, at r0 and
-    padded at r0 + 2, is raised in closed form, with no matrix power."""
-    def refused(self, n):
-        raise AssertionError("dense power")
-
-    monkeypatch.setattr(ExactMatrix, "__pow__", refused)
+    padded at r0 + 2, is raised in closed form, tested for zero and
+    printed with no matrix built."""
+    summands = []
     for germ in repo_corpus_germs.values():
         family = CertificateFamily(germ)
         for i in range(germ.k):
             for r in (germ.r0, germ.r0 + 2):
-                for s, _ in family.summands(i, r):
-                    for coord in range(germ.branches[i].ambient_dim):
-                        for e in (1, germ.r0):
-                            s.power("m1", coord, e)
-                            s.power("m2", coord, e)
+                summands += [(s, germ.branches[i].ambient_dim, germ.r0)
+                             for s, _ in family.summands(i, r)]
+
+    def refused(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(ExactMatrix, "_trusted", refused)
+    for s, ambient_dim, r0 in summands:
+        for coord in range(ambient_dim):
+            for e in (1, r0):
+                for side in ("m1", "m2"):
+                    s.power_is_zero(side, coord, e)
+                s.printed(coord, e)
 
 
 def test_toeplitz_action_with_a_diagonal_is_not_nilpotent():
-    """A Toeplitz action with a nonzero diagonal is not read as Toeplitz,
-    and `FiniteModule` refuses it; it commutes with a fiber action, and the
-    dense reference finds its power not zero."""
+    """A Toeplitz action with a nonzero diagonal, a column with a t^0
+    term, is refused by `FiniteModule` with the text the CLI prints; it
+    commutes with a fiber action, and the dense reference finds its power
+    not zero."""
     fiber = fiber_module(B([(1, 1)], [(2, 1)]), 3)
-    diagonal = M([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
-    assert toeplitz_column(diagonal) is None
-    with pytest.raises(D0resError, match=REFUSED):
-        FiniteModule(3, (diagonal, fiber.actions[1]))
+    diagonal = Series([F(1), F(1), F(0)])
+    assert dense_action(diagonal) == M([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    with pytest.raises(D0resError) as caught:
+        FiniteModule(3, columns=(diagonal, fiber.columns[1]))
+    assert str(caught.value) == NOT_NILPOTENT
     with pytest.raises(NotNilpotent):
-        DenseModule(3, (diagonal, fiber.actions[1]))
+        DenseModule(3, _dense_of(columns=(diagonal, fiber.columns[1])))
 
 
 def test_one_entry_below_the_first_column_is_checked_densely():
     """A fiber action bumped one entry below its first column is no longer
-    Toeplitz, nor a jet action, and `FiniteModule` refuses it with the
-    text the CLI prints; checked densely, by the dense reference, the pair
-    does not commute."""
+    Toeplitz, so no module held by its columns is it; checked densely, by
+    the dense reference, the pair does not commute.  Bumped along that
+    whole diagonal, the column bumped at t^1, it is a fiber again, and
+    its dense actions commute."""
     fiber = fiber_module(B([(1, 1)], [(1, 1), (2, 1)]), 4)
-    x = _bumped(fiber.actions[0], 2, 1)
-    assert toeplitz_column(x) is None and _jet_column(x) is None
-    with pytest.raises(D0resError) as caught:
-        FiniteModule(4, (x, fiber.actions[1]))
-    assert str(caught.value) == REFUSED
+    x, y = dense_actions(fiber)
     with pytest.raises(NonCommutingActions):
-        DenseModule(4, (x, fiber.actions[1]))
+        DenseModule(4, (_bumped(x, 2, 1), y))
+    column = fiber.columns[0] + Series.monomial(1, F(1), 4)
+    bumped = FiniteModule(4, columns=(column, fiber.columns[1]))
+    assert dense_actions(bumped)[0] == _bumped(_bumped(_bumped(x, 1, 0), 2, 1),
+                                               3, 2)
+    check_module_dense(dense_sum(bumped))
 
 
-_JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
+_JET_X = dense_actions(jet_pair(B([(1, 1)], [(2, 1)]), 3).m2)[0]
 
 
 @pytest.mark.parametrize("action", [
@@ -677,13 +844,15 @@ _JET_X = jet_pair(B([(1, 1)], [(2, 1)]), 3).m2.actions[0]
     M([[0, 1], [0, 0]]),                # top-right block is not zero
 ])
 def test_actions_off_the_closed_jet_form_are_raised_densely(action):
-    """An action that is not [[A, 0], [C, A]] with A Toeplitz and C zero
-    but for its last row, nor Toeplitz, is refused by `FiniteModule`, so
+    """An action that is not [[A, 0], [e c^T, A]] with A Toeplitz, nor
+    Toeplitz, differs from both actions written from its own first column
+    and last row, so no module held by its series is it, and
     `_action_power` never meets it; only the dense reference holds it, and
     raises it by `**` to zero."""
-    assert toeplitz_column(action) is None and _jet_column(action) is None
-    with pytest.raises(D0resError, match=REFUSED):
-        FiniteModule(action.rows, (action,))
+    r = action.rows // 2
+    first = Series([action[i, 0] for i in range(action.rows)])
+    assert action != dense_action(first)
+    assert action != dense_action(first.truncate(r), action.data[-1][:r])
     dense = DenseModule(action.rows, (action,))
     assert (dense.actions[0] ** dense.dim).is_zero()
 
@@ -691,103 +860,92 @@ def test_actions_off_the_closed_jet_form_are_raised_densely(action):
 # -- jet actions read once, in closed form ------------------------------------
 
 
-def _jet_bumps(jet):
-    """(coordinate, entry, on the last row) for single-entry bumps of C in
-    each M2 action [[A, 0], [C, A]]: every entry of C's last row, which the
-    jet reading keeps as c, and, from rank 2 on, C's first row and the
-    last entry of the row above the last, which break the reading."""
-    r = jet.rank
-    for coord in range(jet.ambient_dim):
-        for j in range(r):
-            yield coord, (2 * r - 1, j), True
-        if r >= 2:
-            for entry in [(r, j) for j in range(r)] + [(2 * r - 2, r - 1)]:
-                yield coord, entry, False
-
-
 def _judge_c_bumps(b, r, seen):
-    """Build M2 of the rank-r jet of `b` with one action bumped at one
-    entry of C, for each bump of `_jet_bumps`, and check the outcome
-    against the dense products; add (on the last row, all Toeplitz,
-    commuting) to `seen` for each."""
-    jet = jet_pair(b, r)
-    for coord, entry, on_last_row in _jet_bumps(jet):
-        actions = list(jet.m2.actions)
-        actions[coord] = _bumped(actions[coord], *entry)
-        toeplitz = all(toeplitz_column(a) is not None for a in actions)
-        read = all(_jet_column(a) is not None for a in actions)
-        assert read == on_last_row, (b, r, entry)
-        commuting = all(x * y == y * x for i, x in enumerate(actions)
-                        for y in actions[i + 1:])
-        try:
-            module = FiniteModule(2 * r, tuple(actions))
-        except D0resError as err:
-            if read or toeplitz:
-                assert str(err) == "coordinate actions must commute"
-                assert not commuting, (b, r, coord, entry)
+    """Build M2 of the rank-r jet of `b` with one entry of one jet's c row
+    bumped by 1, for each coordinate and entry, and check the outcome of
+    c^T B = d^T A against the dense products of the dense actions; add
+    whether they commute to `seen` for each."""
+    jets = jet_pair(b, r).m2.jets
+    for coord, (column, c) in enumerate(jets):
+        for j in range(r):
+            bumped = (jets[:coord] + ((column, c[:j] + (c[j] + 1,) + c[j + 1:]),)
+                      + jets[coord + 1:])
+            actions = _dense_of(jets=bumped)
+            commuting = all(x * y == y * x for i, x in enumerate(actions)
+                            for y in actions[i + 1:])
+            try:
+                FiniteModule(2 * r, jets=bumped)
+            except NonCommutingActions as err:
+                assert str(err) == NOT_COMMUTING
+                assert not commuting, (b, r, coord, j)
             else:
-                assert str(err) == REFUSED, (b, r, coord, entry)
-        else:
-            assert commuting and (read or toeplitz), (b, r, coord, entry)
-            assert (module.jets is not None) == (not toeplitz), (
-                b, r, coord, entry)
-            if module.jets is not None:
-                assert module.jets == tuple(_jet_column(a)[:2]
-                                            for a in actions)
-        seen.add((on_last_row, toeplitz, commuting))
+                assert commuting, (b, r, coord, j)
+            seen.add(commuting)
 
 
 def test_row_and_dense_commutation_agree(repo_corpus_germs):
-    """Over every corpus branch at r = 1..8, M2 with one action bumped at
-    one entry of C is accepted exactly when `_jet_column` still reads each
-    action (or all are Toeplitz) and the dense products commute.  `jets`
-    is set exactly when not every action is Toeplitz: a bump on C's last
-    row keeps the reading and is judged by c^T B = d^T A as the dense
-    products judge it, a bump elsewhere in C breaks it and is refused,
-    whether the dense products commute or not."""
+    """Over every corpus branch at r = 1..8, M2 with one entry of one c
+    row bumped is accepted exactly when the dense products commute: the
+    c^T B = d^T A rows judge it as the dense products do.  A bump anywhere
+    else in C is not a jet, and only the dense reference holds it."""
     seen = set()
     for germ in repo_corpus_germs.values():
         for b in germ.branches:
             for r in range(1, 9):
                 _judge_c_bumps(b, r, seen)
-    # each reading met both verdicts, except a Toeplitz sum, which
-    # commutes; the refusal met both
-    assert seen >= {(True, False, True), (True, False, False),
-                    (False, False, True), (False, False, False)}, seen
+    assert seen == {True, False}, seen
 
 
 @settings(max_examples=40, deadline=None)
 @given(toeplitz_branches(), st.integers(1, 8))
 def test_every_built_module_is_read_by_columns_or_jets(b, r):
-    """The refusal never fires on a module the program builds: over
-    rational branches and branches over QQ(i) and QQ(a), every fiber of
-    `fiber_module`, `jet_pair` and `graph_skyscraper` is read by
-    `columns`, and every jet by `columns` when all its actions are
-    Toeplitz, by `jets` exactly when not, each reading the actions' own
-    first columns and C rows.  The C bumps of the corpus test are judged
-    on these branches too."""
+    """Every module the program builds holds its series as they were
+    built, over rational branches and branches over QQ(i) and QQ(a): every
+    fiber of `fiber_module`, `jet_pair` and `graph_skyscraper` holds the
+    coordinates' series truncated to its rank, and every jet holds
+    (column, (r * s_(r-j))_j), the A = 0 jets included.  Their dense views
+    equal the references, `multiplication_matrix` on a fiber and the
+    series at the jet's uniformizer on a jet, on a valid dense jet.  On
+    both, `_action_power`'s closed form, expanded, equals the dense power
+    at k = 1..r+1, its zero test agrees, and a jet's printed power is
+    `format_scalar` of the dense power, entry by entry.  The c bumps of
+    the corpus test are judged on these branches too."""
     sky_fiber, sky = graph_skyscraper(b)
     jet = jet_pair(b, r)
-    for module in (fiber_module(b, r), jet.m1, sky_fiber, sky.m1):
+    for module, rank in ((fiber_module(b, r), r), (jet.m1, r),
+                         (sky_fiber, 1), (sky.m1, 1)):
         assert module.jets is None
-        assert module.columns == tuple(toeplitz_column(a)
-                                       for a in module.actions)
-    for module in (jet.m2, sky.m2):
-        columns = tuple(toeplitz_column(a) for a in module.actions)
-        if None in columns:
-            assert module.columns is None
-            assert module.jets == tuple(_jet_column(a)[:2]
-                                        for a in module.actions)
-        else:
-            assert module.columns == columns and module.jets is None
+        assert module.columns == tuple(s.truncate(rank) for s in b.coords)
+        assert dense_actions(module) == tuple(multiplication_matrix(s, rank)
+                                              for s in b.coords)
+    for pair in (jet, sky):
+        rank = pair.rank
+        assert pair.m2.columns is None
+        assert pair.m2.jets == tuple(
+            (s.truncate(rank), tuple(rank * s.coeffs[rank - j]
+                                     for j in range(rank)))
+            for s in b.coords)
+        t_m2 = jet_uniformizer(rank)[1]
+        assert dense_actions(pair.m2) == tuple(
+            eval_series_at_matrix(s.truncate(rank + 1), t_m2) for s in b.coords)
+        check_jet_dense(pair)
+        for side in ("m1", "m2"):
+            module = getattr(pair, side)
+            for coord, a in enumerate(dense_actions(module)):
+                for k in range(1, rank + 2):
+                    power, dense = _action_power(module, coord, k), a ** k
+                    assert dense_action(*power) == dense
+                    assert _power_is_zero(power) == dense.is_zero()
+                    if side == "m2":
+                        assert _printed(power) == [
+                            [format_scalar(x) for x in row] for row in dense.data]
     _judge_c_bumps(b, r, set())
 
 
 def test_series_readings_refuse_a_module_read_as_jets():
-    """A jet pair whose M1 is read as jets, and the annihilator and the
-    witness check of such a module, are refused as not a fiber.  (The
-    refusal of a non-Toeplitz fiber action and of a jet action with a
-    nonzero top-right entry is pinned with the tests that plant them.)"""
+    """A jet pair whose M1 is held as jets, and the annihilator and the
+    witness check of such a module, are refused as not a fiber, with the
+    text the CLI prints."""
     b = B([(1, 1)], [(2, 1)])
     jet = jet_pair(b, 3)
     assert jet.m2.columns is None and jet.m2.jets is not None
@@ -800,9 +958,9 @@ def test_series_readings_refuse_a_module_read_as_jets():
 
 
 def test_jet_pair_compares_first_columns(repo_corpus_germs):
-    """A single-block jet pair whose M2 reads as jets is checked by first
-    columns: an M2 of another branch's jet, valid on its own, is refused
-    where its columns differ from M1's and accepted where they agree."""
+    """A single-block jet pair is checked by first columns: an M2 of
+    another branch's jet, valid on its own, is refused where its columns
+    differ from M1's and accepted where they agree."""
     branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
     refused = accepted = 0
     for b in branches:
@@ -810,15 +968,13 @@ def test_jet_pair_compares_first_columns(repo_corpus_germs):
             if other.ambient_dim != b.ambient_dim:
                 continue
             jet, foreign = jet_pair(b, 4), jet_pair(other, 4)
-            if foreign.m2.jets is None or jet.m1.columns is None:
-                continue
             same = all(
                 c == col for (c, _), col in zip(foreign.m2.jets,
                                                 jet.m1.columns))
             try:
                 JetPair(jet.m1, foreign.m2)
             except D0resError as err:
-                assert "intertwine the coordinate actions" in str(err)
+                assert str(err) == FRAME
                 assert not same
                 refused += 1
             else:
@@ -827,28 +983,34 @@ def test_jet_pair_compares_first_columns(repo_corpus_germs):
     assert refused and accepted
 
 
-def test_trusted_matrices_equal_checked_ones(repo_corpus_germs):
-    """Every matrix `fiber_module`, `jet_pair` and `_action_power` build on
-    trust equals the one `ExactMatrix` builds from the same entries, with
-    the same entry types, over every corpus branch at r = 1..6 (the
-    Gaussian node's and the space lines' included)."""
+def test_trusted_matrices_equal_checked_ones(repo_corpus_germs, monkeypatch):
+    """Every matrix built on trust while building the jet pairs of every
+    corpus branch at r = 1..6 (the Gaussian node's and the space lines'
+    included), the Toeplitz blocks and c rows of the commutation check and
+    the products of the two, equals the one `DenseMatrix` builds from the
+    same entries, with the same entry types, and none has more than r
+    rows or columns."""
     branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
     assert any(b.ambient_dim == 3 for b in branches)
     assert any(isinstance(x, FieldElement) and not x.is_rational()
                for b in branches for s in b.coords for x in s.coeffs)
+    trusted = ExactMatrix._trusted.__func__
+    built = []
+
+    def recorded(cls, rows):
+        built.append(trusted(cls, rows))
+        return built[-1]
+
+    monkeypatch.setattr(ExactMatrix, "_trusted", classmethod(recorded))
     types = set()
     for b in branches:
         for r in range(1, 7):
-            jet = jet_pair(b, r)
-            built = [*fiber_module(b, r).actions, *jet.m1.actions,
-                     *jet.m2.actions]
-            for module in (jet.m1, jet.m2):
-                built += [_action_power(module, coord, k)
-                          for coord in range(b.ambient_dim)
-                          for k in range(1, r + 2)]
+            del built[:]
+            jet_pair(b, r)
+            assert built, (b, r)
             for m in built:
-                checked = ExactMatrix(m.data)
-                assert m == checked, (b, r)
+                checked = DenseMatrix(m.data)
+                assert m == checked and max(m.rows, m.cols) <= r, (b, r)
                 entry_types = [type(x) for row in m.data for x in row]
                 assert entry_types == [type(x) for row in checked.data
                                        for x in row], (b, r)
@@ -881,13 +1043,11 @@ def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
 
 def test_non_commuting_actions_raise_their_own_class(monkeypatch):
     """Actions that do not commute raise `NonCommutingActions`, with the
-    text the CLI prints: a jet's C row doubled, judged by c^T B = d^T A
+    text the CLI prints: a jet's c row doubled, judged by c^T B = d^T A
     with one-row products only, as the dense reference judges it."""
     jet = jet_pair(B([(1, 1)], [(2, 1)]), 3)
-    data = [list(row) for row in jet.m2.actions[0].data]
-    data[-1][:3] = [2 * x for x in data[-1][:3]]
-    doubled = (ExactMatrix(data), jet.m2.actions[1])
-    assert all(_jet_column(a) is not None for a in doubled)
+    (column, c), y = jet.m2.jets
+    doubled = ((column, tuple(2 * x for x in c)), y)
     left_rows = []
     product = linalg_module.fmatmul
 
@@ -898,58 +1058,39 @@ def test_non_commuting_actions_raise_their_own_class(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(linalg_module, "fmatmul", recorded)
         with pytest.raises(NonCommutingActions) as caught:
-            FiniteModule(6, doubled)
+            FiniteModule(6, jets=doubled)
     assert left_rows and set(left_rows) == {1}
-    assert str(caught.value) == "coordinate actions must commute"
+    assert str(caught.value) == NOT_COMMUTING
     with pytest.raises(NonCommutingActions):
-        DenseModule(6, doubled)
+        DenseModule(6, _dense_of(jets=doubled))
 
 
 def _frame_mutants(jet):
-    """(kind, M2 actions) for the mutants of the jet's M2: the actions as
-    they are, and one action bumped at a time.  Single entries are bumped
-    in the top-right block and in the bottom-right block alone.  The
-    diagonal blocks are bumped together at matching Toeplitz positions,
-    one whole subdiagonal of each (for the last, the one corner entry):
-    a jet stays read as a jet, with another first column.  An M2 read by
-    `columns` also has each whole diagonal of one action bumped, which
-    keeps it Toeplitz: below the diagonal blocks' reach that respects the
-    frame, within it the first column is wrong."""
-    r, actions = jet.rank, jet.m2.actions
-    yield "none", actions
-    for coord, a in enumerate(actions):
-        def bumped(entries):
-            data = [list(row) for row in a.data]
-            for i, j in entries:
-                data[i][j] += 1
-            return actions[:coord] + (ExactMatrix(data),) + actions[coord + 1:]
+    """(kind, M2 jets) for the mutants of the jet's M2: the jets as they
+    are, and one jet changed at a time.  Its column bumped at one t^k,
+    k = 1..r-1, moves one whole subdiagonal of both diagonal blocks
+    together: a jet with another first column.  One entry of its c row
+    bumped moves one entry of C's last row."""
+    r, jets = jet.rank, jet.m2.jets
+    yield "none", jets
+    for coord, (column, c) in enumerate(jets):
+        def with_jet(new):
+            return jets[:coord] + (new,) + jets[coord + 1:]
 
-        for i, j in {(0, r), (0, 2 * r - 1), (r - 1, r), (r - 1, 2 * r - 1)}:
-            yield "top-right", bumped([(i, j)])
-        for i in range(r):
-            for j in range(i + 1):
-                yield "bottom-right", bumped([(r + i, r + j)])
         for k in range(1, r):
-            yield "diagonal blocks", bumped(
-                [(i, i - k) for i in range(k, r)]
-                + [(r + i, r + i - k) for i in range(k, r)])
-        if jet.m2.columns is not None:
-            for k in range(1, 2 * r):
-                yield "Toeplitz", bumped([(i, i - k) for i in range(k, 2 * r)])
+            yield "column", with_jet((column + Series.monomial(k, F(1), r), c))
+        for j in range(r):
+            yield "c row", with_jet((column, c[:j] + (c[j] + 1,) + c[j + 1:]))
 
 
-def _jet_outcome(r, m1_actions, m2_actions):
-    """(route, error) of building the jet pair of these actions: the
-    reading M2 took, None if it was refused, and the text of the refusal,
-    None if it is accepted."""
-    route = None
+def _jet_outcome(m1, jets):
+    """The text of the refusal of the jet pair of the fiber `m1` and the
+    jet held as `jets`, None if it is accepted."""
     try:
-        m2 = FiniteModule(2 * r, m2_actions)
-        route = "jets" if m2.jets is not None else "columns"
-        JetPair(FiniteModule(r, m1_actions), m2)
+        JetPair(m1, FiniteModule(2 * m1.dim, jets=jets))
     except D0resError as err:
-        return route, str(err)
-    return route, None
+        return str(err)
+    return None
 
 
 def _dense_accepts(m1, m2_actions):
@@ -967,11 +1108,11 @@ def _dense_accepts(m1, m2_actions):
 def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
     """Over the base jets and skyscrapers of every corpus branch at
     r = 1..6, each M2 mutant of `_frame_mutants` is accepted by
-    `FiniteModule`, which reads the actions, and `JetPair`, which compares
-    first columns, exactly when the dense reference accepts it, checking
-    products, powers and the frame entry by entry.  Both readings of M2
-    accept a jet and refuse a wrong first column, and a bump off the frame
-    is refused by its shape."""
+    `FiniteModule` and `JetPair`, which compare series, exactly when the
+    dense reference accepts its dense actions, checking products, powers
+    and the frame entry by entry.  A wrong first column is refused by the
+    frame check or, first, by the commutation; a c row bump by the
+    commutation or not at all."""
     branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
     assert any(b.ambient_dim == 3 for b in branches)
     assert any(isinstance(x, FieldElement) and not x.is_rational()
@@ -979,17 +1120,11 @@ def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
     seen = set()
     for b in branches:
         for jet in [graph_skyscraper(b)[1]] + [jet_pair(b, r) for r in range(1, 7)]:
-            r, m1 = jet.rank, jet.m1.actions
-            dense_m1 = DenseModule(r, m1)
-            for kind, m2 in _frame_mutants(jet):
-                route, error = _jet_outcome(r, m1, m2)
-                assert (error is None) == _dense_accepts(dense_m1, m2), (
-                    b, r, kind, route, error)
-                seen.add((route, kind, error))
-    frame = ("inclusion and projection must intertwine the coordinate "
-             "actions")
-    assert seen >= {("jets", "none", None), ("jets", "diagonal blocks", frame),
-                    ("columns", "none", None), ("columns", "Toeplitz", None),
-                    ("columns", "Toeplitz", frame),
-                    (None, "top-right", REFUSED),
-                    (None, "bottom-right", REFUSED)}, seen
+            dense_m1 = dense_sum(jet.m1)
+            for kind, jets in _frame_mutants(jet):
+                error = _jet_outcome(jet.m1, jets)
+                assert (error is None) == _dense_accepts(
+                    dense_m1, _dense_of(jets=jets)), (b, jet.rank, kind, error)
+                seen.add((kind, error))
+    assert seen == {("none", None), ("column", FRAME), ("column", NOT_COMMUTING),
+                    ("c row", None), ("c row", NOT_COMMUTING)}, seen

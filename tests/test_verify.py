@@ -57,6 +57,8 @@ from oracles import (
     DenseJet,
     assembled,
     check_jet_dense,
+    dense_action,
+    dense_actions,
     dense_annihilator,
     dense_sum,
     eval_poly_at_matrices,
@@ -135,14 +137,14 @@ def test_family_serves_every_rank_above_r0_from_one_stored_ideal(
 def test_each_stored_power_is_scanned_once_for_zero(monkeypatch):
     """At the default ranks r0..r0+2 a base jet serves three ranks, but
     the tangent test asks each stored power whether it is zero once: no
-    more `ExactMatrix.is_zero` calls than (summand, side, coordinate,
-    exponent) keys."""
+    more series zero tests (`verify._power_is_zero`) than (summand, side,
+    coordinate, exponent) keys."""
     scanned = []
-    is_zero = ExactMatrix.is_zero
+    is_zero = verify_module._power_is_zero
 
-    def counted(m):
-        scanned.append(m)
-        return is_zero(m)
+    def counted(power):
+        scanned.append(power)
+        return is_zero(power)
 
     def certify_ranks(germ, ctx, trunc, ranks):
         family = CertificateFamily(germ)
@@ -150,7 +152,7 @@ def test_each_stored_power_is_scanned_once_for_zero(monkeypatch):
             certify(family, r)
         return family
 
-    monkeypatch.setattr(ExactMatrix, "is_zero", counted)
+    monkeypatch.setattr(verify_module, "_power_is_zero", counted)
     for path in sorted((REPO / "corpus").glob("*.json")):
         scanned.clear()
         family = run_with_escalation(
@@ -376,7 +378,8 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
                 f1 = dense.m1.actions[coord] ** e
                 f2 = dense.m2.actions[coord] ** e
                 for side, f in (("m1", f1), ("m2", f2)):
-                    assert assembled([(s.power(side, coord, e), copies)
+                    assert assembled([(dense_action(*s.power(side, coord, e)),
+                                       copies)
                                       for s, copies in runs]) == f, (name, i, r)
                 assert expand_jet_power(v.witness["jet_power"]) == [
                     [format_scalar(x) for x in row] for row in f2.data]
@@ -465,7 +468,7 @@ def test_equal_ideals_with_different_runs_are_inconclusive(corpus_germs):
          INCONCLUSIVE),
         ((pad(base, sky, 1), dense_sum(pad(base, sky, 1))), INCONCLUSIVE),
         ((dense_sum(pad(base, sky, 1)), pad(base, sky, 1)), INCONCLUSIVE),
-        ((base, FiniteModule(2, base.actions)), NOT_SEPARATED),
+        ((base, FiniteModule(2, columns=base.columns)), NOT_SEPARATED),
     ]
     def no_search(*args):
         raise AssertionError("equal ideals are searched for no witness")
@@ -481,19 +484,14 @@ def test_certify_builds_as_many_matrix_entries_at_any_rank(corpus_germs,
     """Above r0 nothing `certify` builds grows with r: the entries of every
     ExactMatrix it builds add up to the same count at r0 + 1 and at 256."""
     germ = corpus_germs[name]
-    init, trusted = ExactMatrix.__init__, ExactMatrix._trusted.__func__
+    trusted = ExactMatrix._trusted.__func__
     entries = []
-
-    def counted_init(self, data):
-        init(self, data)
-        entries[-1] += self.rows * self.cols
 
     def counted_trusted(cls, rows):
         m = trusted(cls, rows)
         entries[-1] += m.rows * m.cols
         return m
 
-    monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
     monkeypatch.setattr(ExactMatrix, "_trusted",
                         classmethod(counted_trusted))
     for r in (germ.r0 + 1, 256):
@@ -528,8 +526,8 @@ def test_point_witness_validity(corpus_germs):
             witness = _parse_witness_poly(v.witness["polynomial"])
             fi = family.member(i, germ.r0).m1
             fj = family.member(j, germ.r0).m1
-            on_i = eval_poly_at_matrices(witness, fi.actions).is_zero()
-            on_j = eval_poly_at_matrices(witness, fj.actions).is_zero()
+            on_i = eval_poly_at_matrices(witness, dense_actions(fi)).is_zero()
+            on_j = eval_poly_at_matrices(witness, dense_actions(fj)).is_zero()
             assert on_i != on_j, (name, v.subject)
 
 
@@ -773,8 +771,8 @@ def test_fiber_annihilator_crosscheck_on_random_branches(b, r):
 @settings(max_examples=60, deadline=None)
 @given(oracle_branches(), st.data())
 def test_reachable_annihilators_match_the_dense_reference(b, data):
-    """The series route (`fiber_functionals`) and the Toeplitz matrix route
-    (`annihilator`) evaluate only the monomials a fiber can reach, and hold
+    """The series route (`fiber_functionals`) and the module route
+    (`annihilator` on the fiber's columns) evaluate only the monomials a fiber can reach, and hold
     the others as implicit bare rows.  Both give the ideal, written out
     row for row, that `dense_annihilator` reads off every monomial's
     dim x dim value: on plane and space branches over QQ, QQ(i) and
@@ -803,7 +801,7 @@ def test_reachable_annihilators_match_the_dense_reference(b, data):
 
 def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
                                                       monkeypatch):
-    """The matrix route fed a valid module of another branch, x doubled:
+    """The module route fed a valid module of another branch, x doubled:
     the cross-check must see that the series route disagrees."""
     germ = corpus_germs["node"]
     x, *rest = germ.branches[0].coords
