@@ -7,8 +7,8 @@ The key constructions:
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
   multiplication with its pullback series: the lower-triangular Toeplitz
   matrix of that series, held as the series truncated to r, its first
-  column.  It is also the jet pair's special fiber and the column route
-  of the fiber annihilator cross-check.
+  column.  It is also the jet pair's special fiber, and the certificate
+  reads each branch's fiber annihilators off it.
 * jet_pair(b, r): the rank-r fiber M1 = fiber_module(b, r) of the branch
   and its first-order jet M2 over the dual numbers, 2r-dimensional on a
   fixed frame: tops 0..r-1 lifting M1's basis, then bottoms r..2r-1, their
@@ -21,7 +21,8 @@ The key constructions:
   more than S, exactly when the jet does not split.  jet_pair writes the
   series in closed form and builds no uniformizer; the tests build T
   (`tests/oracles.jet_uniformizer`) and compare.
-* graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1) and its fiber.
+* graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1); its fiber is
+  `.m1`.
 * Two shapes of action, each held by its series (`FiniteModule`): a
   fiber's actions are strictly lower-triangular Toeplitz, multiplication
   by their first columns in K[t]/(t^r), a commutative algebra (`columns`).
@@ -58,24 +59,24 @@ The key constructions:
   assemble the dense sums (`tests/oracles.py`) and check them on the
   dense matrices.
 * annihilator: the ideal of polynomials killing a fiber, the separation
-  invariant.  `annihilator` reads the ideal off the fiber's columns, the
-  dim first-column functionals of its Toeplitz actions, and serves as the
-  oracle; it refuses a module held as jets.  `functional_ideal` over
-  `fiber_functionals`, which the certificates read, gives the same ideal
-  from r series coefficients: the fiber K[t]/(t^r) is cyclic, generated
-  by 1, so f kills it iff f(x(t)) = 0 mod t^r.  Its
-  t^0 row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the
-  annihilator of the 1 x 1 graph skyscraper, and padding the fiber with
-  skyscrapers does not change it.  Both return the unique reduced echelon
-  basis, so they agree exactly, not just up to a change of basis.
+  invariant, read off the fiber's columns: the dim first-column
+  functionals of its Toeplitz actions, one elimination; a module held as
+  jets is refused.  The fiber K[t]/(t^r) is cyclic, generated by 1, so
+  those functionals are the r coefficients of f(x(t)) mod t^r.  Its t^0
+  row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the annihilator
+  of the 1 x 1 graph skyscraper, and padding the fiber with skyscrapers
+  does not change it.  It is the unique reduced echelon basis, so equal
+  ideals are equal exactly, not just up to a change of basis.
+  `verify` checks each ideal it stores against its branch with a
+  different evaluator (`verify._is_fiber_annihilator`).
 * reachable monomials: on a fiber, the value of x^e is the product of the
   coordinates' series, and leading coefficients multiply in a field, so
   it has order sum e_k * ord x_k exactly.  A monomial of order >= r is
   zero on K[t]/(t^r): a zero column, free in `kernel_echelon` and
-  dependent on nothing, whose basis row is the bare monomial.  So both
-  routes evaluate only the monomials of order below r, read off their own
-  series (`branches._evaluation_columns`) or first columns
-  (`_evaluation_rows`), one series product each, and build no other.
+  dependent on nothing, whose basis row is the bare monomial.  So
+  `annihilator` evaluates only the monomials of order below r, read off
+  the fiber's first columns (`_evaluation_rows`), one series product
+  each, and builds no other.
   The skip is checked, not trusted: the minimal skipped monomials, the
   corners of the staircase, are evaluated, and one that is not zero mod
   t^r is an error (`poly.reachable_values`); every other skipped monomial
@@ -102,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .branches import BranchParam, _evaluation_columns
+from .branches import BranchParam
 from .errors import D0resError, NonCommutingActions, RaiseTruncation
 from .fields import scalar_is_zero
 from .linalg import ExactMatrix, rref_rows
@@ -260,11 +261,10 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
     return JetPair(m1, FiniteModule(2 * r, jets=jets))
 
 
-def graph_skyscraper(b: BranchParam):
-    """The rank-1 padding: (skyscraper fiber, its dual-number jet), one
-    jet pair and the fiber it holds."""
-    jet = jet_pair(b, 1)
-    return jet.m1, jet
+def graph_skyscraper(b: BranchParam) -> JetPair:
+    """The rank-1 padding: the skyscraper's jet pair, jet_pair(b, 1); its
+    fiber is `.m1`."""
+    return jet_pair(b, 1)
 
 
 def pad(base, filler, copies: int):
@@ -498,10 +498,10 @@ def kernel_echelon(rows, ncols):
     unique, so this equals the RREF of any kernel basis.
 
     A zero column is free and depends on nothing, so its row is the bare
-    column, and it changes neither the pivots nor any other row.  The
-    annihilators pass only the live columns, the monomials a Toeplitz
-    fiber or a branch can reach, and eliminate only those; the zero
-    columns they leave out are the bare rows that `AnnihilatorIdeal` holds
+    column, and it changes neither the pivots nor any other row.
+    `annihilator` passes only the live columns, the monomials a Toeplitz
+    fiber can reach, and eliminates only those; the zero columns it
+    leaves out are the bare rows that `AnnihilatorIdeal` holds
     implicitly.  A module held as jets is refused before a row is built.
     A zero column that is passed comes back as a bare row.
     """
@@ -525,21 +525,6 @@ def kernel_echelon(rows, ncols):
                 entries[ncols - 1 - p] = -c
         basis.append(entries)
     return basis
-
-
-def functional_ideal(degree_bound, monomials, rows) -> AnnihilatorIdeal:
-    """The AnnihilatorIdeal at `degree_bound` cut out by the evaluation
-    functionals `rows` on the graded `monomials`; every monomial of degree
-    <= bound that is not among them is a zero functional, a bare row.
-    They may run past the bound: they are graded, so the monomials of
-    degree <= bound are a prefix, and only its columns are read."""
-    width = sum(1 for m in monomials if sum(m) <= degree_bound)
-    if len(monomials) > width:
-        monomials = monomials[:width]
-        rows = [row[:width] for row in rows]
-    basis = kernel_echelon(rows, width)
-    return AnnihilatorIdeal(degree_bound, tuple(monomials),
-                            tuple(tuple(sorted(row.items())) for row in basis))
 
 
 def _evaluation_rows(module: FiniteModule, degree):
@@ -577,24 +562,6 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
     if degree_bound < module.dim:
         raise D0resError("annihilator degree bound below module dimension")
     monomials, rows = _evaluation_rows(module, degree_bound)
-    return functional_ideal(degree_bound, monomials, rows)
-
-
-def fiber_functionals(b: BranchParam, rank: int, degree_bound: int):
-    """(monomials, rows): the evaluation functionals on the polynomials of
-    degree <= bound whose common kernel is the annihilator of
-    fiber_module(b, rank), on the monomials that can be nonzero mod
-    t^rank (`branches._evaluation_columns`); each one left out is zero
-    there, a bare row of the ideal.
-
-    The fiber is cyclic, generated by 1, so f kills it iff the t^0..t^(rank-1)
-    coefficients of f(x(t)) vanish: `rank` rows.  The branch passes through
-    the origin, so the t^0 row is f -> f(0).
-    """
-    if rank < 1:
-        raise D0resError("rank must be positive")
-    if b.trunc < rank:
-        raise RaiseTruncation("fiber construction needs truncation >= rank",
-                              needed=rank)
-    monomials, cols, _ = _evaluation_columns(b, degree_bound, rank)
-    return monomials, [[col[i] for col in cols] for i in range(rank)]
+    basis = kernel_echelon(rows, len(monomials))
+    return AnnihilatorIdeal(degree_bound, tuple(monomials),
+                            tuple(tuple(sorted(row.items())) for row in basis))

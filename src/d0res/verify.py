@@ -11,8 +11,8 @@ computed once, on that summand, and read by every rank whose members hold
 it.  So a rank above r0 computes only what its skyscraper run adds, and
 only if no rank before it did.  The family is also the request's one
 store of annihilators: for each branch and rank d, the bare rank-d fiber's
-ideal read off its series functionals and read off the fiber module's
-columns, each built once and read by every check.
+ideal, read off the fiber module's columns, and one check of it against
+the branch, each built once and read by every rank and the cross-check.
 
 Point separation: for each pair of branches, the members' fibers must have
 distinct annihilator ideals; a polynomial lying in exactly one annihilator
@@ -22,11 +22,12 @@ that f^(r0/n) kills the special fiber assembly but not the jet assembly:
 the nilpotency jump that certifies a non-split extension.  Verdicts are
 three-valued; only a witnessed verdict counts as Separated.
 
-The annihilators are computed from series functionals.  At rank r a
+The annihilators are read off the fibers' columns.  At rank r a
 member's fiber is K[t]/(t^d), d = min(r, r0), plus r - r0 graph
 skyscrapers above r0.  The fiber is cyclic, generated by 1, and f kills a
 cyclic module iff it kills the generator, so its ideal at degree <= d is
-the kernel of the d coefficients of f(x(t), y(t)).  f kills a direct sum
+the kernel of the d coefficients of f(x(t), y(t)), the first columns of
+f's action (`modules.annihilator`).  f kills a direct sum
 iff it kills each summand.  The skyscraper's actions are zero, so its
 annihilator is {f : f(0) = 0}; every coordinate pulls back to a series of
 order >= 1, so the fiber's t^0 row is f -> f(0), and the fiber's ideal
@@ -57,15 +58,12 @@ polynomial kills a direct sum iff it kills each summand, and each
 summand's answer is its own (`CertificateFamily.kills`).  A fiber holds
 the first columns of its strictly lower-triangular Toeplitz actions, so
 g kills it iff g at those columns is zero mod t^dim (`_kills`); a module
-held as jets is refused there.  The padding check is the family's
-rank-r0 comparison: each member's ideal, the series entry at r0, against
-the module entry at r0, the generic annihilator of the bare rank-r0
-fiber module read off its columns (its r0 first-column rows,
-`modules.annihilator`); as both hold every monomial of degree r0,
-equality there is equality at bound r.  The fiber annihilator
-cross-check (`pushforward_restriction_oracle`) makes the same comparison
-at each of the report's small ranks 1..max_rank on the same stored
-entries, so no annihilator is computed twice.  The tangent test raises
+held as jets is refused there.  Each stored ideal is checked against its
+branch by simpler code than the code that built it
+(`_is_fiber_annihilator`).  The fiber annihilator cross-check
+(`pushforward_restriction_oracle`) prints those verdicts at ranks
+1..max_rank, and the padding check reads the one at r0; no ideal is
+built or checked twice.  The tangent test raises
 the test coordinate's action on each summand of the member's jet pair
 once for all ranks, in closed form (`modules._action_power`): a fiber
 action as the power of its column, a jet action [[A, 0], [e c^T, A]] as
@@ -85,27 +83,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate
 from math import ceil
+from operator import mul
 
 from .branches import Germ
 from .errors import D0resError, RaiseTruncation
 from .fields import format_scalar
-# unused here; perfbench/tracing.py patches d0res.verify.rref_rows
-from .linalg import rref_rows  # noqa: F401
+from .linalg import rref_rows
 from .modules import (
     AnnihilatorIdeal,
     _action_power,
     _fiber_columns,
     annihilator,
-    fiber_functionals,
     fiber_module,
-    functional_ideal,
     graph_skyscraper,
     jet_pair,
     pad,
 )
-from .poly import poly_text
+from .poly import Poly, poly_text
+from .series import Series
 
 SEPARATED = "separated"
 NOT_SEPARATED = "not_separated"
@@ -260,22 +258,23 @@ class CertificateFamily:
 
     def ideal(self, index: int, r: int) -> AnnihilatorIdeal:
         """Annihilator of member(index, r).m1 at degree bound d = min(r, r0):
-        the series annihilator of the bare rank-d fiber.  It holds every
-        monomial of degree d, so it stands for the ideal at bound r (module
+        the annihilator of the bare rank-d fiber.  It holds every monomial
+        of degree d, so it stands for the ideal at bound r (module
         docstring)."""
-        return self.series_ideal(index, min(r, self.germ.r0))
+        return self.fiber_ideal(index, min(r, self.germ.r0))
 
-    def series_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
+    def fiber_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
         """The annihilator of the bare rank-d fiber over branch `index` at
-        degree d, read off its series (`_stable_annihilator`)."""
+        degree d (`_stable_annihilator`)."""
         return _once(self._built, ("ideal", index, d), _stable_annihilator,
                      self.germ.branches[index], d)
 
-    def module_ideal(self, index: int, d: int) -> AnnihilatorIdeal:
-        """The same annihilator read off the columns of the bare rank-d
-        fiber module, `annihilator(fiber_module(b, d), d)`."""
-        return _once(self._built, ("module", index, d), _module_annihilator,
-                     self.germ.branches[index], d)
+    def verdict(self, index: int, d: int) -> bool:
+        """fiber_ideal(index, d) is the annihilator of the rank-d fiber of
+        its branch, checked by another evaluator than the one that built it
+        (`_is_fiber_annihilator`)."""
+        return _once(self._built, ("check", index, d), _is_fiber_annihilator,
+                     self.germ.branches[index], self.fiber_ideal(index, d))
 
     def _base(self, index: int, rank: int) -> _Summand:
         b = self.germ.branches[index]
@@ -285,23 +284,18 @@ class CertificateFamily:
     def _sky(self, index: int) -> _Summand:
         b = self.germ.branches[index]
         return _once(self._built, ("sky", index),
-                     lambda: _Summand(graph_skyscraper(b)[1]))
-
-
-def _module_annihilator(b, d: int) -> AnnihilatorIdeal:
-    return annihilator(fiber_module(b, d), d)
+                     lambda: _Summand(graph_skyscraper(b)))
 
 
 def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
-    """The member ideal at degree `bound`: the annihilator of the
-    rank-`bound` fiber over `b`, from one evaluation of its series
-    functionals and one elimination.  It must hold every monomial of
+    """The member ideal at degree `bound`, `modules.annihilator` of the
+    rank-`bound` fiber module over `b`.  It must hold every monomial of
     degree `bound` (`holds_top_degree`), so that the family stores it at
     that bound for every higher one.  No basis row may have an entry at
     the constant monomial, so that every polynomial in it vanishes at 0
     and kills the 1 x 1 skyscraper: then it is also the ideal of the fiber
     padded with skyscrapers (module docstring)."""
-    ideal = functional_ideal(bound, *fiber_functionals(b, bound, bound))
+    ideal = annihilator(fiber_module(b, bound), bound)
     if not ideal.holds_top_degree():
         raise D0resError(f"annihilator does not hold every monomial of "
                          f"degree {bound}")
@@ -309,6 +303,47 @@ def _stable_annihilator(b, bound: int) -> AnnihilatorIdeal:
         raise D0resError("annihilator holds a polynomial with a constant "
                          "term, which the skyscraper does not")
     return ideal
+
+
+def _is_fiber_annihilator(b, ideal: AnnihilatorIdeal) -> bool:
+    """True iff `ideal` is Ann, the annihilator of K[t]/(t^d) over `b` at
+    its own bound d, checked at the branch's own series by simpler code
+    than `modules.annihilator`: g kills the fiber iff g(x(t)) = 0 mod t^d.
+    (a) ideal <= Ann: every live row vanishes (`Poly.eval_series`), and
+        every monomial of order below d is live, so each bare row, of
+        order >= d, vanishes too (x^e has order sum e_k * ord x_k).
+    (b) codim ideal <= codim Ann: there are quotient_dim standard
+        monomials, the live ones that lead no row, so the rows lead at
+        distinct columns and these span a complement of the ideal; their
+        values, products of the coordinates' powers, are independent
+        (`rref_rows`), so that complement meets Ann in 0."""
+    d = ideal.degree_bound
+    coords = [s.truncate(d) for s in b.coords]
+    live = set(ideal.live)
+    orders = [d if o is None else o for o in (s.order() for s in coords)]
+    if any(e not in live for e in _monomials_below(orders, d)):
+        return False
+    if not all(Poly(ideal.nvars, {ideal.live[c]: v for c, v in row})
+               .eval_series(coords).is_zero_at_precision()
+               for row in ideal.live_rows):
+        return False
+    leads = {row[0][0] for row in ideal.live_rows}
+    standard = [m for k, m in enumerate(ideal.live) if k not in leads]
+    one = Series.one(d)
+    powers = [list(accumulate([s] * max((m[k] for m in standard), default=0),
+                              mul, initial=one)) for k, s in enumerate(coords)]
+    values = [reduce(mul, [p[e] for p, e in zip(powers, m) if e] or [one])
+              .coeffs for m in standard]
+    return len(rref_rows(values)[1]) == len(values) == ideal.quotient_dim
+
+
+def _monomials_below(orders, n):
+    """The exponents e with sum e_k * orders[k] below n, all orders >= 1."""
+    found = [((), 0)]
+    for o in orders:
+        found = [(e + (k,), w + k * o) for e, w in found
+                 for k in range((n - 1 - w) // o + 1)]
+    return [e for e, _ in found]
 
 
 # -- point separation ---------------------------------------------------------------
@@ -520,17 +555,17 @@ def _check_member(family, index: int, r: int):
 
 def _padding_support_unchanged(family, r: int, ideals) -> bool:
     """Padding with skyscrapers must not change the scheme support of any
-    fiber: each member's annihilator (`ideals`, read off series rows at
-    bound r0) equals the generic one of its bare rank-r0 fiber, read off
-    that fiber module's columns at the same bound: the family's rank-r0
-    comparison, which the cross-check row at r0 reads too.  The member
-    ideal was checked to hold every monomial of degree r0 when it was
-    stored, so equality at r0 is equality at any bound r above (module
-    docstring)."""
+    fiber.  Each member's annihilator (`ideals`, stored at bound r0) must
+    be its branch's rank-r0 fiber ideal, which the family checked against
+    the branch (`CertificateFamily.verdict`, the cross-check row at r0).
+    It must hold every monomial of degree r0, so that it is the ideal at
+    any bound r above (module docstring), and have no basis row with a
+    constant term, so that it kills the skyscrapers too."""
     r0 = family.germ.r0
     if r == r0:
         return True
-    return all(family.module_ideal(i, r0) == ideal
+    return all(ideal == family.fiber_ideal(i, r0) and family.verdict(i, r0)
+               and ideal.holds_top_degree() and ideal.in_maximal_ideal()
                for i, ideal in enumerate(ideals))
 
 
@@ -540,34 +575,28 @@ def _padding_support_unchanged(family, r: int, ideals) -> bool:
 def pushforward_restriction_oracle(family: CertificateFamily, index: int,
                                    max_rank: int) -> dict:
     """The fiber annihilator cross-check: at each rank d = 1..max_rank, the
-    annihilator of the bare rank-d fiber over branch `index` of `family`,
-    read two ways, at degree bound d.  Returns the row
+    family's annihilator of the bare rank-d fiber over branch `index`, at
+    degree bound d, checked against the branch.  Returns the row
     {"1": ok, ..., str(max_rank): ok}.
 
     The fiber is the push-forward of K[t]/(t^d) along the branch map, and
-    its annihilator is the ideal of the image subscheme.  The module route
-    reads the columns `fiber_module` holds, the first columns of the
-    fiber's Toeplitz actions, and evaluates on them the monomials whose
-    order, read off those columns, is below d (`annihilator`).  The two
-    routes are two calls, `annihilator(fiber_module(b, d), d)` and
-    `functional_ideal(d, *fiber_functionals(b, d, d))`, so a fault in either
-    builder shows as a false row.  The series route reads the t^0..t^(d-1)
-    coefficients of f(x(t), y(t)), which is exact because the fiber is
-    generated by 1 (`fiber_functionals`).  Both
-    are the family's stored entries, and the row at r0 compares what the
-    padding check compares.  Both routes give reduced echelon bases on the
-    same graded columns, which are unique, so `==` is exact.
+    its annihilator is the ideal of the image subscheme.  The ideal is
+    built once, `annihilator(fiber_module(b, d), d)`: the first columns of
+    the fiber's Toeplitz actions, multiplied out on the monomials whose
+    order is below d, and eliminated.  Each row is the family's verdict on
+    it (`CertificateFamily.verdict`): `_is_fiber_annihilator` evaluates the
+    ideal's rows and standard monomials at the branch's own series with
+    `Poly.eval_series`, so a fault in the fiber or in its elimination shows
+    as a false row.  The row at r0 is the verdict the padding check reads.
 
-    This checks equal annihilators, not isomorphic modules: K[t]/(t^d) need
-    not be cyclic over the ambient ring (on the cusp at d = 2 every
-    coordinate acts by zero), so the annihilator does not fix the module.
+    This checks the annihilator, not the module: K[t]/(t^d) need not be
+    cyclic over the ambient ring (on the cusp at d = 2 every coordinate
+    acts by zero), so the annihilator does not fix the module.
     """
     if family.germ.branches[index].trunc < max_rank + 1:
         raise RaiseTruncation("oracle needs branch truncation >= rank + 1",
                               needed=max_rank + 1)
-    return {str(d): family.module_ideal(index, d)
-            == family.series_ideal(index, d)
-            for d in range(1, max_rank + 1)}
+    return {str(d): family.verdict(index, d) for d in range(1, max_rank + 1)}
 
 
 # -- corpus-level aggregation ----------------------------------------------------------

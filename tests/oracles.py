@@ -71,10 +71,16 @@ routes, and only the tests call them:
   of every monomial's value, one matrix product per monomial; the
   reference for `modules.annihilator`, which reads a Toeplitz fiber's dim
   first-column entries.
+* functional_ideal / fiber_ideal_below_rank: the ideal cut out by
+  evaluation functionals on graded monomials, and the annihilator of a
+  rank-R fiber read at a degree bound below R, where it need not have
+  stabilized; `modules.annihilator` refuses a bound below the fiber's
+  rank, and the tests read these for ideals that must be refused.
 * padding_support_by_dense_annihilator: the padding check against the
   dense annihilator of each bare rank-r0 fiber at the full bound r; the
-  reference for `verify._padding_support_unchanged`, which compares at
-  bound r0.
+  reference for `verify._padding_support_unchanged`, which reads the
+  family's verdict on each member ideal at bound r0, the one ideal
+  `modules.annihilator` built and `verify._is_fiber_annihilator` checked.
 * assembled: the block-diagonal matrix of (block, copies) runs, each
   block a summand's `modules._action_power` expanded by `dense_action`,
   to compare with the dense power of a dense sum.
@@ -114,7 +120,7 @@ from d0res.modules import (
     JetPair,
     _evaluation_rows,
     fiber_module,
-    functional_ideal,
+    kernel_echelon,
 )
 from d0res.poly import Poly, grlex_key, monomial_values, monomials_upto
 from d0res.report import emit_report, parse_request, run_analyze
@@ -749,6 +755,25 @@ def dense_annihilator(module, degree_bound: int):
     cols = [value.flat() for value in values]
     rows = [[col[i] for col in cols] for i in range(module.dim * module.dim)]
     return functional_ideal(degree_bound, monomials, rows)
+
+
+def functional_ideal(degree_bound, monomials, rows):
+    """The AnnihilatorIdeal at `degree_bound` cut out by the evaluation
+    functionals `rows` on the graded `monomials` of degree <= bound, one
+    `modules.kernel_echelon`; a monomial left out is a bare row."""
+    basis = kernel_echelon(rows, len(monomials))
+    return AnnihilatorIdeal(degree_bound, tuple(monomials),
+                            tuple(tuple(sorted(row.items())) for row in basis))
+
+
+def fiber_ideal_below_rank(b, rank: int, bound: int):
+    """The annihilator of fiber_module(b, rank) at a degree bound that may
+    lie below the rank, which `modules.annihilator` refuses: the fiber's
+    first-column functionals on the monomials of degree <= bound it
+    reaches (`modules._evaluation_rows`).  Below the rank it need not hold
+    every monomial of its bound."""
+    return functional_ideal(bound, *_evaluation_rows(fiber_module(b, rank),
+                                                     bound))
 
 
 def padding_support_by_dense_annihilator(germ, r: int, ideals) -> bool:

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,12 +14,11 @@ from d0res import modules as modules_module
 from d0res import poly as poly_module
 from d0res import report as report_module
 from d0res import verify as verify_module
-from d0res.branches import _evaluation_columns
 from d0res.cli import main
 from d0res.errors import InputError
 from d0res.linalg import ExactMatrix
 from d0res.modules import FiniteModule
-from d0res.poly import poly_text
+from d0res.poly import poly_text, reachable_values
 from d0res.report import emit_report, parse_request, run_analyze, run_with_escalation
 from d0res.series import Series
 
@@ -645,9 +643,10 @@ def _family_requests():
 
 def _count_builds(monkeypatch):
     """Counters on the builders `d0res.verify` calls by name, the member
-    ideal's `_stable_annihilator` and its `fiber_functionals` included."""
+    ideal's `_stable_annihilator` and its check `_is_fiber_annihilator`
+    included."""
     names = ("jet_pair", "graph_skyscraper", "pad", "annihilator",
-             "fiber_module", "_stable_annihilator", "fiber_functionals")
+             "fiber_module", "_stable_annihilator", "_is_fiber_annihilator")
     counts = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -685,11 +684,11 @@ def test_one_family_per_request_matches_fresh_families(monkeypatch,
 def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
     """At the default ranks r0..r0+2 a request builds each branch's rank-r0
     jet pair and skyscraper once.  Its annihilators are the family's store:
-    one series and one matrix annihilator per branch per printed
-    cross-check rank, each read off its own bare fiber or series
-    functionals.  Every corpus r0 is a printed rank, so the member ideal
-    and the padding check's matrix ideal are the cross-check's entries at
-    r0, and nothing else builds an annihilator."""
+    one annihilator, read off one bare fiber module, and one check of it
+    per branch per printed cross-check rank.  Every corpus r0 is a printed
+    rank, so the member ideal and the padding check's verdict are the
+    cross-check's entries at r0, and nothing else builds or checks an
+    annihilator."""
     counts = _count_builds(monkeypatch)
     branches = 0
     for path in sorted(CORPUS.glob("*.json")):
@@ -703,7 +702,7 @@ def test_corpus_builds_each_branch_jet_and_skyscraper_once(monkeypatch):
         assert built["annihilator"] == checked, path.name
         assert built["fiber_module"] == checked, path.name
         assert built["_stable_annihilator"] == checked, path.name
-        assert built["fiber_functionals"] == checked, path.name
+        assert built["_is_fiber_annihilator"] == checked, path.name
         branches += k
     assert branches == 20
     assert (counts["jet_pair"], counts["graph_skyscraper"]) == (20, 20)
@@ -911,12 +910,11 @@ def _shifted_fiber_module(b, r):
         Series([Fraction(0), *s.coeffs[:r - 1]]) for s in b.coords))
 
 
-def _shifted_evaluation_columns(b, degree, nt):
-    """The series route's columns read along t * s(t) in place of s(t)."""
-    shifted = SimpleNamespace(
-        coords=[Series([Fraction(0), *s.coeffs[:-1]]) for s in b.coords],
-        trunc=b.trunc)
-    return _evaluation_columns(shifted, degree, nt)
+def _shifted_reachable_values(series, degree):
+    """The annihilator's monomial values read along t * s(t) in place of
+    s(t), for each of the fiber's columns s."""
+    return reachable_values(
+        [Series([Fraction(0), *s.coeffs[:-1]]) for s in series], degree)
 
 
 def _bumped_fiber_module(b, r):
@@ -933,33 +931,38 @@ def _bumped_fiber_module(b, r):
 
 # What catches each mutant: `oracle`'s exit code on each corpus request
 # (1 for a false cross-check row), then a request, the exit code of
-# `analyze --strict` on it (1 for a false cross-check row), and a padded
-# rank at which the padding check fails.
+# `analyze --strict` on it at its default ranks and at a padded rank (1
+# for a false cross-check row and a false padding check; 2 where a point
+# witness read off the faulty ideal does not kill its own fiber, and no
+# report is printed), and that padded rank.
 _STEMS = sorted(p.stem for p in CORPUS.glob("*.json"))
 _SHIFTED = (dict.fromkeys(_STEMS, 1), "node", 1, 3)
 CROSSCHECK_CATCHES = {
     "_shifted_fiber_module": _SHIFTED,
-    "_shifted_evaluation_columns": _SHIFTED,
-    "_bumped_fiber_module": (dict.fromkeys(_STEMS, 1), "tacnode", 1, 4),
+    "_shifted_reachable_values": _SHIFTED,
+    "_bumped_fiber_module": (dict.fromkeys(_STEMS, 1), "tacnode", 2, 4),
 }
 
 
 @pytest.mark.parametrize("module, name, mutant", [
     (verify_module, "fiber_module", _shifted_fiber_module),
-    (modules_module, "_evaluation_columns", _shifted_evaluation_columns),
+    (modules_module, "reachable_values", _shifted_reachable_values),
     (verify_module, "fiber_module", _bumped_fiber_module),
 ])
 def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
         monkeypatch, capsysbinary, module, name, mutant):
-    """Either route fed the fiber of t * s(t), or the module route fed a
-    fiber whose x column is bumped at t^(r - 2), is caught where
-    `CROSSCHECK_CATCHES` says.  The shifted fibers fail `oracle` on every
-    corpus request, and `analyze --strict` on the node, whose report range
-    1..2 holds a false row; the padding check compares the same two
-    annihilators at r0, so the node at rank 3 fails it too.  The bumped
-    fiber fails `oracle` on every corpus request (its ranks 1..4 reach 3),
-    and `analyze --strict` on the tacnode (r0 = 3): its row at 3 is false
-    at the default ranks, and the padding check fails at rank 4."""
+    """The family's annihilator built from the fiber of t * s(t), by
+    `fiber_module` or by the monomial values `annihilator` reads, or from
+    a fiber whose x column is bumped at t^(r - 2), is caught where
+    `CROSSCHECK_CATCHES` says: the check at the branch's own series
+    refuses it.  The shifted fibers fail `oracle` on every corpus request,
+    and `analyze --strict` on the node, whose report range 1..2 holds a
+    false row; the padding check reads the same verdict at r0, so the
+    node at rank 3 fails it too.  The bumped fiber fails `oracle` on every
+    corpus request (its ranks 1..4 reach 3).  On the tacnode (r0 = 3) the
+    point witness read off its bumped ideal does not kill the branch's own
+    fiber, so `analyze --strict` exits 2 at the default ranks and at rank
+    4, with no report."""
     monkeypatch.setattr(module, name, mutant)
     oracle_rc, request, analyze_rc, padded_rank = CROSSCHECK_CATCHES[
         mutant.__name__]
@@ -973,7 +976,10 @@ def test_shifted_fiber_fails_the_fiber_annihilator_crosscheck(
     for ranks in ([], ["--rank", str(padded_rank)]):
         assert main(["analyze", path, *ranks, "--strict"]) == analyze_rc
         captured = capsysbinary.readouterr()
-        if ranks:
+        if analyze_rc == 2:
+            assert not captured.out
+            assert b"does not annihilate its own fiber\n" in captured.err
+        elif ranks:
             (cert,) = json.loads(captured.out.decode())["certificates"]
             assert cert["padding_support_ok"] is False
             assert cert["pass"] is False
@@ -1091,9 +1097,8 @@ def test_a_faulty_skyscraper_fails_every_padded_rank(monkeypatch,
     for path in sorted(CORPUS.glob("*.json")):
         golden = json.loads((CORPUS / "golden" / path.name).read_text())
         r0 = golden["germ"]["r0"]
-        monkeypatch.setattr(verify_module, "graph_skyscraper", lambda b: (
-            modules_module.fiber_module(b, r0 + 1),
-            modules_module.jet_pair(b, r0 + 1)))
+        monkeypatch.setattr(verify_module, "graph_skyscraper",
+                            lambda b: modules_module.jet_pair(b, r0 + 1))
         assert main(["analyze", str(path), "--rank", str(r0), "--strict"]) == 0
         capsysbinary.readouterr()
         for ranks in ([r0, r0 + 1], [r0, r0 + 2], [r0, r0 + 1, r0 + 2],
@@ -1111,12 +1116,12 @@ def test_a_faulty_skyscraper_fails_every_padded_rank(monkeypatch,
 @pytest.mark.parametrize("name", ["cusp", "node", "tacnode", "e6"])
 def test_a_two_dimensional_skyscraper_is_refused(monkeypatch, capsysbinary,
                                                  name):
-    """With the skyscraper planted as the rank-2 fiber and jet pair of its
+    """With the skyscraper planted as the rank-2 jet pair of its
     branch, the padded members have rank r0 + 2*(r - r0), not r.  Every
     padded rank is refused with an internal error naming the branch and
     the rank, where a certificate of the wrong member used to pass."""
-    monkeypatch.setattr(verify_module, "graph_skyscraper", lambda b: (
-        modules_module.fiber_module(b, 2), modules_module.jet_pair(b, 2)))
+    monkeypatch.setattr(verify_module, "graph_skyscraper",
+                        lambda b: modules_module.jet_pair(b, 2))
     path = str(CORPUS / f"{name}.json")
     r0 = json.loads((CORPUS / "golden" / f"{name}.json").read_text())[
         "germ"]["r0"]

@@ -18,9 +18,7 @@ from d0res.modules import (
     FiniteModule,
     JetPair,
     annihilator,
-    fiber_functionals,
     fiber_module,
-    functional_ideal,
     graph_skyscraper,
     jet_pair,
     kernel_echelon,
@@ -149,12 +147,13 @@ def test_jet_matches_fiber():
 
 
 def test_graph_skyscraper():
-    fib, jet = graph_skyscraper(SMOOTH)
-    assert fib is jet.m1 and jet == jet_pair(SMOOTH, 1)
+    jet = graph_skyscraper(SMOOTH)
+    fib = jet.m1
+    assert jet == jet_pair(SMOOTH, 1)
     assert fib.dim == 1 and all(a.is_zero() for a in dense_actions(fib))
     assert not dense_actions(jet.m2)[0].is_zero()   # coefficient of t is 1
     assert dense_actions(jet.m2)[1].is_zero()
-    _, jet_cusp = graph_skyscraper(CUSP)
+    jet_cusp = graph_skyscraper(CUSP)
     assert all(a.is_zero() for a in dense_actions(jet_cusp.m2))
 
 
@@ -169,7 +168,7 @@ def _bumped(a, i, j):
 # padded with two skyscrapers its M2 frame has tops 0, 1, 4, 6 and
 # bottoms 2, 3, 5, 7
 CUSP_JET = jet_pair(CUSP, 2)
-CUSP_PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+CUSP_PADDED = pad(CUSP_JET, graph_skyscraper(CUSP), 2)
 
 
 @pytest.mark.parametrize("jet, entry", [
@@ -228,7 +227,8 @@ def test_the_dense_jet_checks_uniformizer_and_blocks():
 
 
 def test_pad_examples():
-    fib, jet = graph_skyscraper(NODE1)
+    jet = graph_skyscraper(NODE1)
+    fib = jet.m1
     base = fiber_module(NODE1, 2)
     assert pad(base, fib, 0) is base
     padded = pad(base, fib, 1)
@@ -247,7 +247,8 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
     and m2 are the sums of its summands' m1 and m2.  The dense sums the
     tests assemble pass the dense reference and the public constructors."""
-    sky, sky_jet = graph_skyscraper(NODE1)
+    sky_jet = graph_skyscraper(NODE1)
+    sky = sky_jet.m1
     base = fiber_module(NODE1, 2)
     padded = pad(base, sky, 3)
     assert padded == DirectSum(((base, 1), (sky, 3)))
@@ -267,7 +268,7 @@ def test_pad_builds_a_direct_sum_of_its_summands():
 def test_pad_builds_no_matrix(monkeypatch):
     """Padding a jet pair with a million skyscraper jets builds no matrix:
     the sum is its two runs."""
-    sky_jet = graph_skyscraper(NODE1)[1]
+    sky_jet = graph_skyscraper(NODE1)
     base = jet_pair(NODE1, 2)
 
     def refuse(*args):
@@ -282,11 +283,11 @@ def test_pad_builds_no_matrix(monkeypatch):
 def test_pad_rejects_mismatched_ambient_dimensions():
     space = B([(1, 1)], [], [], n=8)
     with pytest.raises(D0resError, match="ambient dimension"):
-        pad(fiber_module(NODE1, 2), graph_skyscraper(space)[0], 1)
+        pad(fiber_module(NODE1, 2), graph_skyscraper(space).m1, 1)
     with pytest.raises(D0resError, match="ambient dimension"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(space)[1], 1)
+        pad(jet_pair(NODE1, 2), graph_skyscraper(space), 1)
     with pytest.raises(D0resError, match="two modules or two jet pairs"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[0], 1)
+        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1).m1, 1)
 
 
 def test_a_bad_filler_is_refused_when_built():
@@ -308,7 +309,7 @@ def test_a_bad_filler_is_refused_when_built():
             DenseModule(dim, _dense_of(**held))
 
 
-PADDED = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+PADDED = pad(CUSP_JET, graph_skyscraper(CUSP), 2)
 
 
 @pytest.mark.parametrize("jet, entry", [
@@ -367,7 +368,8 @@ def test_the_dense_jet_checks_uniformizer_and_blocks():
 
 
 def test_pad_examples():
-    fib, jet = graph_skyscraper(NODE1)
+    jet = graph_skyscraper(NODE1)
+    fib = jet.m1
     base = fiber_module(NODE1, 2)
     assert pad(base, fib, 0) is base
     padded = pad(base, fib, 1)
@@ -386,7 +388,8 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
     and m2 are the sums of its summands' m1 and m2.  The dense sums the
     tests assemble pass the dense reference and the public constructors."""
-    sky, sky_jet = graph_skyscraper(NODE1)
+    sky_jet = graph_skyscraper(NODE1)
+    sky = sky_jet.m1
     base = fiber_module(NODE1, 2)
     padded = pad(base, sky, 3)
     assert padded == DirectSum(((base, 1), (sky, 3)))
@@ -406,7 +409,7 @@ def test_pad_builds_a_direct_sum_of_its_summands():
 def test_pad_builds_no_matrix(monkeypatch):
     """Padding a jet pair with a million skyscraper jets builds no matrix:
     the sum is its two runs."""
-    sky_jet = graph_skyscraper(NODE1)[1]
+    sky_jet = graph_skyscraper(NODE1)
     base = jet_pair(NODE1, 2)
 
     def refuse(*args):
@@ -421,11 +424,11 @@ def test_pad_builds_no_matrix(monkeypatch):
 def test_pad_rejects_mismatched_ambient_dimensions():
     space = B([(1, 1)], [], [], n=8)
     with pytest.raises(D0resError, match="ambient dimension"):
-        pad(fiber_module(NODE1, 2), graph_skyscraper(space)[0], 1)
+        pad(fiber_module(NODE1, 2), graph_skyscraper(space).m1, 1)
     with pytest.raises(D0resError, match="ambient dimension"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(space)[1], 1)
+        pad(jet_pair(NODE1, 2), graph_skyscraper(space), 1)
     with pytest.raises(D0resError, match="two modules or two jet pairs"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1)[0], 1)
+        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1).m1, 1)
 
 
 def test_a_bad_filler_is_refused_when_built():
@@ -453,7 +456,7 @@ def test_a_bad_filler_is_refused_when_built():
             DenseModule(actions[0].rows, actions)
 
 
-PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1)[0], 2)
+PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1).m1, 2)
 SPACE_SKY = graph_skyscraper(B([(1, 1)], [], [], n=8))
 
 
@@ -462,7 +465,7 @@ SPACE_SKY = graph_skyscraper(B([(1, 1)], [], [], n=8))
     (PADDED.runs[0], (PADDED.runs[1][0], -1)),          # negative copies
     ((PADDED.runs[0][0].columns[0], 1), PADDED.runs[1]),  # a series summand
     (PADDED.runs[0], (CUSP_JET, 1)),                    # a module and a jet
-    (PADDED.runs[0], (SPACE_SKY[0], 2)),                # ambient mismatch
+    (PADDED.runs[0], (SPACE_SKY.m1, 2)),                # ambient mismatch
     (),                                                 # no runs
 ])
 def test_a_direct_sum_must_be_its_summands(runs):
@@ -477,14 +480,14 @@ def test_a_padded_jet_must_be_its_summands():
     """A sum of jet pairs is built only from jet pairs of one ambient
     dimension, each with a positive copy count, and its m1 and m2 are
     the sums of its summands'."""
-    jet = pad(CUSP_JET, graph_skyscraper(CUSP)[1], 2)
+    jet = pad(CUSP_JET, graph_skyscraper(CUSP), 2)
     assert DirectSum(jet.runs) == jet
-    assert jet.m1.runs == ((CUSP_JET.m1, 1), (graph_skyscraper(CUSP)[1].m1, 2))
+    assert jet.m1.runs == ((CUSP_JET.m1, 1), (graph_skyscraper(CUSP).m1, 2))
     assert jet.m2.dim == 2 * jet.m1.dim == 2 * jet.rank == 8
     bad = [
         (jet.runs[0], (jet.runs[1][0], 0)),
         (jet.runs[0], (CUSP_JET.m1, 1)),
-        (jet.runs[0], (SPACE_SKY[1], 2)),
+        (jet.runs[0], (SPACE_SKY, 2)),
         (),
     ]
     for runs in bad:
@@ -497,7 +500,7 @@ def test_annihilator_examples():
     texts = [poly_text(p) for p in ann.polys]
     assert "y" in texts and "x^2" in texts
     assert all("x" != t for t in texts)
-    sky, _ = graph_skyscraper(NODE1)
+    sky = graph_skyscraper(NODE1).m1
     ann_sky = annihilator(sky, 2)
     assert [poly_text(p) for p in ann_sky.polys] == ["x", "y", "x^2", "x*y", "y^2"]
     ann_cusp = annihilator(fiber_module(CUSP, 2), 2)
@@ -558,29 +561,28 @@ def test_kernel_echelon_matches_nullspace_rref(nrows, ncols, data):
 
 
 def test_fiber_annihilator_matches_generic_oracle():
-    """The series ideal of the bare fiber is the generic one of the fiber,
-    and of the fiber padded with two skyscrapers: its t^0 row f -> f(0)
-    already holds it inside the skyscraper's annihilator."""
+    """The bare fiber's annihilator, read off its columns, is the dense
+    one of the fiber, and of the fiber padded with two skyscrapers: its
+    t^0 row f -> f(0) already holds it inside the skyscraper's
+    annihilator."""
     for branch in (CUSP, NODE1, B([(1, 1)], [(2, 1)]), B([(3, 1)], [(4, 1), (5, 2)])):
-        sky, _ = graph_skyscraper(branch)
+        sky = graph_skyscraper(branch).m1
         for rank in (1, 2, 3, 5):
+            fiber = fiber_module(branch, rank)
+            padded = dense_sum(pad(fiber, sky, 2))
             for bound in (rank, rank + 2):
-                functionals = fiber_functionals(branch, rank, bound)
-                assert (functional_ideal(bound, *functionals)
-                        == annihilator(fiber_module(branch, rank), bound))
-                padded = dense_sum(pad(fiber_module(branch, rank), sky, 2))
-                functionals = fiber_functionals(branch, rank, bound + 2)
-                assert (functional_ideal(bound + 2, *functionals)
+                assert (annihilator(fiber, bound)
+                        == dense_annihilator(fiber, bound))
+                assert (annihilator(fiber, bound + 2)
                         == dense_annihilator(padded, bound + 2))
     with pytest.raises(RaiseTruncation):
-        fiber_functionals(B([(2, 1)], [(3, 1)], n=4), 5, 5)
+        fiber_module(B([(2, 1)], [(3, 1)], n=4), 5)
 
 
 def test_annihilator_rows_are_sparse_in_column_order():
     """Each stored basis row lists its nonzero entries by increasing
     monomial column; on y = x^2 + x^3 at rank 4 some row has three."""
-    ann = functional_ideal(
-        4, *fiber_functionals(B([(1, 1)], [(2, 1), (3, 1)]), 4, 4))
+    ann = annihilator(fiber_module(B([(1, 1)], [(2, 1), (3, 1)]), 4), 4)
     assert max(len(row) for row in ann.rows) >= 3
     for row in ann.rows:
         cols = [c for c, _ in row]
@@ -591,7 +593,7 @@ def test_annihilator_rows_are_sparse_in_column_order():
 def test_support_length_examples():
     assert support_length(fiber_module(NODE1, 2)) == 2
     assert support_length(fiber_module(CUSP, 2)) == 1
-    sky, _ = graph_skyscraper(NODE1)
+    sky = graph_skyscraper(NODE1).m1
     assert support_length(sky) == 1
 
 
@@ -743,7 +745,7 @@ def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
     on it and the skyscraper jet, assembled block by block, the dense
     power of the jet padded with two skyscraper jets: fiber and jet, every
     coordinate, k = 1..r+1 (every tangent exponent is at least 1)."""
-    jet, sky = jet_pair(b, r), graph_skyscraper(b)[1]
+    jet, sky = jet_pair(b, r), graph_skyscraper(b)
     runs = ((jet, 1), (sky, 2))
     dense = dense_sum(pad(jet, sky, 2))
     for side in ("m1", "m2"):
@@ -767,7 +769,7 @@ def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
     skyscrapers, summand by summand, as on the dense sum."""
     ideal = annihilator(fiber_module(b, r), r)
     fibers = [fiber_module(b, k) for k in range(1, 9)]
-    padded = pad(fibers[r - 1], graph_skyscraper(b)[0], 2)
+    padded = pad(fibers[r - 1], graph_skyscraper(b).m1, 2)
     dense_padded = dense_sum(padded)
     for g in ideal.polys:
         for fiber in fibers:
@@ -910,10 +912,9 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
     at k = 1..r+1, its zero test agrees, and a jet's printed power is
     `format_scalar` of the dense power, entry by entry.  The c bumps of
     the corpus test are judged on these branches too."""
-    sky_fiber, sky = graph_skyscraper(b)
+    sky = graph_skyscraper(b)
     jet = jet_pair(b, r)
-    for module, rank in ((fiber_module(b, r), r), (jet.m1, r),
-                         (sky_fiber, 1), (sky.m1, 1)):
+    for module, rank in ((fiber_module(b, r), r), (jet.m1, r), (sky.m1, 1)):
         assert module.jets is None
         assert module.columns == tuple(s.truncate(rank) for s in b.coords)
         assert dense_actions(module) == tuple(multiplication_matrix(s, rank)
@@ -1119,7 +1120,7 @@ def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
                for b in branches for s in b.coords for x in s.coeffs)
     seen = set()
     for b in branches:
-        for jet in [graph_skyscraper(b)[1]] + [jet_pair(b, r) for r in range(1, 7)]:
+        for jet in [graph_skyscraper(b)] + [jet_pair(b, r) for r in range(1, 7)]:
             dense_m1 = dense_sum(jet.m1)
             for kind, jets in _frame_mutants(jet):
                 error = _jet_outcome(jet.m1, jets)

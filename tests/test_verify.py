@@ -20,10 +20,9 @@ from d0res.modules import (
     DirectSum,
     JetPair,
     FiniteModule,
+    _evaluation_rows,
     annihilator,
-    fiber_functionals,
     fiber_module,
-    functional_ideal,
     jet_pair,
     pad,
 )
@@ -45,6 +44,7 @@ from d0res.verify import (
     _padding_support_unchanged,
     _point_verdicts,
     _point_witness,
+    _is_fiber_annihilator,
     _stable_annihilator,
     _test_coordinate,
     certify,
@@ -64,6 +64,8 @@ from oracles import (
     eval_poly_at_matrices,
     eval_series_at_matrix,
     expand_jet_power,
+    fiber_ideal_below_rank,
+    functional_ideal,
     padding_support_by_dense_annihilator,
     with_bare_rows,
 )
@@ -95,11 +97,11 @@ def test_below_critical_rank_builds_each_member_once(repo_corpus_germs,
 
 
 def test_family_annihilator_matches_generic_oracle(repo_corpus_germs):
-    """The series-row annihilator of each member is stored at bound
-    d = min(r, r0) and holds every monomial of degree d.  With the bare
-    monomials of degree d + 1..r appended it equals the generic one
-    computed from the member's action matrices at bound r, exploratory
-    ranks too."""
+    """The annihilator of each member, read off its fiber's columns, is
+    stored at bound d = min(r, r0) and holds every monomial of degree d.
+    With the bare monomials of degree d + 1..r appended it equals the
+    generic one computed from the member's action matrices at bound r,
+    exploratory ranks too."""
     extension_and_space = {"gaussian_node", "cyclotomic_triple", "space_lines"}
     assert extension_and_space <= set(repo_corpus_germs)
     for name, germ in repo_corpus_germs.items():
@@ -174,8 +176,7 @@ def test_member_ideal_at_bound_equal_to_rank_needs_no_second_elimination(
     d + 1 have exactly `quotient_dim` pivots: the ideal has stabilized,
     and a second elimination at d + 1 would check nothing."""
     cusp = corpus_germs["cusp"].branches[0]
-    ideals = [functional_ideal(d, *fiber_functionals(cusp, 5, d))
-              for d in (1, 2, 3)]
+    ideals = [fiber_ideal_below_rank(cusp, 5, d) for d in (1, 2, 3)]
     assert [ideal.quotient_dim for ideal in ideals] == [3, 4, 4]
     assert not ideals[0].holds_top_degree()
     cases = 0
@@ -185,7 +186,7 @@ def test_member_ideal_at_bound_equal_to_rank_needs_no_second_elimination(
                 ideal = _stable_annihilator(b, d)
                 assert ideal.holds_top_degree(), (name, d)
                 assert all(row[0][0] > 0 for row in ideal.rows), (name, d)
-                _, rows = verify_module.fiber_functionals(b, d, d + 1)
+                _, rows = _evaluation_rows(fiber_module(b, d), d + 1)
                 assert len(rref_rows(rows)[1]) == ideal.quotient_dim, (name, d)
                 cases += 1
     assert cases == 200
@@ -198,18 +199,16 @@ def test_member_ideal_with_a_constant_term_is_refused(repo_corpus_germs,
     skyscraper's.  With that row zeroed or dropped, the constant 1 lies in
     the ideal, which still holds its top degree: the family build raises
     and stores no ideal, at r0 and above."""
-    functionals = verify_module.fiber_functionals
 
-    def mutated(b, rank, bound):
-        monomials, rows = functionals(b, rank, bound)
+    def mutated(module, bound):
+        monomials, rows = _evaluation_rows(module, bound)
         first = [[F(0)] * len(monomials)] if mutation == "zeroed" else []
-        return monomials, first + rows[1:]
+        return functional_ideal(bound, monomials, first + rows[1:])
 
-    monkeypatch.setattr(verify_module, "fiber_functionals", mutated)
+    monkeypatch.setattr(verify_module, "annihilator", mutated)
     for name, germ in repo_corpus_germs.items():
         r0 = germ.r0
-        mutant = verify_module.functional_ideal(
-            r0, *mutated(germ.branches[0], r0, r0))
+        mutant = mutated(fiber_module(germ.branches[0], r0), r0)
         assert mutant.holds_top_degree(), name
         assert mutant.rows[0] == ((0, F(1)),), name
         for r in (r0, r0 + 1):
@@ -230,8 +229,7 @@ def test_capped_padding_check_agrees_with_dense_reference(repo_corpus_germs):
     checked = 0
     for name, germ in repo_corpus_germs.items():
         family = CertificateFamily(germ)
-        longer = [functional_ideal(germ.r0,
-                                   *fiber_functionals(b, germ.r0 + 1, germ.r0))
+        longer = [fiber_ideal_below_rank(b, germ.r0 + 1, germ.r0)
                   for b in germ.branches]
         for r in (*range(germ.r0, germ.r0 + 4), 16, 32):
             ideals = [family.ideal(i, r) for i in range(germ.k)]
@@ -290,21 +288,21 @@ def test_holds_top_degree_rejects_a_non_closed_ideal(corpus_germs,
     monomial of its own.  On a node branch's fiber K[t]/(t^2), x pulls back
     to order 1, so degree 1 is refused and degree 2 taken, and the ideal at
     degree 2 with the bare monomials appended is the ideal at 12.  The
-    family never stores a refused ideal: with its functionals read off the
+    family never stores a refused ideal: with `annihilator` reading the
     rank-2 fiber where it asks for rank 1, the ideal at degree 1 is an
     error."""
     b = corpus_germs["node"].branches[0]
     assert b.coords[0].order() == 1
     ideal = annihilator(fiber_module(b, 2), 2)
     assert ideal.holds_top_degree()
-    assert not functional_ideal(1, *fiber_functionals(b, 2, 1)).holds_top_degree()
+    assert not fiber_ideal_below_rank(b, 2, 1).holds_top_degree()
     dense = annihilator(fiber_module(b, 2), 12)
     assert with_bare_rows(ideal, 12) == dense
     assert dense.quotient_dim == ideal.quotient_dim
     assert list(with_bare_rows(ideal, 12).polys) == list(dense.polys)
-    functionals = verify_module.fiber_functionals
-    monkeypatch.setattr(verify_module, "fiber_functionals",
-                        lambda b, rank, bound: functionals(b, rank + 1, bound))
+    monkeypatch.setattr(verify_module, "annihilator",
+                        lambda module, bound: fiber_ideal_below_rank(
+                            b, module.dim + 1, bound))
     with pytest.raises(D0resError, match="every monomial of degree 1"):
         _stable_annihilator(b, 1)
 
@@ -730,10 +728,11 @@ ORACLE_CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
 
 
 @st.composite
-def oracle_branches(draw):
-    """Branches over QQ, QQ(i) or QQ(2^(1/3)) with sparse coordinates of
-    order >= 1 at truncation 5..9; non-primitive draws are skipped."""
-    field = draw(st.sampled_from([None, ORACLE_GAUSS, ORACLE_CUBIC]))
+def oracle_branches(draw, fields=(None, ORACLE_GAUSS, ORACLE_CUBIC)):
+    """Branches over QQ, QQ(i) or QQ(2^(1/3)), or over one of `fields`,
+    with sparse coordinates of order >= 1 at truncation 5..9;
+    non-primitive draws are skipped."""
+    field = draw(st.sampled_from(fields))
     small = st.one_of(st.just(F(0)), st.just(F(0)),
                       st.fractions(min_value=-3, max_value=3,
                                    max_denominator=3))
@@ -771,9 +770,10 @@ def test_fiber_annihilator_crosscheck_on_random_branches(b, r):
 @settings(max_examples=60, deadline=None)
 @given(oracle_branches(), st.data())
 def test_reachable_annihilators_match_the_dense_reference(b, data):
-    """The series route (`fiber_functionals`) and the module route
-    (`annihilator` on the fiber's columns) evaluate only the monomials a fiber can reach, and hold
-    the others as implicit bare rows.  Both give the ideal, written out
+    """The fiber's first-column functionals (`annihilator` on the fiber's
+    columns, `fiber_ideal_below_rank` below its rank) evaluate only the
+    monomials a fiber can reach, and hold the others as implicit bare
+    rows.  Both give the ideal, written out
     row for row, that `dense_annihilator` reads off every monomial's
     dim x dim value: on plane and space branches over QQ, QQ(i) and
     QQ(2^(1/3)), with one coordinate zeroed half the time, at ranks 1..6
@@ -790,7 +790,7 @@ def test_reachable_annihilators_match_the_dense_reference(b, data):
     bound = data.draw(st.integers(0, 2 * rank))
     fiber = fiber_module(b, rank)
     dense = dense_annihilator(fiber, bound)
-    series = functional_ideal(bound, *fiber_functionals(b, rank, bound))
+    series = fiber_ideal_below_rank(b, rank, bound)
     assert series == dense
     assert series.rows == dense.rows
     assert series.quotient_dim == dense.quotient_dim
@@ -799,10 +799,58 @@ def test_reachable_annihilators_match_the_dense_reference(b, data):
         assert annihilator(fiber, bound) == dense
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, ORACLE_GAUSS, ORACLE_CUBIC]), st.data())
+def test_fiber_ideal_check_accepts_exactly_the_annihilator(field, data):
+    """`_is_fiber_annihilator` accepts the family's ideal of the rank-d
+    fiber, which is the dense reference's, on plane and space branches
+    over QQ, QQ(i) and QQ(2^(1/3)) at d = 1..8.  It refuses the rank-(d+1)
+    fiber's ideal read at bound d wherever that differs, as it must where
+    a coordinate has order 1 (x^d has order d): every row of that ideal
+    vanishes mod t^d, so the refusal is the standard monomials' rank, part
+    (b).  It refuses the ideal of another branch over the same field
+    wherever the two differ."""
+    b = data.draw(oracle_branches(fields=(field,)))
+    d = data.draw(st.integers(1, min(8, b.trunc - 1)))
+    family = CertificateFamily(_one_branch_germ(b))
+    ideal = family.fiber_ideal(0, d)
+    assert family.verdict(0, d)
+    assert ideal == dense_annihilator(fiber_module(b, d), d)
+    longer = fiber_ideal_below_rank(b, d + 1, d)
+    coords = [s.truncate(d) for s in b.coords]
+    assert all(g.eval_series(coords).is_zero_at_precision()
+               for g in longer.polys)
+    assert _is_fiber_annihilator(b, longer) is (longer == ideal)
+    if 1 in b.orders():
+        assert longer != ideal
+    other = data.draw(oracle_branches(fields=(field,)).filter(
+        lambda c: c.ambient_dim == b.ambient_dim and c.trunc >= d))
+    theirs = annihilator(fiber_module(other, d), d)
+    assert _is_fiber_annihilator(b, theirs) is (theirs == ideal)
+
+
+def test_fiber_ideal_check_refuses_a_reachable_monomial_held_bare(
+        corpus_germs):
+    """On the cusp (t^2, t^3) at d = 4 the monomials 1, x and y have
+    orders 0, 2 and 3, below 4: they are live and independent, and the
+    ideal has no live row.  Held with y bare, the ideal claims that y
+    kills K[t]/(t^4).  Its live part passes (a)'s rows and (b), and only
+    (a)'s order test, every monomial of order below d is live, refuses
+    it."""
+    b = corpus_germs["cusp"].branches[0]
+    assert b.orders() == (2, 3)
+    ideal = annihilator(fiber_module(b, 4), 4)
+    assert ideal.live == ((0, 0), (1, 0), (0, 1)) and not ideal.live_rows
+    assert _is_fiber_annihilator(b, ideal)
+    assert not _is_fiber_annihilator(
+        b, AnnihilatorIdeal(4, ((0, 0), (1, 0)), ()))
+
+
 def test_pushforward_oracle_rejects_a_perturbed_fiber(corpus_germs,
                                                       monkeypatch):
-    """The module route fed a valid module of another branch, x doubled:
-    the cross-check must see that the series route disagrees."""
+    """The family's ideal built from a valid module of another branch, x
+    doubled: the cross-check's verdict, which evaluates it at the
+    branch's own series, must refuse it."""
     germ = corpus_germs["node"]
     x, *rest = germ.branches[0].coords
     other = BranchParam((x * F(2), *rest))
