@@ -4,15 +4,27 @@ A scalar is either a `fractions.Fraction` or a `FieldElement` attached to a
 `NumberField`.  Mixed Fraction/FieldElement arithmetic works through the usual
 reflected operators; two distinct extensions never mix (UnsupportedFieldExtension).
 Everything is immutable and hashable.
+
+An element shows its coefficients on 1, a, ..., a^(d-1) as normalized
+Fractions, and that is what printing, equality and hashing read.  Products
+and inverses run on integers instead (Cohen 1993, section 4.2): the
+coefficients over one common denominator.  A product is one integer
+convolution, reduced mod m(a) by `NumberField.reduce`, the one reduction
+routine, which also serves `element` and the series product's slots.  When
+m is not integral, `reduce` works in b = L*a, L the lcm of m's
+denominators, whose minimal polynomial is monic over ZZ.  An inverse is
+one fraction-free solve (`kernels.isolve`) of x*y = 1 on x's integer
+multiplication matrix, whatever the degree.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import D0resError, ReducibleModulus, UnsupportedFieldExtension
+from .kernels import isolve
 
 _ZERO = Fraction(0)
 
@@ -25,6 +37,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _integers(coeffs):
+    """(nums, den): Fractions as integers over their least common
+    denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class NumberField:
@@ -50,6 +69,11 @@ class NumberField:
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.generator = generator
+        # b = scale * a is a root of b^d - sum_i top[i] b^i, integer top
+        d, scale = self.degree, lcm(*[c.denominator for c in coeffs])
+        self._scale = scale
+        self._top = tuple(-(c * scale ** (d - i)).numerator
+                          for i, c in enumerate(coeffs[:-1]))
 
     def __eq__(self, other):
         return (
@@ -81,11 +105,51 @@ class NumberField:
         return FieldElement(self, tuple(coeffs))
 
     def element(self, coeffs):
-        coeffs = [_as_fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = _reduce_mod(coeffs, self.minpoly)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        """The element sum_k coeffs[k] a^k, for rationals of any number."""
+        return self.reduce(*_integers([_as_fraction(c) for c in coeffs]))
+
+    def reduce(self, nums, den=1):
+        """The element sum_k nums[k] a^k / den, for integers nums of any
+        length and a nonzero integer den: the one reduction mod m(a).
+
+        The sum is rewritten in b = scale * a, as sum_k nums[k]
+        scale^(n-1-k) b^k over den scale^(n-1), reduced by b's monic
+        integer minimal polynomial, and read back through b^j = scale^j
+        a^j; scale is 1 when m is integral."""
+        d, n, scale = self.degree, len(nums), self._scale
+        if n > d and scale == 1:
+            nums = _fold(list(nums), self._top, d)
+        elif n > d:
+            nums = _fold(_scaled(nums[::-1], scale)[::-1], self._top, d)
+            nums, den = _scaled(nums, scale), den * scale ** (n - 1)
+        return FieldElement(self, _fractions(nums, den, d))
+
+
+def _scaled(nums, scale):
+    """[nums[k] * scale^k for each k]."""
+    out, weight = [], 1
+    for v in nums:
+        out.append(v * weight)
+        weight *= scale
+    return out
+
+
+def _fold(nums, top, d):
+    """The first d entries of the integer vector nums once each b^k, k >= d,
+    is folded back through b^d = sum_i top[i] b^i; consumes nums."""
+    for k in range(len(nums) - 1, d - 1, -1):
+        c = nums.pop()
+        if c:
+            for i, t in enumerate(top, k - d):
+                if t:
+                    nums[i] += c * t
+    return nums
+
+
+def _fractions(nums, den, d):
+    """The d Fractions nums[k] / den, zeros past the end of nums."""
+    out = tuple(Fraction(x, den) if x else _ZERO for x in nums)
+    return out + (_ZERO,) * (d - len(out))
 
 
 def common_field(field, other):
@@ -121,10 +185,10 @@ class FieldElement:
         return None
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_part(self):
         if not self.is_rational():
@@ -157,38 +221,45 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        return FieldElement(self.field, tuple(_reduce_mod(prod, self.field.minpoly)))
+        xs, dx = _integers(self.coeffs)
+        ys, dy = _integers(o.coeffs)
+        prod = [0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys, i):
+                    prod[j] += x * y
+        return self.field.reduce(prod, dx * dy)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the minimal polynomial; raises on zero divisors."""
+        """The y with x*y = 1, by one fraction-free solve on the integer
+        multiplication matrix of x; raises on zero divisors.
+
+        With x = X(b) / D in the integer layout of `NumberField.reduce`
+        (b = scale * a, D = den * scale^(d-1)), column j of the matrix is
+        X * b^j folded mod b's minimal polynomial, and the solution z of
+        (matrix) z = e_0 gives y = sum_j D z_j b^j."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        # invariants: r0 = s0 * m + t0 * self (as polynomials mod nothing)
-        r0, r1 = list(self.field.minpoly), list(self.coeffs)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = upoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
-        r0 = upoly_trim(r0)
-        if len(r0) != 1:
+        field = self.field
+        d, scale, top = field.degree, field._scale, field._top
+        xs, den = _integers(self.coeffs)
+        col = _scaled(xs[::-1], scale)[::-1]
+        columns = [col]
+        for _ in range(d - 1):
+            col = _fold([0] + col, top, d)
+            columns.append(col)
+        solved = isolve(list(zip(*columns)), [1] + [0] * (d - 1))
+        if solved is None:
             raise ReducibleModulus(
                 f"{self} is a zero divisor (reducible modulus "
                 f"{poly_str(self.field.minpoly, 'a')}); the minimal polynomial "
                 "must be irreducible over QQ"
             )
-        inv_lead = 1 / r0[0]
-        return self.field.element([c * inv_lead for c in t0])
+        z, q = solved
+        lead = den * scale ** (d - 1)
+        return field.reduce(_scaled([v * lead for v in z], scale), q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -425,22 +496,6 @@ def upoly_gcd(p, q):
 
 def upoly_deriv(p):
     return upoly_trim([c * k for k, c in enumerate(p)][1:])
-
-
-def _reduce_mod(coeffs, minpoly):
-    coeffs = list(coeffs)
-    d = len(minpoly) - 1
-    top = [-c for c in minpoly[:-1]]
-    for k in range(len(coeffs) - 1, d - 1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        coeffs[k] = Fraction(0)
-        for i, t in enumerate(top):
-            coeffs[k - d + i] += c * t
-    out = coeffs[:d]
-    out += [Fraction(0)] * (d - len(out))
-    return out
 
 
 def rational_sqrt(value):

@@ -5,7 +5,8 @@ plain ints, skipping the per-operation gcd that Fraction arithmetic pays.
 `imatmul` and `irow_echelon` serve the matrix products and eliminations
 (`fmatmul`, `frref`); `iconv` serves the truncated series product, which
 `Series.__mul__` feeds one integer vector per power of the field generator,
-the second factor as its `nonzero_pairs`.
+the second factor as its `nonzero_pairs`; `isolve` serves the inverse of a
+number-field element (`FieldElement.inverse`).
 `IMPLEMENTATION` names these kernels in benchmark result stamps.
 """
 
@@ -173,3 +174,32 @@ def frref(rows):
     for _ in range(len(pivots), len(irows)):
         out.append([Fraction(0)] * ncols)
     return out, pivots
+
+
+def isolve(rows, rhs):
+    """(nums, den) with z = nums / den the solution of rows * z = rhs, for a
+    square integer matrix `rows` and an integer vector `rhs`; None when the
+    matrix is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): after the step
+    on pivot k, every entry is a minor of the matrix, so each division by
+    the previous pivot is exact, the diagonal holds the last pivot, and
+    that pivot is the determinant up to sign.
+    """
+    n = len(rows)
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot_row = a[k]
+        piv = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * v - f * w) // prev
+                        for v, w in zip(a[i], pivot_row)]
+        prev = piv
+    return [row[n] for row in a], prev

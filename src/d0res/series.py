@@ -10,10 +10,11 @@ Products and polynomial evaluation run on one integer layout, the slots: a
 series mod t^n over QQ(a) becomes one common denominator and one integer
 vector per power of the generator a (`_slots`).  A product is one integer
 convolution (`kernels.iconv`) per pair of slots, and `_from_slots` turns
-slots back into a Series, normalizing each coefficient, and reducing it
-mod m(a), once.  `polynomial_at` evaluates a polynomial at series by Horner
-on slots; it serves `Poly.eval_series` and `Series.compose`.  `invert`
-doubles the precision by Newton's iteration over these products.
+slots back into a Series, reducing each coefficient's integers mod m(a)
+(`NumberField.reduce`) and normalizing it, once.  `polynomial_at`
+evaluates a polynomial at series by Horner on slots; it serves
+`Poly.eval_series` and `Series.compose`.  `invert` doubles the precision
+by Newton's iteration over these products.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ def _product(xs, ys, n):
 
 def _from_slots(field, den, slots):
     """The Series whose t^k coefficient is sum_p a^p slots[p][k] / den.
-    Each coefficient is normalized, and reduced mod m(a) through
-    `field.element`, once; one with no generator part is a Fraction."""
+    Each coefficient's integers are reduced mod m(a) by `field.reduce`, and
+    normalized, once; one with no generator part is a Fraction."""
     out = [Fraction(x, den) if x else _ZERO for x in slots[0]]
     for k in {k for s in slots[1:] for k, v in enumerate(s) if v}:
-        out[k] = demote(field.element([Fraction(s[k], den) for s in slots]))
+        out[k] = demote(field.reduce([s[k] for s in slots], den))
     return Series(out)
 
 

@@ -3,6 +3,12 @@
 They compute the same objects as the program by slower, more literal
 routes, and only the tests call them:
 
+* reduce_mod / euclid_inverse / fraction_product: number-field arithmetic
+  on Fraction coefficients, a rational vector of any length reduced mod
+  the monic minimal polynomial by long division, the inverse by extended
+  Euclid against the minimal polynomial, and the product as a Fraction
+  convolution reduced by reduce_mod; the references for the integer route
+  of `NumberField.reduce`, `FieldElement.inverse` and `__mul__`.
 * sylvester_resultant_equation: a plane branch's implicit equation by
   eliminating the parameter, Res_s(x - x(s), y - y(s)), with a
   fraction-free (Bareiss) determinant over the polynomial ring; the
@@ -110,8 +116,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from d0res.branches import BranchParam, _value_semigroup, branch_multiplicity
-from d0res.errors import D0resError, NonCommutingActions, RaiseTruncation
-from d0res.fields import FieldElement, format_scalar, power, scalar_is_zero
+from d0res.errors import (D0resError, NonCommutingActions, RaiseTruncation,
+                          ReducibleModulus)
+from d0res.fields import (
+    FieldElement,
+    format_scalar,
+    poly_str,
+    power,
+    scalar_is_zero,
+    upoly_divmod,
+    upoly_mul,
+    upoly_sub,
+    upoly_trim,
+)
 from d0res.linalg import ExactMatrix, rref_rows
 from d0res.modules import (
     AnnihilatorIdeal,
@@ -128,6 +145,59 @@ from d0res.series import Series
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def reduce_mod(coeffs, minpoly):
+    """The d coefficients of coeffs (lowest degree first, any length) mod
+    the monic polynomial minpoly of degree d, by long division."""
+    coeffs = list(coeffs)
+    d = len(minpoly) - 1
+    top = [-c for c in minpoly[:-1]]
+    for k in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        coeffs[k] = _ZERO
+        for i, t in enumerate(top):
+            coeffs[k - d + i] += c * t
+    out = coeffs[:d]
+    out += [_ZERO] * (d - len(out))
+    return out
+
+
+def fraction_product(x: FieldElement, y: FieldElement) -> FieldElement:
+    """x * y by a convolution of their Fraction coefficients, reduced by
+    reduce_mod."""
+    prod = [_ZERO] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    return FieldElement(x.field, tuple(reduce_mod(prod, x.field.minpoly)))
+
+
+def euclid_inverse(x: FieldElement) -> FieldElement:
+    """1/x by extended Euclid against the minimal polynomial, in Fractions;
+    ReducibleModulus, with the program's text, on a zero divisor."""
+    if x.is_zero():
+        raise ZeroDivisionError("division by zero field element")
+    minpoly = x.field.minpoly
+    # invariant: r_i = s_i * m + t_i * x as polynomials
+    r0, r1 = list(minpoly), list(x.coeffs)
+    t0, t1 = [_ZERO], [_ONE]
+    while any(c != 0 for c in r1):
+        q, r = upoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, upoly_sub(t0, upoly_mul(q, t1))
+    r0 = upoly_trim(r0)
+    if len(r0) != 1:
+        raise ReducibleModulus(
+            f"{x} is a zero divisor (reducible modulus "
+            f"{poly_str(minpoly, 'a')}); the minimal polynomial "
+            "must be irreducible over QQ"
+        )
+    inv_lead = 1 / r0[0]
+    return FieldElement(x.field, tuple(
+        reduce_mod([c * inv_lead for c in t0], minpoly)))
 
 
 class NotNilpotent(D0resError):

@@ -606,6 +606,26 @@ def test_rational_germ_reports_match_snapshots(tmp_path, capsysbinary, name,
             == (DATA / f"rational_{name}.json").read_bytes())
 
 
+# The explicit node (t, a t + a^2 t^2), (t, -a t + (1 + a/2) t^3) over
+# a^3 - 1/2 a + 1/3, a minimal polynomial with non-integer coefficients:
+# its witness x+(-3/2+3*a^2)*y takes inverses in a cubic field.
+CUBIC_FIELD_NODE = {
+    "field": {"generator": "a", "minpoly": ["1/3", "-1/2", "0", "1"]},
+    "curve": {"branches": [
+        {"x": [[1, "1"]], "y": [[1, "a"], [2, "a^2"]]},
+        {"x": [[1, "1"]], "y": [[1, "-a"], [3, "1+1/2*a"]]}]}}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cubic_field_report_matches_snapshot(tmp_path, capsysbinary, fmt):
+    """A node over a cubic field with a non-integral minimal polynomial:
+    its report, witness included, is pinned byte for byte."""
+    path = write_request(tmp_path, "cubic_field_node.json", CUBIC_FIELD_NODE)
+    assert main(["analyze", path, "--format", fmt]) == 0
+    assert (capsysbinary.readouterr().out
+            == (DATA / f"cubic_field_node.{fmt}").read_bytes())
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_mixed_rank_report_matches_snapshot(capsysbinary, fmt):
     """Descending ranks, a repeated rank and a below-critical rank in one
@@ -620,13 +640,14 @@ def test_mixed_rank_report_matches_snapshot(capsysbinary, fmt):
 
 
 def _family_requests():
-    """Every corpus request, the rational snapshot germs and the mixed-rank
-    tacnode request."""
+    """Every corpus request, the rational snapshot germs, the cubic-field
+    node and the mixed-rank tacnode request."""
     requests = [pytest.param(json.loads(path.read_text()), id=path.stem)
                 for path in sorted(CORPUS.glob("*.json"))]
     requests += [pytest.param({"curve": {"implicit": {"poly": poly}}},
                               id=f"rational_{name}")
                  for name, poly in RATIONAL_GERMS]
+    requests.append(pytest.param(CUBIC_FIELD_NODE, id="cubic_field_node"))
     tacnode = json.loads((CORPUS / "tacnode.json").read_text())
     requests.append(pytest.param({**tacnode, "ranks": [5, 3, 4, 3, 1]},
                                  id="tacnode_mixed"))

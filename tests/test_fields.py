@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d0res.errors import D0resError, UnsupportedFieldExtension
+from d0res.errors import D0resError, ReducibleModulus, UnsupportedFieldExtension
 from d0res.fields import (
     FieldElement,
     NumberField,
@@ -20,6 +20,7 @@ from d0res.fields import (
     upoly_trim,
 )
 from d0res.puiseux import squarefree_decomposition
+from oracles import euclid_inverse, fraction_product, reduce_mod
 
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
@@ -184,3 +185,109 @@ def test_univariate_kit_properties(polys):
                 x.inverse()
         else:
             assert x * x.inverse() == 1
+
+
+# Fields of degree 2-4, among them minimal polynomials with non-integer
+# coefficients, where `NumberField.reduce` works in b = scale * a.
+NAMED_FIELDS = [
+    NumberField([1, 0, 1], generator="i"),
+    NumberField([F(3, 5), 0, 1]),                   # u^2 + 3/5
+    NumberField([F(1, 3), F(-1, 2), 0, 1]),         # u^3 - 1/2 u + 1/3
+    NumberField([-2, 0, 0, 1]),                     # u^3 - 2
+    NumberField([F(2, 7), 0, F(-1, 3), 0, 1]),      # u^4 - 1/3 u^2 + 2/7
+]
+
+
+def _number_field(coeffs):
+    try:
+        return NumberField(list(coeffs) + [1])
+    except D0resError:          # not squarefree
+        return None
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+number_fields = st.one_of(
+    st.sampled_from(NAMED_FIELDS),
+    st.integers(2, 4).flatmap(
+        lambda d: st.lists(small_rationals, min_size=d, max_size=d))
+    .map(_number_field).filter(lambda k: k is not None))
+
+
+@st.composite
+def field_elements(draw, count=2):
+    field = draw(number_fields)
+    elements = [field.element(draw(st.lists(rationals, min_size=field.degree,
+                                             max_size=field.degree)))
+                for _ in range(count)]
+    return field, elements
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements(count=3))
+def test_field_arithmetic_matches_the_fraction_reference(drawn):
+    """Products and inverses on integers equal the Fraction convolution and
+    extended Euclid, coefficient by coefficient, over fields of degree 2-4
+    with integral and non-integral minimal polynomials; the ring axioms
+    hold.  A random minimal polynomial may be reducible: then both routes
+    refuse the same zero divisors with the same text."""
+    field, (x, y, z) = drawn
+    product = x * y
+    assert product.coeffs == fraction_product(x, y).coeffs
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert len(product.coeffs) == field.degree
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * y == y * x
+    assert 3 * x == x * F(3) == x + x + x
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    try:
+        expected = euclid_inverse(x)
+    except ReducibleModulus as refusal:
+        with pytest.raises(ReducibleModulus) as caught:
+            x.inverse()
+        assert str(caught.value) == str(refusal)
+        return
+    assert x.inverse().coeffs == expected.coeffs
+    assert (y / x) * x == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(number_fields, st.data())
+def test_element_reduces_lists_of_any_length(field, data):
+    """`element` and `reduce` take coefficient lists longer than the 2d - 1
+    a product leaves, as Horner's slots are, and agree with long division
+    by the minimal polynomial."""
+    d = field.degree
+    coeffs = data.draw(st.lists(rationals, min_size=0, max_size=4 * d))
+    expected = tuple(reduce_mod(coeffs, field.minpoly))
+    assert field.element(coeffs).coeffs == expected
+    nums = data.draw(st.lists(st.integers(-10**6, 10**6), max_size=4 * d))
+    den = data.draw(st.integers(1, 10**4))
+    assert (field.reduce(nums, den).coeffs
+            == tuple(reduce_mod([F(v, den) for v in nums], field.minpoly)))
+    a = field.gen()
+    assert field.element([0] * (3 * d) + [1]).coeffs == (a ** (3 * d)).coeffs
+
+
+@pytest.mark.parametrize("minpoly, zero_divisor", [
+    ([-1, 0, 1], [-1, 1]),                      # u^2 - 1 = (u - 1)(u + 1)
+    ([0, -1, 0, 1], [0, 1]),                    # u^3 - u, at u
+    ([F(-1, 2), 1, F(-1, 2), 1], [1, 0, 1]),    # (u^2 + 1)(u - 1/2)
+    ([F(1, 9), 0, F(-10, 9), 0, 1], [F(-1, 9), 0, 1]),  # (u^2 - 1)(u^2 - 1/9)
+])
+def test_a_reducible_modulus_is_refused_with_the_same_text(minpoly,
+                                                           zero_divisor):
+    """A zero divisor of a reducible modulus raises `ReducibleModulus`, a
+    ZeroDivisionError, with the text extended Euclid gives."""
+    ring = NumberField(minpoly)
+    x = ring.element(zero_divisor)
+    with pytest.raises(ReducibleModulus) as reference:
+        euclid_inverse(x)
+    with pytest.raises(ZeroDivisionError) as caught:
+        x.inverse()
+    assert type(caught.value) is ReducibleModulus
+    assert str(caught.value) == str(reference.value)
+    assert "is a zero divisor (reducible modulus" in str(caught.value)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from d0res import kernels
-from d0res.kernels import iconv, imatmul, nonzero_pairs
+from d0res.kernels import iconv, imatmul, isolve, nonzero_pairs
 from d0res.linalg import _rref_generic
 from d0res.series import Series, polynomial_at
 
@@ -100,6 +100,43 @@ def test_frref_matches_generic_path():
         slow, piv_slow = _rref_generic([r[:] for r in rows])
         assert piv_fast == piv_slow
         assert [list(r) for r in fast] == [list(r) for r in slow]
+
+
+def test_isolve_matches_fraction_elimination():
+    """The fraction-free solve agrees with Fraction Gauss-Jordan on the
+    augmented matrix: the solution when that has full rank, None when the
+    matrix is singular, and its denominator is the determinant up to
+    sign."""
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.2:      # a repeated row
+            rows[-1] = list(rows[0])
+        rhs = [rng.randint(-5, 5) for _ in range(n)]
+        solved = isolve(rows, rhs)
+        reduced, pivots = _rref_generic(
+            [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)])
+        if pivots[:n] != list(range(n)):
+            assert solved is None
+            singular += 1
+            continue
+        nums, den = solved
+        assert [F(v, den) for v in nums] == [row[n] for row in reduced]
+        det = _determinant([[F(v) for v in row] for row in rows])
+        assert abs(den) == abs(det)
+    assert 0 < singular < 200
+
+
+def _determinant(rows):
+    """The determinant of a square Fraction matrix, by cofactors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * _determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
 
 
 def test_implementation_flag():

@@ -294,166 +294,23 @@ def test_a_bad_filler_is_refused_when_built():
     """A filler whose actions are not nilpotent, or do not commute, never
     exists to be padded: `FiniteModule` refuses a column with a t^0 term
     and jets whose rows break c^T B = d^T A, and the dense reference
-    refuses their dense actions by its powers or its products."""
+    refuses their dense actions by its powers or its products.  Each
+    module's dim is the one its dense actions read."""
     shift = Series([F(0), F(1)])
     not_nilpotent = {"columns": (Series([F(1)]), Series.zero(1))}
     # [[S, 0], [e (0, 1), S]] and [[S, 0], [0, S]]: e c^T S = e (1, 0)
     not_commuting = {"jets": ((shift, (F(0), F(1))), (shift, (F(0), F(0))))}
+    assert (Series.zero(2), None) not in not_commuting["jets"]
     for held, dim, text, dense_error in (
             (not_nilpotent, 1, NOT_NILPOTENT, NotNilpotent),
             (not_commuting, 4, NOT_COMMUTING, NonCommutingActions)):
+        actions = _dense_of(**held)
+        assert all(a.rows == dim for a in actions)
         with pytest.raises(D0resError) as caught:
             FiniteModule(dim, **held)
         assert str(caught.value) == text
         with pytest.raises(dense_error):
-            DenseModule(dim, _dense_of(**held))
-
-
-PADDED = pad(CUSP_JET, graph_skyscraper(CUSP), 2)
-
-
-@pytest.mark.parametrize("jet, entry", [
-    (CUSP_JET, (1, 2)),         # top-right: a bottom mapped into the tops
-    (CUSP_JET, (3, 2)),         # bottom-right differs from the M1 action
-    (CUSP_JET, (1, 0)),         # top-left differs from the M1 action
-    (CUSP_PADDED, (4, 7)),      # top-right across two blocks
-    (CUSP_PADDED, (7, 5)),      # bottom-right across two blocks
-])
-def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
-    """An M2 action that is a valid module action, as the dense reference
-    finds, but does not read [[A, 0], [C, A]] on (tops, bottoms) is
-    rejected by the tests' `DenseJet`, on one block and across several.
-    A jet held by its series cannot be such an action: it holds only A's
-    column and C's last row."""
-    dense = dense_sum(jet)
-    assert replace(dense) == dense
-    x2 = _bumped(dense.m2.actions[0], *entry)
-    actions = (x2,) + dense.m2.actions[1:]
-    DenseModule(dense.m2.dim, actions)                  # still valid
-    with pytest.raises(D0resError, match="off the jet frame"):
-        replace(dense, m2=DenseModule(dense.m2.dim, actions))
-
-
-def test_a_jet_pair_is_its_fiber_and_its_jet():
-    """A jet pair holds M1 and M2 and nothing else, on one fixed frame; it
-    refuses a jet of the wrong dimension or ambient dimension, an M2 held
-    by columns, and jets whose columns are not its fiber's, with the text
-    the CLI prints."""
-    jet = CUSP_JET
-    assert [f.name for f in fields(JetPair)] == ["m1", "m2"]
-    assert JetPair(jet.m1, jet.m2) == jet
-    with pytest.raises(D0resError, match="twice the fiber dimension"):
-        JetPair(jet.m1, jet_pair(CUSP, 3).m2)
-    space = jet_pair(B([(2, 1)], [(3, 1)], [(4, 1)]), 2)
-    with pytest.raises(D0resError, match="share the ambient dimension"):
-        JetPair(jet.m1, space.m2)
-    with pytest.raises(D0resError, match="M2 must be held as jets"):
-        JetPair(jet.m1, fiber_module(CUSP, 4))
-    with pytest.raises(D0resError) as caught:
-        JetPair(fiber_module(NODE1, 2), jet_pair(B([(1, 1)], [(1, 1)]), 2).m2)
-    assert str(caught.value) == FRAME
-
-
-def test_the_dense_jet_checks_uniformizer_and_blocks():
-    """The tests' dense jet refuses a uniformizer off its frame and blocks
-    that do not fit its dims."""
-    jet = dense_sum(CUSP_JET)
-    with pytest.raises(D0resError):     # t_m1 is not t_m2's diagonal block
-        replace(jet, t_m1=DenseMatrix.zeros(2, 2))
-    with pytest.raises(D0resError):     # t_m2 maps a bottom into the tops
-        replace(jet, t_m2=_bumped(jet.t_m2, 0, 3))
-    for blocks in ((1,), (3,), (2, 0), (1, 1)):
-        with pytest.raises(D0resError):
-            replace(jet, blocks=blocks)
-
-
-def test_pad_examples():
-    jet = graph_skyscraper(NODE1)
-    fib = jet.m1
-    base = fiber_module(NODE1, 2)
-    assert pad(base, fib, 0) is base
-    padded = pad(base, fib, 1)
-    assert padded.dim == 3
-    assert dense_sum(padded).actions[0] == M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    jp = pad(jet_pair(NODE1, 2), jet, 2)
-    assert jp.m1.dim == 4 and jp.m2.dim == 8 and jp.rank == 4
-    dense = dense_sum(jp)
-    assert (dense.eps * dense.eps).is_zero()
-    assert dense.incl * dense.proj == dense.eps
-    with pytest.raises(D0resError):
-        pad(base, fiber_module(B([(1, 1)], [], [], n=8), 1), 1)
-
-
-def test_pad_builds_a_direct_sum_of_its_summands():
-    """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
-    and m2 are the sums of its summands' m1 and m2.  The dense sums the
-    tests assemble pass the dense reference and the public constructors."""
-    sky_jet = graph_skyscraper(NODE1)
-    sky = sky_jet.m1
-    base = fiber_module(NODE1, 2)
-    padded = pad(base, sky, 3)
-    assert padded == DirectSum(((base, 1), (sky, 3)))
-    assert (padded.dim, padded.ambient_dim) == (5, 2)
-    check_module_dense(dense_sum(padded))
-    jet = pad(jet_pair(NODE1, 2), sky_jet, 3)
-    assert jet.runs == ((jet_pair(NODE1, 2), 1), (sky_jet, 3))
-    assert dense_sum(jet).blocks == (2, 1, 1, 1) and jet.rank == 5
-    assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
-    assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
-    check_jet_dense(dense_sum(jet))
-    assert dense_sum(jet).m2.actions[0] == block_diag(
-        dense_actions(jet_pair(NODE1, 2).m2)[0],
-        *[dense_actions(sky_jet.m2)[0]] * 3)
-
-
-def test_pad_builds_no_matrix(monkeypatch):
-    """Padding a jet pair with a million skyscraper jets builds no matrix:
-    the sum is its two runs."""
-    sky_jet = graph_skyscraper(NODE1)
-    base = jet_pair(NODE1, 2)
-
-    def refuse(*args):
-        raise AssertionError("pad built a matrix")
-
-    monkeypatch.setattr(ExactMatrix, "_trusted", refuse)
-    jet = pad(base, sky_jet, 10**6)
-    assert jet.rank == 2 + 10**6 and jet.runs == ((base, 1), (sky_jet, 10**6))
-    assert jet.m1.runs == ((base.m1, 1), (sky_jet.m1, 10**6))
-
-
-def test_pad_rejects_mismatched_ambient_dimensions():
-    space = B([(1, 1)], [], [], n=8)
-    with pytest.raises(D0resError, match="ambient dimension"):
-        pad(fiber_module(NODE1, 2), graph_skyscraper(space).m1, 1)
-    with pytest.raises(D0resError, match="ambient dimension"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(space), 1)
-    with pytest.raises(D0resError, match="two modules or two jet pairs"):
-        pad(jet_pair(NODE1, 2), graph_skyscraper(NODE1).m1, 1)
-
-
-def test_a_bad_filler_is_refused_when_built():
-    """A filler whose actions are not nilpotent, or do not commute, never
-    exists to be padded: `FiniteModule` refuses a column with a t^0 term
-    and jets whose rows break c^T B = d^T A, and the dense reference
-    refuses their dense actions by its powers or its products."""
-    shift, zero = Series([F(0), F(1)]), Series.zero(2)
-    not_nilpotent = ([(Series([F(1)]), None), (Series.zero(1), None)],
-                     NOT_NILPOTENT, NotNilpotent)
-    # [[S, 0], [e (0, 1), S]] and [[S, 0], [0, S]]: e c^T S = e (1, 0)
-    not_commuting = ([(shift, (F(0), F(1))), (shift, (F(0), F(0)))],
-                     NOT_COMMUTING, NonCommutingActions)
-    assert (zero, None) not in not_commuting[0]
-    for series, text, dense_error in (not_nilpotent, not_commuting):
-        actions = tuple(dense_action(*s) for s in series)
-        with pytest.raises(D0resError) as caught:
-            if series[0][1] is None:
-                FiniteModule(actions[0].rows,
-                             columns=tuple(col for col, _ in series))
-            else:
-                FiniteModule(actions[0].rows, jets=tuple(series))
-        assert str(caught.value) == text
-        with pytest.raises(dense_error):
-            DenseModule(actions[0].rows, actions)
+            DenseModule(dim, actions)
 
 
 PADDED = pad(fiber_module(NODE1, 2), graph_skyscraper(NODE1).m1, 2)

@@ -27,6 +27,8 @@ from oracles import total_degree
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
 CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
+# a^3 = 1/2 a - 1/3: not integral, so products reduce in b = 6a
+RATIONAL_CUBIC = NumberField([F(1, 3), F(-1, 2), 0, 1])
 
 
 def P(d):
@@ -116,9 +118,10 @@ def coordinates(draw, field, nvars):
 @given(st.data())
 def test_eval_series_matches_generic_evaluation(data):
     """eval_series on integer vectors equals Poly.evaluate over Series.one(n)
-    at the truncated coordinates: over QQ, QQ(i) and QQ(cbrt 2) series, and
-    with FieldElement coefficients on rational series."""
-    coeff_field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    at the truncated coordinates: over QQ, QQ(i), QQ(cbrt 2) and a cubic
+    field whose minimal polynomial is not integral, and with FieldElement
+    coefficients on rational series."""
+    coeff_field = data.draw(st.sampled_from((None, GAUSS, CUBIC, RATIONAL_CUBIC)))
     series_field = data.draw(st.sampled_from((None, coeff_field)))
     nvars = data.draw(st.sampled_from((2, 3)))
     shape = data.draw(st.sampled_from(("zero", "constant") + ("random",) * 4))

@@ -14,6 +14,8 @@ from oracles import invert_by_recurrence
 F = Fraction
 GAUSS = NumberField([1, 0, 1], generator="i")   # i^2 = -1
 CUBIC = NumberField([-2, 0, 0, 1])              # a^3 = 2
+# a^3 = 1/2 a - 1/3: not integral, so products reduce in b = 6a
+RATIONAL_CUBIC = NumberField([F(1, 3), F(-1, 2), 0, 1])
 
 
 def S(pairs, n=10):
@@ -53,7 +55,7 @@ def test_compose_example():
 def test_compose_matches_evaluation_at_the_inner_series(data):
     """compose is the outer coefficients as a polynomial, evaluated at the
     inner series by the generic evaluator over Series.one(n)."""
-    field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    field = data.draw(st.sampled_from((None, GAUSS, CUBIC, RATIONAL_CUBIC)))
     outer = data.draw(field_series(field, data.draw(st.integers(1, 16))))
     inner = data.draw(field_series(field, data.draw(st.integers(1, 16))))
     inner = Series((F(0),) + inner.coeffs[1:])      # order >= 1
@@ -142,7 +144,7 @@ def field_series(draw, field, trunc):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_product_matches_schoolbook(data):
-    field = data.draw(st.sampled_from((None, GAUSS, CUBIC)))
+    field = data.draw(st.sampled_from((None, GAUSS, CUBIC, RATIONAL_CUBIC)))
     na = data.draw(st.integers(1, 40))
     nb = data.draw(st.one_of(st.just(na), st.integers(1, 40)))
     a = data.draw(field_series(field, na))
@@ -183,7 +185,8 @@ def _unit(rng, field, n, shape):
     return Series(coeffs)
 
 
-@pytest.mark.parametrize("field", [None, GAUSS, CUBIC], ids=["QQ", "QQ(i)", "QQ(cbrt2)"])
+@pytest.mark.parametrize("field", [None, GAUSS, CUBIC, RATIONAL_CUBIC],
+                         ids=["QQ", "QQ(i)", "QQ(cbrt2)", "QQ(a^3-a/2+1/3)"])
 @pytest.mark.parametrize("shape", ["dense", "sparse", "field unit"])
 def test_invert_matches_coefficient_recurrence(field, shape):
     """Newton doubling gives the recurrence's inverse at every truncation
