@@ -110,7 +110,16 @@ class NumberField:
 
     def reduce(self, nums, den=1):
         """The element sum_k nums[k] a^k / den, for integers nums of any
-        length and a nonzero integer den: the one reduction mod m(a).
+        length and a nonzero integer den: the one reduction mod m(a)
+        (`reduce_integers`)."""
+        return FieldElement(self, _fractions(*self.reduce_integers(nums, den),
+                                             self.degree))
+
+    def reduce_integers(self, nums, den=1):
+        """(nums', den') with at most d integers nums' and
+        sum_k nums'[k] a^k / den' = sum_k nums[k] a^k / den mod m(a): the
+        integer core of `reduce`.  den' depends only on den and len(nums),
+        so vectors of one length reduce onto one denominator.
 
         The sum is rewritten in b = scale * a, as sum_k nums[k]
         scale^(n-1-k) b^k over den scale^(n-1), reduced by b's monic
@@ -122,7 +131,7 @@ class NumberField:
         elif n > d:
             nums = _fold(_scaled(nums[::-1], scale)[::-1], self._top, d)
             nums, den = _scaled(nums, scale), den * scale ** (n - 1)
-        return FieldElement(self, _fractions(nums, den, d))
+        return nums, den
 
 
 def _scaled(nums, scale):

@@ -201,7 +201,8 @@ class Poly:
     def eval_series(self, coords) -> Series:
         """f at one Series per variable, at their common truncation, on
         integer vectors (`series.polynomial_at`); equal to `evaluate` at
-        the truncated coords with unit `Series.one(n)`."""
+        the truncated coords with unit `Series.one(n)`.  `coords` may be
+        their `series.SlotLayout`, laid out once for many polynomials."""
         if len(coords) != self.nvars:
             raise D0resError("wrong number of values")
         return polynomial_at(self.terms, coords)

@@ -11,8 +11,9 @@ with Bezout exponent m (m*q = -1 mod p) rescales the substitution to
 which keeps all coefficients inside QQ(u*).  Multiple roots recurse.  A
 simple root leaves a tail f1 with f1(0,0) = 0 and f1_y(0,0) != 0, whose
 unique root y(x) mod x^trunc is lifted by Newton steps that double the
-precision (mod x^2, x^4, ..., ending exactly at x^trunc) and then checked
-once: f1(x, y(x)) = 0 mod x^trunc (see solve_regular_tail).
+precision (mod x^2, x^4, ..., ending exactly at x^trunc), on integer
+vectors over one denominator, and then checked once by the general series
+evaluator: f1(x, y(x)) = 0 mod x^trunc (see solve_regular_tail).
 
 Only the fields QQ and one simple extension are supported; roots requiring
 more raise UnsupportedFieldExtension (callers may pass explicit branch
@@ -22,7 +23,7 @@ parametrizations instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, gcd
+from math import ceil, comb, gcd, lcm
 
 from .errors import D0resError, RaiseTruncation, UnsupportedFieldExtension
 from .fields import (
@@ -39,8 +40,9 @@ from .fields import (
     upoly_sub,
     upoly_trim,
 )
+from .kernels import nonzero_pairs
 from .poly import Poly
-from .series import Series
+from .series import Series, _add_scaled, _from_slots, _product, _slots
 
 _ZERO = Fraction(0)
 
@@ -519,36 +521,130 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
     Needs f1(0,0) = 0 and f1_y(0,0) != 0, so the solution is unique mod
     x^trunc.  When f1 has no y-free term below x^trunc it is y = 0, read off
     the terms without evaluating anything.  Otherwise a Newton lift doubles
-    the precision: knowing y mod x^n, one step gives y mod x^m, m = min(2n,
-    trunc), as y - f1(x, y) * g mod x^m.  f1(x, y) vanishes mod x^n, so g
-    = f_y(x, y)^-1 is only needed mod x^(m-n).  It is carried from step to
-    step, starting from 1/f_y(0, 0) mod x.  Before every step but the last,
-    m = 2n, so the next step needs g mod x^(m'-n') with m' - n' <= n' =
-    2(m - n): twice the precision g has, at a y unchanged below x^n.  One
-    Newton step g - g * (f_y(x, y) * g - 1) doubles it (see
-    `Series.invert`).  The lift ends with one check that f1(x, y) = 0 mod
-    x^trunc.
+    the precision (Kung and Traub 1978): knowing y mod x^n, one step gives
+    y mod x^m, m = min(2n, trunc), as y - f1(x, y) * g mod x^m.  f1(x, y)
+    vanishes mod x^n, so only its coefficients from x^n on enter, and g =
+    f_y(x, y)^-1 is only needed mod x^(m-n).  It is carried from step to
+    step, starting from 1/f_y(0, 0) mod x, the one scalar inverse.  Before
+    every step but the last, m = 2n, so the next step needs g mod x^(m'-n')
+    with m' - n' <= n' = 2(m - n): twice the precision g has, at a y
+    unchanged below x^n.  One Newton step g - g * (f_y(x, y) * g - 1)
+    doubles it (see `Series.invert`); f_y(x, y) * g - 1 vanishes below the
+    precision g has, so again only its higher coefficients enter.
+
+    From that inverse to the result, y, g and each step's values are
+    integer vectors over one denominator, the slot layout of
+    `Series.__mul__` (`series._slots`, `_product`).  f1 is read once as
+    sum_j C_j(x) y^j, one slot list per power of y (`_y_coefficients`),
+    f_y's are j C_j, and each evaluation is Horner in y alone (`_at_y`).
+    Each step's update (`_newton_update`) normalizes y, g and the part of
+    each value that enters a product once (`_normalized`): reduced mod
+    m(a) over QQ(a), and divided by the gcd of denominator and entries.
+    The result is built once (`series._from_slots`), and the lift ends with
+    one check, by the general evaluator `Poly.eval_series`, which shares
+    none of this code: f1(x, y) = 0 mod x^trunc.
     """
     if not scalar_is_zero(f1.coefficient((0, 0))):
         raise D0resError("tail polynomial does not vanish at the origin")
-    fy = f1.diff(1)
-    if scalar_is_zero(fy.coefficient((0, 0))):
+    fy0 = f1.coefficient((0, 1))
+    if scalar_is_zero(fy0):
         raise D0resError("tail root is not simple; recursion should have continued")
     if all(i >= trunc for (i, j) in f1.terms if j == 0):
         return Series.zero(trunc)
-    y, n = Series.zero(1), 1
-    g = Series([fy.coefficient((0, 0))]).invert()
+    field, den, cs = _y_coefficients(f1, trunc)
+    dcs = [c and [[j * v for v in s] for s in c] for j, c in enumerate(cs) if j]
+    g0 = 1 / fy0 if isinstance(fy0, Fraction) else fy0.inverse()
+    g = _slots((g0,), 1)[1:3]
+    y = (1, [[0]])
+    n = h = 1                       # y is known mod x^n, g mod x^h
     while n < trunc:
         m = min(2 * n, trunc)
-        y = Series(y.coeffs, m)
-        val = f1.eval_series([Series.variable(m), y])
-        g = Series(g.coeffs, m - n)
-        dfy = fy.eval_series([Series.variable(m - n), y.truncate(m - n)])
-        g = g - g * (dfy * g - Series.one(m - n))
-        y, n = y - val * Series(g.coeffs, m), m
+        if h < m - n:
+            fd, fs = _at_y(dcs, den, *y, m - n)
+            gd, gs = g
+            e = (fd * gd, _product(fs, [nonzero_pairs(s) for s in gs], m - n))
+            g, h = _newton_update(field, g, h, e, g, m - n), m - n
+        y, n = _newton_update(field, y, n, _at_y(cs, den, *y, m), g, m), m
+    y = _from_slots(field, *y)
     if not f1.eval_series([Series.variable(trunc), y]).is_zero_at_precision():
         raise D0resError("series lift failed to converge")
     return y
+
+
+def _y_coefficients(f1: Poly, trunc):
+    """(field, den, cs): f1 mod x^trunc as sum_j C_j(x) y^j, with C_j =
+    cs[j] / den, cs[j] the slot list of C_j (None when C_j = 0 mod
+    x^trunc) and den one denominator for all of them, laid out by one
+    `_slots` of the C_j end to end.  The root y has the order o of f1's
+    y-free part, so a term x^i y^j with i >= trunc or (j - 1) o >= trunc
+    is left out: it vanishes mod x^trunc in f1 and in f_y."""
+    o = min(i for (i, j) in f1.terms if j == 0)
+    terms = [(i, j, c) for (i, j), c in f1.terms.items()
+             if i < trunc and (j - 1) * o < trunc]
+    top = max(j for _, j, _ in terms)
+    flat = [_ZERO] * ((top + 1) * trunc)
+    for i, j, c in terms:
+        flat[j * trunc + i] = c
+    field, den, slots, _ = _slots(flat, len(flat))
+    cs = [[s[j * trunc:(j + 1) * trunc] for s in slots] for j in range(top + 1)]
+    return field, den, [c if any(map(any, c)) else None for c in cs]
+
+
+def _at_y(cs, den, yd, ys, m):
+    """(den', slots) of sum_j C_j y^j mod x^m, for C_j = cs[j] / den (cs as
+    `_y_coefficients` gives it, cs[0] not None) and y = ys / yd: Horner in
+    y alone, one `_product` per power.  y^j vanishes mod x^m once j times
+    y's order reaches m, so the powers stop below there, at a top with
+    C_top not None; the value is sum_j cs[j] Y^j yd^(top - j) over
+    den yd^top, Y = ys."""
+    pairs = [nonzero_pairs(s[:m]) for s in ys]
+    order = min((p[0][0] for p in pairs if p), default=m)
+    top = min(len(cs) - 1, (m - 1) // order)
+    while cs[top] is None:
+        top -= 1
+    acc = [s[:m] for s in cs[top]]
+    weight = 1
+    for c in reversed(cs[:top]):
+        acc = _product(acc, pairs, m)
+        weight *= yd
+        if c is not None:
+            _add_scaled(acc, c, weight, m)
+    return den * weight, acc
+
+
+def _newton_update(field, z, lo, value, g, hi):
+    """z - value * g mod x^hi, for z, value and g as (den, slots), when
+    value vanishes mod x^lo: one Newton step's update of y (value f1(x, y))
+    or of g (value f_y(x, y) g - 1).  z mod x^lo stays, and only value's
+    coefficients from x^lo on are read, so g's value may be passed as
+    f_y(x, y) g.  That part of value and the result are `_normalized`."""
+    vd, vs = _normalized(field, value[0], [s[lo:] for s in value[1]])
+    (zd, zs), (gd, gs) = z, g
+    corr = _product(vs, [nonzero_pairs(s) for s in gs], hi - lo)
+    common = lcm(zd, vd * gd)
+    a, b = common // zd, common // (vd * gd)
+    low = [[v * a for v in s[:lo]] for s in zs]
+    high = [[-v * b for v in s] for s in corr]
+    low += [[0] * lo for _ in range(len(high) - len(low))]
+    high += [[0] * (hi - lo) for _ in range(len(low) - len(high))]
+    return _normalized(field, common, [p + q for p, q in zip(low, high)])
+
+
+def _normalized(field, den, slots):
+    """The vector (den, slots) in lowest terms: over QQ(a) its generator
+    slots are reduced mod m(a) coefficient by coefficient, onto one
+    denominator (`NumberField.reduce_integers`); zero top slots are
+    dropped; den and the entries are divided by their gcd."""
+    if field is not None and len(slots) > field.degree:
+        cols = [field.reduce_integers(col, den) for col in zip(*slots)]
+        den = cols[0][1]
+        slots = [list(s) for s in zip(*(nums for nums, _ in cols))]
+    while len(slots) > 1 and not any(slots[-1]):
+        slots.pop()
+    g = gcd(den, *(v for s in slots for v in s if v))
+    if g > 1:
+        den, slots = den // g, [[v // g for v in s] for s in slots]
+    return den, slots
 
 
 def leaf_to_coords(leaf: _Leaf, trunc):

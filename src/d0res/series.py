@@ -13,8 +13,11 @@ convolution (`kernels.iconv`) per pair of slots, and `_from_slots` turns
 slots back into a Series, reducing each coefficient's integers mod m(a)
 (`NumberField.reduce`) and normalizing it, once.  `polynomial_at`
 evaluates a polynomial at series by Horner on slots; it serves
-`Poly.eval_series` and `Series.compose`.  `invert` doubles the precision
-by Newton's iteration over these products.
+`Poly.eval_series` and `Series.compose`.  Series at which many polynomials
+are evaluated are slotted once, as a `SlotLayout`.  `invert` doubles the
+precision by Newton's iteration over these products; the lift of a
+regular tail (`puiseux.solve_regular_tail`) runs its own Newton iteration
+on these slots, with no `Series` between its first inverse and its result.
 """
 
 from __future__ import annotations
@@ -82,15 +85,25 @@ def _from_slots(field, den, slots):
     return Series(out)
 
 
+def _add_scaled(acc, slots, scale, n):
+    """acc += scale * slots mod t^n, slot by slot, in place; acc gains
+    zero slots up to the number `slots` has."""
+    acc += [[0] * n for _ in range(len(slots) - len(acc))]
+    for s, b in zip(acc, slots):
+        for k, v in enumerate(b[:n]):
+            if v:
+                s[k] += v * scale
+
+
 def _horner(terms, operands, n):
     """(den, slots) of the polynomial with `terms` [(exponent, coefficient)]
-    at `operands` (`_slots` layouts, None for a zero series) mod t^n; None
-    when no term contributes.  Horner in the last variable x: each step
-    multiplies the accumulator by x and adds the next coefficient block,
-    itself evaluated in the other variables.  A block of x^j is multiplied
-    by x^j later, so when x has order o it is only needed mod t^(n - j*o).
-    The slots of x are scanned for their nonzero entries once, not once
-    per step."""
+    at `operands` (`SlotLayout.operands`, None for a zero series) mod t^n;
+    None when no term contributes.  Horner in the last variable x: each
+    step multiplies the accumulator by x and adds the next coefficient
+    block, itself evaluated in the other variables.  A block of x^j is
+    multiplied by x^j later, so when x has order o it is only needed mod
+    t^(n - j*o).  The slots of x come scanned for their nonzero entries,
+    once for every step and every polynomial at the same layout."""
     if not terms:
         return None
     if not operands:                    # the one term left is a constant
@@ -102,7 +115,6 @@ def _horner(terms, operands, n):
     if operands[-1] is None:
         return _horner(blocks.get(0, ()), rest, n)
     _, dx, xs, o = operands[-1]
-    xs = [nonzero_pairs(s) for s in xs]
     top = max(blocks) if not o else min(max(blocks), (n - 1) // o)
     den, acc = 1, None
     for j in range(top, -1, -1):
@@ -121,34 +133,51 @@ def _horner(terms, operands, n):
         if common != den:
             scale = common // den
             acc = [[v * scale for v in s] for s in acc]
-        acc += [[0] * m for _ in range(len(bslots) - len(acc))]
-        scale = common // bden
-        for s, b in zip(acc, bslots):
-            for k, v in enumerate(b):
-                if v:
-                    s[k] += v * scale
+        _add_scaled(acc, bslots, common // bden, m)
         den = common
     return None if acc is None else (den, acc)
 
 
+class SlotLayout:
+    """Series laid out once for every polynomial evaluated at them: their
+    least truncation n, the one field they share (None for QQ) and, per
+    series, its `_slots` layout mod t^n as (field, den, pairs, order),
+    each slot given by its `nonzero_pairs`, or None for a series that
+    vanishes mod t^n."""
+
+    __slots__ = ("n", "field", "operands")
+
+    def __init__(self, coords):
+        self.n = n = min(s.trunc for s in coords)
+        self.field = None
+        self.operands = []
+        for s in coords:
+            x = _slots(s.coeffs, n)
+            if x is not None:
+                self.field = common_field(self.field, x[0])
+                x = (x[0], x[1], [nonzero_pairs(v) for v in x[2]], x[3])
+            self.operands.append(x)
+
+    def __len__(self):
+        return len(self.operands)
+
+
 def polynomial_at(terms, coords) -> "Series":
     """f(coords) mod t^n for the polynomial f with `terms` {exponent:
-    coefficient} at one Series per variable, n their least truncation.
+    coefficient} at one Series per variable, n their least truncation, or
+    at their `SlotLayout`, which every polynomial at the same series can
+    share.
 
     The whole evaluation runs on the slot layout of `Series.__mul__`
     (`_horner`); only the result is normalized, once per coefficient.
     """
-    n = min(s.trunc for s in coords)
-    field = None
+    at = coords if isinstance(coords, SlotLayout) else SlotLayout(coords)
+    field = at.field
     for c in terms.values():
         if isinstance(c, FieldElement):
             field = common_field(field, c.field)
-    operands = [_slots(s.coeffs, n) for s in coords]
-    for x in operands:
-        if x is not None:
-            field = common_field(field, x[0])
-    value = _horner(list(terms.items()), operands, n)
-    return Series.zero(n) if value is None else _from_slots(field, *value)
+    value = _horner(list(terms.items()), at.operands, at.n)
+    return Series.zero(at.n) if value is None else _from_slots(field, *value)
 
 
 class Series:

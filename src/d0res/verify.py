@@ -58,8 +58,9 @@ polynomial kills a direct sum iff it kills each summand, and each
 summand's answer is its own (`CertificateFamily.kills`).  A fiber holds
 the first columns of its strictly lower-triangular Toeplitz actions, so
 g kills it iff g at those columns is zero mod t^dim (`_kills`); a module
-held as jets is refused there.  Each stored ideal is checked against its
-branch by simpler code than the code that built it
+held as jets is refused there.  Those columns are laid out once per
+summand (`_fiber_layout`), for every row judged on it.  Each stored ideal
+is checked against its branch by simpler code than the code that built it
 (`_is_fiber_annihilator`).  The fiber annihilator cross-check
 (`pushforward_restriction_oracle`) prints those verdicts at ranks
 1..max_rank, and the padding check reads the one at r0; no ideal is
@@ -103,7 +104,7 @@ from .modules import (
     pad,
 )
 from .poly import Poly, poly_text
-from .series import Series
+from .series import Series, SlotLayout
 
 SEPARATED = "separated"
 NOT_SEPARATED = "not_separated"
@@ -167,8 +168,10 @@ class _Summand:
 
     def kills(self, row_key, g) -> bool:
         """g, the stored-ideal basis row named `row_key`, acts as zero on
-        this summand's fiber (`_kills`)."""
-        return _once(self._answers, ("kills", row_key), _kills, g, self.jet.m1)
+        this summand's fiber (`_kills`), at its columns' layout, built on
+        the first kill."""
+        at = _once(self._answers, "layout", _fiber_layout, self.jet.m1)
+        return _once(self._answers, ("kills", row_key), _kills, g, at)
 
     def power(self, side: str, coord: int, k: int):
         """The action of coordinate `coord` on this summand's `side` ("m1"
@@ -309,9 +312,10 @@ def _is_fiber_annihilator(b, ideal: AnnihilatorIdeal) -> bool:
     """True iff `ideal` is Ann, the annihilator of K[t]/(t^d) over `b` at
     its own bound d, checked at the branch's own series by simpler code
     than `modules.annihilator`: g kills the fiber iff g(x(t)) = 0 mod t^d.
-    (a) ideal <= Ann: every live row vanishes (`Poly.eval_series`), and
-        every monomial of order below d is live, so each bare row, of
-        order >= d, vanishes too (x^e has order sum e_k * ord x_k).
+    (a) ideal <= Ann: every live row vanishes (`Poly.eval_series`, at
+        the coordinates laid out once, `SlotLayout`), and every monomial
+        of order below d is live, so each bare row, of order >= d,
+        vanishes too (x^e has order sum e_k * ord x_k).
     (b) codim ideal <= codim Ann: there are quotient_dim standard
         monomials, the live ones that lead no row, so the rows lead at
         distinct columns and these span a complement of the ideal; their
@@ -323,8 +327,9 @@ def _is_fiber_annihilator(b, ideal: AnnihilatorIdeal) -> bool:
     orders = [d if o is None else o for o in (s.order() for s in coords)]
     if any(e not in live for e in _monomials_below(orders, d)):
         return False
+    at = SlotLayout(coords)
     if not all(Poly(ideal.nvars, {ideal.live[c]: v for c, v in row})
-               .eval_series(coords).is_zero_at_precision()
+               .eval_series(at).is_zero_at_precision()
                for row in ideal.live_rows):
         return False
     leads = {row[0][0] for row in ideal.live_rows}
@@ -409,13 +414,18 @@ def _point_witness(ideals, i, j, kills):
     raise D0resError("distinct annihilators but no separating element found")
 
 
-def _kills(g, fiber):
-    """g acts as zero on the module `fiber`.  It must hold the first
-    columns of its strictly lower-triangular Toeplitz actions
-    (`FiniteModule.columns`), as a fiber does, and a module held as jets
-    is refused: g(A) is the Toeplitz matrix of g at those columns, so it
-    is zero iff that series is."""
-    return g.eval_series(_fiber_columns(fiber)).is_zero_at_precision()
+def _fiber_layout(fiber) -> SlotLayout:
+    """The first columns of the strictly lower-triangular Toeplitz actions
+    of the module `fiber` (`FiniteModule.columns`), laid out once for
+    every polynomial judged on it; a module held as jets is refused."""
+    return SlotLayout(_fiber_columns(fiber))
+
+
+def _kills(g, at: SlotLayout) -> bool:
+    """g acts as zero on the fiber whose columns are laid out as `at`
+    (`_fiber_layout`): g(A) is the Toeplitz matrix of g at those columns,
+    so it is zero iff that series is."""
+    return g.eval_series(at).is_zero_at_precision()
 
 
 # -- tangent separation ---------------------------------------------------------------

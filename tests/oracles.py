@@ -42,6 +42,9 @@ routes, and only the tests call them:
 * invert_by_recurrence: 1/s for a unit series by the coefficient
   recurrence b_k = -b_0 * sum_{j=1..k} s_j b_{k-j}; the reference for the
   Newton doubling of `Series.invert`.
+* series_newton_lift: the Newton lift of a regular tail in `Series`
+  arithmetic, g = 1/f_y(x, y) carried and refined once per step; the
+  reference for the integer-vector lift of `puiseux.solve_regular_tail`.
 * lift_regular_tail_by_inversion: the Newton lift of a regular tail that
   inverts f_y(x, y) from scratch at every step; the reference for the
   carried inverse of `puiseux.solve_regular_tail`.
@@ -610,6 +613,28 @@ def invert_by_recurrence(s: Series) -> Series:
                 acc = acc + s.coeffs[j] * out[k - j]
         out.append(-inv0 * acc)
     return Series(out)
+
+
+def series_newton_lift(f1, trunc) -> Series:
+    """The series y(x) with y(0) = 0 and f1(x, y(x)) = 0 mod x^trunc, by
+    the Newton lift of `puiseux.solve_regular_tail` written in `Series`
+    arithmetic: y <- y - f1(x, y) * g mod x^m, m = min(2n, trunc), with
+    g = f_y(x, y)^-1 mod x^(m-n) carried from 1/f_y(0, 0) and refined by
+    g <- g - g * (f_y(x, y) * g - 1) once per step, every value a
+    `Poly.eval_series` and every product a `Series` product.  Needs
+    f1(0, 0) = 0 and f1_y(0, 0) != 0."""
+    fy = f1.diff(1)
+    y, n = Series.zero(1), 1
+    g = Series([fy.coefficient((0, 0))]).invert()
+    while n < trunc:
+        m = min(2 * n, trunc)
+        y = Series(y.coeffs, m)
+        val = f1.eval_series([Series.variable(m), y])
+        g = Series(g.coeffs, m - n)
+        dfy = fy.eval_series([Series.variable(m - n), y.truncate(m - n)])
+        g = g - g * (dfy * g - Series.one(m - n))
+        y, n = y - val * Series(g.coeffs, m), m
+    return Series(y.coeffs, trunc)
 
 
 def lift_regular_tail_by_inversion(f1, trunc) -> Series:

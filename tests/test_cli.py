@@ -743,9 +743,9 @@ def test_corpus_computes_each_summand_answer_once(monkeypatch):
         powers.append((id(module), coord, k))
         return action_power(module, coord, k)
 
-    def counted_kills(g, fiber):
-        kills.append((poly_text(g), id(fiber)))
-        return kills_fn(g, fiber)
+    def counted_kills(g, at):
+        kills.append((poly_text(g), id(at)))
+        return kills_fn(g, at)
 
     monkeypatch.setattr(verify_module, "_action_power", counted_power)
     monkeypatch.setattr(verify_module, "_kills", counted_kills)
@@ -805,6 +805,31 @@ def test_contact_rung_32_prints_the_pinned_report(tmp_path, capsysbinary):
     report = capsysbinary.readouterr().out
     assert (hashlib.sha256(report).hexdigest(), len(report)) == (
         _contact_ladder_pins()[32])
+
+
+def _lift_ladder_pins():
+    """A (request path, sha256, bytes) param per line of
+    tests/data/lift_ladder.sha256, named by the request."""
+    lines = (DATA / "lift_ladder.sha256").read_text().splitlines()
+    return [pytest.param(path, sha, int(size), id=Path(path).stem)
+            for path, sha, size in (line.split() for line in lines
+                                    if not line.startswith("#"))]
+
+
+@pytest.mark.parametrize("path, sha, size", _lift_ladder_pins())
+def test_a_long_lift_prints_the_pinned_report(path, sha, size):
+    """Each branch's regular tail lifted to 256 terms, over QQ and over
+    QQ(sqrt(-2)), under `python -O` and --strict: the report is byte for
+    byte the one pinned in tests/data/lift_ladder.sha256."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "d0res", "analyze", str(REPO / path),
+         "--truncation", "256", "--strict"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == (
+        sha, size)
 
 
 def test_analyze_output_file(tmp_path, capsysbinary):

@@ -26,7 +26,13 @@ from d0res.modules import (
 )
 from d0res.poly import Poly, poly_text
 from d0res.series import Series
-from d0res.verify import CertificateFamily, _kills, _power_is_zero, _printed
+from d0res.verify import (
+    CertificateFamily,
+    _fiber_layout,
+    _kills,
+    _power_is_zero,
+    _printed,
+)
 from oracles import (
     DenseJet,
     DenseMatrix,
@@ -630,9 +636,10 @@ def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
     dense_padded = dense_sum(padded)
     for g in ideal.polys:
         for fiber in fibers:
-            assert _kills(g, fiber) == g.evaluate(
+            assert _kills(g, _fiber_layout(fiber)) == g.evaluate(
                 dense_actions(fiber), DenseMatrix.identity(fiber.dim)).is_zero()
-        assert all(_kills(g, s) for s, _ in padded.runs) == g.evaluate(
+        assert all(_kills(g, _fiber_layout(s))
+                   for s, _ in padded.runs) == g.evaluate(
             dense_padded.actions,
             DenseMatrix.identity(dense_padded.dim)).is_zero()
 
@@ -809,7 +816,7 @@ def test_series_readings_refuse_a_module_read_as_jets():
     assert jet.m2.columns is None and jet.m2.jets is not None
     for read in (lambda: JetPair(jet.m2, jet_pair(b, 6).m2),
                  lambda: annihilator(jet.m2),
-                 lambda: _kills(Poly.variable(2, 1), jet.m2)):
+                 lambda: _fiber_layout(jet.m2)):
         with pytest.raises(D0resError) as caught:
             read()
         assert str(caught.value) == NOT_A_FIBER

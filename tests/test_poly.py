@@ -21,7 +21,7 @@ from d0res.poly import (
     reachable_monomials,
     reachable_values,
 )
-from d0res.series import Series
+from d0res.series import Series, SlotLayout
 from oracles import total_degree
 
 F = Fraction
@@ -144,6 +144,10 @@ def test_eval_series_matches_generic_evaluation(data):
             == [format_scalar(c) for c in want.coeffs])
     # a coefficient with no generator part comes back as a Fraction
     assert not any(isinstance(c, FieldElement) and c.is_rational() for c in got.coeffs)
+    # one layout of the coordinates serves several polynomials, read-only
+    at = SlotLayout(coords)
+    for g in (f, f.diff(nvars - 1), f):
+        assert g.eval_series(at) == g.eval_series(coords)
 
 
 def test_eval_series_field_blocks_below_rational_ones():

@@ -9,6 +9,7 @@ from d0res.branches import PlaneCurveInput, branch_multiplicity, newton_puiseux
 from d0res.errors import D0resError, UnsupportedFieldExtension
 from d0res import puiseux as puiseux_module
 from d0res.fields import (
+    FieldElement,
     NumberField,
     scalar_is_zero,
     upoly_deriv,
@@ -33,7 +34,11 @@ from d0res.puiseux import (
 from d0res.series import Series
 
 from conftest import curve_poly
-from oracles import lift_regular_tail_by_inversion, puiseux_transform_by_evaluation
+from oracles import (
+    lift_regular_tail_by_inversion,
+    puiseux_transform_by_evaluation,
+    series_newton_lift,
+)
 
 F = Fraction
 
@@ -321,17 +326,25 @@ def lift_by_coefficients(f1, trunc):
     return y
 
 
+# QQ, QQ(i), and u^2 + 3/5 and u^3 - u/2 + 1/3, whose minimal polynomials
+# are not integral, so that reducing mod m(u) rescales the denominator
+LIFT_FIELDS = (None, GAUSS, NumberField([F(3, 5), 0, 1], generator="u"),
+               NumberField([F(1, 3), F(-1, 2), 0, 1], generator="u"))
+
+
 def _scalar(field):
     small = st.integers(-3, 3)
     if field is None:
         return small.map(F)
-    return st.tuples(small, small).map(lambda ab: field.element(list(ab)))
+    return st.lists(small, min_size=field.degree,
+                    max_size=field.degree).map(field.element)
 
 
 @st.composite
-def regular_tails(draw):
-    """f1 with f1(0,0) = 0, f_y(0,0) != 0 and a y-free term, over QQ or QQ(i)."""
-    scalar = _scalar(draw(st.sampled_from([None, GAUSS])))
+def regular_tails(draw, fields=(None, GAUSS)):
+    """f1 with f1(0,0) = 0, f_y(0,0) != 0 and a y-free term, over one of
+    `fields` (None for QQ)."""
+    scalar = _scalar(draw(st.sampled_from(fields)))
     unit = scalar.filter(lambda c: c != 0)
     exps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          max_size=6, unique=True))
@@ -361,24 +374,82 @@ def test_carried_inverse_matches_inverting_at_every_step(f1, trunc):
         f1, trunc)
 
 
-def test_lift_inverts_at_doubling_precisions(monkeypatch):
-    sizes = []
-    invert = Series.invert
+@settings(max_examples=40, deadline=None)
+@given(regular_tails(LIFT_FIELDS), st.sampled_from(LIFT_TRUNCATIONS + (64,)))
+# u y + y^2 + (1 - u^2/2) x y - u x over each non-integral field, to x^64
+@example(Poly(2, {(0, 1): LIFT_FIELDS[2].gen(), (0, 2): F(1),
+                  (1, 1): LIFT_FIELDS[2].element([1, 0, F(-1, 2)]),
+                  (1, 0): -LIFT_FIELDS[2].gen()}), 64)
+@example(Poly(2, {(0, 1): LIFT_FIELDS[3].gen(), (0, 2): F(1),
+                  (1, 1): LIFT_FIELDS[3].element([1, 0, F(-1, 2)]),
+                  (1, 0): -LIFT_FIELDS[3].gen()}), 64)
+# y + y^9 + 2 x y^9 - x^3 to x^20: y has order 3, so y^8 and y^9 vanish
+# mod x^20, and the y^9 terms reach neither f1 nor f_y there
+@example(Poly(2, {(0, 1): F(1), (0, 9): F(1), (1, 9): F(2), (3, 0): F(-1)}), 20)
+def test_integer_lift_matches_every_series_route(f1, trunc):
+    """The lift on integer vectors equals the Newton lift in `Series`
+    arithmetic that it replaced (`oracles.series_newton_lift`), the lift
+    that inverts f_y(x, y) from scratch at every step and the
+    coefficient-wise solver, over QQ, QQ(i) and two fields whose minimal
+    polynomials are not integral; each coefficient is a Fraction exactly
+    where the Series route leaves one."""
+    y = solve_regular_tail(f1, trunc)
+    want = series_newton_lift(f1, trunc)
+    assert y == want
+    assert [type(c) for c in y.coeffs] == [type(c) for c in want.coeffs]
+    assert y == lift_regular_tail_by_inversion(f1, trunc)
+    assert list(y.coeffs) == lift_by_coefficients(f1, trunc)
 
-    def counted(self):
-        sizes.append(self.trunc)
+
+def test_lift_inverts_at_doubling_precisions(monkeypatch):
+    """A tail's lift inverts one scalar, f_y(0, 0), and no series: each step
+    refines the carried inverse.  Its evaluations (`puiseux._at_y`) run at
+    the step precisions, which double up to trunc: f1 mod x^2, x^4, ...,
+    x^256, and f_y mod x^(m - n) wherever the carried inverse is short of
+    that, i.e. at every step but the first."""
+    series_inverses, scalar_inverses, precisions = [], [], []
+    invert, inverse, at_y = Series.invert, FieldElement.inverse, puiseux_module._at_y
+
+    def counted_invert(self):
+        series_inverses.append(self.trunc)
         return invert(self)
 
-    monkeypatch.setattr(Series, "invert", counted)
+    def counted_inverse(self):
+        scalar_inverses.append(self)
+        return inverse(self)
+
+    def recorded(cs, den, yd, ys, m):
+        precisions.append((len(cs) - 1, m))
+        return at_y(cs, den, yd, ys, m)
+
+    monkeypatch.setattr(Series, "invert", counted_invert)
+    monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
+    monkeypatch.setattr(puiseux_module, "_at_y", recorded)
+    # per step: f_y (degree 2) mod x^(m - n) when g is short of it, then f1
+    # (degree 3) mod x^m, for m = 2, 4, ..., 256
+    schedule = [(3, 2)] + [e for k in (2, 4, 8, 16, 32, 64, 128)
+                           for e in ((2, k), (3, 2 * k))]
     # y + y^3 = x: a tail that is not exact
     f1 = Poly(2, {(0, 1): F(1), (0, 3): F(1), (1, 0): F(-1)})
     y = solve_regular_tail(f1, 256)
     assert y.coeffs[:6] == (0, 1, 0, -1, 0, 3)
-    # only 1/f_y(0, 0) is inverted; each step refines the carried inverse
-    assert sizes == [1]
-    sizes.clear()
+    assert series_inverses == []
+    assert precisions == schedule
+    # i*y + y^3 = x over QQ(i): the one scalar inverse is 1/i
+    precisions.clear()
+    i = GAUSS.gen()
+    y = solve_regular_tail(Poly(2, {(0, 1): i, (0, 3): F(1), (1, 0): F(-1)}),
+                           256)
+    assert y.coeffs[1] == -i
+    assert scalar_inverses == [i] and series_inverses == []
+    assert precisions == schedule
+    # trunc 5: m = 2, 4, 5, and the last step needs g mod x^1 only
+    precisions.clear()
+    solve_regular_tail(f1, 5)
+    assert precisions == [(3, 2), (2, 2), (3, 4), (3, 5)]
+    precisions.clear()
     decompose({(0, 2): F(1), (3, 0): F(-1)}, trunc=256)   # cusp: tail y = 0
-    assert sizes == []
+    assert series_inverses == [] and precisions == []
 
 
 def test_exact_tail_is_read_off_the_y_free_terms():

@@ -40,6 +40,7 @@ from d0res.verify import (
     NOT_SEPARATED,
     SEPARATED,
     aggregate_critical_rank,
+    _fiber_layout,
     _kills,
     _padding_support_unchanged,
     _point_verdicts,
@@ -538,9 +539,10 @@ def test_point_witness_rechecks_own_fiber(corpus_germs):
                              monomials=monomials_upto(2, fiber.dim),
                              rows=(((0, F(1)),),))
     assert list(bogus.polys) == [one]
+    at = _fiber_layout(fiber)
     with pytest.raises(D0resError, match="does not annihilate"):
         _point_witness([bogus, bogus], 0, 1,
-                       lambda own, row, g, other: _kills(g, fiber))
+                       lambda own, row, g, other: _kills(g, at))
 
 
 def test_no_assert_statements_in_package():
