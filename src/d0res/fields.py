@@ -8,13 +8,14 @@ Everything is immutable and hashable.
 An element shows its coefficients on 1, a, ..., a^(d-1) as normalized
 Fractions, and that is what printing, equality and hashing read.  Products
 and inverses run on integers instead (Cohen 1993, section 4.2): the
-coefficients over one common denominator.  A product is one integer
-convolution, reduced mod m(a) by `NumberField.reduce`, the one reduction
-routine, which also serves `element` and the series product's slots.  When
-m is not integral, `reduce` works in b = L*a, L the lcm of m's
-denominators, whose minimal polynomial is monic over ZZ.  An inverse is
-one fraction-free solve (`kernels.isolve`) of x*y = 1 on x's integer
-multiplication matrix, whatever the degree.
+coefficients over one common denominator (`kernels.integers`).  A product
+is one integer convolution, reduced mod m(a) by `NumberField.reduce`, the
+one reduction routine, which also serves `element` and the series
+product's slots.  When m is not integral, `reduce` works in b = L*a, L the
+lcm of m's denominators, whose minimal polynomial is monic over ZZ.  An
+inverse solves x*y = 1 by one fraction-free elimination
+(`kernels.ireduce`) of x's integer multiplication matrix augmented by the
+unit vector, whatever the degree.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import D0resError, ReducibleModulus, UnsupportedFieldExtension
-from .kernels import isolve
+from .kernels import integers, ireduce
 
 _ZERO = Fraction(0)
 
@@ -37,13 +38,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def _integers(coeffs):
-    """(nums, den): Fractions as integers over their least common
-    denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class NumberField:
@@ -69,11 +63,13 @@ class NumberField:
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.generator = generator
-        # b = scale * a is a root of b^d - sum_i top[i] b^i, integer top
-        d, scale = self.degree, lcm(*[c.denominator for c in coeffs])
+        # b = scale * a is a root of b^d - sum_i top[i] b^i, integer top:
+        # top[i] = -c_i scale^(d-i) = -nums[i] scale^(d-1-i)
+        nums, scale = integers(coeffs)
+        d = self.degree
         self._scale = scale
-        self._top = tuple(-(c * scale ** (d - i)).numerator
-                          for i, c in enumerate(coeffs[:-1]))
+        self._top = tuple(-v * scale ** (d - 1 - i)
+                          for i, v in enumerate(nums[:-1]))
 
     def __eq__(self, other):
         return (
@@ -106,7 +102,7 @@ class NumberField:
 
     def element(self, coeffs):
         """The element sum_k coeffs[k] a^k, for rationals of any number."""
-        return self.reduce(*_integers([_as_fraction(c) for c in coeffs]))
+        return self.reduce(*integers([_as_fraction(c) for c in coeffs]))
 
     def reduce(self, nums, den=1):
         """The element sum_k nums[k] a^k / den, for integers nums of any
@@ -230,8 +226,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        xs, dx = _integers(self.coeffs)
-        ys, dy = _integers(o.coeffs)
+        xs, dx = integers(self.coeffs)
+        ys, dy = integers(o.coeffs)
         prod = [0] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
             if x:
@@ -242,33 +238,37 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """The y with x*y = 1, by one fraction-free solve on the integer
-        multiplication matrix of x; raises on zero divisors.
+        """The y with x*y = 1, by one fraction-free elimination of the
+        integer multiplication matrix of x augmented by e_0; raises on
+        zero divisors.
 
         With x = X(b) / D in the integer layout of `NumberField.reduce`
         (b = scale * a, D = den * scale^(d-1)), column j of the matrix is
         X * b^j folded mod b's minimal polynomial, and the solution z of
-        (matrix) z = e_0 gives y = sum_j D z_j b^j."""
+        (matrix) z = e_0 gives y = sum_j D z_j b^j.  `ireduce` leaves row
+        k as (p_k e_k | w_k) when the matrix is invertible, so z_k is
+        w_k / p_k."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         field = self.field
         d, scale, top = field.degree, field._scale, field._top
-        xs, den = _integers(self.coeffs)
+        xs, den = integers(self.coeffs)
         col = _scaled(xs[::-1], scale)[::-1]
         columns = [col]
         for _ in range(d - 1):
             col = _fold([0] + col, top, d)
             columns.append(col)
-        solved = isolve(list(zip(*columns)), [1] + [0] * (d - 1))
-        if solved is None:
+        rows = [[*row, int(k == 0)] for k, row in enumerate(zip(*columns))]
+        if ireduce(rows) != list(range(d)):
             raise ReducibleModulus(
                 f"{self} is a zero divisor (reducible modulus "
                 f"{poly_str(self.field.minpoly, 'a')}); the minimal polynomial "
                 "must be irreducible over QQ"
             )
-        z, q = solved
+        q = lcm(*[row[k] for k, row in enumerate(rows)])
         lead = den * scale ** (d - 1)
-        return field.reduce(_scaled([v * lead for v in z], scale), q)
+        z = [row[d] * lead * (q // row[k]) for k, row in enumerate(rows)]
+        return field.reduce(_scaled(z, scale), q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -386,15 +386,18 @@ def poly_str(coeffs, sym) -> str:
 
 
 def parse_scalar(text, field=None):
-    """Inverse of format_scalar.  Rational strings always parse; generator terms
-    require `field` (matching generator name)."""
+    """Inverse of format_scalar.  A term without the generator is a rational
+    literal (`_rational`), with `field` or without; generator terms require
+    `field` (matching generator name)."""
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar string")
     terms = _split_terms(text)
     if field is None:
-        if len(terms) == 1 and not any(ch.isalpha() for ch in terms[0]):
-            return Fraction(terms[0])
+        # a letter other than a decimal exponent's e is a generator's
+        if len(terms) == 1 and not any(
+                ch.isalpha() for ch in text.lower().replace("e", "")):
+            return _rational(text)
         raise ValueError(f"non-rational scalar {text!r} needs a field declaration")
     coeffs = [Fraction(0)] * field.degree
     for term in terms:
@@ -403,6 +406,17 @@ def parse_scalar(text, field=None):
             raise ValueError(f"term exponent {power} exceeds extension degree")
         coeffs[power] += coeff
     return demote(field.element(coeffs))
+
+
+def _rational(term):
+    """The rational literal `term` as `Fraction` reads it ('-3/2', '1.5',
+    '1e1', '1_0'): the one rule for rational terms, with a field or
+    without.  A decimal exponent of more than four digits is refused
+    before `Fraction` expands it: 1e10000000 alone takes seconds."""
+    _, e, exponent = term.lower().partition("e")
+    if e and len(exponent.lstrip("+-0")) > 4:
+        raise ValueError(f"decimal exponent of {term!r} has more than four digits")
+    return Fraction(term)
 
 
 def _split_terms(text):
@@ -417,7 +431,7 @@ def _split_terms(text):
 
 def _parse_term(term, gen):
     if gen not in term:
-        return Fraction(term), 0
+        return _rational(term), 0
     head, _, tail = term.partition(gen)
     power = 1
     if tail.startswith("^"):
@@ -432,7 +446,7 @@ def _parse_term(term, gen):
     elif head == "-":
         coeff = Fraction(-1)
     else:
-        coeff = Fraction(head)
+        coeff = _rational(head)
     return coeff, power
 
 

@@ -1,12 +1,15 @@
-"""Integer kernels and the Fraction-level wrappers used by linalg and series.
+"""Integer kernels and the Fraction-level wrappers used by linalg, series
+and fields.
 
 Clearing denominators up front lets the whole elimination/product run on
 plain ints, skipping the per-operation gcd that Fraction arithmetic pays.
-`imatmul` and `irow_echelon` serve the matrix products and eliminations
-(`fmatmul`, `frref`); `iconv` serves the truncated series product, which
-`Series.__mul__` feeds one integer vector per power of the field generator,
-the second factor as its `nonzero_pairs`; `isolve` serves the inverse of a
-number-field element (`FieldElement.inverse`).
+`integers` is the one conversion of rationals to integers over a common
+denominator, by integer arithmetic alone.  `imatmul` serves the matrix
+products (`fmatmul`); `ireduce`, the one fraction-free elimination, serves
+`frref` and the inverse of a number-field element (`FieldElement.inverse`,
+on its augmented multiplication matrix); `iconv` serves the truncated
+series product, which `Series.__mul__` feeds one integer vector per power
+of the field generator, the second factor as its `nonzero_pairs`.
 `IMPLEMENTATION` names these kernels in benchmark result stamps.
 """
 
@@ -14,6 +17,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 IMPLEMENTATION = "pure"
+
+_ZERO = Fraction(0)
+
+
+def integers(values, den=None):
+    """(nums, den): the rationals `values` as the integers nums[k] / den
+    over their least common denominator, or over `den` when given, a
+    common multiple of theirs; with no Fraction arithmetic."""
+    if den is None:
+        den = lcm(*[x.denominator for x in values])
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def imatmul(a, b):
@@ -63,66 +79,63 @@ def iconv(a, b_pairs, n, out=None):
     return out
 
 
-def irow_echelon(rows):
-    """Fraction-free Gaussian elimination with first-nonzero pivoting.
+def ireduce(rows):
+    """Fraction-free Gauss-Jordan elimination with first-nonzero pivoting;
+    returns the pivot column indices in order.
 
-    Mutates `rows` (lists of ints) into row-echelon form with content-reduced
-    rows; returns the pivot column indices in order.
+    Mutates `rows` (equal-length lists of ints) into reduced row-echelon
+    form up to one factor per row: row k has its pivot in column
+    pivots[k] and every other row a zero there, the rows past the last
+    pivot are zero, and each changed row is divided by the gcd of its
+    entries.  A forward pass makes the echelon form, then back-substitution
+    clears above each pivot, the last first.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
     nrows = len(rows)
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for p in range(r, nrows):
+            if rows[p][c]:
                 break
-        if pr < 0:
+        else:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        rows[r], rows[p] = rows[p], rows[r]
         for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if not v:
-                continue
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c, ncols):
-                ri[j] = ri[j] * piv - rr[j] * v
-            g = 0
-            for j in range(c, ncols):
-                if ri[j]:
-                    g = gcd(g, ri[j])
-            if g > 1:
-                for j in range(c, ncols):
-                    ri[j] //= g
+            if rows[i][c]:
+                _eliminate(rows[i], rows[r], c, c)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        for i in range(k):
+            if rows[i][c]:
+                _eliminate(rows[i], rows[k], c, pivots[i])
     return pivots
 
 
-def _common_denominator(rows):
-    d = 1
-    for row in rows:
-        for x in row:
-            if x.denominator != 1:
-                d = lcm(d, x.denominator)
-    return d
+def _eliminate(row, pivot_row, c, start):
+    """row <- (pivot_row[c] * row - row[c] * pivot_row) / content in place,
+    which clears row[c]; both rows vanish before column `start`."""
+    piv, v = pivot_row[c], row[c]
+    new = [a * piv - b * v for a, b in zip(row[start:], pivot_row[start:])]
+    g = gcd(*new)
+    if g > 1:
+        new = [x // g for x in new]
+    row[start:] = new
+
+
+def _integer_rows(rows):
+    """(nums, den): a matrix of rationals as integer rows over one least
+    common denominator, the lcm of the rows' own, converted row by row."""
+    den = lcm(*[lcm(*[x.denominator for x in row]) for row in rows])
+    return [integers(row, den)[0] for row in rows], den
 
 
 def fmatmul(a, b):
     """Product of two list-of-list Fraction matrices via the integer kernel."""
-    da = _common_denominator(a)
-    db = _common_denominator(b)
-    ia = [[(x * da).numerator if da != 1 else x.numerator for x in row] for row in a]
-    ib = [[(x * db).numerator if db != 1 else x.numerator for x in row] for row in b]
+    ia, da = _integer_rows(a)
+    ib, db = _integer_rows(b)
     prod = imatmul(ia, ib)
     scale = da * db
     if scale == 1:
@@ -135,71 +148,15 @@ def frref(rows):
 
     Returns (rref rows as Fractions, pivot column list).  Deterministic:
     the pivot is the first row with a nonzero entry in column order.
-    Row-wise denominator clearing does not change the RREF.
+    Each row is cleared of denominators on its own (`integers`), which
+    does not change the RREF, and reduced by `ireduce`.
     """
     if not rows or not rows[0]:
         return [list(r) for r in rows], []
-    irows = []
-    for row in rows:
-        d = 1
-        for x in row:
-            if x.denominator != 1:
-                d = lcm(d, x.denominator)
-        irows.append([(x * d).numerator if d != 1 else x.numerator for x in row])
-    pivots = irow_echelon(irows)
+    irows = [integers(row)[0] for row in rows]
+    pivots = ireduce(irows)
+    out = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+           for row, c in zip(irows, pivots)]
     ncols = len(irows[0])
-    # back-substitute (still fraction-free), then normalize pivots to 1
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        rk = irows[k]
-        piv = rk[c]
-        for i in range(k):
-            ri = irows[i]
-            v = ri[c]
-            if not v:
-                continue
-            for j in range(ncols):
-                ri[j] = ri[j] * piv - rk[j] * v
-            g = 0
-            for j in range(ncols):
-                if ri[j]:
-                    g = gcd(g, ri[j])
-            if g > 1:
-                for j in range(ncols):
-                    ri[j] //= g
-    out = []
-    for k in range(len(pivots)):
-        piv = irows[k][pivots[k]]
-        out.append([Fraction(x, piv) for x in irows[k]])
-    for _ in range(len(pivots), len(irows)):
-        out.append([Fraction(0)] * ncols)
+    out += [[_ZERO] * ncols for _ in range(len(irows) - len(pivots))]
     return out, pivots
-
-
-def isolve(rows, rhs):
-    """(nums, den) with z = nums / den the solution of rows * z = rhs, for a
-    square integer matrix `rows` and an integer vector `rhs`; None when the
-    matrix is singular.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): after the step
-    on pivot k, every entry is a minor of the matrix, so each division by
-    the previous pivot is exact, the diagonal holds the last pivot, and
-    that pivot is the determinant up to sign.
-    """
-    n = len(rows)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return None
-        a[k], a[p] = a[p], a[k]
-        pivot_row = a[k]
-        piv = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(piv * v - f * w) // prev
-                        for v, w in zip(a[i], pivot_row)]
-        prev = piv
-    return [row[n] for row in a], prev

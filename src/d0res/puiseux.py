@@ -23,7 +23,7 @@ parametrizations instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, gcd, lcm
+from math import ceil, comb, gcd
 
 from .errors import D0resError, RaiseTruncation, UnsupportedFieldExtension
 from .fields import (
@@ -40,9 +40,16 @@ from .fields import (
     upoly_sub,
     upoly_trim,
 )
-from .kernels import nonzero_pairs
+from .kernels import integers, nonzero_pairs
 from .poly import Poly
-from .series import Series, _add_scaled, _from_slots, _product, _slots
+from .series import (
+    Series,
+    _add_scaled,
+    _from_slots,
+    _newton_update,
+    _product,
+    _slots,
+)
 
 _ZERO = Fraction(0)
 
@@ -144,14 +151,8 @@ def _sturm_roots(p):
     p = upoly_trim(list(p))
     if len(p) < 2:
         return []
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    an = abs(ints[-1]) // g
+    ints, _ = integers(p)
+    an = abs(ints[-1]) // gcd(*ints)
     # Cauchy: every root r has |r| < 1 + max |c_i / c_n|
     reach = an * (1 + max(abs(c / p[-1]) for c in p[:-1]))
     chain = [p, upoly_deriv(p)]
@@ -529,17 +530,18 @@ def solve_regular_tail(f1: Poly, trunc) -> Series:
     every step but the last, m = 2n, so the next step needs g mod x^(m'-n')
     with m' - n' <= n' = 2(m - n): twice the precision g has, at a y
     unchanged below x^n.  One Newton step g - g * (f_y(x, y) * g - 1)
-    doubles it (see `Series.invert`); f_y(x, y) * g - 1 vanishes below the
-    precision g has, so again only its higher coefficients enter.
+    doubles it, as in `Series.invert`; f_y(x, y) * g - 1 vanishes below
+    the precision g has, so again only its higher coefficients enter.
 
     From that inverse to the result, y, g and each step's values are
     integer vectors over one denominator, the slot layout of
     `Series.__mul__` (`series._slots`, `_product`).  f1 is read once as
     sum_j C_j(x) y^j, one slot list per power of y (`_y_coefficients`),
     f_y's are j C_j, and each evaluation is Horner in y alone (`_at_y`).
-    Each step's update (`_newton_update`) normalizes y, g and the part of
-    each value that enters a product once (`_normalized`): reduced mod
-    m(a) over QQ(a), and divided by the gcd of denominator and entries.
+    Each update of y or g is `series._newton_update`, the one Newton step,
+    which `Series.invert` takes too.  It normalizes y, g and the part of
+    each value that enters a product once (`series._normalized`): reduced
+    mod m(a) over QQ(a), and divided by the gcd of denominator and entries.
     The result is built once (`series._from_slots`), and the lift ends with
     one check, by the general evaluator `Poly.eval_series`, which shares
     none of this code: f1(x, y) = 0 mod x^trunc.
@@ -610,41 +612,6 @@ def _at_y(cs, den, yd, ys, m):
         if c is not None:
             _add_scaled(acc, c, weight, m)
     return den * weight, acc
-
-
-def _newton_update(field, z, lo, value, g, hi):
-    """z - value * g mod x^hi, for z, value and g as (den, slots), when
-    value vanishes mod x^lo: one Newton step's update of y (value f1(x, y))
-    or of g (value f_y(x, y) g - 1).  z mod x^lo stays, and only value's
-    coefficients from x^lo on are read, so g's value may be passed as
-    f_y(x, y) g.  That part of value and the result are `_normalized`."""
-    vd, vs = _normalized(field, value[0], [s[lo:] for s in value[1]])
-    (zd, zs), (gd, gs) = z, g
-    corr = _product(vs, [nonzero_pairs(s) for s in gs], hi - lo)
-    common = lcm(zd, vd * gd)
-    a, b = common // zd, common // (vd * gd)
-    low = [[v * a for v in s[:lo]] for s in zs]
-    high = [[-v * b for v in s] for s in corr]
-    low += [[0] * lo for _ in range(len(high) - len(low))]
-    high += [[0] * (hi - lo) for _ in range(len(low) - len(high))]
-    return _normalized(field, common, [p + q for p, q in zip(low, high)])
-
-
-def _normalized(field, den, slots):
-    """The vector (den, slots) in lowest terms: over QQ(a) its generator
-    slots are reduced mod m(a) coefficient by coefficient, onto one
-    denominator (`NumberField.reduce_integers`); zero top slots are
-    dropped; den and the entries are divided by their gcd."""
-    if field is not None and len(slots) > field.degree:
-        cols = [field.reduce_integers(col, den) for col in zip(*slots)]
-        den = cols[0][1]
-        slots = [list(s) for s in zip(*(nums for nums, _ in cols))]
-    while len(slots) > 1 and not any(slots[-1]):
-        slots.pop()
-    g = gcd(den, *(v for s in slots for v in s if v))
-    if g > 1:
-        den, slots = den // g, [[v // g for v in s] for s in slots]
-    return den, slots
 
 
 def leaf_to_coords(leaf: _Leaf, trunc):

@@ -13,17 +13,19 @@ convolution (`kernels.iconv`) per pair of slots, and `_from_slots` turns
 slots back into a Series, reducing each coefficient's integers mod m(a)
 (`NumberField.reduce`) and normalizing it, once.  `polynomial_at`
 evaluates a polynomial at series by Horner on slots; it serves
-`Poly.eval_series` and `Series.compose`.  Series at which many polynomials
-are evaluated are slotted once, as a `SlotLayout`.  `invert` doubles the
-precision by Newton's iteration over these products; the lift of a
-regular tail (`puiseux.solve_regular_tail`) runs its own Newton iteration
-on these slots, with no `Series` between its first inverse and its result.
+`Poly.eval_series` and `Series.compose`.  Series at which many
+polynomials are evaluated are slotted once, as a `SlotLayout`.  Newton's
+iteration takes one step on these slots, `_newton_update`: `invert`
+doubles the precision of an inverse by it, and the lift of a regular tail
+(`puiseux.solve_regular_tail`) its root and the inverse of its
+derivative, with no `Series` between the first scalar inverse and the
+result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import D0resError
 from .fields import FieldElement, common_field, demote, power, scalar_is_zero
@@ -136,6 +138,44 @@ def _horner(terms, operands, n):
         _add_scaled(acc, bslots, common // bden, m)
         den = common
     return None if acc is None else (den, acc)
+
+
+def _newton_update(field, z, lo, value, g, hi):
+    """z - value * g mod t^hi, for z, value and g as (den, slots), when
+    value vanishes mod t^lo: the one Newton step, at which the lift of a
+    regular tail updates its root y (value f1(x, y)) and its g = 1/f_y
+    (value f_y(x, y) g - 1), and `Series.invert` its inverse b of s
+    (value s b - 1, with g = b).  z mod t^lo stays, and only value's
+    coefficients from t^lo on are read, so a value of the form w - 1 may
+    be passed as w.  That part of value and the result are
+    `_normalized`."""
+    vd, vs = _normalized(field, value[0], [s[lo:] for s in value[1]])
+    (zd, zs), (gd, gs) = z, g
+    corr = _product(vs, [nonzero_pairs(s) for s in gs], hi - lo)
+    common = lcm(zd, vd * gd)
+    a, b = common // zd, common // (vd * gd)
+    low = [[v * a for v in s[:lo]] for s in zs]
+    high = [[-v * b for v in s] for s in corr]
+    low += [[0] * lo for _ in range(len(high) - len(low))]
+    high += [[0] * (hi - lo) for _ in range(len(low) - len(high))]
+    return _normalized(field, common, [p + q for p, q in zip(low, high)])
+
+
+def _normalized(field, den, slots):
+    """The vector (den, slots) in lowest terms: over QQ(a) its generator
+    slots are reduced mod m(a) coefficient by coefficient, onto one
+    denominator (`NumberField.reduce_integers`); zero top slots are
+    dropped; den and the entries are divided by their gcd."""
+    if field is not None and len(slots) > field.degree:
+        cols = [field.reduce_integers(col, den) for col in zip(*slots)]
+        den = cols[0][1]
+        slots = [list(s) for s in zip(*(nums for nums, _ in cols))]
+    while len(slots) > 1 and not any(slots[-1]):
+        slots.pop()
+    g = gcd(den, *(v for s in slots for v in s if v))
+    if g > 1:
+        den, slots = den // g, [[v // g for v in s] for s in slots]
+    return den, slots
 
 
 class SlotLayout:
@@ -309,21 +349,23 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse of a unit (ord == 0) series, by Newton
         doubling (Kung 1974): if b = 1/self mod t^h and k <= 2h, then
-        b * (2 - self * b) = b - b * (self * b - 1) = 1/self mod t^k.  As
-        self * b - 1 = 0 mod t^h, the step leaves b mod t^h as it is.  Only
-        the constant term is inverted as a scalar; the rest is products."""
+        b - b * (self * b - 1) = 1/self mod t^k, which leaves b mod t^h as
+        it is.  Only the constant term is inverted as a scalar; each step
+        is one product self * b mod t^k and one `_newton_update`, on the
+        slot layout, and the inverse is built as a Series once."""
         if self.order() != 0:
             raise D0resError("only unit series (order 0) are invertible")
+        n = self.trunc
+        field, den, slots, _ = _slots(self.coeffs, n)
         a0 = self.coeffs[0]
-        b = Series([1 / a0 if isinstance(a0, Fraction) else a0.inverse()])
-        h, n = 1, self.trunc
+        b = _slots((1 / a0 if isinstance(a0, Fraction) else a0.inverse(),), 1)[1:3]
+        h = 1
         while h < n:
             k = min(2 * h, n)
-            b = Series(b.coeffs, k)
-            e = Series(self.coeffs[:k]) * b
-            c = Series((_ZERO,) + e.coeffs[1:]) * b
-            b, h = Series(b.coeffs[:h] + tuple(-x for x in c.coeffs[h:])), k
-        return b
+            bd, bs = b
+            e = (den * bd, _product(slots, [nonzero_pairs(s) for s in bs], k))
+            b, h = _newton_update(field, b, h, e, b, k), k
+        return _from_slots(field, *b)
 
     # -- comparisons / display --------------------------------------------------
 

@@ -201,7 +201,7 @@ def test_implicit_equation_runs_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("implicit_equation ran an elimination")
 
-    monkeypatch.setattr(kernels, "irow_echelon", refuse)
+    monkeypatch.setattr(kernels, "ireduce", refuse)
     monkeypatch.setattr(linalg, "rref_rows", refuse)
     monkeypatch.setattr(branches, "rref_rows", refuse)
     for coords in ([[(3, 1)], [(4, 1), (5, 2)]],

@@ -311,6 +311,39 @@ def test_input_errors_name_the_field_and_the_fault(tmp_path, capsysbinary,
     assert captured.err.decode() == f"input error: {message}\n"
 
 
+GAUSSIAN_FIELD = {"generator": "a", "minpoly": ["1", "0", "1"]}
+
+
+@pytest.mark.parametrize("field", [None, GAUSSIAN_FIELD])
+def test_a_rational_literal_reads_the_same_with_a_field_or_without(
+        tmp_path, capsysbinary, field):
+    """'1e1', '1.5' and '1_0' are rational literals whether the request
+    declares a field or not, and give the report of '10', '3/2' and '10';
+    a generator with no field still exits 2 naming the scalar."""
+    def request(coefficient):
+        obj = {"curve": {"implicit": {"poly": [[[0, 2], "1"],
+                                               [[3, 0], coefficient]]}},
+               "ranks": [1]}
+        if field is not None:
+            obj["field"] = field
+        return obj
+
+    for literal, plain in (("1e1", "10"), ("1.5", "3/2"), ("1_0", "10")):
+        reports = []
+        for text in (literal, plain):
+            path = write_request(tmp_path, "literal.json", request(text))
+            assert main(["analyze", path]) == 0
+            out = json.loads(capsysbinary.readouterr().out)
+            reports.append({k: v for k, v in out.items() if k != "input"})
+        assert reports[0] == reports[1]
+    if field is None:
+        path = write_request(tmp_path, "generator.json", request("a"))
+        assert main(["analyze", path]) == 2
+        assert capsysbinary.readouterr().err.decode() == (
+            "input error: curve.implicit.poly[1]: non-rational scalar 'a' "
+            "needs a field declaration\n")
+
+
 @pytest.mark.parametrize("poly", [CUSP_TIMES_UNIT_SQUARE_X,
                                   CUSP_TIMES_UNIT_SQUARE_Y])
 def test_a_square_factor_away_from_the_point_is_a_unit(tmp_path, capsysbinary,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d0res.errors import D0resError, ReducibleModulus, UnsupportedFieldExtension
@@ -19,7 +19,7 @@ from d0res.fields import (
     upoly_sub,
     upoly_trim,
 )
-from d0res.puiseux import squarefree_decomposition
+from d0res.puiseux import has_rational_factor, squarefree_decomposition
 from oracles import euclid_inverse, fraction_product, reduce_mod
 
 F = Fraction
@@ -102,6 +102,23 @@ def test_format_parse_roundtrip():
     for text in ("i^-1", "2*i^-2", "1-i^-1"):
         with pytest.raises(ValueError):
             parse_scalar(text, GAUSS)
+
+
+def test_rational_literals_parse_with_a_field_and_without():
+    """One rule for a rational literal, `Fraction`'s, whether the request
+    declares a field or not; a generator without a field, and an exponent
+    too long to expand, are refused on both paths."""
+    for text, value in (("1e1", 10), ("1.5", F(3, 2)), ("1_0", 10),
+                        ("-2.5e1", -25), ("1E3", 1000)):
+        assert parse_scalar(text) == value
+        assert parse_scalar(text, GAUSS) == value
+        assert type(parse_scalar(text, GAUSS)) is Fraction
+    with pytest.raises(ValueError, match="non-rational scalar 'i' needs a "
+                       "field declaration"):
+        parse_scalar("i")
+    for field in (None, GAUSS):
+        with pytest.raises(ValueError, match="more than four digits"):
+            parse_scalar("1e100000000", field)
 
 
 def test_rational_sqrt():
@@ -270,6 +287,36 @@ def test_element_reduces_lists_of_any_length(field, data):
             == tuple(reduce_mod([F(v, den) for v in nums], field.minpoly)))
     a = field.gen()
     assert field.element([0] * (3 * d) + [1]).coeffs == (a ** (3 * d)).coeffs
+
+
+irreducible_fields = st.one_of(
+    st.sampled_from(NAMED_FIELDS),
+    st.integers(2, 4).flatmap(
+        lambda d: st.lists(small_rationals, min_size=d, max_size=d))
+    .map(_number_field)
+    .filter(lambda k: k is not None and not has_rational_factor(k.minpoly)))
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6,
+                              max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_fields, st.data())
+def test_inverse_by_elimination_matches_euclid(field, data):
+    """Over an irreducible modulus of degree 2-4, integral or not, the
+    inverse by one fraction-free elimination of the augmented
+    multiplication matrix (`kernels.ireduce`) is extended Euclid's, for
+    sparse and dense elements with small and large coefficients, and it
+    inverts back."""
+    coeffs = data.draw(st.lists(
+        st.one_of(st.just(F(0)), rationals, wide_rationals),
+        min_size=field.degree, max_size=field.degree))
+    x = field.element(coeffs)
+    assume(not x.is_zero())
+    inverse = x.inverse()
+    assert inverse.coeffs == euclid_inverse(x).coeffs
+    assert all(type(c) is Fraction for c in inverse.coeffs)
+    assert x * inverse == 1
+    assert inverse.inverse() == x
 
 
 @pytest.mark.parametrize("minpoly, zero_divisor", [
