@@ -392,7 +392,7 @@ def parse_scalar(text, field=None):
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar string")
-    terms = _split_terms(text)
+    terms = _split_terms(text, None if field is None else field.generator)
     if field is None:
         # a letter other than a decimal exponent's e is a generator's
         if len(terms) == 1 and not any(
@@ -419,10 +419,14 @@ def _rational(term):
     return Fraction(term)
 
 
-def _split_terms(text):
+def _split_terms(text, gen=None):
+    """`text` cut before each sign that starts a term: not an operand's
+    ('x*-1'), nor a decimal exponent's ('1e-5'; over QQ(e), 2e-1 is 2e - 1)."""
     terms, start = [], 0
     for i, ch in enumerate(text):
-        if ch in "+-" and i > start and text[i - 1] not in "+-*^/":
+        if (ch in "+-" and i > start and text[i - 1] not in "+-*^/"
+                and not (text[i - 1] in "eE" and text[i - 1] != gen
+                         and text[max(start, i - 2)] in "0123456789.")):
             terms.append(text[start:i])
             start = i
     terms.append(text[start:])

@@ -68,12 +68,12 @@ built or checked twice.  The tangent test raises
 the test coordinate's action on each summand of the member's jet pair
 once for all ranks, in closed form (`modules._action_power`): a fiber
 action as the power of its column, a jet action [[A, 0], [e c^T, A]] as
-the column of A^k and the row c^T A^(k-1).  Its zero test reads the
-series, and only the block it prints is written out, as entry strings,
-each scalar formatted once.  A block-diagonal matrix's power is the
-block-diagonal sum of its blocks' powers, so it prints the jet power as
-those (block, copies) runs, and no part of a certificate grows with r
-above r0.
+the column of A^k and the row w = c^T A^(k-1).  Its zero test reads the
+series.  A witness needs A^k = 0, and then w is the power's one nonzero
+row, so only w is printed, as entry strings (`_printed`).  A
+block-diagonal matrix's power is the block-diagonal sum of its blocks'
+powers, so the jet power prints as (row, copies) runs: no part of a
+certificate grows with r above r0, or faster than r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -83,7 +83,6 @@ and never passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
 from math import ceil
@@ -158,7 +157,7 @@ def _once(store: dict, key, build, *args):
 
 class _Summand:
     """A jet pair that the family's members are summed from, and its
-    answers: each kill, power, power's zero test and printed power block
+    answers: each kill, power, power's zero test and printed power row
     is computed on first use, on this summand, and read by every rank
     whose members hold it."""
 
@@ -185,7 +184,7 @@ class _Summand:
                      _power_is_zero, self.power(side, coord, k))
 
     def printed(self, coord: int, k: int):
-        """The entry strings of power("m2", coord, k), row by row."""
+        """power("m2", coord, k) as its one nonzero row w (`_printed`)."""
         return _once(self._answers, ("printed", coord, k), _printed,
                      self.power("m2", coord, k))
 
@@ -199,17 +198,14 @@ def _power_is_zero(power) -> bool:
 
 
 def _printed(power):
-    """The 2r x 2r entry strings of the jet power [[A^k, 0], [e w^T, A^k]]
-    that `_action_power` gives as (column of A^k, w): each coefficient and
-    each entry of w is formatted once, and the Toeplitz block is laid out
-    from those strings."""
+    """The entry strings of w, the one nonzero row of the jet power
+    [[A^k, 0], [e w^T, A^k]] given as (column of A^k, w) when A^k = 0; a
+    power whose column is not zero mod t^r has more, and is refused."""
     column, row = power
-    r = column.trunc
-    text = [format_scalar(x) for x in column.coeffs]
-    zeros = [format_scalar(Fraction(0))] * r
-    top = [text[i::-1] + zeros[i + 1:] for i in range(r)]
-    return ([t + zeros for t in top] + [zeros + t for t in top[:-1]]
-            + [[format_scalar(x) for x in row] + top[-1]])
+    if not column.is_zero_at_precision():
+        raise D0resError("a printed jet power must have a zero fiber power "
+                         "A^k, so that w is its one nonzero row")
+    return tuple(format_scalar(x) for x in row)
 
 
 class CertificateFamily:
@@ -457,8 +453,7 @@ def separates_tangents(family: CertificateFamily, r: int):
                     "coordinate": coord,
                     "exponent": exponent,
                     "fiber_power_zero": True,
-                    "jet_power": [{"block": [list(row) for row
-                                             in s.printed(coord, exponent)],
+                    "jet_power": [{"row": list(s.printed(coord, exponent)),
                                    "copies": copies} for s, copies in runs],
                 },
             ))

@@ -93,10 +93,12 @@ routes, and only the tests call them:
 * assembled: the block-diagonal matrix of (block, copies) runs, each
   block a summand's `modules._action_power` expanded by `dense_action`,
   to compare with the dense power of a dense sum.
-* expand_jet_power: the dense rows of a tangent witness's printed
-  `jet_power`, rebuilt from its (block, copies) runs with "0" off the
-  blocks; the report prints the runs, and the tests compare these rows
-  with the dense power of the member's dense sum.
+* expand_jet_power / dense_jet_power: a tangent witness's printed
+  `jet_power` runs read back.  Format 0.3.0 prints each run as (row,
+  copies), w of the power [[0, 0], [e w^T, 0]]; `expand_jet_power` lays
+  each row out as the 0.2.0 (block, copies) run, and `dense_jet_power`
+  puts those blocks down the diagonal with "0" off them, to compare with
+  the dense power of the member's dense sum.
 * margin_truncation / cut_report: the truncation an analysis once lifted
   to by default, max(32, 8 * max(min(r, r0 + 2)) * max(n)), and a longer
   report cut down to a shorter truncation; the reference for the reports
@@ -900,7 +902,22 @@ def assembled(runs):
 
 
 def expand_jet_power(runs):
-    """The rows of the block-diagonal matrix whose printed runs are `runs`,
+    """The 0.2.0 runs [{"block": rows, "copies": c}, ...] of the 0.3.0
+    runs [{"row": w, "copies": c}, ...] of a tangent witness: w, of length
+    r, is the one nonzero row of its 2r x 2r block, the last, which is w
+    and then r zeros."""
+    zero = format_scalar(_ZERO)
+    expanded = []
+    for run in runs:
+        r = len(run["row"])
+        block = [[zero] * (2 * r) for _ in range(2 * r - 1)]
+        expanded.append({"block": block + [list(run["row"]) + [zero] * r],
+                         "copies": run["copies"]})
+    return expanded
+
+
+def dense_jet_power(runs):
+    """The rows of the block-diagonal matrix whose 0.2.0 runs are `runs`,
     [{"block": rows, "copies": c}, ...]: each block `c` times down the
     diagonal, every entry off the blocks formatted zero."""
     blocks = [run["block"] for run in runs for _ in range(run["copies"])]

@@ -317,9 +317,10 @@ GAUSSIAN_FIELD = {"generator": "a", "minpoly": ["1", "0", "1"]}
 @pytest.mark.parametrize("field", [None, GAUSSIAN_FIELD])
 def test_a_rational_literal_reads_the_same_with_a_field_or_without(
         tmp_path, capsysbinary, field):
-    """'1e1', '1.5' and '1_0' are rational literals whether the request
-    declares a field or not, and give the report of '10', '3/2' and '10';
-    a generator with no field still exits 2 naming the scalar."""
+    """'1e1', '1.5', '1_0', '1e-5', '1e+2' and '2.5e-1' are rational
+    literals whether the request declares a field or not, and give the
+    report of '10', '3/2', '10', '1/100000', '100' and '1/4'; a generator
+    with no field still exits 2 naming the scalar."""
     def request(coefficient):
         obj = {"curve": {"implicit": {"poly": [[[0, 2], "1"],
                                                [[3, 0], coefficient]]}},
@@ -328,7 +329,9 @@ def test_a_rational_literal_reads_the_same_with_a_field_or_without(
             obj["field"] = field
         return obj
 
-    for literal, plain in (("1e1", "10"), ("1.5", "3/2"), ("1_0", "10")):
+    for literal, plain in (("1e1", "10"), ("1.5", "3/2"), ("1_0", "10"),
+                           ("1e-5", "1/100000"), ("1e+2", "100"),
+                           ("2.5e-1", "1/4")):
         reports = []
         for text in (literal, plain):
             path = write_request(tmp_path, "literal.json", request(text))
@@ -517,8 +520,8 @@ def test_node_reports_at_ranks_256_and_1024_differ_only_in_counts(
         assert cert.pop("rank") == rank
         assert cert["padding"].pop("copies") == rank - 2
         for v in cert["tangents"]:
-            assert sum(len(run["block"]) * run.pop("copies")
-                       for run in v["witness"]["jet_power"]) == 2 * rank
+            assert sum(len(run["row"]) * run.pop("copies")
+                       for run in v["witness"]["jet_power"]) == rank
         reports.append(report)
     assert reports[0] == reports[1]
 
@@ -1120,6 +1123,32 @@ def test_a_wrong_c_row_in_jet_pair_is_caught(monkeypatch, capsysbinary):
             assert all(c["pass"] for c in out["certificates"]), path.name
             golden = (CORPUS / "golden" / path.name).read_bytes()
             assert captured.out != golden, path.name
+
+
+def test_a_printed_jet_power_with_a_nonzero_fiber_power_is_refused(
+        monkeypatch, capsysbinary):
+    """A witness prints a jet power as its one nonzero row w, which holds
+    only where the fiber power A^k is zero.  With every jet power given a
+    nonzero t^(r-1) term in its column, the cusp's tangent test finds a
+    nonzero jet power, and printing it stops the request with the
+    refusal's message and no report.  The exit code is the one every
+    internal error gets today, 2."""
+    action_power = verify_module._action_power
+
+    def misshaped(module, coord, k):
+        column, row = action_power(module, coord, k)
+        if module.jets is None:
+            return column, row
+        return column + Series.monomial(column.trunc - 1, Fraction(1),
+                                        column.trunc), row
+
+    monkeypatch.setattr(verify_module, "_action_power", misshaped)
+    assert main(["analyze", str(CORPUS / "cusp.json"), "--strict"]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == (b"error: a printed jet power must have a zero "
+                            b"fiber power A^k, so that w is its one nonzero "
+                            b"row\n")
+    assert not captured.out
 
 
 # A reachability threshold off by one: every route skips the monomials of

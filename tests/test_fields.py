@@ -106,19 +106,29 @@ def test_format_parse_roundtrip():
 
 def test_rational_literals_parse_with_a_field_and_without():
     """One rule for a rational literal, `Fraction`'s, whether the request
-    declares a field or not; a generator without a field, and an exponent
-    too long to expand, are refused on both paths."""
+    declares a field or not, a signed decimal exponent included; a
+    generator without a field, and an exponent too long to expand, are
+    refused on both paths.  Over a field whose generator is e, a sign
+    after e starts a term: 2e-1 is 2e - 1."""
     for text, value in (("1e1", 10), ("1.5", F(3, 2)), ("1_0", 10),
-                        ("-2.5e1", -25), ("1E3", 1000)):
+                        ("-2.5e1", -25), ("1E3", 1000), ("1e-5", F(1, 10**5)),
+                        ("1e+2", 100), ("2.5e-1", F(1, 4)),
+                        ("-1.E-2", F(-1, 100))):
         assert parse_scalar(text) == value
         assert parse_scalar(text, GAUSS) == value
         assert type(parse_scalar(text, GAUSS)) is Fraction
+    assert parse_scalar("1e-5+2.5e-1*i", GAUSS) == GAUSS.element(
+        [F(1, 10**5), F(1, 4)])
     with pytest.raises(ValueError, match="non-rational scalar 'i' needs a "
                        "field declaration"):
         parse_scalar("i")
     for field in (None, GAUSS):
-        with pytest.raises(ValueError, match="more than four digits"):
-            parse_scalar("1e100000000", field)
+        for text in ("1e100000000", "1e-10000000"):
+            with pytest.raises(ValueError, match="more than four digits"):
+                parse_scalar(text, field)
+    euler = NumberField([1, 0, 1], generator="e")
+    assert parse_scalar("2e-1", euler) == euler.element([-1, 2])
+    assert parse_scalar("1E-5", euler) == F(1, 10**5)
 
 
 def test_rational_sqrt():

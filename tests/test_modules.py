@@ -48,6 +48,7 @@ from oracles import (
     dense_sum,
     eval_poly_at_matrices,
     eval_series_at_matrix,
+    expand_jet_power,
     is_strictly_lower,
     jet_uniformizer,
     multiplication_matrix,
@@ -647,8 +648,8 @@ def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
 def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
         repo_corpus_germs, monkeypatch):
     """Every summand of every corpus member, fiber and jet, at r0 and
-    padded at r0 + 2, is raised in closed form, tested for zero and
-    printed with no matrix built."""
+    padded at r0 + 2, is raised in closed form, tested for zero and,
+    where its fiber power is zero, printed with no matrix built."""
     summands = []
     for germ in repo_corpus_germs.values():
         family = CertificateFamily(germ)
@@ -661,12 +662,16 @@ def test_power_runs_raise_no_matrix_on_fiber_and_jet_actions(
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(ExactMatrix, "_trusted", refused)
+    printed = 0
     for s, ambient_dim, r0 in summands:
         for coord in range(ambient_dim):
             for e in (1, r0):
                 for side in ("m1", "m2"):
                     s.power_is_zero(side, coord, e)
-                s.printed(coord, e)
+                if s.power_is_zero("m1", coord, e):
+                    s.printed(coord, e)
+                    printed += 1
+    assert printed
 
 
 def test_toeplitz_action_with_a_diagonal_is_not_nilpotent():
@@ -773,9 +778,11 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
     equal the references, `multiplication_matrix` on a fiber and the
     series at the jet's uniformizer on a jet, on a valid dense jet.  On
     both, `_action_power`'s closed form, expanded, equals the dense power
-    at k = 1..r+1, its zero test agrees, and a jet's printed power is
-    `format_scalar` of the dense power, entry by entry.  The c bumps of
-    the corpus test are judged on these branches too."""
+    at k = 1..r+1, and its zero test agrees.  Where the fiber power A^k
+    is zero, a jet's printed row, laid out as its block
+    (`expand_jet_power`), is `format_scalar` of the dense power; elsewhere
+    printing is refused.  The c
+    bumps of the corpus test are judged on these branches too."""
     sky = graph_skyscraper(b)
     jet = jet_pair(b, r)
     for module, rank in ((fiber_module(b, r), r), (jet.m1, r), (sky.m1, 1)):
@@ -801,9 +808,16 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
                     power, dense = _action_power(module, coord, k), a ** k
                     assert dense_action(*power) == dense
                     assert _power_is_zero(power) == dense.is_zero()
-                    if side == "m2":
-                        assert _printed(power) == [
-                            [format_scalar(x) for x in row] for row in dense.data]
+                    if side == "m2" and (dense_actions(pair.m1)[coord]
+                                         ** k).is_zero():
+                        run, = expand_jet_power(
+                            [{"row": list(_printed(power)), "copies": 1}])
+                        assert run["block"] == [[format_scalar(x) for x in row]
+                                                for row in dense.data]
+                    elif side == "m2":
+                        with pytest.raises(D0resError, match="printed jet "
+                                           "power must have a zero fiber"):
+                            _printed(power)
     _judge_c_bumps(b, r, set())
 
 

@@ -1,4 +1,5 @@
-"""No module of the tests or of the benchmark binds a top-level name twice.
+"""No module of the program, the tests or the benchmark binds a top-level
+name twice.
 
 A second `def test_x` replaces the first, and pytest never collects the
 first, so its assertions silently stop running.  The guard parses each
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+FILES = (sorted(ROOT.glob("src/d0res/*.py")) + sorted(ROOT.glob("tests/*.py"))
+         + sorted(ROOT.glob("perfbench/*.py")))
 
 
 def _assigned(target):

@@ -61,6 +61,7 @@ from oracles import (
     dense_action,
     dense_actions,
     dense_annihilator,
+    dense_jet_power,
     dense_sum,
     eval_poly_at_matrices,
     eval_series_at_matrix,
@@ -362,12 +363,38 @@ def test_family_members_pass_the_dense_reference(repo_corpus_germs):
                 check_jet_dense(dense)
 
 
+def _assert_rows_are_the_dense_power(runs, f2):
+    """The printed `jet_power` runs of a tangent witness against its dense
+    power f2: each copy's row is the first r entries of the last row of
+    its 2r x 2r block on the diagonal, and every other entry of f2 is
+    zero."""
+    zero = format_scalar(F(0))
+    text = [[format_scalar(x) for x in row] for row in f2.data]
+    start = 0
+    for run in runs:
+        r = len(run["row"])
+        for _ in range(run["copies"]):
+            last = text[start + 2 * r - 1]
+            assert last[start:start + r] == run["row"]
+            last[start:start + r] = [zero] * r
+            start += 2 * r
+    assert start == f2.rows
+    assert all(x == zero for row in text for x in row)
+
+
 def test_summand_powers_equal_dense_powers(repo_corpus_germs):
     """The tangent test's f1 and f2, raised summand by summand, equal the
-    dense powers of the members' actions, and the printed jet power's runs
-    expand to the dense one's text."""
+    dense powers of the members' actions.  Each row a witness prints,
+    fresh or read from the committed corpus goldens, is the one nonzero
+    row of its summand's block of the dense f2, and the runs expand to
+    the dense one's text."""
+    goldens = 0
     for name, germ in repo_corpus_germs.items():
-        for r in _summand_ranks(germ):
+        golden = json.loads(
+            (REPO / "corpus" / "golden" / f"{name}.json").read_text())
+        printed = {cert["rank"]: cert["tangents"]
+                   for cert in golden["certificates"]}
+        for r in sorted(set(_summand_ranks(germ)) | set(printed)):
             family = CertificateFamily(germ)
             verdicts = separates_tangents(family, r)
             for i, (b, v) in enumerate(zip(germ.branches, verdicts)):
@@ -380,8 +407,15 @@ def test_summand_powers_equal_dense_powers(repo_corpus_germs):
                     assert assembled([(dense_action(*s.power(side, coord, e)),
                                        copies)
                                       for s, copies in runs]) == f, (name, i, r)
-                assert expand_jet_power(v.witness["jet_power"]) == [
-                    [format_scalar(x) for x in row] for row in f2.data]
+                rows = [v.witness["jet_power"]]
+                if r in printed:
+                    rows.append(printed[r][i]["witness"]["jet_power"])
+                    goldens += 1
+                for jet_power in rows:
+                    _assert_rows_are_the_dense_power(jet_power, f2)
+                    assert dense_jet_power(expand_jet_power(jet_power)) == [
+                        [format_scalar(x) for x in row] for row in f2.data]
+    assert goldens == sum(3 * germ.k for germ in repo_corpus_germs.values())
 
 
 def test_summand_kills_agree_with_dense_evaluation(repo_corpus_germs):
