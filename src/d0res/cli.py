@@ -28,6 +28,7 @@ from .report import (
     check_ranks,
     check_truncation,
     emit_report,
+    json_object,
     json_text,
     oracles_pass,
     parse_request,
@@ -90,7 +91,7 @@ def _load_request(path):
         else:
             with open(path, "rb") as fh:
                 text = fh.read().decode()
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=json_object)
     except OSError as exc:
         raise InputError(path, f"cannot read file: {exc}")
     except (ValueError, RecursionError) as exc:
@@ -187,12 +188,20 @@ def cmd_oracle(args) -> int:
 
 
 def _atomic_write(path, blob: bytes):
+    """Write `blob` to `path` through a temporary file that replaces it.  A
+    new file gets the mode `open` would give it, 0o666 less the umask, and
+    an existing one keeps its own, in place of `mkstemp`'s 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mode = (os.stat(path).st_mode & 0o7777 if os.path.exists(path)
+            else 0o666 & ~umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".d0res-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
+            os.fchmod(fh.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,53 +1,45 @@
-"""Finite-length modules over the ambient local ring, held by the series
-their commuting nilpotent actions are made of, in one of two shapes, plus
-the first-order jet pairs used by the tangent test.
+"""Finite-length modules over the ambient local ring, each a fiber held by
+the series its commuting nilpotent actions are made of, plus the
+first-order jet pairs used by the tangent test.
 
 The key constructions:
 
 * fiber_module(b, r): K[t]/(t^r) with each ambient coordinate acting by
-  multiplication with its pullback series: the lower-triangular Toeplitz
-  matrix of that series, held as the series truncated to r, its first
-  column.  It is also the jet pair's special fiber, and the certificate
-  reads each branch's fiber annihilators off it.
+  multiplication with its pullback series: the strictly lower-triangular
+  Toeplitz matrix of that series, held as the series truncated to r, its
+  first column (`FiniteModule.columns`).  Such actions commute with no
+  matrix product, a polynomial in them is the Toeplitz matrix of the same
+  polynomial in their columns, and it is zero iff that series is.  So
+  `annihilator` eliminates r first-column rows, `verify._kills` evaluates
+  a witness on series, and `_action_power` raises an action as a series
+  power.  A zero t^0 coefficient in every column makes every action
+  nilpotent, and that is checked when a module is built.  The fiber is
+  also the jet pair's special fiber, and the certificate reads each
+  branch's fiber annihilators off it.
 * jet_pair(b, r): the rank-r fiber M1 = fiber_module(b, r) of the branch
-  and its first-order jet M2 over the dual numbers, 2r-dimensional on a
-  fixed frame: tops 0..r-1 lifting M1's basis, then bottoms r..2r-1, their
-  eps-multiples.  A coordinate s acts on M2 as [[A, 0], [e c^T, A]], A its
-  action on M1, e the last unit vector and c_(r-k) = r*s_k (k = 1..r;
-  s_0 = 0 as the branch passes through the origin), held as (first column
-  of A, c).  That is s(T) for the jet's uniformizer T = [[S, 0], [N, S]],
-  S the r x r down-shift and N = r*eps from the last top: S N = 0, so
-  T^k = [[S^k, 0], [N S^(k-1), S^k]].  T has nilpotency index r + 1, one
-  more than S, exactly when the jet does not split.  jet_pair writes the
-  series in closed form and builds no uniformizer; the tests build T
-  (`tests/oracles.jet_uniformizer`) and compare.
+  and its first-order jet M2 over the dual numbers (`JetPair`).  A
+  coordinate s acts on M2 as [[A, 0], [e c^T, A]], A its action on M1, e
+  the last unit vector and c_(r-k) = r*s_k (k = 1..r; s_0 = 0 as the
+  branch passes through the origin), so M1 and one row c per coordinate
+  fix M2, and they are all the pair holds.  That is s(T) for the jet's
+  uniformizer T = [[S, 0], [N, S]], S the r x r down-shift and N = r*eps
+  from the last top: S N = 0, so T^k = [[S^k, 0], [N S^(k-1), S^k]].  T
+  has nilpotency index r + 1, one more than S, exactly when the jet does
+  not split.  jet_pair writes the rows in closed form and builds no
+  uniformizer; the tests build T (`tests/oracles.jet_uniformizer`) and
+  compare.  Two jet actions commute iff c^T B = d^T A, one 1 x r by r x r
+  product per side, and `_action_power` raises them in closed form.  No
+  dense action is written: the only matrices a module builds are the
+  r x r Toeplitz blocks and 1 x r rows of that check
+  (`ExactMatrix._trusted`).  The tests write the dense actions of a fiber
+  and of a jet (`tests/oracles.dense_actions`, `dense_jet_actions`) and
+  keep dense modules of their own as references.
 * graph_skyscraper(b): the rank-1 padding, jet_pair(b, 1); its fiber is
   `.m1`.
-* Two shapes of action, each held by its series (`FiniteModule`): a
-  fiber's actions are strictly lower-triangular Toeplitz, multiplication
-  by their first columns in K[t]/(t^r), a commutative algebra (`columns`).
-  Such actions commute with no matrix product, a polynomial in them is the
-  Toeplitz matrix of the same polynomial in their columns, and it is zero
-  iff that series is.  So `annihilator` eliminates r first-column rows,
-  `verify._kills` evaluates a witness on series, and `_action_power` raises
-  an action as a series power.  A jet's actions are [[A, 0], [e c^T, A]]
-  with A of that shape, each held once as (first column of A, c) (`jets`).
-  Two of them commute iff c^T B = d^T A, one 1 x r by r x r product per
-  side, and `_action_power` raises them in closed form.  A column with a
-  zero t^0 coefficient makes its action strictly lower-triangular, so
-  nilpotent, and that is checked when a module is built.  A jet pair
-  checks its frame by first columns (`JetPair`).  No dense action is
-  written: the only matrices a module builds are the r x r Toeplitz
-  blocks and 1 x r rows of the commutation check
-  (`ExactMatrix._trusted`).  A series reading (`annihilator`,
-  `verify._kills`, a jet pair's fiber) of a module held as jets is
-  refused.  The tests write the dense actions of a module
-  (`tests/oracles.dense_actions`) and keep dense modules of their own as
-  references.
 * pad(base, filler, copies): the direct sum of base with `copies` copies
   of filler, held as a `DirectSum` of (summand, copies) runs in block
-  order; no matrix is built.  Its dims, ranks and (for jets) m1 and m2
-  are read off the runs.  Every question the certificate asks of a sum is
+  order; no matrix is built.  Its dims, ranks and (for jets) m1 are
+  read off the runs.  Every question the certificate asks of a sum is
   answered summand by summand: a polynomial kills a direct sum iff it
   kills each summand, and a power of a block-diagonal action is the
   block-diagonal sum of the blocks' powers (one closed-form
@@ -55,18 +47,17 @@ The key constructions:
   Each summand was validated when it was built, and block-diagonal
   matrices add and multiply block by block, so the sum's actions
   commute, are nilpotent and read [[A, 0], [C, A]] on the jet frame laid
-  end to end because each summand's do.  The tests
-  assemble the dense sums (`tests/oracles.py`) and check them on the
-  dense matrices.
+  end to end because each summand's do.  The tests assemble the dense
+  sums (`tests/oracles.py`) and check them on the dense matrices.
 * annihilator: the ideal of polynomials killing a fiber, the separation
   invariant, read off the fiber's columns: the dim first-column
-  functionals of its Toeplitz actions, one elimination; a module held as
-  jets is refused.  The fiber K[t]/(t^r) is cyclic, generated by 1, so
-  those functionals are the r coefficients of f(x(t)) mod t^r.  Its t^0
-  row is f -> f(0), so the ideal lies in {f : f(0) = 0}, the annihilator
-  of the 1 x 1 graph skyscraper, and padding the fiber with skyscrapers
-  does not change it.  It is the unique reduced echelon basis, so equal
-  ideals are equal exactly, not just up to a change of basis.
+  functionals of its Toeplitz actions, one elimination.  The fiber
+  K[t]/(t^r) is cyclic, generated by 1, so those functionals are the r
+  coefficients of f(x(t)) mod t^r.  Its t^0 row is f -> f(0), so the
+  ideal lies in {f : f(0) = 0}, the annihilator of the 1 x 1 graph
+  skyscraper, and padding the fiber with skyscrapers does not change it.
+  It is the unique reduced echelon basis, so equal ideals are equal
+  exactly, not just up to a change of basis.
   `verify` checks each ideal it stores against its branch with a
   different evaluator (`verify._is_fiber_annihilator`).
 * reachable monomials: on a fiber, the value of x^e is the product of the
@@ -124,58 +115,28 @@ def _toeplitz_matrix(s: Series) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Punctual module at the origin of dimension `dim`, held by the series
-    its actions are made of, one per coordinate, in one of two shapes.
-
-    A fiber holds `columns`: for each action, the Series of length dim
-    that is its first column.  The action is that series' strictly
-    lower-triangular Toeplitz matrix, multiplication in K[t]/(t^dim).  A
-    jet holds `jets`: for each action, a (column, c) pair on dim = 2r.  The
-    action is [[A, 0], [e c^T, A]], A the Toeplitz matrix of `column`
-    (length r), e the last unit vector and c a tuple of r scalars.  Exactly
-    one of the two is set.
-
-    Built, the module checks that data and nothing else: the lengths; each
-    column's t^0 coefficient is zero, which makes every action strictly
-    lower-triangular and so nilpotent; and the actions commute.  Toeplitz
-    actions always do.  Two jet actions [[A, 0], [e c^T, A]] and
-    [[B, 0], [e d^T, B]] commute iff c^T B = d^T A: AB = BA as both are
-    Toeplitz, and A e = B e = 0 as both are strictly lower, so the
-    lower-left blocks of the two products are e c^T B and e d^T A.  That is
-    one 1 x r by r x r product per side.
-    """
+    """Punctual module at the origin of dimension `dim`, a fiber held by
+    the series its actions are made of: for each coordinate, the Series of
+    length dim that is its action's first column (`columns`).  The action
+    is that series' strictly lower-triangular Toeplitz matrix,
+    multiplication in K[t]/(t^dim); such actions always commute.  Built,
+    the module checks the lengths and that each column's t^0 coefficient
+    is zero, which makes every action strictly lower-triangular and so
+    nilpotent."""
 
     dim: int
-    columns: tuple = None
-    jets: tuple = None
+    columns: tuple
 
     def __post_init__(self):
-        fiber = self.jets is None
-        if fiber == (self.columns is None):
-            raise D0resError("a module holds either fiber columns or jets")
-        columns = self.columns if fiber else tuple(col for col, _ in self.jets)
-        r = self.dim if fiber else self.dim // 2
-        if (not fiber and self.dim % 2
-                or any(col.trunc != r for col in columns)):
+        if any(col.trunc != self.dim for col in self.columns):
             raise D0resError("action columns must fit the module dim")
-        if any(not scalar_is_zero(col.coeffs[0]) for col in columns):
+        if any(not scalar_is_zero(col.coeffs[0]) for col in self.columns):
             raise D0resError("an action's column has a nonzero t^0 "
                              "coefficient, so the action is not nilpotent")
-        if fiber:
-            return
-        if any(len(c) != r for _, c in self.jets):
-            raise D0resError("a jet's c row must have the fiber's length")
-        rows = [ExactMatrix._trusted((c,)) for _, c in self.jets]
-        blocks = [_toeplitz_matrix(col) for col in columns]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if rows[i] * blocks[j] != rows[j] * blocks[i]:
-                    raise NonCommutingActions(
-                        "coordinate actions must commute")
 
     @property
     def ambient_dim(self):
-        return len(self.columns if self.jets is None else self.jets)
+        return len(self.columns)
 
     def same_presentation(self, other) -> bool:
         """Equal dims and equal series, which fix equal action matrices;
@@ -187,36 +148,37 @@ class FiniteModule:
 @dataclass(frozen=True)
 class JetPair:
     """The rank-r fiber M1 of one branch and its first-order jet M2 over
-    the dual numbers, and nothing else.
+    the dual numbers, held as M1 and one row c of r scalars per
+    coordinate (`rows`), and nothing else.
 
-    The frame is fixed: M2's basis is the r tops 0..r-1, lifting M1's
-    basis, then the r bottoms r..2r-1, their eps-multiples.  So eps maps
-    tops to bottoms, the inclusion M1 -> M2 lands on the bottoms and the
-    projection M2 -> M1 reads the tops: 0 -> M1 -> M2 -> M1 -> 0 is exact
-    by construction.  The actions respect the frame iff each M2 action
-    reads [[A, 0], [C, A]], A its M1 counterpart.
+    M2's basis is the r tops, lifting M1's basis, then the r bottoms,
+    their eps-multiples, so 0 -> M1 -> M2 -> M1 -> 0 is exact by
+    construction.  Coordinate k acts on M2 as [[A_k, 0], [e c_k^T, A_k]],
+    A_k the Toeplitz matrix of `m1.columns[k]` and e the last unit vector,
+    so every M2 action respects that frame by its shape.
 
-    M1 must hold `columns` and M2 `jets` (`FiniteModule`).  An M2 action
-    [[A', 0], [e c^T, A']] has a zero top-right block and equal diagonal
-    blocks by its shape, so it respects the frame iff A' = A, and two
-    Toeplitz matrices are equal iff their first columns are: the jets'
-    columns must be M1's.
+    Built, the pair checks the rows' lengths and that the M2 actions
+    commute.  [[A, 0], [e c^T, A]] and [[B, 0], [e d^T, B]] commute iff
+    c^T B = d^T A: AB = BA as both are Toeplitz, and A e = B e = 0 as both
+    are strictly lower, so the lower-left blocks of the two products are
+    e c^T B and e d^T A.
     """
 
     m1: FiniteModule
-    m2: FiniteModule
+    rows: tuple
 
     def __post_init__(self):
-        if self.m2.dim != 2 * self.m1.dim:
-            raise D0resError("jet must have twice the fiber dimension")
-        if self.m1.ambient_dim != self.m2.ambient_dim:
-            raise D0resError("fiber and jet must share the ambient dimension")
-        columns = _fiber_columns(self.m1)
-        if self.m2.jets is None:
-            raise D0resError("a jet pair's M2 must be held as jets")
-        if tuple(col for col, _ in self.m2.jets) != columns:
-            raise D0resError("inclusion and projection must intertwine "
-                             "the coordinate actions")
+        if (len(self.rows) != self.m1.ambient_dim
+                or any(len(c) != self.m1.dim for c in self.rows)):
+            raise D0resError("a jet pair needs one c row of the fiber's "
+                             "length per coordinate")
+        rows = [ExactMatrix._trusted((c,)) for c in self.rows]
+        blocks = [_toeplitz_matrix(col) for col in self.m1.columns]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                if rows[i] * blocks[j] != rows[j] * blocks[i]:
+                    raise NonCommutingActions(
+                        "coordinate actions must commute")
 
     @property
     def rank(self):
@@ -227,16 +189,6 @@ class JetPair:
         return self.m1.ambient_dim
 
 
-def _fiber_columns(module: FiniteModule):
-    """The first columns of the module's strictly lower-triangular Toeplitz
-    actions (`FiniteModule.columns`), which every series reading of a
-    fiber reads; a module held as jets is refused."""
-    if module.columns is None:
-        raise D0resError("a fiber's actions must be strictly "
-                         "lower-triangular Toeplitz")
-    return module.columns
-
-
 def fiber_module(b: BranchParam, r: int) -> FiniteModule:
     """K[t]/(t^r) with coordinates acting by their pullback multiplication,
     each held as its series truncated to r."""
@@ -244,7 +196,7 @@ def fiber_module(b: BranchParam, r: int) -> FiniteModule:
         raise D0resError("rank must be positive")
     if b.trunc < r:
         raise RaiseTruncation("fiber construction needs truncation >= rank", needed=r)
-    return FiniteModule(r, columns=tuple(s.truncate(r) for s in b.coords))
+    return FiniteModule(r, tuple(s.truncate(r) for s in b.coords))
 
 
 def jet_pair(b: BranchParam, r: int) -> JetPair:
@@ -254,11 +206,10 @@ def jet_pair(b: BranchParam, r: int) -> JetPair:
     if b.trunc < r + 1:
         raise RaiseTruncation("jet construction needs truncation >= rank+1",
                               needed=r + 1)
-    m1 = fiber_module(b, r)
     # c_j = r * s_(r-j), j = 0..r-1: the last row of C in [[A, 0], [C, A]]
-    jets = tuple((col, tuple(r * s.coeffs[r - j] for j in range(r)))
-                 for s, col in zip(b.coords, m1.columns))
-    return JetPair(m1, FiniteModule(2 * r, jets=jets))
+    return JetPair(fiber_module(b, r),
+                   tuple(tuple(r * s.coeffs[r - j] for j in range(r))
+                         for s in b.coords))
 
 
 def graph_skyscraper(b: BranchParam) -> JetPair:
@@ -286,8 +237,8 @@ class DirectSum:
     """The direct sum of its (summand, copies) `runs`, in block order: all
     FiniteModules or all JetPairs, of one ambient dimension, each with
     copies >= 1.  It is held by its runs alone; no matrix of the sum is
-    built (module docstring).  A sum of jet pairs has the sums of its
-    summands' m1 and m2 as its own."""
+    built (module docstring).  A sum of jet pairs has the sum of its
+    summands' m1 as its own."""
 
     runs: tuple
 
@@ -317,10 +268,6 @@ class DirectSum:
     def m1(self):
         return DirectSum(tuple((s.m1, c) for s, c in self.runs))
 
-    @property
-    def m2(self):
-        return DirectSum(tuple((s.m2, c) for s, c in self.runs))
-
     def same_presentation(self, other) -> bool:
         """Equal runs mean equal block sums.  Different runs read False,
         even where their sums might be equal: no equality is claimed that
@@ -328,24 +275,25 @@ class DirectSum:
         return isinstance(other, DirectSum) and self.runs == other.runs
 
 
-def _action_power(module: FiniteModule, coord: int, k: int):
-    """The action of coordinate `coord` on `module` to the power k >= 1
-    (every tangent exponent is at least 1), in closed form, as the
-    (column, row) it is made of; no matrix is built.
+def _action_power(module, coord: int, k: int):
+    """The action of coordinate `coord` to the power k >= 1 (every tangent
+    exponent is at least 1) on a fiber `module`, or on the jet of a jet
+    pair `module`, in closed form, as the (column, row) it is made of; no
+    matrix is built.
 
-    A fiber action is multiplication by its column a(t) (`module.columns`),
-    and its power is multiplication by a(t)^k: (a(t)^k, None).  A jet
-    action [[A, 0], [e c^T, A]] (`module.jets`) has the power
-    [[A^k, 0], [e w^T, A^k]], w^T = c^T A^(k-1): the lower-left block of
-    the power is the sum of A^i e c^T A^j over i + j = k - 1, and A^i e = 0
-    for i >= 1 because A's last column is zero.  So the power is
+    A fiber action is multiplication by its column a(t)
+    (`FiniteModule.columns`), and its power is multiplication by a(t)^k:
+    (a(t)^k, None).  A jet action [[A, 0], [e c^T, A]] (`JetPair`) has the
+    power [[A^k, 0], [e w^T, A^k]], w^T = c^T A^(k-1): the lower-left
+    block of the power is the sum of A^i e c^T A^j over i + j = k - 1, and
+    A^i e = 0 for i >= 1 because A's last column is zero.  So the power is
     (a(t)^k, w), of the jet's own shape.  Entry j of w is
     sum_i c_i q_(i-j), q(t) = a(t)^(k-1), which is the t^(r-1-j)
     coefficient of rev(c)(t) q(t), rev(c) the series of c read backwards.
     At k = 0 a jet action is refused, as a negative series power."""
-    if module.columns is not None:
+    if isinstance(module, FiniteModule):
         return module.columns[coord] ** k, None
-    col, c = module.jets[coord]
+    col, c = module.m1.columns[coord], module.rows[coord]
     q = col ** (k - 1)
     return q * col, (Series(c[::-1]) * q).coeffs[::-1]
 
@@ -502,8 +450,7 @@ def kernel_echelon(rows, ncols):
     `annihilator` passes only the live columns, the monomials a Toeplitz
     fiber can reach, and eliminates only those; the zero columns it
     leaves out are the bare rows that `AnnihilatorIdeal` holds
-    implicitly.  A module held as jets is refused before a row is built.
-    A zero column that is passed comes back as a bare row.
+    implicitly.  A zero column that is passed comes back as a bare row.
     """
     reversed_rows = [row[::-1] for row in rows
                      if any(not scalar_is_zero(x) for x in row)]
@@ -532,17 +479,16 @@ def _evaluation_rows(module: FiniteModule, degree):
     on the graded `monomials` it is read on, one row per functional; every
     monomial of degree <= `degree` left out is zero on the module.
 
-    The module must hold `columns`, as a fiber does; a module held as jets
-    is refused.  Each monomial's value
-    is the Toeplitz matrix of the product of their first columns, and the
-    rows are the dim entries of that first column.  Every other entry of
+    Each monomial's value is the Toeplitz matrix of the product of the
+    module's first columns (`columns`), and the rows are the dim entries
+    of that first column.  Every other entry of
     the value repeats one of them or is zero, so these rows have the same
     kernel, and the same rank, as the dim^2 rows of all entries.  The
     product has the sum of the columns' orders, so only the monomials
     whose order is below dim are evaluated, one series product each, and
     the corners of the rest are checked to be zero
     (`poly.reachable_values`)."""
-    monomials, values = reachable_values(_fiber_columns(module), degree)
+    monomials, values = reachable_values(module.columns, degree)
     cols = [value.coeffs for value in values]
     return monomials, [[col[i] for col in cols] for i in range(module.dim)]
 
@@ -551,11 +497,11 @@ def annihilator(module: FiniteModule, degree_bound: int = None) -> AnnihilatorId
     """Reduced basis of the ideal of polynomials of degree <= bound that kill
     the fiber `module`, from its columns, the first columns of its
     Toeplitz actions: dim first-column rows on the monomials they reach
-    (`_evaluation_rows`); a module held as jets is refused.  The reduced
-    echelon basis of the kernel is unique, so it equals the one from all
-    dim^2 entries of the dense actions on every monomial.  The
-    default bound (module dim) is provably enough: every monomial of
-    degree >= dim kills a punctual module of that dimension.
+    (`_evaluation_rows`).  The reduced echelon basis of the kernel is
+    unique, so it equals the one from all dim^2 entries of the dense
+    actions on every monomial.  The default bound (module dim) is provably
+    enough: every monomial of degree >= dim kills a punctual module of
+    that dimension.
     """
     if degree_bound is None:
         degree_bound = module.dim

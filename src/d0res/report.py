@@ -114,9 +114,29 @@ def parse_request(obj) -> AnalysisRequest:
     return req
 
 
+class _RepeatsKey(dict):
+    """A request object that repeats its key `repeated`."""
+
+
+def json_object(pairs):
+    """The `object_pairs_hook` of a request's `json.loads`: the object of
+    `pairs`, marked with a key it repeats, of which a dict keeps only the
+    last value, for `_check_keys` to refuse."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj = _RepeatsKey(obj)
+        obj.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def _check_keys(obj, known, path):
-    """Reject keys the format does not define, which would otherwise be
-    ignored silently (a misspelt `rank` would certify the default ranks)."""
+    """Reject a repeated key (`json_object`) at its path, and keys the
+    format does not define, which would otherwise be ignored silently (a
+    misspelt `rank` would certify the default ranks)."""
+    if isinstance(obj, _RepeatsKey):
+        raise InputError(obj.repeated if path == "$" else
+                         f"{path}.{obj.repeated}", "key is repeated")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise InputError(path, f"unknown keys {unknown}; known keys: "

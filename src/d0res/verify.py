@@ -22,13 +22,13 @@ that f^(r0/n) kills the special fiber assembly but not the jet assembly:
 the nilpotency jump that certifies a non-split extension.  Verdicts are
 three-valued; only a witnessed verdict counts as Separated.
 
-The annihilators are read off the fibers' columns.  At rank r a
-member's fiber is K[t]/(t^d), d = min(r, r0), plus r - r0 graph
-skyscrapers above r0.  The fiber is cyclic, generated by 1, and f kills a
-cyclic module iff it kills the generator, so its ideal at degree <= d is
-the kernel of the d coefficients of f(x(t), y(t)), the first columns of
-f's action (`modules.annihilator`).  f kills a direct sum
-iff it kills each summand.  The skyscraper's actions are zero, so its
+The annihilators are read off the fibers' columns.  At rank r a member's
+fiber is K[t]/(t^d), d = min(r, r0), plus r - r0 graph skyscrapers above
+r0.  The fiber is cyclic, generated by 1, and f kills a cyclic module iff
+it kills the generator, so its ideal at degree <= d is the kernel of the
+d coefficients of f(x(t), y(t)), the first columns of f's action
+(`modules.annihilator`).  f kills a direct sum iff it kills each
+summand.  The skyscraper's actions are zero, so its
 annihilator is {f : f(0) = 0}; every coordinate pulls back to a series of
 order >= 1, so the fiber's t^0 row is f -> f(0), and the fiber's ideal
 lies in the skyscraper's.  So a padded member's ideal is its fiber's, and
@@ -51,29 +51,28 @@ row with a constant term, so that it kills the skyscraper.  A monomial of
 degree d kills every member at rank r, so it is never a point witness,
 and the witness search stops below d.
 
-The modules the family builds still give the independent checks, read
-summand by summand.  Every witness is re-verified on the modules of the
-member's summands, the rank-r0 fiber and the 1 x 1 skyscraper: a
-polynomial kills a direct sum iff it kills each summand, and each
-summand's answer is its own (`CertificateFamily.kills`).  A fiber holds
-the first columns of its strictly lower-triangular Toeplitz actions, so
-g kills it iff g at those columns is zero mod t^dim (`_kills`); a module
-held as jets is refused there.  Those columns are laid out once per
-summand (`_fiber_layout`), for every row judged on it.  Each stored ideal
-is checked against its branch by simpler code than the code that built it
-(`_is_fiber_annihilator`).  The fiber annihilator cross-check
-(`pushforward_restriction_oracle`) prints those verdicts at ranks
-1..max_rank, and the padding check reads the one at r0; no ideal is
-built or checked twice.  The tangent test raises
-the test coordinate's action on each summand of the member's jet pair
-once for all ranks, in closed form (`modules._action_power`): a fiber
-action as the power of its column, a jet action [[A, 0], [e c^T, A]] as
-the column of A^k and the row w = c^T A^(k-1).  Its zero test reads the
-series.  A witness needs A^k = 0, and then w is the power's one nonzero
-row, so only w is printed, as entry strings (`_printed`).  A
-block-diagonal matrix's power is the block-diagonal sum of its blocks'
-powers, so the jet power prints as (row, copies) runs: no part of a
-certificate grows with r above r0, or faster than r0.
+The modules the family builds give the independent checks, summand by
+summand.  Every witness is re-verified on the member's summands, the
+rank-r0 fiber and the 1 x 1 skyscraper: a polynomial kills a direct sum
+iff it kills each summand (`CertificateFamily.kills`).  A fiber holds the
+first columns of its Toeplitz actions, so g kills it iff g at those
+columns is zero mod t^dim (`_kills`), laid out once per summand
+(`SlotLayout`).  Each stored ideal is checked against its branch by
+simpler code than the code that built it (`_is_fiber_annihilator`).  The
+fiber annihilator cross-check (`pushforward_restriction_oracle`) prints
+those verdicts at ranks 1..max_rank, and the padding check reads the one
+at r0; no ideal is built or checked twice.
+
+The tangent test raises the test coordinate's action on each summand's
+fiber and jet once for all ranks, in closed form (`modules._action_power`,
+given the fiber or the jet pair): a fiber action as the power of its
+column, a jet action [[A, 0], [e c^T, A]], read off the fiber's column
+and the pair's row c, as the column of A^k and the row w = c^T A^(k-1).
+Its zero test reads the series.  A witness needs A^k = 0, and then w is
+the power's one nonzero row, so only w is printed, as entry strings
+(`_printed`).  A block-diagonal matrix's power is the block-diagonal sum
+of its blocks' powers, so the jet power prints as (row, copies) runs: no
+part of a certificate grows with r above r0, or faster than r0.
 
 `certify` serves every rank r >= 1.  Below r0 the same tests run on the
 bare rank-r members, and the certificate (`below_critical`) has no padding
@@ -95,7 +94,6 @@ from .linalg import rref_rows
 from .modules import (
     AnnihilatorIdeal,
     _action_power,
-    _fiber_columns,
     annihilator,
     fiber_module,
     graph_skyscraper,
@@ -169,14 +167,14 @@ class _Summand:
         """g, the stored-ideal basis row named `row_key`, acts as zero on
         this summand's fiber (`_kills`), at its columns' layout, built on
         the first kill."""
-        at = _once(self._answers, "layout", _fiber_layout, self.jet.m1)
+        at = _once(self._answers, "layout", SlotLayout, self.jet.m1.columns)
         return _once(self._answers, ("kills", row_key), _kills, g, at)
 
     def power(self, side: str, coord: int, k: int):
-        """The action of coordinate `coord` on this summand's `side` ("m1"
-        or "m2") to the power k, as its (column, row) (`_action_power`)."""
+        """Coordinate `coord`'s action on this summand's fiber ("m1") or jet
+        ("m2") to the power k, as its (column, row) (`_action_power`)."""
         return _once(self._answers, ("power", side, coord, k), _action_power,
-                     getattr(self.jet, side), coord, k)
+                     self.jet.m1 if side == "m1" else self.jet, coord, k)
 
     def power_is_zero(self, side: str, coord: int, k: int) -> bool:
         """power(side, coord, k) is zero, read off its series once."""
@@ -211,18 +209,12 @@ def _printed(power):
 class CertificateFamily:
     """One germ's family over the ranks of one request, and the one store
     of its per-branch summands and annihilators.  Each branch's base jet
-    `jet_pair(b, min(r, r0))`, stored under ("jet", i, min(r, r0)), its
+    `jet_pair(b, min(r, r0))`, under ("jet", i, min(r, r0)), its
     skyscraper jet, under ("sky", i), each padded member and the two
     annihilators of each bare rank-d fiber are built on first use, then
-    read from memory: above r0 the base jet and the member ideal are the
-    same at every rank, and below r0 they are keyed by the rank.  Each
-    stored summand also keeps its answers (`_Summand`): every kill of a
-    stored-ideal basis row on its fiber and every power of a coordinate's
-    action on it is computed once, on that summand, and read by every rank
-    whose members hold it.  So a rank above r0 pays only for what its
-    skyscraper run adds, the first time one does.  `certify` assembles
-    each rank's verdicts from those answers, and the cross-check reads the
-    same annihilators."""
+    read from memory, and each summand keeps its answers (`_Summand`).
+    So a rank above r0 pays only for what its skyscraper run adds, the
+    first time one does, and the cross-check reads the same annihilators."""
 
     def __init__(self, germ: Germ):
         self.germ = germ
@@ -410,17 +402,10 @@ def _point_witness(ideals, i, j, kills):
     raise D0resError("distinct annihilators but no separating element found")
 
 
-def _fiber_layout(fiber) -> SlotLayout:
-    """The first columns of the strictly lower-triangular Toeplitz actions
-    of the module `fiber` (`FiniteModule.columns`), laid out once for
-    every polynomial judged on it; a module held as jets is refused."""
-    return SlotLayout(_fiber_columns(fiber))
-
-
 def _kills(g, at: SlotLayout) -> bool:
-    """g acts as zero on the fiber whose columns are laid out as `at`
-    (`_fiber_layout`): g(A) is the Toeplitz matrix of g at those columns,
-    so it is zero iff that series is."""
+    """g acts as zero on the fiber whose columns (`FiniteModule.columns`)
+    are laid out as `at`: g(A) is the Toeplitz matrix of g at those
+    columns, so it is zero iff that series is."""
     return g.eval_series(at).is_zero_at_precision()
 
 
@@ -501,13 +486,11 @@ def graph_jet_class_vanishes(b) -> bool:
 
 def certify(family: CertificateFamily, r: int) -> EmbeddingCertificate:
     """Run both separation suites on the rank-r members of `family`, and
-    assemble verdicts.  Every kill and power the certificate claims was
-    computed once, on the summand it names, at this rank or at an earlier
-    rank of the family whose members hold that summand; what the family
-    holds is read, not recomputed.  The ideal comparisons and the padding
-    check run at this rank.  Below the critical
-    rank the certificate is exploratory: it has no padding, runs no padding
-    check and cannot pass."""
+    assemble verdicts.  Every kill and power the certificate claims is
+    read from the summand it names (`_Summand`); the ideal comparisons and
+    the padding check run at this rank.  Below the critical rank the
+    certificate is exploratory: it has no padding, runs no padding check
+    and cannot pass."""
     germ = family.germ
     for i in range(germ.k):
         _check_member(family, i, r)

@@ -27,12 +27,14 @@ routes, and only the tests call them:
   construction, zeros and identity, entries, sums, scalar multiples,
   powers, elimination and rank, in which the tests state their facts.
   The program keeps only the product and equality.
-* dense_action / dense_actions: the dense action matrix of a column (the
-  lower-triangular Toeplitz matrix of a fiber action) or of a (column, c)
-  pair (the jet action [[A, 0], [e c^T, A]]), and the dense
-  actions of a `modules.FiniteModule`, which holds only those series.
-  They also expand a closed-form power of `modules._action_power`, which
-  has the same two shapes.
+* dense_action / dense_actions / dense_jet_actions: the dense action
+  matrix of a column (the lower-triangular Toeplitz matrix of a fiber
+  action) or of a (column, c) pair (the jet action [[A, 0], [e c^T, A]]),
+  the dense actions of a `modules.FiniteModule`, which holds only its
+  columns, and the 2r x 2r jet actions of a `modules.JetPair`, written
+  from its fiber's columns and its rows, the one dense jet reference.
+  `dense_action` also expands a closed-form power of
+  `modules._action_power`, which has the same two shapes.
 * multiplication_matrix: multiplication by a series on K[t]/(t^r), one
   shifted column per basis vector t^j; the reference for the Toeplitz
   actions of `modules.fiber_module`.
@@ -51,8 +53,8 @@ routes, and only the tests call them:
 * DenseModule: a module held by its dense action matrices, of any
   shape, checked by `check_module_dense` when built (`NotNilpotent` names
   an action whose dim-th power is not zero).  `modules.FiniteModule`
-  holds only the series of strictly lower-triangular Toeplitz and jet
-  actions; the tests build dense views, dense sums, conjugated fibers
+  holds only the series of strictly lower-triangular Toeplitz actions,
+  and `modules.JetPair` a fiber and one row per coordinate; the tests build dense views, dense sums, conjugated fibers
   and planted faults as DenseModules and compare the program's series
   readings with them.
 * jet_uniformizer / jet_frame / DenseJet: the uniformizer's actions on a
@@ -333,10 +335,16 @@ def dense_action(column, c=None) -> DenseMatrix:
 
 def dense_actions(module) -> tuple:
     """The dense action matrices of a `modules.FiniteModule`, written from
-    the columns or the (column, c) jets it holds."""
-    if module.columns is not None:
-        return tuple(dense_action(col) for col in module.columns)
-    return tuple(dense_action(col, c) for col, c in module.jets)
+    the columns it holds."""
+    return tuple(dense_action(col) for col in module.columns)
+
+
+def dense_jet_actions(pair) -> tuple:
+    """The dense 2r x 2r actions of the jet M2 of a `modules.JetPair`,
+    [[A_k, 0], [e c_k^T, A_k]], written from its fiber's columns and its
+    rows."""
+    return tuple(dense_action(col, c)
+                 for col, c in zip(pair.m1.columns, pair.rows))
 
 
 def _normalize_equation(g: Poly) -> Poly:
@@ -771,13 +779,15 @@ def block_diag(*blocks):
 def dense_sum(member):
     """The DenseModule of a `FiniteModule` (`dense_actions`) or of a
     `DirectSum` of modules, its actions the block-diagonal sums of its
-    runs'; the `DenseJet` of a jet pair or of a `DirectSum` of jet pairs,
-    each summand one block with the uniformizer of `jet_uniformizer`; any
+    runs'; the `DenseJet` of a jet pair (its M2 by `dense_jet_actions`)
+    or of a `DirectSum` of jet pairs, each summand one block with the
+    uniformizer of `jet_uniformizer`; any
     other module or jet as it is."""
     if isinstance(member, FiniteModule):
         return DenseModule(member.dim, dense_actions(member))
     if isinstance(member, JetPair):
-        return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
+        return DenseJet(dense_sum(member.m1),
+                        DenseModule(2 * member.rank, dense_jet_actions(member)),
                         *jet_uniformizer(member.rank), (member.rank,))
     if not isinstance(member, DirectSum):
         return member
@@ -787,10 +797,14 @@ def dense_sum(member):
         return block_diag(*[matrix_of(s) for s, copies in runs
                             for _ in range(copies)])
 
+    def module_sum(module_of):
+        return DenseModule(sum(module_of(s).dim * copies for s, copies in runs),
+                           tuple(block_sum(lambda s: module_of(s).actions[k])
+                                 for k in range(member.ambient_dim)))
+
     if isinstance(runs[0][0], DenseModule):
-        return DenseModule(member.dim, tuple(
-            block_sum(lambda s: s.actions[k]) for k in range(member.ambient_dim)))
-    return DenseJet(dense_sum(member.m1), dense_sum(member.m2),
+        return module_sum(lambda s: s)
+    return DenseJet(module_sum(lambda s: s.m1), module_sum(lambda s: s.m2),
                     block_sum(lambda s: s.t_m1), block_sum(lambda s: s.t_m2),
                     tuple(k for s, copies in runs for k in s.blocks * copies))
 

@@ -32,6 +32,7 @@ from d0res.verify import (
 from conftest import ACCEPTANCE_CURVES, EXPECTED_INVARIANTS
 from oracles import (
     dense_actions,
+    dense_jet_actions,
     eval_series_at_matrix,
     jet_uniformizer,
     nilpotency_index,
@@ -130,7 +131,7 @@ def test_jet_nilpotency_jump():
         t_m1, t_m2 = jet_uniformizer(r)
         assert dense_actions(jp.m1) == tuple(
             eval_series_at_matrix(s.truncate(r), t_m1) for s in branch.coords)
-        assert dense_actions(jp.m2) == tuple(
+        assert dense_jet_actions(jp) == tuple(
             eval_series_at_matrix(s.truncate(r + 1), t_m2)
             for s in branch.coords)
         assert nilpotency_index(t_m1) == r

@@ -25,10 +25,9 @@ from d0res.modules import (
     pad,
 )
 from d0res.poly import Poly, poly_text
-from d0res.series import Series
+from d0res.series import Series, SlotLayout
 from d0res.verify import (
     CertificateFamily,
-    _fiber_layout,
     _kills,
     _power_is_zero,
     _printed,
@@ -45,6 +44,7 @@ from oracles import (
     dense_action,
     dense_actions,
     dense_annihilator,
+    dense_jet_actions,
     dense_sum,
     eval_poly_at_matrices,
     eval_series_at_matrix,
@@ -76,27 +76,37 @@ def M(rows):
     return DenseMatrix([[F(x) for x in row] for row in rows])
 
 
-# what `FiniteModule` says of a column with a t^0 term and of a jet row of
-# the wrong length, what `JetPair` says of a jet off its fiber's columns,
-# and what a series reading says of a module held as jets
+# what `FiniteModule` says of a column with a t^0 term, and what `JetPair`
+# says of rows that are not one per coordinate of the fiber's length and
+# of rows whose jet actions do not commute
 NOT_NILPOTENT = ("an action's column has a nonzero t^0 coefficient, so the "
                  "action is not nilpotent")
-C_LENGTH = "a jet's c row must have the fiber's length"
-FRAME = "inclusion and projection must intertwine the coordinate actions"
-NOT_A_FIBER = "a fiber's actions must be strictly lower-triangular Toeplitz"
+C_LENGTH = "a jet pair needs one c row of the fiber's length per coordinate"
 NOT_COMMUTING = "coordinate actions must commute"
 
 
 def _dense_of(columns=(), jets=()):
-    """The dense actions that `columns` or `jets` write, whether or not
-    `FiniteModule` would hold them."""
+    """The dense actions that fiber `columns` or (column, c) `jets` write,
+    whether or not `FiniteModule` or `JetPair` would hold them."""
     return (tuple(dense_action(col) for col in columns)
             + tuple(dense_action(col, c) for col, c in jets))
 
 
+def _held(pair, side):
+    """What `_action_power` raises on `side` of a jet pair: the fiber for
+    "m1", the pair itself for its jet "m2"."""
+    return pair.m1 if side == "m1" else pair
+
+
+def _dense_side(pair, side):
+    """The dense actions of `side` of a jet pair: the fiber's r x r ones
+    for "m1", the jet's 2r x 2r ones for "m2"."""
+    return dense_actions(pair.m1) if side == "m1" else dense_jet_actions(pair)
+
+
 def test_fiber_module_examples():
     fm = fiber_module(CUSP, 2)
-    assert fm.columns == (Series.zero(2), Series.zero(2)) and fm.jets is None
+    assert fm.columns == (Series.zero(2), Series.zero(2))
     assert all(a.is_zero() for a in dense_actions(fm))
     fm2 = fiber_module(NODE1, 2)
     assert dense_actions(fm2)[0] == M([[0, 0], [1, 0]])
@@ -140,8 +150,8 @@ def test_jet_nilpotency_indices(r):
 
 def test_cusp_jet_coordinate_action():
     jp = jet_pair(CUSP, 2)
-    assert jp.m2.jets[0] == (Series.zero(2), (F(2), F(0)))
-    x2 = dense_actions(jp.m2)[0]
+    assert (jp.m1.columns[0], jp.rows[0]) == (Series.zero(2), (F(2), F(0)))
+    x2 = dense_jet_actions(jp)[0]
     assert x2 == M([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
     assert dense_actions(jp.m1)[0].is_zero()
 
@@ -158,10 +168,10 @@ def test_graph_skyscraper():
     fib = jet.m1
     assert jet == jet_pair(SMOOTH, 1)
     assert fib.dim == 1 and all(a.is_zero() for a in dense_actions(fib))
-    assert not dense_actions(jet.m2)[0].is_zero()   # coefficient of t is 1
-    assert dense_actions(jet.m2)[1].is_zero()
+    assert not dense_jet_actions(jet)[0].is_zero()   # coefficient of t is 1
+    assert dense_jet_actions(jet)[1].is_zero()
     jet_cusp = graph_skyscraper(CUSP)
-    assert all(a.is_zero() for a in dense_actions(jet_cusp.m2))
+    assert all(a.is_zero() for a in dense_jet_actions(jet_cusp))
 
 
 def _bumped(a, i, j):
@@ -189,8 +199,8 @@ def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
     """An M2 action that is a valid module action, as the dense reference
     finds, but does not read [[A, 0], [C, A]] on (tops, bottoms) is
     rejected by the tests' `DenseJet`, on one block and across several.
-    A jet held by its series cannot be such an action: it holds only A's
-    column and C's last row."""
+    A jet pair cannot hold such an action: it holds only its fiber, A's
+    column, and C's last row."""
     dense = dense_sum(jet)
     assert replace(dense) == dense
     x2 = _bumped(dense.m2.actions[0], *entry)
@@ -201,23 +211,17 @@ def test_jet_pair_rejects_actions_off_the_frame(jet, entry):
 
 
 def test_a_jet_pair_is_its_fiber_and_its_jet():
-    """A jet pair holds M1 and M2 and nothing else, on one fixed frame; it
-    refuses a jet of the wrong dimension or ambient dimension, an M2 held
-    by columns, and jets whose columns are not its fiber's, with the text
-    the CLI prints."""
+    """A jet pair holds M1 and one row per coordinate, which fix M2, and
+    nothing else; it refuses rows that are not one per coordinate, each of
+    the fiber's length, with the text the CLI prints."""
     jet = CUSP_JET
-    assert [f.name for f in fields(JetPair)] == ["m1", "m2"]
-    assert JetPair(jet.m1, jet.m2) == jet
-    with pytest.raises(D0resError, match="twice the fiber dimension"):
-        JetPair(jet.m1, jet_pair(CUSP, 3).m2)
-    space = jet_pair(B([(2, 1)], [(3, 1)], [(4, 1)]), 2)
-    with pytest.raises(D0resError, match="share the ambient dimension"):
-        JetPair(jet.m1, space.m2)
-    with pytest.raises(D0resError, match="M2 must be held as jets"):
-        JetPair(jet.m1, fiber_module(CUSP, 4))
-    with pytest.raises(D0resError) as caught:
-        JetPair(fiber_module(NODE1, 2), jet_pair(B([(1, 1)], [(1, 1)]), 2).m2)
-    assert str(caught.value) == FRAME
+    assert [f.name for f in fields(JetPair)] == ["m1", "rows"]
+    assert JetPair(jet.m1, jet.rows) == jet
+    (c, d), longer = jet.rows, jet_pair(CUSP, 3).rows
+    for rows in ((c[:-1], d), longer, (c,), (c, d, d)):
+        with pytest.raises(D0resError) as caught:
+            JetPair(jet.m1, rows)
+        assert str(caught.value) == C_LENGTH
 
 
 def test_the_dense_jet_checks_uniformizer_and_blocks():
@@ -242,8 +246,9 @@ def test_pad_examples():
     assert padded.dim == 3
     assert dense_sum(padded).actions[0] == M([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     jp = pad(jet_pair(NODE1, 2), jet, 2)
-    assert jp.m1.dim == 4 and jp.m2.dim == 8 and jp.rank == 4
+    assert jp.m1.dim == 4 and jp.rank == 4
     dense = dense_sum(jp)
+    assert dense.m2.dim == 8
     assert (dense.eps * dense.eps).is_zero()
     assert dense.incl * dense.proj == dense.eps
     with pytest.raises(D0resError):
@@ -252,8 +257,9 @@ def test_pad_examples():
 
 def test_pad_builds_a_direct_sum_of_its_summands():
     """`pad` holds base and filler as (summand, copies) runs; a jet sum's m1
-    and m2 are the sums of its summands' m1 and m2.  The dense sums the
-    tests assemble pass the dense reference and the public constructors."""
+    is the sum of its summands' m1.  The dense sums the tests assemble
+    pass the dense reference and the public constructors, and a dense jet
+    sum's M2 is the block sum of its summands' dense jets."""
     sky_jet = graph_skyscraper(NODE1)
     sky = sky_jet.m1
     base = fiber_module(NODE1, 2)
@@ -265,11 +271,10 @@ def test_pad_builds_a_direct_sum_of_its_summands():
     assert jet.runs == ((jet_pair(NODE1, 2), 1), (sky_jet, 3))
     assert dense_sum(jet).blocks == (2, 1, 1, 1) and jet.rank == 5
     assert jet.m1 == DirectSum(((jet_pair(NODE1, 2).m1, 1), (sky_jet.m1, 3)))
-    assert jet.m2 == DirectSum(((jet_pair(NODE1, 2).m2, 1), (sky_jet.m2, 3)))
     check_jet_dense(dense_sum(jet))
     assert dense_sum(jet).m2.actions[0] == block_diag(
-        dense_actions(jet_pair(NODE1, 2).m2)[0],
-        *[dense_actions(sky_jet.m2)[0]] * 3)
+        dense_jet_actions(jet_pair(NODE1, 2))[0],
+        *[dense_jet_actions(sky_jet)[0]] * 3)
 
 
 def test_pad_builds_no_matrix(monkeypatch):
@@ -300,21 +305,22 @@ def test_pad_rejects_mismatched_ambient_dimensions():
 def test_a_bad_filler_is_refused_when_built():
     """A filler whose actions are not nilpotent, or do not commute, never
     exists to be padded: `FiniteModule` refuses a column with a t^0 term
-    and jets whose rows break c^T B = d^T A, and the dense reference
+    and `JetPair` rows that break c^T B = d^T A, and the dense reference
     refuses their dense actions by its powers or its products.  Each
     module's dim is the one its dense actions read."""
     shift = Series([F(0), F(1)])
-    not_nilpotent = {"columns": (Series([F(1)]), Series.zero(1))}
+    columns = (Series([F(1)]), Series.zero(1))
     # [[S, 0], [e (0, 1), S]] and [[S, 0], [0, S]]: e c^T S = e (1, 0)
-    not_commuting = {"jets": ((shift, (F(0), F(1))), (shift, (F(0), F(0))))}
-    assert (Series.zero(2), None) not in not_commuting["jets"]
-    for held, dim, text, dense_error in (
-            (not_nilpotent, 1, NOT_NILPOTENT, NotNilpotent),
-            (not_commuting, 4, NOT_COMMUTING, NonCommutingActions)):
-        actions = _dense_of(**held)
+    shifts, rows = (shift, shift), ((F(0), F(1)), (F(0), F(0)))
+    for build, actions, dim, text, dense_error in (
+            (lambda: FiniteModule(1, columns), _dense_of(columns=columns), 1,
+             NOT_NILPOTENT, NotNilpotent),
+            (lambda: JetPair(FiniteModule(2, shifts), rows),
+             _dense_of(jets=zip(shifts, rows)), 4, NOT_COMMUTING,
+             NonCommutingActions)):
         assert all(a.rows == dim for a in actions)
         with pytest.raises(D0resError) as caught:
-            FiniteModule(dim, **held)
+            build()
         assert str(caught.value) == text
         with pytest.raises(dense_error):
             DenseModule(dim, actions)
@@ -342,12 +348,12 @@ def test_a_direct_sum_must_be_its_summands(runs):
 
 def test_a_padded_jet_must_be_its_summands():
     """A sum of jet pairs is built only from jet pairs of one ambient
-    dimension, each with a positive copy count, and its m1 and m2 are
-    the sums of its summands'."""
+    dimension, each with a positive copy count, and its m1 is the sum of
+    its summands'."""
     jet = pad(CUSP_JET, graph_skyscraper(CUSP), 2)
     assert DirectSum(jet.runs) == jet
     assert jet.m1.runs == ((CUSP_JET.m1, 1), (graph_skyscraper(CUSP).m1, 2))
-    assert jet.m2.dim == 2 * jet.m1.dim == 2 * jet.rank == 8
+    assert jet.m1.dim == jet.rank == 4
     bad = [
         (jet.runs[0], (jet.runs[1][0], 0)),
         (jet.runs[0], (CUSP_JET.m1, 1)),
@@ -478,31 +484,28 @@ def test_nilpotency_index_examples():
 
 def test_finite_module_validation():
     """`FiniteModule` checks the series it holds and nothing else, with the
-    texts the CLI prints: one of the two shapes, columns of the module's
-    length, a zero t^0 coefficient in every column, fiber's or jet's, and
-    jet rows of the fiber's length.  The dense reference finds the dense
-    action of a column with a t^0 term not nilpotent."""
+    texts the CLI prints: columns of the module's length and a zero t^0
+    coefficient in every column, which a jet pair's fiber shares with its
+    jet; `JetPair` checks one row of the fiber's length per coordinate.
+    The dense reference finds the dense action of a column with a t^0 term
+    not nilpotent."""
     fiber = fiber_module(NODE1, 3)
     x, y = fiber.columns
-    jet = jet_pair(NODE1, 3).m2
-    (x_column, c), y_jet = jet.jets
+    c, d = jet_pair(NODE1, 3).rows
     on_diagonal = x + Series.one(3)
     with pytest.raises(NotNilpotent):
         DenseModule(3, _dense_of(columns=(on_diagonal, y)))
-    for held, text in (
-            ({"columns": (on_diagonal, y)}, NOT_NILPOTENT),
-            ({"jets": ((on_diagonal, c), y_jet)}, NOT_NILPOTENT),
-            ({"jets": ((x_column, c[:-1]), y_jet)}, C_LENGTH)):
+    for build, text in (
+            (lambda: FiniteModule(3, (on_diagonal, y)), NOT_NILPOTENT),
+            (lambda: JetPair(FiniteModule(3, (on_diagonal, y)), (c, d)),
+             NOT_NILPOTENT),
+            (lambda: JetPair(fiber, (c[:-1], d)), C_LENGTH)):
         with pytest.raises(D0resError) as caught:
-            FiniteModule(6 if "jets" in held else 3, **held)
+            build()
         assert str(caught.value) == text
-    for dim, held in ((2, {"columns": fiber.columns}),
-                      (7, {"jets": jet.jets}), (3, {"jets": jet.jets})):
+    for dim in (2, 4, 6):
         with pytest.raises(D0resError, match="columns must fit the module dim"):
-            FiniteModule(dim, **held)
-    for held in ({}, {"columns": fiber.columns, "jets": jet.jets}):
-        with pytest.raises(D0resError, match="either fiber columns or jets"):
-            FiniteModule(3, **held)
+            FiniteModule(dim, fiber.columns)
 
 
 def test_non_triangular_module_is_validated_by_its_powers(monkeypatch):
@@ -545,7 +548,7 @@ def test_jet_actions_equal_series_at_the_jet_uniformizer(repo_corpus_germs):
     for b in branches:
         for r in range(1, 11):
             t_m2 = jet_uniformizer(r)[1]
-            assert dense_actions(jet_pair(b, r).m2) == tuple(
+            assert dense_jet_actions(jet_pair(b, r)) == tuple(
                 eval_series_at_matrix(s.truncate(r + 1), t_m2)
                 for s in b.coords), (b, r)
 
@@ -614,12 +617,12 @@ def test_toeplitz_and_jet_powers_equal_dense_powers(b, r):
     dense = dense_sum(pad(jet, sky, 2))
     for side in ("m1", "m2"):
         for coord, a in enumerate(getattr(dense, side).actions):
-            bare = dense_actions(getattr(jet, side))[coord]
+            bare = _dense_side(jet, side)[coord]
             for k in range(1, r + 2):
-                assert dense_action(*_action_power(getattr(jet, side), coord,
+                assert dense_action(*_action_power(_held(jet, side), coord,
                                                    k)) == bare ** k
                 assert assembled([
-                    (dense_action(*_action_power(getattr(s, side), coord, k)),
+                    (dense_action(*_action_power(_held(s, side), coord, k)),
                      copies)
                     for s, copies in runs]) == a ** k
 
@@ -637,9 +640,9 @@ def test_toeplitz_kills_agree_with_dense_evaluation(b, r):
     dense_padded = dense_sum(padded)
     for g in ideal.polys:
         for fiber in fibers:
-            assert _kills(g, _fiber_layout(fiber)) == g.evaluate(
+            assert _kills(g, SlotLayout(fiber.columns)) == g.evaluate(
                 dense_actions(fiber), DenseMatrix.identity(fiber.dim)).is_zero()
-        assert all(_kills(g, _fiber_layout(s))
+        assert all(_kills(g, SlotLayout(s.columns))
                    for s, _ in padded.runs) == g.evaluate(
             dense_padded.actions,
             DenseMatrix.identity(dense_padded.dim)).is_zero()
@@ -706,7 +709,7 @@ def test_one_entry_below_the_first_column_is_checked_densely():
     check_module_dense(dense_sum(bumped))
 
 
-_JET_X = dense_actions(jet_pair(B([(1, 1)], [(2, 1)]), 3).m2)[0]
+_JET_X = dense_jet_actions(jet_pair(B([(1, 1)], [(2, 1)]), 3))[0]
 
 
 @pytest.mark.parametrize("action", [
@@ -717,7 +720,7 @@ _JET_X = dense_actions(jet_pair(B([(1, 1)], [(2, 1)]), 3).m2)[0]
 def test_actions_off_the_closed_jet_form_are_raised_densely(action):
     """An action that is not [[A, 0], [e c^T, A]] with A Toeplitz, nor
     Toeplitz, differs from both actions written from its own first column
-    and last row, so no module held by its series is it, and
+    and last row, so no fiber or jet pair holds it, and
     `_action_power` never meets it; only the dense reference holds it, and
     raises it by `**` to zero."""
     r = action.rows // 2
@@ -731,34 +734,60 @@ def test_actions_off_the_closed_jet_form_are_raised_densely(action):
 # -- jet actions read once, in closed form ------------------------------------
 
 
+def _dense_accepts(m1, m2_actions):
+    """The dense reference accepts these M2 actions over the dense fiber
+    `m1`: a valid module whose every action reads [[A, 0], [C, A]] on the
+    jet frame, entry by entry (`DenseJet`)."""
+    try:
+        DenseJet(m1, DenseModule(2 * m1.dim, m2_actions),
+                 *jet_uniformizer(m1.dim), (m1.dim,))
+    except D0resError:
+        return False
+    return True
+
+
+def _row_bumps(jet):
+    """The rows of `jet` with one entry of one row bumped by 1, for each
+    coordinate and entry."""
+    rows = jet.rows
+    for coord, c in enumerate(rows):
+        for j in range(len(c)):
+            yield (rows[:coord] + (c[:j] + (c[j] + 1,) + c[j + 1:],)
+                   + rows[coord + 1:])
+
+
 def _judge_c_bumps(b, r, seen):
-    """Build M2 of the rank-r jet of `b` with one entry of one jet's c row
-    bumped by 1, for each coordinate and entry, and check the outcome of
-    c^T B = d^T A against the dense products of the dense actions; add
-    whether they commute to `seen` for each."""
-    jets = jet_pair(b, r).m2.jets
-    for coord, (column, c) in enumerate(jets):
-        for j in range(r):
-            bumped = (jets[:coord] + ((column, c[:j] + (c[j] + 1,) + c[j + 1:]),)
-                      + jets[coord + 1:])
-            actions = _dense_of(jets=bumped)
-            commuting = all(x * y == y * x for i, x in enumerate(actions)
-                            for y in actions[i + 1:])
-            try:
-                FiniteModule(2 * r, jets=bumped)
-            except NonCommutingActions as err:
-                assert str(err) == NOT_COMMUTING
-                assert not commuting, (b, r, coord, j)
-            else:
-                assert commuting, (b, r, coord, j)
-            seen.add(commuting)
+    """Build the rank-r jet pair of `b` with one entry of one c row bumped
+    by 1, for each coordinate and entry, and check the outcome of
+    c^T B = d^T A against the dense products of the dense actions and
+    against the dense reference, which also checks nilpotency and the
+    frame entry by entry (`_dense_accepts`); add whether they commute to
+    `seen` for each."""
+    jet = jet_pair(b, r)
+    dense_m1 = dense_sum(jet.m1)
+    for bumped in _row_bumps(jet):
+        actions = _dense_of(jets=zip(jet.m1.columns, bumped))
+        commuting = all(x * y == y * x for i, x in enumerate(actions)
+                        for y in actions[i + 1:])
+        assert _dense_accepts(dense_m1, actions) == commuting, (b, r, bumped)
+        try:
+            JetPair(jet.m1, bumped)
+        except NonCommutingActions as err:
+            assert str(err) == NOT_COMMUTING
+            assert not commuting, (b, r, bumped)
+        else:
+            assert commuting, (b, r, bumped)
+        seen.add(commuting)
 
 
 def test_row_and_dense_commutation_agree(repo_corpus_germs):
-    """Over every corpus branch at r = 1..8, M2 with one entry of one c
-    row bumped is accepted exactly when the dense products commute: the
-    c^T B = d^T A rows judge it as the dense products do.  A bump anywhere
-    else in C is not a jet, and only the dense reference holds it."""
+    """Over every corpus branch at r = 1..8, the skyscraper at r = 1
+    included, a jet pair with one entry of one c row bumped is accepted
+    exactly when the dense products commute and the dense reference
+    accepts its dense jet: the c^T B = d^T A rows judge it as the dense
+    products do.  A bump anywhere else in C, or a jet column other than
+    its fiber's, is not a jet pair, and only the dense reference holds
+    it."""
     seen = set()
     for germ in repo_corpus_germs.values():
         for b in germ.branches:
@@ -773,8 +802,8 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
     """Every module the program builds holds its series as they were
     built, over rational branches and branches over QQ(i) and QQ(a): every
     fiber of `fiber_module`, `jet_pair` and `graph_skyscraper` holds the
-    coordinates' series truncated to its rank, and every jet holds
-    (column, (r * s_(r-j))_j), the A = 0 jets included.  Their dense views
+    coordinates' series truncated to its rank, and every jet pair holds
+    the rows (r * s_(r-j))_j, the A = 0 jets included.  Their dense views
     equal the references, `multiplication_matrix` on a fiber and the
     series at the jet's uniformizer on a jet, on a valid dense jet.  On
     both, `_action_power`'s closed form, expanded, equals the dense power
@@ -786,24 +815,21 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
     sky = graph_skyscraper(b)
     jet = jet_pair(b, r)
     for module, rank in ((fiber_module(b, r), r), (jet.m1, r), (sky.m1, 1)):
-        assert module.jets is None
         assert module.columns == tuple(s.truncate(rank) for s in b.coords)
         assert dense_actions(module) == tuple(multiplication_matrix(s, rank)
                                               for s in b.coords)
     for pair in (jet, sky):
         rank = pair.rank
-        assert pair.m2.columns is None
-        assert pair.m2.jets == tuple(
-            (s.truncate(rank), tuple(rank * s.coeffs[rank - j]
-                                     for j in range(rank)))
+        assert pair.rows == tuple(
+            tuple(rank * s.coeffs[rank - j] for j in range(rank))
             for s in b.coords)
         t_m2 = jet_uniformizer(rank)[1]
-        assert dense_actions(pair.m2) == tuple(
+        assert dense_jet_actions(pair) == tuple(
             eval_series_at_matrix(s.truncate(rank + 1), t_m2) for s in b.coords)
         check_jet_dense(pair)
         for side in ("m1", "m2"):
-            module = getattr(pair, side)
-            for coord, a in enumerate(dense_actions(module)):
+            module = _held(pair, side)
+            for coord, a in enumerate(_dense_side(pair, side)):
                 for k in range(1, rank + 2):
                     power, dense = _action_power(module, coord, k), a ** k
                     assert dense_action(*power) == dense
@@ -819,47 +845,6 @@ def test_every_built_module_is_read_by_columns_or_jets(b, r):
                                            "power must have a zero fiber"):
                             _printed(power)
     _judge_c_bumps(b, r, set())
-
-
-def test_series_readings_refuse_a_module_read_as_jets():
-    """A jet pair whose M1 is held as jets, and the annihilator and the
-    witness check of such a module, are refused as not a fiber, with the
-    text the CLI prints."""
-    b = B([(1, 1)], [(2, 1)])
-    jet = jet_pair(b, 3)
-    assert jet.m2.columns is None and jet.m2.jets is not None
-    for read in (lambda: JetPair(jet.m2, jet_pair(b, 6).m2),
-                 lambda: annihilator(jet.m2),
-                 lambda: _fiber_layout(jet.m2)):
-        with pytest.raises(D0resError) as caught:
-            read()
-        assert str(caught.value) == NOT_A_FIBER
-
-
-def test_jet_pair_compares_first_columns(repo_corpus_germs):
-    """A single-block jet pair is checked by first columns: an M2 of
-    another branch's jet, valid on its own, is refused where its columns
-    differ from M1's and accepted where they agree."""
-    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
-    refused = accepted = 0
-    for b in branches:
-        for other in branches:
-            if other.ambient_dim != b.ambient_dim:
-                continue
-            jet, foreign = jet_pair(b, 4), jet_pair(other, 4)
-            same = all(
-                c == col for (c, _), col in zip(foreign.m2.jets,
-                                                jet.m1.columns))
-            try:
-                JetPair(jet.m1, foreign.m2)
-            except D0resError as err:
-                assert str(err) == FRAME
-                assert not same
-                refused += 1
-            else:
-                assert same
-                accepted += 1
-    assert refused and accepted
 
 
 def test_trusted_matrices_equal_checked_ones(repo_corpus_germs, monkeypatch):
@@ -899,7 +884,7 @@ def test_trusted_matrices_equal_checked_ones(repo_corpus_germs, monkeypatch):
 
 def test_jet_pair_runs_no_dense_product(repo_corpus_germs, monkeypatch):
     """Building any corpus jet, at r = 1..10, multiplies only one-row
-    matrices: the c^T B = d^T A rows of `FiniteModule`, never a dense
+    matrices: the c^T B = d^T A rows of `JetPair`, never a dense
     2r x 2r product, on either the integer or the generic path."""
     left_rows = []
 
@@ -925,8 +910,8 @@ def test_non_commuting_actions_raise_their_own_class(monkeypatch):
     text the CLI prints: a jet's c row doubled, judged by c^T B = d^T A
     with one-row products only, as the dense reference judges it."""
     jet = jet_pair(B([(1, 1)], [(2, 1)]), 3)
-    (column, c), y = jet.m2.jets
-    doubled = ((column, tuple(2 * x for x in c)), y)
+    c, d = jet.rows
+    doubled = (tuple(2 * x for x in c), d)
     left_rows = []
     product = linalg_module.fmatmul
 
@@ -937,73 +922,8 @@ def test_non_commuting_actions_raise_their_own_class(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(linalg_module, "fmatmul", recorded)
         with pytest.raises(NonCommutingActions) as caught:
-            FiniteModule(6, jets=doubled)
+            JetPair(jet.m1, doubled)
     assert left_rows and set(left_rows) == {1}
     assert str(caught.value) == NOT_COMMUTING
     with pytest.raises(NonCommutingActions):
-        DenseModule(6, _dense_of(jets=doubled))
-
-
-def _frame_mutants(jet):
-    """(kind, M2 jets) for the mutants of the jet's M2: the jets as they
-    are, and one jet changed at a time.  Its column bumped at one t^k,
-    k = 1..r-1, moves one whole subdiagonal of both diagonal blocks
-    together: a jet with another first column.  One entry of its c row
-    bumped moves one entry of C's last row."""
-    r, jets = jet.rank, jet.m2.jets
-    yield "none", jets
-    for coord, (column, c) in enumerate(jets):
-        def with_jet(new):
-            return jets[:coord] + (new,) + jets[coord + 1:]
-
-        for k in range(1, r):
-            yield "column", with_jet((column + Series.monomial(k, F(1), r), c))
-        for j in range(r):
-            yield "c row", with_jet((column, c[:j] + (c[j] + 1,) + c[j + 1:]))
-
-
-def _jet_outcome(m1, jets):
-    """The text of the refusal of the jet pair of the fiber `m1` and the
-    jet held as `jets`, None if it is accepted."""
-    try:
-        JetPair(m1, FiniteModule(2 * m1.dim, jets=jets))
-    except D0resError as err:
-        return str(err)
-    return None
-
-
-def _dense_accepts(m1, m2_actions):
-    """The dense reference accepts these M2 actions over the dense fiber
-    `m1`: a valid module whose every action reads [[A, 0], [C, A]] on the
-    jet frame, entry by entry (`DenseJet`)."""
-    try:
-        DenseJet(m1, DenseModule(2 * m1.dim, m2_actions),
-                 *jet_uniformizer(m1.dim), (m1.dim,))
-    except D0resError:
-        return False
-    return True
-
-
-def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
-    """Over the base jets and skyscrapers of every corpus branch at
-    r = 1..6, each M2 mutant of `_frame_mutants` is accepted by
-    `FiniteModule` and `JetPair`, which compare series, exactly when the
-    dense reference accepts its dense actions, checking products, powers
-    and the frame entry by entry.  A wrong first column is refused by the
-    frame check or, first, by the commutation; a c row bump by the
-    commutation or not at all."""
-    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
-    assert any(b.ambient_dim == 3 for b in branches)
-    assert any(isinstance(x, FieldElement) and not x.is_rational()
-               for b in branches for s in b.coords for x in s.coeffs)
-    seen = set()
-    for b in branches:
-        for jet in [graph_skyscraper(b)] + [jet_pair(b, r) for r in range(1, 7)]:
-            dense_m1 = dense_sum(jet.m1)
-            for kind, jets in _frame_mutants(jet):
-                error = _jet_outcome(jet.m1, jets)
-                assert (error is None) == _dense_accepts(
-                    dense_m1, _dense_of(jets=jets)), (b, jet.rank, kind, error)
-                seen.add((kind, error))
-    assert seen == {("none", None), ("column", FRAME), ("column", NOT_COMMUTING),
-                    ("c row", None), ("c row", NOT_COMMUTING)}, seen
+        DenseModule(6, _dense_of(jets=zip(jet.m1.columns, doubled)))

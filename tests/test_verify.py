@@ -33,14 +33,13 @@ from d0res.report import (
     parse_request,
     run_with_escalation,
 )
-from d0res.series import Series
+from d0res.series import Series, SlotLayout
 from d0res.verify import (
     CertificateFamily,
     INCONCLUSIVE,
     NOT_SEPARATED,
     SEPARATED,
     aggregate_critical_rank,
-    _fiber_layout,
     _kills,
     _padding_support_unchanged,
     _point_verdicts,
@@ -573,7 +572,7 @@ def test_point_witness_rechecks_own_fiber(corpus_germs):
                              monomials=monomials_upto(2, fiber.dim),
                              rows=(((0, F(1)),),))
     assert list(bogus.polys) == [one]
-    at = _fiber_layout(fiber)
+    at = SlotLayout(fiber.columns)
     with pytest.raises(D0resError, match="does not annihilate"):
         _point_witness([bogus, bogus], 0, 1,
                        lambda own, row, g, other: _kills(g, at))
