@@ -78,11 +78,13 @@ def M(rows):
 
 # what `FiniteModule` says of a column with a t^0 term, and what `JetPair`
 # says of rows that are not one per coordinate of the fiber's length and
-# of rows whose jet actions do not commute
+# of rows whose jet actions do not commute; what the dense reference says
+# of a jet action that does not read [[A, 0], [C, A]]
 NOT_NILPOTENT = ("an action's column has a nonzero t^0 coefficient, so the "
                  "action is not nilpotent")
 C_LENGTH = "a jet pair needs one c row of the fiber's length per coordinate"
 NOT_COMMUTING = "coordinate actions must commute"
+OFF_THE_FRAME = "action is off the jet frame"
 
 
 def _dense_of(columns=(), jets=()):
@@ -734,16 +736,23 @@ def test_actions_off_the_closed_jet_form_are_raised_densely(action):
 # -- jet actions read once, in closed form ------------------------------------
 
 
-def _dense_accepts(m1, m2_actions):
-    """The dense reference accepts these M2 actions over the dense fiber
-    `m1`: a valid module whose every action reads [[A, 0], [C, A]] on the
-    jet frame, entry by entry (`DenseJet`)."""
+def _dense_refusal(m1, m2_actions):
+    """The text of the dense reference's refusal of these M2 actions over
+    the dense fiber `m1`, None if it accepts them: a valid module whose
+    every action reads [[A, 0], [C, A]] on the jet frame, entry by entry
+    (`DenseJet`)."""
     try:
         DenseJet(m1, DenseModule(2 * m1.dim, m2_actions),
                  *jet_uniformizer(m1.dim), (m1.dim,))
-    except D0resError:
-        return False
-    return True
+    except D0resError as err:
+        return str(err)
+    return None
+
+
+def _dense_accepts(m1, m2_actions):
+    """The dense reference accepts these M2 actions over the dense fiber
+    `m1` (`_dense_refusal`)."""
+    return _dense_refusal(m1, m2_actions) is None
 
 
 def _row_bumps(jet):
@@ -794,6 +803,59 @@ def test_row_and_dense_commutation_agree(repo_corpus_germs):
             for r in range(1, 9):
                 _judge_c_bumps(b, r, seen)
     assert seen == {True, False}, seen
+
+
+def _frame_mutants(jet):
+    """(kind, rows, dense M2 actions) for the mutants of the jet's M2: the
+    jet as it is, and one coordinate changed at a time.  Its column bumped
+    at one t^k, k = 1..r-1, moves one whole subdiagonal of both diagonal
+    blocks together: a jet with another first column than its fiber's,
+    which a `JetPair` cannot hold (rows None).  One entry of its c row
+    bumped moves one entry of C's last row."""
+    r, columns, rows = jet.rank, jet.m1.columns, jet.rows
+    yield "none", rows, dense_jet_actions(jet)
+    for coord, column in enumerate(columns):
+        for k in range(1, r):
+            moved = (columns[:coord] + (column + Series.monomial(k, F(1), r),)
+                     + columns[coord + 1:])
+            yield "column", None, _dense_of(jets=zip(moved, rows))
+    for bumped in _row_bumps(jet):
+        yield "c row", bumped, _dense_of(jets=zip(columns, bumped))
+
+
+def test_first_column_and_entrywise_frame_checks_agree(repo_corpus_germs):
+    """Over the base jets and skyscrapers of every corpus branch at
+    r = 1..6, each M2 mutant of `_frame_mutants` is accepted by `JetPair`,
+    which reads every jet's first column from its fiber, exactly when the
+    dense reference accepts its dense actions, checking products, powers
+    and the frame entry by entry.  A jet with another first column is
+    refused by the dense reference, by the frame check or, first, by the
+    commutation; a c row bump by the commutation or not at all."""
+    branches = [b for germ in repo_corpus_germs.values() for b in germ.branches]
+    assert any(b.ambient_dim == 3 for b in branches)
+    assert any(isinstance(x, FieldElement) and not x.is_rational()
+               for b in branches for s in b.coords for x in s.coeffs)
+    seen = set()
+    for b in branches:
+        for jet in [graph_skyscraper(b)] + [jet_pair(b, r) for r in range(1, 7)]:
+            dense_m1 = dense_sum(jet.m1)
+            for kind, rows, actions in _frame_mutants(jet):
+                dense_error = _dense_refusal(dense_m1, actions)
+                if rows is None:
+                    assert dense_error is not None, (b, jet.rank, kind)
+                    seen.add((kind, dense_error))
+                    continue
+                try:
+                    JetPair(jet.m1, rows)
+                    error = None
+                except D0resError as err:
+                    error = str(err)
+                assert (error is None) == (dense_error is None), (
+                    b, jet.rank, kind, error, dense_error)
+                seen.add((kind, error))
+    assert seen == {("none", None), ("column", OFF_THE_FRAME),
+                    ("column", NOT_COMMUTING), ("c row", None),
+                    ("c row", NOT_COMMUTING)}, seen
 
 
 @settings(max_examples=40, deadline=None)
